@@ -9,9 +9,9 @@
 // batch against a standing index versus a full rebuild plus re-probe.
 // Two estimator cases track the resident join-size sketch: the cost of
 // absorbing a 64-point batch, and the cost of one sketch-served plan.
-// High-dimensional self-join cases (d32/d64, plus float32-mode variants)
-// and three vec/ kernel microbenchmarks pin the flat distance kernels
-// directly (see docs/KERNELS.md).
+// High-dimensional self-join cases (d32/d64) and two vec/ kernel
+// microbenchmarks pin the flat distance kernels directly (see
+// docs/KERNELS.md).
 //
 //	simjoinbench [-quick] [-only vec/] [-out BENCH_2006-01-02.json]
 //	simjoinbench -quick -baseline bench/BENCH_xxx.json [-threshold 0.2]
@@ -101,7 +101,6 @@ type spec struct {
 	twoSet  bool
 	workers int
 	stream  bool
-	f32     bool
 }
 
 // suite enumerates the pinned cases. Workers and naming are fixed here;
@@ -132,9 +131,8 @@ func suite() []spec {
 			}
 		}
 	}
-	// High-dimensional self-join cases exercise the flat kernels where
-	// memory bandwidth dominates; the f32 variant measures the float32
-	// kernel mode end to end (mirror build included, amortized over runs).
+	// High-dimensional self-join cases exercise the flat kernels where the
+	// distance tests dominate.
 	for _, d := range []int{32, 64} {
 		for _, mode := range []string{"collect", "stream"} {
 			out = append(out, spec{
@@ -144,12 +142,6 @@ func suite() []spec {
 				stream:  mode == "stream",
 			})
 		}
-		out = append(out, spec{
-			name:    fmt.Sprintf("self/d%d/serial/collect/f32", d),
-			dims:    d,
-			workers: 1,
-			f32:     true,
-		})
 	}
 	return out
 }
@@ -197,7 +189,7 @@ func run(sp spec, quick bool) (Case, error) {
 		}
 	}
 	var js simjoin.JoinStats
-	opt := simjoin.Options{Eps: eps, Workers: sp.workers, Float32: sp.f32, Stats: &js}
+	opt := simjoin.Options{Eps: eps, Workers: sp.workers, Stats: &js}
 	var runErr error
 	one := func() {
 		switch {
@@ -455,7 +447,6 @@ func runEstimate(quick bool) ([]Case, error) {
 //	vec/l2-early-exit — the same probes at the suite's d32 ε: the
 //	                    partial-distance early exit fires on nearly every
 //	                    candidate
-//	vec/f32           — vec/l2-flat over the float32 mirror
 func runVec(quick bool) ([]Case, error) {
 	const dims = 32
 	n := 1200
@@ -466,23 +457,21 @@ func runVec(quick bool) ([]Case, error) {
 	if err != nil {
 		return nil, err
 	}
+	f := ds.Internal().FlatView()
 	benches := []struct {
 		name string
-		f    vec.Flat
 		th   float64
 	}{
-		{"vec/l2-flat", ds.Internal().KernelView(false), math.Inf(1)},
-		{"vec/l2-early-exit", ds.Internal().KernelView(false), vec.Threshold(vec.L2, 0.31)},
-		{"vec/f32", ds.Internal().KernelView(true), math.Inf(1)},
+		{"vec/l2-flat", math.Inf(1)},
+		{"vec/l2-early-exit", vec.Threshold(vec.L2, 0.31)},
 	}
 	var out []Case
 	for _, bc := range benches {
-		f, th := bc.f, bc.th
 		var pairs int64
 		one := func() {
 			var res int64
 			for i := 0; i < n; i++ {
-				_, r := vec.ProbeRangeFlat(vec.L2, f, int32(i), f, 0, n, th, func(int32) {})
+				_, r := vec.ProbeRangeFlat(vec.L2, f, int32(i), f, 0, n, bc.th, func(int32) {})
 				res += r
 			}
 			pairs = res

@@ -75,7 +75,9 @@ func pairsOf(t *testing.T, body map[string]any) [][2]int {
 
 // TestClusterSelfJoinMatchesSingleNode is the subsystem's acceptance
 // test: a distributed self-join over three real workers must return
-// exactly the single-node ekdb pair set.
+// exactly the single-node ekdb pair set. Both tiers also take the request
+// with the retired "float32" field set: old clients still get a 200, and
+// the field is ignored — the answer is the same exact pair set.
 func TestClusterSelfJoinMatchesSingleNode(t *testing.T) {
 	const (
 		n, dims = 400, 6
@@ -83,18 +85,11 @@ func TestClusterSelfJoinMatchesSingleNode(t *testing.T) {
 		margin  = 0.35
 	)
 	coord, _ := startCluster(t, 3, margin)
+	worker := httptest.NewServer(newServer().handler())
+	defer worker.Close()
 	pts := clusterPoints(n, dims, 101)
 	putPoints(t, coord.URL, "d", pts)
-
-	resp, body := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/selfjoin",
-		map[string]any{"eps": eps, "algorithm": "ekdb"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cluster selfjoin: %d %v", resp.StatusCode, body)
-	}
-	if body["partial"] != false {
-		t.Fatalf("healthy cluster returned partial result: %v", body)
-	}
-	got := pairsOf(t, body)
+	putPoints(t, worker.URL, "d", pts)
 
 	res, err := simjoin.SelfJoin(simjoin.FromPoints(pts), simjoin.Options{Eps: eps, Algorithm: simjoin.AlgorithmEKDB})
 	if err != nil {
@@ -113,11 +108,29 @@ func TestClusterSelfJoinMatchesSingleNode(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("oracle found no pairs — test parameters are vacuous")
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cluster pair set differs from single node: got %d pairs, want %d", len(got), len(want))
-	}
-	if int(body["shards"].(float64)) < 2 {
-		t.Fatalf("join used %v shards — data was not distributed", body["shards"])
+
+	for _, tier := range []*httptest.Server{coord, worker} {
+		for _, req := range []map[string]any{
+			{"eps": eps, "algorithm": "ekdb"},
+			{"eps": eps, "algorithm": "ekdb", "float32": true},
+		} {
+			resp, body := doJSON(t, http.MethodPost, tier.URL+"/datasets/d/selfjoin", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("selfjoin %v: %d %v", req, resp.StatusCode, body)
+			}
+			if got := pairsOf(t, body); !reflect.DeepEqual(got, want) || body["total"] != float64(len(want)) {
+				t.Fatalf("selfjoin %v differs from single node: got %d pairs (total %v), want %d", req, len(got), body["total"], len(want))
+			}
+			if tier != coord {
+				continue
+			}
+			if body["partial"] != false {
+				t.Fatalf("healthy cluster returned partial result: %v", body)
+			}
+			if int(body["shards"].(float64)) < 2 {
+				t.Fatalf("join used %v shards — data was not distributed", body["shards"])
+			}
+		}
 	}
 }
 

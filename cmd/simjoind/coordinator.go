@@ -287,7 +287,6 @@ func (s *coordServer) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 		Metric:    p.Metric,
 		Algorithm: p.Algorithm,
 		Workers:   p.Workers,
-		Float32:   p.Float32,
 	}
 	est, over := s.admitSelfJoin(r, name, p)
 	rec := querylog.Record{

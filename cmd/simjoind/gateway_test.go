@@ -19,9 +19,9 @@ import (
 // gateway in front of a real coordinator sharding over three real
 // workers. Returned is the gateway object (for metrics/drain) and its
 // server; datasets are uploaded through the coordinator URL.
-func startGatewayStack(t *testing.T, cfg *gateway.Config) (*gateway.Gateway, *httptest.Server, *httptest.Server) {
+func startGatewayStack(t *testing.T, cfg *gateway.Config) (*gateway.Gateway, *httptest.Server, *httptest.Server, []*httptest.Server) {
 	t.Helper()
-	coord, _ := startCluster(t, 3, 0.35)
+	coord, workers := startCluster(t, 3, 0.35)
 	g, err := gateway.New(gateway.Options{
 		Backends: []string{coord.URL},
 		Client: &rclient.Client{
@@ -39,7 +39,7 @@ func startGatewayStack(t *testing.T, cfg *gateway.Config) (*gateway.Gateway, *ht
 	}
 	gw := httptest.NewServer(g.Handler())
 	t.Cleanup(gw.Close)
-	return g, gw, coord
+	return g, gw, coord, workers
 }
 
 // gwJoin posts a selfjoin through the gateway as one tenant.
@@ -99,7 +99,7 @@ func sampleValue(text, sample string) float64 {
 // exhausting its quota is shed with 429 + Retry-After while tenant B's
 // traffic through the same gateway is unaffected.
 func TestGatewayE2EQuotaIsolation(t *testing.T) {
-	_, gw, coord := startGatewayStack(t, &gateway.Config{
+	_, gw, coord, _ := startGatewayStack(t, &gateway.Config{
 		Tenants: []gateway.Tenant{
 			{Name: "a", Key: "key-a", RatePerSec: 0.0001, Burst: 3},
 			{Name: "b", Key: "key-b"},
@@ -147,7 +147,7 @@ func TestGatewayE2EQuotaIsolation(t *testing.T) {
 // through a 50% experiment and checks both that the split lands within
 // ±15 points and that every key's assignment is deterministic.
 func TestGatewayE2EABSplit(t *testing.T) {
-	_, gw, coord := startGatewayStack(t, &gateway.Config{
+	_, gw, coord, _ := startGatewayStack(t, &gateway.Config{
 		Tenants: []gateway.Tenant{{Name: "a", Key: "k"}},
 		Experiments: []gateway.Experiment{
 			{Name: "split", Percent: 50, Override: gateway.Override{Algorithm: "brute"}},
@@ -185,7 +185,7 @@ func TestGatewayE2EABSplit(t *testing.T) {
 // engine are both exact, so the differ must report zero mismatches —
 // this is the experiment pipeline's end-to-end correctness proof.
 func TestGatewayE2EShadowNoMismatch(t *testing.T) {
-	g, gw, coord := startGatewayStack(t, &gateway.Config{
+	g, gw, coord, _ := startGatewayStack(t, &gateway.Config{
 		Tenants: []gateway.Tenant{{Name: "a", Key: "k"}},
 		Experiments: []gateway.Experiment{
 			{Name: "sh", Percent: 100, Shadow: true, Override: gateway.Override{Algorithm: "brute"}},
@@ -222,7 +222,7 @@ func TestGatewayE2EShadowNoMismatch(t *testing.T) {
 // and asserts GET /debug/traces/{id} on the gateway stitches spans from
 // the gateway, the coordinator and the workers into one tree.
 func TestGatewayE2EStitchedTrace(t *testing.T) {
-	_, gw, coord := startGatewayStack(t, &gateway.Config{
+	_, gw, coord, _ := startGatewayStack(t, &gateway.Config{
 		Tenants: []gateway.Tenant{{Name: "a", Key: "k"}},
 	})
 	putPoints(t, coord.URL, "d", clusterPoints(100, 4, 17))
@@ -275,15 +275,15 @@ func TestGatewayE2EStitchedTrace(t *testing.T) {
 	}
 }
 
-// TestGatewayE2EFloat32Override proves the Float32 experiment override
-// reaches the engines: a 100% (non-shadow) rule flips float32 on and
-// the join still answers the exact pair set end to end.
-func TestGatewayE2EFloat32Override(t *testing.T) {
-	f32 := true
-	_, gw, coord := startGatewayStack(t, &gateway.Config{
+// TestGatewayE2ERoutedOverride proves a routed experiment override crosses
+// gateway → coordinator → worker: a 100% (non-shadow) rule forces the brute
+// engine, every worker's journal shows the join ran as brute rather than
+// the default, and the answer is still the exact pair count.
+func TestGatewayE2ERoutedOverride(t *testing.T) {
+	_, gw, coord, workers := startGatewayStack(t, &gateway.Config{
 		Tenants: []gateway.Tenant{{Name: "a", Key: "k"}},
 		Experiments: []gateway.Experiment{
-			{Name: "f32", Percent: 100, Override: gateway.Override{Float32: &f32}},
+			{Name: "brute-all", Percent: 100, Override: gateway.Override{Algorithm: "brute", Workers: 2}},
 		},
 	})
 	putPoints(t, coord.URL, "d", clusterPoints(150, 4, 19))
@@ -295,9 +295,16 @@ func TestGatewayE2EFloat32Override(t *testing.T) {
 	}
 	resp, body := gwJoin(t, gw.URL, "k", "d", map[string]any{"eps": 0.15}, "")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("float32 arm join: %d %v", resp.StatusCode, body)
+		t.Fatalf("brute arm join: %d %v", resp.StatusCode, body)
 	}
 	if body["total"] != bodyO["total"] {
-		t.Fatalf("float32 arm total %v differs from exact oracle %v", body["total"], bodyO["total"])
+		t.Fatalf("brute arm total %v differs from oracle %v", body["total"], bodyO["total"])
+	}
+	// Newest first: the routed join, then the oracle's.
+	for i, w := range workers {
+		q := getQueries(t, w.URL, "?dataset=d").Queries
+		if len(q) != 2 || q[0].Algorithm != "brute" || q[1].Algorithm == "brute" {
+			t.Fatalf("worker %d journal = %+v, want the routed join as brute after a default-engine oracle join", i, q)
+		}
 	}
 }

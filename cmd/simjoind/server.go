@@ -430,7 +430,6 @@ type joinParams struct {
 	Metric    string  `json:"metric"`    // "L2" (default), "L1", "Linf"
 	Algorithm string  `json:"algorithm"` // default "ekdb"; "auto" allowed
 	Workers   int     `json:"workers"`
-	Float32   bool    `json:"float32"`   // float32 kernel mode (see docs/KERNELS.md)
 	MaxPairs  int     `json:"max_pairs"` // truncate the response (0 = no cap)
 	Stream    bool    `json:"stream"`    // NDJSON: one [i,j] line per pair, then a summary object
 	// Degrade opts into the admission budget's soft failure mode: a
@@ -441,7 +440,7 @@ type joinParams struct {
 }
 
 func (p joinParams) options() (simjoin.Options, error) {
-	opt := simjoin.Options{Eps: p.Eps, Workers: p.Workers, Algorithm: simjoin.Algorithm(p.Algorithm), Float32: p.Float32}
+	opt := simjoin.Options{Eps: p.Eps, Workers: p.Workers, Algorithm: simjoin.Algorithm(p.Algorithm)}
 	if p.Metric != "" {
 		m, err := simjoin.ParseMetric(p.Metric)
 		if err != nil {
@@ -595,33 +594,31 @@ func degradedResponse(total int64, elapsedMS float64, est int64) joinResponse {
 	}
 }
 
-func (s *server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.get(r.PathValue("name"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no dataset %q", r.PathValue("name"))
-		return
-	}
-	var p joinParams
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&p); err != nil {
-		httpError(w, http.StatusBadRequest, "parsing request: %v", err)
-		return
-	}
+// joinCalls is what differs between the self- and two-set join routes.
+type joinCalls struct {
+	sets    []*simjoin.Dataset // the inputs, priced together
+	plan    func(m simjoin.Metric, eps float64) simjoin.Plan
+	collect func(opt simjoin.Options) (*simjoin.Result, error)
+	each    func(opt simjoin.Options, emit func(i, j int)) (simjoin.Stats, error)
+}
+
+// runJoin is the shared body of both join routes once their inputs are
+// resolved: price the query, journal it, then reject, degrade to a
+// counting-only run, stream, or collect. rec arrives with Kind and the
+// dataset names filled in.
+func (s *server) runJoin(w http.ResponseWriter, r *http.Request, route string, rec querylog.Record, p joinParams, c joinCalls) {
 	opt, err := p.options()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	opt.Trace = trace.FromContext(r.Context())
-	ds := e.dataset()
 	adm := admission{est: -1}
-	if s.shouldPrice(opt.Eps, ds) {
-		adm = s.price(simjoin.PlanSelfJoin(ds, opt.Metric, opt.Eps))
+	if s.shouldPrice(opt.Eps, c.sets...) {
+		adm = s.price(c.plan(opt.Metric, opt.Eps))
 	}
-	rec := querylog.Record{
-		Kind: "selfjoin", Dataset: r.PathValue("name"),
-		Eps: p.Eps, Metric: opt.Metric.String(), Algorithm: p.Algorithm,
-		Stream: p.Stream, EstimatedPairs: adm.est, TraceID: traceIDOf(r),
-	}
+	rec.Eps, rec.Metric, rec.Algorithm = p.Eps, opt.Metric.String(), p.Algorithm
+	rec.Stream, rec.EstimatedPairs, rec.TraceID = p.Stream, adm.est, traceIDOf(r)
 	start := time.Now()
 	var js simjoin.JoinStats
 	opt.Stats = &js
@@ -634,22 +631,9 @@ func (s *server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 		s.m.estimateDegraded.Inc()
 		collect := false
 		opt.CollectPairs = &collect
-		res, err := simjoin.SelfJoin(ds, opt)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			recordFailure(s.qlog, s.m, rec, start, querylog.OutcomeError, err)
-			return
-		}
-		s.m.observeEstimateRatio(adm.est, res.Stats.Results)
-		fillFromRun(&rec, js, res.Stats.Results)
-		rec.Outcome = querylog.OutcomeDegraded
-		recordQuery(s.qlog, s.m, rec)
-		writeJSON(w, degradedResponse(res.Stats.Results, float64(res.Stats.Elapsed.Microseconds())/1000, adm.est))
-		return
-	}
-	if p.Stream {
-		streamPairs(w, s.m, "POST /datasets/{name}/selfjoin", p.MaxPairs, adm.est, func(emit func(i, j int)) (simjoin.Stats, error) {
-			st, err := simjoin.SelfJoinEach(ds, opt, emit)
+	} else if p.Stream {
+		streamPairs(w, s.m, route, p.MaxPairs, adm.est, func(emit func(i, j int)) (simjoin.Stats, error) {
+			st, err := c.each(opt, emit)
 			if err != nil {
 				recordFailure(s.qlog, s.m, rec, start, querylog.OutcomeError, err)
 				return st, err
@@ -662,7 +646,7 @@ func (s *server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	res, err := simjoin.SelfJoin(ds, opt)
+	res, err := c.collect(opt)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		recordFailure(s.qlog, s.m, rec, start, querylog.OutcomeError, err)
@@ -670,6 +654,12 @@ func (s *server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.observeEstimateRatio(adm.est, res.Stats.Results)
 	fillFromRun(&rec, js, res.Stats.Results)
+	if adm.over {
+		rec.Outcome = querylog.OutcomeDegraded
+		recordQuery(s.qlog, s.m, rec)
+		writeJSON(w, degradedResponse(res.Stats.Results, float64(res.Stats.Elapsed.Microseconds())/1000, adm.est))
+		return
+	}
 	rec.Outcome = querylog.OutcomeOK
 	recordQuery(s.qlog, s.m, rec)
 	out := toJoinResponse(res, p.MaxPairs)
@@ -677,6 +667,29 @@ func (s *server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 		out.EstimatedPairs = &adm.est
 	}
 	writeJSON(w, out)
+}
+
+func (s *server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	e, ok := s.get(name)
+	if !ok {
+		httpError(w, http.StatusNotFound, "no dataset %q", name)
+		return
+	}
+	var p joinParams
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&p); err != nil {
+		httpError(w, http.StatusBadRequest, "parsing request: %v", err)
+		return
+	}
+	ds := e.dataset()
+	s.runJoin(w, r, "POST /datasets/{name}/selfjoin", querylog.Record{Kind: "selfjoin", Dataset: name}, p, joinCalls{
+		sets:    []*simjoin.Dataset{ds},
+		plan:    func(m simjoin.Metric, eps float64) simjoin.Plan { return simjoin.PlanSelfJoin(ds, m, eps) },
+		collect: func(opt simjoin.Options) (*simjoin.Result, error) { return simjoin.SelfJoin(ds, opt) },
+		each: func(opt simjoin.Options, emit func(i, j int)) (simjoin.Stats, error) {
+			return simjoin.SelfJoinEach(ds, opt, emit)
+		},
+	})
 }
 
 // twoJoinRequest names the two sides of a cross-dataset join.
@@ -707,76 +720,14 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "dimensionality mismatch: %d vs %d", da.Dims(), db.Dims())
 		return
 	}
-	opt, err := req.options()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opt.Trace = trace.FromContext(r.Context())
-	adm := admission{est: -1}
-	if s.shouldPrice(opt.Eps, da, db) {
-		adm = s.price(simjoin.PlanJoin(da, db, opt.Metric, opt.Eps))
-	}
-	rec := querylog.Record{
-		Kind: "join", Dataset: req.A, Dataset2: req.B,
-		Eps: req.Eps, Metric: opt.Metric.String(), Algorithm: req.Algorithm,
-		Stream: req.Stream, EstimatedPairs: adm.est, TraceID: traceIDOf(r),
-	}
-	start := time.Now()
-	var js simjoin.JoinStats
-	opt.Stats = &js
-	if adm.over {
-		if !req.Degrade {
-			rejectOverBudget(w, s.m, adm.est, s.maxPairs)
-			recordFailure(s.qlog, s.m, rec, start, querylog.OutcomeRejected, nil)
-			return
-		}
-		s.m.estimateDegraded.Inc()
-		collect := false
-		opt.CollectPairs = &collect
-		res, err := simjoin.Join(da, db, opt)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			recordFailure(s.qlog, s.m, rec, start, querylog.OutcomeError, err)
-			return
-		}
-		s.m.observeEstimateRatio(adm.est, res.Stats.Results)
-		fillFromRun(&rec, js, res.Stats.Results)
-		rec.Outcome = querylog.OutcomeDegraded
-		recordQuery(s.qlog, s.m, rec)
-		writeJSON(w, degradedResponse(res.Stats.Results, float64(res.Stats.Elapsed.Microseconds())/1000, adm.est))
-		return
-	}
-	if req.Stream {
-		streamPairs(w, s.m, "POST /join", req.MaxPairs, adm.est, func(emit func(i, j int)) (simjoin.Stats, error) {
-			st, err := simjoin.JoinEach(da, db, opt, emit)
-			if err != nil {
-				recordFailure(s.qlog, s.m, rec, start, querylog.OutcomeError, err)
-				return st, err
-			}
-			s.m.observeEstimateRatio(adm.est, st.Results)
-			fillFromRun(&rec, js, st.Results)
-			rec.Outcome = querylog.OutcomeOK
-			recordQuery(s.qlog, s.m, rec)
-			return st, nil
-		})
-		return
-	}
-	res, err := simjoin.Join(da, db, opt)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		recordFailure(s.qlog, s.m, rec, start, querylog.OutcomeError, err)
-		return
-	}
-	s.m.observeEstimateRatio(adm.est, res.Stats.Results)
-	fillFromRun(&rec, js, res.Stats.Results)
-	rec.Outcome = querylog.OutcomeOK
-	recordQuery(s.qlog, s.m, rec)
-	out := toJoinResponse(res, req.MaxPairs)
-	if adm.est >= 0 {
-		out.EstimatedPairs = &adm.est
-	}
-	writeJSON(w, out)
+	s.runJoin(w, r, "POST /join", querylog.Record{Kind: "join", Dataset: req.A, Dataset2: req.B}, req.joinParams, joinCalls{
+		sets:    []*simjoin.Dataset{da, db},
+		plan:    func(m simjoin.Metric, eps float64) simjoin.Plan { return simjoin.PlanJoin(da, db, m, eps) },
+		collect: func(opt simjoin.Options) (*simjoin.Result, error) { return simjoin.Join(da, db, opt) },
+		each: func(opt simjoin.Options, emit func(i, j int)) (simjoin.Stats, error) {
+			return simjoin.JoinEach(da, db, opt, emit)
+		},
+	})
 }
 
 // pointQuery is the range/KNN request shape.

@@ -22,7 +22,7 @@ func SelfJoin(ds *dataset.Dataset, opt join.Options, sink pairs.Sink) {
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
 	n := ds.Len()
-	f := ds.KernelView(opt.Float32)
+	f := ds.FlatView()
 	var cand, res int64
 	var i int32
 	emit := func(j int32) { sink.Emit(int(i), int(j)) }
@@ -44,8 +44,8 @@ func Join(a, b *dataset.Dataset, opt join.Options, sink pairs.Sink) {
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
 	na, nb := a.Len(), b.Len()
-	fa := a.KernelView(opt.Float32)
-	fb := b.KernelView(opt.Float32)
+	fa := a.FlatView()
+	fb := b.FlatView()
 	var cand, res int64
 	var i int32
 	emit := func(j int32) { sink.Emit(int(i), int(j)) }

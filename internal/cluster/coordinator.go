@@ -199,7 +199,6 @@ type JoinQuery struct {
 	Metric    string
 	Algorithm string
 	Workers   int
-	Float32   bool
 }
 
 // JoinResult is a merged distributed self-join. When Partial is set,

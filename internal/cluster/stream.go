@@ -113,7 +113,7 @@ func (c *Coordinator) SelfJoinEach(ctx context.Context, name string, q JoinQuery
 func (c *Coordinator) streamShardSelfJoin(ctx context.Context, sm *ShardMap, s int, name string, q JoinQuery, accept func(p [2]int) error) error {
 	req := map[string]any{
 		"eps": q.Eps, "metric": q.Metric, "algorithm": q.Algorithm,
-		"workers": q.Workers, "float32": q.Float32, "stream": true,
+		"workers": q.Workers, "stream": true,
 	}
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -96,7 +96,7 @@ func JoinTrees(ta, tb *Tree, opt join.Options, sink pairs.Sink) {
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
 	j := ta.newJoiner(opt, sink)
-	j.fb = tb.ds.KernelView(opt.Float32)
+	j.fb = tb.ds.FlatView()
 	j.crossNodes(ta.root, tb.root, 0, false)
 	j.flush(opt)
 }

@@ -27,11 +27,6 @@ func (t *Tree) SelfJoinParallel(opt join.Options, newSink func() pairs.Sink) {
 	}
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	if opt.Float32 {
-		// Warm the float32 mirror before any worker spawns: the lazy build
-		// inside KernelView must not race.
-		t.ds.Mirror32()
-	}
 	if t.root.leaf() {
 		j := t.newJoiner(opt, newSink())
 		j.selfNode(t.root, 0)
@@ -97,14 +92,9 @@ func JoinTreesParallel(ta, tb *Tree, opt join.Options, newSink func() pairs.Sink
 	}
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	if opt.Float32 {
-		// Warm both mirrors before any worker spawns (see SelfJoinParallel).
-		ta.ds.Mirror32()
-		tb.ds.Mirror32()
-	}
 	newCrossJoiner := func(sink pairs.Sink) *joiner {
 		j := ta.newJoiner(opt, sink)
-		j.fb = tb.ds.KernelView(opt.Float32)
+		j.fb = tb.ds.FlatView()
 		return j
 	}
 	if ta.root.leaf() || tb.root.leaf() {
@@ -159,7 +149,7 @@ func JoinTreesParallel(ta, tb *Tree, opt join.Options, newSink func() pairs.Sink
 }
 
 func (t *Tree) newJoiner(opt join.Options, sink pairs.Sink) *joiner {
-	f := t.ds.KernelView(opt.Float32)
+	f := t.ds.FlatView()
 	j := &joiner{
 		fa: f, fb: f,
 		metric: opt.Metric, eps: t.eps, qeps: opt.Eps, th: opt.Threshold(),

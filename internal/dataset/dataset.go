@@ -20,9 +20,6 @@ import (
 type Dataset struct {
 	dims int
 	data []float64 // row-major: point i occupies data[i*dims : (i+1)*dims]
-	// f32 is the lazily built float32 mirror of data, used by the
-	// float32 kernel mode (see KernelView). Any mutation invalidates it.
-	f32 []float32
 }
 
 // New returns an empty dataset of the given dimensionality with capacity for
@@ -81,7 +78,6 @@ func (d *Dataset) Append(p []float64) {
 		panic(fmt.Sprintf("dataset: appending %d-dim point to %d-dim dataset", len(p), d.dims))
 	}
 	d.data = append(d.data, p...)
-	d.f32 = nil
 }
 
 // AppendFlat bulk-copies points stored row-major in flat — one copy for
@@ -92,7 +88,6 @@ func (d *Dataset) AppendFlat(flat []float64) {
 		panic(fmt.Sprintf("dataset: appending %d floats to %d-dim dataset", len(flat), d.dims))
 	}
 	d.data = append(d.data, flat...)
-	d.f32 = nil
 }
 
 // Flat returns the underlying row-major buffer. It aliases the dataset.
@@ -103,29 +98,6 @@ func (d *Dataset) Flat() []float64 { return d.data }
 // dataset and is invalidated (like Point views) by Append.
 func (d *Dataset) FlatView() vec.Flat {
 	return vec.Flat{Dims: d.dims, Data: d.data}
-}
-
-// Mirror32 returns the dataset's float32 coordinate mirror, building and
-// caching it on first call. The mirror is invalidated by any mutation
-// (Append, AppendFlat, Shuffle, Normalize) and rebuilt on the next call.
-// The first call after a mutation is not safe to race with other reads;
-// engines that fan work out to goroutines warm it before spawning.
-func (d *Dataset) Mirror32() []float32 {
-	if len(d.f32) != len(d.data) {
-		d.f32 = vec.ToFloat32(d.data)
-	}
-	return d.f32
-}
-
-// KernelView resolves the flat view the distance kernels should run over:
-// the float64 buffer alone, or with the float32 mirror attached when the
-// caller opted into float32 mode.
-func (d *Dataset) KernelView(float32Mode bool) vec.Flat {
-	f := d.FlatView()
-	if float32Mode {
-		f.Data32 = d.Mirror32()
-	}
-	return f
 }
 
 // Clone returns a deep copy.
@@ -176,7 +148,6 @@ func (d *Dataset) Head(n int) *Dataset {
 // or generator-ordered inputs do not bias insertion-order-sensitive
 // structures.
 func (d *Dataset) Shuffle(seed int64) {
-	d.f32 = nil
 	rng := rand.New(rand.NewSource(seed))
 	n := d.Len()
 	tmp := make([]float64, d.dims)
@@ -192,7 +163,6 @@ func (d *Dataset) Shuffle(seed int64) {
 // original bounds, so callers can map distances back. Degenerate dimensions
 // (zero extent) map to 0.5.
 func (d *Dataset) Normalize() vec.Box {
-	d.f32 = nil
 	b := d.Bounds()
 	n := d.Len()
 	for i := 0; i < n; i++ {

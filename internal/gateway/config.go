@@ -12,7 +12,7 @@
 //     predicted join size before admitting an expensive query.
 //   - Experiment routing: named rules that send a sticky percentage of
 //     matching join traffic to a candidate arm with an options override
-//     (forced algorithm, float32 kernels, worker count), or shadow the
+//     (forced algorithm, worker count), or shadow the
 //     candidate — the client gets the incumbent's answer, the candidate
 //     runs asynchronously and its pair count, checksum and latency are
 //     diffed against the incumbent's.
@@ -61,16 +61,13 @@ type Tenant struct {
 type Override struct {
 	// Algorithm forces the engine ("brute", "ekdb", "auto", …).
 	Algorithm string `json:"algorithm,omitempty"`
-	// Float32 toggles the float32 kernel mode; nil leaves the request's
-	// own setting.
-	Float32 *bool `json:"float32,omitempty"`
 	// Workers forces the parallelism (0 leaves the request's own).
 	Workers int `json:"workers,omitempty"`
 }
 
 // zero reports an override that would change nothing.
 func (o Override) zero() bool {
-	return o.Algorithm == "" && o.Float32 == nil && o.Workers == 0
+	return o.Algorithm == "" && o.Workers == 0
 }
 
 // Experiment is one routing rule over join traffic.

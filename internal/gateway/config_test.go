@@ -13,7 +13,7 @@ func TestParseConfigValid(t *testing.T) {
 		],
 		"experiments": [
 			{"name": "brute-5", "dataset": "pts", "percent": 5, "override": {"algorithm": "brute"}},
-			{"name": "f32-shadow", "percent": 100, "shadow": true, "override": {"float32": true}}
+			{"name": "workers-shadow", "percent": 100, "shadow": true, "override": {"workers": 4}}
 		]
 	}`))
 	if err != nil {
@@ -22,8 +22,8 @@ func TestParseConfigValid(t *testing.T) {
 	if len(cfg.Tenants) != 2 || len(cfg.Experiments) != 2 {
 		t.Fatalf("got %d tenants, %d experiments", len(cfg.Tenants), len(cfg.Experiments))
 	}
-	if cfg.Experiments[1].Override.Float32 == nil || !*cfg.Experiments[1].Override.Float32 {
-		t.Fatalf("float32 override not decoded: %+v", cfg.Experiments[1].Override)
+	if cfg.Experiments[1].Override.Workers != 4 {
+		t.Fatalf("workers override not decoded: %+v", cfg.Experiments[1].Override)
 	}
 }
 
@@ -33,6 +33,9 @@ func TestParseConfigRejects(t *testing.T) {
 	}{
 		{"no tenants", `{"tenants": []}`, "no tenants"},
 		{"unknown field", `{"tenants": [{"name": "a", "key": "k", "rate_per_second": 1}]}`, "unknown field"},
+		// The float32 kernel mode is gone; a config still asking for it must
+		// fail loudly, not run an experiment that changes nothing.
+		{"retired float32 override", `{"tenants": [{"name": "a", "key": "k"}], "experiments": [{"name": "e", "percent": 50, "override": {"float32": true}}]}`, `unknown field "float32"`},
 		{"missing key", `{"tenants": [{"name": "a"}]}`, "no key"},
 		{"dup name", `{"tenants": [{"name": "a", "key": "k1"}, {"name": "a", "key": "k2"}]}`, "duplicate tenant"},
 		{"dup key", `{"tenants": [{"name": "a", "key": "k"}, {"name": "b", "key": "k"}]}`, "reuses"},

@@ -78,16 +78,22 @@ func TestReloadKeepsBadConfigOut(t *testing.T) {
 	if err := g.LoadConfigFile(path); err != nil {
 		t.Fatalf("LoadConfigFile: %v", err)
 	}
-	if err := os.WriteFile(path, []byte(`{"tenants": [{"name": "", "key"`), 0o644); err != nil {
-		t.Fatalf("corrupting config: %v", err)
-	}
-	if err := g.Reload(); err == nil {
-		t.Fatal("Reload accepted a corrupt config")
-	}
-	resp := doJoin(t, srv.URL, "k", "pts", map[string]any{"eps": 0.5}, nil)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("previous config not preserved after failed reload: status %d", resp.StatusCode)
+	for _, bad := range []string{
+		`{"tenants": [{"name": "", "key"`,
+		// Well-formed, but names the retired float32 override field.
+		`{"tenants": [{"name": "acme", "key": "k2"}], "experiments": [{"name": "e", "percent": 100, "override": {"float32": true}}]}`,
+	} {
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatalf("corrupting config: %v", err)
+		}
+		if err := g.Reload(); err == nil {
+			t.Fatalf("Reload accepted a bad config: %s", bad)
+		}
+		resp := doJoin(t, srv.URL, "k", "pts", map[string]any{"eps": 0.5}, nil)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("previous config not preserved after failed reload: status %d", resp.StatusCode)
+		}
 	}
 }
 

@@ -78,9 +78,6 @@ func applyOverride(body map[string]any, o Override) {
 	if o.Algorithm != "" {
 		body["algorithm"] = o.Algorithm
 	}
-	if o.Float32 != nil {
-		body["float32"] = *o.Float32
-	}
 	if o.Workers != 0 {
 		body["workers"] = o.Workers
 	}

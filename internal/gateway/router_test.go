@@ -92,9 +92,8 @@ func TestRouteFirstMatchWins(t *testing.T) {
 }
 
 func TestApplyOverride(t *testing.T) {
-	f32 := true
 	body := map[string]any{"eps": 0.5, "algorithm": "auto", "max_pairs": float64(10)}
-	applyOverride(body, Override{Algorithm: "brute", Float32: &f32, Workers: 3})
+	applyOverride(body, Override{Algorithm: "brute", Workers: 3})
 	raw, err := encodeBody(body)
 	if err != nil {
 		t.Fatalf("encodeBody: %v", err)
@@ -103,7 +102,7 @@ func TestApplyOverride(t *testing.T) {
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatalf("re-decoding: %v", err)
 	}
-	if got["algorithm"] != "brute" || got["float32"] != true || got["workers"] != float64(3) {
+	if got["algorithm"] != "brute" || got["workers"] != float64(3) {
 		t.Fatalf("override not applied: %v", got)
 	}
 	if got["eps"] != 0.5 || got["max_pairs"] != float64(10) {

@@ -123,7 +123,7 @@ func SelfJoinConfig(ds *dataset.Dataset, opt join.Options, cfg Config, sink pair
 	opt.Timing().AddBuild(time.Since(start))
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	f := ds.KernelView(opt.Float32)
+	f := ds.FlatView()
 	var cand, res int64
 	nb := make([]int32, g)
 	keyBuf := make([]byte, 0, 4*g)
@@ -184,8 +184,8 @@ func JoinConfig(a, b *dataset.Dataset, opt join.Options, cfg Config, sink pairs.
 	opt.Timing().AddBuild(time.Since(start))
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	fa := a.KernelView(opt.Float32)
-	fb := b.KernelView(opt.Float32)
+	fa := a.FlatView()
+	fb := b.FlatView()
 	var cand, res int64
 	coords := make([]int32, g)
 	nb := make([]int32, g)

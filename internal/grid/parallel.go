@@ -39,10 +39,8 @@ func JoinParallel(a, b *dataset.Dataset, opt join.Options, cfg Config, newSink f
 	opt.Timing().AddBuild(time.Since(start))
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	// Warm both kernel views before any worker spawns: the lazy float32
-	// mirror build must not race.
-	fa := a.KernelView(opt.Float32)
-	fb := b.KernelView(opt.Float32)
+	fa := a.FlatView()
+	fb := b.FlatView()
 	workers := opt.WorkerCount()
 	if workers > a.Len() {
 		workers = a.Len()
@@ -98,9 +96,7 @@ func SelfJoinParallel(ds *dataset.Dataset, opt join.Options, cfg Config, newSink
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
 
-	// Warm the kernel view before any worker spawns: the lazy float32
-	// mirror build must not race.
-	f := ds.KernelView(opt.Float32)
+	f := ds.FlatView()
 	keys := make([]string, 0, len(ix.cells))
 	for key := range ix.cells {
 		keys = append(keys, key)

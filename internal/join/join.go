@@ -36,13 +36,6 @@ type Options struct {
 	// Workers bounds the goroutines used by parallel variants; ≤ 0 selects
 	// GOMAXPROCS. Serial algorithms ignore it.
 	Workers int
-	// Float32 opts into the float32 kernel mode: distance tests run over a
-	// float32 mirror of the coordinates, halving memory traffic per
-	// candidate. Pairs within a few ULP of the ε boundary may decide
-	// differently from the float64 kernels (see docs/KERNELS.md); engines
-	// without float32 kernels (rtree, rplus, zorder, hilbert, kdtree)
-	// ignore the flag and stay exact.
-	Float32 bool
 }
 
 // Validate reports whether the options are usable.

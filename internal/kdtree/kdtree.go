@@ -173,7 +173,7 @@ func (t *Tree) Range(q []float64, metric vec.Metric, eps float64, counters *stat
 		panic(fmt.Sprintf("kdtree: query of dimension %d against %d-dim tree", len(q), t.ds.Dims()))
 	}
 	th := vec.Threshold(metric, eps)
-	f := t.ds.FlatView() // kdtree has no float32 mode; queries stay exact
+	f := t.ds.FlatView()
 	emit := func(yi int32) { visit(int(yi)) }
 	var nodesVisited, comps int64
 	var rec func(n *node)

@@ -41,7 +41,7 @@ func SelfJoin(ds *dataset.Dataset, opt join.Options, sink pairs.Sink) {
 	opt.Timing().AddBuild(time.Since(build))
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	f := ds.KernelView(opt.Float32)
+	f := ds.FlatView()
 	cand, res := vec.SelfSweepFlat(opt.Metric, f, idx, 0, opt.Eps, t, func(i, j int32) {
 		sink.Emit(int(i), int(j))
 	})
@@ -63,8 +63,8 @@ func Join(a, b *dataset.Dataset, opt join.Options, sink pairs.Sink) {
 	opt.Timing().AddBuild(time.Since(build))
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	fa := a.KernelView(opt.Float32)
-	fb := b.KernelView(opt.Float32)
+	fa := a.FlatView()
+	fb := b.FlatView()
 	cand, res := vec.CrossSweepFlat(opt.Metric, fa, fb, ia, ib, 0, opt.Eps, t, func(ai, bi int32) {
 		sink.Emit(int(ai), int(bi))
 	})

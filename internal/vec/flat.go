@@ -7,19 +7,9 @@ import "fmt"
 // the layout every hot loop in the library runs over — no per-point slice
 // headers, no pointer chasing, and leaf-vs-leaf sweeps walk memory in
 // stride.
-//
-// Data32, when non-nil, is the float32 mirror of Data (same layout, same
-// length). Kernels dispatched over a pair of views run in float32 exactly
-// when both sides carry a mirror: half the memory traffic per candidate,
-// which is what matters for memory-bandwidth-bound high-d workloads. The
-// precision contract is documented in docs/KERNELS.md: coordinates are
-// rounded once at the dataset boundary, the distance test accumulates in
-// float32 against float32(Threshold(m, eps)), and only pairs within a few
-// ULP of the ε boundary can decide differently from the float64 kernels.
 type Flat struct {
-	Dims   int
-	Data   []float64
-	Data32 []float32
+	Dims int
+	Data []float64
 }
 
 // FlatView wraps a row-major buffer without copying. len(data) must be a
@@ -40,15 +30,6 @@ func (f Flat) Len() int { return len(f.Data) / f.Dims }
 // At returns a view of point i, aliasing the underlying buffer.
 func (f Flat) At(i int) []float64 {
 	return f.Data[i*f.Dims : (i+1)*f.Dims : (i+1)*f.Dims]
-}
-
-// ToFloat32 converts a float64 coordinate buffer to its float32 mirror.
-func ToFloat32(data []float64) []float32 {
-	m := make([]float32, len(data))
-	for i, v := range data {
-		m[i] = float32(v)
-	}
-	return m
 }
 
 // FlatFromSlices packs per-point slices into a flat buffer (the inverse of
@@ -77,35 +58,6 @@ func (f Flat) Slices() [][]float64 {
 	return out
 }
 
-// float is the coordinate type the generic kernels are instantiated over.
-// float32 and float64 are distinct GC shapes, so each instantiation
-// compiles to its own tight loop — no boxing, no dynamic dispatch.
-type float interface {
-	~float32 | ~float64
-}
-
-// f32WindowPad widens the sweep-window filters of the float32 kernels by a
-// hair (relative). The accept predicate — float32-accumulated distance vs.
-// float32 threshold — can round a pair *in* whose single-coordinate gap is
-// marginally past ε, and the window filter must never drop a pair the
-// predicate would accept, or engines with different sweep dimensions would
-// disagree in float32 mode. 1e-4 relative dwarfs the worst-case float32
-// accumulation error at any supported dimensionality and costs ~0.01%
-// extra window width.
-const f32WindowPad = 1 + 1e-4
-
-// kernelThresholds resolves the comparison constants one time per kernel
-// call (never per pair): the float64 threshold th is Threshold(m, eps) as
-// everywhere else; the float32 side compares against float32(th) with the
-// padded window.
-func kernelThresholds(eps, th float64) (eps32, th32 float32) {
-	return float32(eps) * f32WindowPad, float32(th)
-}
-
-// use32 reports whether a kernel over the two views should run in float32:
-// both sides must carry a mirror.
-func use32(a, b Flat) bool { return a.Data32 != nil && b.Data32 != nil }
-
 // SelfSweepFlat enumerates the in-window pairs of one sweep-sorted index
 // list over f and tests each with the metric's early-exit kernel, calling
 // emit(i, j) (dataset indexes, list order) for every hit. idx must be
@@ -114,17 +66,6 @@ func use32(a, b Flat) bool { return a.Data32 != nil && b.Data32 != nil }
 // and the number of hits — the caller charges its own counters, so the
 // kernel itself stays free of shared state.
 func SelfSweepFlat(m Metric, f Flat, idx []int32, sweepDim int, eps, th float64, emit func(i, j int32)) (cand, res int64) {
-	if f.Data32 != nil {
-		eps32, th32 := kernelThresholds(eps, th)
-		switch m {
-		case L2:
-			return selfSweepL2(f.Data32, f.Dims, idx, sweepDim, eps32, th32, emit)
-		case L1:
-			return selfSweepL1(f.Data32, f.Dims, idx, sweepDim, eps32, th32, emit)
-		default:
-			return selfSweepLinf(f.Data32, f.Dims, idx, sweepDim, eps32, th32, emit)
-		}
-	}
 	switch m {
 	case L2:
 		return selfSweepL2(f.Data, f.Dims, idx, sweepDim, eps, th, emit)
@@ -141,17 +82,6 @@ func SelfSweepFlat(m Metric, f Flat, idx []int32, sweepDim int, eps, th float64,
 // Threshold(m, eps). Views fx and fy may alias (self-joins of adjacent
 // stripes) or differ (two-set joins).
 func CrossSweepFlat(m Metric, fx, fy Flat, xs, ys []int32, sweepDim int, eps, th float64, emit func(xi, yi int32)) (cand, res int64) {
-	if use32(fx, fy) {
-		eps32, th32 := kernelThresholds(eps, th)
-		switch m {
-		case L2:
-			return crossSweepL2(fx.Data32, fy.Data32, fx.Dims, xs, ys, sweepDim, eps32, th32, emit)
-		case L1:
-			return crossSweepL1(fx.Data32, fy.Data32, fx.Dims, xs, ys, sweepDim, eps32, th32, emit)
-		default:
-			return crossSweepLinf(fx.Data32, fy.Data32, fx.Dims, xs, ys, sweepDim, eps32, th32, emit)
-		}
-	}
 	switch m {
 	case L2:
 		return crossSweepL2(fx.Data, fy.Data, fx.Dims, xs, ys, sweepDim, eps, th, emit)
@@ -167,17 +97,6 @@ func CrossSweepFlat(m Metric, fx, fy Flat, xs, ys []int32, sweepDim int, eps, th
 // cell-vs-cell kernel of the grid join and the generic "one point against
 // an index list" sweep.
 func ProbeListFlat(m Metric, fx Flat, xi int32, fy Flat, ys []int32, th float64, emit func(yi int32)) (cand, res int64) {
-	if use32(fx, fy) {
-		th32 := float32(th)
-		switch m {
-		case L2:
-			return probeListL2(fx.Data32, int(xi), fy.Data32, fy.Dims, ys, th32, emit)
-		case L1:
-			return probeListL1(fx.Data32, int(xi), fy.Data32, fy.Dims, ys, th32, emit)
-		default:
-			return probeListLinf(fx.Data32, int(xi), fy.Data32, fy.Dims, ys, th32, emit)
-		}
-	}
 	switch m {
 	case L2:
 		return probeListL2(fx.Data, int(xi), fy.Data, fy.Dims, ys, th, emit)
@@ -194,17 +113,6 @@ func ProbeListFlat(m Metric, fx Flat, xi int32, fy Flat, ys []int32, th float64,
 // per-candidate path in the package because every load is a stride-1
 // prefetchable access.
 func ProbeRangeFlat(m Metric, fx Flat, xi int32, fy Flat, lo, hi int, th float64, emit func(j int32)) (cand, res int64) {
-	if use32(fx, fy) {
-		th32 := float32(th)
-		switch m {
-		case L2:
-			return probeRangeL2(fx.Data32, int(xi), fy.Data32, fy.Dims, lo, hi, th32, emit)
-		case L1:
-			return probeRangeL1(fx.Data32, int(xi), fy.Data32, fy.Dims, lo, hi, th32, emit)
-		default:
-			return probeRangeLinf(fx.Data32, int(xi), fy.Data32, fy.Dims, lo, hi, th32, emit)
-		}
-	}
 	switch m {
 	case L2:
 		return probeRangeL2(fx.Data, int(xi), fy.Data, fy.Dims, lo, hi, th, emit)
@@ -216,8 +124,7 @@ func ProbeRangeFlat(m Metric, fx Flat, xi int32, fy Flat, lo, hi int, th float64
 }
 
 // ProbeQueryFlat tests an external query point q against every index in ys
-// over f, calling emit(yi) for hits. It always runs in float64 (the query
-// is not part of any mirrored buffer); th must be Threshold(m, eps).
+// over f, calling emit(yi) for hits. th must be Threshold(m, eps).
 func ProbeQueryFlat(m Metric, q []float64, f Flat, ys []int32, th float64, emit func(yi int32)) (cand, res int64) {
 	data, dims := f.Data, f.Dims
 	switch m {
@@ -225,7 +132,7 @@ func ProbeQueryFlat(m Metric, q []float64, f Flat, ys []int32, th float64, emit 
 		for _, yi := range ys {
 			iy := int(yi) * dims
 			cand++
-			if withinSqL2Gen(q, data[iy:iy+dims:iy+dims], th) {
+			if WithinSqL2(q, data[iy:iy+dims:iy+dims], th) {
 				res++
 				emit(yi)
 			}
@@ -234,7 +141,7 @@ func ProbeQueryFlat(m Metric, q []float64, f Flat, ys []int32, th float64, emit 
 		for _, yi := range ys {
 			iy := int(yi) * dims
 			cand++
-			if withinL1Gen(q, data[iy:iy+dims:iy+dims], th) {
+			if WithinL1(q, data[iy:iy+dims:iy+dims], th) {
 				res++
 				emit(yi)
 			}
@@ -243,88 +150,11 @@ func ProbeQueryFlat(m Metric, q []float64, f Flat, ys []int32, th float64, emit 
 		for _, yi := range ys {
 			iy := int(yi) * dims
 			cand++
-			if withinLinfGen(q, data[iy:iy+dims:iy+dims], th) {
+			if WithinLinf(q, data[iy:iy+dims:iy+dims], th) {
 				res++
 				emit(yi)
 			}
 		}
 	}
 	return
-}
-
-// withinSqL2Gen is the generic early-exit squared-L2 predicate: four-wide
-// unrolled accumulation in the same term order as WithinSqL2, with one exit
-// test per two blocks. Check spacing is a pure performance knob — the sum
-// only grows (squares are non-negative and float rounding is monotone), so
-// any partial sum past epsSq forces the same reject the final sum would —
-// and testing every other block keeps the dependency chain off the branch:
-// eight dimensions of accumulation are in flight before a compare needs the
-// running total.
-func withinSqL2Gen[F float](a, b []F, epsSq F) bool {
-	b = b[:len(a)]
-	var s F
-	i := 0
-	for ; i+8 <= len(a); i += 8 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-		d0 = a[i+4] - b[i+4]
-		d1 = a[i+5] - b[i+5]
-		d2 = a[i+6] - b[i+6]
-		d3 = a[i+7] - b[i+7]
-		s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-		if s > epsSq {
-			return false
-		}
-	}
-	if i+4 <= len(a) {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-		i += 4
-		if s > epsSq {
-			return false
-		}
-	}
-	for ; i < len(a); i++ {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s <= epsSq
-}
-
-// withinL1Gen is the generic early-exit L1 predicate.
-func withinL1Gen[F float](a, b []F, eps F) bool {
-	b = b[:len(a)]
-	var s F
-	for i, av := range a {
-		d := av - b[i]
-		if d < 0 {
-			d = -d
-		}
-		s += d
-		if s > eps {
-			return false
-		}
-	}
-	return true
-}
-
-// withinLinfGen is the generic early-exit L∞ predicate.
-func withinLinfGen[F float](a, b []F, eps F) bool {
-	b = b[:len(a)]
-	for i, av := range a {
-		d := av - b[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > eps {
-			return false
-		}
-	}
-	return true
 }

@@ -1,8 +1,6 @@
 package vec
 
-// This file holds the generic loop bodies behind the Flat kernel entry
-// points. Each is instantiated once for float64 and once for float32 —
-// distinct GC shapes, so the compiler emits two independent tight loops.
+// This file holds the loop bodies behind the Flat kernel entry points.
 //
 // The L2 distance test is written out inline in every loop: the four-wide
 // unrolled accumulation is far past the inliner's budget as a helper, and
@@ -12,7 +10,7 @@ package vec
 
 // selfSweepL2 is SelfSweepFlat's L2 loop: one sweep-sorted list against
 // itself.
-func selfSweepL2[F float](data []F, dims int, idx []int32, sweepDim int, eps, epsSq F, emit func(i, j int32)) (cand, res int64) {
+func selfSweepL2(data []float64, dims int, idx []int32, sweepDim int, eps, epsSq float64, emit func(i, j int32)) (cand, res int64) {
 	if dims == 16 {
 		return selfSweepL2D16(data, idx, sweepDim, eps, epsSq, emit)
 	}
@@ -27,7 +25,7 @@ func selfSweepL2[F float](data []F, dims int, idx []int32, sweepDim int, eps, ep
 				break
 			}
 			cand++
-			var s F
+			var s float64
 			k := 0
 			ok := true
 			for ; k+8 <= dims; k += 8 {
@@ -72,7 +70,7 @@ func selfSweepL2[F float](data []F, dims int, idx []int32, sweepDim int, eps, ep
 
 // crossSweepL2 is CrossSweepFlat's L2 loop: two sweep-sorted lists merged
 // with an ε window.
-func crossSweepL2[F float](dx, dy []F, dims int, xs, ys []int32, sweepDim int, eps, epsSq F, emit func(xi, yi int32)) (cand, res int64) {
+func crossSweepL2(dx, dy []float64, dims int, xs, ys []int32, sweepDim int, eps, epsSq float64, emit func(xi, yi int32)) (cand, res int64) {
 	if dims == 16 {
 		return crossSweepL2D16(dx, dy, xs, ys, sweepDim, eps, epsSq, emit)
 	}
@@ -91,7 +89,7 @@ func crossSweepL2[F float](dx, dy []F, dims int, xs, ys []int32, sweepDim int, e
 				break
 			}
 			cand++
-			var s F
+			var s float64
 			k := 0
 			ok := true
 			for ; k+8 <= dims; k += 8 {
@@ -138,19 +136,19 @@ func crossSweepL2[F float](dx, dy []F, dims int, xs, ys []int32, sweepDim int, e
 // point of the paper's evaluation, and the default high-d benchmark case.
 // Rows become array pointers so every trip count is a compile-time constant
 // and no bounds check survives; the accumulation is the SAME four-wide block
-// order and eight-dimension check spacing as the generic loop, fully
+// order and eight-dimension check spacing as the any-d loop, fully
 // unrolled and written out inline (the unrolled test is far past the inliner
 // budget as a helper, and a per-candidate call costs as much as a block).
-// That ordering is load-bearing: the float32 oracle tests compare against
-// the generic predicate's rounding, term by term.
-func selfSweepL2D16[F float](data []F, idx []int32, sweepDim int, eps, epsSq F, emit func(i, j int32)) (cand, res int64) {
+// That ordering is load-bearing: every L2 loop and WithinSqL2 round the same
+// sum term by term, so all engines decide boundary pairs identically.
+func selfSweepL2D16(data []float64, idx []int32, sweepDim int, eps, epsSq float64, emit func(i, j int32)) (cand, res int64) {
 	for a := 0; a+1 < len(idx); a++ {
 		ia := int(idx[a]) * 16
-		pa := (*[16]F)(data[ia:])
+		pa := (*[16]float64)(data[ia:])
 		x := pa[sweepDim]
 		for b := a + 1; b < len(idx); b++ {
 			ib := int(idx[b]) * 16
-			pb := (*[16]F)(data[ib:])
+			pb := (*[16]float64)(data[ib:])
 			if pb[sweepDim]-x > eps {
 				break
 			}
@@ -189,18 +187,18 @@ func selfSweepL2D16[F float](data []F, idx []int32, sweepDim int, eps, epsSq F, 
 
 // crossSweepL2D16 is crossSweepL2 specialized to sixteen dimensions; see
 // selfSweepL2D16.
-func crossSweepL2D16[F float](dx, dy []F, xs, ys []int32, sweepDim int, eps, epsSq F, emit func(xi, yi int32)) (cand, res int64) {
+func crossSweepL2D16(dx, dy []float64, xs, ys []int32, sweepDim int, eps, epsSq float64, emit func(xi, yi int32)) (cand, res int64) {
 	lo := 0
 	for _, xr := range xs {
 		ix := int(xr) * 16
-		px := (*[16]F)(dx[ix:])
+		px := (*[16]float64)(dx[ix:])
 		v := px[sweepDim]
 		for lo < len(ys) && dy[int(ys[lo])*16+sweepDim] < v-eps {
 			lo++
 		}
 		for w := lo; w < len(ys); w++ {
 			iy := int(ys[w]) * 16
-			py := (*[16]F)(dy[iy:])
+			py := (*[16]float64)(dy[iy:])
 			if py[sweepDim]-v > eps {
 				break
 			}
@@ -238,7 +236,7 @@ func crossSweepL2D16[F float](dx, dy []F, xs, ys []int32, sweepDim int, eps, eps
 }
 
 // selfSweepL1 is SelfSweepFlat's L1 loop.
-func selfSweepL1[F float](data []F, dims int, idx []int32, sweepDim int, eps, th F, emit func(i, j int32)) (cand, res int64) {
+func selfSweepL1(data []float64, dims int, idx []int32, sweepDim int, eps, th float64, emit func(i, j int32)) (cand, res int64) {
 	for a := 0; a+1 < len(idx); a++ {
 		ia := int(idx[a]) * dims
 		pa := data[ia : ia+dims : ia+dims]
@@ -250,7 +248,7 @@ func selfSweepL1[F float](data []F, dims int, idx []int32, sweepDim int, eps, th
 				break
 			}
 			cand++
-			if withinL1Gen(pa, pb, th) {
+			if WithinL1(pa, pb, th) {
 				res++
 				emit(idx[a], idx[b])
 			}
@@ -260,7 +258,7 @@ func selfSweepL1[F float](data []F, dims int, idx []int32, sweepDim int, eps, th
 }
 
 // crossSweepL1 is CrossSweepFlat's L1 loop.
-func crossSweepL1[F float](dx, dy []F, dims int, xs, ys []int32, sweepDim int, eps, th F, emit func(xi, yi int32)) (cand, res int64) {
+func crossSweepL1(dx, dy []float64, dims int, xs, ys []int32, sweepDim int, eps, th float64, emit func(xi, yi int32)) (cand, res int64) {
 	lo := 0
 	for _, xr := range xs {
 		ix := int(xr) * dims
@@ -276,7 +274,7 @@ func crossSweepL1[F float](dx, dy []F, dims int, xs, ys []int32, sweepDim int, e
 				break
 			}
 			cand++
-			if withinL1Gen(px, py, th) {
+			if WithinL1(px, py, th) {
 				res++
 				emit(xr, ys[w])
 			}
@@ -286,7 +284,7 @@ func crossSweepL1[F float](dx, dy []F, dims int, xs, ys []int32, sweepDim int, e
 }
 
 // selfSweepLinf is SelfSweepFlat's L∞ loop.
-func selfSweepLinf[F float](data []F, dims int, idx []int32, sweepDim int, eps, th F, emit func(i, j int32)) (cand, res int64) {
+func selfSweepLinf(data []float64, dims int, idx []int32, sweepDim int, eps, th float64, emit func(i, j int32)) (cand, res int64) {
 	for a := 0; a+1 < len(idx); a++ {
 		ia := int(idx[a]) * dims
 		pa := data[ia : ia+dims : ia+dims]
@@ -298,7 +296,7 @@ func selfSweepLinf[F float](data []F, dims int, idx []int32, sweepDim int, eps, 
 				break
 			}
 			cand++
-			if withinLinfGen(pa, pb, th) {
+			if WithinLinf(pa, pb, th) {
 				res++
 				emit(idx[a], idx[b])
 			}
@@ -308,7 +306,7 @@ func selfSweepLinf[F float](data []F, dims int, idx []int32, sweepDim int, eps, 
 }
 
 // crossSweepLinf is CrossSweepFlat's L∞ loop.
-func crossSweepLinf[F float](dx, dy []F, dims int, xs, ys []int32, sweepDim int, eps, th F, emit func(xi, yi int32)) (cand, res int64) {
+func crossSweepLinf(dx, dy []float64, dims int, xs, ys []int32, sweepDim int, eps, th float64, emit func(xi, yi int32)) (cand, res int64) {
 	lo := 0
 	for _, xr := range xs {
 		ix := int(xr) * dims
@@ -324,7 +322,7 @@ func crossSweepLinf[F float](dx, dy []F, dims int, xs, ys []int32, sweepDim int,
 				break
 			}
 			cand++
-			if withinLinfGen(px, py, th) {
+			if WithinLinf(px, py, th) {
 				res++
 				emit(xr, ys[w])
 			}
@@ -334,14 +332,14 @@ func crossSweepLinf[F float](dx, dy []F, dims int, xs, ys []int32, sweepDim int,
 }
 
 // probeListL2 is ProbeListFlat's L2 loop: one point against an index list.
-func probeListL2[F float](dx []F, xi int, dy []F, dims int, ys []int32, epsSq F, emit func(yi int32)) (cand, res int64) {
+func probeListL2(dx []float64, xi int, dy []float64, dims int, ys []int32, epsSq float64, emit func(yi int32)) (cand, res int64) {
 	ix := xi * dims
 	px := dx[ix : ix+dims : ix+dims]
 	for _, yr := range ys {
 		iy := int(yr) * dims
 		py := dy[iy : iy+dims : iy+dims]
 		cand++
-		var s F
+		var s float64
 		k := 0
 		ok := true
 		for ; k+8 <= dims; k += 8 {
@@ -384,13 +382,13 @@ func probeListL2[F float](dx []F, xi int, dy []F, dims int, ys []int32, epsSq F,
 }
 
 // probeListL1 is ProbeListFlat's L1 loop.
-func probeListL1[F float](dx []F, xi int, dy []F, dims int, ys []int32, th F, emit func(yi int32)) (cand, res int64) {
+func probeListL1(dx []float64, xi int, dy []float64, dims int, ys []int32, th float64, emit func(yi int32)) (cand, res int64) {
 	ix := xi * dims
 	px := dx[ix : ix+dims : ix+dims]
 	for _, yr := range ys {
 		iy := int(yr) * dims
 		cand++
-		if withinL1Gen(px, dy[iy:iy+dims:iy+dims], th) {
+		if WithinL1(px, dy[iy:iy+dims:iy+dims], th) {
 			res++
 			emit(yr)
 		}
@@ -399,13 +397,13 @@ func probeListL1[F float](dx []F, xi int, dy []F, dims int, ys []int32, th F, em
 }
 
 // probeListLinf is ProbeListFlat's L∞ loop.
-func probeListLinf[F float](dx []F, xi int, dy []F, dims int, ys []int32, th F, emit func(yi int32)) (cand, res int64) {
+func probeListLinf(dx []float64, xi int, dy []float64, dims int, ys []int32, th float64, emit func(yi int32)) (cand, res int64) {
 	ix := xi * dims
 	px := dx[ix : ix+dims : ix+dims]
 	for _, yr := range ys {
 		iy := int(yr) * dims
 		cand++
-		if withinLinfGen(px, dy[iy:iy+dims:iy+dims], th) {
+		if WithinLinf(px, dy[iy:iy+dims:iy+dims], th) {
 			res++
 			emit(yr)
 		}
@@ -415,14 +413,14 @@ func probeListLinf[F float](dx []F, xi int, dy []F, dims int, ys []int32, th F, 
 
 // probeRangeL2 is ProbeRangeFlat's L2 loop: one point against a contiguous
 // block, the stride-1 nested-loop kernel.
-func probeRangeL2[F float](dx []F, xi int, dy []F, dims int, lo, hi int, epsSq F, emit func(j int32)) (cand, res int64) {
+func probeRangeL2(dx []float64, xi int, dy []float64, dims int, lo, hi int, epsSq float64, emit func(j int32)) (cand, res int64) {
 	ix := xi * dims
 	px := dx[ix : ix+dims : ix+dims]
 	for j := lo; j < hi; j++ {
 		iy := j * dims
 		py := dy[iy : iy+dims : iy+dims]
 		cand++
-		var s F
+		var s float64
 		k := 0
 		ok := true
 		for ; k+8 <= dims; k += 8 {
@@ -465,13 +463,13 @@ func probeRangeL2[F float](dx []F, xi int, dy []F, dims int, lo, hi int, epsSq F
 }
 
 // probeRangeL1 is ProbeRangeFlat's L1 loop.
-func probeRangeL1[F float](dx []F, xi int, dy []F, dims int, lo, hi int, th F, emit func(j int32)) (cand, res int64) {
+func probeRangeL1(dx []float64, xi int, dy []float64, dims int, lo, hi int, th float64, emit func(j int32)) (cand, res int64) {
 	ix := xi * dims
 	px := dx[ix : ix+dims : ix+dims]
 	for j := lo; j < hi; j++ {
 		iy := j * dims
 		cand++
-		if withinL1Gen(px, dy[iy:iy+dims:iy+dims], th) {
+		if WithinL1(px, dy[iy:iy+dims:iy+dims], th) {
 			res++
 			emit(int32(j))
 		}
@@ -480,13 +478,13 @@ func probeRangeL1[F float](dx []F, xi int, dy []F, dims int, lo, hi int, th F, e
 }
 
 // probeRangeLinf is ProbeRangeFlat's L∞ loop.
-func probeRangeLinf[F float](dx []F, xi int, dy []F, dims int, lo, hi int, th F, emit func(j int32)) (cand, res int64) {
+func probeRangeLinf(dx []float64, xi int, dy []float64, dims int, lo, hi int, th float64, emit func(j int32)) (cand, res int64) {
 	ix := xi * dims
 	px := dx[ix : ix+dims : ix+dims]
 	for j := lo; j < hi; j++ {
 		iy := j * dims
 		cand++
-		if withinLinfGen(px, dy[iy:iy+dims:iy+dims], th) {
+		if WithinLinf(px, dy[iy:iy+dims:iy+dims], th) {
 			res++
 			emit(int32(j))
 		}

@@ -186,87 +186,3 @@ func TestFlatKernelsEpsBoundary(t *testing.T) {
 		samePairs(t, m.String(), want, got)
 	}
 }
-
-// float32Reference mirrors the float32 kernels' accept predicate exactly
-// (same accumulation order), so kernel output can be compared against an
-// all-pairs evaluation of the same predicate.
-func float32Reference(m Metric, f Flat, eps, th float64) map[pair]bool {
-	out := make(map[pair]bool)
-	n := f.Len()
-	th32 := float32(th)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			a := f.Data32[i*f.Dims : (i+1)*f.Dims]
-			b := f.Data32[j*f.Dims : (j+1)*f.Dims]
-			var in bool
-			switch m {
-			case L2:
-				in = withinSqL2Gen(a, b, th32)
-			case L1:
-				in = withinL1Gen(a, b, th32)
-			default:
-				in = withinLinfGen(a, b, th32)
-			}
-			if in {
-				out[pair{int32(i), int32(j)}] = true
-			}
-		}
-	}
-	return out
-}
-
-// TestFlat32KernelsMatchPredicate holds every float32 kernel to the exact
-// pair set of its own accept predicate: the padded window filters may only
-// ever widen, never decide.
-func TestFlat32KernelsMatchPredicate(t *testing.T) {
-	for _, dims := range []int{2, 5, 8, 19} {
-		for _, m := range []Metric{L2, L1, Linf} {
-			f := randFlat(t, 100, dims, int64(dims)*17+int64(m))
-			f.Data32 = ToFloat32(f.Data)
-			eps := 0.5
-			th := Threshold(m, eps)
-			want := float32Reference(m, f, eps, th)
-
-			idx := sortedBy(f, dims-1)
-			got := make(map[pair]bool)
-			SelfSweepFlat(m, f, idx, dims-1, eps, th, func(i, j int32) {
-				got[canon(pair{i, j})] = true
-			})
-			samePairs(t, "f32 SelfSweep/"+m.String(), want, got)
-
-			got = make(map[pair]bool)
-			ys := make([]int32, f.Len())
-			for i := range ys {
-				ys[i] = int32(i)
-			}
-			for i := 0; i < f.Len(); i++ {
-				i := int32(i)
-				ProbeListFlat(m, f, i, f, ys[i+1:], th, func(yi int32) { got[pair{i, yi}] = true })
-			}
-			samePairs(t, "f32 ProbeList/"+m.String(), want, got)
-		}
-	}
-}
-
-// TestFlat32MixedViewsStayFloat64 pins the dispatch rule: a float32 mirror
-// on only one side of a cross kernel must not switch precision.
-func TestFlat32MixedViewsStayFloat64(t *testing.T) {
-	fx := randFlat(t, 40, 3, 5)
-	fy := randFlat(t, 40, 3, 6)
-	fx.Data32 = ToFloat32(fx.Data)
-	eps := 0.6
-	th := Threshold(L2, eps)
-	want := make(map[pair]bool)
-	for i := 0; i < fx.Len(); i++ {
-		for j := 0; j < fy.Len(); j++ {
-			if Within(L2, fx.At(i), fy.At(j), th) {
-				want[pair{int32(i), int32(j)}] = true
-			}
-		}
-	}
-	got := make(map[pair]bool)
-	CrossSweepFlat(L2, fx, fy, sortedBy(fx, 0), sortedBy(fy, 0), 0, eps, th, func(xi, yi int32) {
-		got[pair{xi, yi}] = true
-	})
-	samePairs(t, "mixed views", want, got)
-}

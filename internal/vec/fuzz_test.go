@@ -8,11 +8,9 @@ import (
 // FuzzFlatRoundTrip drives the flat kernels with adversarial coordinate
 // patterns: the raw bytes become a quantized point set (1/256 granularity,
 // so exact ε-boundary collisions are common), and every kernel's pair set
-// must match an all-pairs evaluation of the metric's reference predicate —
-// in float64 against Within, and in float32 against the kernels' own
-// accept predicate (the padded windows may widen the candidate set, never
-// change membership). The flat↔slices↔float32 conversions are checked to
-// be lossless along the way.
+// must match an all-pairs evaluation of the metric's reference predicate
+// (Within). The flat↔slices conversion is checked to be lossless along the
+// way.
 func FuzzFlatRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint8(2), uint16(300))
 	f.Add([]byte{255, 0, 255, 0, 1, 1, 1, 1, 128, 128}, uint8(1), uint16(65535))
@@ -42,12 +40,6 @@ func FuzzFlatRoundTrip(f *testing.F) {
 				t.Fatalf("flat->slices->flat changed Data[%d]: %g vs %g", i, rt.Data[i], v)
 			}
 		}
-		m32 := ToFloat32(fl.Data)
-		for i, v := range fl.Data {
-			if m32[i] != float32(v) {
-				t.Fatalf("ToFloat32 changed Data[%d]: %g vs %g", i, m32[i], float32(v))
-			}
-		}
 
 		idx := make([]int32, n)
 		for i := range idx {
@@ -65,7 +57,7 @@ func FuzzFlatRoundTrip(f *testing.F) {
 		for _, m := range []Metric{L2, L1, Linf} {
 			th := Threshold(m, eps)
 
-			want := referenceFuzzPairs(fl, m, th, nil)
+			want := referencePairs(fl, m, eps)
 			check := func(name string, got map[pair]bool) {
 				t.Helper()
 				if len(got) != len(want) {
@@ -96,53 +88,6 @@ func FuzzFlatRoundTrip(f *testing.F) {
 				}
 			})
 			check("CrossSweepFlat", got)
-
-			// Float32 pass over the mirrored view.
-			f32 := fl
-			f32.Data32 = m32
-			want32 := referenceFuzzPairs(f32, m, th, m32)
-			got = make(map[pair]bool)
-			SelfSweepFlat(m, f32, idx, sweepDim, eps, th, func(i, j int32) { got[canon(pair{i, j})] = true })
-			if len(got) != len(want32) {
-				t.Fatalf("f32 SelfSweepFlat/%s: %d pairs, want %d (dims %d eps %g)", m, len(got), len(want32), dims, eps)
-			}
-			for p := range got {
-				if !want32[p] {
-					t.Fatalf("f32 SelfSweepFlat/%s: extra pair %v (dims %d eps %g)", m, p, dims, eps)
-				}
-			}
 		}
 	})
-}
-
-// referenceFuzzPairs evaluates the all-pairs reference predicate: Within
-// over float64 slices when m32 is nil, the float32 kernels' own predicate
-// otherwise.
-func referenceFuzzPairs(f Flat, m Metric, th float64, m32 []float32) map[pair]bool {
-	out := make(map[pair]bool)
-	n := f.Len()
-	th32 := float32(th)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			var in bool
-			if m32 == nil {
-				in = Within(m, f.At(i), f.At(j), th)
-			} else {
-				a := m32[i*f.Dims : (i+1)*f.Dims]
-				b := m32[j*f.Dims : (j+1)*f.Dims]
-				switch m {
-				case L2:
-					in = withinSqL2Gen(a, b, th32)
-				case L1:
-					in = withinL1Gen(a, b, th32)
-				default:
-					in = withinLinfGen(a, b, th32)
-				}
-			}
-			if in {
-				out[pair{int32(i), int32(j)}] = true
-			}
-		}
-	}
-	return out
 }

@@ -143,20 +143,40 @@ func Within(m Metric, a, b []float64, t float64) bool {
 }
 
 // WithinSqL2 reports whether the squared L2 distance of a and b is ≤ epsSq,
-// abandoning the accumulation once the running sum exceeds epsSq. The loop
-// is unrolled four-wide (one exit test per four dimensions): the unrolled
-// accumulation pipelines better, and checking the bound every coordinate
-// saves at most three subtractions when it fires.
+// abandoning the accumulation once the running sum exceeds epsSq: four-wide
+// unrolled accumulation with one exit test per two blocks. Check spacing is
+// a pure performance knob — the sum only grows (squares are non-negative and
+// float rounding is monotone), so any partial sum past epsSq forces the same
+// reject the final sum would — and testing every other block keeps the
+// dependency chain off the branch: eight dimensions of accumulation are in
+// flight before a compare needs the running total. The inline L2 loops in
+// flat_kernels.go repeat this body term for term.
 func WithinSqL2(a, b []float64, epsSq float64) bool {
 	b = b[:len(a)]
 	var s float64
 	i := 0
-	for ; i+4 <= len(a); i += 4 {
+	for ; i+8 <= len(a); i += 8 {
 		d0 := a[i] - b[i]
 		d1 := a[i+1] - b[i+1]
 		d2 := a[i+2] - b[i+2]
 		d3 := a[i+3] - b[i+3]
 		s += d0*d0 + d1*d1 + d2*d2 + d3*d3
+		d0 = a[i+4] - b[i+4]
+		d1 = a[i+5] - b[i+5]
+		d2 = a[i+6] - b[i+6]
+		d3 = a[i+7] - b[i+7]
+		s += d0*d0 + d1*d1 + d2*d2 + d3*d3
+		if s > epsSq {
+			return false
+		}
+	}
+	if i+4 <= len(a) {
+		d0 := a[i] - b[i]
+		d1 := a[i+1] - b[i+1]
+		d2 := a[i+2] - b[i+2]
+		d3 := a[i+3] - b[i+3]
+		s += d0*d0 + d1*d1 + d2*d2 + d3*d3
+		i += 4
 		if s > epsSq {
 			return false
 		}
@@ -171,6 +191,7 @@ func WithinSqL2(a, b []float64, epsSq float64) bool {
 // WithinL1 reports whether the L1 distance of a and b is ≤ eps, with early
 // exit.
 func WithinL1(a, b []float64, eps float64) bool {
+	b = b[:len(a)]
 	var s float64
 	for i, av := range a {
 		d := av - b[i]
@@ -188,6 +209,7 @@ func WithinL1(a, b []float64, eps float64) bool {
 // WithinLinf reports whether the L∞ distance of a and b is ≤ eps. Every
 // coordinate is an exit opportunity.
 func WithinLinf(a, b []float64, eps float64) bool {
+	b = b[:len(a)]
 	for i, av := range a {
 		d := av - b[i]
 		if d < 0 {

@@ -110,16 +110,20 @@ func TestMetricOrdering(t *testing.T) {
 
 // TestWithinAgreesWithDist is the central property: the early-exit threshold
 // kernels must make exactly the same accept/reject decision as the full
-// distance computation, for all metrics.
+// distance computation, for all metrics. d reaches past 64 so every tail of
+// the L2 body (eight-blocks, the four-block, the scalar remainder) runs, and
+// eps is drawn around the pair's own distance so accepts and rejects both
+// occur at every d.
 func TestWithinAgreesWithDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, m := range []Metric{L2, L1, Linf} {
 		f := func(seed int64) bool {
 			r := rand.New(rand.NewSource(seed))
-			d := 1 + r.Intn(20)
+			d := 1 + r.Intn(70)
 			a, b := randVec(r, d), randVec(r, d)
-			eps := r.Float64() * 3
-			want := Dist(m, a, b) <= eps
+			dist := Dist(m, a, b)
+			eps := dist * (0.5 + r.Float64())
+			want := dist <= eps
 			got := Within(m, a, b, Threshold(m, eps))
 			return got == want
 		}
@@ -130,20 +134,25 @@ func TestWithinAgreesWithDist(t *testing.T) {
 }
 
 func TestWithinBoundaryExact(t *testing.T) {
-	// ε tests are closed (≤), including exactly at the boundary.
-	a := []float64{0, 0}
-	b := []float64{3, 4}
-	if !Within(L2, a, b, Threshold(L2, 5)) {
-		t.Error("L2 boundary pair rejected")
-	}
-	if Within(L2, a, b, Threshold(L2, 4.999999)) {
-		t.Error("L2 out-of-range pair accepted")
-	}
-	if !Within(L1, a, b, Threshold(L1, 7)) {
-		t.Error("L1 boundary pair rejected")
-	}
-	if !Within(Linf, a, b, Threshold(Linf, 4)) {
-		t.Error("Linf boundary pair rejected")
+	// ε tests are closed (≤): a pair at exactly ε is in, and the next float
+	// below ε puts it out. The 3-4-5 pair keeps every sum exactly
+	// representable; its second coordinate sits in the last dimension so
+	// the boundary decision falls in each tail of the L2 body in turn.
+	for _, d := range []int{2, 7, 8, 9, 12, 16, 17, 64} {
+		a := make([]float64, d)
+		b := make([]float64, d)
+		b[0], b[d-1] = 3, 4
+		for _, tc := range []struct {
+			m    Metric
+			dist float64
+		}{{L2, 5}, {L1, 7}, {Linf, 4}} {
+			if !Within(tc.m, a, b, Threshold(tc.m, tc.dist)) {
+				t.Errorf("d%d %v: boundary pair rejected", d, tc.m)
+			}
+			if Within(tc.m, a, b, Threshold(tc.m, math.Nextafter(tc.dist, 0))) {
+				t.Errorf("d%d %v: pair accepted at eps just below its distance", d, tc.m)
+			}
+		}
 	}
 }
 

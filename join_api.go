@@ -83,7 +83,6 @@ func (o Options) toInternal(c *stats.Counters, ph *obsv.Phases) join.Options {
 		Counters: c,
 		Phases:   ph,
 		Workers:  o.Workers,
-		Float32:  o.Float32,
 	}
 }
 

@@ -1,7 +1,6 @@
 package simjoin
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -33,8 +32,7 @@ func quantizedDataset(n, dims int, seed int64) *Dataset {
 }
 
 // oraclePairs evaluates the reference predicate — vec.Within over float64
-// slice views, the exact accept test the engines used before the flat
-// kernels — on every pair.
+// slice views — on every pair.
 func oraclePairs(ds *Dataset, m Metric, eps float64) []Pair {
 	im := m.internal()
 	th := vec.Threshold(im, eps)
@@ -153,92 +151,6 @@ func TestEnginesEpsBoundaryExact(t *testing.T) {
 			if len(below.Pairs) != 0 {
 				t.Errorf("metric=%s algo=%s eps just below dist: pairs = %v, want none", m, algo, below.Pairs)
 			}
-		}
-	}
-}
-
-// float32Algorithms lists the engines with float32 kernel support.
-func float32Algorithms() []Algorithm {
-	return []Algorithm{AlgorithmBrute, AlgorithmSweep, AlgorithmGrid, AlgorithmEKDB}
-}
-
-// TestFloat32MeasuredRecall documents the float32 precision contract on
-// realistic data: against the float64 oracle, the float32 engines may flip
-// only pairs whose true distance lies within a narrow relative band of ε
-// (the float32 rounding of coordinates plus accumulation error), recall
-// stays ≥ 99.9%, and every float32 engine — serial or parallel — produces
-// the identical pair set, because they share one rounded mirror and one
-// accumulation order.
-func TestFloat32MeasuredRecall(t *testing.T) {
-	ds, err := Synthetic("clustered", 1200, 32, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []Metric{L2, L1, Linf} {
-		eps := map[Metric]float64{L2: 0.6, L1: 2.8, Linf: 0.22}[m]
-		oracle := sortedPairs(oraclePairs(ds, m, eps))
-		if len(oracle) < 50 {
-			t.Fatalf("degenerate: only %d oracle pairs for %s", len(oracle), m)
-		}
-		var f32Ref []Pair
-		for _, algo := range float32Algorithms() {
-			res, err := SelfJoin(ds, Options{Eps: eps, Metric: m, Algorithm: algo, Float32: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := sortedPairs(res.Pairs)
-			if f32Ref == nil {
-				f32Ref = got
-			} else if fmt.Sprint(got) != fmt.Sprint(f32Ref) {
-				t.Errorf("metric=%s algo=%s: float32 pair set differs from other float32 engines", m, algo)
-			}
-
-			// Every flipped pair must sit in the boundary band: float32
-			// coordinate rounding is ~6e-8 relative, and accumulating 32
-			// dimensions grows it by well under three orders of magnitude,
-			// so 1e-4·ε bounds every legitimate flip with huge margin while
-			// still catching any real kernel defect.
-			band := 1e-4 * eps
-			im := m.internal()
-			for _, p := range append(diffPairs(oracle, got), diffPairs(got, oracle)...) {
-				d := vec.Dist(im, ds.Point(p.I), ds.Point(p.J))
-				if math.Abs(d-eps) > band {
-					t.Errorf("metric=%s algo=%s: pair %v flipped at dist %.9f, |d-eps|=%g exceeds band %g",
-						m, algo, p, d, math.Abs(d-eps), band)
-				}
-			}
-			missing := len(diffPairs(oracle, got))
-			recall := 1 - float64(missing)/float64(len(oracle))
-			if recall < 0.999 {
-				t.Errorf("metric=%s algo=%s: recall %.6f < 0.999 (%d/%d missing)", m, algo, recall, missing, len(oracle))
-			}
-		}
-
-		// The parallel ekdb path shares the warmed mirror and kernels: its
-		// float32 pair set must match the serial one exactly.
-		par, err := SelfJoin(ds, Options{Eps: eps, Metric: m, Algorithm: AlgorithmEKDB, Float32: true, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sortedPairs(par.Pairs); fmt.Sprint(got) != fmt.Sprint(f32Ref) {
-			t.Errorf("metric=%s: parallel float32 ekdb differs from serial float32 pair set", m)
-		}
-	}
-}
-
-// TestFloat32IgnoredByExactEngines checks that the engines without float32
-// kernels accept the option and stay exact.
-func TestFloat32IgnoredByExactEngines(t *testing.T) {
-	ds := quantizedDataset(200, 8, 3)
-	want := sortedPairs(oraclePairs(ds, L2, 0.375))
-	for _, algo := range []Algorithm{AlgorithmKDTree, AlgorithmRTree, AlgorithmRPlus, AlgorithmZOrder, AlgorithmHilbert} {
-		res, err := SelfJoin(ds, Options{Eps: 0.375, Algorithm: algo, Float32: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := sortedPairs(res.Pairs)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%s with Float32: pair set differs from exact oracle", algo)
 		}
 	}
 }

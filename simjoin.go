@@ -111,17 +111,6 @@ type Options struct {
 	LeafThreshold int
 	// BiasedSplit makes the ε-kdB tree consume wide dimensions first.
 	BiasedSplit bool
-	// Float32 opts into the float32 kernel mode for memory-bandwidth-bound
-	// high-dimensional workloads: the ekdb, brute, sweep and grid engines
-	// run their distance tests over a float32 mirror of the coordinates,
-	// halving memory traffic per candidate. Precision contract: coordinates
-	// are rounded to float32 once at the dataset boundary and distances
-	// accumulate in float32, so only pairs whose true distance lies within
-	// a few float32 ULP of Eps can be decided differently from the exact
-	// float64 kernels — everything clearly inside or outside ε is
-	// unaffected. Engines without float32 kernels (kdtree, rtree, rplus,
-	// zorder, hilbert) ignore the flag and stay exact. See docs/KERNELS.md.
-	Float32 bool
 	// CollectPairs controls whether Result.Pairs is populated (default
 	// true). Disable for counting-only runs over huge outputs.
 	CollectPairs *bool
