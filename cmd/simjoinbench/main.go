@@ -11,7 +11,9 @@
 // absorbing a 64-point batch, and the cost of one sketch-served plan.
 // High-dimensional self-join cases (d32/d64) and two vec/ kernel
 // microbenchmarks pin the flat distance kernels directly (see
-// docs/KERNELS.md).
+// docs/KERNELS.md). Three pairs/sort cases time the result-pair sort
+// alone, at its comparison-sort cutoff and at the result sizes of a
+// served and a bulk join (see docs/ALGORITHMS.md).
 //
 //	simjoinbench [-quick] [-only vec/] [-out BENCH_2006-01-02.json]
 //	simjoinbench -quick -baseline bench/BENCH_xxx.json [-threshold 0.2]
@@ -33,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"os/exec"
 	"runtime"
@@ -41,6 +44,7 @@ import (
 	"time"
 
 	"simjoin"
+	"simjoin/internal/pairs"
 	"simjoin/internal/vec"
 )
 
@@ -58,6 +62,34 @@ func gitCommit() string {
 // benchRepeats is how many times each case is measured; the reported
 // ns/op is the fastest run.
 const benchRepeats = 3
+
+// bestOf measures bench benchRepeats times and returns the fastest run
+// with its ns/op. Scheduler and frequency noise only ever slows a run
+// down, so the minimum is the most reproducible estimate and keeps the
+// regression gate's threshold meaningful on busy machines.
+func bestOf(bench func(b *testing.B)) (testing.BenchmarkResult, float64) {
+	var r testing.BenchmarkResult
+	best := math.Inf(1)
+	for rep := 0; rep < benchRepeats; rep++ {
+		res := testing.Benchmark(bench)
+		if ns := float64(res.T.Nanoseconds()) / float64(res.N); ns < best {
+			best, r = ns, res
+		}
+	}
+	return r, best
+}
+
+// timed is the part of a Case every group fills the same way.
+func timed(name string, r testing.BenchmarkResult, nsPerOp float64, nPairs int64) Case {
+	return Case{
+		Name:        name,
+		Iterations:  r.N,
+		NsPerOp:     nsPerOp,
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		Pairs:       nPairs,
+	}
+}
 
 // Schema identifies the report format; bump only with a migration note
 // in docs/OBSERVABILITY.md.
@@ -92,6 +124,7 @@ type Case struct {
 	DistComps int64 `json:"dist_comps"`
 	BuildNs   int64 `json:"build_ns"`
 	ProbeNs   int64 `json:"probe_ns"`
+	CollectNs int64 `json:"collect_ns"`
 }
 
 // spec pins one suite entry.
@@ -211,36 +244,21 @@ func run(sp spec, quick bool) (Case, error) {
 	if snapshot.PairsEmitted == 0 {
 		return Case{}, fmt.Errorf("%s: degenerate benchmark, no pairs at eps %g", sp.name, eps)
 	}
-	// Best of three runs: scheduler and frequency noise only ever slows a
-	// run down, so the minimum is the most reproducible estimate and
-	// keeps the regression gate's threshold meaningful on busy machines.
-	var r testing.BenchmarkResult
-	best := math.Inf(1)
-	for rep := 0; rep < benchRepeats; rep++ {
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				one()
-			}
-		})
-		if ns := float64(res.T.Nanoseconds()) / float64(res.N); ns < best {
-			best, r = ns, res
+	r, best := bestOf(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			one()
 		}
-	}
+	})
 	if runErr != nil {
 		return Case{}, fmt.Errorf("%s: %w", sp.name, runErr)
 	}
-	return Case{
-		Name:        sp.name,
-		Iterations:  r.N,
-		NsPerOp:     best,
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		Pairs:       snapshot.PairsEmitted,
-		DistComps:   snapshot.DistComps,
-		BuildNs:     snapshot.BuildTime.Nanoseconds(),
-		ProbeNs:     snapshot.ProbeTime.Nanoseconds(),
-	}, nil
+	c := timed(sp.name, r, best, snapshot.PairsEmitted)
+	c.DistComps = snapshot.DistComps
+	c.BuildNs = snapshot.BuildTime.Nanoseconds()
+	c.ProbeNs = snapshot.ProbeTime.Nanoseconds()
+	c.CollectNs = snapshot.CollectTime.Nanoseconds()
+	return c, nil
 }
 
 // runLive measures the two maintenance strategies behind the live
@@ -344,25 +362,11 @@ func runLive(quick bool) ([]Case, error) {
 		if snapshot == 0 {
 			return nil, fmt.Errorf("%s: degenerate benchmark, no pairs at eps %g", bc.name, eps)
 		}
-		var r testing.BenchmarkResult
-		best := math.Inf(1)
-		for rep := 0; rep < benchRepeats; rep++ {
-			res := testing.Benchmark(bc.bench)
-			if runErr != nil {
-				return nil, fmt.Errorf("%s: %w", bc.name, runErr)
-			}
-			if ns := float64(res.T.Nanoseconds()) / float64(res.N); ns < best {
-				best, r = ns, res
-			}
+		r, best := bestOf(bc.bench)
+		if runErr != nil {
+			return nil, fmt.Errorf("%s: %w", bc.name, runErr)
 		}
-		out = append(out, Case{
-			Name:        bc.name,
-			Iterations:  r.N,
-			NsPerOp:     best,
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Pairs:       snapshot,
-		})
+		out = append(out, timed(bc.name, r, best, snapshot))
 	}
 	return out, nil
 }
@@ -415,24 +419,10 @@ func runEstimate(quick bool) ([]Case, error) {
 	}
 	var out []Case
 	for _, bc := range benches {
-		var r testing.BenchmarkResult
-		best := math.Inf(1)
-		for rep := 0; rep < benchRepeats; rep++ {
-			res := testing.Benchmark(bc.bench)
-			if ns := float64(res.T.Nanoseconds()) / float64(res.N); ns < best {
-				best, r = ns, res
-			}
-		}
-		out = append(out, Case{
-			Name:        bc.name,
-			Iterations:  r.N,
-			NsPerOp:     best,
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			// Pairs carries the sketch's prediction for the suite's
-			// workload, so reports also track estimator drift.
-			Pairs: pl.EstimatedPairs,
-		})
+		r, best := bestOf(bc.bench)
+		// Pairs carries the sketch's prediction for the suite's workload,
+		// so reports also track estimator drift.
+		out = append(out, timed(bc.name, r, best, pl.EstimatedPairs))
 	}
 	_ = sink
 	return out, nil
@@ -480,27 +470,50 @@ func runVec(quick bool) ([]Case, error) {
 		if pairs == 0 {
 			return nil, fmt.Errorf("%s: degenerate benchmark, no pairs", bc.name)
 		}
-		var r testing.BenchmarkResult
-		best := math.Inf(1)
-		for rep := 0; rep < benchRepeats; rep++ {
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					one()
-				}
-			})
-			if ns := float64(res.T.Nanoseconds()) / float64(res.N); ns < best {
-				best, r = ns, res
+		r, best := bestOf(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				one()
 			}
-		}
-		out = append(out, Case{
-			Name:        bc.name,
-			Iterations:  r.N,
-			NsPerOp:     best,
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Pairs:       pairs,
 		})
+		out = append(out, timed(bc.name, r, best, pairs))
+	}
+	return out, nil
+}
+
+// runPairsSort measures pairs.SortPairs alone — the last step of every
+// collecting join — over seeded canonical pairs on n = 12 000 points,
+// unsorted as the engines emit them. These cases are the measurement
+// behind the sort's two constants (its comparison-sort cutoff and its
+// digit width):
+//
+//	pairs/sort/64   — the cutoff itself: the shortest input that takes
+//	                  the radix path
+//	pairs/sort/2k   — a served join's result (benchmark/ serve_query)
+//	pairs/sort/250k — a bulk join's result (benchmark/ join_pairs)
+//
+// The timed op includes refilling the slice from the unsorted master.
+func runPairsSort(bool) ([]Case, error) {
+	const points = 12000
+	var out []Case
+	for _, sz := range []struct {
+		name string
+		n    int
+	}{{"64", 64}, {"2k", 2000}, {"250k", 250000}} {
+		rng := rand.New(rand.NewSource(15))
+		master := make([]pairs.Pair, sz.n)
+		for i := range master {
+			master[i] = pairs.Pair{I: int32(rng.Intn(points)), J: int32(rng.Intn(points))}.Canon()
+		}
+		ps := make([]pairs.Pair, sz.n)
+		r, best := bestOf(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(ps, master)
+				pairs.SortPairs(ps)
+			}
+		})
+		out = append(out, timed("pairs/sort/"+sz.name, r, best, int64(sz.n)))
 	}
 	return out, nil
 }
@@ -640,6 +653,7 @@ func main() {
 		{"live/", runLive},
 		{"estimate/", runEstimate},
 		{"vec/", runVec},
+		{"pairs/", runPairsSort},
 	}
 	for _, g := range groups {
 		if !groupWanted(g.prefix) {

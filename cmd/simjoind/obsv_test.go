@@ -100,6 +100,11 @@ func TestWorkerQueryJournal(t *testing.T) {
 	if sj.Algorithm == "" || sj.TraceID == "" || sj.ElapsedNS <= 0 {
 		t.Errorf("selfjoin record missing algorithm/trace/elapsed: %+v", sj)
 	}
+	// A collected answer journals all three phases, inside the wall time.
+	if sj.ProbeNS <= 0 || sj.CollectNS <= 0 || sj.BuildNS+sj.ProbeNS+sj.CollectNS > sj.ElapsedNS {
+		t.Errorf("selfjoin record phases build %d + probe %d + collect %d vs elapsed %d",
+			sj.BuildNS, sj.ProbeNS, sj.CollectNS, sj.ElapsedNS)
+	}
 	// The record's trace ID resolves in the trace ring.
 	found := false
 	for _, td := range getTraces(t, ts.URL) {

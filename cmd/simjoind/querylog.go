@@ -89,6 +89,7 @@ func fillFromRun(rec *querylog.Record, js simjoin.JoinStats, results int64) {
 	rec.Candidates = js.Candidates
 	rec.BuildNS = int64(js.BuildTime)
 	rec.ProbeNS = int64(js.ProbeTime)
+	rec.CollectNS = int64(js.CollectTime)
 	rec.ElapsedNS = int64(js.Elapsed)
 	if rec.EstimatedPairs < 0 && js.EstimatedPairs >= 0 {
 		rec.EstimatedPairs = js.EstimatedPairs

@@ -5,7 +5,6 @@ import (
 
 	"simjoin/internal/core"
 	"simjoin/internal/obsv"
-	"simjoin/internal/pairs"
 	"simjoin/internal/stats"
 )
 
@@ -51,21 +50,12 @@ func (x *Index) SelfJoin(opt Options) (*Result, error) {
 	var phases obsv.Phases
 	iopt := opt.toInternal(&counters, &phases)
 	watch := stats.Start()
-	var collected []pairs.Pair
-	if opt.Workers > 1 {
-		sh := pairs.NewSharded(true)
-		x.t.SelfJoinParallel(iopt, sh.Handle)
-		collected = sh.Merged()
-	} else {
-		col := &pairs.Collector{Canonical: true}
-		x.t.SelfJoin(iopt, col)
-		collected = col.Sorted()
-	}
-	elapsed := watch.Elapsed()
-	snap := counters.Snapshot()
-	opt.fillStats(planned{algo: AlgorithmEKDB, est: -1}, snap, &phases, int64(len(collected)), elapsed)
-	return buildResult(collected, snap, elapsed, opt), nil
+	return treeRunners(x.t, iopt).result(true, opt, nil, indexPlan, iopt, watch), nil
 }
+
+// indexPlan is the plan of every Index join: the index is the ε-kdB tree,
+// so nothing is estimated or chosen.
+var indexPlan = planned{algo: AlgorithmEKDB, est: -1}
 
 // SelfJoinEach streams every qualifying unordered pair (delivered with
 // i < j) to fn as it is found, without materializing a pair slice — the
@@ -85,24 +75,14 @@ func (x *Index) SelfJoinEach(opt Options, fn func(i, j int)) (Stats, error) {
 	iopt := opt.toInternal(&counters, &phases)
 	watch := stats.Start()
 	var n int64
-	deliver := func(i, j int) {
+	treeRunners(x.t, iopt).each(opt.Workers, func(i, j int) {
 		if j < i {
 			i, j = j, i
 		}
 		n++
 		fn(i, j)
-	}
-	if opt.Workers > 1 {
-		f := pairs.NewFunnel(deliver)
-		x.t.SelfJoinParallel(iopt, f.Handle)
-		f.Close()
-	} else {
-		x.t.SelfJoin(iopt, pairs.Func(deliver))
-	}
-	elapsed := watch.Elapsed()
-	snap := counters.Snapshot()
-	opt.fillStats(planned{algo: AlgorithmEKDB, est: -1}, snap, &phases, n, elapsed)
-	return eachStats(n, snap, elapsed), nil
+	})
+	return opt.finish(nil, indexPlan, iopt, n, watch), nil
 }
 
 // Range returns the indexes of every point within radius (≤ the index's ε)

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"simjoin/internal/obsv/trace"
+	"simjoin/internal/pairs"
 	"simjoin/internal/rclient"
 )
 
@@ -217,19 +218,16 @@ type JoinResult struct {
 // slice: dedup is positional (see SelfJoinEach), so the only merge-side
 // buffer is the result itself — no per-shard pair sets, no dedup map.
 func (c *Coordinator) SelfJoin(ctx context.Context, name string, q JoinQuery) (*JoinResult, error) {
-	out := make([][2]int, 0)
-	sum, err := c.SelfJoinEach(ctx, name, q, func(i, j int) {
-		out = append(out, [2]int{i, j})
-	})
+	var col pairs.Collector
+	sum, err := c.SelfJoinEach(ctx, name, q, col.Emit)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
+	sorted := col.Sorted()
+	out := make([][2]int, len(sorted))
+	for k, p := range sorted {
+		out[k] = [2]int{int(p.I), int(p.J)}
+	}
 	return &JoinResult{
 		Pairs:   out,
 		Shards:  sum.Shards,

@@ -120,16 +120,19 @@ type joiner struct {
 	// once per joiner so the leaf sweeps don't allocate a closure per call.
 	emitFwd, emitRev func(x, y int32)
 
-	// bucketScratch[depth] is the stable-bucketing buffer for ptsVsNode
-	// calls at that depth. The traversal is depth-first, so one buffer per
-	// depth is never live twice; reusing them removes the dominant join
-	// allocation.
+	// bucketScratch[depth] holds the stable-bucketing buffer and the
+	// stripe counters of the ptsVsNode call at that depth. The traversal is
+	// depth-first, so one buffer per depth is never live twice (the call's
+	// counters stay live across its recursive calls, which is why they
+	// cannot share one buffer); reusing them removes the join's
+	// allocations.
 	bucketScratch [][]int32
 
 	cand, res, visits int64
 }
 
-// scratchAt returns the depth's bucketing buffer with capacity ≥ n.
+// scratchAt returns the depth's scratch buffer at length n. Its contents
+// are whatever the last call at that depth left.
 func (j *joiner) scratchAt(depth, n int) []int32 {
 	for len(j.bucketScratch) <= depth {
 		j.bucketScratch = append(j.bucketScratch, nil)
@@ -221,15 +224,15 @@ func (j *joiner) ptsVsNode(pts []int32, n *node, depth int, flip bool) {
 	// Stable counting-sort bucketing into the depth's scratch buffer:
 	// bucket order preserves the sweep-dimension sort the leaf sweeps rely
 	// on, and the buffer reuse keeps this allocation-free after warm-up.
-	buf := j.scratchAt(depth, len(pts))
-	counts := make([]int32, s+1)
+	scratch := j.scratchAt(depth, len(pts)+2*s+1)
+	buf, counts, cur := scratch[:len(pts)], scratch[len(pts):len(pts)+s+1], scratch[len(pts)+s+1:]
+	clear(counts)
 	for _, i := range pts {
 		counts[j.stripeOfDim(data[int(i)*dims+dim], dim, s)+1]++
 	}
 	for st := 0; st < s; st++ {
 		counts[st+1] += counts[st]
 	}
-	cur := make([]int32, s)
 	copy(cur, counts[:s])
 	for _, i := range pts {
 		st := j.stripeOfDim(data[int(i)*dims+dim], dim, s)

@@ -51,6 +51,10 @@ type Tree struct {
 	leafThreshold int
 	root          *node
 	scratch       []int32 // per-level stripe cache, reused across the build
+	// countScratch[depth] holds the stripe counters of the build call at
+	// that depth: they stay live across its recursive calls, so they are
+	// per depth where the stripe cache is shared.
+	countScratch [][]int32
 
 	nodes, leaves, maxDepth int
 }
@@ -113,6 +117,7 @@ func newTree(ds *dataset.Dataset, eps float64, box vec.Box, cfg Config) *Tree {
 		order:         make([]int, d),
 		stripes:       make([]int, d),
 		leafThreshold: leaf,
+		countScratch:  make([][]int32, d), // depth d is always a leaf
 	}
 	for k := 0; k < d; k++ {
 		t.order[k] = k
@@ -162,7 +167,11 @@ func (t *Tree) build(idx []int32, depth int) *node {
 		t.scratch = make([]int32, len(idx))
 	}
 	str := t.scratch[:len(idx)]
-	counts := make([]int32, s+1)
+	if t.countScratch[depth] == nil {
+		t.countScratch[depth] = make([]int32, 2*s+1) // s is fixed per depth
+	}
+	counts, cur := t.countScratch[depth][:s+1], t.countScratch[depth][s+1:]
+	clear(counts)
 	data, dims := t.ds.Flat(), t.ds.Dims()
 	for p, i := range idx {
 		st := int32(t.stripeOf(data[int(i)*dims+dim], dim))
@@ -172,7 +181,6 @@ func (t *Tree) build(idx []int32, depth int) *node {
 	for st := 0; st < s; st++ {
 		counts[st+1] += counts[st] // counts[st] = start of stripe st's region
 	}
-	cur := make([]int32, s)
 	copy(cur, counts[:s])
 	for st := 0; st < s; st++ {
 		end := counts[st+1]

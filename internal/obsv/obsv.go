@@ -20,13 +20,17 @@ import (
 // engines charge each phase exactly once per entry point, from the
 // coordinating goroutine, so sums stay comparable to wall time.
 //
-// The two phases mirror the paper's cost decomposition: every algorithm
+// Build and probe mirror the paper's cost decomposition: every algorithm
 // first organizes the data (sort, hash, tree build — "build"), then
 // enumerates candidate pairs against that organization ("probe"). Brute
-// force has a zero build phase by construction.
+// force has a zero build phase by construction. Collect is what a run that
+// returns its pairs pays after the probe — merging the workers' shards,
+// sorting, converting to the public pair type; the public entry points
+// charge it, and counting and streaming runs leave it zero.
 type Phases struct {
-	build atomic.Int64 // nanoseconds
-	probe atomic.Int64 // nanoseconds
+	build   atomic.Int64 // nanoseconds
+	probe   atomic.Int64 // nanoseconds
+	collect atomic.Int64 // nanoseconds
 }
 
 // AddBuild charges d to the index-construction phase.
@@ -35,14 +39,21 @@ func (p *Phases) AddBuild(d time.Duration) { p.build.Add(int64(d)) }
 // AddProbe charges d to the candidate-enumeration phase.
 func (p *Phases) AddProbe(d time.Duration) { p.probe.Add(int64(d)) }
 
+// AddCollect charges d to the result-assembly phase.
+func (p *Phases) AddCollect(d time.Duration) { p.collect.Add(int64(d)) }
+
 // Build returns the accumulated index-construction time.
 func (p *Phases) Build() time.Duration { return time.Duration(p.build.Load()) }
 
 // Probe returns the accumulated candidate-enumeration time.
 func (p *Phases) Probe() time.Duration { return time.Duration(p.probe.Load()) }
 
-// Reset zeroes both phases.
+// Collect returns the accumulated result-assembly time.
+func (p *Phases) Collect() time.Duration { return time.Duration(p.collect.Load()) }
+
+// Reset zeroes every phase.
 func (p *Phases) Reset() {
 	p.build.Store(0)
 	p.probe.Store(0)
+	p.collect.Store(0)
 }

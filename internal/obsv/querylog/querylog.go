@@ -65,6 +65,7 @@ type Record struct {
 	Candidates     int64 `json:"candidates,omitempty"`
 	BuildNS        int64 `json:"build_ns,omitempty"`
 	ProbeNS        int64 `json:"probe_ns,omitempty"`
+	CollectNS      int64 `json:"collect_ns,omitempty"`
 	ElapsedNS      int64 `json:"elapsed_ns"`
 
 	// Shards is the fan-out width of a coordinator-side record (0 on

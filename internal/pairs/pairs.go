@@ -6,6 +6,7 @@
 package pairs
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -76,8 +77,23 @@ func (c *Collector) Emit(i, j int) {
 	if c.Canonical {
 		p = p.Canon()
 	}
+	if len(c.Pairs) == cap(c.Pairs) {
+		c.grow()
+	}
 	c.Pairs = append(c.Pairs, p)
 }
+
+// grow doubles the buffer. append grows large slices by 1.25×, which
+// allocates about five times the final result on the way up and copies four
+// of them; doubling allocates twice the result and copies it once over.
+func (c *Collector) grow() {
+	grown := make([]Pair, len(c.Pairs), max(2*cap(c.Pairs), collectorMinCap))
+	copy(grown, c.Pairs)
+	c.Pairs = grown
+}
+
+// collectorMinCap is a Collector's first allocation, in pairs.
+const collectorMinCap = 64
 
 // Sorted returns the collected pairs in lexicographic order (sorting in
 // place).
@@ -110,10 +126,14 @@ func (s *Sharded) Handle() Sink {
 	return c
 }
 
-// Merged returns all shards' pairs, sorted lexicographically.
+// Merged returns all shards' pairs, sorted lexicographically. A lone
+// shard (a serial run) is sorted in place and returned as is.
 func (s *Sharded) Merged() []Pair {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(s.shards) == 1 {
+		return s.shards[0].Sorted()
+	}
 	var total int
 	for _, sh := range s.shards {
 		total += len(sh.Pairs)
@@ -126,22 +146,66 @@ func (s *Sharded) Merged() []Pair {
 	return out
 }
 
-// SortPairs sorts a pair slice lexicographically in place. Pairs are packed
-// into uint64 keys (I in the high word) so the sort runs over machine words
-// instead of through a comparison callback — result sorting is a measurable
-// slice of collect-mode joins. Indexes are non-negative (they index a
-// dataset), so unsigned key order equals lexicographic pair order.
+// radixCutoff is the length below which SortPairs' comparison sort wins:
+// the radix sort pays for its scratch slice and counter tables however short
+// the input is. Like the digit width (a byte), it was fixed by simjoinbench's
+// pairs/sort cases; docs/ALGORITHMS.md, "Result order and the pair sort",
+// has the numbers.
+const radixCutoff = 64
+
+// key packs a pair so that unsigned key order is lexicographic pair order
+// for non-negative indexes.
+func (p Pair) key() uint64 { return uint64(uint32(p.I))<<32 | uint64(uint32(p.J)) }
+
+// SortPairs sorts a pair slice lexicographically in place. Indexes must be
+// non-negative (they index a dataset). Every collect-mode join ends here,
+// so it is a least-significant-digit counting sort straight over the pairs
+// — O(len(ps)), against one scratch slice of the same length — rather than
+// a comparison sort: one scan counts all eight byte digits of J and I (the
+// counters, 16 KB, stay in the L1 cache), then each digit is scattered
+// stably between ps and the scratch, back and forth. A digit on which all
+// pairs agree is skipped, so a result over fewer than 2¹⁶ points takes four
+// passes. Short inputs stay on a comparison sort.
 func SortPairs(ps []Pair) {
-	if len(ps) < 2 {
+	if len(ps) < radixCutoff {
+		slices.SortFunc(ps, func(a, b Pair) int { return cmp.Compare(a.key(), b.key()) })
 		return
 	}
-	keys := make([]uint64, len(ps))
-	for i, p := range ps {
-		keys[i] = uint64(uint32(p.I))<<32 | uint64(uint32(p.J))
+	// int counters: a uint32 would wrap on 2³² pairs sharing a digit.
+	// Written out digit by digit: the compiler does not unroll the loop
+	// over digits, and that costs half again the whole sort's time.
+	var counts [8][256]int
+	for _, p := range ps {
+		k := p.key()
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
 	}
-	slices.Sort(keys)
-	for i, k := range keys {
-		ps[i] = Pair{I: int32(k >> 32), J: int32(k)}
+	src, dst := ps, make([]Pair, len(ps))
+	for d := range counts {
+		next, shift := &counts[d], 8*d
+		if next[byte(ps[0].key()>>shift)] == len(ps) {
+			continue // one bucket holds every pair
+		}
+		pos := 0
+		for b, n := range next {
+			next[b] = pos // where the bucket's next pair goes
+			pos += n
+		}
+		for _, p := range src {
+			b := byte(p.key() >> shift)
+			dst[next[b]] = p
+			next[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ps[0] {
+		copy(ps, src)
 	}
 }
 

@@ -86,31 +86,150 @@ func (o Options) toInternal(c *stats.Counters, ph *obsv.Phases) join.Options {
 	}
 }
 
-// fillStats overwrites o.Stats (when set) with the run's report.
-func (o Options) fillStats(p planned, snap stats.Snapshot, ph *obsv.Phases, pairsEmitted int64, elapsed time.Duration) {
-	if o.Stats == nil {
+// runners are the two ways one planned join can run: serially into one
+// sink, or spread over workers that each take a private sink from newSink.
+// parallel is nil when the engine has no parallel variant.
+type runners struct {
+	serial   func(sink pairs.Sink)
+	parallel func(newSink func() pairs.Sink)
+}
+
+// selfRunners binds algo's self-join entry points to ds. The ε-kdB tree
+// takes the public options' tree knobs, so it is built here (and charged to
+// the build phase) rather than behind the registry's shared signature.
+func selfRunners(algo Algorithm, ds *dataset.Dataset, iopt join.Options, opt Options) runners {
+	if algo == AlgorithmEKDB {
+		cfg := core.Config{LeafThreshold: opt.LeafThreshold, BiasedSplit: opt.BiasedSplit}
+		start := time.Now()
+		t := core.Build(ds, opt.Eps, cfg)
+		iopt.Timing().AddBuild(time.Since(start))
+		return treeRunners(t, iopt)
+	}
+	impl := registry[algo]
+	r := runners{serial: func(sink pairs.Sink) { impl.self(ds, iopt, sink) }}
+	if impl.parallelSelf != nil {
+		r.parallel = func(newSink func() pairs.Sink) { impl.parallelSelf(ds, iopt, newSink) }
+	}
+	return r
+}
+
+// treeRunners binds a built ε-kdB tree's self-join entry points.
+func treeRunners(t *core.Tree, iopt join.Options) runners {
+	return runners{
+		serial:   func(sink pairs.Sink) { t.SelfJoin(iopt, sink) },
+		parallel: func(newSink func() pairs.Sink) { t.SelfJoinParallel(iopt, newSink) },
+	}
+}
+
+// joinRunners binds algo's two-set entry points to a and b.
+func joinRunners(algo Algorithm, a, b *dataset.Dataset, iopt join.Options) runners {
+	impl := registry[algo]
+	r := runners{serial: func(sink pairs.Sink) { impl.join(a, b, iopt, sink) }}
+	if impl.parallelJoin != nil {
+		r.parallel = func(newSink func() pairs.Sink) { impl.parallelJoin(a, b, iopt, newSink) }
+	}
+	return r
+}
+
+// run executes the join: the parallel variant when more than one worker is
+// asked for and the engine has one, the serial one otherwise.
+func (r runners) run(workers int, newSink func() pairs.Sink) {
+	if workers > 1 && r.parallel != nil {
+		r.parallel(newSink)
 		return
 	}
-	*o.Stats = JoinStats{
-		Algorithm:      p.algo,
-		DistComps:      snap.DistComps,
-		Candidates:     snap.Candidates,
-		NodeVisits:     snap.NodeVisits,
-		PairsEmitted:   pairsEmitted,
-		EstimatedPairs: p.est,
-		BuildTime:      ph.Build(),
-		ProbeTime:      ph.Probe(),
-		Elapsed:        elapsed,
+	r.serial(newSink())
+}
+
+// count runs the join into a shared counter: no pair is buffered.
+func (r runners) count(workers int) int64 {
+	var sink pairs.Counter
+	r.run(workers, func() pairs.Sink { return &sink })
+	return sink.N()
+}
+
+// collect runs the join and returns its pairs in lexicographic order
+// (canonical: self-join pairs, stored I < J). What happens after the last
+// pair was emitted — merging the workers' shards, the sort, the conversion
+// to the public pair type — is charged to ph as the collect phase.
+func (r runners) collect(workers int, canonical bool, ph *obsv.Phases) []Pair {
+	sh := pairs.NewSharded(canonical)
+	r.run(workers, sh.Handle)
+	start := time.Now()
+	ps := sh.Merged()
+	out := make([]Pair, len(ps))
+	for i, p := range ps {
+		out[i] = Pair{I: int(p.I), J: int(p.J)}
+	}
+	ph.AddCollect(time.Since(start))
+	return out
+}
+
+// each streams the join's pairs to deliver, which is never called
+// concurrently: parallel runs funnel every worker's pairs through one
+// delivery goroutine.
+func (r runners) each(workers int, deliver func(i, j int)) {
+	if workers > 1 && r.parallel != nil {
+		f := pairs.NewFunnel(deliver)
+		r.parallel(f.Handle)
+		f.Close()
+		return
+	}
+	r.serial(pairs.Func(deliver))
+}
+
+// result runs the join in the mode opt asks for — collecting or counting
+// only — and closes the run (see finish).
+func (r runners) result(canonical bool, opt Options, sp *trace.Span, p planned, iopt join.Options, watch stats.Stopwatch) *Result {
+	res := &Result{}
+	var n int64
+	if opt.collect() {
+		res.Pairs = r.collect(opt.Workers, canonical, iopt.Phases)
+		n = int64(len(res.Pairs))
+	} else {
+		n = r.count(opt.Workers)
+	}
+	res.Stats = opt.finish(sp, p, iopt, n, watch)
+	return res
+}
+
+// finish closes a run that produced n pairs: it stops the watch, fills
+// o.Stats (when set) with the run's report, seals the entry point's span
+// and returns the summary every mode shares.
+func (o Options) finish(sp *trace.Span, p planned, iopt join.Options, n int64, watch stats.Stopwatch) Stats {
+	elapsed := watch.Elapsed()
+	snap, ph := iopt.Counters.Snapshot(), iopt.Phases
+	if o.Stats != nil {
+		*o.Stats = JoinStats{
+			Algorithm:      p.algo,
+			DistComps:      snap.DistComps,
+			Candidates:     snap.Candidates,
+			NodeVisits:     snap.NodeVisits,
+			PairsEmitted:   n,
+			EstimatedPairs: p.est,
+			BuildTime:      ph.Build(),
+			ProbeTime:      ph.Probe(),
+			CollectTime:    ph.Collect(),
+			Elapsed:        elapsed,
+		}
+	}
+	finishSpan(sp, p.algo, snap, ph, n)
+	return Stats{
+		Candidates: snap.Candidates,
+		DistComps:  snap.DistComps,
+		Results:    n,
+		NodeVisits: snap.NodeVisits,
+		Elapsed:    elapsed,
 	}
 }
 
 // finishSpan seals one entry point's span: the resolved algorithm and
-// the run's work counters are recorded, and the engines' phase totals
-// become "build" and "probe" child intervals. The intervals reuse the
-// obsv.Phases seam — the engines already charged those timers, so
-// nothing is instrumented twice. For parallel runs the probe interval's
-// offset is approximate (phases can overlap across goroutines); the
-// durations are exact.
+// the run's work counters are recorded, and the run's phase totals become
+// "build", "probe" and "collect" child intervals. The intervals reuse the
+// obsv.Phases seam — those timers were already charged, so nothing is
+// instrumented twice. For parallel runs the later intervals' offsets are
+// approximate (phases can overlap across goroutines); the durations are
+// exact.
 func finishSpan(sp *trace.Span, algo Algorithm, snap stats.Snapshot, ph *obsv.Phases, pairsEmitted int64) {
 	if sp == nil {
 		return
@@ -120,12 +239,15 @@ func finishSpan(sp *trace.Span, algo Algorithm, snap stats.Snapshot, ph *obsv.Ph
 	sp.AddCounter("candidates", snap.Candidates)
 	sp.AddCounter("node_visits", snap.NodeVisits)
 	sp.AddCounter("pairs_emitted", pairsEmitted)
-	build := ph.Build()
-	if build > 0 {
-		sp.ChildInterval("build", sp.StartTime(), build)
-	}
-	if probe := ph.Probe(); probe > 0 {
-		sp.ChildInterval("probe", sp.StartTime().Add(build), probe)
+	at := sp.StartTime()
+	for _, phase := range []struct {
+		name string
+		d    time.Duration
+	}{{"build", ph.Build()}, {"probe", ph.Probe()}, {"collect", ph.Collect()}} {
+		if phase.d > 0 {
+			sp.ChildInterval(phase.name, at, phase.d)
+		}
+		at = at.Add(phase.d)
 	}
 	sp.End()
 }
@@ -141,91 +263,9 @@ func SelfJoin(ds *Dataset, opt Options) (*Result, error) {
 	iopt := opt.toInternal(&counters, &phases)
 	sp := opt.Trace.Child("simjoin.SelfJoin")
 	plan := planSelf(ds, opt, sp)
-	algo := plan.algo
-	impl := registry[algo]
-
 	watch := stats.Start()
-	if !opt.collect() {
-		// Counting-only: no pair buffering at all.
-		var sink pairs.Counter
-		switch {
-		case algo == AlgorithmEKDB:
-			runEKDBSelfCounting(ds.internal(), iopt, opt, &sink)
-		case opt.Workers > 1 && impl.parallelSelf != nil:
-			impl.parallelSelf(ds.internal(), iopt, func() pairs.Sink { return &sink })
-		default:
-			impl.self(ds.internal(), iopt, &sink)
-		}
-		elapsed := watch.Elapsed()
-		snap := counters.Snapshot()
-		opt.fillStats(plan, snap, &phases, sink.N(), elapsed)
-		finishSpan(sp, algo, snap, &phases, sink.N())
-		return countResult(sink.N(), snap, elapsed), nil
-	}
-	var collected []pairs.Pair
-	switch {
-	case algo == AlgorithmEKDB:
-		collected = runEKDBSelf(ds.internal(), iopt, opt)
-	case opt.Workers > 1 && impl.parallelSelf != nil:
-		sh := pairs.NewSharded(true)
-		impl.parallelSelf(ds.internal(), iopt, sh.Handle)
-		collected = sh.Merged()
-	default:
-		col := &pairs.Collector{Canonical: true}
-		impl.self(ds.internal(), iopt, col)
-		collected = col.Sorted()
-	}
-	elapsed := watch.Elapsed()
-	snap := counters.Snapshot()
-	opt.fillStats(plan, snap, &phases, int64(len(collected)), elapsed)
-	finishSpan(sp, algo, snap, &phases, int64(len(collected)))
-	return buildResult(collected, snap, elapsed, opt), nil
-}
-
-// runEKDBSelfCounting is runEKDBSelf without pair storage.
-func runEKDBSelfCounting(ds *dataset.Dataset, iopt join.Options, opt Options, sink pairs.Sink) {
-	if ds.Len() < 2 {
-		return
-	}
-	cfg := core.Config{LeafThreshold: opt.LeafThreshold, BiasedSplit: opt.BiasedSplit}
-	start := time.Now()
-	t := core.Build(ds, opt.Eps, cfg)
-	iopt.Timing().AddBuild(time.Since(start))
-	if opt.Workers > 1 {
-		t.SelfJoinParallel(iopt, func() pairs.Sink { return sink })
-		return
-	}
-	t.SelfJoin(iopt, sink)
-}
-
-// countResult assembles a Result for counting-only runs.
-func countResult(n int64, snap stats.Snapshot, elapsed time.Duration) *Result {
-	return &Result{Stats: Stats{
-		Candidates: snap.Candidates,
-		DistComps:  snap.DistComps,
-		Results:    n,
-		NodeVisits: snap.NodeVisits,
-		Elapsed:    elapsed,
-	}}
-}
-
-// runEKDBSelf runs the ε-kdB self-join with the public options' tree knobs.
-func runEKDBSelf(ds *dataset.Dataset, iopt join.Options, opt Options) []pairs.Pair {
-	if ds.Len() < 2 {
-		return nil
-	}
-	cfg := core.Config{LeafThreshold: opt.LeafThreshold, BiasedSplit: opt.BiasedSplit}
-	start := time.Now()
-	t := core.Build(ds, opt.Eps, cfg)
-	iopt.Timing().AddBuild(time.Since(start))
-	if opt.Workers > 1 {
-		sh := pairs.NewSharded(true)
-		t.SelfJoinParallel(iopt, sh.Handle)
-		return sh.Merged()
-	}
-	col := &pairs.Collector{Canonical: true}
-	t.SelfJoin(iopt, col)
-	return col.Sorted()
+	r := selfRunners(plan.algo, ds.internal(), iopt, opt)
+	return r.result(true, opt, sp, plan, iopt, watch), nil
 }
 
 // Join reports every pair (i, j) with dist(a[i], b[j]) ≤ opt.Eps. The two
@@ -244,37 +284,9 @@ func Join(a, b *Dataset, opt Options) (*Result, error) {
 	iopt := opt.toInternal(&counters, &phases)
 	sp := opt.Trace.Child("simjoin.Join")
 	plan := planJoin(a, b, opt, sp)
-	algo := plan.algo
-	impl := registry[algo]
 	watch := stats.Start()
-	if !opt.collect() {
-		var sink pairs.Counter
-		if opt.Workers > 1 && impl.parallelJoin != nil {
-			impl.parallelJoin(a.internal(), b.internal(), iopt, func() pairs.Sink { return &sink })
-		} else {
-			impl.join(a.internal(), b.internal(), iopt, &sink)
-		}
-		elapsed := watch.Elapsed()
-		snap := counters.Snapshot()
-		opt.fillStats(plan, snap, &phases, sink.N(), elapsed)
-		finishSpan(sp, algo, snap, &phases, sink.N())
-		return countResult(sink.N(), snap, elapsed), nil
-	}
-	var collected []pairs.Pair
-	if opt.Workers > 1 && impl.parallelJoin != nil {
-		sh := pairs.NewSharded(false)
-		impl.parallelJoin(a.internal(), b.internal(), iopt, sh.Handle)
-		collected = sh.Merged()
-	} else {
-		col := &pairs.Collector{}
-		impl.join(a.internal(), b.internal(), iopt, col)
-		collected = col.Sorted()
-	}
-	elapsed := watch.Elapsed()
-	snap := counters.Snapshot()
-	opt.fillStats(plan, snap, &phases, int64(len(collected)), elapsed)
-	finishSpan(sp, algo, snap, &phases, int64(len(collected)))
-	return buildResult(collected, snap, elapsed, opt), nil
+	r := joinRunners(plan.algo, a.internal(), b.internal(), iopt)
+	return r.result(false, opt, sp, plan, iopt, watch), nil
 }
 
 // checkJoinDims rejects two-set inputs of different dimensionality before
@@ -302,52 +314,16 @@ func SelfJoinEach(ds *Dataset, opt Options, fn func(i, j int)) (Stats, error) {
 	iopt := opt.toInternal(&counters, &phases)
 	sp := opt.Trace.Child("simjoin.SelfJoinEach")
 	plan := planSelf(ds, opt, sp)
-	algo := plan.algo
-	impl := registry[algo]
 	watch := stats.Start()
 	var n int64
-	deliver := func(i, j int) {
+	selfRunners(plan.algo, ds.internal(), iopt, opt).each(opt.Workers, func(i, j int) {
 		if j < i {
 			i, j = j, i
 		}
 		n++
 		fn(i, j)
-	}
-	switch {
-	case algo == AlgorithmEKDB:
-		runEKDBSelfEach(ds.internal(), iopt, opt, deliver)
-	case opt.Workers > 1 && impl.parallelSelf != nil:
-		f := pairs.NewFunnel(deliver)
-		impl.parallelSelf(ds.internal(), iopt, f.Handle)
-		f.Close()
-	default:
-		impl.self(ds.internal(), iopt, pairs.Func(deliver))
-	}
-	elapsed := watch.Elapsed()
-	snap := counters.Snapshot()
-	opt.fillStats(plan, snap, &phases, n, elapsed)
-	finishSpan(sp, algo, snap, &phases, n)
-	return eachStats(n, snap, elapsed), nil
-}
-
-// runEKDBSelfEach is the streaming counterpart of runEKDBSelf: the tree is
-// built with the public options' knobs and pairs flow to deliver (via a
-// funnel when parallel).
-func runEKDBSelfEach(ds *dataset.Dataset, iopt join.Options, opt Options, deliver func(i, j int)) {
-	if ds.Len() < 2 {
-		return
-	}
-	cfg := core.Config{LeafThreshold: opt.LeafThreshold, BiasedSplit: opt.BiasedSplit}
-	start := time.Now()
-	t := core.Build(ds, opt.Eps, cfg)
-	iopt.Timing().AddBuild(time.Since(start))
-	if opt.Workers > 1 {
-		f := pairs.NewFunnel(deliver)
-		t.SelfJoinParallel(iopt, f.Handle)
-		f.Close()
-		return
-	}
-	t.SelfJoin(iopt, pairs.Func(deliver))
+	})
+	return opt.finish(sp, plan, iopt, n, watch), nil
 }
 
 // JoinEach streams every (a-index, b-index) pair within opt.Eps to fn as
@@ -366,54 +342,13 @@ func JoinEach(a, b *Dataset, opt Options, fn func(i, j int)) (Stats, error) {
 	iopt := opt.toInternal(&counters, &phases)
 	sp := opt.Trace.Child("simjoin.JoinEach")
 	plan := planJoin(a, b, opt, sp)
-	algo := plan.algo
-	impl := registry[algo]
 	watch := stats.Start()
 	var n int64
-	deliver := func(i, j int) {
+	joinRunners(plan.algo, a.internal(), b.internal(), iopt).each(opt.Workers, func(i, j int) {
 		n++
 		fn(i, j)
-	}
-	if opt.Workers > 1 && impl.parallelJoin != nil {
-		f := pairs.NewFunnel(deliver)
-		impl.parallelJoin(a.internal(), b.internal(), iopt, f.Handle)
-		f.Close()
-	} else {
-		impl.join(a.internal(), b.internal(), iopt, pairs.Func(deliver))
-	}
-	elapsed := watch.Elapsed()
-	snap := counters.Snapshot()
-	opt.fillStats(plan, snap, &phases, n, elapsed)
-	finishSpan(sp, algo, snap, &phases, n)
-	return eachStats(n, snap, elapsed), nil
-}
-
-// eachStats assembles the Stats of a streaming run.
-func eachStats(n int64, snap stats.Snapshot, elapsed time.Duration) Stats {
-	return Stats{
-		Candidates: snap.Candidates,
-		DistComps:  snap.DistComps,
-		Results:    n,
-		NodeVisits: snap.NodeVisits,
-		Elapsed:    elapsed,
-	}
-}
-
-func buildResult(ps []pairs.Pair, snap stats.Snapshot, elapsed time.Duration, opt Options) *Result {
-	res := &Result{Stats: Stats{
-		Candidates: snap.Candidates,
-		DistComps:  snap.DistComps,
-		Results:    int64(len(ps)),
-		NodeVisits: snap.NodeVisits,
-		Elapsed:    elapsed,
-	}}
-	if opt.collect() {
-		res.Pairs = make([]Pair, len(ps))
-		for i, p := range ps {
-			res.Pairs[i] = Pair{I: int(p.I), J: int(p.J)}
-		}
-	}
-	return res
+	})
+	return opt.finish(sp, plan, iopt, n, watch), nil
 }
 
 // autoSeed shuffles the subsample when AlgorithmAuto falls back to the

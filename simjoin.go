@@ -154,7 +154,9 @@ func (o Options) validate() error {
 // BuildTime covers organizing the data (sort, hash grid, tree
 // construction), ProbeTime covers enumerating and testing candidate
 // pairs — the cost split the performance evaluation attributes across
-// algorithms, dimensionality and ε.
+// algorithms, dimensionality and ε — and CollectTime covers turning the
+// emitted pairs into Result.Pairs. The three never sum to more than
+// Elapsed.
 type JoinStats struct {
 	// Algorithm is the concrete algorithm that ran (Auto and the empty
 	// default are resolved).
@@ -182,6 +184,12 @@ type JoinStats struct {
 	// ProbeTime is the wall time spent enumerating and testing
 	// candidates against the built organization.
 	ProbeTime time.Duration
+	// CollectTime is the wall time a collecting run spent after its last
+	// pair was found: merging the workers' buffers, sorting the pairs
+	// into Result.Pairs order and converting them. Zero for counting-only
+	// runs (CollectPairs disabled) and for the streaming *Each calls,
+	// which never hold the pairs.
+	CollectTime time.Duration
 	// Elapsed is the wall-clock time of the whole join.
 	Elapsed time.Duration
 }

@@ -2,6 +2,9 @@ package simjoin
 
 import (
 	"math"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -180,6 +183,126 @@ func TestJoinStatsIndex(t *testing.T) {
 	}
 	if js.BuildTime != 0 {
 		t.Errorf("index query BuildTime = %v, want 0 (build paid at NewIndex)", js.BuildTime)
+	}
+}
+
+// TestJoinStatsCollectPhase pins the collect phase: a run that returns its
+// pairs reports the time it spent merging, sorting and converting them; a
+// counting or streaming run holds no pairs and reports none; and the three
+// phases never add up to more than the run's wall time.
+func TestJoinStatsCollectPhase(t *testing.T) {
+	ds, err := Synthetic("clustered", 2000, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := NewIndex(ds, 0.1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := false
+	discard := func(i, j int) {}
+	runs := []struct {
+		name    string
+		collect bool
+		run     func(opt Options) (*Result, error)
+	}{
+		{"SelfJoin", true, func(o Options) (*Result, error) { return SelfJoin(ds, o) }},
+		{"SelfJoin/grid", true, func(o Options) (*Result, error) { o.Algorithm = AlgorithmGrid; return SelfJoin(ds, o) }},
+		{"Join", true, func(o Options) (*Result, error) { return Join(ds, ds, o) }},
+		{"Index.SelfJoin", true, func(o Options) (*Result, error) { return x.SelfJoin(o) }},
+		{"SelfJoin/count", false, func(o Options) (*Result, error) { o.CollectPairs = &off; return SelfJoin(ds, o) }},
+		{"Join/count", false, func(o Options) (*Result, error) { o.CollectPairs = &off; return Join(ds, ds, o) }},
+		{"Index.SelfJoin/count", false, func(o Options) (*Result, error) { o.CollectPairs = &off; return x.SelfJoin(o) }},
+		{"SelfJoinEach", false, func(o Options) (*Result, error) {
+			st, err := SelfJoinEach(ds, o, discard)
+			return &Result{Stats: st}, err
+		}},
+		{"JoinEach", false, func(o Options) (*Result, error) {
+			st, err := JoinEach(ds, ds, o, discard)
+			return &Result{Stats: st}, err
+		}},
+		{"Index.SelfJoinEach", false, func(o Options) (*Result, error) {
+			st, err := x.SelfJoinEach(o, discard)
+			return &Result{Stats: st}, err
+		}},
+	}
+	for _, rn := range runs {
+		for _, workers := range []int{1, 3} {
+			var js JoinStats
+			res, err := rn.run(Options{Eps: 0.1, Workers: workers, Stats: &js})
+			if err != nil {
+				t.Fatalf("%s/w%d: %v", rn.name, workers, err)
+			}
+			if res.Stats.Results == 0 || js.PairsEmitted != res.Stats.Results {
+				t.Fatalf("%s/w%d: %d results, PairsEmitted %d", rn.name, workers, res.Stats.Results, js.PairsEmitted)
+			}
+			switch {
+			case rn.collect && (js.CollectTime <= 0 || int64(len(res.Pairs)) != res.Stats.Results):
+				t.Errorf("%s/w%d: CollectTime = %v with %d of %d pairs returned, want > 0 and all",
+					rn.name, workers, js.CollectTime, len(res.Pairs), res.Stats.Results)
+			case !rn.collect && (js.CollectTime != 0 || res.Pairs != nil):
+				t.Errorf("%s/w%d: CollectTime = %v with %d pairs returned, want none of either",
+					rn.name, workers, js.CollectTime, len(res.Pairs))
+			}
+			if sum := js.BuildTime + js.ProbeTime + js.CollectTime; sum > js.Elapsed {
+				t.Errorf("%s/w%d: build %v + probe %v + collect %v = %v exceeds Elapsed %v",
+					rn.name, workers, js.BuildTime, js.ProbeTime, js.CollectTime, sum, js.Elapsed)
+			}
+			if js.Elapsed != res.Stats.Elapsed {
+				t.Errorf("%s/w%d: JoinStats.Elapsed %v, Stats.Elapsed %v", rn.name, workers, js.Elapsed, res.Stats.Elapsed)
+			}
+		}
+	}
+}
+
+// TestTracePhaseIntervals checks a traced collecting run lays its phases
+// out as child intervals of the entry point's span, in the order they ran,
+// and that a streaming run has no collect interval.
+func TestTracePhaseIntervals(t *testing.T) {
+	ds, err := Synthetic("clustered", 2000, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phasesOf := func(run func(sp *Span)) []string {
+		tr := NewTracer(1)
+		root := tr.Start("test")
+		run(root)
+		root.End()
+		var entry string
+		spans := tr.Traces()[0].Spans
+		for _, sp := range spans {
+			if strings.HasPrefix(sp.Name, "simjoin.") {
+				entry = sp.SpanID
+			}
+		}
+		var kids []SpanData
+		for _, sp := range spans {
+			if sp.ParentID == entry {
+				kids = append(kids, sp)
+			}
+		}
+		sort.Slice(kids, func(a, b int) bool { return kids[a].Start.Before(kids[b].Start) })
+		var names []string
+		for _, sp := range kids {
+			names = append(names, sp.Name)
+		}
+		return names
+	}
+	got := phasesOf(func(sp *Span) {
+		if _, err := SelfJoin(ds, Options{Eps: 0.1, Trace: sp}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := []string{"build", "probe", "collect"}; !slices.Equal(got, want) {
+		t.Errorf("SelfJoin phase intervals = %v, want %v", got, want)
+	}
+	got = phasesOf(func(sp *Span) {
+		if _, err := SelfJoinEach(ds, Options{Eps: 0.1, Trace: sp}, func(i, j int) {}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := []string{"build", "probe"}; !slices.Equal(got, want) {
+		t.Errorf("SelfJoinEach phase intervals = %v, want %v", got, want)
 	}
 }
 
