@@ -252,6 +252,28 @@ func TestClusterCSVUploadAndList(t *testing.T) {
 	}
 }
 
+// TestClusterUploadRejectsNonFiniteCSV: the coordinator's upload goes
+// through the same decoder as a worker's, so NaN never reaches a shard.
+func TestClusterUploadRejectsNonFiniteCSV(t *testing.T) {
+	coord, workers := startCluster(t, 2, 0.2)
+	status, body := putCSV(t, coord.URL, "c", "0,0\n0.1,0\nNaN,0.9\n")
+	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "data row 3") {
+		t.Fatalf("PUT through the coordinator: %d %v, want 400 naming data row 3", status, body)
+	}
+	for _, base := range []string{coord.URL, workers[0].URL, workers[1].URL} {
+		resp, err := http.Get(base + "/datasets")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var list []map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&list)
+		resp.Body.Close()
+		if err != nil || len(list) != 0 {
+			t.Errorf("%s holds %v after a refused upload (%v)", base, list, err)
+		}
+	}
+}
+
 func TestClusterErrorPaths(t *testing.T) {
 	coord, _ := startCluster(t, 2, 0.2)
 	putPoints(t, coord.URL, "d", clusterPoints(40, 2, 404))
@@ -326,36 +348,5 @@ func TestCoordinatorHealthzDegrades(t *testing.T) {
 	r.Body.Close()
 	if body["status"] != "degraded" {
 		t.Fatalf("healthz with dead worker = %v", body)
-	}
-}
-
-func TestDebugVarsCounters(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {1, 1}})
-	// One error: selfjoin on a missing dataset.
-	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/datasets/zzz/selfjoin", map[string]any{"eps": 0.1})
-	resp.Body.Close()
-
-	r, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars struct {
-		Requests map[string]int `json:"requests"`
-		Errors   map[string]int `json:"errors"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if vars.Requests["PUT /datasets/{name}"] != 1 {
-		t.Errorf("requests = %v, want 1 PUT", vars.Requests)
-	}
-	if vars.Requests["POST /datasets/{name}/selfjoin"] != 1 || vars.Errors["POST /datasets/{name}/selfjoin"] != 1 {
-		t.Errorf("selfjoin counters = %v / %v, want 1 request and 1 error", vars.Requests, vars.Errors)
-	}
-	if len(vars.Errors) != 1 {
-		t.Errorf("errors = %v, want only the selfjoin miss", vars.Errors)
 	}
 }

@@ -1,45 +1,33 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
+	"simjoin/internal/api"
 	"simjoin/internal/cluster"
 	"simjoin/internal/live"
 	"simjoin/internal/obsv/querylog"
-	"simjoin/internal/vec"
 )
 
 // handleAppend distributes POST /datasets/{name}/points: the batch is
 // routed to its shards under the original cuts and appended on each
 // worker, which in turn feeds every standing query watching the
-// dataset. The response is the worker shape plus the cluster
-// degradation fields.
+// dataset.
 func (s *coordServer) handleAppend(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
 	pts, ok := decodeUpload(w, r, s.maxBody)
 	if !ok {
 		return
 	}
 	defer s.observeFanout("append", time.Now())
-	res, err := s.c.Append(r.Context(), name, pts)
+	res, err := s.c.Append(r.Context(), r.PathValue("name"), pts)
 	if err != nil {
-		coordError(w, err)
+		s.fail(w, err)
 		return
 	}
-	writeJSON(w, map[string]any{
-		"name":          res.Info.Name,
-		"len":           res.Info.Len,
-		"dims":          res.Info.Dims,
-		"partial":       res.Partial,
-		"failed_shards": res.Failed,
-	})
+	api.WriteJSON(w, res)
 }
 
 // handleGetDataset answers GET /datasets/{name} from the shard map: the
@@ -52,42 +40,27 @@ func (s *coordServer) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	sm, ok := s.c.Map(name)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no dataset %q", name)
+		api.Error(w, http.StatusNotFound, "no dataset %q", name)
 		return
 	}
-	replicas := 0
+	layout := api.ShardLayout{Margin: sm.Margin, Shards: len(sm.Shards), Watches: s.watchCount(name)}
 	for _, sh := range sm.Shards {
-		replicas += len(sh.Global)
+		layout.Stored += len(sh.Global)
 	}
-	out := map[string]any{
-		"name":    name,
-		"len":     sm.Total,
-		"dims":    sm.Dims,
-		"margin":  sm.Margin,
-		"shards":  len(sm.Shards),
-		"stored":  replicas,
-		"watches": s.watchCount(name),
+	out := api.DatasetDetail{DatasetInfo: api.DatasetInfo{Name: name, Len: sm.Total, Dims: sm.Dims}, ShardLayout: &layout}
+	eps, m, ok := estimateParams(w, r, false)
+	if !ok {
+		return
 	}
-	if v := r.URL.Query().Get("eps"); v != "" {
-		eps, err := strconv.ParseFloat(v, 64)
-		if err != nil || !(eps > 0) {
-			httpError(w, http.StatusBadRequest, "eps must be a positive number, got %q", v)
-			return
-		}
-		defer s.observeFanout("estimate", time.Now())
-		est, err := s.c.EstimateSelfJoin(r.Context(), name, eps, r.URL.Query().Get("metric"))
+	if eps > 0 {
+		est, _, err := s.estimate(r.Context(), name, m, eps)
 		if err != nil {
-			coordError(w, err)
+			s.fail(w, err)
 			return
 		}
-		out["estimate"] = map[string]any{
-			"eps":             eps,
-			"pairs":           est.Pairs,
-			"partial":         est.Partial,
-			"shard_estimates": est.Shards,
-		}
+		out.Estimate = &api.Estimate{Eps: eps, Pairs: est.Pairs, ShardEstimates: &est.ShardEstimates}
 	}
-	writeJSON(w, out)
+	api.WriteJSON(w, out)
 }
 
 // addWatch / removeWatch / watchCount maintain the per-dataset tally of
@@ -140,60 +113,32 @@ func (s *coordServer) shutdownWatches() {
 // coordinator reconnects to with their own cursors automatically.
 func (s *coordServer) handleWatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var req watchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "parsing request: %v", err)
+	req, metric, ok := s.decodeWatch(w, r)
+	if !ok {
 		return
 	}
 	if req.Other != "" {
-		httpError(w, http.StatusNotImplemented, "two-set watches not supported in coordinator mode")
+		api.Error(w, http.StatusNotImplemented, "two-set watches not supported in coordinator mode")
 		return
 	}
 	if req.After != nil && *req.After != 0 {
-		httpError(w, http.StatusBadRequest, `coordinator watches support "after" omitted (live) or 0 (full replay), got %d`, *req.After)
+		api.Error(w, http.StatusBadRequest, `coordinator watches support "after" omitted (live) or 0 (full replay), got %d`, *req.After)
 		return
-	}
-	fromStart := req.After != nil
-	metric := vec.L2
-	if req.Metric != "" {
-		var err error
-		if metric, err = vec.ParseMetric(req.Metric); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 	}
 	// Validate everything cluster.Watch would reject before committing
 	// to a streaming 200.
 	sm, ok := s.c.Map(name)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no dataset %q", name)
-		return
-	}
-	if !(req.Eps > 0) {
-		httpError(w, http.StatusBadRequest, "eps must be positive")
+		api.Error(w, http.StatusNotFound, "no dataset %q", name)
 		return
 	}
 	if req.Eps > sm.Margin {
-		httpError(w, http.StatusBadRequest, "eps %g exceeds the dataset's shard margin %g; re-upload with a larger margin", req.Eps, sm.Margin)
+		api.Error(w, http.StatusBadRequest, "eps %g exceeds the dataset's shard margin %g; re-upload with a larger margin", req.Eps, sm.Margin)
 		return
 	}
 
-	s.m.streamRequests.With("POST /datasets/{name}/watch").Inc()
 	s.addWatch(name)
 	defer s.removeWatch(name)
-	// Journal the watch when the stream ends, with the delta volume it
-	// delivered over its whole lifetime.
-	watchStart := time.Now()
-	var delivered int64
-	defer func() {
-		recordQuery(s.qlog, s.m, querylog.Record{
-			Kind: "watch", Dataset: name, Eps: req.Eps,
-			Metric: metric.String(), Stream: true, Shards: len(sm.Shards),
-			EstimatedPairs: -1, ActualPairs: delivered,
-			ElapsedNS: int64(time.Since(watchStart)),
-			TraceID:   traceIDOf(r), Outcome: querylog.OutcomeOK,
-		})
-	}()
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	go func() {
@@ -204,58 +149,25 @@ func (s *coordServer) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	bw := bufio.NewWriter(w)
-	rc := http.NewResponseController(w)
-	flush := func() error {
-		_ = rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return rc.Flush()
-	}
-	if !writeEventLine(bw, map[string]any{
-		"event": "hello", "dataset": name, "seq": sm.Total,
-		"eps": req.Eps, "metric": metric.String(),
-	}) || flush() != nil {
-		return
-	}
-	reason, err := s.c.Watch(ctx, name, cluster.JoinQuery{Eps: req.Eps, Metric: req.Metric}, fromStart, func(ev cluster.WatchEvent) bool {
-		for _, p := range ev.Pairs {
-			fmt.Fprintf(bw, "[%d,%d]\n", p[0], p[1])
-		}
-		delivered += int64(len(ev.Pairs))
-		s.m.streamPairs.Add(int64(len(ev.Pairs)))
-		marker := map[string]any{
-			"event": "batch", "shard": ev.Shard, "seq": ev.Seq,
-			"added": ev.Added, "pairs": len(ev.Pairs),
-		}
-		if ev.CatchUp {
-			marker["catch_up"] = true
-		}
-		return writeEventLine(bw, marker) && flush() == nil
-	})
-	if err != nil {
+	hello := api.WatchHello{Dataset: name, Seq: sm.Total, Eps: req.Eps, Metric: metric.String()}
+	s.watch(w, r, querylog.Record{Shards: len(sm.Shards)}, hello, func(deliver func([][2]int, api.WatchBatch) bool) string {
+		q := cluster.JoinQuery{Eps: req.Eps, Metric: req.Metric}
+		reason, err := s.c.Watch(ctx, name, q, req.After != nil, func(ev cluster.WatchEvent) bool {
+			return deliver(ev.Pairs, api.WatchBatch{Shard: &ev.Shard, Seq: ev.Seq, Added: ev.Added, CatchUp: ev.CatchUp})
+		})
 		var nfe cluster.NotFoundError
 		switch {
 		case errors.As(err, &nfe):
 			// The dataset vanished between the pre-check and the watch.
-			reason = live.ReasonDeleted
+			return live.ReasonDeleted
 		case errors.Is(err, context.Canceled):
 			select {
 			case <-s.stopWatches:
-				reason = live.ReasonShutdown
+				return live.ReasonShutdown
 			default:
 				// The client went away; nobody is reading an end event.
-				return
 			}
-		default:
-			return
 		}
-	}
-	if reason != "" {
-		writeEventLine(bw, map[string]any{"event": "end", "reason": reason})
-		_ = flush()
-	}
+		return reason
+	})
 }

@@ -2,52 +2,40 @@ package main
 
 import (
 	"net/http"
-	"strconv"
-	"time"
 
 	"simjoin"
+	"simjoin/internal/api"
 )
-
-// explainEps parses the mandatory eps query parameter, writing the HTTP
-// error itself when it is missing or non-positive.
-func explainEps(w http.ResponseWriter, r *http.Request) (float64, bool) {
-	eps, err := strconv.ParseFloat(r.URL.Query().Get("eps"), 64)
-	if err != nil || !(eps > 0) {
-		httpError(w, http.StatusBadRequest, "eps must be a positive number, got %q", r.URL.Query().Get("eps"))
-		return 0, false
-	}
-	return eps, true
-}
 
 // handleExplain serves GET /datasets/{name}/explain?eps=…[&metric=…]
 // [&algorithm=…] on a worker: the library's EXPLAIN — the engine that
 // would run and the size prediction — without executing the join.
 func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.get(r.PathValue("name"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no dataset %q", r.PathValue("name"))
-		return
-	}
-	eps, ok := explainEps(w, r)
+	name := r.PathValue("name")
+	e, ok := s.lookup(w, name)
 	if !ok {
 		return
 	}
-	opt := simjoin.Options{Eps: eps, Algorithm: simjoin.Algorithm(r.URL.Query().Get("algorithm"))}
-	if ms := r.URL.Query().Get("metric"); ms != "" {
-		m, err := simjoin.ParseMetric(ms)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		opt.Metric = m
+	eps, m, ok := estimateParams(w, r, true)
+	if !ok {
+		return
 	}
-	ex, err := simjoin.Explain(e.dataset(), opt)
+	ex, err := simjoin.Explain(e.dataset(), simjoin.Options{Eps: eps, Metric: m, Algorithm: simjoin.Algorithm(r.URL.Query().Get("algorithm"))})
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		api.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.m.estimateRequests.With(estimateSource(ex.Plan.Sketched)).Inc()
-	writeJSON(w, explainJSON(r.PathValue("name"), ex))
+	api.WriteJSON(w, api.Explain{Dataset: name, Eps: ex.Eps, Metric: ex.Metric.String(), LocalExplain: &api.LocalExplain{
+		Requested: string(ex.Requested),
+		Algorithm: string(ex.Algorithm),
+		Plan: api.ExplainPlan{
+			Algorithm:      string(ex.Plan.Algorithm),
+			EstimatedPairs: ex.Plan.EstimatedPairs,
+			Selectivity:    ex.Plan.Selectivity,
+			Sketched:       ex.Plan.Sketched,
+		},
+	}})
 }
 
 // handleExplain serves the coordinator's GET /datasets/{name}/explain
@@ -57,52 +45,19 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // its planner would pick).
 func (s *coordServer) handleExplain(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	eps, ok := explainEps(w, r)
+	eps, m, ok := estimateParams(w, r, true)
 	if !ok {
 		return
 	}
-	metric := r.URL.Query().Get("metric")
-	defer s.observeFanout("estimate", time.Now())
-	est, err := s.c.EstimateSelfJoin(r.Context(), name, eps, metric)
+	est, source, err := s.estimate(r.Context(), name, m, eps)
 	if err != nil {
-		coordError(w, err)
+		s.fail(w, err)
 		return
 	}
-	if metric == "" {
-		metric = "L2"
-	}
-	source := "sample"
-	for _, sh := range est.Shards {
-		if sh.Sketched {
-			source = "sketch"
-			break
-		}
-	}
 	s.m.estimateRequests.With(source).Inc()
-	writeJSON(w, map[string]any{
-		"dataset":         name,
-		"eps":             eps,
-		"metric":          metric,
-		"estimated_pairs": est.Pairs,
-		"shards":          len(est.Shards),
-		"partial":         est.Partial,
-		"shard_estimates": est.Shards,
-	})
-}
-
-// explainJSON is the HTTP shape of an Explanation.
-func explainJSON(name string, ex simjoin.Explanation) map[string]any {
-	return map[string]any{
-		"dataset":   name,
-		"eps":       ex.Eps,
-		"metric":    ex.Metric.String(),
-		"requested": string(ex.Requested),
-		"algorithm": string(ex.Algorithm),
-		"plan": map[string]any{
-			"algorithm":       string(ex.Plan.Algorithm),
-			"estimated_pairs": ex.Plan.EstimatedPairs,
-			"selectivity":     ex.Plan.Selectivity,
-			"sketched":        ex.Plan.Sketched,
-		},
-	}
+	api.WriteJSON(w, api.Explain{Dataset: name, Eps: eps, Metric: m.String(), ShardExplain: &api.ShardExplain{
+		EstimatedPairs: est.Pairs,
+		Shards:         len(est.PerShard),
+		ShardEstimates: est.ShardEstimates,
+	}})
 }

@@ -1,17 +1,13 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"simjoin"
+	"simjoin/internal/api"
 	"simjoin/internal/live"
 	"simjoin/internal/obsv/querylog"
-	"simjoin/internal/vec"
 )
 
 // liveHooks feeds the live engine's observability callbacks into the
@@ -29,77 +25,34 @@ func liveHooks(m *metrics) live.Hooks {
 	}
 }
 
-// watchRequest is the POST /datasets/{name}/watch body: the standing
-// query plus the reconnect cursors.
-type watchRequest struct {
-	Eps    float64 `json:"eps"`
-	Metric string  `json:"metric"`
-	// Other turns the self-join into a two-set standing query; pairs are
-	// ({name}-index, other-index).
-	Other string `json:"other"`
-	// After / AfterOther are replay cursors (dataset lengths from earlier
-	// batch events): everything past them is re-delivered in one catch-up
-	// batch before live delivery. Omitted = subscribe from now;
-	// 0 = replay from the beginning.
-	After      *int `json:"after"`
-	AfterOther *int `json:"after_other"`
-	// Buffer is the subscriber's mailbox depth in batch events; falling
-	// further behind than this gets the stream evicted (0 = default).
-	Buffer int `json:"buffer"`
-}
-
-// watchWriteTimeout bounds each write+flush to the subscriber, so a
-// stalled client cannot pin the handler goroutine past eviction.
-const watchWriteTimeout = 30 * time.Second
-
 // liveError maps engine errors onto HTTP statuses.
 func liveError(w http.ResponseWriter, err error) {
 	switch err.(type) {
 	case live.UnknownDatasetError:
-		httpError(w, http.StatusNotFound, "%v", err)
+		api.Error(w, http.StatusNotFound, "%v", err)
 	case live.QueryError:
-		httpError(w, http.StatusBadRequest, "%v", err)
+		api.Error(w, http.StatusBadRequest, "%v", err)
 	default:
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		api.Error(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
 // handleWatch registers a standing query and streams its delta batches
-// as NDJSON until the client disconnects, the dataset goes away, the
-// subscriber falls too far behind, or the server shuts down:
-//
-//	{"event":"hello","dataset":…,"seq":…}      stream opened
-//	[i,j]                                      one new pair
-//	{"event":"batch","seq":…,"added":…,…}      batch delimiter + resume cursor
-//	{"event":"end","reason":…}                 terminal event
+// (see api.WatchStream) until the client disconnects, the dataset goes
+// away, the subscriber falls too far behind, or the server shuts down.
 func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	e, ok := s.get(name)
+	e, ok := s.lookup(w, name)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no dataset %q", name)
 		return
 	}
-	var req watchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "parsing request: %v", err)
-		return
-	}
-	metric := vec.L2
-	if req.Metric != "" {
-		var err error
-		if metric, err = vec.ParseMetric(req.Metric); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	if !(req.Eps > 0) {
-		httpError(w, http.StatusBadRequest, "eps must be positive")
+	req, metric, ok := s.decodeWatch(w, r)
+	if !ok {
 		return
 	}
 	var other *entry
 	if req.Other != "" {
-		if other, ok = s.get(req.Other); !ok {
-			httpError(w, http.StatusNotFound, "no dataset %q", req.Other)
+		if other, ok = s.lookup(w, req.Other); !ok {
 			return
 		}
 	}
@@ -120,82 +73,31 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.live.Unsubscribe(sub.ID())
 
-	// Journal the watch when the stream ends: ActualPairs is the delta
-	// volume delivered over its whole lifetime, ElapsedNS that lifetime.
-	watchStart := time.Now()
-	var delivered int64
-	defer func() {
-		recordQuery(s.qlog, s.m, querylog.Record{
-			Kind: "watch", Dataset: name, Dataset2: req.Other,
-			Eps: req.Eps, Metric: metric.String(), Stream: true,
-			EstimatedPairs: -1, ActualPairs: delivered,
-			ElapsedNS: int64(time.Since(watchStart)),
-			TraceID:   traceIDOf(r), Outcome: querylog.OutcomeOK,
-		})
-	}()
-
-	s.m.streamRequests.With("POST /datasets/{name}/watch").Inc()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	bw := bufio.NewWriter(w)
-	rc := http.NewResponseController(w)
-	flush := func() error {
-		_ = rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
-		if err := bw.Flush(); err != nil {
-			return err
+	hello := api.WatchHello{Dataset: name, Seq: sub.BaseSeq(), Eps: req.Eps, Metric: metric.String(), Other: req.Other}
+	// otherSeq marks an event with the second set's cursor on a two-set
+	// watch.
+	otherSeq := func(seq int) *int {
+		if req.Other == "" {
+			return nil
 		}
-		return rc.Flush()
+		return &seq
 	}
-	hello := map[string]any{
-		"event": "hello", "dataset": name, "seq": sub.BaseSeq(),
-		"eps": req.Eps, "metric": metric.String(),
-	}
-	if req.Other != "" {
-		hello["other"] = req.Other
-		hello["seq_other"] = sub.BaseSeqOther()
-	}
-	if !writeEventLine(bw, hello) || flush() != nil {
-		return
-	}
-	for {
-		select {
-		case ev, chOpen := <-sub.Events():
-			if !chOpen {
-				writeEventLine(bw, map[string]any{"event": "end", "reason": sub.Reason()})
-				_ = flush()
-				return
+	hello.SeqOther = otherSeq(sub.BaseSeqOther())
+	s.watch(w, r, querylog.Record{Dataset2: req.Other}, hello, func(deliver func([][2]int, api.WatchBatch) bool) string {
+		for {
+			select {
+			case ev, chOpen := <-sub.Events():
+				if !chOpen {
+					return sub.Reason()
+				}
+				if !deliver(ev.Pairs, api.WatchBatch{Seq: ev.Seq, Added: ev.Added, SeqOther: otherSeq(ev.SeqOther), CatchUp: ev.CatchUp}) {
+					return ""
+				}
+			case <-r.Context().Done():
+				return ""
 			}
-			for _, p := range ev.Pairs {
-				fmt.Fprintf(bw, "[%d,%d]\n", p[0], p[1])
-			}
-			delivered += int64(len(ev.Pairs))
-			s.m.streamPairs.Add(int64(len(ev.Pairs)))
-			marker := map[string]any{
-				"event": "batch", "seq": ev.Seq, "added": ev.Added, "pairs": len(ev.Pairs),
-			}
-			if req.Other != "" {
-				marker["seq_other"] = ev.SeqOther
-			}
-			if ev.CatchUp {
-				marker["catch_up"] = true
-			}
-			if !writeEventLine(bw, marker) || flush() != nil {
-				return
-			}
-		case <-r.Context().Done():
-			return
 		}
-	}
-}
-
-// writeEventLine renders one NDJSON event object.
-func writeEventLine(bw *bufio.Writer, v any) bool {
-	line, err := json.Marshal(v)
-	if err != nil {
-		return false
-	}
-	bw.Write(line)
-	return bw.WriteByte('\n') == nil
+	})
 }
 
 // handleGetDataset answers GET /datasets/{name}: the dataset's shape
@@ -206,53 +108,31 @@ func writeEventLine(bw *bufio.Writer, v any) bool {
 // also how a coordinator prices a distributed query shard by shard.
 func (s *server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	e, ok := s.get(name)
+	e, ok := s.lookup(w, name)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no dataset %q", name)
 		return
 	}
 	ds := e.dataset()
-	out := map[string]any{
-		"name": name,
-		"len":  ds.Len(),
-		"dims": ds.Dims(),
-		"live": s.live.Stats(name),
-	}
+	stats := s.live.Stats(name)
+	out := api.DatasetDetail{DatasetInfo: api.DatasetInfo{Name: name, Len: ds.Len(), Dims: ds.Dims()}, Live: &stats}
 	if s.st != nil {
 		if wb, ok := s.st.DatasetWALBytes(name); ok {
-			out["wal_bytes"] = wb
+			out.WALBytes = &wb
 		}
 	}
 	if sk := ds.Sketch(); sk != nil {
-		out["sketch"] = map[string]any{
-			"points":        sk.Points(),
-			"reservoir":     sk.Reservoir(),
-			"sampled_pairs": sk.SampledPairs(),
-		}
+		out.Sketch = &api.SketchInfo{Points: sk.Points(), Reservoir: sk.Reservoir(), SampledPairs: sk.SampledPairs()}
 	}
-	if v := r.URL.Query().Get("eps"); v != "" {
-		eps, err := strconv.ParseFloat(v, 64)
-		if err != nil || !(eps > 0) {
-			httpError(w, http.StatusBadRequest, "eps must be a positive number, got %q", v)
-			return
-		}
-		m := simjoin.L2
-		if ms := r.URL.Query().Get("metric"); ms != "" {
-			if m, err = simjoin.ParseMetric(ms); err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-		}
+	eps, m, ok := estimateParams(w, r, false)
+	if !ok {
+		return
+	}
+	if eps > 0 {
 		pl := simjoin.PlanSelfJoin(ds, m, eps)
 		s.m.estimateRequests.With(estimateSource(pl.Sketched)).Inc()
-		out["estimate"] = map[string]any{
-			"eps":         eps,
-			"metric":      m.String(),
-			"algorithm":   string(pl.Algorithm),
-			"pairs":       pl.EstimatedPairs,
-			"selectivity": pl.Selectivity,
-			"sketched":    pl.Sketched,
-		}
+		out.Estimate = &api.Estimate{Eps: eps, Pairs: pl.EstimatedPairs, LocalPlan: &api.LocalPlan{
+			Metric: m.String(), Algorithm: string(pl.Algorithm), Selectivity: pl.Selectivity, Sketched: pl.Sketched,
+		}}
 	}
-	writeJSON(w, out)
+	api.WriteJSON(w, out)
 }

@@ -5,23 +5,11 @@
 //
 //	simjoind -addr :8080 [-data dir] [-load name=path ...]
 //
-//	PUT    /datasets/{name}           {"points": [[…], …]}  (or text/csv body)
-//	GET    /datasets                  list registered datasets
-//	GET    /datasets/{name}           shape, live-engine state, WAL footprint
-//	DELETE /datasets/{name}
-//	POST   /datasets/{name}/points    {"points": [[…], …]}  append
-//	POST   /datasets/{name}/selfjoin  {"eps":0.1,"metric":"L2","algorithm":"ekdb"}
-//	POST   /datasets/{name}/range     {"point":[…],"radius":0.1}
-//	POST   /datasets/{name}/knn       {"point":[…],"k":5}
-//	POST   /datasets/{name}/watch     standing query: NDJSON delta stream (docs/LIVE.md)
-//	POST   /join                      {"a":"x","b":"y","eps":0.1}
-//	GET    /healthz                   liveness + dataset count
-//	GET    /metrics                   Prometheus text: per-route counters + latency histograms
-//	GET    /datasets/{name}/explain   ?eps=… EXPLAIN: resolved engine + size prediction, no execution
-//	GET    /debug/vars                per-route request/error counters (legacy JSON)
-//	GET    /debug/traces              recent request traces as span trees (?trace=<id>, ?limit=N)
-//	GET    /debug/traces/{id}         one trace's spans merged (coordinator: stitched across the fleet)
-//	GET    /debug/queries             per-query journal: estimate vs actual, timings, trace IDs
+// The REST surface — dataset upload/append/delete, self- and two-set
+// joins (collected or NDJSON-streamed), range and KNN queries, standing
+// watch queries, EXPLAIN, /healthz, /metrics and the /debug routes — is
+// the route table in internal/api's package comment, which also names
+// every request and answer type.
 //
 // -data <dir> makes the datasets durable: every PUT/append/DELETE tees
 // through a snapshot+WAL storage engine (internal/store, see
@@ -52,10 +40,11 @@
 // -version prints the binary's build identity block (the /healthz
 // "build" object) and exits.
 //
-// Every response is JSON; errors carry {"error": "…"} with a 4xx/5xx
-// status. The server logs one structured JSON line per request to
-// stderr (method, route, status, bytes, duration, trace_id) and shuts
-// down gracefully on SIGINT/SIGTERM.
+// Every response is JSON (internal/api's package comment is the wire
+// reference); errors carry {"error": "…"} with a 4xx/5xx status. The
+// server logs one structured JSON line per request to stderr (method,
+// route, status, bytes, duration, trace_id) and shuts down gracefully on
+// SIGINT/SIGTERM.
 package main
 
 import (

@@ -1,21 +1,12 @@
 package main
 
-import (
-	"encoding/json"
-	"net/http"
-	"time"
-
-	"simjoin/internal/obsv"
-)
+import "simjoin/internal/obsv"
 
 // metrics is the server's observability surface: per-route request and
 // error counters, a per-route latency histogram, and dedicated streaming
 // counters (NDJSON responses bypass response buffering, so their pair
-// volume is only visible here). Served two ways: Prometheus text at
-// GET /metrics, and the legacy /debug/vars JSON shape kept for existing
-// scrapers. Each server instance owns its own registry rather than a
-// process global, so tests (and a worker + coordinator sharing one
-// process) can run many servers without duplicate-name collisions.
+// volume is only visible here), served as Prometheus text at GET
+// /metrics.
 type metrics struct {
 	reg      *obsv.Registry
 	requests *obsv.CounterVec
@@ -76,7 +67,7 @@ func newMetrics() *metrics {
 		reg:            reg,
 		requests:       reg.NewCounterVec("simjoind_requests_total", "HTTP requests by route.", "route"),
 		errors:         reg.NewCounterVec("simjoind_errors_total", "HTTP responses with status >= 400 by route.", "route"),
-		latency:        reg.NewHistogramVec("simjoind_request_duration_seconds", "HTTP request latency by route.", "route", obsv.LatencyBuckets()),
+		latency:        reg.NewHistogramVec("simjoind_request_duration_seconds", "HTTP request latency by route.", obsv.LatencyBuckets(), "route"),
 		streamRequests: reg.NewCounterVec("simjoind_stream_requests_total", "Requests answered as NDJSON streams by route.", "route"),
 		streamPairs:    reg.NewCounter("simjoind_stream_pairs_total", "Pair lines emitted over NDJSON streams."),
 
@@ -100,7 +91,7 @@ func newMetrics() *metrics {
 		estimateRatio:    reg.NewHistogram("simjoin_estimate_ratio", "Predicted over actual result size for completed joins that carried an estimate.", estimateRatioBuckets()),
 
 		querySlow:    reg.NewCounter("simjoin_query_slow_total", "Journaled queries that ran past the journal's slow threshold."),
-		queryLatency: reg.NewHistogramVec("simjoin_query_duration_seconds", "Journaled query latency by resolved algorithm.", "algorithm", obsv.LatencyBuckets()),
+		queryLatency: reg.NewHistogramVec("simjoin_query_duration_seconds", "Journaled query latency by resolved algorithm.", obsv.LatencyBuckets(), "algorithm"),
 	}
 }
 
@@ -127,66 +118,4 @@ func (m *metrics) observeEstimateRatio(est, actual int64) {
 	if est >= 0 && actual > 0 {
 		m.estimateRatio.Observe(float64(est) / float64(actual))
 	}
-}
-
-// statusWriter records the status code so error responses can be
-// counted, and the body bytes written so access logs can report
-// response size.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
-// Flush forwards to the wrapped writer so NDJSON streaming keeps working
-// through the middleware.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap lets http.ResponseController reach the underlying writer's
-// optional interfaces (SetWriteDeadline, used by watch streams) through
-// the middleware.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// wrap counts every request and every ≥ 400 response under key, and
-// observes the handler's wall time in the route's latency histogram.
-func (m *metrics) wrap(key string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		m.requests.With(key).Inc()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		h(sw, r)
-		m.latency.With(key).Observe(time.Since(start).Seconds())
-		if sw.status >= 400 {
-			m.errors.With(key).Inc()
-		}
-	}
-}
-
-// promHandler serves the registry as Prometheus text exposition.
-func (m *metrics) promHandler() http.Handler { return m.reg.Handler() }
-
-// varsHandler serves the legacy /debug/vars JSON shape — per-route
-// request and error counts — from the same counters /metrics exposes.
-func (m *metrics) varsHandler(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	out := map[string]map[string]int64{
-		"requests": m.requests.Snapshot(),
-		"errors":   m.errors.Snapshot(),
-	}
-	_ = json.NewEncoder(w).Encode(out)
 }

@@ -56,6 +56,31 @@ func TestMetricsEndpointWorker(t *testing.T) {
 	}
 }
 
+// TestRouteCounters pins the per-route counters exactly: one series per
+// route that was hit, and an error series only for the route that failed.
+func TestRouteCounters(t *testing.T) {
+	ts, done := newTestServer(t)
+	defer done()
+	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {1, 1}})
+	// One error: selfjoin on a missing dataset.
+	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/datasets/zzz/selfjoin", map[string]any{"eps": 0.1})
+	resp.Body.Close()
+
+	text := scrape(t, ts.URL)
+	for _, want := range []string{
+		`simjoind_requests_total{route="PUT /datasets/{name}"} 1`,
+		`simjoind_requests_total{route="POST /datasets/{name}/selfjoin"} 1`,
+		`simjoind_errors_total{route="POST /datasets/{name}/selfjoin"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q\n---\n%s", want, text)
+		}
+	}
+	if n := strings.Count(text, "\nsimjoind_errors_total{"); n != 1 {
+		t.Errorf("%d error series, want only the selfjoin miss\n---\n%s", n, text)
+	}
+}
+
 func TestMetricsStreamCounters(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()

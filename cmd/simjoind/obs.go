@@ -1,13 +1,11 @@
 package main
 
 import (
-	"log/slog"
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"strconv"
-	"time"
 
+	"simjoin/internal/api"
 	"simjoin/internal/obsv/trace"
 )
 
@@ -15,115 +13,19 @@ import (
 // for GET /debug/traces.
 const defaultTraceCapacity = 128
 
-// instrument is the daemon middleware stack shared by worker and
-// coordinator mode. Outermost it opens a server span — continuing the
-// caller's trace when the request carries a W3C traceparent header, a
-// fresh trace otherwise — and stores it in the request context so
-// handlers, the join library and the coordinator's fan-out all record
-// under it. Inside that it applies the metrics wrap (request/error
-// counters, latency histogram), and when the handler returns it emits
-// one structured access-log line carrying trace_id/span_id, so logs and
-// /debug/traces cross-link on the IDs.
-func instrument(m *metrics, tr *trace.Tracer, logger *slog.Logger, pattern string, h http.HandlerFunc) http.HandlerFunc {
-	inner := m.wrap(pattern, h)
-	return func(w http.ResponseWriter, r *http.Request) {
-		sp := tr.StartRemote(pattern, r.Header.Get("traceparent"))
-		sp.SetAttr("method", r.Method)
-		sp.SetAttr("path", r.URL.Path)
-		if reqID := r.Header.Get("X-Request-Id"); reqID != "" {
-			sp.SetAttr("request_id", reqID)
-		}
-		if sp != nil {
-			r = r.WithContext(trace.NewContext(r.Context(), sp))
-		}
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		inner(sw, r)
-		elapsed := time.Since(start)
-		sp.SetAttr("status", strconv.Itoa(sw.status))
-		sp.End()
-		if logger == nil {
-			return
-		}
-		level := slog.LevelInfo
-		if sw.status >= 500 {
-			level = slog.LevelError
-		} else if sw.status >= 400 {
-			level = slog.LevelWarn
-		}
-		attrs := []any{
-			slog.String("method", r.Method),
-			slog.String("route", pattern),
-			slog.Int("status", sw.status),
-			slog.Int64("bytes", sw.bytes),
-			slog.Duration("duration", elapsed),
-		}
-		if sp != nil {
-			attrs = append(attrs,
-				slog.String("trace_id", sp.TraceID().String()),
-				slog.String("span_id", sp.SpanID().String()))
-		}
-		if reqID := r.Header.Get("X-Request-Id"); reqID != "" {
-			attrs = append(attrs, slog.String("request_id", reqID))
-		}
-		logger.Log(r.Context(), level, "request", attrs...)
+// handleTraceByID serves a worker's GET /debug/traces/{id}: every span
+// it retains under one trace ID, merged across its retained trace views
+// into a single TraceData — the local half of distributed stitching; the
+// coordinator's variant fans out over the fleet (see
+// handleStitchedTrace).
+func (s *server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	spans := trace.Collect(s.tracer.Traces(), id)
+	if len(spans) == 0 {
+		api.Error(w, http.StatusNotFound, "no trace %q retained", id)
+		return
 	}
-}
-
-// tracesHandler serves the tracer's retained traces as JSON, newest
-// first — the raw material for debugging one slow request after the
-// fact. ?trace=<id> keeps only that trace's entries (a daemon can
-// retain several views of one distributed trace) and ?limit=N caps the
-// answer; the unfiltered shape stays a bare array for existing
-// scrapers. The route is deliberately outside the metrics/trace
-// middleware: scraping traces must not mint traces.
-func tracesHandler(tr *trace.Tracer) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		traces := tr.Traces()
-		for i, j := 0, len(traces)-1; i < j; i, j = i+1, j-1 {
-			traces[i], traces[j] = traces[j], traces[i]
-		}
-		if want := r.URL.Query().Get("trace"); want != "" {
-			kept := traces[:0]
-			for _, td := range traces {
-				if td.TraceID == want {
-					kept = append(kept, td)
-				}
-			}
-			traces = kept
-		}
-		if v := r.URL.Query().Get("limit"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				httpError(w, http.StatusBadRequest, "limit must be a non-negative integer, got %q", v)
-				return
-			}
-			if n < len(traces) {
-				traces = traces[:n]
-			}
-		}
-		if traces == nil {
-			traces = []trace.TraceData{}
-		}
-		writeJSON(w, traces)
-	}
-}
-
-// traceByIDHandler serves GET /debug/traces/{id}: every span the daemon
-// retains under one trace ID, merged across its retained trace views
-// into a single TraceData. On a worker this is the local half of
-// distributed stitching; the coordinator's variant fans out over the
-// fleet (see handleStitchedTrace).
-func traceByIDHandler(tr *trace.Tracer) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		spans := trace.Collect(tr.Traces(), id)
-		if len(spans) == 0 {
-			httpError(w, http.StatusNotFound, "no trace %q retained", id)
-			return
-		}
-		writeJSON(w, trace.Stitch(id, spans))
-	}
+	api.WriteJSON(w, trace.Stitch(id, spans))
 }
 
 // buildVersion is the binary's identity block for /healthz, computed

@@ -354,6 +354,20 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	if coordRec.TraceID == "" {
 		t.Fatal("coordinator record has no trace ID")
 	}
+	// The request omitted the metric: the coordinator journals the
+	// canonical name the workers journal, not the field as typed — and
+	// "l2" on a point query likewise.
+	if coordRec.Metric != "L2" {
+		t.Errorf("coordinator selfjoin record metric = %q, want L2", coordRec.Metric)
+	}
+	resp, body = doJSON(t, http.MethodPost, coord.URL+"/datasets/pts/range",
+		map[string]any{"point": []float64{0.5, 0.5}, "radius": 0.1, "metric": "l2"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("range: %d %v", resp.StatusCode, body)
+	}
+	if q := getQueries(t, coord.URL, "").Queries[0]; q.Kind != "range" || q.Metric != "L2" {
+		t.Errorf("coordinator range record = %s/%q, want range/L2", q.Kind, q.Metric)
+	}
 
 	// Worker journals: each shard served the scattered selfjoin under the
 	// SAME trace ID, estimate and actuals filled.

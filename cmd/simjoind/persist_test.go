@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"simjoin/internal/api"
 	"simjoin/internal/store"
 )
 
@@ -65,7 +66,7 @@ func listDatasets(t *testing.T, base string) map[string][2]int {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var list []datasetInfo
+	var list []api.DatasetInfo
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}

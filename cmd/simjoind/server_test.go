@@ -102,6 +102,53 @@ func TestUploadCSV(t *testing.T) {
 	}
 }
 
+// putCSV uploads raw CSV rows and returns the status and decoded answer.
+func putCSV(t *testing.T, base, name, rows string) (int, map[string]any) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodPut, base+"/datasets/"+name, strings.NewReader(rows))
+	req.Header.Set("Content-Type", "text/csv")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	_ = json.NewDecoder(resp.Body).Decode(&body)
+	return resp.StatusCode, body
+}
+
+// TestUploadRejectsNonFiniteCSV: the CSV float parser takes NaN and Inf,
+// which no distance can be computed from and no JSON answer can carry;
+// the upload is refused naming the row, and nothing is registered.
+func TestUploadRejectsNonFiniteCSV(t *testing.T) {
+	ts, done := newTestServer(t)
+	defer done()
+	for _, rows := range []string{"0,0\n1,NaN\n", "0,0\n# skipped\n-Inf,1\n", "0,0\n1,+inf\n"} {
+		status, body := putCSV(t, ts.URL, "a", rows)
+		msg, _ := body["error"].(string)
+		if status != http.StatusBadRequest || !strings.Contains(msg, "data row 2") {
+			t.Errorf("PUT %q: %d %v, want 400 naming data row 2", rows, status, body)
+		}
+	}
+	resp, _ := doJSON(t, http.MethodGet, ts.URL+"/datasets/a", nil)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("refused upload left a dataset behind: %d", resp.StatusCode)
+	}
+}
+
+// TestUnencodableAnswerIs500: finite coordinates can still be an
+// infinite distance apart; the answer JSON cannot carry is a 500 with an
+// error body, not an empty 200.
+func TestUnencodableAnswerIs500(t *testing.T) {
+	ts, done := newTestServer(t)
+	defer done()
+	putPoints(t, ts.URL, "far", [][]float64{{1e308}, {-1e308}})
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/far/knn", map[string]any{"point": []float64{1e308}, "k": 2})
+	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusInternalServerError || !strings.Contains(msg, "encoding response") {
+		t.Fatalf("knn at infinite distance: %d %v", resp.StatusCode, body)
+	}
+}
+
 func TestSelfJoinEndpoint(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()

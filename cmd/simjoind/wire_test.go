@@ -1,0 +1,292 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"simjoin/internal/api"
+	"simjoin/internal/gateway"
+	"simjoin/internal/obsv/trace"
+	"simjoin/internal/rclient"
+)
+
+// strictDecode decodes one JSON value into v and fails on any field v's
+// type does not declare — the drift detector of the wire-contract test.
+func strictDecode(t *testing.T, what string, data []byte, v any) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		t.Fatalf("%s: %s does not decode into %T: %v", what, data, v, err)
+	}
+}
+
+// wireTier is one tier of the wire-contract test.
+type wireTier struct {
+	name, url string
+	// key authenticates at the gateway as a tenant without a budget;
+	// pricedKey as one whose max_pairs matches the backends' -max-pairs.
+	key, pricedKey string
+	distributed    bool // answers carry the coordinator's blocks
+}
+
+func (w wireTier) do(t *testing.T, method, path, key string, body any) *http.Response {
+	t.Helper()
+	var rd io.Reader
+	if body != nil {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd = bytes.NewReader(raw)
+	}
+	req, err := http.NewRequest(method, w.url+path, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Authorization", "Bearer "+key)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestWireContract issues every route against a worker, a 3-worker
+// coordinator and a gateway over that coordinator, and decodes each
+// answer — JSON bodies, the NDJSON join summary, the watch events, the
+// 429 bodies — strictly into its internal/api type. It fails the day a
+// tier grows or renames a field the shared type does not have, or stops
+// sending a block its tier is documented to add.
+func TestWireContract(t *testing.T) {
+	const budget = 1000
+	worker := newBudgetServer(t, budget)
+	coord := startBudgetCluster(t, 3, 1.0, budget)
+	g, err := gateway.New(gateway.Options{
+		Backends: []string{coord.URL},
+		Client:   &rclient.Client{MaxRetries: 1, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetConfig(&gateway.Config{Tenants: []gateway.Tenant{
+		{Name: "open", Key: "open-key"},
+		{Name: "priced", Key: "priced-key", MaxPairs: budget},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(g.Handler())
+	t.Cleanup(gw.Close)
+
+	pts := clusterPoints(120, 2, 7) // uniform in [0,1]²: eps 0.9 joins nearly all pairs, eps 0.05 a few dozen
+	for _, tier := range []wireTier{
+		{name: "worker", url: worker.URL},
+		{name: "coordinator", url: coord.URL, distributed: true},
+		{name: "gateway", url: gw.URL, key: "open-key", pricedKey: "priced-key", distributed: true},
+	} {
+		t.Run(tier.name, func(t *testing.T) {
+			// blocks checks that the coordinator's block is on the answer
+			// exactly when the tier is distributed.
+			blocks := func(what string, present bool) {
+				t.Helper()
+				if present != tier.distributed {
+					t.Errorf("%s: coordinator block present = %v on %s", what, present, tier.name)
+				}
+			}
+			steps := []struct {
+				method, path string
+				body         any
+				status       int
+				into         any // nil: no body expected
+			}{
+				{method: "GET", path: "/healthz", status: 200, into: new(api.Health)},
+				{method: "PUT", path: "/datasets/a", body: api.Points{Points: pts[:100]}, status: 200, into: new(api.DatasetInfo)},
+				{method: "PUT", path: "/datasets/b", body: api.Points{Points: pts[100:]}, status: 200, into: new(api.DatasetInfo)},
+				{method: "GET", path: "/datasets", status: 200, into: new([]api.DatasetInfo)},
+				{method: "POST", path: "/datasets/a/points", body: api.Points{Points: pts[100:]}, status: 200, into: new(api.AppendResponse)},
+				{method: "GET", path: "/datasets/a?eps=0.05&metric=L1", status: 200, into: new(api.DatasetDetail)},
+				{method: "GET", path: "/datasets/a/explain?eps=0.05", status: 200, into: new(api.Explain)},
+				{method: "POST", path: "/datasets/a/selfjoin", body: api.JoinParams{Eps: 0.05, MaxPairs: 3}, status: 200, into: new(api.JoinResponse)},
+				{method: "POST", path: "/datasets/a/selfjoin", body: api.JoinParams{Eps: 0.9}, status: 429, into: new(api.ErrorBody)},
+				{method: "POST", path: "/datasets/a/selfjoin", body: api.JoinParams{Eps: 0.9, Degrade: true}, status: 200, into: new(api.JoinResponse)},
+				{method: "POST", path: "/datasets/a/range", body: api.PointQuery{Point: []float64{0.5, 0.5}, Radius: 0.2}, status: 200, into: new(api.RangeResponse)},
+				{method: "POST", path: "/datasets/a/knn", body: api.PointQuery{Point: []float64{0.5, 0.5}, K: 3, Metric: "Linf"}, status: 200, into: new(api.KNNResponse)},
+				{method: "POST", path: "/datasets/a/knn", body: api.PointQuery{Point: []float64{0.5}, K: 3}, status: 400, into: new(api.ErrorBody)},
+				{method: "GET", path: "/datasets/nope", status: 404, into: new(api.ErrorBody)},
+				{method: "GET", path: "/debug/queries?limit=5", status: 200, into: new(api.Queries)},
+				{method: "GET", path: "/debug/traces?limit=2", status: 200, into: new([]trace.TraceData)},
+				{method: "DELETE", path: "/datasets/b", status: 204},
+			}
+			for i := range steps {
+				s := &steps[i]
+				resp := tier.do(t, s.method, s.path, tier.key, s.body)
+				data, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				what := tier.name + " " + s.method + " " + s.path
+				if resp.StatusCode != s.status {
+					t.Fatalf("%s: status %d, want %d (%s)", what, resp.StatusCode, s.status, data)
+				}
+				if s.into == nil {
+					if len(data) != 0 {
+						t.Errorf("%s: unexpected body %s", what, data)
+					}
+					continue
+				}
+				strictDecode(t, what, data, s.into)
+				switch v := s.into.(type) {
+				case *api.Health:
+					if v.Status != "ok" || (v.StoreHealth == nil) == (v.GatewayHealth == nil) {
+						t.Errorf("%s: %s", what, data)
+					}
+				case *api.AppendResponse:
+					blocks(what, v.ShardFailures != nil)
+				case *api.DatasetDetail:
+					blocks(what, v.ShardLayout != nil && v.Estimate.ShardEstimates != nil)
+					if (v.Live != nil && v.Estimate.LocalPlan != nil) == tier.distributed {
+						t.Errorf("%s: worker blocks on the wrong tier: %s", what, data)
+					}
+				case *api.Explain:
+					blocks(what, v.ShardExplain != nil)
+					if (v.LocalExplain != nil) == tier.distributed {
+						t.Errorf("%s: %s", what, data)
+					}
+				case *api.JoinResponse:
+					blocks(what, v.Scatter != nil)
+					if v.EstimatedPairs == nil || (s.body.(api.JoinParams).Degrade != v.Degraded) {
+						t.Errorf("%s: %s", what, data)
+					}
+					if !v.Degraded && (len(v.Pairs) != 3 || !v.Truncated || v.Total <= 3) {
+						t.Errorf("%s: max_pairs 3 not honoured: %s", what, data)
+					}
+				case *api.RangeResponse:
+					blocks(what, v.Scatter != nil)
+				case *api.KNNResponse:
+					blocks(what, v.Scatter != nil)
+					if len(v.Neighbors) != 3 {
+						t.Errorf("%s: %s", what, data)
+					}
+				case *api.ErrorBody:
+					if v.Error == "" || (v.OverBudget != nil) != (s.status == 429) {
+						t.Errorf("%s: %s", what, data)
+					}
+				}
+			}
+
+			// POST /join: served by a worker, 501 once distributed.
+			resp := tier.do(t, "POST", "/join", tier.key, api.TwoJoinRequest{A: "a", B: "a", JoinParams: api.JoinParams{Eps: 0.02}})
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if tier.distributed {
+				if resp.StatusCode != http.StatusNotImplemented {
+					t.Fatalf("%s POST /join: %d %s", tier.name, resp.StatusCode, data)
+				}
+				strictDecode(t, tier.name+" POST /join", data, new(api.ErrorBody))
+			} else {
+				var out api.JoinResponse
+				strictDecode(t, tier.name+" POST /join", data, &out)
+				if resp.StatusCode != 200 || out.Total == 0 {
+					t.Fatalf("%s POST /join: %d %s", tier.name, resp.StatusCode, data)
+				}
+			}
+
+			// The gateway's own 429: a tenant over its max_pairs budget.
+			if tier.pricedKey != "" {
+				resp := tier.do(t, "POST", "/datasets/a/selfjoin", tier.pricedKey, api.JoinParams{Eps: 0.9})
+				data, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				var shed api.ShedBody
+				strictDecode(t, "gateway shed", data, &shed)
+				if resp.StatusCode != 429 || shed.Reason != "estimate" || shed.Tenant != "priced" || shed.OverBudget == nil || shed.MaxPairs != budget || shed.RetryAfterSeconds < 1 {
+					t.Errorf("gateway shed: %d %s", resp.StatusCode, data)
+				}
+			}
+
+			// The streamed join: pair lines, then one JoinSummary.
+			resp = tier.do(t, "POST", "/datasets/a/selfjoin", tier.key, api.JoinParams{Eps: 0.05, Stream: true})
+			var streamed int64
+			var sum *api.JoinSummary
+			err := api.ReadStream(resp.Body, func([2]int) error {
+				if sum != nil {
+					t.Error("pair line after the summary")
+				}
+				streamed++
+				return nil
+			}, func(raw json.RawMessage) error {
+				sum = new(api.JoinSummary)
+				strictDecode(t, tier.name+" join summary", raw, sum)
+				return nil
+			})
+			resp.Body.Close()
+			if err != nil || sum == nil || sum.Total != streamed || streamed == 0 || sum.EstimatedPairs == nil {
+				t.Fatalf("%s join stream: %d pairs, summary %+v, err %v", tier.name, streamed, sum, err)
+			}
+			blocks("join summary", sum.Scatter != nil)
+
+			// The watch: hello, the replay from 0 as one catch-up batch per
+			// engine behind the tier, a live batch once the dataset grows,
+			// and the end event when it goes.
+			resp = tier.do(t, "POST", "/datasets/a/watch", tier.key, api.WatchRequest{Eps: 0.02, After: new(int)})
+			defer resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s watch: %d", tier.name, resp.StatusCode)
+			}
+			catchUps := 1
+			if tier.distributed {
+				catchUps = 3
+			}
+			lines := bufio.NewScanner(resp.Body)
+			var seen []string
+			for lines.Scan() {
+				raw := lines.Bytes()
+				if raw[0] == '[' {
+					continue
+				}
+				var ev api.WatchEnd // every event has "event"
+				if err := json.Unmarshal(raw, &ev); err != nil {
+					t.Fatal(err)
+				}
+				seen = append(seen, ev.Event)
+				switch ev.Event {
+				case "hello":
+					var h api.WatchHello
+					strictDecode(t, tier.name+" watch hello", raw, &h)
+					if h.Dataset != "a" || h.Seq != 120 || h.Metric != "L2" {
+						t.Errorf("%s hello: %s", tier.name, raw)
+					}
+				case "batch":
+					var b api.WatchBatch
+					strictDecode(t, tier.name+" watch batch", raw, &b)
+					blocks("watch batch", b.Shard != nil)
+					if b.CatchUp {
+						if catchUps--; catchUps == 0 {
+							r := tier.do(t, "POST", "/datasets/a/points", tier.key, api.Points{Points: [][]float64{{0.5, 0.5}, {0.505, 0.5}}})
+							r.Body.Close()
+						}
+					} else if catchUps == 0 {
+						catchUps = -1 // delete once
+						r := tier.do(t, "DELETE", "/datasets/a", tier.key, nil)
+						r.Body.Close()
+					}
+				case "end":
+					strictDecode(t, tier.name+" watch end", raw, &ev)
+					if ev.Reason != "dataset deleted" {
+						t.Errorf("%s end: %s", tier.name, raw)
+					}
+				default:
+					t.Errorf("%s watch: unknown event %s", tier.name, raw)
+				}
+			}
+			if len(seen) < 4 || seen[0] != "hello" || seen[len(seen)-1] != "end" {
+				t.Errorf("%s watch events = %v, want hello … batch … end", tier.name, strings.Join(seen, " "))
+			}
+		})
+	}
+}

@@ -2,19 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-)
 
-// AppendResult describes a distributed append. Failed lists shards that
-// did not durably receive their slice of the batch; the shard map is
-// swapped in regardless (degraded, not rolled back), so queries against
-// a failed shard simply miss those points until the worker recovers —
-// retrying the append would double-register the points everywhere else.
-type AppendResult struct {
-	Info    Info
-	Partial bool
-	Failed  []ShardError
-}
+	"simjoin/internal/api"
+)
 
 // Append routes pts — numbered after the dataset's current points — to
 // their shards under the original cuts and replication margin, growing
@@ -23,7 +13,13 @@ type AppendResult struct {
 // map is registered before any worker is contacted, so standing-query
 // watchers can translate the new points' local indexes the moment a
 // worker starts delivering them.
-func (c *Coordinator) Append(ctx context.Context, name string, pts [][]float64) (*AppendResult, error) {
+//
+// The answer's FailedShards lists shards that did not durably receive
+// their slice of the batch; the shard map is swapped in regardless
+// (degraded, not rolled back), so queries against a failed shard simply
+// miss those points until the worker recovers — retrying the append
+// would double-register the points everywhere else.
+func (c *Coordinator) Append(ctx context.Context, name string, pts [][]float64) (*api.AppendResponse, error) {
 	if len(pts) == 0 {
 		return nil, QueryError{Msg: "no points in append"}
 	}
@@ -52,29 +48,16 @@ func (c *Coordinator) Append(ctx context.Context, name string, pts [][]float64) 
 		}
 	}
 	failed := c.scatter(ctx, "append", sm, targets, func(ctx context.Context, s int) error {
-		body, err := json.Marshal(map[string]any{"points": shardPts[s]})
-		if err != nil {
-			return err
-		}
-		url := c.datasetURL(sm, s, name)
+		body, url := api.Points{Points: shardPts[s]}, c.datasetURL(sm, s, name)
 		if len(old.Shards[s].Global) == 0 {
 			// The shard held nothing before this batch, so the worker has
 			// no dataset to append to: create it.
-			resp, err := c.rc.Put(ctx, url, "application/json", body)
-			if err != nil {
-				return err
-			}
-			return drainResponse(resp, nil)
+			return sendJSON(ctx, c.rc.Put, url, body, nil)
 		}
-		resp, err := c.rc.Post(ctx, url+"/points", "application/json", body)
-		if err != nil {
-			return err
-		}
-		return drainResponse(resp, nil)
+		return sendJSON(ctx, c.rc.Post, url+"/points", body, nil)
 	})
-	return &AppendResult{
-		Info:    Info{Name: name, Len: sm.Total, Dims: sm.Dims},
-		Partial: len(failed) > 0,
-		Failed:  failed,
+	return &api.AppendResponse{
+		DatasetInfo:   api.DatasetInfo{Name: name, Len: sm.Total, Dims: sm.Dims},
+		ShardFailures: &scattered(targets, failed).ShardFailures,
 	}, nil
 }

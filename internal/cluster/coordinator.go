@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"sync"
 
+	"simjoin/internal/api"
 	"simjoin/internal/obsv/trace"
 	"simjoin/internal/pairs"
 	"simjoin/internal/rclient"
@@ -83,63 +84,38 @@ func queryErrorf(format string, args ...any) QueryError {
 	return QueryError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// ShardError names one shard that failed during a scatter.
-type ShardError struct {
-	Shard int    `json:"shard"`
-	URL   string `json:"url"`
-	Err   string `json:"error"`
-	// Attempts is how many times the shard's RPC was tried before
-	// giving up (0 when the failure carried no attempt count).
-	Attempts int `json:"attempts,omitempty"`
-}
-
 // UnavailableError reports a scatter in which no shard answered — there
 // is no partial result worth returning.
-type UnavailableError struct{ Failed []ShardError }
+type UnavailableError struct{ Failed []api.ShardError }
 
 func (e UnavailableError) Error() string {
 	return fmt.Sprintf("all %d shards failed (first: %s: %s)", len(e.Failed), e.Failed[0].URL, e.Failed[0].Err)
 }
 
-// Info describes one sharded dataset.
-type Info struct {
-	Name string `json:"name"`
-	Len  int    `json:"len"`
-	Dims int    `json:"dims"`
-}
-
 // Upload partitions pts across the workers under the given
 // boundary-replication margin (0 = coordinator default) and registers
 // the dataset. A failed worker upload rolls the dataset back everywhere.
-func (c *Coordinator) Upload(ctx context.Context, name string, pts [][]float64, margin float64) (Info, error) {
+func (c *Coordinator) Upload(ctx context.Context, name string, pts [][]float64, margin float64) (api.DatasetInfo, error) {
 	if name == "" {
-		return Info{}, QueryError{Msg: "dataset name required"}
+		return api.DatasetInfo{}, QueryError{Msg: "dataset name required"}
 	}
 	if len(pts) == 0 {
-		return Info{}, QueryError{Msg: "no points in upload"}
+		return api.DatasetInfo{}, QueryError{Msg: "no points in upload"}
 	}
 	for i, p := range pts {
 		if len(p) != len(pts[0]) {
-			return Info{}, queryErrorf("point %d has %d dims, want %d", i, len(p), len(pts[0]))
+			return api.DatasetInfo{}, queryErrorf("point %d has %d dims, want %d", i, len(p), len(pts[0]))
 		}
 	}
 	if margin == 0 {
 		margin = c.margin
 	}
 	if margin < 0 {
-		return Info{}, QueryError{Msg: "margin must be positive"}
+		return api.DatasetInfo{}, QueryError{Msg: "margin must be positive"}
 	}
 	sm, shardPts := Partition(pts, c.workers, margin)
 	failed := c.scatter(ctx, "upload", sm, sm.nonEmpty(), func(ctx context.Context, s int) error {
-		body, err := json.Marshal(map[string]any{"points": shardPts[s]})
-		if err != nil {
-			return err
-		}
-		resp, err := c.rc.Put(ctx, c.datasetURL(sm, s, name), "application/json", body)
-		if err != nil {
-			return err
-		}
-		return drainResponse(resp, nil)
+		return sendJSON(ctx, c.rc.Put, c.datasetURL(sm, s, name), api.Points{Points: shardPts[s]}, nil)
 	})
 	if len(failed) > 0 {
 		// Best-effort rollback so no worker keeps a half-registered set.
@@ -148,12 +124,12 @@ func (c *Coordinator) Upload(ctx context.Context, name string, pts [][]float64, 
 				resp.Body.Close()
 			}
 		}
-		return Info{}, UnavailableError{Failed: failed}
+		return api.DatasetInfo{}, UnavailableError{Failed: failed}
 	}
 	c.mu.Lock()
 	c.sets[name] = sm
 	c.mu.Unlock()
-	return Info{Name: name, Len: sm.Total, Dims: sm.Dims}, nil
+	return api.DatasetInfo{Name: name, Len: sm.Total, Dims: sm.Dims}, nil
 }
 
 // Delete unregisters the dataset and removes it from every worker
@@ -175,11 +151,11 @@ func (c *Coordinator) Delete(ctx context.Context, name string) error {
 }
 
 // List describes the registered datasets, sorted by name.
-func (c *Coordinator) List() []Info {
+func (c *Coordinator) List() []api.DatasetInfo {
 	c.mu.RLock()
-	out := make([]Info, 0, len(c.sets))
+	out := make([]api.DatasetInfo, 0, len(c.sets))
 	for name, sm := range c.sets {
-		out = append(out, Info{Name: name, Len: sm.Total, Dims: sm.Dims})
+		out = append(out, api.DatasetInfo{Name: name, Len: sm.Total, Dims: sm.Dims})
 	}
 	c.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -203,13 +179,11 @@ type JoinQuery struct {
 }
 
 // JoinResult is a merged distributed self-join. When Partial is set,
-// Pairs holds everything the live shards found and Failed names the
-// shards whose contribution is missing.
+// Pairs holds everything the live shards found and FailedShards names
+// the shards whose contribution is missing.
 type JoinResult struct {
-	Pairs   [][2]int
-	Shards  int
-	Partial bool
-	Failed  []ShardError
+	Pairs [][2]int
+	*api.Scatter
 }
 
 // SelfJoin scatters the self-join to every non-empty shard and merges
@@ -228,26 +202,13 @@ func (c *Coordinator) SelfJoin(ctx context.Context, name string, q JoinQuery) (*
 	for k, p := range sorted {
 		out[k] = [2]int{int(p.I), int(p.J)}
 	}
-	return &JoinResult{
-		Pairs:   out,
-		Shards:  sum.Shards,
-		Partial: sum.Partial,
-		Failed:  sum.Failed,
-	}, nil
-}
-
-// RangeResult is a merged distributed range query.
-type RangeResult struct {
-	Indexes []int
-	Shards  int
-	Partial bool
-	Failed  []ShardError
+	return &JoinResult{Pairs: out, Scatter: sum.Scatter}, nil
 }
 
 // Range scatters an ε-range query to the shards whose slabs intersect
 // the query ball (exact for any radius — cores cover the ball, replicas
 // dedupe away) and merges the global indexes.
-func (c *Coordinator) Range(ctx context.Context, name string, point []float64, radius float64, metric string) (*RangeResult, error) {
+func (c *Coordinator) Range(ctx context.Context, name string, point []float64, radius float64, metric string) (*api.RangeResponse, error) {
 	sm, ok := c.Map(name)
 	if !ok {
 		return nil, NotFoundError{Name: name}
@@ -268,11 +229,9 @@ func (c *Coordinator) Range(ctx context.Context, name string, point []float64, r
 	merged := make(indexSet)
 	var mu sync.Mutex
 	failed := c.scatter(ctx, "range", sm, targets, func(ctx context.Context, s int) error {
-		var out struct {
-			Indexes []int `json:"indexes"`
-		}
-		req := map[string]any{"point": point, "radius": radius, "metric": metric}
-		if err := c.postJSON(ctx, c.datasetURL(sm, s, name)+"/range", req, &out); err != nil {
+		var out api.RangeResponse
+		req := api.PointQuery{Point: point, Radius: radius, Metric: metric}
+		if err := sendJSON(ctx, c.rc.Post, c.datasetURL(sm, s, name)+"/range", req, &out); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -283,26 +242,13 @@ func (c *Coordinator) Range(ctx context.Context, name string, point []float64, r
 	if len(failed) == len(targets) && len(targets) > 0 {
 		return nil, UnavailableError{Failed: failed}
 	}
-	return &RangeResult{
-		Indexes: merged.sorted(),
-		Shards:  len(targets),
-		Partial: len(failed) > 0,
-		Failed:  failed,
-	}, nil
-}
-
-// KNNResult is a merged distributed KNN query.
-type KNNResult struct {
-	Neighbors []Neighbor
-	Shards    int
-	Partial   bool
-	Failed    []ShardError
+	return &api.RangeResponse{Indexes: merged.sorted(), Scatter: scattered(targets, failed)}, nil
 }
 
 // KNN scatters a k-nearest query to every non-empty shard (the k-th
 // distance is unknown up front, so no shard can be pruned), takes each
 // shard's local top-k, and keeps the k best after deduping replicas.
-func (c *Coordinator) KNN(ctx context.Context, name string, point []float64, k int, metric string) (*KNNResult, error) {
+func (c *Coordinator) KNN(ctx context.Context, name string, point []float64, k int, metric string) (*api.KNNResponse, error) {
 	sm, ok := c.Map(name)
 	if !ok {
 		return nil, NotFoundError{Name: name}
@@ -317,11 +263,9 @@ func (c *Coordinator) KNN(ctx context.Context, name string, point []float64, k i
 	merged := make(neighborSet)
 	var mu sync.Mutex
 	failed := c.scatter(ctx, "knn", sm, targets, func(ctx context.Context, s int) error {
-		var out struct {
-			Neighbors []Neighbor `json:"neighbors"`
-		}
-		req := map[string]any{"point": point, "k": k, "metric": metric}
-		if err := c.postJSON(ctx, c.datasetURL(sm, s, name)+"/knn", req, &out); err != nil {
+		var out api.KNNResponse
+		req := api.PointQuery{Point: point, K: k, Metric: metric}
+		if err := sendJSON(ctx, c.rc.Post, c.datasetURL(sm, s, name)+"/knn", req, &out); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -339,47 +283,13 @@ func (c *Coordinator) KNN(ctx context.Context, name string, point []float64, k i
 	if len(failed) == len(targets) && len(targets) > 0 {
 		return nil, UnavailableError{Failed: failed}
 	}
-	return &KNNResult{
-		Neighbors: merged.top(k),
-		Shards:    len(targets),
-		Partial:   len(failed) > 0,
-		Failed:    failed,
-	}, nil
-}
-
-// WorkerHealth is one worker's health-check outcome.
-type WorkerHealth struct {
-	URL string `json:"url"`
-	OK  bool   `json:"ok"`
-	Err string `json:"error,omitempty"`
+	return &api.KNNResponse{Neighbors: merged.top(k), Scatter: scattered(targets, failed)}, nil
 }
 
 // Health polls every worker's /healthz concurrently and reports each
 // outcome in worker order.
-func (c *Coordinator) Health(ctx context.Context) []WorkerHealth {
-	out := make([]WorkerHealth, len(c.workers))
-	var wg sync.WaitGroup
-	for i, w := range c.workers {
-		wg.Add(1)
-		go func(i int, w string) {
-			defer wg.Done()
-			out[i] = WorkerHealth{URL: w}
-			resp, err := c.rc.Get(ctx, w+"/healthz")
-			if err != nil {
-				out[i].Err = err.Error()
-				return
-			}
-			defer resp.Body.Close()
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-			if resp.StatusCode != http.StatusOK {
-				out[i].Err = fmt.Sprintf("status %d", resp.StatusCode)
-				return
-			}
-			out[i].OK = true
-		}(i, w)
-	}
-	wg.Wait()
-	return out
+func (c *Coordinator) Health(ctx context.Context) []api.BackendHealth {
+	return api.Probe(ctx, c.rc.Get, c.workers)
 }
 
 // scatter runs fn for each listed shard concurrently and gathers the
@@ -388,11 +298,11 @@ func (c *Coordinator) Health(ctx context.Context) []WorkerHealth {
 // with the shard index, worker URL and outcome — and fn receives a
 // context carrying that span, so the resilient client's per-attempt
 // spans nest beneath it and its traceparent reaches the worker.
-func (c *Coordinator) scatter(ctx context.Context, op string, sm *ShardMap, shards []int, fn func(ctx context.Context, shard int) error) []ShardError {
+func (c *Coordinator) scatter(ctx context.Context, op string, sm *ShardMap, shards []int, fn func(ctx context.Context, shard int) error) []api.ShardError {
 	parent := trace.FromContext(ctx)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	var failed []ShardError
+	var failed []api.ShardError
 	for _, s := range shards {
 		wg.Add(1)
 		go func(s int) {
@@ -409,7 +319,7 @@ func (c *Coordinator) scatter(ctx context.Context, op string, sm *ShardMap, shar
 					sp.AddCounter("attempts", int64(attempts))
 				}
 				mu.Lock()
-				failed = append(failed, ShardError{Shard: s, URL: sm.Shards[s].URL, Err: err.Error(), Attempts: attempts})
+				failed = append(failed, api.ShardError{Shard: s, URL: sm.Shards[s].URL, Err: err.Error(), Attempts: attempts})
 				mu.Unlock()
 			} else {
 				sp.SetAttr("status", "ok")
@@ -426,18 +336,33 @@ func (c *Coordinator) datasetURL(sm *ShardMap, shard int, name string) string {
 	return sm.Shards[shard].URL + "/datasets/" + url.PathEscape(name)
 }
 
-// postJSON posts a JSON body and decodes a JSON answer, surfacing worker
-// {"error": …} payloads as errors.
-func (c *Coordinator) postJSON(ctx context.Context, url string, in, out any) error {
+// scattered is the answer block of a scatter over targets of which
+// failed did not answer.
+func scattered(targets []int, failed []api.ShardError) *api.Scatter {
+	return &api.Scatter{Shards: len(targets), ShardFailures: api.ShardFailures{Partial: len(failed) > 0, FailedShards: failed}}
+}
+
+// sendJSON sends in as a JSON body through send (the client's Post or
+// Put) and decodes the JSON answer into out (nil discards it), surfacing
+// worker ErrorBody payloads as errors.
+func sendJSON(ctx context.Context, send func(ctx context.Context, url, contentType string, body []byte) (*http.Response, error), url string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	resp, err := c.rc.Post(ctx, url, "application/json", body)
+	resp, err := send(ctx, url, "application/json", body)
 	if err != nil {
 		return err
 	}
 	return drainResponse(resp, out)
+}
+
+// workerError turns a non-2xx worker answer into an error carrying the
+// worker's own message.
+func workerError(resp *http.Response) error {
+	var we api.ErrorBody
+	_ = json.NewDecoder(io.LimitReader(resp.Body, 4<<10)).Decode(&we)
+	return fmt.Errorf("worker status %d: %s", resp.StatusCode, we.Error)
 }
 
 // drainResponse consumes resp, decoding into out on success (out may be
@@ -445,14 +370,7 @@ func (c *Coordinator) postJSON(ctx context.Context, url string, in, out any) err
 func drainResponse(resp *http.Response, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var we struct {
-			Error string `json:"error"`
-		}
-		msg := ""
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<10)).Decode(&we); err == nil {
-			msg = we.Error
-		}
-		return fmt.Errorf("worker status %d: %s", resp.StatusCode, msg)
+		return workerError(resp)
 	}
 	if out == nil {
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))

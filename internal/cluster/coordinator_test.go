@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"simjoin/internal/api"
 	"simjoin/internal/rclient"
 )
 
@@ -151,9 +152,9 @@ func (f *fakeWorker) handler() http.Handler {
 			K     int       `json:"k"`
 		}
 		_ = json.NewDecoder(r.Body).Decode(&q)
-		nbrs := make([]Neighbor, 0, len(pts))
+		nbrs := make([]api.Neighbor, 0, len(pts))
 		for i, p := range pts {
-			nbrs = append(nbrs, Neighbor{Index: i, Dist: l2(p, q.Point)})
+			nbrs = append(nbrs, api.Neighbor{Index: i, Dist: l2(p, q.Point)})
 		}
 		sort.Slice(nbrs, func(a, b int) bool {
 			if nbrs[a].Dist != nbrs[b].Dist {
@@ -219,8 +220,8 @@ func TestDistributedSelfJoinMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SelfJoin: %v", err)
 	}
-	if res.Partial || len(res.Failed) != 0 {
-		t.Fatalf("unexpected partial result: %+v", res.Failed)
+	if res.Partial || len(res.FailedShards) != 0 {
+		t.Fatalf("unexpected partial result: %+v", res.FailedShards)
 	}
 	want := brutePairs(pts, 0.12)
 	if !reflect.DeepEqual(res.Pairs, want) {
@@ -252,13 +253,13 @@ func TestSelfJoinPartialWhenWorkerDies(t *testing.T) {
 		t.Fatal("want partial result with a dead worker")
 	}
 	found := false
-	for _, f := range res.Failed {
+	for _, f := range res.FailedShards {
 		if f.URL == servers[1].URL && f.Shard == 1 && f.Err != "" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("failed shards = %+v, want shard 1 at %s", res.Failed, servers[1].URL)
+		t.Fatalf("failed shards = %+v, want shard 1 at %s", res.FailedShards, servers[1].URL)
 	}
 	// Partial pairs must be a subset of the full answer.
 	fullSet := make(map[[2]int]bool, len(full.Pairs))
@@ -287,7 +288,7 @@ func TestSelfJoinRetriesFlakyWorker(t *testing.T) {
 		t.Fatalf("SelfJoin: %v", err)
 	}
 	if res.Partial {
-		t.Fatalf("retry should have absorbed the flake: %+v", res.Failed)
+		t.Fatalf("retry should have absorbed the flake: %+v", res.FailedShards)
 	}
 	if want := brutePairs(pts, 0.1); !reflect.DeepEqual(res.Pairs, want) {
 		t.Fatalf("pairs differ after retry: got %d, want %d", len(res.Pairs), len(want))
@@ -361,9 +362,9 @@ func TestKNNMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("KNN: %v", err)
 	}
-	all := make([]Neighbor, 0, len(pts))
+	all := make([]api.Neighbor, 0, len(pts))
 	for i, p := range pts {
-		all = append(all, Neighbor{Index: i, Dist: l2(p, q)})
+		all = append(all, api.Neighbor{Index: i, Dist: l2(p, q)})
 	}
 	sort.Slice(all, func(a, b int) bool {
 		if all[a].Dist != all[b].Dist {

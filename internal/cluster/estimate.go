@@ -4,37 +4,20 @@ import (
 	"context"
 	"fmt"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
+
+	"simjoin/internal/api"
 )
 
-// ShardEstimate is one worker's answer to a join-size estimate scatter:
-// the predicted pair count of the shard's local self-join at the asked
-// (metric, ε), straight from the worker's resident sketch (or its
-// sampling fallback — Sketched tells which). Err is set when the shard
-// did not answer; its contribution is then missing from the total.
-type ShardEstimate struct {
-	Shard       int     `json:"shard"`
-	URL         string  `json:"url"`
-	Points      int     `json:"points"`
-	Pairs       int64   `json:"pairs"`
-	Selectivity float64 `json:"selectivity"`
-	Sketched    bool    `json:"sketched"`
-	// Algorithm is what the shard's planner would run locally for this
-	// workload — the per-shard half of a distributed EXPLAIN.
-	Algorithm string `json:"algorithm,omitempty"`
-	Err       string `json:"error,omitempty"`
-}
-
-// EstimateResult is a merged distributed join-size estimate.
+// EstimateResult is a merged distributed join-size estimate. Pairs is
+// the sum of the live shards' local estimates. Boundary replicas make it
+// a slight over-estimate of the global result (a cross-slab pair is
+// predicted by both slabs that replicate it), which is the safe
+// direction for admission control.
 type EstimateResult struct {
-	// Pairs is the sum of the live shards' local estimates. Boundary
-	// replicas make it a slight over-estimate of the global result (a
-	// cross-slab pair is predicted by both slabs that replicate it),
-	// which is the safe direction for admission control.
-	Pairs   int64
-	Shards  []ShardEstimate
-	Partial bool
+	Pairs int64
+	api.ShardEstimates
 }
 
 // EstimateSelfJoin scatters a join-size estimate to every non-empty
@@ -50,17 +33,9 @@ func (c *Coordinator) EstimateSelfJoin(ctx context.Context, name string, eps flo
 		return nil, QueryError{Msg: "eps must be positive"}
 	}
 	targets := sm.nonEmpty()
-	out := make([]ShardEstimate, len(targets))
+	out := make([]api.ShardEstimate, len(targets))
 	failed := c.scatter(ctx, "estimate", sm, targets, func(ctx context.Context, s int) error {
-		var resp struct {
-			Len      int `json:"len"`
-			Estimate struct {
-				Pairs       int64   `json:"pairs"`
-				Selectivity float64 `json:"selectivity"`
-				Sketched    bool    `json:"sketched"`
-				Algorithm   string  `json:"algorithm"`
-			} `json:"estimate"`
-		}
+		var resp api.DatasetDetail
 		u := c.datasetURL(sm, s, name) + "?eps=" + strconv.FormatFloat(eps, 'g', -1, 64)
 		if metric != "" {
 			u += "&metric=" + url.QueryEscape(metric)
@@ -72,38 +47,27 @@ func (c *Coordinator) EstimateSelfJoin(ctx context.Context, name string, eps flo
 		if err := drainResponse(r, &resp); err != nil {
 			return err
 		}
-		for i, t := range targets {
-			if t == s {
-				out[i] = ShardEstimate{
-					Shard:       s,
-					URL:         sm.Shards[s].URL,
-					Points:      resp.Len,
-					Pairs:       resp.Estimate.Pairs,
-					Selectivity: resp.Estimate.Selectivity,
-					Sketched:    resp.Estimate.Sketched,
-					Algorithm:   resp.Estimate.Algorithm,
-				}
-				return nil
-			}
+		if resp.Estimate == nil {
+			return fmt.Errorf("worker answered without an estimate")
 		}
-		return fmt.Errorf("shard %d not in target set", s)
+		se := api.ShardEstimate{Shard: s, URL: sm.Shards[s].URL, Points: resp.Len, Pairs: resp.Estimate.Pairs}
+		if pl := resp.Estimate.LocalPlan; pl != nil {
+			se.Selectivity, se.Sketched, se.Algorithm = pl.Selectivity, pl.Sketched, pl.Algorithm
+		}
+		out[slices.Index(targets, s)] = se
+		return nil
 	})
 	if len(failed) == len(targets) && len(targets) > 0 {
 		return nil, UnavailableError{Failed: failed}
 	}
 	for _, f := range failed {
-		for i, t := range targets {
-			if t == f.Shard {
-				out[i] = ShardEstimate{Shard: f.Shard, URL: f.URL, Err: f.Err}
-			}
-		}
+		out[slices.Index(targets, f.Shard)] = api.ShardEstimate{Shard: f.Shard, URL: f.URL, Err: f.Err}
 	}
-	res := &EstimateResult{Shards: out, Partial: len(failed) > 0}
+	res := &EstimateResult{ShardEstimates: api.ShardEstimates{PerShard: out, Partial: len(failed) > 0}}
 	for _, se := range out {
 		if se.Err == "" {
 			res.Pairs += se.Pairs
 		}
 	}
-	sort.Slice(res.Shards, func(i, j int) bool { return res.Shards[i].Shard < res.Shards[j].Shard })
 	return res, nil
 }

@@ -1,6 +1,10 @@
 package cluster
 
-import "sort"
+import (
+	"sort"
+
+	"simjoin/internal/api"
+)
 
 // indexSet accumulates global point indexes, deduping replicas reported
 // by two shards.
@@ -28,12 +32,6 @@ func (is indexSet) sorted() []int {
 	return out
 }
 
-// Neighbor is one KNN result in global index space.
-type Neighbor struct {
-	Index int     `json:"index"`
-	Dist  float64 `json:"dist"`
-}
-
 // neighborSet keeps the best distance seen per global index; replicas of
 // one point may be reported by several shards.
 type neighborSet map[int]float64
@@ -46,10 +44,10 @@ func (ns neighborSet) add(global int, dist float64) {
 
 // top returns the k nearest accumulated neighbors, ordered by distance
 // with index as the deterministic tie-break.
-func (ns neighborSet) top(k int) []Neighbor {
-	out := make([]Neighbor, 0, len(ns))
+func (ns neighborSet) top(k int) []api.Neighbor {
+	out := make([]api.Neighbor, 0, len(ns))
 	for i, d := range ns {
-		out = append(out, Neighbor{Index: i, Dist: d})
+		out = append(out, api.Neighbor{Index: i, Dist: d})
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Dist != out[b].Dist {

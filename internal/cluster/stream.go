@@ -4,8 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 
+	"simjoin/internal/api"
 	"simjoin/internal/pairs"
 )
 
@@ -28,12 +28,9 @@ func (m *ShardMap) coreOwners() []int {
 type JoinSummary struct {
 	// Pairs is the number of pairs delivered to the callback.
 	Pairs int64
-	// Shards is the number of shards queried.
-	Shards int
-	// Partial marks that some shard's contribution is missing; Failed
-	// names the shards.
-	Partial bool
-	Failed  []ShardError
+	// Scatter counts the shards queried; Partial marks that some shard's
+	// contribution is missing and FailedShards names the shards.
+	*api.Scatter
 }
 
 // SelfJoinEach streams the exact merged distributed self-join to fn, one
@@ -97,12 +94,7 @@ func (c *Coordinator) SelfJoinEach(ctx context.Context, name string, q JoinQuery
 	if len(failed) == len(targets) && len(targets) > 0 {
 		return nil, UnavailableError{Failed: failed}
 	}
-	return &JoinSummary{
-		Pairs:   delivered,
-		Shards:  len(targets),
-		Partial: len(failed) > 0,
-		Failed:  failed,
-	}, nil
+	return &JoinSummary{Pairs: delivered, Scatter: scattered(targets, failed)}, nil
 }
 
 // streamShardSelfJoin posts one shard's self-join with streaming
@@ -111,10 +103,7 @@ func (c *Coordinator) SelfJoinEach(ctx context.Context, name string, q JoinQuery
 // summary object); workers that ignore the stream flag and answer one
 // {"pairs": …} object are consumed the same way, line by JSON value.
 func (c *Coordinator) streamShardSelfJoin(ctx context.Context, sm *ShardMap, s int, name string, q JoinQuery, accept func(p [2]int) error) error {
-	req := map[string]any{
-		"eps": q.Eps, "metric": q.Metric, "algorithm": q.Algorithm,
-		"workers": q.Workers, "stream": true,
-	}
+	req := api.JoinParams{Eps: q.Eps, Metric: q.Metric, Algorithm: q.Algorithm, Workers: q.Workers, Stream: true}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
@@ -125,39 +114,12 @@ func (c *Coordinator) streamShardSelfJoin(ctx context.Context, sm *ShardMap, s i
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var we struct {
-			Error string `json:"error"`
-		}
-		msg := ""
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<10)).Decode(&we); err == nil {
-			msg = we.Error
-		}
-		return fmt.Errorf("worker status %d: %s", resp.StatusCode, msg)
+		return workerError(resp)
 	}
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		if len(raw) > 0 && raw[0] == '[' {
-			var p [2]int
-			if err := json.Unmarshal(raw, &p); err != nil {
-				return err
-			}
-			if err := accept(p); err != nil {
-				return err
-			}
-			continue
-		}
+	return api.ReadStream(resp.Body, accept, func(raw json.RawMessage) error {
 		// An object: a non-streaming worker's full answer, or a streaming
 		// worker's closing summary (whose "pairs" is absent).
-		var full struct {
-			Pairs [][2]int `json:"pairs"`
-		}
+		var full api.JoinResponse
 		if err := json.Unmarshal(raw, &full); err != nil {
 			return err
 		}
@@ -166,5 +128,6 @@ func (c *Coordinator) streamShardSelfJoin(ctx context.Context, sm *ShardMap, s i
 				return err
 			}
 		}
-	}
+		return nil
+	})
 }

@@ -3,12 +3,14 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
 	"time"
 
+	"simjoin/internal/api"
 	"simjoin/internal/live"
 	"simjoin/internal/vec"
 )
@@ -172,14 +174,9 @@ func (w *coordWatch) run(ctx context.Context, s, after int) {
 	}
 }
 
-// watchLine is a worker watch stream's event object.
-type watchLine struct {
-	Event   string `json:"event"`
-	Seq     int    `json:"seq"`
-	Added   int    `json:"added"`
-	CatchUp bool   `json:"catch_up"`
-	Reason  string `json:"reason"`
-}
+// errStreamOver ends the read of a shard stream early: the worker sent
+// its end event, or the whole watch finished.
+var errStreamOver = errors.New("stream over")
 
 // streamOnce opens one worker watch stream and consumes it to its end,
 // advancing *after as batches arrive. It reports whether the stream got
@@ -190,7 +187,7 @@ func (w *coordWatch) streamOnce(ctx context.Context, s int, after *int) (bool, e
 	w.mu.Lock()
 	sm := w.sm
 	w.mu.Unlock()
-	body, err := json.Marshal(map[string]any{"eps": w.q.Eps, "metric": w.q.Metric, "after": *after})
+	body, err := json.Marshal(api.WatchRequest{Eps: w.q.Eps, Metric: w.q.Metric, After: after})
 	if err != nil {
 		return false, err
 	}
@@ -212,50 +209,45 @@ func (w *coordWatch) streamOnce(ctx context.Context, s int, after *int) (bool, e
 		// dataset is dropped from the registry.
 		return false, fmt.Errorf("worker status %d", resp.StatusCode)
 	}
-	dec := json.NewDecoder(resp.Body)
 	var buf [][2]int
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			if err == io.EOF {
-				return true, nil
-			}
-			return true, err
+	err = api.ReadStream(resp.Body, func(p [2]int) error {
+		buf = append(buf, p)
+		return nil
+	}, func(raw json.RawMessage) error {
+		var ev api.WatchBatch
+		if err := json.Unmarshal(raw, &ev); err != nil {
+			return err
 		}
-		if len(raw) > 0 && raw[0] == '[' {
-			var p [2]int
-			if err := json.Unmarshal(raw, &p); err != nil {
-				return true, err
-			}
-			buf = append(buf, p)
-			continue
-		}
-		var line watchLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			return true, err
-		}
-		switch line.Event {
+		switch ev.Event {
 		case "batch":
-			*after = line.Seq
-			if !w.deliver(s, buf, line) {
-				return true, nil
+			*after = ev.Seq
+			if !w.deliver(s, buf, ev) {
+				return errStreamOver
 			}
 			buf = buf[:0]
 		case "end":
-			switch line.Reason {
-			case live.ReasonDeleted, live.ReasonReplaced:
-				w.finish(line.Reason)
+			var end api.WatchEnd
+			if err := json.Unmarshal(raw, &end); err != nil {
+				return err
+			}
+			if end.Reason == live.ReasonDeleted || end.Reason == live.ReasonReplaced {
+				w.finish(end.Reason)
 			}
 			// Any other reason (shutdown, eviction) reconnects.
-			return true, nil
+			return errStreamOver
 		}
+		return nil
+	})
+	if errors.Is(err, errStreamOver) {
+		err = nil
 	}
+	return true, err
 }
 
 // deliver translates one shard batch into global index space, dedupes
 // it positionally, and emits it. It returns false once the watch is
 // over — terminally finished, the dataset gone, or emit giving up.
-func (w *coordWatch) deliver(s int, local [][2]int, line watchLine) bool {
+func (w *coordWatch) deliver(s int, local [][2]int, line api.WatchBatch) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.reason != "" {

@@ -357,7 +357,7 @@ func TestAppendRoutesAndMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if res.Partial || res.Info.Len != 300 {
+	if res.Partial || res.Len != 300 {
 		t.Fatalf("append result = %+v", res)
 	}
 	// Copy-on-write: the superseded map is untouched.
@@ -429,7 +429,7 @@ func TestAppendCreatesDatasetOnEmptyShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if res.Partial || res.Info.Len != 2 {
+	if res.Partial || res.Len != 2 {
 		t.Fatalf("append result = %+v", res)
 	}
 	fakes[1].mu.Lock()

@@ -2,9 +2,9 @@ package gateway
 
 import (
 	"context"
-	"net/http"
 	"time"
 
+	"simjoin/internal/api"
 	"simjoin/internal/obsv"
 )
 
@@ -24,7 +24,7 @@ type gwMetrics struct {
 	requests *obsv.CounterVec
 	// shed counts refused requests per tenant and reason: "auth",
 	// "rate", "inflight", "estimate", "queue".
-	shed *obsv.CounterVec2
+	shed *obsv.CounterVec
 	// queueWait observes how long admitted queries waited for a fair-
 	// queue slot.
 	queueWait *obsv.Histogram
@@ -32,8 +32,8 @@ type gwMetrics struct {
 	// armRequests/armLatency split experiment traffic by arm
 	// (incumbent / candidate); shadow candidate runs are charged here
 	// too, so both arms' latency distributions come from live traffic.
-	armRequests *obsv.CounterVec2
-	armLatency  *obsv.HistogramVec2
+	armRequests *obsv.CounterVec
+	armLatency  *obsv.HistogramVec
 
 	// shadowDiffs counts completed shadow comparisons, shadowMismatch
 	// the ones whose pair count or checksum disagreed, shadowDropped
@@ -57,14 +57,14 @@ func newGWMetrics(g *Gateway) *gwMetrics {
 		reg:          reg,
 		httpRequests: reg.NewCounterVec("simjoin_gw_http_requests_total", "Gateway HTTP requests by route.", "route"),
 		httpErrors:   reg.NewCounterVec("simjoin_gw_http_errors_total", "Gateway HTTP responses with status >= 400 by route.", "route"),
-		httpLatency:  reg.NewHistogramVec("simjoin_gw_http_request_duration_seconds", "Gateway HTTP request latency by route.", "route", obsv.LatencyBuckets()),
+		httpLatency:  reg.NewHistogramVec("simjoin_gw_http_request_duration_seconds", "Gateway HTTP request latency by route.", obsv.LatencyBuckets(), "route"),
 
 		requests:  reg.NewCounterVec("simjoin_gw_requests_total", "Authenticated gateway requests by tenant.", "tenant"),
-		shed:      reg.NewCounterVec2("simjoin_gw_shed_total", "Requests refused by the gateway, by tenant and reason (auth, rate, inflight, estimate, queue).", "tenant", "reason"),
+		shed:      reg.NewCounterVec("simjoin_gw_shed_total", "Requests refused by the gateway, by tenant and reason (auth, rate, inflight, estimate, queue).", "tenant", "reason"),
 		queueWait: reg.NewHistogram("simjoin_gw_queue_wait_seconds", "Time admitted queries spent waiting for a fair-queue slot.", obsv.LatencyBuckets()),
 
-		armRequests: reg.NewCounterVec2("simjoin_gw_arm_requests_total", "Experiment-routed join requests by experiment and arm.", "experiment", "arm"),
-		armLatency:  reg.NewHistogramVec2("simjoin_gw_arm_latency_seconds", "Join latency through the gateway by experiment and arm.", "experiment", "arm", obsv.LatencyBuckets()),
+		armRequests: reg.NewCounterVec("simjoin_gw_arm_requests_total", "Experiment-routed join requests by experiment and arm.", "experiment", "arm"),
+		armLatency:  reg.NewHistogramVec("simjoin_gw_arm_latency_seconds", "Join latency through the gateway by experiment and arm.", obsv.LatencyBuckets(), "experiment", "arm"),
 
 		shadowDiffs:    reg.NewCounterVec("simjoin_gw_shadow_diffs_total", "Completed shadow comparisons by experiment.", "experiment"),
 		shadowMismatch: reg.NewCounterVec("simjoin_gw_shadow_mismatch_total", "Shadow comparisons whose pair count or checksum disagreed with the incumbent, by experiment.", "experiment"),
@@ -85,15 +85,10 @@ func newGWMetrics(g *Gateway) *gwMetrics {
 			ctx, cancel := context.WithTimeout(context.Background(), gwHealthProbeTimeout)
 			defer cancel()
 			out := make(map[string]float64, len(g.backends))
-			for _, b := range g.backends {
-				out[b] = 0
-				resp, err := g.rc.Get(ctx, b+"/healthz")
-				if err != nil {
-					continue
-				}
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					out[b] = 1
+			for _, b := range api.Probe(ctx, g.rc.Get, g.backends) {
+				out[b.URL] = 0
+				if b.OK {
+					out[b.URL] = 1
 				}
 			}
 			return out

@@ -2,126 +2,38 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
+	"simjoin/internal/api"
 	"simjoin/internal/obsv/querylog"
 	"simjoin/internal/obsv/trace"
 )
 
 // Handler wires the gateway's routes: the full worker/coordinator REST
 // surface proxied behind tenancy, plus the gateway's own health, metric
-// and debug endpoints. Debug and scrape routes sit outside the
-// instrument middleware for the same reason they do on the backends —
-// scraping must not mint traffic.
+// and debug endpoints, behind the middleware every tier shares.
 func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	handle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, g.instrument(pattern, h))
+	srv := &api.Server{
+		Registry: g.m.reg, Requests: g.m.httpRequests, Errors: g.m.httpErrors, Latency: g.m.httpLatency,
+		Tracer: g.tracer, SpanPrefix: "gw ", Log: g.log, Journal: g.qlog,
 	}
-	handle("GET /healthz", g.handleHealthz)
-	handle("GET /datasets", g.handleListDatasets)
-	handle("GET /datasets/{name}", g.proxyLight)
-	handle("GET /datasets/{name}/explain", g.proxyLight)
-	handle("DELETE /datasets/{name}", g.proxyLight)
-	handle("PUT /datasets/{name}", g.proxyUpload)
-	handle("POST /datasets/{name}/points", g.proxyUpload)
-	handle("POST /datasets/{name}/watch", g.proxyWatch)
-	handle("POST /datasets/{name}/selfjoin", g.handleSelfJoin)
-	handle("POST /datasets/{name}/range", g.handleSimpleQuery)
-	handle("POST /datasets/{name}/knn", g.handleSimpleQuery)
-	handle("POST /join", g.handleJoin)
-	mux.Handle("GET /metrics", g.m.reg.Handler())
-	mux.HandleFunc("GET /debug/traces", g.handleTraces)
-	mux.HandleFunc("GET /debug/traces/{id}", g.handleStitchedTrace)
-	mux.HandleFunc("GET /debug/queries", g.handleQueries)
-	return mux
-}
-
-// instrument is the gateway's request middleware: a server span
-// (continuing the caller's traceparent when present), per-route
-// request/error/latency metrics, and one structured access-log line.
-func (g *Gateway) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sp := g.tracer.StartRemote("gw "+pattern, r.Header.Get("traceparent"))
-		sp.SetAttr("method", r.Method)
-		sp.SetAttr("path", r.URL.Path)
-		if sp != nil {
-			r = r.WithContext(trace.NewContext(r.Context(), sp))
-		}
-		g.m.httpRequests.With(pattern).Inc()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		h(sw, r)
-		elapsed := time.Since(start)
-		g.m.httpLatency.With(pattern).Observe(elapsed.Seconds())
-		if sw.status >= 400 {
-			g.m.httpErrors.With(pattern).Inc()
-		}
-		sp.SetAttr("status", strconv.Itoa(sw.status))
-		sp.End()
-		if g.log == nil {
-			return
-		}
-		level := slog.LevelInfo
-		if sw.status >= 500 {
-			level = slog.LevelError
-		} else if sw.status >= 400 {
-			level = slog.LevelWarn
-		}
-		attrs := []any{
-			slog.String("method", r.Method),
-			slog.String("route", pattern),
-			slog.Int("status", sw.status),
-			slog.Duration("duration", elapsed),
-		}
-		if sp != nil {
-			attrs = append(attrs,
-				slog.String("trace_id", sp.TraceID().String()),
-				slog.String("span_id", sp.SpanID().String()))
-		}
-		g.log.Log(r.Context(), level, "gateway request", attrs...)
-	}
-}
-
-// statusWriter mirrors the daemon's response recorder: status for the
-// error counter, Flush/Unwrap passthrough for streamed proxying.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// httpError writes a JSON error with the given status.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	return srv.Handler(api.Routes{
+		Healthz: g.handleHealthz, List: g.handleListDatasets,
+		Get: g.proxyLight, Explain: g.proxyLight, Delete: g.proxyLight,
+		Put: g.proxyUpload, Append: g.proxyUpload, Watch: g.proxyQuery("watch", true),
+		SelfJoin: g.handleSelfJoin, Join: g.handleJoin,
+		Range: g.proxyQuery("range", false), KNN: g.proxyQuery("knn", false),
+		TraceByID: g.handleStitchedTrace,
+	})
 }
 
 // apiKey extracts the presented API key: "Authorization: Bearer <key>"
@@ -143,7 +55,7 @@ func (g *Gateway) authenticate(w http.ResponseWriter, r *http.Request) (*tenantR
 	if !ok {
 		g.m.shed.With("", "auth").Inc()
 		w.Header().Set("WWW-Authenticate", `Bearer realm="simjoin-gateway"`)
-		httpError(w, http.StatusUnauthorized, "missing or unknown API key")
+		api.Error(w, http.StatusUnauthorized, "missing or unknown API key")
 		return nil, false
 	}
 	g.m.requests.With(rt.name).Inc()
@@ -153,28 +65,17 @@ func (g *Gateway) authenticate(w http.ResponseWriter, r *http.Request) (*tenantR
 	return rt, true
 }
 
-// shedResponse answers 429 with a Retry-After header and a JSON body
-// naming the reason, and journals the refusal. extra merges additional
-// fields (the estimate contract) into the body.
-func (g *Gateway) shedResponse(w http.ResponseWriter, rt *tenantRT, kind, dataset, reason string, retryAfter time.Duration, msg string, extra map[string]any) {
+// shedResponse answers 429 with a Retry-After header and an
+// api.ShedBody naming the reason, and journals the refusal. over is the
+// estimate that broke the tenant's budget, nil for the other reasons.
+func (g *Gateway) shedResponse(w http.ResponseWriter, rt *tenantRT, kind, dataset, reason string, retryAfter time.Duration, msg string, over *api.OverBudget) {
 	g.m.shed.With(rt.name, reason).Inc()
-	secs := int(math.Ceil(retryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	body := map[string]any{
-		"error":               msg,
-		"reason":              reason,
-		"tenant":              rt.name,
-		"retry_after_seconds": secs,
-	}
-	for k, v := range extra {
-		body[k] = v
-	}
-	w.Header().Set("Content-Type", "application/json")
+	secs := max(int(math.Ceil(retryAfter.Seconds())), 1)
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	w.WriteHeader(http.StatusTooManyRequests)
-	_ = json.NewEncoder(w).Encode(body)
+	api.WriteStatus(w, http.StatusTooManyRequests, api.ShedBody{
+		ErrorBody: api.ErrorBody{Error: msg, OverBudget: over},
+		Reason:    reason, Tenant: rt.name, RetryAfterSeconds: secs,
+	})
 	g.qlog.Add(querylog.Record{
 		Kind: kind, Dataset: dataset, EstimatedPairs: -1,
 		Outcome: querylog.OutcomeRejected,
@@ -205,7 +106,7 @@ func (g *Gateway) admitQueue(w http.ResponseWriter, r *http.Request, rt *tenantR
 				fmt.Sprintf("tenant %q already has max_in_flight queries running", rt.name), nil)
 		} else {
 			g.m.shed.With(rt.name, "queue").Inc()
-			httpError(w, http.StatusServiceUnavailable, "request abandoned while queued: %v", err)
+			api.Error(w, http.StatusServiceUnavailable, "request abandoned while queued: %v", err)
 		}
 		return nil, false
 	}
@@ -258,55 +159,27 @@ func (g *Gateway) price(r *http.Request, backend, dataset string, eps float64, m
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		return -1, false
 	}
-	var out struct {
-		Estimate *struct {
-			Pairs int64 `json:"pairs"`
-		} `json:"estimate"`
-	}
+	var out api.DatasetDetail
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&out); err != nil || out.Estimate == nil {
 		return -1, false
 	}
 	return out.Estimate.Pairs, out.Estimate.Pairs > budget
 }
 
-// joinBody is the subset of a join request the gateway inspects; the
-// full body is kept as a generic map so unknown fields pass through.
-type joinBody struct {
-	m      map[string]any
-	raw    []byte
-	eps    float64
-	metric string
-	stream bool
-	a      string // two-set joins: the routing dataset
-}
-
 // readJoinBody buffers and decodes a join request body, answering the
-// HTTP error itself on failure.
-func (g *Gateway) readJoinBody(w http.ResponseWriter, r *http.Request) (*joinBody, bool) {
+// HTTP error itself on failure. raw is what the incumbent arm is sent:
+// the client's own bytes.
+func (g *Gateway) readJoinBody(w http.ResponseWriter, r *http.Request) (req api.TwoJoinRequest, raw []byte, ok bool) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading request body: %v", err)
-		return nil, false
+		api.Error(w, http.StatusBadRequest, "reading request body: %v", err)
+		return req, nil, false
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		httpError(w, http.StatusBadRequest, "parsing request: %v", err)
-		return nil, false
+	if err := json.Unmarshal(raw, &req); err != nil {
+		api.Error(w, http.StatusBadRequest, "parsing request: %v", err)
+		return req, nil, false
 	}
-	jb := &joinBody{m: m, raw: raw}
-	if v, ok := m["eps"].(float64); ok {
-		jb.eps = v
-	}
-	if v, ok := m["metric"].(string); ok {
-		jb.metric = v
-	}
-	if v, ok := m["stream"].(bool); ok {
-		jb.stream = v
-	}
-	if v, ok := m["a"].(string); ok {
-		jb.a = v
-	}
-	return jb, true
+	return req, raw, true
 }
 
 // handleSelfJoin and handleJoin are the experiment-aware proxy paths.
@@ -326,12 +199,12 @@ func (g *Gateway) proxyJoin(w http.ResponseWriter, r *http.Request, kind, datase
 	if !ok {
 		return
 	}
-	jb, ok := g.readJoinBody(w, r)
+	req, body, ok := g.readJoinBody(w, r)
 	if !ok {
 		return
 	}
 	if kind == "join" {
-		dataset = jb.a
+		dataset = req.A
 	}
 	if !g.admitRate(w, rt, kind, dataset) {
 		return
@@ -341,11 +214,11 @@ func (g *Gateway) proxyJoin(w http.ResponseWriter, r *http.Request, kind, datase
 	// Estimate-priced shedding: self-joins only — the backend estimate
 	// endpoint predicts self-join sizes. A request already over budget
 	// never occupies a queue slot.
-	if budget := rt.maxPairs.Load(); budget > 0 && kind == "selfjoin" && jb.eps > 0 {
-		if est, over := g.price(r, backend, dataset, jb.eps, jb.metric, budget); over {
+	if budget := rt.maxPairs.Load(); budget > 0 && kind == "selfjoin" && req.Eps > 0 {
+		if est, over := g.price(r, backend, dataset, req.Eps, req.Metric, budget); over {
 			g.shedResponse(w, rt, kind, dataset, "estimate", time.Second,
 				fmt.Sprintf("estimated result size %d exceeds tenant %q max_pairs budget %d; narrow eps", est, rt.name, budget),
-				map[string]any{"estimated_pairs": est, "max_pairs": budget})
+				&api.OverBudget{EstimatedPairs: est, MaxPairs: budget})
 			return
 		}
 	}
@@ -358,16 +231,20 @@ func (g *Gateway) proxyJoin(w http.ResponseWriter, r *http.Request, kind, datase
 
 	d := g.route(rt.name, dataset, r.Header.Get(StickyHeader))
 	arm := armIncumbent
-	body := jb.raw
-	if d.exp != "" && d.candidate && !d.shadow {
-		applyOverride(jb.m, d.override)
-		rewritten, err := encodeBody(jb.m)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
+	// The candidate arm is sent the decoded request re-encoded with the
+	// rule's overrides, so fields api.TwoJoinRequest does not have do not
+	// reach it.
+	var candBody []byte
+	if d.exp != "" && d.candidate {
+		applyOverride(&req.JoinParams, d.override)
+		var err error
+		if candBody, err = json.Marshal(req); err != nil {
+			api.Error(w, http.StatusInternalServerError, "re-encoding request body: %v", err)
 			return
 		}
-		body = rewritten
-		arm = armCandidate
+		if !d.shadow {
+			body, arm = candBody, armCandidate
+		}
 	}
 	if sp := trace.FromContext(r.Context()); sp != nil && d.exp != "" {
 		sp.SetAttr("experiment", d.exp)
@@ -375,7 +252,7 @@ func (g *Gateway) proxyJoin(w http.ResponseWriter, r *http.Request, kind, datase
 	}
 
 	url := backend + r.URL.Path
-	if jb.stream {
+	if req.Stream {
 		// Streamed answers flow through; shadow diffing needs a parsed
 		// result, so streams only get per-arm latency accounting.
 		latency, _ := g.proxyPost(w, r, url, body, true)
@@ -384,13 +261,9 @@ func (g *Gateway) proxyJoin(w http.ResponseWriter, r *http.Request, kind, datase
 	}
 	latency, resp := g.proxyPost(w, r, url, body, false)
 	g.observeArm(d.exp, arm, latency)
-	if d.exp != "" && d.candidate && d.shadow && resp != nil && resp.status == http.StatusOK {
-		inc, err := parseArmResult(resp.body, latency)
-		if err == nil {
-			applyOverride(jb.m, d.override)
-			if candBody, err := encodeBody(jb.m); err == nil {
-				g.differ.shadow(d.exp, url, candBody, rt.name, dataset, kind, inc)
-			}
+	if d.shadow && candBody != nil && resp != nil && resp.status == http.StatusOK {
+		if inc, err := parseArmResult(resp.body, latency); err == nil {
+			g.differ.shadow(d.exp, url, candBody, rt.name, dataset, kind, inc)
 		}
 	}
 }
@@ -420,14 +293,14 @@ type bufferedResponse struct {
 func (g *Gateway) proxyPost(w http.ResponseWriter, r *http.Request, url string, body []byte, stream bool) (time.Duration, *bufferedResponse) {
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "building backend request: %v", err)
+		api.Error(w, http.StatusInternalServerError, "building backend request: %v", err)
 		return 0, nil
 	}
 	req.Header.Set("Content-Type", "application/json")
 	start := time.Now()
 	resp, err := g.rc.DoStream(r.Context(), req)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "backend unreachable: %v", err)
+		api.Error(w, http.StatusBadGateway, "backend unreachable: %v", err)
 		return time.Since(start), nil
 	}
 	defer resp.Body.Close()
@@ -440,7 +313,7 @@ func (g *Gateway) proxyPost(w http.ResponseWriter, r *http.Request, url string, 
 	respBody, err := io.ReadAll(io.LimitReader(resp.Body, g.maxBody*64))
 	latency := time.Since(start)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "reading backend response: %v", err)
+		api.Error(w, http.StatusBadGateway, "reading backend response: %v", err)
 		return latency, nil
 	}
 	relayHeaders(w, resp)
@@ -480,64 +353,42 @@ func flushCopy(w http.ResponseWriter, src io.Reader) {
 	}
 }
 
-// handleSimpleQuery proxies range/KNN queries: authenticated,
-// rate-limited and fair-queued, but never priced or experiment-routed —
-// point queries are cheap and engine-independent.
-func (g *Gateway) handleSimpleQuery(w http.ResponseWriter, r *http.Request) {
-	rt, ok := g.authenticate(w, r)
-	if !ok {
-		return
+// proxyQuery proxies the queries whose bodies pass through untouched,
+// authenticated and rate-limited. Range and KNN are never priced or
+// experiment-routed — point queries are cheap and engine-independent —
+// but wait their turn in the fair queue. A watch (held) is streamed and
+// exempt from the queue: it is a long-lived subscription, not a unit of
+// query work, and would pin a slot forever.
+func (g *Gateway) proxyQuery(kind string, held bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		rt, ok := g.authenticate(w, r)
+		if !ok {
+			return
+		}
+		name := r.PathValue("name")
+		if !g.admitRate(w, rt, kind, name) {
+			return
+		}
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody))
+		if err != nil {
+			api.Error(w, http.StatusBadRequest, "reading request body: %v", err)
+			return
+		}
+		if !held {
+			release, ok := g.admitQueue(w, r, rt, kind, name)
+			if !ok {
+				return
+			}
+			defer release()
+		}
+		g.proxyPost(w, r, g.backendFor(name)+r.URL.Path, body, held)
 	}
-	name := r.PathValue("name")
-	kind := "range"
-	if strings.HasSuffix(r.URL.Path, "/knn") {
-		kind = "knn"
-	}
-	if !g.admitRate(w, rt, kind, name) {
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading request body: %v", err)
-		return
-	}
-	release, ok := g.admitQueue(w, r, rt, kind, name)
-	if !ok {
-		return
-	}
-	defer release()
-	g.proxyPost(w, r, g.backendFor(name)+r.URL.Path, body, false)
 }
 
 // proxyLight forwards body-less dataset routes (metadata, explain,
-// delete) behind auth + rate limit.
+// delete) with the retrying client.
 func (g *Gateway) proxyLight(w http.ResponseWriter, r *http.Request) {
-	rt, ok := g.authenticate(w, r)
-	if !ok {
-		return
-	}
-	name := r.PathValue("name")
-	if !g.admitRate(w, rt, strings.ToLower(r.Method), name) {
-		return
-	}
-	url := g.backendFor(name) + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequest(r.Method, url, nil)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "building backend request: %v", err)
-		return
-	}
-	resp, err := g.rc.Do(r.Context(), req)
-	if err != nil {
-		httpError(w, http.StatusBadGateway, "backend unreachable: %v", err)
-		return
-	}
-	defer resp.Body.Close()
-	relayHeaders(w, resp)
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, io.LimitReader(resp.Body, g.maxBody*64))
+	g.forward(w, r, nil, g.rc.Do)
 }
 
 // proxyUpload streams mutation bodies (PUT dataset, append points)
@@ -545,6 +396,13 @@ func (g *Gateway) proxyLight(w http.ResponseWriter, r *http.Request) {
 // uploads are bounded by the backend's -max-body-bytes, not the
 // gateway's query-body cap.
 func (g *Gateway) proxyUpload(w http.ResponseWriter, r *http.Request) {
+	g.forward(w, r, r.Body, g.rc.DoStream)
+}
+
+// forward relays a dataset route's request as it came — method, path,
+// query and, when non-nil, body — through send, behind auth + rate
+// limit, and copies the backend's answer back.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, body io.Reader, send func(context.Context, *http.Request) (*http.Response, error)) {
 	rt, ok := g.authenticate(w, r)
 	if !ok {
 		return
@@ -557,43 +415,24 @@ func (g *Gateway) proxyUpload(w http.ResponseWriter, r *http.Request) {
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
-	req, err := http.NewRequest(r.Method, url, r.Body)
+	req, err := http.NewRequest(r.Method, url, body)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "building backend request: %v", err)
+		api.Error(w, http.StatusInternalServerError, "building backend request: %v", err)
 		return
 	}
-	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
-	req.ContentLength = r.ContentLength
-	resp, err := g.rc.DoStream(r.Context(), req)
+	if body != nil {
+		req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
+		req.ContentLength = r.ContentLength
+	}
+	resp, err := send(r.Context(), req)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "backend unreachable: %v", err)
+		api.Error(w, http.StatusBadGateway, "backend unreachable: %v", err)
 		return
 	}
 	defer resp.Body.Close()
 	relayHeaders(w, resp)
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-}
-
-// proxyWatch passes a standing-query watch stream through: rate-limited
-// on entry but exempt from the fair queue (a watch is a long-lived
-// subscription, not a unit of query work — it would pin a slot
-// forever).
-func (g *Gateway) proxyWatch(w http.ResponseWriter, r *http.Request) {
-	rt, ok := g.authenticate(w, r)
-	if !ok {
-		return
-	}
-	name := r.PathValue("name")
-	if !g.admitRate(w, rt, "watch", name) {
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading request body: %v", err)
-		return
-	}
-	g.proxyPost(w, r, g.backendFor(name)+r.URL.Path, body, true)
+	io.Copy(w, io.LimitReader(resp.Body, g.maxBody*64))
 }
 
 // handleListDatasets merges GET /datasets across every backend (a flat
@@ -603,19 +442,14 @@ func (g *Gateway) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 	if _, ok := g.authenticate(w, r); !ok {
 		return
 	}
-	type info struct {
-		Name string `json:"name"`
-		Len  int    `json:"len"`
-		Dims int    `json:"dims"`
-	}
 	seen := map[string]bool{}
-	out := []info{}
+	out := []api.DatasetInfo{}
 	for _, b := range g.backends {
 		resp, err := g.rc.Get(r.Context(), b+"/datasets")
 		if err != nil {
 			continue
 		}
-		var list []info
+		var list []api.DatasetInfo
 		err = json.NewDecoder(io.LimitReader(resp.Body, g.maxBody)).Decode(&list)
 		resp.Body.Close()
 		if err != nil {
@@ -628,76 +462,21 @@ func (g *Gateway) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, out)
+	api.WriteJSON(w, out)
 }
 
 // handleHealthz reports the gateway as live plus each backend's health:
 // "ok" only when every backend answered 200.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	type backendHealth struct {
-		URL   string `json:"url"`
-		OK    bool   `json:"ok"`
-		Error string `json:"error,omitempty"`
-	}
-	status := "ok"
-	backends := make([]backendHealth, len(g.backends))
-	for i, b := range g.backends {
-		backends[i] = backendHealth{URL: b}
-		resp, err := g.rc.Get(r.Context(), b+"/healthz")
-		if err != nil {
-			backends[i].Error = err.Error()
-			status = "degraded"
-			continue
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			backends[i].Error = fmt.Sprintf("status %d", resp.StatusCode)
-			status = "degraded"
-			continue
-		}
-		backends[i].OK = true
-	}
-	writeJSON(w, map[string]any{
-		"status":   status,
-		"mode":     "gateway",
-		"tenants":  g.tenantCount(),
-		"reloads":  g.Reloads(),
-		"backends": backends,
-		"build":    g.build,
-	})
-}
-
-// handleTraces serves the gateway's own retained traces (?trace=,
-// ?limit= filters), bare-array shaped like every tier's.
-func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
-	traces := g.tracer.Traces()
-	for i, j := 0, len(traces)-1; i < j; i, j = i+1, j-1 {
-		traces[i], traces[j] = traces[j], traces[i]
-	}
-	if want := r.URL.Query().Get("trace"); want != "" {
-		kept := traces[:0]
-		for _, td := range traces {
-			if td.TraceID == want {
-				kept = append(kept, td)
-			}
-		}
-		traces = kept
-	}
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "limit must be a non-negative integer, got %q", v)
-			return
-		}
-		if n < len(traces) {
-			traces = traces[:n]
+	out := api.Health{Status: "ok", Build: g.build}
+	out.GatewayHealth = &api.GatewayHealth{Mode: "gateway", Tenants: g.tenantCount(), Reloads: g.Reloads()}
+	out.Backends = api.Probe(r.Context(), g.rc.Get, g.backends)
+	for _, b := range out.Backends {
+		if !b.OK {
+			out.Status = "degraded"
 		}
 	}
-	if traces == nil {
-		traces = []trace.TraceData{}
-	}
-	writeJSON(w, traces)
+	api.WriteJSON(w, out)
 }
 
 // handleStitchedTrace assembles GET /debug/traces/{id} across the whole
@@ -735,35 +514,12 @@ func (g *Gateway) handleStitchedTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	st := trace.Stitch(id, sets...)
 	if len(st.Spans) == 0 {
-		httpError(w, http.StatusNotFound, "no trace %q retained anywhere behind the gateway", id)
+		api.Error(w, http.StatusNotFound, "no trace %q retained anywhere behind the gateway", id)
 		return
 	}
-	writeJSON(w, map[string]any{
+	api.WriteJSON(w, map[string]any{
 		"trace_id": st.TraceID,
 		"spans":    st.Spans,
 		"sources":  sources,
 	})
-}
-
-// handleQueries serves the gateway's journal: shed requests and shadow
-// mismatches, newest first, with the backend tiers' filter surface.
-func (g *Gateway) handleQueries(w http.ResponseWriter, r *http.Request) {
-	f := querylog.Filter{Dataset: r.URL.Query().Get("dataset")}
-	if v := r.URL.Query().Get("slow"); v == "1" || v == "true" {
-		f.SlowOnly = true
-	}
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "limit must be a non-negative integer, got %q", v)
-			return
-		}
-		f.Limit = n
-	}
-	total, slow := g.qlog.Totals()
-	q := g.qlog.Snapshot(f)
-	if q == nil {
-		q = []querylog.Record{}
-	}
-	writeJSON(w, map[string]any{"total": total, "slow": slow, "queries": q})
 }

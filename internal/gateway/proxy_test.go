@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"simjoin/internal/api"
 	"simjoin/internal/obsv/querylog"
 	"simjoin/internal/rclient"
 )
@@ -39,10 +40,10 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]any{"status": "ok"})
+		api.WriteJSON(w, map[string]any{"status": "ok"})
 	})
 	mux.HandleFunc("GET /datasets", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, []map[string]any{{"name": "pts", "len": 100, "dims": 8}})
+		api.WriteJSON(w, []map[string]any{{"name": "pts", "len": 100, "dims": 8}})
 	})
 	mux.HandleFunc("GET /datasets/{name}", func(w http.ResponseWriter, r *http.Request) {
 		out := map[string]any{"name": r.PathValue("name"), "len": 100, "dims": 8}
@@ -51,13 +52,13 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 			out["estimate"] = map[string]any{"pairs": b.estimatePairs}
 			b.mu.Unlock()
 		}
-		writeJSON(w, out)
+		api.WriteJSON(w, out)
 	})
 	join := func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		var m map[string]any
 		if err := json.Unmarshal(body, &m); err != nil {
-			httpError(w, http.StatusBadRequest, "bad body: %v", err)
+			api.Error(w, http.StatusBadRequest, "bad body: %v", err)
 			return
 		}
 		b.mu.Lock()
@@ -79,7 +80,7 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 			}
 			return
 		}
-		writeJSON(w, map[string]any{"pairs": pairs, "total": len(pairs)})
+		api.WriteJSON(w, map[string]any{"pairs": pairs, "total": len(pairs)})
 	}
 	mux.HandleFunc("POST /datasets/{name}/selfjoin", join)
 	mux.HandleFunc("POST /join", join)
@@ -402,7 +403,7 @@ func TestGatewayBackend429Passthrough(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /datasets/{name}/selfjoin", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "7")
-		httpError(w, http.StatusTooManyRequests, "join estimated at 9999 pairs exceeds budget")
+		api.Error(w, http.StatusTooManyRequests, "join estimated at 9999 pairs exceeds budget")
 	})
 	be := httptest.NewServer(mux)
 	defer be.Close()

@@ -1,9 +1,9 @@
 package gateway
 
 import (
-	"encoding/json"
-	"fmt"
 	"hash/fnv"
+
+	"simjoin/internal/api"
 )
 
 // StickyHeader is the optional request header mixed into experiment
@@ -70,24 +70,13 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// applyOverride rewrites a decoded join request body with the candidate
-// arm's options. The body stays a generic map so request fields the
-// gateway doesn't model (stream, max_pairs, degrade, …) pass through
-// untouched.
-func applyOverride(body map[string]any, o Override) {
+// applyOverride rewrites a decoded join request with the candidate
+// arm's options.
+func applyOverride(p *api.JoinParams, o Override) {
 	if o.Algorithm != "" {
-		body["algorithm"] = o.Algorithm
+		p.Algorithm = o.Algorithm
 	}
 	if o.Workers != 0 {
-		body["workers"] = o.Workers
+		p.Workers = o.Workers
 	}
-}
-
-// encodeBody re-serializes a (possibly rewritten) request body.
-func encodeBody(body map[string]any) ([]byte, error) {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return nil, fmt.Errorf("re-encoding request body: %w", err)
-	}
-	return b, nil
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+
+	"simjoin/internal/api"
 )
 
 func testGateway(t *testing.T, cfg *Config) *Gateway {
@@ -92,11 +94,11 @@ func TestRouteFirstMatchWins(t *testing.T) {
 }
 
 func TestApplyOverride(t *testing.T) {
-	body := map[string]any{"eps": 0.5, "algorithm": "auto", "max_pairs": float64(10)}
-	applyOverride(body, Override{Algorithm: "brute", Workers: 3})
-	raw, err := encodeBody(body)
+	req := api.TwoJoinRequest{JoinParams: api.JoinParams{Eps: 0.5, Algorithm: "auto", MaxPairs: 10}}
+	applyOverride(&req.JoinParams, Override{Algorithm: "brute", Workers: 3})
+	raw, err := json.Marshal(req)
 	if err != nil {
-		t.Fatalf("encodeBody: %v", err)
+		t.Fatalf("encoding: %v", err)
 	}
 	var got map[string]any
 	if err := json.Unmarshal(raw, &got); err != nil {

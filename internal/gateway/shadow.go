@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"simjoin/internal/api"
 	"simjoin/internal/obsv/querylog"
 )
 
@@ -40,12 +41,7 @@ type armResult struct {
 // insensitive to pair order — worker and coordinator answers order
 // pairs differently — but pins the exact pair set.
 func parseArmResult(body []byte, latency time.Duration) (armResult, error) {
-	var resp struct {
-		Pairs     [][2]int64 `json:"pairs"`
-		Total     int64      `json:"total"`
-		Truncated bool       `json:"truncated"`
-		Degraded  bool       `json:"degraded"`
-	}
+	var resp api.JoinResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		return armResult{}, fmt.Errorf("parsing join response: %w", err)
 	}
@@ -53,7 +49,7 @@ func parseArmResult(body []byte, latency time.Duration) (armResult, error) {
 	if !resp.Truncated && !resp.Degraded {
 		r.checksumOK = true
 		for _, p := range resp.Pairs {
-			r.checksum ^= pairHash(p[0], p[1])
+			r.checksum ^= pairHash(int64(p[0]), int64(p[1]))
 		}
 	}
 	return r, nil

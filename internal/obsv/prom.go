@@ -14,7 +14,7 @@ import (
 
 // Registry holds a fixed set of metrics and renders them in the
 // Prometheus text exposition format (version 0.0.4). It is deliberately
-// tiny — counters, histograms and gauge callbacks, one optional label —
+// tiny — counters, histograms and gauge callbacks, a few labels —
 // because that is all the daemons need and the container must not grow
 // external dependencies.
 type Registry struct {
@@ -117,61 +117,81 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 	return &c.Counter
 }
 
-// CounterVec is a family of counters keyed by one label value.
-type CounterVec struct {
-	name, help, label string
-	mu                sync.Mutex
-	children          map[string]*Counter
+// family is the label-values → child table under CounterVec and
+// HistogramVec. Children are keyed by their label values joined with NUL
+// — the lowest byte, so sorting the keys sorts by the first label, then
+// the second, and so on.
+type family[T any] struct {
+	name, help string
+	labels     []string
+	newChild   func() *T
+	mu         sync.Mutex
+	children   map[string]*T
 }
 
-// NewCounterVec registers and returns a one-label counter family.
-func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
-	v := &CounterVec{name: name, help: help, label: label, children: make(map[string]*Counter)}
-	r.add(v)
-	return v
+func newFamily[T any](name, help string, labels []string, newChild func() *T) family[T] {
+	return family[T]{name: name, help: help, labels: labels, newChild: newChild, children: make(map[string]*T)}
 }
 
-// With returns the counter for the given label value, creating it on
-// first use.
-func (v *CounterVec) With(value string) *Counter {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.children[value]
+// With returns the child for the given label values (one per label the
+// family was registered with, in that order), creating it on first use.
+func (f *family[T]) With(values ...string) *T {
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("obsv: %s takes %d label values, got %d", f.name, len(f.labels), len(values)))
+	}
+	key := values[0]
+	if len(values) > 1 {
+		key = strings.Join(values, "\x00")
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c, ok := f.children[key]
 	if !ok {
-		c = &Counter{}
-		v.children[value] = c
+		c = f.newChild()
+		f.children[key] = c
 	}
 	return c
 }
 
-// Snapshot returns the current label → count mapping.
-func (v *CounterVec) Snapshot() map[string]int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[string]int64, len(v.children))
-	for k, c := range v.children {
-		out[k] = c.Value()
-	}
-	return out
-}
-
-// sortedKeys returns the child label values in deterministic order.
-func (v *CounterVec) sortedKeys() []string {
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
+// each calls fn per child in deterministic order with the child's
+// rendered label pairs: a="x",b="y".
+func (f *family[T]) each(fn func(labels string, c *T)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	keys := make([]string, 0, len(f.children))
+	for k := range f.children {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	return keys
+	for _, k := range keys {
+		var sb strings.Builder
+		// SplitN, so a value that itself holds a NUL (a label can echo
+		// request input) cannot yield more values than labels.
+		for i, v := range strings.SplitN(k, "\x00", len(f.labels)) {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "%s=\"%s\"", f.labels[i], escapeLabel(v))
+		}
+		fn(sb.String(), f.children[k])
+	}
+}
+
+// CounterVec is a family of counters keyed by one or more label values.
+type CounterVec struct{ family[Counter] }
+
+// NewCounterVec registers and returns a labeled counter family.
+func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVec {
+	v := &CounterVec{newFamily(name, help, labels, func() *Counter { return &Counter{} })}
+	r.add(v)
+	return v
 }
 
 func (v *CounterVec) render(w io.Writer) {
 	header(w, v.name, v.help, "counter")
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, k := range v.sortedKeys() {
-		fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", v.name, v.label, escapeLabel(k), v.children[k].Value())
-	}
+	v.each(func(labels string, c *Counter) {
+		fmt.Fprintf(w, "%s{%s} %d\n", v.name, labels, c.Value())
+	})
 }
 
 // LatencyBuckets returns the fixed log-spaced bucket bounds (seconds)
@@ -221,27 +241,22 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// writeSamples renders the _bucket/_sum/_count lines with an optional
-// label pair (empty label renders unlabeled samples).
-func (h *Histogram) writeSamples(w io.Writer, name, label, value string) {
+// writeSamples renders the _bucket/_sum/_count lines under the given
+// rendered label pairs ("" renders unlabeled samples).
+func (h *Histogram) writeSamples(w io.Writer, name, labels string) {
 	var cum int64
-	labelPrefix := ""
-	if label != "" {
-		labelPrefix = fmt.Sprintf("%s=\"%s\",", label, escapeLabel(value))
+	prefix, braced := "", ""
+	if labels != "" {
+		prefix, braced = labels+",", "{"+labels+"}"
 	}
 	for i, b := range h.bounds {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%sle=\"%s\"} %d\n", name, labelPrefix, formatFloat(b), cum)
+		fmt.Fprintf(w, "%s_bucket{%sle=\"%s\"} %d\n", name, prefix, formatFloat(b), cum)
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labelPrefix, cum)
-	if label != "" {
-		fmt.Fprintf(w, "%s_sum{%s=\"%s\"} %s\n", name, label, escapeLabel(value), formatFloat(h.Sum()))
-		fmt.Fprintf(w, "%s_count{%s=\"%s\"} %d\n", name, label, escapeLabel(value), h.Count())
-		return
-	}
-	fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, prefix, cum)
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, braced, formatFloat(h.Sum()))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, braced, h.Count())
 }
 
 // namedHistogram is a registry-owned unlabeled histogram.
@@ -252,7 +267,7 @@ type namedHistogram struct {
 
 func (h *namedHistogram) render(w io.Writer) {
 	header(w, h.name, h.help, "histogram")
-	h.writeSamples(w, h.name, "", "")
+	h.writeSamples(w, h.name, "")
 }
 
 // NewHistogram registers and returns an unlabeled fixed-bucket histogram.
@@ -262,46 +277,20 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 	return h.Histogram
 }
 
-// HistogramVec is a family of fixed-bucket histograms keyed by one label.
-type HistogramVec struct {
-	name, help, label string
-	bounds            []float64
-	mu                sync.Mutex
-	children          map[string]*Histogram
-}
+// HistogramVec is a family of fixed-bucket histograms keyed by one or
+// more label values.
+type HistogramVec struct{ family[Histogram] }
 
-// NewHistogramVec registers and returns a one-label histogram family.
-func (r *Registry) NewHistogramVec(name, help, label string, bounds []float64) *HistogramVec {
-	v := &HistogramVec{name: name, help: help, label: label, bounds: bounds, children: make(map[string]*Histogram)}
+// NewHistogramVec registers and returns a labeled histogram family.
+func (r *Registry) NewHistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
+	v := &HistogramVec{newFamily(name, help, labels, func() *Histogram { return newHistogram(bounds) })}
 	r.add(v)
 	return v
 }
 
-// With returns the histogram for the given label value, creating it on
-// first use.
-func (v *HistogramVec) With(value string) *Histogram {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.children[value]
-	if !ok {
-		h = newHistogram(v.bounds)
-		v.children[value] = h
-	}
-	return h
-}
-
 func (v *HistogramVec) render(w io.Writer) {
 	header(w, v.name, v.help, "histogram")
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v.children[k].writeSamples(w, v.name, v.label, k)
-	}
+	v.each(func(labels string, h *Histogram) { h.writeSamples(w, v.name, labels) })
 }
 
 // gaugeFunc samples a callback at scrape time.

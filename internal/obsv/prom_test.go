@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -37,16 +38,28 @@ func TestCounterVecRender(t *testing.T) {
 	v.With("GET /b").Inc()
 	v.With("GET /a").Add(2)
 	v.With("GET /a").Inc() // same child
+	two := r.NewCounterVec("gw_shed_total", "Shed requests.", "tenant", "reason")
+	two.With("acme", "rate").Add(3)
+	two.With("acme", "inflight").Inc()
+	two.With("beta", "rate").Inc()
+	two.With("ac", "me").Inc()
 	out := render(r)
-	// Deterministic label order: /a before /b.
-	ia := strings.Index(out, `req_total{route="GET /a"} 3`)
-	ib := strings.Index(out, `req_total{route="GET /b"} 1`)
-	if ia < 0 || ib < 0 || ia > ib {
-		t.Errorf("unexpected vec rendering:\n%s", out)
+	// Children in deterministic order: by the first label value, then
+	// the second — "ac" before "acme" although ',' and 'm' both follow it.
+	for _, want := range []string{
+		"# TYPE gw_shed_total counter",
+		`req_total{route="GET /a"} 3` + "\n" + `req_total{route="GET /b"} 1` + "\n",
+		`gw_shed_total{tenant="ac",reason="me"} 1` + "\n" +
+			`gw_shed_total{tenant="acme",reason="inflight"} 1` + "\n" +
+			`gw_shed_total{tenant="acme",reason="rate"} 3` + "\n" +
+			`gw_shed_total{tenant="beta",reason="rate"} 1` + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
 	}
-	snap := v.Snapshot()
-	if snap["GET /a"] != 3 || snap["GET /b"] != 1 {
-		t.Errorf("Snapshot = %v", snap)
+	if got := two.With("acme", "rate").Value(); got != 3 {
+		t.Errorf("With returned a fresh child: %d, want 3", got)
 	}
 }
 
@@ -79,18 +92,55 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestHistogramVecRender(t *testing.T) {
 	r := NewRegistry()
-	v := r.NewHistogramVec("lat_seconds", "latency", "route", LatencyBuckets())
+	v := r.NewHistogramVec("lat_seconds", "latency", LatencyBuckets(), "route")
 	v.With("GET /x").Observe(0.003)
+	two := r.NewHistogramVec("gw_arm_latency_seconds", "Per-arm latency.", []float64{0.1, 1}, "experiment", "arm")
+	two.With("exp1", "incumbent").Observe(0.05)
+	two.With("exp1", "incumbent").Observe(0.5)
+	two.With("exp1", "candidate").Observe(2)
 	out := render(r)
 	for _, want := range []string{
 		`lat_seconds_bucket{route="GET /x",le="0.005"} 1`,
 		`lat_seconds_bucket{route="GET /x",le="0.001"} 0`,
 		`lat_seconds_bucket{route="GET /x",le="+Inf"} 1`,
+		`lat_seconds_sum{route="GET /x"} 0.003`,
 		`lat_seconds_count{route="GET /x"} 1`,
+		"# TYPE gw_arm_latency_seconds histogram",
+		`gw_arm_latency_seconds_bucket{experiment="exp1",arm="incumbent",le="0.1"} 1`,
+		`gw_arm_latency_seconds_bucket{experiment="exp1",arm="incumbent",le="1"} 2`,
+		`gw_arm_latency_seconds_bucket{experiment="exp1",arm="incumbent",le="+Inf"} 2`,
+		`gw_arm_latency_seconds_sum{experiment="exp1",arm="incumbent"} 0.55`,
+		`gw_arm_latency_seconds_count{experiment="exp1",arm="incumbent"} 2`,
+		`gw_arm_latency_seconds_bucket{experiment="exp1",arm="candidate",le="1"} 0`,
+		`gw_arm_latency_seconds_bucket{experiment="exp1",arm="candidate",le="+Inf"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestVecConcurrent scrapes while many goroutines create and bump the
+// same children, for the race detector.
+func TestVecConcurrent(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.NewCounterVec("c", "h", "a", "b")
+	h := reg.NewHistogramVec("hh", "h", LatencyBuckets(), "a", "b")
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				c.With("x", "y").Inc()
+				h.With("x", "y").Observe(0.01)
+			}
+		}()
+	}
+	render(reg)
+	wg.Wait()
+	if got := c.With("x", "y").Value(); got != 1600 {
+		t.Fatalf("count = %d, want 1600", got)
 	}
 }
 
@@ -132,10 +182,12 @@ func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	v := r.NewCounterVec("c_total", "counts", "k")
 	v.With(`a"b\c` + "\n").Inc()
+	v.With("nul\x00byte").Inc() // the multi-label key separator, in a one-label value
 	out := render(r)
-	want := `c_total{k="a\"b\\c\n"} 1`
-	if !strings.Contains(out, want) {
-		t.Errorf("output missing %q:\n%s", want, out)
+	for _, want := range []string{`c_total{k="a\"b\\c\n"} 1`, "c_total{k=\"nul\x00byte\"} 1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
 	}
 }
 
