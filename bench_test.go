@@ -7,7 +7,9 @@ package simjoin_test
 // curves with `go run ./cmd/repro`.
 
 import (
+	"fmt"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"simjoin"
@@ -49,7 +51,7 @@ func BenchmarkF2Dimensionality(b *testing.B) {
 		ds := bench.Uniform(8000, d, 0xF2)
 		eps := bench.CalibrateEps(ds, vec.L2, 16000)
 		for _, algo := range []string{"kdtree", "rtree", "rplus", "grid", "ekdb"} {
-			b.Run(benchName(algo, "d", d), func(b *testing.B) { benchSelf(b, algo, ds, eps) })
+			b.Run(fmt.Sprintf("%s/d=%d", algo, d), func(b *testing.B) { benchSelf(b, algo, ds, eps) })
 		}
 	}
 }
@@ -59,7 +61,7 @@ func BenchmarkF3Epsilon(b *testing.B) {
 	ds := bench.Uniform(8000, 8, 0xF3)
 	for _, eps := range []float64{0.04, 0.16} {
 		for _, algo := range []string{"grid", "ekdb"} {
-			b.Run(benchNameF(algo, "eps", eps), func(b *testing.B) { benchSelf(b, algo, ds, eps) })
+			b.Run(fmt.Sprintf("%s/eps=%g", algo, eps), func(b *testing.B) { benchSelf(b, algo, ds, eps) })
 		}
 	}
 }
@@ -68,7 +70,7 @@ func BenchmarkF3Epsilon(b *testing.B) {
 func BenchmarkF4LeafThreshold(b *testing.B) {
 	ds := bench.Uniform(10000, 8, 0xF4)
 	for _, leaf := range []int{16, 64, 1024} {
-		b.Run(benchName("ekdb", "leaf", leaf), func(b *testing.B) {
+		b.Run("ekdb/leaf="+strconv.Itoa(leaf), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				t := core.Build(ds, 0.1, core.Config{LeafThreshold: leaf})
@@ -177,35 +179,6 @@ func BenchmarkT2Breakdown(b *testing.B) {
 	})
 }
 
-func benchName(algo, k string, v int) string {
-	return algo + "/" + k + "=" + itoa(v)
-}
-
-func benchNameF(algo, k string, v float64) string {
-	return algo + "/" + k + "=" + ftoa(v)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
-func ftoa(v float64) string {
-	// Two decimal places are all the bench names need.
-	whole := int(v)
-	frac := int(v*100+0.5) - whole*100
-	return itoa(whole) + "p" + itoa(frac)
-}
-
 // BenchmarkT3TwoSetJoinWorkers times the parallel two-set join engine at
 // the tentpole's acceptance scale — a 100k×100k uniform workload —
 // pinning Workers=1 against Workers=GOMAXPROCS over identical inputs.
@@ -229,7 +202,7 @@ func BenchmarkT3TwoSetJoinWorkers(b *testing.B) {
 		parallel = 2
 	}
 	for _, workers := range []int{1, parallel} {
-		b.Run(benchName("ekdb", "workers", workers), func(b *testing.B) {
+		b.Run("ekdb/workers="+strconv.Itoa(workers), func(b *testing.B) {
 			b.ReportAllocs()
 			var pairsFound int64
 			for i := 0; i < b.N; i++ {
@@ -244,4 +217,66 @@ func BenchmarkT3TwoSetJoinWorkers(b *testing.B) {
 			b.ReportMetric(float64(pairsFound), "pairs")
 		})
 	}
+}
+
+// BenchmarkLiveAppend prices the two ways to keep a standing ε-index
+// current through a 64-point batch at d = 8 (what internal/live pays on
+// every append): "append64" runs Range + Insert per point on the standing
+// index, "rebuild64" rebuilds the index over the grown dataset and
+// re-probes the batch, which is what polling would cost. Both run the
+// batch's 64 range queries; only the index maintenance differs, so the
+// ratio is the price of NOT having the incremental path.
+func BenchmarkLiveAppend(b *testing.B) {
+	const n, dims, batch, eps = 4000, 8, 64, 0.15
+	full, err := simjoin.Synthetic("clustered", n, dims, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := simjoin.NewDataset(dims)
+	for i := 0; i < n-batch; i++ {
+		base.Append(full.Point(i))
+	}
+	// probe range-queries the batch (the last 64 points of full) against
+	// idx, inserting each point after its query when the index is standing.
+	probe := func(b *testing.B, idx *simjoin.Index, insert bool) (deltas int) {
+		for i := n - batch; i < n; i++ {
+			hits, err := idx.Range(full.Point(i), simjoin.L2, eps)
+			if err != nil {
+				b.Fatal(err)
+			}
+			deltas += len(hits)
+			if insert {
+				if _, err := idx.Insert(full.Point(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		return deltas
+	}
+	build := func(b *testing.B, ds *simjoin.Dataset) *simjoin.Index {
+		idx, err := simjoin.NewIndex(ds, eps, simjoin.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return idx
+	}
+	b.Run("append64", func(b *testing.B) {
+		b.ReportAllocs()
+		var deltas int
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			idx := build(b, base.CloneWithCap(batch))
+			b.StartTimer()
+			deltas = probe(b, idx, true)
+		}
+		b.ReportMetric(float64(deltas), "pairs")
+	})
+	b.Run("rebuild64", func(b *testing.B) {
+		b.ReportAllocs()
+		var deltas int
+		for i := 0; i < b.N; i++ {
+			deltas = probe(b, build(b, full), false)
+		}
+		b.ReportMetric(float64(deltas), "pairs")
+	})
 }

@@ -207,21 +207,24 @@ func TestClusterRangeAndKNNMatchSingleNode(t *testing.T) {
 		t.Fatalf("cluster range = %d hits, single node = %d", len(got), len(want))
 	}
 
-	// KNN across all shards.
-	resp, body = doJSON(t, http.MethodPost, coord.URL+"/datasets/d/knn",
-		map[string]any{"point": q, "k": 12})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("knn: %d %v", resp.StatusCode, body)
-	}
-	gotN := body["neighbors"].([]any)
-	wantN := nn.KNN(q, 12, simjoin.L2)
-	if len(gotN) != len(wantN) {
-		t.Fatalf("knn returned %d neighbors, want %d", len(gotN), len(wantN))
-	}
-	for i := range wantN {
-		g := gotN[i].(map[string]any)
-		if int(g["index"].(float64)) != wantN[i].Index {
-			t.Fatalf("knn[%d] = %v, want index %d", i, g, wantN[i].Index)
+	// KNN across all shards; k beyond the dataset answers every point
+	// and no shard may size anything by it.
+	for _, k := range []int{12, 1 << 40} {
+		resp, body = doJSON(t, http.MethodPost, coord.URL+"/datasets/d/knn",
+			map[string]any{"point": q, "k": k})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("knn k=%d: %d %v", k, resp.StatusCode, body)
+		}
+		gotN := body["neighbors"].([]any)
+		wantN := nn.KNN(q, min(k, len(pts)), simjoin.L2)
+		if len(gotN) != len(wantN) {
+			t.Fatalf("knn k=%d returned %d neighbors, want %d", k, len(gotN), len(wantN))
+		}
+		for i := range wantN {
+			g := gotN[i].(map[string]any)
+			if int(g["index"].(float64)) != wantN[i].Index {
+				t.Fatalf("knn k=%d [%d] = %v, want index %d", k, i, g, wantN[i].Index)
+			}
 		}
 	}
 }
@@ -252,13 +255,18 @@ func TestClusterCSVUploadAndList(t *testing.T) {
 	}
 }
 
-// TestClusterUploadRejectsNonFiniteCSV: the coordinator's upload goes
-// through the same decoder as a worker's, so NaN never reaches a shard.
-func TestClusterUploadRejectsNonFiniteCSV(t *testing.T) {
+// TestClusterUploadRejectsUnusablePoints: the coordinator's upload goes
+// through the same decoder as a worker's, so neither NaN nor a point
+// without coordinates ever reaches a shard.
+func TestClusterUploadRejectsUnusablePoints(t *testing.T) {
 	coord, workers := startCluster(t, 2, 0.2)
 	status, body := putCSV(t, coord.URL, "c", "0,0\n0.1,0\nNaN,0.9\n")
 	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "data row 3") {
 		t.Fatalf("PUT through the coordinator: %d %v, want 400 naming data row 3", status, body)
+	}
+	resp, body := doJSON(t, http.MethodPut, coord.URL+"/datasets/c", map[string]any{"points": [][]float64{{}}})
+	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "point 0 has 0 dims") {
+		t.Fatalf("PUT of a zero-dimensional point through the coordinator: %d %v, want 400 naming point 0", resp.StatusCode, body)
 	}
 	for _, base := range []string{coord.URL, workers[0].URL, workers[1].URL} {
 		resp, err := http.Get(base + "/datasets")

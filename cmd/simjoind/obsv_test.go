@@ -273,12 +273,24 @@ func TestTracesFilters(t *testing.T) {
 	}
 }
 
-func TestTraceRingFlagRejectsNonPositive(t *testing.T) {
-	if got := run([]string{"-trace-ring", "0", "-addr", "127.0.0.1:0"}); got != 2 {
-		t.Fatalf("run(-trace-ring 0) = %d, want 2", got)
-	}
-	if got := run([]string{"-trace-ring", "-5", "-addr", "127.0.0.1:0"}); got != 2 {
-		t.Fatalf("run(-trace-ring -5) = %d, want 2", got)
+// TestRunRefusesBadFlags: every flag combination run() documents as a
+// usage error returns 2 before anything listens (a case that got past
+// its check would serve on -addr and hang the test instead).
+func TestRunRefusesBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-trace-ring", "0"},
+		{"-trace-ring", "-5"},
+		{"-max-body-bytes", "0"},
+		{"-gateway", "-backends", "http://127.0.0.1:1", "-workers", "http://127.0.0.1:1"},
+		{"-gateway"},
+		{"-workers", "http://127.0.0.1:1", "-load", "a=a.csv"},
+		{"-workers", "http://127.0.0.1:1", "-data", t.TempDir()},
+		{"-workers", ","},
+		{"-data", t.TempDir(), "-fsync", "bogus"},
+	} {
+		if got := run(append(args, "-addr", "127.0.0.1:0")); got != 2 {
+			t.Errorf("run(%q) = %d, want 2", args, got)
+		}
 	}
 }
 

@@ -255,6 +255,10 @@ func decodeUpload(w http.ResponseWriter, r *http.Request, limit int64) ([][]floa
 		api.Error(w, http.StatusBadRequest, "no points in upload")
 		return nil, false
 	}
+	if len(req.Points[0]) == 0 {
+		api.Error(w, http.StatusBadRequest, "point 0 has 0 dims")
+		return nil, false
+	}
 	for i, p := range req.Points {
 		if len(p) != len(req.Points[0]) {
 			api.Error(w, http.StatusBadRequest, "point %d has %d dims, want %d", i, len(p), len(req.Points[0]))

@@ -117,10 +117,12 @@ func putCSV(t *testing.T, base, name, rows string) (int, map[string]any) {
 	return resp.StatusCode, body
 }
 
-// TestUploadRejectsNonFiniteCSV: the CSV float parser takes NaN and Inf,
-// which no distance can be computed from and no JSON answer can carry;
-// the upload is refused naming the row, and nothing is registered.
-func TestUploadRejectsNonFiniteCSV(t *testing.T) {
+// TestUploadRejectsUnusablePoints: the CSV float parser takes NaN and
+// Inf, which no distance can be computed from and no JSON answer can
+// carry, and JSON can spell a point with no coordinates, which no dataset
+// can hold; the upload is refused naming the row, and nothing is
+// registered.
+func TestUploadRejectsUnusablePoints(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
 	for _, rows := range []string{"0,0\n1,NaN\n", "0,0\n# skipped\n-Inf,1\n", "0,0\n1,+inf\n"} {
@@ -130,7 +132,11 @@ func TestUploadRejectsNonFiniteCSV(t *testing.T) {
 			t.Errorf("PUT %q: %d %v, want 400 naming data row 2", rows, status, body)
 		}
 	}
-	resp, _ := doJSON(t, http.MethodGet, ts.URL+"/datasets/a", nil)
+	resp, body := doJSON(t, http.MethodPut, ts.URL+"/datasets/a", map[string]any{"points": [][]float64{{}}})
+	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "point 0 has 0 dims") {
+		t.Errorf("PUT of a zero-dimensional point: %d %v, want 400 naming point 0", resp.StatusCode, body)
+	}
+	resp, _ = doJSON(t, http.MethodGet, ts.URL+"/datasets/a", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("refused upload left a dataset behind: %d", resp.StatusCode)
 	}
@@ -204,18 +210,22 @@ func TestRangeAndKNNEndpoints(t *testing.T) {
 	if got := body["indexes"].([]any); len(got) != 2 {
 		t.Fatalf("range indexes = %v", got)
 	}
-	resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/knn",
-		map[string]any{"point": []float64{0, 0}, "k": 2})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("knn: %d %v", resp.StatusCode, body)
-	}
-	nbrs := body["neighbors"].([]any)
-	if len(nbrs) != 2 {
-		t.Fatalf("neighbors = %v", nbrs)
-	}
-	first := nbrs[0].(map[string]any)
-	if first["index"].(float64) != 0 || first["dist"].(float64) != 0 {
-		t.Fatalf("nearest = %v", first)
+	// k far beyond the dataset answers all three points; it must not
+	// size anything by k (1<<40 neighbors is 16 TB).
+	for k, want := range map[int]int{2: 2, 1 << 40: 3} {
+		resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/knn",
+			map[string]any{"point": []float64{0, 0}, "k": k})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("knn k=%d: %d %v", k, resp.StatusCode, body)
+		}
+		nbrs := body["neighbors"].([]any)
+		if len(nbrs) != want {
+			t.Fatalf("k=%d: neighbors = %v", k, nbrs)
+		}
+		first := nbrs[0].(map[string]any)
+		if first["index"].(float64) != 0 || first["dist"].(float64) != 0 {
+			t.Fatalf("k=%d: nearest = %v", k, first)
+		}
 	}
 }
 

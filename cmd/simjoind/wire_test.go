@@ -119,6 +119,7 @@ func TestWireContract(t *testing.T) {
 				{method: "POST", path: "/datasets/a/selfjoin", body: api.JoinParams{Eps: 0.9, Degrade: true}, status: 200, into: new(api.JoinResponse)},
 				{method: "POST", path: "/datasets/a/range", body: api.PointQuery{Point: []float64{0.5, 0.5}, Radius: 0.2}, status: 200, into: new(api.RangeResponse)},
 				{method: "POST", path: "/datasets/a/knn", body: api.PointQuery{Point: []float64{0.5, 0.5}, K: 3, Metric: "Linf"}, status: 200, into: new(api.KNNResponse)},
+				{method: "POST", path: "/datasets/a/knn", body: api.PointQuery{Point: []float64{0.5, 0.5}, K: 1 << 40}, status: 200, into: new(api.KNNResponse)},
 				{method: "POST", path: "/datasets/a/knn", body: api.PointQuery{Point: []float64{0.5}, K: 3}, status: 400, into: new(api.ErrorBody)},
 				{method: "GET", path: "/datasets/nope", status: 404, into: new(api.ErrorBody)},
 				{method: "GET", path: "/debug/queries?limit=5", status: 200, into: new(api.Queries)},
@@ -170,12 +171,16 @@ func TestWireContract(t *testing.T) {
 					blocks(what, v.Scatter != nil)
 				case *api.KNNResponse:
 					blocks(what, v.Scatter != nil)
-					if len(v.Neighbors) != 3 {
+					if len(v.Neighbors) != min(s.body.(api.PointQuery).K, len(pts)) {
 						t.Errorf("%s: %s", what, data)
 					}
 				case *api.ErrorBody:
 					if v.Error == "" || (v.OverBudget != nil) != (s.status == 429) {
 						t.Errorf("%s: %s", what, data)
+					}
+				case *[]trace.TraceData:
+					if len(*v) == 0 || (*v)[0].TraceID == "" {
+						t.Errorf("%s: no trace retained after %d requests: %s", what, i, data)
 					}
 				}
 			}

@@ -18,7 +18,8 @@ func (t *Tree) KNN(q []float64, k int, metric vec.Metric, counters *stats.Counte
 	if k < 1 {
 		panic(fmt.Sprintf("kdtree: KNN with k=%d", k))
 	}
-	best := join.NewMaxHeap(k)
+	// k comes off the wire: never reserve more than the tree can answer.
+	best := join.NewMaxHeap(min(k, t.ds.Len()))
 	var visits, comps int64
 	var rec func(n *node)
 	rec = func(n *node) {

@@ -5,8 +5,8 @@
 // the performance evaluation — the paper's entire contribution — has a
 // machine-readable trajectory: engines charge phase timers through
 // join.Options, the public API surfaces them via simjoin.Options.Stats,
-// the daemons serve them at /metrics, and cmd/simjoinbench freezes them
-// into BENCH_*.json artifacts that CI compares against.
+// the daemons serve them at /metrics, and the repo benchmark (benchmark/)
+// reads both to report its per-layer metrics.
 package obsv
 
 import (

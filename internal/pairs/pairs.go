@@ -148,9 +148,9 @@ func (s *Sharded) Merged() []Pair {
 
 // radixCutoff is the length below which SortPairs' comparison sort wins:
 // the radix sort pays for its scratch slice and counter tables however short
-// the input is. Like the digit width (a byte), it was fixed by simjoinbench's
-// pairs/sort cases; docs/ALGORITHMS.md, "Result order and the pair sort",
-// has the numbers.
+// the input is. Like the digit width (a byte), it was fixed by measurement —
+// BenchmarkSortPairs times the three sizes that decided it;
+// docs/ALGORITHMS.md, "Result order and the pair sort", has the numbers.
 const radixCutoff = 64
 
 // key packs a pair so that unsigned key order is lexicographic pair order

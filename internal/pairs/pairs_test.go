@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -295,5 +296,31 @@ func TestEqualAndDiff(t *testing.T) {
 	}
 	if got := Diff(long, nil); !strings.Contains(got, "…") {
 		t.Errorf("Diff truncation missing: %q", got)
+	}
+}
+
+// BenchmarkSortPairs times SortPairs alone — the last step of every
+// collecting join — over seeded canonical pairs on 12 000 points, unsorted
+// as the engines emit them. The three sizes are the measurement behind
+// radixCutoff and the byte-wide digit: the cutoff itself (the shortest
+// input on the radix path), a served join's result (benchmark/
+// serve_query) and a bulk join's (benchmark/ join_pairs). The timed op
+// includes refilling the slice from the unsorted master.
+func BenchmarkSortPairs(b *testing.B) {
+	const points = 12000
+	for _, n := range []int{radixCutoff, 2000, 250000} {
+		rng := rand.New(rand.NewSource(15))
+		master := make([]Pair, n)
+		for i := range master {
+			master[i] = Pair{I: rng.Int31n(points), J: rng.Int31n(points)}.Canon()
+		}
+		ps := make([]Pair, n)
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(ps, master)
+				SortPairs(ps)
+			}
+		})
 	}
 }

@@ -38,7 +38,8 @@ func (t *Tree) KNN(q []float64, k int, metric vec.Metric, counters *stats.Counte
 	if k < 1 {
 		panic(fmt.Sprintf("rtree: KNN with k=%d", k))
 	}
-	out := make([]join.Neighbor, 0, k)
+	// k comes off the wire: never reserve more than the tree can answer.
+	out := make([]join.Neighbor, 0, min(k, t.ds.Len()))
 	if len(t.root.entries) == 0 {
 		return out
 	}

@@ -48,6 +48,9 @@ func TestKNNMatchesBrute(t *testing.T) {
 					q[j] = rng.Float64()
 				}
 				k := 1 + rng.Intn(10)
+				if qi == 0 {
+					k = 1 << 40 // a hostile wire value: must answer all n, not reserve k
+				}
 				for _, m := range []vec.Metric{vec.L2, vec.L1, vec.Linf} {
 					got := tr.KNN(q, k, m, nil)
 					want := bruteKNN(ds, q, k, m)

@@ -1,7 +1,9 @@
 package vec
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -19,7 +21,7 @@ func BenchmarkWithinSqL2(b *testing.B) {
 	for _, d := range []int{4, 8, 16, 32, 64} {
 		x, y := benchVectors(d)
 		// Accepting threshold: full accumulation, no early exit.
-		b.Run("accept/d="+itoa(d), func(b *testing.B) {
+		b.Run("accept/d="+strconv.Itoa(d), func(b *testing.B) {
 			t := 1e18
 			for i := 0; i < b.N; i++ {
 				if !WithinSqL2(x, y, t) {
@@ -28,7 +30,7 @@ func BenchmarkWithinSqL2(b *testing.B) {
 			}
 		})
 		// Rejecting threshold: early exit path.
-		b.Run("reject/d="+itoa(d), func(b *testing.B) {
+		b.Run("reject/d="+strconv.Itoa(d), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if WithinSqL2(x, y, 1e-9) {
 					b.Fatal("unexpected accept")
@@ -41,7 +43,7 @@ func BenchmarkWithinSqL2(b *testing.B) {
 func BenchmarkDistSqL2(b *testing.B) {
 	for _, d := range []int{8, 32} {
 		x, y := benchVectors(d)
-		b.Run("d="+itoa(d), func(b *testing.B) {
+		b.Run("d="+strconv.Itoa(d), func(b *testing.B) {
 			var sink float64
 			for i := 0; i < b.N; i++ {
 				sink += DistSqL2(x, y)
@@ -58,16 +60,36 @@ func BenchmarkWithinL1(b *testing.B) {
 	}
 }
 
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
+// BenchmarkWithinSqL2Flat times the flat L2 probe kernel alone, every
+// point of a clustered d = 32 set against the whole set, so a kernel-level
+// change is reported against the kernel and not smeared across a join:
+// "full" never takes the partial-distance early exit (threshold ∞, raw
+// throughput), "early-exit" takes it on nearly every candidate. ns/comp is
+// the per-candidate cost the repo benchmark reports as vec.ns_per_comp.
+func BenchmarkWithinSqL2Flat(b *testing.B) {
+	const n, dims = 600, 32
+	f := randFlat(b, n, dims, 14)
+	for _, bc := range []struct {
+		name string
+		th   float64
+	}{
+		{"full", math.Inf(1)},
+		{"early-exit", Threshold(L2, 1.8)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var cand, res int64
+			for i := 0; i < b.N; i++ {
+				cand, res = 0, 0
+				for x := 0; x < n; x++ {
+					c, r := ProbeRangeFlat(L2, f, int32(x), f, 0, n, bc.th, func(int32) {})
+					cand += c
+					res += r
+				}
+			}
+			if res <= n {
+				b.Fatalf("degenerate benchmark: %d of %d candidates within range", res, cand)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cand), "ns/comp")
+		})
 	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

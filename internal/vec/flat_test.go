@@ -9,7 +9,7 @@ import (
 
 // randFlat builds a deterministic point set with clustered structure so
 // every eps below has both hits and misses.
-func randFlat(t *testing.T, n, dims int, seed int64) Flat {
+func randFlat(t testing.TB, n, dims int, seed int64) Flat {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]float64, n*dims)

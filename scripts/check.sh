@@ -1,0 +1,110 @@
+#!/usr/bin/env bash
+# The gate: everything a change must pass, in one script with no flags and
+# no environment switches, so CI and a session without a runner or a
+# network run the same thing.
+#
+#   bash scripts/check.sh
+#
+# It stops at the first failing step with a non-zero status, prints each
+# step's name and duration, and leaves the checkout as it found it: the
+# only thing it writes in the tree is .bench_build/ (ignored), through
+# benchmark/run.sh. staticcheck and govulncheck run when they are on PATH
+# — CI installs them first — and are reported as skipped otherwise.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+before=$(git status --porcelain)
+transcript=()
+
+# step NAME CMD...: run CMD; on failure name the step and stop the gate.
+step() {
+	local name=$1 start=$SECONDS
+	shift
+	echo "==> $name"
+	"$@" || {
+		echo "FAIL: $name (after $((SECONDS - start))s)" >&2
+		exit 1
+	}
+	transcript+=("$(printf '%-52s %4ds' "$name" $((SECONDS - start)))")
+	echo "    ${transcript[-1]}"
+}
+
+formatted() {
+	local out
+	out=$(gofmt -l .) || return 1
+	[ -z "$out" ] || {
+		echo "gofmt needed on:"
+		echo "$out"
+		return 1
+	}
+}
+
+# The nested module (replace simjoin => ../) links internal/vec, dataset,
+# core, join and pairs; no root ./... pattern reaches it, so an internal
+# signature change could break the harness with everything else green.
+harness() (cd benchmark && go vet ./... && go test ./...)
+
+untouched() {
+	local after
+	after=$(git status --porcelain)
+	[ "$after" = "$before" ] || {
+		echo "the gate changed the checkout:"
+		diff <(echo "$before") <(echo "$after")
+		return 1
+	}
+}
+
+step "gofmt" formatted
+step "vet" go vet ./...
+step "build" go build ./... ./examples/...
+# The flat kernels lean on slice-to-array-pointer conversions and
+# width-sensitive constants; build only — nothing here runs arm64.
+step "cross-build arm64" env GOARCH=arm64 go build ./...
+if command -v staticcheck >/dev/null; then
+	step "staticcheck" staticcheck ./...
+else
+	transcript+=("staticcheck: skipped, not on PATH")
+fi
+step "test -race" go test -race ./...
+
+# The concurrency-heavy packages again, four times under the detector:
+# tracing/metrics and the query journal, the WAL catalog, live fan-out,
+# the sketch updated under readers, kernels over one shared buffer, the
+# pair sinks, gateway hot reload, and the serving core with the daemon
+# that drives it.
+for pkg in ./internal/obsv/... ./internal/store/... ./internal/live/... \
+	./internal/sketch/... ./internal/vec/... ./internal/pairs/... \
+	./internal/gateway/ ./internal/api/... ./cmd/simjoind/; do
+	step "race x4 $pkg" go test -race -count=4 "$pkg"
+done
+
+step "benchmark harness: vet + test" harness
+# Each workload boots what it measures from this checkout — serve_* run
+# the real simjoind binary as worker, coordinator and gateway with a
+# tenants file — and verifies every answer; a non-zero status means
+# correct = false or a failed operation.
+for w in join_pairs join_highdim serve_query serve_ingest; do
+	step "smoke $w" bash benchmark/run.sh --workload "$w" --seed 1 --seconds 5 --trace 0 -smoke
+done
+
+# Every untrusted-input decoder (dataset readers, snapshot + WAL codecs),
+# the flat-layout round trip and the pair radix sort. The go tool takes
+# one -fuzz target per run.
+for target in dataset:FuzzReadCSV dataset:FuzzReadBinary store:FuzzReadSnapshot \
+	store:FuzzWALReplay vec:FuzzFlatRoundTrip pairs:FuzzSortPairs; do
+	step "fuzz 10s ${target#*:}" go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
+done
+
+if command -v govulncheck >/dev/null; then
+	# Advisory: a new stdlib advisory must be visible, not block a merge.
+	echo "==> govulncheck (advisory)"
+	govulncheck ./... || echo "govulncheck reported findings (advisory, not failing the gate)"
+else
+	transcript+=("govulncheck: skipped, not on PATH")
+fi
+
+step "checkout untouched" untouched
+
+echo
+echo "gate passed:"
+printf '  %s\n' "${transcript[@]}"
