@@ -195,8 +195,8 @@ func runExplain(inPath, withPath string, eps float64, metric, algo string, stdou
 	if ex.Plan.Sketched {
 		source = "sketch"
 	}
-	fmt.Fprintf(stdout, "eps=%g metric=%s requested=%s algorithm=%s estimated_pairs=%d selectivity=%g estimate_source=%s\n",
-		ex.Eps, ex.Metric, ex.Requested, ex.Algorithm, ex.Plan.EstimatedPairs, ex.Plan.Selectivity, source)
+	fmt.Fprintf(stdout, "eps=%g metric=%s requested=%s algorithm=%s keys=%s estimated_pairs=%d selectivity=%g estimate_source=%s\n",
+		ex.Eps, ex.Metric, ex.Requested, ex.Algorithm, ex.Keys, ex.Plan.EstimatedPairs, ex.Plan.Selectivity, source)
 	return nil
 }
 

@@ -29,6 +29,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, api.Explain{Dataset: name, Eps: ex.Eps, Metric: ex.Metric.String(), LocalExplain: &api.LocalExplain{
 		Requested: string(ex.Requested),
 		Algorithm: string(ex.Algorithm),
+		Keys:      ex.Keys,
 		Plan: api.ExplainPlan{
 			Algorithm:      string(ex.Plan.Algorithm),
 			EstimatedPairs: ex.Plan.EstimatedPairs,

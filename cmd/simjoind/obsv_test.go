@@ -100,6 +100,9 @@ func TestWorkerQueryJournal(t *testing.T) {
 	if sj.Algorithm == "" || sj.TraceID == "" || sj.ElapsedNS <= 0 {
 		t.Errorf("selfjoin record missing algorithm/trace/elapsed: %+v", sj)
 	}
+	if sj.Algorithm == "ekdb" && sj.Keys != "raw" {
+		t.Errorf("ekdb selfjoin over 2-d points journaled keys %q, want raw", sj.Keys)
+	}
 	// A collected answer journals all three phases, inside the wall time.
 	if sj.ProbeNS <= 0 || sj.CollectNS <= 0 || sj.BuildNS+sj.ProbeNS+sj.CollectNS > sj.ElapsedNS {
 		t.Errorf("selfjoin record phases build %d + probe %d + collect %d vs elapsed %d",
@@ -183,6 +186,11 @@ func TestWorkerExplainEndpoint(t *testing.T) {
 	}
 	if sk, _ := plan["sketched"].(bool); !sk {
 		t.Errorf("sketched dataset explained without sketch: %v", plan)
+	}
+
+	// The default engine is the ε-kdB tree, whose EXPLAIN names its keys.
+	if _, body := doJSON(t, http.MethodGet, ts.URL+"/datasets/a/explain?eps=0.2", nil); body["algorithm"] != "ekdb" || body["keys"] != "raw" {
+		t.Errorf("default explain = %v, want ekdb over raw keys", body)
 	}
 
 	// Validation: missing eps and bad algorithm are 400s, missing dataset 404.

@@ -64,6 +64,7 @@ func fillFromRun(rec *querylog.Record, js simjoin.JoinStats, run joinRun) {
 		return
 	}
 	rec.Algorithm = string(js.Algorithm)
+	rec.Keys = js.Keys
 	rec.DistComps = js.DistComps
 	rec.Candidates = js.Candidates
 	rec.BuildNS = int64(js.BuildTime)

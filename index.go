@@ -26,8 +26,14 @@ func NewIndex(ds *Dataset, eps float64, opt Options) (*Index, error) {
 	if !(eps > 0) {
 		return nil, fmt.Errorf("simjoin: index eps must be positive, got %g", eps)
 	}
-	cfg := core.Config{LeafThreshold: opt.LeafThreshold, BiasedSplit: opt.BiasedSplit}
-	return &Index{ds: ds, eps: eps, t: core.Build(ds.internal(), eps, cfg)}, nil
+	// The index outlives any one join and answers under every metric, so it
+	// is keyed on raw coordinates (BuildWithBox) whatever the data looks
+	// like; an empty dataset has no frame yet and no keys to choose.
+	cfg, in := core.Config{LeafThreshold: opt.LeafThreshold, BiasedSplit: opt.BiasedSplit}, ds.internal()
+	if in.Len() == 0 {
+		return &Index{ds: ds, eps: eps, t: core.Build(in, eps, cfg)}, nil
+	}
+	return &Index{ds: ds, eps: eps, t: core.BuildWithBox(in, eps, in.Bounds(), cfg)}, nil
 }
 
 // Eps returns the largest threshold the index supports.
@@ -75,14 +81,15 @@ func (x *Index) SelfJoinEach(opt Options, fn func(i, j int)) (Stats, error) {
 	iopt := opt.toInternal(&counters, &phases)
 	watch := stats.Start()
 	var n int64
-	treeRunners(x.t, iopt).each(opt.Workers, func(i, j int) {
+	r := treeRunners(x.t, iopt)
+	r.each(opt.Workers, func(i, j int) {
 		if j < i {
 			i, j = j, i
 		}
 		n++
 		fn(i, j)
 	})
-	return opt.finish(nil, indexPlan, iopt, n, watch), nil
+	return r.finish(opt, nil, indexPlan, iopt, n, watch), nil
 }
 
 // Range returns the indexes of every point within radius (≤ the index's ε)

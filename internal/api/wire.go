@@ -203,6 +203,7 @@ type ExplainPlan struct {
 type LocalExplain struct {
 	Requested string      `json:"requested"`
 	Algorithm string      `json:"algorithm"`
+	Keys      string      `json:"keys,omitempty"` // ε-kdB key kind: raw, pivot/<k>
 	Plan      ExplainPlan `json:"plan"`
 }
 

@@ -28,9 +28,8 @@ func TestSelfJoinAdversarial(t *testing.T) {
 
 func TestLeafThresholdVariants(t *testing.T) {
 	for _, leaf := range []int{1, 2, 5, 16, 1000} {
-		cfg := Config{LeafThreshold: leaf}
 		fn := func(ds *dataset.Dataset, opt join.Options, sink pairs.Sink) {
-			tr := Build(ds, opt.Eps, cfg)
+			tr := Build(ds, opt.Eps, Config{LeafThreshold: leaf, Metric: opt.Metric})
 			tr.SelfJoin(opt, sink)
 		}
 		jointest.CheckSelf(t, fn, 12, 810+int64(leaf))
@@ -40,6 +39,8 @@ func TestLeafThresholdVariants(t *testing.T) {
 func TestBiasedSplitOracle(t *testing.T) {
 	cfg := Config{BiasedSplit: true, LeafThreshold: 8}
 	fn := func(ds *dataset.Dataset, opt join.Options, sink pairs.Sink) {
+		cfg := cfg
+		cfg.Metric = opt.Metric
 		tr := Build(ds, opt.Eps, cfg)
 		tr.SelfJoin(opt, sink)
 	}
@@ -111,7 +112,8 @@ func TestJoinEpsAboveBuildPanics(t *testing.T) {
 func TestMultiEpsQueries(t *testing.T) {
 	ds := synth.Generate(synth.Config{N: 2000, Dims: 6, Seed: 20, Dist: synth.GaussianClusters})
 	const buildEps = 0.2
-	tr := Build(ds, buildEps, Config{LeafThreshold: 16})
+	// Keys under L∞ bound every metric, so this one tree may serve all three.
+	tr := Build(ds, buildEps, Config{LeafThreshold: 16, Metric: vec.Linf})
 	for _, qeps := range []float64{0.01, 0.05, 0.1, 0.2} {
 		for _, m := range []vec.Metric{vec.L2, vec.L1, vec.Linf} {
 			opt := join.Options{Metric: m, Eps: qeps}

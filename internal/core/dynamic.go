@@ -25,6 +25,20 @@ func (t *Tree) Insert(i int) {
 	if i < 0 || i >= t.ds.Len() {
 		panic(fmt.Sprintf("core: Insert of index %d outside dataset of %d points", i, t.ds.Len()))
 	}
+	if t.piv != nil {
+		// Key the new point; rows of points never inserted stay zero and
+		// unread. A point beyond every earlier key widens the windows (the
+		// stripe grid keeps its width: such points all clamp into the edge
+		// stripe).
+		k := t.piv.k
+		if need := (i + 1) * k; need > len(t.pkeys) {
+			t.pkeys = append(t.pkeys, make([]float64, need-len(t.pkeys))...)
+		}
+		if m := t.piv.row(t.pkeys[i*k:(i+1)*k], t.ds.Point(i)); m > t.piv.maxKey {
+			t.piv.maxKey = m
+			t.piv.slack = keySlack(t.piv.dims, m, t.eps)
+		}
+	}
 	t.root = t.insert(t.root, int32(i), 0)
 }
 
@@ -33,16 +47,17 @@ func (t *Tree) insert(n *node, i int32, depth int) *node {
 		return t.build([]int32{i}, depth)
 	}
 	if n.leaf() {
-		// Keep the leaf sorted on the sweep dimension.
-		data, dims := t.ds.Flat(), t.ds.Dims()
-		v := data[int(i)*dims+t.sweepDim]
+		// Keep the leaf sorted on the sweep key.
+		keys := t.keyTable()
+		ks, stride := keys.Data[t.sweepKey:], keys.Stride
+		v := ks[int(i)*stride]
 		at := sort.Search(len(n.pts), func(k int) bool {
-			return data[int(n.pts[k])*dims+t.sweepDim] > v
+			return ks[int(n.pts[k])*stride] > v
 		})
 		n.pts = append(n.pts, 0)
 		copy(n.pts[at+1:], n.pts[at:])
 		n.pts[at] = i
-		if len(n.pts) > t.leafThreshold && depth < t.ds.Dims() {
+		if len(n.pts) > t.leafThreshold && depth < len(t.order) {
 			// Re-stripe the overflowing leaf; build re-counts it.
 			t.nodes--
 			t.leaves--
@@ -50,10 +65,15 @@ func (t *Tree) insert(n *node, i int32, depth int) *node {
 		}
 		return n
 	}
-	dim := t.order[depth]
-	s := t.stripeOf(t.ds.Point(int(i))[dim], dim)
+	s := t.stripeAt(i, depth)
 	n.children[s] = t.insert(n.children[s], i, depth+1)
 	return n
+}
+
+// stripeAt returns the stripe indexed point i falls in at level depth.
+func (t *Tree) stripeAt(i int32, depth int) int {
+	keys, dim := t.keyTable(), t.order[depth]
+	return t.stripeOf(keys.Data[int(i)*keys.Stride+dim], dim)
 }
 
 // Delete removes point index i from the tree, returning whether it was
@@ -89,8 +109,7 @@ func (t *Tree) remove(n *node, i int32, depth int) (*node, bool) {
 		}
 		return n, false
 	}
-	dim := t.order[depth]
-	s := t.stripeOf(t.ds.Point(int(i))[dim], dim)
+	s := t.stripeAt(i, depth)
 	child := n.children[s]
 	if child == nil {
 		return n, false
@@ -116,6 +135,7 @@ func (t *Tree) remove(n *node, i int32, depth int) (*node, bool) {
 // RangeQuery visits every indexed point within radius of q under the given
 // metric. The radius must not exceed the ε the tree was built for: the
 // stripe grid only guarantees that closer points sit in adjacent stripes.
+// A pivot-keyed tree answers only under metrics its keys bound.
 func (t *Tree) RangeQuery(q []float64, metric vec.Metric, radius float64, counters *stats.Counters, visit func(i int)) {
 	if len(q) != t.ds.Dims() {
 		panic(fmt.Sprintf("core: query of dimension %d against %d-dim tree", len(q), t.ds.Dims()))
@@ -123,25 +143,35 @@ func (t *Tree) RangeQuery(q []float64, metric vec.Metric, radius float64, counte
 	if !(radius > 0) || radius > t.eps {
 		panic(fmt.Sprintf("core: query radius %g outside (0, %g]; the stripe grid is built for ε=%g", radius, t.eps, t.eps))
 	}
+	t.serves(metric)
 	if t.root == nil {
 		return
 	}
 	th := vec.Threshold(metric, radius)
 	f := t.ds.FlatView()
-	data, dims := f.Data, f.Dims
+	// qk is the query in key space. A key of q that a match needs is at
+	// most maxKey+radius, inside what the slack covers; beyond that the
+	// window is empty whatever q's own rounding.
+	qk := q
+	if t.piv != nil {
+		qk = make([]float64, t.piv.k)
+		t.piv.row(qk, q)
+	}
+	keys, win := t.keyTable(), radius+t.slack()
+	ks, stride := keys.Data[t.sweepKey:], keys.Stride
 	emit := func(yi int32) { visit(int(yi)) }
 	var visits, comps int64
 	var rec func(n *node, depth int)
 	rec = func(n *node, depth int) {
 		visits++
 		if n.leaf() {
-			v := q[t.sweepDim]
+			v := qk[t.sweepKey]
 			// The leaf is sweep-sorted: only the window [v−r, v+r] can hit.
 			lo := sort.Search(len(n.pts), func(k int) bool {
-				return data[int(n.pts[k])*dims+t.sweepDim] >= v-radius
+				return ks[int(n.pts[k])*stride] >= v-win
 			})
 			hi := lo
-			for hi < len(n.pts) && data[int(n.pts[hi])*dims+t.sweepDim] <= v+radius {
+			for hi < len(n.pts) && ks[int(n.pts[hi])*stride] <= v+win {
 				hi++
 			}
 			c, _ := vec.ProbeQueryFlat(metric, q, f, n.pts[lo:hi], th, emit)
@@ -149,7 +179,7 @@ func (t *Tree) RangeQuery(q []float64, metric vec.Metric, radius float64, counte
 			return
 		}
 		dim := t.order[depth]
-		s := t.stripeOf(q[dim], dim)
+		s := t.stripeOf(qk[dim], dim)
 		for _, cs := range [3]int{s - 1, s, s + 1} {
 			if cs < 0 || cs >= len(n.children) || n.children[cs] == nil {
 				continue

@@ -88,7 +88,7 @@ func TestInsertPanics(t *testing.T) {
 func TestRangeQueryMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds := synth.Generate(synth.Config{N: 1500, Dims: 5, Seed: 3, Dist: synth.GaussianClusters})
-	tr := Build(ds, 0.2, Config{LeafThreshold: 16})
+	tr := Build(ds, 0.2, Config{LeafThreshold: 16, Metric: vec.Linf}) // L∞ keys bound all three
 	for trial := 0; trial < 60; trial++ {
 		q := make([]float64, 5)
 		for k := range q {

@@ -22,7 +22,8 @@ type ExternalConfig struct {
 	// join so tiny ε values do not explode the file count (0 selects 512).
 	// Partition width never drops below ε, preserving adjacency.
 	MaxPartitions int
-	// Tree configures the in-memory ε-kdB trees used inside partitions.
+	// Tree configures the in-memory ε-kdB trees used inside partitions,
+	// which are always keyed on raw coordinates (BuildWithBox).
 	Tree Config
 }
 
@@ -107,7 +108,7 @@ func ExternalSelfJoin(ds *dataset.Dataset, opt join.Options, cfg ExternalConfig,
 		}
 		// Self-join within the partition.
 		if cur.Len() > 1 {
-			t := Build(cur, opt.Eps, cfg.Tree)
+			t := BuildWithBox(cur, opt.Eps, cur.Bounds(), cfg.Tree)
 			t.SelfJoin(opt, mapSink{sink: sink, ga: gcur, gb: gcur})
 		}
 		// Cross-join with the next partition (stripe adjacency on dim 0).
@@ -239,7 +240,7 @@ func ExternalBlockNestedLoopSelfJoin(ds *dataset.Dataset, opt join.Options, cfg 
 		}
 		a, ga := loadPages(pool, file, dims, ps, pe)
 		if a.Len() > 1 {
-			t := Build(a, opt.Eps, cfg.Tree)
+			t := BuildWithBox(a, opt.Eps, a.Bounds(), cfg.Tree)
 			t.SelfJoin(opt, mapSink{sink: sink, ga: ga, gb: ga})
 		}
 		for qs := pe; qs < total; qs += blockPages {

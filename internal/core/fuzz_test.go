@@ -19,19 +19,27 @@ import (
 // mismatch.
 func FuzzSelfJoinOracle(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{255, 254, 253, 252, 1, 1, 1, 1, 128, 64, 32, 16})
+	f.Add([]byte{11, 3, 2, 0, 20, 1, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 200, 100, 50, 25, 12, 6, 3,
+		1, 0, 255, 254, 253, 252, 251, 250, 249, 248, 247, 246, 245, 244, 243, 242, 241, 240, 17, 34, 51, 68, 85, 102})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if len(in) < 8 {
+		if len(in) < 9 {
 			return
 		}
-		dims := 1 + int(in[0]%6)
+		dims := 1 + int(in[0]%12)
 		leaf := 1 + int(in[1]%16)
 		metric := vec.Metric(in[2] % 3)
 		biased := in[3]%2 == 1
 		// ε in (0, ~1.3]: derived from a byte so the fuzzer controls it.
 		eps := float64(in[4]%64+1) / 50
-		payload := in[5:]
+		// Odd: force pivot keys, which at these sizes the build's own
+		// choice rarely takes; even: let it choose.
+		keys := keysAuto
+		if in[5]%2 == 1 {
+			keys = keysPivot
+		}
+		payload := in[6:]
 
 		// Decode two bytes per coordinate into [0, 1] with many exact
 		// duplicates (low-entropy bytes collide), which is exactly the
@@ -57,7 +65,7 @@ func FuzzSelfJoinOracle(f *testing.F) {
 		want := &pairs.Collector{Canonical: true}
 		brute.SelfJoin(ds, opt, want)
 
-		tr := Build(ds, eps, Config{LeafThreshold: leaf, BiasedSplit: biased})
+		tr := Build(ds, eps, Config{LeafThreshold: leaf, BiasedSplit: biased, Metric: metric, keys: keys})
 		if err := tr.checkInvariants(); err != nil {
 			t.Fatal(err)
 		}
@@ -65,11 +73,11 @@ func FuzzSelfJoinOracle(f *testing.F) {
 		tr.SelfJoin(opt, got)
 		g := pairs.Dedup(got.Sorted())
 		if len(g) != len(got.Pairs) {
-			t.Fatalf("duplicate pairs emitted (dims=%d leaf=%d eps=%g)", dims, leaf, eps)
+			t.Fatalf("duplicate pairs emitted (dims=%d leaf=%d eps=%g keys=%s)", dims, leaf, eps, tr.Keys())
 		}
 		if !pairs.Equal(g, want.Sorted()) {
-			t.Fatalf("oracle mismatch (dims=%d leaf=%d eps=%g metric=%v): %s",
-				dims, leaf, eps, metric, pairs.Diff(g, want.Pairs))
+			t.Fatalf("oracle mismatch (dims=%d leaf=%d eps=%g metric=%v keys=%s): %s",
+				dims, leaf, eps, metric, tr.Keys(), pairs.Diff(g, want.Pairs))
 		}
 
 		// The range query must agree with a scan for a random-ish query
@@ -78,7 +86,7 @@ func FuzzSelfJoinOracle(f *testing.F) {
 		for k := range q {
 			q[k] = float64(payload[k%len(payload)]) / 255
 		}
-		radius := eps * (0.25 + float64(in[5]%4)/4) // within (0, eps]
+		radius := eps * (0.25 + float64(in[6]%4)/4) // within (0, eps]
 		if radius > eps {
 			radius = eps
 		}

@@ -20,55 +20,32 @@ func SelfJoin(ds *dataset.Dataset, opt join.Options, sink pairs.Sink) {
 		return
 	}
 	start := time.Now()
-	t := Build(ds, opt.Eps, Config{})
+	t := Build(ds, opt.Eps, Config{Metric: opt.Metric})
 	opt.Timing().AddBuild(time.Since(start))
 	t.SelfJoin(opt, sink)
 }
 
-// Join builds two frame-aligned ε-kdB trees (over the joint bounding box)
-// and reports every (a-index, b-index) pair within opt.Eps.
+// Join builds two frame-aligned ε-kdB trees (BuildPair) and reports every
+// (a-index, b-index) pair within opt.Eps.
 func Join(a, b *dataset.Dataset, opt join.Options, sink pairs.Sink) {
 	opt.MustValidate()
 	if a.Len() == 0 || b.Len() == 0 {
 		return
 	}
 	start := time.Now()
-	box := a.Bounds()
-	box.ExtendBox(b.Bounds())
-	ta := BuildWithBox(a, opt.Eps, box, Config{})
-	tb := BuildWithBox(b, opt.Eps, box, Config{})
+	ta, tb := BuildPair(a, b, opt.Eps, Config{Metric: opt.Metric})
 	opt.Timing().AddBuild(time.Since(start))
 	JoinTrees(ta, tb, opt, sink)
-}
-
-// JoinParallel is Join with the root's stripe work spread across
-// opt.WorkerCount() goroutines: both trees are built with BuildWithBox
-// over the joint bounding box (so they share a frame) and handed to
-// JoinTreesParallel. newSink supplies one private sink per worker.
-func JoinParallel(a, b *dataset.Dataset, opt join.Options, newSink func() pairs.Sink) {
-	opt.MustValidate()
-	if a.Len() == 0 || b.Len() == 0 {
-		return
-	}
-	start := time.Now()
-	box := a.Bounds()
-	box.ExtendBox(b.Bounds())
-	ta := BuildWithBox(a, opt.Eps, box, Config{})
-	tb := BuildWithBox(b, opt.Eps, box, Config{})
-	opt.Timing().AddBuild(time.Since(start))
-	JoinTreesParallel(ta, tb, opt, newSink)
 }
 
 // SelfJoin runs the similarity self-join on a built tree. opt.Eps must not
 // exceed the ε the tree was built for: stripes of width build-ε confine
 // candidates for any smaller threshold too, so one tree built at the
 // largest ε of interest serves every tighter query. A larger opt.Eps would
-// silently lose pairs, so it panics.
+// silently lose pairs, so it panics — as does a metric the tree's pivot
+// keys do not bound.
 func (t *Tree) SelfJoin(opt join.Options, sink pairs.Sink) {
-	opt.MustValidate()
-	if opt.Eps > t.eps {
-		panic(fmt.Sprintf("core: join eps %g exceeds build eps %g (stripe adjacency would lose pairs)", opt.Eps, t.eps))
-	}
+	t.admit(opt)
 	if t.root == nil {
 		return
 	}
@@ -80,25 +57,37 @@ func (t *Tree) SelfJoin(opt join.Options, sink pairs.Sink) {
 }
 
 // JoinTrees runs the two-set join over trees that share a frame (same ε,
-// same box, same split order — build both with BuildWithBox over the joint
-// bounding box). Pairs are emitted as (ta-index, tb-index).
+// same keys, same box, same split order — build both with BuildPair, or
+// with BuildWithBox over the joint bounding box). Pairs are emitted as
+// (ta-index, tb-index).
 func JoinTrees(ta, tb *Tree, opt join.Options, sink pairs.Sink) {
-	opt.MustValidate()
-	if opt.Eps > ta.eps {
-		panic(fmt.Sprintf("core: join eps %g exceeds build eps %g (stripe adjacency would lose pairs)", opt.Eps, ta.eps))
-	}
-	if !ta.sameFrame(tb) {
-		panic("core: joining trees with different frames (eps/box/order); build both with BuildWithBox over the joint bounding box")
-	}
+	ta.admitPair(tb, opt)
 	if ta.root == nil || tb.root == nil {
 		return
 	}
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	j := ta.newJoiner(opt, sink)
-	j.fb = tb.ds.FlatView()
+	j := ta.newPairJoiner(tb, opt, sink)
 	j.crossNodes(ta.root, tb.root, 0, false)
 	j.flush(opt)
+}
+
+// admit panics on a join the tree cannot answer exactly: invalid options,
+// a threshold above the build ε, or a metric its keys do not bound.
+func (t *Tree) admit(opt join.Options) {
+	opt.MustValidate()
+	if opt.Eps > t.eps {
+		panic(fmt.Sprintf("core: join eps %g exceeds build eps %g (stripe adjacency would lose pairs)", opt.Eps, t.eps))
+	}
+	t.serves(opt.Metric)
+}
+
+// admitPair is admit for a two-set join, which also needs one frame.
+func (t *Tree) admitPair(o *Tree, opt join.Options) {
+	t.admit(opt)
+	if !t.sameFrame(o) {
+		panic("core: joining trees with different frames (eps/keys/box/order); build both with BuildPair, or with BuildWithBox over the joint bounding box")
+	}
 }
 
 // joiner carries the state of one join run. Side A always refers to the
@@ -107,13 +96,14 @@ func JoinTrees(ta, tb *Tree, opt join.Options, sink pairs.Sink) {
 // while holding a flat A point list.
 type joiner struct {
 	fa, fb   vec.Flat // kernel views of the A and B datasets
+	ka, kb   vec.Keys // their key tables: what stripes and windows read
 	metric   vec.Metric
-	eps      float64 // stripe width: the ε the tree was built with
-	qeps     float64 // query threshold: ≤ eps; drives windows and tests
-	th       float64
-	sweepDim int
+	width    float64 // stripe width the trees were built with
+	win      float64 // sweep window: the query ε (≤ build ε) plus the keys' slack
+	th       float64 // kernel threshold for the query ε, never widened
+	sweepKey int
 	order    []int
-	frameLo  []float64 // stripe-grid origin per dimension (shared frame)
+	frameLo  []float64 // stripe-grid origin per key (shared frame)
 	sink     pairs.Sink
 
 	// emitFwd/emitRev adapt the sink to the kernels' int32 callbacks, built
@@ -214,12 +204,12 @@ func (j *joiner) ptsVsNode(pts []int32, n *node, depth int, flip bool) {
 		j.crossSweep(pts, n.pts, flip)
 		return
 	}
-	ptsF := j.fa
+	keys := j.ka
 	if flip {
-		ptsF = j.fb
+		keys = j.kb
 	}
-	data, dims := ptsF.Data, ptsF.Dims
 	dim := j.order[depth]
+	ks, stride := keys.Data[dim:], keys.Stride
 	s := len(n.children)
 	// Stable counting-sort bucketing into the depth's scratch buffer:
 	// bucket order preserves the sweep-dimension sort the leaf sweeps rely
@@ -228,14 +218,14 @@ func (j *joiner) ptsVsNode(pts []int32, n *node, depth int, flip bool) {
 	buf, counts, cur := scratch[:len(pts)], scratch[len(pts):len(pts)+s+1], scratch[len(pts)+s+1:]
 	clear(counts)
 	for _, i := range pts {
-		counts[j.stripeOfDim(data[int(i)*dims+dim], dim, s)+1]++
+		counts[j.stripeOfDim(ks[int(i)*stride], dim, s)+1]++
 	}
 	for st := 0; st < s; st++ {
 		counts[st+1] += counts[st]
 	}
 	copy(cur, counts[:s])
 	for _, i := range pts {
-		st := j.stripeOfDim(data[int(i)*dims+dim], dim, s)
+		st := j.stripeOfDim(ks[int(i)*stride], dim, s)
 		buf[cur[st]] = i
 		cur[st]++
 	}
@@ -258,7 +248,7 @@ func (j *joiner) ptsVsNode(pts []int32, n *node, depth int, flip bool) {
 // stripeOfDim mirrors Tree.stripeOf using the joiner's frame (both trees
 // share it).
 func (j *joiner) stripeOfDim(v float64, dim, stripes int) int {
-	s := int((v - j.boxLo(dim)) / j.eps)
+	s := int((v - j.frameLo[dim]) / j.width)
 	if s < 0 {
 		s = 0
 	}
@@ -268,25 +258,23 @@ func (j *joiner) stripeOfDim(v float64, dim, stripes int) int {
 	return s
 }
 
-func (j *joiner) boxLo(dim int) float64 { return j.frameLo[dim] }
-
 // leafSelf reports in-range pairs inside one sweep-sorted leaf: for each
-// point, only the followers within the ε sweep window are tested. The whole
+// point, only the followers within the sweep window are tested. The whole
 // sweep runs inside one metric-specialized flat kernel.
 func (j *joiner) leafSelf(pts []int32) {
-	cand, res := vec.SelfSweepFlat(j.metric, j.fa, pts, j.sweepDim, j.qeps, j.th, j.emitFwd)
+	cand, res := vec.SelfSweepKeyed(j.metric, j.fa, j.ka, pts, j.sweepKey, j.win, j.th, j.emitFwd)
 	j.cand += cand
 	j.res += res
 }
 
 // crossSweep merges two sweep-sorted lists, testing only pairs whose sweep
-// coordinates differ by at most ε. flip reports that x is from the B side.
+// keys differ by at most the window. flip reports that x is from the B side.
 func (j *joiner) crossSweep(x, y []int32, flip bool) {
-	fx, fy, emit := j.fa, j.fb, j.emitFwd
+	fx, fy, kx, ky, emit := j.fa, j.fb, j.ka, j.kb, j.emitFwd
 	if flip {
-		fx, fy, emit = j.fb, j.fa, j.emitRev
+		fx, fy, kx, ky, emit = j.fb, j.fa, j.kb, j.ka, j.emitRev
 	}
-	cand, res := vec.CrossSweepFlat(j.metric, fx, fy, x, y, j.sweepDim, j.qeps, j.th, emit)
+	cand, res := vec.CrossSweepKeyed(j.metric, fx, fy, kx, ky, x, y, j.sweepKey, j.win, j.th, emit)
 	j.cand += cand
 	j.res += res
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -8,152 +9,201 @@ import (
 	"simjoin/internal/pairs"
 )
 
-// SelfJoinParallel runs the self-join with the root's stripe work spread
-// across opt.WorkerCount() goroutines. newSink is called once per worker to
-// obtain that worker's private result sink (pairs.Sharded handles, or a
-// shared concurrency-safe pairs.Counter). The stripe decomposition is
-// naturally parallel: each root stripe owns its self-join plus its join
-// with the next stripe, so no pair is produced twice.
+// tasksPerWorker is how finely the parallel joins cut their work (see
+// cutTasks), so that handing the tasks out largest first evens the workers
+// out even when one stripe holds most of the points: a pivot-keyed level
+// peels off one cluster and leaves the rest in a single stripe.
+const tasksPerWorker = 4
+
+// task is one independent piece of a join: the self-join of subtree a
+// (b == nil) or the cross-join of two same-depth subtrees. Tasks cut from
+// one join partition its pairs, so no pair is produced twice.
+type task struct {
+	a, b   *node
+	depth  int
+	weight int64 // pairs the task spans, before any filtering
+}
+
+func selfTask(n *node, depth int) task {
+	c := int64(n.count())
+	return task{a: n, depth: depth, weight: c * (c - 1) / 2}
+}
+
+func crossTask(a, b *node, depth int) task {
+	return task{a: a, b: b, depth: depth, weight: int64(a.count()) * int64(b.count())}
+}
+
+// count returns the number of points under n.
+func (n *node) count() int {
+	c := len(n.pts)
+	for _, ch := range n.children {
+		if ch != nil {
+			c += ch.count()
+		}
+	}
+	return c
+}
+
+// splittable reports whether split can cut the task into smaller ones: a
+// leaf on either side is joined whole.
+func (tk task) splittable() bool {
+	return !tk.a.leaf() && (tk.b == nil || !tk.b.leaf())
+}
+
+// split appends the task's sub-tasks — the same enumeration selfNode and
+// crossNodes perform one level down — to out.
+func (tk task) split(out []task) []task {
+	d := tk.depth + 1
+	ac := tk.a.children
+	if tk.b == nil {
+		for s, c := range ac {
+			if c == nil {
+				continue
+			}
+			out = append(out, selfTask(c, d))
+			if s+1 < len(ac) && ac[s+1] != nil {
+				out = append(out, crossTask(c, ac[s+1], d))
+			}
+		}
+		return out
+	}
+	bc := tk.b.children
+	for s := range ac {
+		if bc[s] != nil {
+			if ac[s] != nil {
+				out = append(out, crossTask(ac[s], bc[s], d))
+			}
+			if s+1 < len(ac) && ac[s+1] != nil {
+				out = append(out, crossTask(ac[s+1], bc[s], d))
+			}
+		}
+		if ac[s] != nil && s+1 < len(bc) && bc[s+1] != nil {
+			out = append(out, crossTask(ac[s], bc[s+1], d))
+		}
+	}
+	return out
+}
+
+// cutTasks splits root — always its heaviest splittable piece next — until
+// there are tasksPerWorker tasks per worker and none of them spans more
+// than a worker's 1/tasksPerWorker share of root's pairs, or only whole
+// leaves remain. It returns the tasks heaviest first.
+func cutTasks(root task, workers int) []task {
+	want := tasksPerWorker * workers
+	limit := root.weight / int64(want)
+	tasks := []task{root}
+	for {
+		heaviest := -1
+		for i, tk := range tasks {
+			if tk.splittable() && (heaviest < 0 || tk.weight > tasks[heaviest].weight) {
+				heaviest = i
+			}
+		}
+		if heaviest < 0 || (len(tasks) >= want && tasks[heaviest].weight <= limit) {
+			break
+		}
+		tk := tasks[heaviest]
+		tasks = tk.split(slices.Delete(tasks, heaviest, heaviest+1))
+	}
+	slices.SortStableFunc(tasks, func(x, y task) int {
+		switch {
+		case x.weight > y.weight:
+			return -1
+		case x.weight < y.weight:
+			return 1
+		}
+		return 0
+	})
+	return tasks
+}
+
+// run joins one task.
+func (j *joiner) run(tk task) {
+	if tk.b == nil {
+		j.selfNode(tk.a, tk.depth)
+	} else {
+		j.crossNodes(tk.a, tk.b, tk.depth, false)
+	}
+}
+
+// runTasks spreads tasks (heaviest first) over at most workers goroutines,
+// each with its own joiner from newJoiner.
+func runTasks(tasks []task, workers int, opt join.Options, newJoiner func() *joiner) {
+	if workers > len(tasks) {
+		workers = len(tasks)
+	}
+	work := make(chan task, len(tasks))
+	for _, tk := range tasks {
+		work <- tk
+	}
+	close(work)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j := newJoiner()
+			for tk := range work {
+				j.run(tk)
+			}
+			j.flush(opt)
+		}()
+	}
+	wg.Wait()
+}
+
+// SelfJoinParallel runs the self-join spread across opt.WorkerCount()
+// goroutines. newSink is called once per worker to obtain that worker's
+// private result sink (pairs.Sharded handles, or a shared concurrency-safe
+// pairs.Counter). The stripe decomposition is naturally parallel: each
+// stripe owns its self-join plus its join with the next stripe, so no pair
+// is produced twice, at the root or below it (cutTasks).
 //
 // When the root is a leaf (tiny input or a one-stripe frame) the join runs
-// serially on a single worker sink.
+// on a single worker sink.
 func (t *Tree) SelfJoinParallel(opt join.Options, newSink func() pairs.Sink) {
-	opt.MustValidate()
-	if opt.Eps > t.eps {
-		panic("core: join eps exceeds build eps (stripe adjacency would lose pairs)")
-	}
+	t.admit(opt)
 	if t.root == nil {
 		return
 	}
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	if t.root.leaf() {
-		j := t.newJoiner(opt, newSink())
-		j.selfNode(t.root, 0)
-		j.flush(opt)
-		return
-	}
-	type task struct {
-		a, b *node // b == nil means self-join of a
-	}
-	children := t.root.children
-	tasks := make([]task, 0, 2*len(children))
-	for s, c := range children {
-		if c == nil {
-			continue
-		}
-		tasks = append(tasks, task{a: c})
-		if s+1 < len(children) && children[s+1] != nil {
-			tasks = append(tasks, task{a: c, b: children[s+1]})
-		}
-	}
 	workers := opt.WorkerCount()
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	work := make(chan task, len(tasks))
-	for _, tk := range tasks {
-		work <- tk
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			j := t.newJoiner(opt, newSink())
-			for tk := range work {
-				if tk.b == nil {
-					j.selfNode(tk.a, 1)
-				} else {
-					j.crossNodes(tk.a, tk.b, 1, false)
-				}
-			}
-			j.flush(opt)
-		}()
-	}
-	wg.Wait()
+	runTasks(cutTasks(selfTask(t.root, 0), workers), workers, opt, func() *joiner {
+		return t.newJoiner(opt, newSink())
+	})
 }
 
-// JoinTreesParallel is JoinTrees with the root's stripe pairs spread
-// across opt.WorkerCount() goroutines; newSink supplies one private sink
-// per worker. Frame rules are as for JoinTrees. When either root is a leaf
-// the join runs serially (there is no stripe decomposition to parallelize).
+// JoinTreesParallel is JoinTrees spread across opt.WorkerCount()
+// goroutines; newSink supplies one private sink per worker. Frame rules are
+// as for JoinTrees. When either root is a leaf the join runs on a single
+// worker sink (there is no stripe decomposition to parallelize).
 func JoinTreesParallel(ta, tb *Tree, opt join.Options, newSink func() pairs.Sink) {
-	opt.MustValidate()
-	if opt.Eps > ta.eps {
-		panic("core: join eps exceeds build eps (stripe adjacency would lose pairs)")
-	}
-	if !ta.sameFrame(tb) {
-		panic("core: joining trees with different frames; build both with BuildWithBox over the joint bounding box")
-	}
+	ta.admitPair(tb, opt)
 	if ta.root == nil || tb.root == nil {
 		return
 	}
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	newCrossJoiner := func(sink pairs.Sink) *joiner {
-		j := ta.newJoiner(opt, sink)
-		j.fb = tb.ds.FlatView()
-		return j
-	}
-	if ta.root.leaf() || tb.root.leaf() {
-		j := newCrossJoiner(newSink())
-		j.crossNodes(ta.root, tb.root, 0, false)
-		j.flush(opt)
-		return
-	}
-	// Each task is one adjacent stripe pair of the two roots — the same
-	// enumeration crossNodes performs, flattened into a work queue.
-	type task struct{ a, b *node }
-	ac, bc := ta.root.children, tb.root.children
-	tasks := make([]task, 0, 3*len(ac))
-	for s := range ac {
-		if bc[s] != nil {
-			if ac[s] != nil {
-				tasks = append(tasks, task{a: ac[s], b: bc[s]})
-			}
-			if s+1 < len(ac) && ac[s+1] != nil {
-				tasks = append(tasks, task{a: ac[s+1], b: bc[s]})
-			}
-		}
-		if ac[s] != nil && s+1 < len(bc) && bc[s+1] != nil {
-			tasks = append(tasks, task{a: ac[s], b: bc[s+1]})
-		}
-	}
-	if len(tasks) == 0 {
-		return
-	}
 	workers := opt.WorkerCount()
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	work := make(chan task, len(tasks))
-	for _, tk := range tasks {
-		work <- tk
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			j := newCrossJoiner(newSink())
-			for tk := range work {
-				j.crossNodes(tk.a, tk.b, 1, false)
-			}
-			j.flush(opt)
-		}()
-	}
-	wg.Wait()
+	runTasks(cutTasks(crossTask(ta.root, tb.root, 0), workers), workers, opt, func() *joiner {
+		return ta.newPairJoiner(tb, opt, newSink())
+	})
 }
 
+// newJoiner returns the state of one self-join run over t into sink.
 func (t *Tree) newJoiner(opt join.Options, sink pairs.Sink) *joiner {
-	f := t.ds.FlatView()
+	return t.newPairJoiner(t, opt, sink)
+}
+
+// newPairJoiner returns the state of one join run of t (side A) against o
+// (side B, sharing t's frame) into sink.
+func (t *Tree) newPairJoiner(o *Tree, opt join.Options, sink pairs.Sink) *joiner {
 	j := &joiner{
-		fa: f, fb: f,
-		metric: opt.Metric, eps: t.eps, qeps: opt.Eps, th: opt.Threshold(),
-		sweepDim: t.sweepDim, order: t.order, frameLo: t.box.Lo,
+		fa: t.ds.FlatView(), fb: o.ds.FlatView(),
+		ka: t.keyTable(), kb: o.keyTable(),
+		metric: opt.Metric, width: t.width, win: opt.Eps + t.slack(), th: opt.Threshold(),
+		sweepKey: t.sweepKey, order: t.order, frameLo: t.box.Lo,
 		sink: sink,
 	}
 	j.emitFwd = func(x, y int32) { j.sink.Emit(int(x), int(y)) }

@@ -24,6 +24,7 @@ func quickCase(seed int64) (cfg synth.Config, tree Config, eps float64, metric v
 	tree = Config{LeafThreshold: 1 + rng.Intn(32), BiasedSplit: rng.Intn(2) == 1}
 	eps = 0.01 + rng.Float64()*0.5
 	metric = vec.Metric(rng.Intn(3))
+	tree.Metric = metric
 	return
 }
 

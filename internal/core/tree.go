@@ -10,6 +10,12 @@
 // pairing each stripe only with itself and its immediate neighbors; at the
 // leaves, point lists kept sorted on a designated sweep dimension are merged
 // with an ε-window sweep before the final early-exit distance test.
+//
+// A "dimension" here is a column of the tree's key table. That table is the
+// dataset's own coordinates — the paper's tree — or, when a one-shot build
+// finds raw coordinates no longer filter, distances to data-chosen pivots
+// (keys.go). Only stripes, sorts and windows read keys; the distance test
+// always runs on the original vectors.
 package core
 
 import (
@@ -37,17 +43,32 @@ type Config struct {
 	// This is the biased-splitting optimization the ablation (F4/T2)
 	// examines.
 	BiasedSplit bool
+	// Metric is the metric the tree's joins and queries will run under
+	// (default vec.L2). Only the one-shot builds, Build and BuildPair, read
+	// it, and only to compute pivot keys: a tree that took them answers
+	// under Metric and every metric it bounds (L∞ ≤ L2 ≤ L1) and refuses
+	// the others. BuildWithBox trees answer under any metric.
+	Metric vec.Metric
+
+	keys keyMode // forces the key kind; tests only
 }
 
 // Tree is an ε-kdB tree over one dataset, valid only for the ε it was built
 // with.
 type Tree struct {
-	ds            *dataset.Dataset
-	eps           float64
-	box           vec.Box // stripe-grid frame (shared across trees for joins)
-	order         []int   // dimension split order; order[depth] splits level depth
-	stripes       []int   // stripe count per dimension (indexed by dimension)
-	sweepDim      int     // the dimension every leaf list is sorted on
+	ds  *dataset.Dataset
+	eps float64
+	// piv and pkeys are the pivot-key table (Len() × piv.k); both nil when
+	// the keys are the dataset's own coordinates.
+	piv   *pivotSet
+	pkeys []float64
+	// width is the stripe width: ε, plus the pivot keys' rounding slack as
+	// of the build.
+	width         float64
+	box           vec.Box // stripe-grid frame in key space (shared across trees for joins)
+	order         []int   // key split order; order[depth] splits level depth
+	stripes       []int   // stripe count per key (indexed by key)
+	sweepKey      int     // the key every leaf list is sorted on
 	leafThreshold int
 	root          *node
 	scratch       []int32 // per-level stripe cache, reused across the build
@@ -70,38 +91,108 @@ type node struct {
 
 func (n *node) leaf() bool { return n.children == nil }
 
-// Build constructs an ε-kdB tree over ds for threshold eps. An empty
-// dataset yields an empty (still joinable) tree.
+// Build constructs an ε-kdB tree over ds for threshold eps, for joins
+// under cfg.Metric. It is the one-shot build: it looks at a sample of ds
+// and keys the tree on distances to pivots when those filter at least
+// twice as well as raw coordinates (choosePivots), on the coordinates
+// themselves otherwise. An empty dataset yields an empty (still joinable)
+// tree.
 func Build(ds *dataset.Dataset, eps float64, cfg Config) *Tree {
-	if ds.Len() == 0 {
-		return newTree(ds, eps, vec.NewEmptyBox(ds.Dims()), cfg)
-	}
-	return BuildWithBox(ds, eps, ds.Bounds(), cfg)
+	return buildShared(eps, cfg, ds)[0]
 }
 
-// BuildWithBox is Build with an explicit stripe-grid frame. Two trees can
-// be joined only if built with the same eps and the same box (JoinTrees
-// verifies this); pass the joint bounding box of both datasets.
-func BuildWithBox(ds *dataset.Dataset, eps float64, box vec.Box, cfg Config) *Tree {
-	if !(eps > 0) {
-		panic(fmt.Sprintf("core: eps must be positive, got %g", eps))
+// BuildPair is Build for the two trees of a two-set join: the key kind is
+// chosen over a ∪ b, pivots are drawn from both, and the trees share the
+// pivots and the frame (the joint bounding box in key space), so JoinTrees
+// accepts them.
+func BuildPair(a, b *dataset.Dataset, eps float64, cfg Config) (ta, tb *Tree) {
+	if a.Dims() != b.Dims() {
+		panic(fmt.Sprintf("core: pairing a %d-dim tree with a %d-dim tree", a.Dims(), b.Dims()))
 	}
+	ts := buildShared(eps, cfg, a, b)
+	return ts[0], ts[1]
+}
+
+// buildShared builds one tree per set over keys and a frame chosen for
+// their union.
+func buildShared(eps float64, cfg Config, sets ...*dataset.Dataset) []*Tree {
+	trees, piv := planShared(eps, cfg, sets)
+	if piv != nil {
+		// Every table before any tree: the slack covers the largest key.
+		tables, finite := make([][]float64, len(sets)), true
+		for i, ds := range sets {
+			tables[i] = piv.table(ds, eps)
+			finite = finite && tables[i] != nil
+		}
+		if finite {
+			box := keyBox(piv.k, tables...)
+			for i, ds := range sets {
+				trees[i] = newTree(ds, eps, piv, box, cfg)
+				trees[i].pkeys = tables[i]
+			}
+		}
+	}
+	for _, t := range trees {
+		t.buildAll()
+	}
+	return trees
+}
+
+// planShared lays out the raw-keyed trees of sets over their joint
+// bounding box, not yet built, and returns with them the pivots a one-shot
+// build should key on instead (nil: stay raw).
+func planShared(eps float64, cfg Config, sets []*dataset.Dataset) ([]*Tree, *pivotSet) {
+	box := vec.NewEmptyBox(sets[0].Dims())
+	for _, ds := range sets {
+		if ds.Len() > 0 {
+			box.ExtendBox(ds.Bounds())
+		}
+	}
+	trees := make([]*Tree, len(sets))
+	for i, ds := range sets {
+		trees[i] = newTree(ds, eps, nil, box, cfg)
+	}
+	return trees, choosePivots(sets, eps, trees[0].leafThreshold, trees[0].order, cfg.keys, cfg.Metric)
+}
+
+// PlanKeys names the key kind (see Tree.Keys) Build — or BuildPair, given
+// two sets — would take, from the same sample by the same rule, without
+// building anything. The one case it cannot see is a dataset whose pivot
+// distances overflow float64, which the build then keys raw.
+func PlanKeys(eps float64, cfg Config, sets ...*dataset.Dataset) string {
+	_, piv := planShared(eps, cfg, sets)
+	return piv.name()
+}
+
+// BuildWithBox builds over raw coordinates inside an explicit stripe-grid
+// frame: the build for trees that outlive one join — they answer under any
+// metric and take Insert against a frame sized ahead of the data. Two
+// trees can be joined only if built with the same eps and the same box
+// (JoinTrees verifies this); pass the joint bounding box of both datasets.
+func BuildWithBox(ds *dataset.Dataset, eps float64, box vec.Box, cfg Config) *Tree {
 	if box.Dims() != ds.Dims() {
 		panic(fmt.Sprintf("core: box of dimension %d for %d-dim dataset", box.Dims(), ds.Dims()))
 	}
-	t := newTree(ds, eps, box, cfg)
-	if ds.Len() == 0 {
-		return t
+	t := newTree(ds, eps, nil, box, cfg)
+	t.buildAll()
+	return t
+}
+
+// buildAll stripes every point of the dataset into a fresh root.
+func (t *Tree) buildAll() {
+	if t.ds.Len() == 0 {
+		return
 	}
-	idx := make([]int32, ds.Len())
+	idx := make([]int32, t.ds.Len())
 	for i := range idx {
 		idx[i] = int32(i)
 	}
 	t.root = t.build(idx, 0)
-	return t
 }
 
-func newTree(ds *dataset.Dataset, eps float64, box vec.Box, cfg Config) *Tree {
+// newTree lays out the stripe grid over box, the frame in the key space of
+// piv (raw coordinates when nil).
+func newTree(ds *dataset.Dataset, eps float64, piv *pivotSet, box vec.Box, cfg Config) *Tree {
 	if !(eps > 0) {
 		panic(fmt.Sprintf("core: eps must be positive, got %g", eps))
 	}
@@ -109,10 +200,15 @@ func newTree(ds *dataset.Dataset, eps float64, box vec.Box, cfg Config) *Tree {
 	if leaf <= 0 {
 		leaf = DefaultLeafThreshold
 	}
-	d := ds.Dims()
+	d, width := box.Dims(), eps
+	if piv != nil {
+		width += piv.slack
+	}
 	t := &Tree{
 		ds:            ds,
 		eps:           eps,
+		piv:           piv,
+		width:         width,
 		box:           box,
 		order:         make([]int, d),
 		stripes:       make([]int, d),
@@ -124,7 +220,7 @@ func newTree(ds *dataset.Dataset, eps float64, box vec.Box, cfg Config) *Tree {
 		ext := box.Hi[k] - box.Lo[k]
 		s := 1
 		if ext > 0 {
-			s = int(math.Ceil(ext / eps))
+			s = int(math.Ceil(ext / width))
 			if s < 1 {
 				s = 1
 			}
@@ -138,11 +234,38 @@ func newTree(ds *dataset.Dataset, eps float64, box vec.Box, cfg Config) *Tree {
 			return ea > eb
 		})
 	}
-	// Leaves sweep on the last dimension in split order: it is the one
-	// least likely to be consumed by stripes, so the sweep window filters a
-	// dimension the tree has (usually) not filtered yet.
-	t.sweepDim = t.order[d-1]
+	// Leaves sweep on the last key in split order: it is the one least
+	// likely to be consumed by stripes, so the sweep window filters a key
+	// the tree has (usually) not filtered yet.
+	t.sweepKey = t.order[d-1]
 	return t
+}
+
+// keyTable returns the tree's key table. Fetched per call: Append can
+// realloc the dataset's buffer (and Insert the pivot table) between
+// dynamic operations, so the view must not be cached across them.
+func (t *Tree) keyTable() vec.Keys {
+	if t.piv == nil {
+		return vec.Keys{Stride: t.ds.Dims(), Data: t.ds.Flat()}
+	}
+	return vec.Keys{Stride: t.piv.k, Data: t.pkeys}
+}
+
+// slack is how far sweep windows are widened beyond the query ε: the
+// pivot keys' rounding bound, 0 for raw coordinates.
+func (t *Tree) slack() float64 {
+	if t.piv == nil {
+		return 0
+	}
+	return t.piv.slack
+}
+
+// serves panics unless the tree's keys are 1-Lipschitz under metric m: a
+// window on keys that can differ by more than the distance loses pairs.
+func (t *Tree) serves(m vec.Metric) {
+	if t.piv != nil && !bounds(t.piv.metric, m) {
+		panic(fmt.Sprintf("core: tree keyed on %v pivot distances cannot answer under %v (keys bound only L∞ ≤ L2 ≤ L1 upward); build with Config.Metric = %v", t.piv.metric, m, m))
+	}
 }
 
 // build recursively stripes idx (which it owns) and returns the subtree.
@@ -151,7 +274,7 @@ func (t *Tree) build(idx []int32, depth int) *node {
 	if depth > t.maxDepth {
 		t.maxDepth = depth
 	}
-	if len(idx) <= t.leafThreshold || depth == t.ds.Dims() {
+	if len(idx) <= t.leafThreshold || depth == len(t.order) {
 		return t.makeLeaf(idx)
 	}
 	dim := t.order[depth]
@@ -172,9 +295,9 @@ func (t *Tree) build(idx []int32, depth int) *node {
 	}
 	counts, cur := t.countScratch[depth][:s+1], t.countScratch[depth][s+1:]
 	clear(counts)
-	data, dims := t.ds.Flat(), t.ds.Dims()
+	keys := t.keyTable()
 	for p, i := range idx {
-		st := int32(t.stripeOf(data[int(i)*dims+dim], dim))
+		st := int32(t.stripeOf(keys.Data[int(i)*keys.Stride+dim], dim))
 		str[p] = st
 		counts[st+1]++
 	}
@@ -208,13 +331,12 @@ func (t *Tree) build(idx []int32, depth int) *node {
 
 func (t *Tree) makeLeaf(idx []int32) *node {
 	t.leaves++
-	// Fetched per call: Append can realloc the buffer between dynamic
-	// inserts, so the view must not be cached across tree operations.
-	data, dims, sd := t.ds.Flat(), t.ds.Dims(), t.sweepDim
+	keys := t.keyTable()
+	ks, stride := keys.Data[t.sweepKey:], keys.Stride
 	// slices.SortFunc instantiates a concrete int32 sort — unlike
 	// sort.Slice's reflection path, which showed up in join profiles.
 	slices.SortFunc(idx, func(a, b int32) int {
-		va, vb := data[int(a)*dims+sd], data[int(b)*dims+sd]
+		va, vb := ks[int(a)*stride], ks[int(b)*stride]
 		switch {
 		case va < vb:
 			return -1
@@ -226,10 +348,10 @@ func (t *Tree) makeLeaf(idx []int32) *node {
 	return &node{pts: idx}
 }
 
-// stripeOf maps coordinate v in dimension dim to its stripe index, clamping
-// the top edge into the last stripe.
+// stripeOf maps key value v in key dimension dim to its stripe index,
+// clamping the top edge into the last stripe.
 func (t *Tree) stripeOf(v float64, dim int) int {
-	s := int((v - t.box.Lo[dim]) / t.eps)
+	s := int((v - t.box.Lo[dim]) / t.width)
 	if s < 0 {
 		s = 0
 	}
@@ -255,9 +377,12 @@ func (t *Tree) Leaves() int { return t.leaves }
 func (t *Tree) MaxDepth() int { return t.maxDepth }
 
 // MemoryBytes estimates the heap footprint of the index structure
-// (excluding the dataset itself).
+// (excluding the dataset itself, including the pivot-key table).
 func (t *Tree) MemoryBytes() int {
-	total := 0
+	total := 8 * cap(t.pkeys)
+	if t.piv != nil {
+		total += 8 * cap(t.piv.pts)
+	}
 	var rec func(n *node)
 	rec = func(n *node) {
 		if n == nil {
@@ -276,7 +401,7 @@ func (t *Tree) MemoryBytes() int {
 
 // sameFrame reports whether two trees share a joinable frame.
 func (t *Tree) sameFrame(o *Tree) bool {
-	if t.eps != o.eps || t.sweepDim != o.sweepDim || len(t.order) != len(o.order) {
+	if t.eps != o.eps || t.piv != o.piv || t.sweepKey != o.sweepKey || len(t.order) != len(o.order) {
 		return false
 	}
 	for i := range t.order {
@@ -294,7 +419,7 @@ func (t *Tree) sameFrame(o *Tree) bool {
 
 // checkInvariants validates the structure for tests: every point appears in
 // exactly one leaf, leaf lists are sweep-sorted, every point lies in the
-// stripe its ancestors claim, and depth never exceeds the dimensionality.
+// stripe its ancestors claim, and depth never exceeds the number of keys.
 func (t *Tree) checkInvariants() error {
 	if t.root == nil {
 		if t.ds.Len() != 0 {
@@ -305,11 +430,12 @@ func (t *Tree) checkInvariants() error {
 	seen := make([]bool, t.ds.Len())
 	// path[k] = stripe constraint for dimension t.order[k] on the current
 	// path (-1 = unconstrained).
-	constraint := make([]int, t.ds.Dims())
+	constraint := make([]int, len(t.order))
+	keys := t.keyTable()
 	var rec func(n *node, depth int) error
 	rec = func(n *node, depth int) error {
-		if depth > t.ds.Dims() {
-			return fmt.Errorf("core: depth %d exceeds dimensionality", depth)
+		if depth > len(t.order) {
+			return fmt.Errorf("core: depth %d exceeds the %d keys", depth, len(t.order))
 		}
 		if n.leaf() {
 			prev := math.Inf(-1)
@@ -318,11 +444,11 @@ func (t *Tree) checkInvariants() error {
 					return fmt.Errorf("core: point %d in two leaves", i)
 				}
 				seen[i] = true
-				p := t.ds.Point(int(i))
-				if p[t.sweepDim] < prev {
-					return fmt.Errorf("core: leaf not sorted on sweep dim")
+				p := keys.Data[int(i)*keys.Stride:][:keys.Stride]
+				if p[t.sweepKey] < prev {
+					return fmt.Errorf("core: leaf not sorted on sweep key")
 				}
-				prev = p[t.sweepDim]
+				prev = p[t.sweepKey]
 				for k := 0; k < depth; k++ {
 					dim := t.order[k]
 					if c := constraint[k]; c >= 0 && t.stripeOf(p[dim], dim) != c {

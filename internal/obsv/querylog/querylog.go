@@ -57,6 +57,7 @@ type Record struct {
 	Eps       float64   `json:"eps,omitempty"`
 	Metric    string    `json:"metric,omitempty"`
 	Algorithm string    `json:"algorithm,omitempty"`
+	Keys      string    `json:"keys,omitempty"` // ε-kdB key kind: raw, pivot/<k>
 	Stream    bool      `json:"stream,omitempty"`
 
 	EstimatedPairs int64 `json:"estimated_pairs"`

@@ -58,37 +58,66 @@ func (f Flat) Slices() [][]float64 {
 	return out
 }
 
-// SelfSweepFlat enumerates the in-window pairs of one sweep-sorted index
+// Keys is a per-point table of sweep keys: key k of point i is
+// Data[i*Stride+k]. A point set's own coordinates are one such table
+// (Data = Flat.Data, Stride = Flat.Dims); so is any table of values with
+// |key(a) − key(b)| ≤ dist(a, b), such as distances to fixed pivots — a
+// window on it dismisses no pair the metric would accept.
+type Keys struct {
+	Stride int
+	Data   []float64
+}
+
+// column returns the table offset so that point i's key k is at i*Stride.
+func (k Keys) column(key int) []float64 { return k.Data[key:] }
+
+// SelfSweepFlat is SelfSweepKeyed windowing on the points' own coordinate
+// sweepDim.
+func SelfSweepFlat(m Metric, f Flat, idx []int32, sweepDim int, eps, th float64, emit func(i, j int32)) (cand, res int64) {
+	return SelfSweepKeyed(m, f, Keys{f.Dims, f.Data}, idx, sweepDim, eps, th, emit)
+}
+
+// SelfSweepKeyed enumerates the in-window pairs of one sweep-sorted index
 // list over f and tests each with the metric's early-exit kernel, calling
 // emit(i, j) (dataset indexes, list order) for every hit. idx must be
-// sorted ascending on coordinate sweepDim; eps is the window width and th
-// must be Threshold(m, eps). It returns the number of candidates tested
+// sorted ascending on column key of keys; win is the window width on that
+// key (ε, plus the table's rounding slack when the keys are computed) and
+// th must be Threshold(m, ε). It returns the number of candidates tested
 // and the number of hits — the caller charges its own counters, so the
 // kernel itself stays free of shared state.
-func SelfSweepFlat(m Metric, f Flat, idx []int32, sweepDim int, eps, th float64, emit func(i, j int32)) (cand, res int64) {
+func SelfSweepKeyed(m Metric, f Flat, keys Keys, idx []int32, key int, win, th float64, emit func(i, j int32)) (cand, res int64) {
+	ks := keys.column(key)
 	switch m {
 	case L2:
-		return selfSweepL2(f.Data, f.Dims, idx, sweepDim, eps, th, emit)
+		return selfSweepL2(f.Data, f.Dims, ks, keys.Stride, idx, win, th, emit)
 	case L1:
-		return selfSweepL1(f.Data, f.Dims, idx, sweepDim, eps, th, emit)
+		return selfSweepL1(f.Data, f.Dims, ks, keys.Stride, idx, win, th, emit)
 	default:
-		return selfSweepLinf(f.Data, f.Dims, idx, sweepDim, eps, th, emit)
+		return selfSweepLinf(f.Data, f.Dims, ks, keys.Stride, idx, win, th, emit)
 	}
 }
 
-// CrossSweepFlat merges two sweep-sorted index lists, testing only pairs
-// whose sweepDim coordinates differ by at most eps, and calls emit(xi, yi)
-// for hits. Both lists must be sorted ascending on sweepDim; th must be
-// Threshold(m, eps). Views fx and fy may alias (self-joins of adjacent
-// stripes) or differ (two-set joins).
+// CrossSweepFlat is CrossSweepKeyed windowing on the points' own
+// coordinate sweepDim.
 func CrossSweepFlat(m Metric, fx, fy Flat, xs, ys []int32, sweepDim int, eps, th float64, emit func(xi, yi int32)) (cand, res int64) {
+	return CrossSweepKeyed(m, fx, fy, Keys{fx.Dims, fx.Data}, Keys{fy.Dims, fy.Data}, xs, ys, sweepDim, eps, th, emit)
+}
+
+// CrossSweepKeyed merges two sweep-sorted index lists, testing only pairs
+// whose keys in column key differ by at most win, and calls emit(xi, yi)
+// for hits. Both lists must be sorted ascending on that column of their
+// table (the tables share one stride); th must be Threshold(m, ε). Views
+// fx and fy may alias (self-joins of adjacent stripes) or differ (two-set
+// joins).
+func CrossSweepKeyed(m Metric, fx, fy Flat, kx, ky Keys, xs, ys []int32, key int, win, th float64, emit func(xi, yi int32)) (cand, res int64) {
+	cx, cy := kx.column(key), ky.column(key)
 	switch m {
 	case L2:
-		return crossSweepL2(fx.Data, fy.Data, fx.Dims, xs, ys, sweepDim, eps, th, emit)
+		return crossSweepL2(fx.Data, fy.Data, fx.Dims, cx, cy, kx.Stride, xs, ys, win, th, emit)
 	case L1:
-		return crossSweepL1(fx.Data, fy.Data, fx.Dims, xs, ys, sweepDim, eps, th, emit)
+		return crossSweepL1(fx.Data, fy.Data, fx.Dims, cx, cy, kx.Stride, xs, ys, win, th, emit)
 	default:
-		return crossSweepLinf(fx.Data, fy.Data, fx.Dims, xs, ys, sweepDim, eps, th, emit)
+		return crossSweepLinf(fx.Data, fy.Data, fx.Dims, cx, cy, kx.Stride, xs, ys, win, th, emit)
 	}
 }
 

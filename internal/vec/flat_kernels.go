@@ -10,20 +10,20 @@ package vec
 
 // selfSweepL2 is SelfSweepFlat's L2 loop: one sweep-sorted list against
 // itself.
-func selfSweepL2(data []float64, dims int, idx []int32, sweepDim int, eps, epsSq float64, emit func(i, j int32)) (cand, res int64) {
+func selfSweepL2(data []float64, dims int, ks []float64, stride int, idx []int32, win, epsSq float64, emit func(i, j int32)) (cand, res int64) {
 	if dims == 16 {
-		return selfSweepL2D16(data, idx, sweepDim, eps, epsSq, emit)
+		return selfSweepL2D16(data, ks, stride, idx, win, epsSq, emit)
 	}
 	for a := 0; a+1 < len(idx); a++ {
 		ia := int(idx[a]) * dims
 		pa := data[ia : ia+dims : ia+dims]
-		x := pa[sweepDim]
+		x := ks[int(idx[a])*stride]
 		for b := a + 1; b < len(idx); b++ {
-			ib := int(idx[b]) * dims
-			pb := data[ib : ib+dims : ib+dims]
-			if pb[sweepDim]-x > eps {
+			if ks[int(idx[b])*stride]-x > win {
 				break
 			}
+			ib := int(idx[b]) * dims
+			pb := data[ib : ib+dims : ib+dims]
 			cand++
 			var s float64
 			k := 0
@@ -70,24 +70,24 @@ func selfSweepL2(data []float64, dims int, idx []int32, sweepDim int, eps, epsSq
 
 // crossSweepL2 is CrossSweepFlat's L2 loop: two sweep-sorted lists merged
 // with an ε window.
-func crossSweepL2(dx, dy []float64, dims int, xs, ys []int32, sweepDim int, eps, epsSq float64, emit func(xi, yi int32)) (cand, res int64) {
+func crossSweepL2(dx, dy []float64, dims int, kx, ky []float64, stride int, xs, ys []int32, win, epsSq float64, emit func(xi, yi int32)) (cand, res int64) {
 	if dims == 16 {
-		return crossSweepL2D16(dx, dy, xs, ys, sweepDim, eps, epsSq, emit)
+		return crossSweepL2D16(dx, dy, kx, ky, stride, xs, ys, win, epsSq, emit)
 	}
 	lo := 0
 	for _, xr := range xs {
 		ix := int(xr) * dims
 		px := dx[ix : ix+dims : ix+dims]
-		v := px[sweepDim]
-		for lo < len(ys) && dy[int(ys[lo])*dims+sweepDim] < v-eps {
+		v := kx[int(xr)*stride]
+		for lo < len(ys) && ky[int(ys[lo])*stride] < v-win {
 			lo++
 		}
 		for w := lo; w < len(ys); w++ {
-			iy := int(ys[w]) * dims
-			py := dy[iy : iy+dims : iy+dims]
-			if py[sweepDim]-v > eps {
+			if ky[int(ys[w])*stride]-v > win {
 				break
 			}
+			iy := int(ys[w]) * dims
+			py := dy[iy : iy+dims : iy+dims]
 			cand++
 			var s float64
 			k := 0
@@ -141,17 +141,17 @@ func crossSweepL2(dx, dy []float64, dims int, xs, ys []int32, sweepDim int, eps,
 // budget as a helper, and a per-candidate call costs as much as a block).
 // That ordering is load-bearing: every L2 loop and WithinSqL2 round the same
 // sum term by term, so all engines decide boundary pairs identically.
-func selfSweepL2D16(data []float64, idx []int32, sweepDim int, eps, epsSq float64, emit func(i, j int32)) (cand, res int64) {
+func selfSweepL2D16(data, ks []float64, stride int, idx []int32, win, epsSq float64, emit func(i, j int32)) (cand, res int64) {
 	for a := 0; a+1 < len(idx); a++ {
 		ia := int(idx[a]) * 16
 		pa := (*[16]float64)(data[ia:])
-		x := pa[sweepDim]
+		x := ks[int(idx[a])*stride]
 		for b := a + 1; b < len(idx); b++ {
-			ib := int(idx[b]) * 16
-			pb := (*[16]float64)(data[ib:])
-			if pb[sweepDim]-x > eps {
+			if ks[int(idx[b])*stride]-x > win {
 				break
 			}
+			ib := int(idx[b]) * 16
+			pb := (*[16]float64)(data[ib:])
 			cand++
 			d0 := pa[0] - pb[0]
 			d1 := pa[1] - pb[1]
@@ -187,21 +187,21 @@ func selfSweepL2D16(data []float64, idx []int32, sweepDim int, eps, epsSq float6
 
 // crossSweepL2D16 is crossSweepL2 specialized to sixteen dimensions; see
 // selfSweepL2D16.
-func crossSweepL2D16(dx, dy []float64, xs, ys []int32, sweepDim int, eps, epsSq float64, emit func(xi, yi int32)) (cand, res int64) {
+func crossSweepL2D16(dx, dy, kx, ky []float64, stride int, xs, ys []int32, win, epsSq float64, emit func(xi, yi int32)) (cand, res int64) {
 	lo := 0
 	for _, xr := range xs {
 		ix := int(xr) * 16
 		px := (*[16]float64)(dx[ix:])
-		v := px[sweepDim]
-		for lo < len(ys) && dy[int(ys[lo])*16+sweepDim] < v-eps {
+		v := kx[int(xr)*stride]
+		for lo < len(ys) && ky[int(ys[lo])*stride] < v-win {
 			lo++
 		}
 		for w := lo; w < len(ys); w++ {
-			iy := int(ys[w]) * 16
-			py := (*[16]float64)(dy[iy:])
-			if py[sweepDim]-v > eps {
+			if ky[int(ys[w])*stride]-v > win {
 				break
 			}
+			iy := int(ys[w]) * 16
+			py := (*[16]float64)(dy[iy:])
 			cand++
 			d0 := px[0] - py[0]
 			d1 := px[1] - py[1]
@@ -236,17 +236,17 @@ func crossSweepL2D16(dx, dy []float64, xs, ys []int32, sweepDim int, eps, epsSq 
 }
 
 // selfSweepL1 is SelfSweepFlat's L1 loop.
-func selfSweepL1(data []float64, dims int, idx []int32, sweepDim int, eps, th float64, emit func(i, j int32)) (cand, res int64) {
+func selfSweepL1(data []float64, dims int, ks []float64, stride int, idx []int32, win, th float64, emit func(i, j int32)) (cand, res int64) {
 	for a := 0; a+1 < len(idx); a++ {
 		ia := int(idx[a]) * dims
 		pa := data[ia : ia+dims : ia+dims]
-		x := pa[sweepDim]
+		x := ks[int(idx[a])*stride]
 		for b := a + 1; b < len(idx); b++ {
-			ib := int(idx[b]) * dims
-			pb := data[ib : ib+dims : ib+dims]
-			if pb[sweepDim]-x > eps {
+			if ks[int(idx[b])*stride]-x > win {
 				break
 			}
+			ib := int(idx[b]) * dims
+			pb := data[ib : ib+dims : ib+dims]
 			cand++
 			if WithinL1(pa, pb, th) {
 				res++
@@ -258,21 +258,21 @@ func selfSweepL1(data []float64, dims int, idx []int32, sweepDim int, eps, th fl
 }
 
 // crossSweepL1 is CrossSweepFlat's L1 loop.
-func crossSweepL1(dx, dy []float64, dims int, xs, ys []int32, sweepDim int, eps, th float64, emit func(xi, yi int32)) (cand, res int64) {
+func crossSweepL1(dx, dy []float64, dims int, kx, ky []float64, stride int, xs, ys []int32, win, th float64, emit func(xi, yi int32)) (cand, res int64) {
 	lo := 0
 	for _, xr := range xs {
 		ix := int(xr) * dims
 		px := dx[ix : ix+dims : ix+dims]
-		v := px[sweepDim]
-		for lo < len(ys) && dy[int(ys[lo])*dims+sweepDim] < v-eps {
+		v := kx[int(xr)*stride]
+		for lo < len(ys) && ky[int(ys[lo])*stride] < v-win {
 			lo++
 		}
 		for w := lo; w < len(ys); w++ {
-			iy := int(ys[w]) * dims
-			py := dy[iy : iy+dims : iy+dims]
-			if py[sweepDim]-v > eps {
+			if ky[int(ys[w])*stride]-v > win {
 				break
 			}
+			iy := int(ys[w]) * dims
+			py := dy[iy : iy+dims : iy+dims]
 			cand++
 			if WithinL1(px, py, th) {
 				res++
@@ -284,17 +284,17 @@ func crossSweepL1(dx, dy []float64, dims int, xs, ys []int32, sweepDim int, eps,
 }
 
 // selfSweepLinf is SelfSweepFlat's L∞ loop.
-func selfSweepLinf(data []float64, dims int, idx []int32, sweepDim int, eps, th float64, emit func(i, j int32)) (cand, res int64) {
+func selfSweepLinf(data []float64, dims int, ks []float64, stride int, idx []int32, win, th float64, emit func(i, j int32)) (cand, res int64) {
 	for a := 0; a+1 < len(idx); a++ {
 		ia := int(idx[a]) * dims
 		pa := data[ia : ia+dims : ia+dims]
-		x := pa[sweepDim]
+		x := ks[int(idx[a])*stride]
 		for b := a + 1; b < len(idx); b++ {
-			ib := int(idx[b]) * dims
-			pb := data[ib : ib+dims : ib+dims]
-			if pb[sweepDim]-x > eps {
+			if ks[int(idx[b])*stride]-x > win {
 				break
 			}
+			ib := int(idx[b]) * dims
+			pb := data[ib : ib+dims : ib+dims]
 			cand++
 			if WithinLinf(pa, pb, th) {
 				res++
@@ -306,21 +306,21 @@ func selfSweepLinf(data []float64, dims int, idx []int32, sweepDim int, eps, th 
 }
 
 // crossSweepLinf is CrossSweepFlat's L∞ loop.
-func crossSweepLinf(dx, dy []float64, dims int, xs, ys []int32, sweepDim int, eps, th float64, emit func(xi, yi int32)) (cand, res int64) {
+func crossSweepLinf(dx, dy []float64, dims int, kx, ky []float64, stride int, xs, ys []int32, win, th float64, emit func(xi, yi int32)) (cand, res int64) {
 	lo := 0
 	for _, xr := range xs {
 		ix := int(xr) * dims
 		px := dx[ix : ix+dims : ix+dims]
-		v := px[sweepDim]
-		for lo < len(ys) && dy[int(ys[lo])*dims+sweepDim] < v-eps {
+		v := kx[int(xr)*stride]
+		for lo < len(ys) && ky[int(ys[lo])*stride] < v-win {
 			lo++
 		}
 		for w := lo; w < len(ys); w++ {
-			iy := int(ys[w]) * dims
-			py := dy[iy : iy+dims : iy+dims]
-			if py[sweepDim]-v > eps {
+			if ky[int(ys[w])*stride]-v > win {
 				break
 			}
+			iy := int(ys[w]) * dims
+			py := dy[iy : iy+dims : iy+dims]
 			cand++
 			if WithinLinf(px, py, th) {
 				res++

@@ -64,15 +64,7 @@ var registry = map[Algorithm]algorithmImpl{
 			grid.JoinParallel(a, b, opt, grid.DefaultConfig(), newSink)
 		},
 	},
-	AlgorithmEKDB: {}, // wired in init: needs per-call Config
-}
-
-func init() {
-	impl := registry[AlgorithmEKDB]
-	impl.self = core.SelfJoin
-	impl.join = core.Join
-	impl.parallelJoin = core.JoinParallel
-	registry[AlgorithmEKDB] = impl
+	AlgorithmEKDB: {}, // bound in selfRunners / joinRunners: needs per-call Config
 }
 
 // toInternal converts public options to the internal contract.
@@ -88,10 +80,17 @@ func (o Options) toInternal(c *stats.Counters, ph *obsv.Phases) join.Options {
 
 // runners are the two ways one planned join can run: serially into one
 // sink, or spread over workers that each take a private sink from newSink.
-// parallel is nil when the engine has no parallel variant.
+// parallel is nil when the engine has no parallel variant. keys is the key
+// kind of the ε-kdB tree behind them ("" for every other engine).
 type runners struct {
 	serial   func(sink pairs.Sink)
 	parallel func(newSink func() pairs.Sink)
+	keys     string
+}
+
+// treeConfig maps the public options' tree knobs to a one-shot build's.
+func (o Options) treeConfig() core.Config {
+	return core.Config{LeafThreshold: o.LeafThreshold, BiasedSplit: o.BiasedSplit, Metric: o.Metric.internal()}
 }
 
 // selfRunners binds algo's self-join entry points to ds. The ε-kdB tree
@@ -99,9 +98,8 @@ type runners struct {
 // the build phase) rather than behind the registry's shared signature.
 func selfRunners(algo Algorithm, ds *dataset.Dataset, iopt join.Options, opt Options) runners {
 	if algo == AlgorithmEKDB {
-		cfg := core.Config{LeafThreshold: opt.LeafThreshold, BiasedSplit: opt.BiasedSplit}
 		start := time.Now()
-		t := core.Build(ds, opt.Eps, cfg)
+		t := core.Build(ds, opt.Eps, opt.treeConfig())
 		iopt.Timing().AddBuild(time.Since(start))
 		return treeRunners(t, iopt)
 	}
@@ -118,11 +116,23 @@ func treeRunners(t *core.Tree, iopt join.Options) runners {
 	return runners{
 		serial:   func(sink pairs.Sink) { t.SelfJoin(iopt, sink) },
 		parallel: func(newSink func() pairs.Sink) { t.SelfJoinParallel(iopt, newSink) },
+		keys:     t.Keys(),
 	}
 }
 
-// joinRunners binds algo's two-set entry points to a and b.
-func joinRunners(algo Algorithm, a, b *dataset.Dataset, iopt join.Options) runners {
+// joinRunners binds algo's two-set entry points to a and b; the ε-kdB
+// trees are built here for the reason selfRunners gives.
+func joinRunners(algo Algorithm, a, b *dataset.Dataset, iopt join.Options, opt Options) runners {
+	if algo == AlgorithmEKDB {
+		start := time.Now()
+		ta, tb := core.BuildPair(a, b, opt.Eps, opt.treeConfig())
+		iopt.Timing().AddBuild(time.Since(start))
+		return runners{
+			serial:   func(sink pairs.Sink) { core.JoinTrees(ta, tb, iopt, sink) },
+			parallel: func(newSink func() pairs.Sink) { core.JoinTreesParallel(ta, tb, iopt, newSink) },
+			keys:     ta.Keys(),
+		}
+	}
 	impl := registry[algo]
 	r := runners{serial: func(sink pairs.Sink) { impl.join(a, b, iopt, sink) }}
 	if impl.parallelJoin != nil {
@@ -189,8 +199,15 @@ func (r runners) result(canonical bool, opt Options, sp *trace.Span, p planned, 
 	} else {
 		n = r.count(opt.Workers)
 	}
-	res.Stats = opt.finish(sp, p, iopt, n, watch)
+	res.Stats = r.finish(opt, sp, p, iopt, n, watch)
 	return res
+}
+
+// finish closes a run of these runners (Options.finish), adding to the
+// plan what only they know: the key kind of the tree they built.
+func (r runners) finish(opt Options, sp *trace.Span, p planned, iopt join.Options, n int64, watch stats.Stopwatch) Stats {
+	p.keys = r.keys
+	return opt.finish(sp, p, iopt, n, watch)
 }
 
 // finish closes a run that produced n pairs: it stops the watch, fills
@@ -202,6 +219,7 @@ func (o Options) finish(sp *trace.Span, p planned, iopt join.Options, n int64, w
 	if o.Stats != nil {
 		*o.Stats = JoinStats{
 			Algorithm:      p.algo,
+			Keys:           p.keys,
 			DistComps:      snap.DistComps,
 			Candidates:     snap.Candidates,
 			NodeVisits:     snap.NodeVisits,
@@ -213,7 +231,7 @@ func (o Options) finish(sp *trace.Span, p planned, iopt join.Options, n int64, w
 			Elapsed:        elapsed,
 		}
 	}
-	finishSpan(sp, p.algo, snap, ph, n)
+	finishSpan(sp, p, snap, ph, n)
 	return Stats{
 		Candidates: snap.Candidates,
 		DistComps:  snap.DistComps,
@@ -223,18 +241,21 @@ func (o Options) finish(sp *trace.Span, p planned, iopt join.Options, n int64, w
 	}
 }
 
-// finishSpan seals one entry point's span: the resolved algorithm and
-// the run's work counters are recorded, and the run's phase totals become
+// finishSpan seals one entry point's span: the resolved algorithm, the
+// ε-kdB tree's key kind and the run's work counters are recorded, and the run's phase totals become
 // "build", "probe" and "collect" child intervals. The intervals reuse the
 // obsv.Phases seam — those timers were already charged, so nothing is
 // instrumented twice. For parallel runs the later intervals' offsets are
 // approximate (phases can overlap across goroutines); the durations are
 // exact.
-func finishSpan(sp *trace.Span, algo Algorithm, snap stats.Snapshot, ph *obsv.Phases, pairsEmitted int64) {
+func finishSpan(sp *trace.Span, p planned, snap stats.Snapshot, ph *obsv.Phases, pairsEmitted int64) {
 	if sp == nil {
 		return
 	}
-	sp.SetAttr("algorithm", string(algo))
+	sp.SetAttr("algorithm", string(p.algo))
+	if p.keys != "" {
+		sp.SetAttr("keys", p.keys)
+	}
 	sp.AddCounter("dist_comps", snap.DistComps)
 	sp.AddCounter("candidates", snap.Candidates)
 	sp.AddCounter("node_visits", snap.NodeVisits)
@@ -285,7 +306,7 @@ func Join(a, b *Dataset, opt Options) (*Result, error) {
 	sp := opt.Trace.Child("simjoin.Join")
 	plan := planJoin(a, b, opt, sp)
 	watch := stats.Start()
-	r := joinRunners(plan.algo, a.internal(), b.internal(), iopt)
+	r := joinRunners(plan.algo, a.internal(), b.internal(), iopt, opt)
 	return r.result(false, opt, sp, plan, iopt, watch), nil
 }
 
@@ -316,14 +337,15 @@ func SelfJoinEach(ds *Dataset, opt Options, fn func(i, j int)) (Stats, error) {
 	plan := planSelf(ds, opt, sp)
 	watch := stats.Start()
 	var n int64
-	selfRunners(plan.algo, ds.internal(), iopt, opt).each(opt.Workers, func(i, j int) {
+	r := selfRunners(plan.algo, ds.internal(), iopt, opt)
+	r.each(opt.Workers, func(i, j int) {
 		if j < i {
 			i, j = j, i
 		}
 		n++
 		fn(i, j)
 	})
-	return opt.finish(sp, plan, iopt, n, watch), nil
+	return r.finish(opt, sp, plan, iopt, n, watch), nil
 }
 
 // JoinEach streams every (a-index, b-index) pair within opt.Eps to fn as
@@ -344,11 +366,12 @@ func JoinEach(a, b *Dataset, opt Options, fn func(i, j int)) (Stats, error) {
 	plan := planJoin(a, b, opt, sp)
 	watch := stats.Start()
 	var n int64
-	joinRunners(plan.algo, a.internal(), b.internal(), iopt).each(opt.Workers, func(i, j int) {
+	r := joinRunners(plan.algo, a.internal(), b.internal(), iopt, opt)
+	r.each(opt.Workers, func(i, j int) {
 		n++
 		fn(i, j)
 	})
-	return opt.finish(sp, plan, iopt, n, watch), nil
+	return r.finish(opt, sp, plan, iopt, n, watch), nil
 }
 
 // autoSeed shuffles the subsample when AlgorithmAuto falls back to the
@@ -363,6 +386,9 @@ type planned struct {
 	algo     Algorithm
 	est      int64
 	sketched bool
+	// keys is the key kind of the ε-kdB tree the run built ("" for other
+	// engines): known only once the runners exist (runners.finish).
+	keys string
 }
 
 // planSelf maps the empty default and AlgorithmAuto to a concrete

@@ -3,6 +3,8 @@ package simjoin
 import (
 	"math"
 
+	"simjoin/internal/core"
+	"simjoin/internal/dataset"
 	"simjoin/internal/estimate"
 )
 
@@ -89,6 +91,10 @@ type Explanation struct {
 	// Algorithm is the engine that would run: the default for "", the
 	// planner's choice for AlgorithmAuto, the explicit name otherwise.
 	Algorithm Algorithm
+	// Keys is the key kind the ε-kdB tree would take (JoinStats.Keys),
+	// decided here from the same sample the build uses; empty for every
+	// other engine.
+	Keys string
 	// Plan is the size prediction, filled even when the algorithm choice
 	// did not need it (an explicit algorithm still gets priced).
 	Plan Plan
@@ -102,7 +108,7 @@ func Explain(ds *Dataset, opt Options) (Explanation, error) {
 	if err := opt.validate(); err != nil {
 		return Explanation{}, err
 	}
-	return explanation(opt, PlanSelfJoin(ds, opt.Metric, opt.Eps)), nil
+	return explanation(opt, PlanSelfJoin(ds, opt.Metric, opt.Eps), ds.internal()), nil
 }
 
 // ExplainJoin is Explain for a two-set join.
@@ -113,10 +119,10 @@ func ExplainJoin(a, b *Dataset, opt Options) (Explanation, error) {
 	if err := checkJoinDims(a, b); err != nil {
 		return Explanation{}, err
 	}
-	return explanation(opt, PlanJoin(a, b, opt.Metric, opt.Eps)), nil
+	return explanation(opt, PlanJoin(a, b, opt.Metric, opt.Eps), a.internal(), b.internal()), nil
 }
 
-func explanation(opt Options, pl Plan) Explanation {
+func explanation(opt Options, pl Plan, sets ...*dataset.Dataset) Explanation {
 	ex := Explanation{
 		Eps:       opt.Eps,
 		Metric:    opt.Metric,
@@ -130,6 +136,9 @@ func explanation(opt Options, pl Plan) Explanation {
 		ex.Algorithm = pl.Algorithm
 	default:
 		ex.Algorithm = opt.Algorithm
+	}
+	if ex.Algorithm == AlgorithmEKDB {
+		ex.Keys = core.PlanKeys(opt.Eps, opt.treeConfig(), sets...)
 	}
 	return ex
 }

@@ -88,10 +88,11 @@ for w in join_pairs join_highdim serve_query serve_ingest; do
 done
 
 # Every untrusted-input decoder (dataset readers, snapshot + WAL codecs),
-# the flat-layout round trip and the pair radix sort. The go tool takes
-# one -fuzz target per run.
+# the flat-layout round trip, the pair radix sort, and the ε-kdB tree held
+# to brute force over both key kinds. The go tool takes one -fuzz target
+# per run.
 for target in dataset:FuzzReadCSV dataset:FuzzReadBinary store:FuzzReadSnapshot \
-	store:FuzzWALReplay vec:FuzzFlatRoundTrip pairs:FuzzSortPairs; do
+	store:FuzzWALReplay vec:FuzzFlatRoundTrip pairs:FuzzSortPairs core:FuzzSelfJoinOracle; do
 	step "fuzz 10s ${target#*:}" go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
 done
 

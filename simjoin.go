@@ -161,6 +161,11 @@ type JoinStats struct {
 	// Algorithm is the concrete algorithm that ran (Auto and the empty
 	// default are resolved).
 	Algorithm Algorithm
+	// Keys is what the ε-kdB tree striped and swept on: "raw" for the
+	// points' own coordinates, "pivot/<k>" for distances to k data-chosen
+	// pivots, which a one-shot join takes when a sample says raw
+	// coordinates have stopped filtering. Empty for every other algorithm.
+	Keys string
 	// DistComps is the number of (possibly early-exited) distance
 	// evaluations the engines charged.
 	DistComps int64

@@ -331,3 +331,80 @@ func TestEpsRejectedAtEveryEntryPoint(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinStatsKeys pins where the ε-kdB tree's key choice shows: on
+// high-d clustered data every one-shot entry point reports pivot keys, in
+// JoinStats, on its span and from Explain ahead of the run; low-d data,
+// the Index and other engines report what they ran; and the pair set is
+// the brute-force one whatever the keys.
+func TestJoinStatsKeys(t *testing.T) {
+	high, _ := Synthetic("clustered", 3000, 64, 3)
+	other, _ := Synthetic("clustered", 1800, 64, 3) // same seed: same cluster centres
+	low, _ := Synthetic("clustered", 1500, 4, 3)
+	const eps = 0.5
+
+	want, err := SelfJoin(high, Options{Eps: eps, Algorithm: AlgorithmBrute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTracer(4)
+	root := tr.Start("test")
+	var js JoinStats
+	got, err := SelfJoin(high, Options{Eps: eps, Stats: &js, Trace: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	if !strings.HasPrefix(js.Keys, "pivot/") {
+		t.Fatalf("SelfJoin at d=64 reported Keys = %q, want pivot keys", js.Keys)
+	}
+	if !slices.Equal(got.Pairs, want.Pairs) {
+		t.Errorf("pivot-keyed SelfJoin: %d pairs, brute %d", len(got.Pairs), len(want.Pairs))
+	}
+	for _, sp := range tr.Traces()[0].Spans {
+		if sp.Name == "simjoin.SelfJoin" && sp.Attr("keys") != js.Keys {
+			t.Errorf("span keys = %q, JoinStats.Keys = %q", sp.Attr("keys"), js.Keys)
+		}
+	}
+	if ex, err := Explain(high, Options{Eps: eps}); err != nil || ex.Keys != js.Keys {
+		t.Errorf("Explain Keys = %q (%v), the run took %q", ex.Keys, err, js.Keys)
+	}
+
+	selfKeys := js.Keys
+	if _, err := SelfJoinEach(high, Options{Eps: eps, Stats: &js}, func(i, j int) {}); err != nil || js.Keys != selfKeys {
+		t.Errorf("SelfJoinEach Keys = %q (%v), want %q", js.Keys, err, selfKeys)
+	}
+	wantJoin, _ := Join(high, other, Options{Eps: eps, Algorithm: AlgorithmBrute})
+	for _, workers := range []int{1, 3} {
+		gotJoin, err := Join(high, other, Options{Eps: eps, Workers: workers, Stats: &js})
+		if err != nil || !strings.HasPrefix(js.Keys, "pivot/") {
+			t.Errorf("Join/w%d Keys = %q (%v), want pivot keys", workers, js.Keys, err)
+		}
+		if !slices.Equal(gotJoin.Pairs, wantJoin.Pairs) {
+			t.Errorf("pivot-keyed Join/w%d: %d pairs, brute %d", workers, len(gotJoin.Pairs), len(wantJoin.Pairs))
+		}
+	}
+	if ex, err := ExplainJoin(high, other, Options{Eps: eps}); err != nil || ex.Keys != js.Keys {
+		t.Errorf("ExplainJoin Keys = %q (%v), the run took %q", ex.Keys, err, js.Keys)
+	}
+	if _, err := JoinEach(high, other, Options{Eps: eps, Stats: &js}, func(i, j int) {}); err != nil || !strings.HasPrefix(js.Keys, "pivot/") {
+		t.Errorf("JoinEach Keys = %q (%v), want pivot keys", js.Keys, err)
+	}
+
+	if _, err := SelfJoin(low, Options{Eps: 0.05, Stats: &js}); err != nil || js.Keys != "raw" {
+		t.Errorf("SelfJoin at d=4 Keys = %q (%v), want raw", js.Keys, err)
+	}
+	if _, err := SelfJoin(high, Options{Eps: eps, Algorithm: AlgorithmGrid, Stats: &js}); err != nil || js.Keys != "" {
+		t.Errorf("grid Keys = %q (%v), want none", js.Keys, err)
+	}
+	// The index serves every metric, so it never takes metric-bound keys.
+	x, err := NewIndex(high, eps, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Metric{L2, L1, Linf} {
+		if _, err := x.SelfJoin(Options{Eps: eps, Metric: m, Stats: &js}); err != nil || js.Keys != "raw" {
+			t.Errorf("Index.SelfJoin %v Keys = %q (%v), want raw", m, js.Keys, err)
+		}
+	}
+}
