@@ -191,12 +191,8 @@ func runExplain(inPath, withPath string, eps float64, metric, algo string, stdou
 			return err
 		}
 	}
-	source := "sample"
-	if ex.Plan.Sketched {
-		source = "sketch"
-	}
-	fmt.Fprintf(stdout, "eps=%g metric=%s requested=%s algorithm=%s keys=%s estimated_pairs=%d selectivity=%g estimate_source=%s\n",
-		ex.Eps, ex.Metric, ex.Requested, ex.Algorithm, ex.Keys, ex.Plan.EstimatedPairs, ex.Plan.Selectivity, source)
+	fmt.Fprintf(stdout, "eps=%g metric=%s requested=%s algorithm=%s keys=%s estimated_pairs=%d selectivity=%g\n",
+		ex.Eps, ex.Metric, ex.Requested, ex.Algorithm, ex.Keys, ex.Plan.EstimatedPairs, ex.Plan.Selectivity)
 	return nil
 }
 

@@ -184,21 +184,11 @@ func (s *coordServer) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// estimate scatters one join-size estimate round (one sketch scan per
-// worker) and names its source for the per-source counter: "sketch" as
-// soon as any shard answered from one.
-func (s *coordServer) estimate(ctx context.Context, name string, m simjoin.Metric, eps float64) (*cluster.EstimateResult, string, error) {
+// estimate scatters one join-size estimate round: one sketch read per
+// worker.
+func (s *coordServer) estimate(ctx context.Context, name string, m simjoin.Metric, eps float64) (*cluster.EstimateResult, error) {
 	defer s.observeFanout("estimate", time.Now())
-	est, err := s.c.EstimateSelfJoin(ctx, name, eps, m.String())
-	if err != nil {
-		return nil, "", err
-	}
-	for _, sh := range est.PerShard {
-		if sh.Sketched {
-			return est, "sketch", nil
-		}
-	}
-	return est, "sample", nil
+	return s.c.EstimateSelfJoin(ctx, name, eps, m.String())
 }
 
 // handleShardedSelfJoin runs the distributed self-join: pairs flow from the
@@ -225,15 +215,15 @@ func (s *coordServer) handleShardedSelfJoin(w http.ResponseWriter, r *http.Reque
 	s.runJoin(w, r, "POST /datasets/{name}/selfjoin", querylog.Record{Kind: "selfjoin", Dataset: name}, p, joinCalls{
 		// Only a budget is worth an estimate round trip, and a pricing
 		// failure never blocks the query — it just forgoes admission.
-		price: func(m simjoin.Metric, eps float64) (int64, string) {
+		price: func(m simjoin.Metric, eps float64) int64 {
 			if s.maxPairs <= 0 {
-				return -1, ""
+				return -1
 			}
-			est, source, err := s.estimate(r.Context(), name, m, eps)
+			est, err := s.estimate(r.Context(), name, m, eps)
 			if err != nil {
-				return -1, ""
+				return -1
 			}
-			return est.Pairs, source
+			return est.Pairs
 		},
 		collect: func(opt simjoin.Options) (joinRun, error) {
 			if opt.CollectPairs != nil && !*opt.CollectPairs {

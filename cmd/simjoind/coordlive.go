@@ -53,7 +53,7 @@ func (s *coordServer) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if eps > 0 {
-		est, _, err := s.estimate(r.Context(), name, m, eps)
+		est, err := s.estimate(r.Context(), name, m, eps)
 		if err != nil {
 			s.fail(w, err)
 			return

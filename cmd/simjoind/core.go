@@ -111,9 +111,9 @@ type joinRun struct {
 
 // joinCalls is what differs between the join routes and between modes.
 type joinCalls struct {
-	// price predicts the result size and names the estimate's source for
-	// the per-source counter; est < 0 means the query goes unpriced.
-	price func(m simjoin.Metric, eps float64) (est int64, source string)
+	// price predicts the result size; est < 0 means the query goes
+	// unpriced.
+	price func(m simjoin.Metric, eps float64) (est int64)
 	// collect runs the join to completion — counting only when
 	// opt.CollectPairs says so — and each streams it pair by pair.
 	collect func(opt simjoin.Options) (joinRun, error)
@@ -138,9 +138,8 @@ func (s *core) runJoin(w http.ResponseWriter, r *http.Request, route string, rec
 	// threshold with a clearer message.
 	est := int64(-1)
 	if opt.Eps > 0 {
-		var source string
-		if est, source = c.price(opt.Metric, opt.Eps); est >= 0 {
-			s.m.estimateRequests.With(source).Inc()
+		if est = c.price(opt.Metric, opt.Eps); est >= 0 {
+			s.m.estimateRequests.Inc()
 		}
 	}
 	over := s.maxPairs > 0 && est > s.maxPairs

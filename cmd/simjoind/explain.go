@@ -25,7 +25,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		api.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.m.estimateRequests.With(estimateSource(ex.Plan.Sketched)).Inc()
+	s.m.estimateRequests.Inc()
 	api.WriteJSON(w, api.Explain{Dataset: name, Eps: ex.Eps, Metric: ex.Metric.String(), LocalExplain: &api.LocalExplain{
 		Requested: string(ex.Requested),
 		Algorithm: string(ex.Algorithm),
@@ -34,7 +34,6 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			Algorithm:      string(ex.Plan.Algorithm),
 			EstimatedPairs: ex.Plan.EstimatedPairs,
 			Selectivity:    ex.Plan.Selectivity,
-			Sketched:       ex.Plan.Sketched,
 		},
 	}})
 }
@@ -42,20 +41,20 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // handleExplain serves the coordinator's GET /datasets/{name}/explain
 // ?eps=…[&metric=…]: the distributed EXPLAIN — one estimate scatter over
 // the fleet, answered as the summed prediction plus each shard's local
-// plan (predicted size, selectivity, sketch provenance and the engine
-// its planner would pick).
+// plan (predicted size, selectivity and the engine its planner would
+// pick).
 func (s *coordServer) handleExplain(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	eps, m, ok := estimateParams(w, r, true)
 	if !ok {
 		return
 	}
-	est, source, err := s.estimate(r.Context(), name, m, eps)
+	est, err := s.estimate(r.Context(), name, m, eps)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	s.m.estimateRequests.With(source).Inc()
+	s.m.estimateRequests.Inc()
 	api.WriteJSON(w, api.Explain{Dataset: name, Eps: eps, Metric: m.String(), ShardExplain: &api.ShardExplain{
 		EstimatedPairs: est.Pairs,
 		Shards:         len(est.PerShard),

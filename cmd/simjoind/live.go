@@ -120,18 +120,17 @@ func (s *server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 			out.WALBytes = &wb
 		}
 	}
-	if sk := ds.Sketch(); sk != nil {
-		out.Sketch = &api.SketchInfo{Points: sk.Points(), Reservoir: sk.Reservoir(), SampledPairs: sk.SampledPairs()}
-	}
+	sk := ds.Sketch()
+	out.Sketch = &api.SketchInfo{Points: sk.Points(), Reservoir: sk.Reservoir(), SampledPairs: sk.SampledPairs()}
 	eps, m, ok := estimateParams(w, r, false)
 	if !ok {
 		return
 	}
 	if eps > 0 {
 		pl := simjoin.PlanSelfJoin(ds, m, eps)
-		s.m.estimateRequests.With(estimateSource(pl.Sketched)).Inc()
+		s.m.estimateRequests.Inc()
 		out.Estimate = &api.Estimate{Eps: eps, Pairs: pl.EstimatedPairs, LocalPlan: &api.LocalPlan{
-			Metric: m.String(), Algorithm: string(pl.Algorithm), Selectivity: pl.Selectivity, Sketched: pl.Sketched,
+			Metric: m.String(), Algorithm: string(pl.Algorithm), Selectivity: pl.Selectivity,
 		}}
 	}
 	api.WriteJSON(w, out)

@@ -18,6 +18,13 @@
 // never / an interval), -compact-bytes the WAL size that triggers
 // snapshot compaction, and -max-body-bytes the upload size cap.
 //
+// Every worker dataset carries a resident join-size sketch
+// (docs/ESTIMATION.md), built on upload, load or recovery and fed by
+// every append. It prices each join before it runs — the answer's
+// estimated_pairs and the -max-pairs admission budget (429, or a
+// counting-only run on request) — and answers EXPLAIN and ?eps=
+// estimates without touching the points. There is no switch for it.
+//
 // -debug additionally mounts net/http/pprof under /debug/pprof/ in
 // either mode.
 //
@@ -95,7 +102,6 @@ func run(argv []string) int {
 		compactBytes = fs.Int64("compact-bytes", store.DefaultCompactBytes, "WAL size that triggers snapshot compaction (negative disables)")
 		maxBody      = fs.Int64("max-body-bytes", defaultMaxBodyBytes, "largest accepted request body in bytes")
 		maxPairs     = fs.Int64("max-pairs", 0, "admission budget: reject (429) or, on request, degrade join queries whose estimated result size exceeds this many pairs (0 = unlimited)")
-		sketchOn     = fs.Bool("sketch", true, "maintain a resident join-size sketch per dataset for O(1) estimates (worker mode)")
 		traceRing    = fs.Int("trace-ring", defaultTraceCapacity, "completed request traces retained for GET /debug/traces")
 		gatewayMode  = fs.Bool("gateway", false, "gateway mode: multi-tenant front door over -backends (see docs/GATEWAY.md)")
 		backends     = fs.String("backends", "", "comma-separated backend base URLs for -gateway (one coordinator or a flat worker fleet)")
@@ -175,9 +181,6 @@ func run(argv []string) int {
 		srv.maxBody = *maxBody
 		srv.maxPairs = *maxPairs
 		srv.tracer = trace.New(*traceRing)
-		// Set before attachStore and -load run, so recovered and
-		// preloaded datasets get sketches (or not) like uploaded ones.
-		srv.sketch = *sketchOn
 		if *dataDir != "" {
 			mode, interval, err := store.ParseSync(*fsyncFlag)
 			if err != nil {
@@ -215,7 +218,7 @@ func run(argv []string) int {
 					return 1
 				}
 			}
-			srv.sets[name] = srv.newEntry(ds)
+			srv.sets[name] = newEntry(ds)
 			logger.Info("loaded dataset", "name", name, "points", ds.Len(), "dims", ds.Dims())
 		}
 		h = srv.handler()

@@ -41,10 +41,10 @@ type metrics struct {
 
 	// Estimation / admission surface, prefixed simjoin_ rather than
 	// simjoind_ because the numbers come from the library's planner:
-	// how many pre-query estimates were served and from where, what
-	// admission control did with them, and how predictions compared to
-	// the results that actually came out.
-	estimateRequests *obsv.CounterVec
+	// how many pre-query estimates were served, what admission control
+	// did with them, and how predictions compared to the results that
+	// actually came out.
+	estimateRequests *obsv.Counter
 	estimateRejected *obsv.Counter
 	estimateDegraded *obsv.Counter
 	estimateRatio    *obsv.Histogram
@@ -85,7 +85,7 @@ func newMetrics() *metrics {
 		liveCatchupPairs: reg.NewCounter("simjoind_live_catchup_pairs_total", "Pairs re-derived by catch-up replays."),
 		liveAppend:       reg.NewHistogram("simjoind_live_append_seconds", "Incremental index mutation latency per appended batch (delta compute + insert).", obsv.LatencyBuckets()),
 
-		estimateRequests: reg.NewCounterVec("simjoin_estimate_requests_total", "Join-size estimates served before queries, by source (sketch or sample).", "source"),
+		estimateRequests: reg.NewCounter("simjoin_estimate_requests_total", "Join-size estimates served before queries."),
 		estimateRejected: reg.NewCounter("simjoin_estimate_rejected_total", "Join queries rejected (429) because the estimated result size exceeded the -max-pairs budget."),
 		estimateDegraded: reg.NewCounter("simjoin_estimate_degraded_total", "Over-budget join queries degraded to counting-only runs."),
 		estimateRatio:    reg.NewHistogram("simjoin_estimate_ratio", "Predicted over actual result size for completed joins that carried an estimate.", estimateRatioBuckets()),
@@ -100,14 +100,6 @@ func newMetrics() *metrics {
 // around the 1.0 boundary, and drift shows up as skew toward either end.
 func estimateRatioBuckets() []float64 {
 	return []float64{1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1, 2, 4, 8, 16}
-}
-
-// estimateSource labels one served estimate for the per-source counter.
-func estimateSource(sketched bool) string {
-	if sketched {
-		return "sketch"
-	}
-	return "sample"
 }
 
 // observeEstimateRatio records predicted/actual for a completed run.

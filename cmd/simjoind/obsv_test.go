@@ -164,7 +164,8 @@ func TestWorkerJournalRecordsRejection(t *testing.T) {
 func TestWorkerExplainEndpoint(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	putPoints(t, ts.URL, "a", clusterPoints(100, 2, 5))
+	pts := clusterPoints(100, 2, 5)
+	putPoints(t, ts.URL, "a", pts)
 
 	resp, body := doJSON(t, http.MethodGet, ts.URL+"/datasets/a/explain?eps=0.2&algorithm=auto", nil)
 	if resp.StatusCode != http.StatusOK {
@@ -181,11 +182,9 @@ func TestWorkerExplainEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatalf("explain missing plan: %v", body)
 	}
-	if est, _ := plan["estimated_pairs"].(float64); est < 0 {
-		t.Errorf("explain plan unpriced: %v", plan)
-	}
-	if sk, _ := plan["sketched"].(bool); !sk {
-		t.Errorf("sketched dataset explained without sketch: %v", plan)
+	// 100 points fit in the sketch's reservoir, so the plan is exact.
+	if est, _ := plan["estimated_pairs"].(float64); int64(est) != exactSelfJoinTotal(t, pts, 0.2) {
+		t.Errorf("explain plan = %v, want the exact %d pairs", plan, exactSelfJoinTotal(t, pts, 0.2))
 	}
 
 	// The default engine is the ε-kdB tree, whose EXPLAIN names its keys.

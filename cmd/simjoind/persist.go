@@ -17,7 +17,7 @@ func (s *server) attachStore(cat *store.Catalog) {
 	for name, ds := range cat.Datasets() {
 		// newEntry rebuilds each dataset's join-size sketch from the
 		// recovered points, so estimates survive restarts too.
-		s.sets[name] = s.newEntry(simjoin.WrapDataset(ds))
+		s.sets[name] = newEntry(simjoin.WrapDataset(ds))
 	}
 	s.m.reg.NewGaugeFunc("simjoind_store_wal_bytes",
 		"Current total write-ahead log size across datasets.",

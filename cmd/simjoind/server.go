@@ -31,10 +31,6 @@ type server struct {
 	// live is the continuous-query engine: incremental per-dataset
 	// indexes plus the standing-query subscriptions watch streams serve.
 	live *live.Engine
-	// sketch (-sketch, default on) gives every registered dataset a
-	// resident join-size sketch, maintained incrementally across appends
-	// and rebuilt on recovery, so estimates never touch the raw points.
-	sketch bool
 }
 
 // entry is one registered dataset plus its lazily built query index.
@@ -96,11 +92,10 @@ func (e *entry) appendPoints(pts [][]float64, notify func(pts [][]float64, total
 // sketch forward: the clone/wrap deliberately dropped the sketch
 // pointer, so the batch is attached and observed exactly once here.
 func (e *entry) adoptGrown(grown *simjoin.Dataset, pts [][]float64) {
-	if sk := e.ds.Sketch(); sk != nil {
-		grown.AttachSketch(sk)
-		for _, p := range pts {
-			sk.Observe(p)
-		}
+	sk := e.ds.Sketch()
+	grown.AttachSketch(sk)
+	for _, p := range pts {
+		sk.Observe(p)
 	}
 	e.ds = grown
 	e.nn = nil
@@ -139,9 +134,8 @@ func newServer() *server {
 	s := &server{
 		// Every query error a worker can raise past its own lookups is the
 		// library refusing the request's parameters.
-		core:   newCore(func(error) int { return http.StatusBadRequest }),
-		sets:   make(map[string]*entry),
-		sketch: true,
+		core: newCore(func(error) int { return http.StatusBadRequest }),
+		sets: make(map[string]*entry),
 	}
 	s.live = live.New(liveHooks(s.m))
 	s.m.reg.NewGaugeFunc("simjoind_live_subscriptions",
@@ -189,13 +183,11 @@ func storeStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// newEntry wraps a dataset for serving, attaching a resident join-size
-// sketch when the server runs with sketches enabled: one pass over the
-// points here, O(1) per point on every later append.
-func (s *server) newEntry(ds *simjoin.Dataset) *entry {
-	if s.sketch {
-		ds.EnableSketch()
-	}
+// newEntry wraps a dataset for serving with a resident join-size sketch
+// that prices every join on it: one pass over the points here, O(1) per
+// point on every later append.
+func newEntry(ds *simjoin.Dataset) *entry {
+	ds.EnableSketch()
 	return &entry{ds: ds}
 }
 
@@ -287,7 +279,7 @@ func (s *server) handlePut(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	_, replaced := s.sets[name]
-	s.sets[name] = s.newEntry(ds)
+	s.sets[name] = newEntry(ds)
 	s.mu.Unlock()
 	if replaced {
 		// Standing queries were registered against the old incarnation's
@@ -361,21 +353,6 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, api.AppendResponse{DatasetInfo: api.DatasetInfo{Name: name, Len: n, Dims: e.dataset().Dims()}})
 }
 
-// pricer prices a join over sets with the library's planner: always when
-// a budget is set (admission needs the number), otherwise only when
-// every input has a resident sketch making the estimate free.
-func (s *server) pricer(plan func(m simjoin.Metric, eps float64) simjoin.Plan, sets ...*simjoin.Dataset) func(simjoin.Metric, float64) (int64, string) {
-	return func(m simjoin.Metric, eps float64) (int64, string) {
-		for _, ds := range sets {
-			if s.maxPairs <= 0 && ds.Sketch() == nil {
-				return -1, ""
-			}
-		}
-		pl := plan(m, eps)
-		return pl.EstimatedPairs, estimateSource(pl.Sketched)
-	}
-}
-
 // collected and streamed report a library join back to runJoin.
 func collected(res *simjoin.Result, err error) (joinRun, error) {
 	if err != nil {
@@ -404,7 +381,7 @@ func (s *server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	ds := e.dataset()
 	s.runJoin(w, r, "POST /datasets/{name}/selfjoin", querylog.Record{Kind: "selfjoin", Dataset: name}, p, joinCalls{
-		price:   s.pricer(func(m simjoin.Metric, eps float64) simjoin.Plan { return simjoin.PlanSelfJoin(ds, m, eps) }, ds),
+		price:   func(m simjoin.Metric, eps float64) int64 { return simjoin.PlanSelfJoin(ds, m, eps).EstimatedPairs },
 		collect: func(opt simjoin.Options) (joinRun, error) { return collected(simjoin.SelfJoin(ds, opt)) },
 		each: func(opt simjoin.Options, emit func(i, j int)) (joinRun, error) {
 			return streamed(simjoin.SelfJoinEach(ds, opt, emit))
@@ -431,7 +408,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.runJoin(w, r, "POST /join", querylog.Record{Kind: "join", Dataset: req.A, Dataset2: req.B}, req.JoinParams, joinCalls{
-		price:   s.pricer(func(m simjoin.Metric, eps float64) simjoin.Plan { return simjoin.PlanJoin(da, db, m, eps) }, da, db),
+		price:   func(m simjoin.Metric, eps float64) int64 { return simjoin.PlanJoin(da, db, m, eps).EstimatedPairs },
 		collect: func(opt simjoin.Options) (joinRun, error) { return collected(simjoin.Join(da, db, opt)) },
 		each: func(opt simjoin.Options, emit func(i, j int)) (joinRun, error) {
 			return streamed(simjoin.JoinEach(da, db, opt, emit))

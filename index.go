@@ -20,8 +20,8 @@ type Index struct {
 }
 
 // NewIndex builds an index over ds for thresholds up to eps. LeafThreshold
-// and BiasedSplit from opt tune the build; other options are ignored here
-// and supplied per query instead.
+// from opt tunes the build; other options are ignored here and supplied
+// per query instead.
 func NewIndex(ds *Dataset, eps float64, opt Options) (*Index, error) {
 	if !(eps > 0) {
 		return nil, fmt.Errorf("simjoin: index eps must be positive, got %g", eps)
@@ -29,7 +29,7 @@ func NewIndex(ds *Dataset, eps float64, opt Options) (*Index, error) {
 	// The index outlives any one join and answers under every metric, so it
 	// is keyed on raw coordinates (BuildWithBox) whatever the data looks
 	// like; an empty dataset has no frame yet and no keys to choose.
-	cfg, in := core.Config{LeafThreshold: opt.LeafThreshold, BiasedSplit: opt.BiasedSplit}, ds.internal()
+	cfg, in := core.Config{LeafThreshold: opt.LeafThreshold}, ds.internal()
 	if in.Len() == 0 {
 		return &Index{ds: ds, eps: eps, t: core.Build(in, eps, cfg)}, nil
 	}

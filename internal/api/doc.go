@@ -40,4 +40,9 @@
 // whose estimated size exceeds -max-pairs answers 429 with
 // ErrorBody.OverBudget filled, or — with "degrade": true — a JoinResponse
 // marked Degraded that carries the exact total and no pairs.
+//
+// Every size prediction on the wire — JoinSummary.EstimatedPairs,
+// Estimate, ShardEstimate, ExplainPlan — is read from the worker's
+// resident join-size sketch (every served dataset has one), so none
+// names a source.
 package api

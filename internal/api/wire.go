@@ -60,8 +60,8 @@ type JoinSummary struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	*Scatter          // coordinator only
 	// EstimatedPairs is the pre-run prediction, present when the query
-	// was priced (a sketch was resident, or a -max-pairs budget forced
-	// an estimate).
+	// was priced: always on a worker, whose every dataset carries a
+	// sketch; on a coordinator only under a -max-pairs budget.
 	EstimatedPairs *int64 `json:"estimated_pairs,omitempty"`
 }
 
@@ -121,16 +121,14 @@ type AppendResponse struct {
 
 // ShardEstimate is one worker's answer to a join-size estimate scatter:
 // the predicted pair count of the shard's local self-join, straight from
-// the worker's resident sketch (or its sampling fallback — Sketched
-// tells which). Err is set when the shard did not answer; its
-// contribution is then missing from the total.
+// the worker's resident sketch. Err is set when the shard did not
+// answer; its contribution is then missing from the total.
 type ShardEstimate struct {
 	Shard       int     `json:"shard"`
 	URL         string  `json:"url"`
 	Points      int     `json:"points"`
 	Pairs       int64   `json:"pairs"`
 	Selectivity float64 `json:"selectivity"`
-	Sketched    bool    `json:"sketched"`
 	// Algorithm is what the shard's planner would run locally for this
 	// workload — the per-shard half of a distributed EXPLAIN.
 	Algorithm string `json:"algorithm,omitempty"`
@@ -149,7 +147,6 @@ type LocalPlan struct {
 	Metric      string  `json:"metric"`
 	Algorithm   string  `json:"algorithm"`
 	Selectivity float64 `json:"selectivity"`
-	Sketched    bool    `json:"sketched"`
 }
 
 // Estimate is the "estimate" block GET /datasets/{name}?eps= adds: the
@@ -185,7 +182,7 @@ type DatasetDetail struct {
 	DatasetInfo
 	Live         *live.DatasetStats `json:"live,omitempty"`      // worker only
 	WALBytes     *int64             `json:"wal_bytes,omitempty"` // worker with -data
-	Sketch       *SketchInfo        `json:"sketch,omitempty"`    // worker with -sketch
+	Sketch       *SketchInfo        `json:"sketch,omitempty"`    // worker only
 	*ShardLayout                    // coordinator only
 	Estimate     *Estimate          `json:"estimate,omitempty"` // with ?eps=
 }
@@ -195,7 +192,6 @@ type ExplainPlan struct {
 	Algorithm      string  `json:"algorithm"`
 	EstimatedPairs int64   `json:"estimated_pairs"`
 	Selectivity    float64 `json:"selectivity"`
-	Sketched       bool    `json:"sketched"`
 }
 
 // LocalExplain is a worker's EXPLAIN: the engine the request asked for,

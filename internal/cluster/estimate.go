@@ -21,9 +21,9 @@ type EstimateResult struct {
 }
 
 // EstimateSelfJoin scatters a join-size estimate to every non-empty
-// shard and sums the answers — the coordinator's pricing pass: no
-// worker touches raw points when its dataset carries a sketch, so the
-// whole round trip costs one histogram scan per shard.
+// shard and sums the answers — the coordinator's pricing pass: every
+// worker answers from its dataset's resident sketch without touching the
+// raw points, so the round trip costs one sketch read per shard.
 func (c *Coordinator) EstimateSelfJoin(ctx context.Context, name string, eps float64, metric string) (*EstimateResult, error) {
 	sm, ok := c.Map(name)
 	if !ok {
@@ -52,7 +52,7 @@ func (c *Coordinator) EstimateSelfJoin(ctx context.Context, name string, eps flo
 		}
 		se := api.ShardEstimate{Shard: s, URL: sm.Shards[s].URL, Points: resp.Len, Pairs: resp.Estimate.Pairs}
 		if pl := resp.Estimate.LocalPlan; pl != nil {
-			se.Selectivity, se.Sketched, se.Algorithm = pl.Selectivity, pl.Sketched, pl.Algorithm
+			se.Selectivity, se.Algorithm = pl.Selectivity, pl.Algorithm
 		}
 		out[slices.Index(targets, s)] = se
 		return nil

@@ -3,16 +3,24 @@ package sketch
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
 	"simjoin/internal/dataset"
+	"simjoin/internal/synth"
 	"simjoin/internal/vec"
 )
 
 // randomData builds n clustered points in [0,1]^dims: cluster centers
 // plus Gaussian spread, the shape the evaluation's workloads use.
 func randomData(n, dims int, seed int64) *dataset.Dataset {
+	ds, _ := blobData(n, dims, seed)
+	return ds
+}
+
+// blobData is randomData that also reports each point's blob.
+func blobData(n, dims int, seed int64) (*dataset.Dataset, []int) {
 	rng := rand.New(rand.NewSource(seed))
 	const clusters = 10
 	centers := make([][]float64, clusters)
@@ -24,15 +32,87 @@ func randomData(n, dims int, seed int64) *dataset.Dataset {
 		centers[i] = c
 	}
 	ds := dataset.New(dims, n)
+	blob := make([]int, n)
 	p := make([]float64, dims)
 	for i := 0; i < n; i++ {
-		c := centers[rng.Intn(clusters)]
+		blob[i] = rng.Intn(clusters)
+		c := centers[blob[i]]
 		for d := range p {
 			p[d] = c[d] + rng.NormFloat64()*0.05
 		}
 		ds.Append(p)
 	}
-	return ds
+	return ds, blob
+}
+
+// TestBulkBuildIgnoresUploadOrder: an upload grouped by blob must sketch
+// as well as a shuffled one. Observed in the order given, each blob's
+// points meet a reservoir drawn from the blobs before them, and the
+// estimate lands at 2.1× the exact count at both thresholds.
+func TestBulkBuildIgnoresUploadOrder(t *testing.T) {
+	ds, blob := blobData(4000, 8, 1)
+	idx := make([]int, ds.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return blob[idx[a]] < blob[idx[b]] })
+	grouped := ds.Subset(idx)
+	s := FromDataset(grouped, Config{})
+	for _, eps := range []float64{0.1, 0.3} {
+		want := exactSelf(grouped, vec.L2, eps)
+		ratio := float64(s.SelfJoinSize(vec.L2, eps)) / float64(want)
+		if ratio < 1/1.5 || ratio > 1.5 {
+			t.Errorf("eps %g: grouped upload estimates %.2f× the exact %d", eps, ratio, want)
+		}
+	}
+}
+
+// TestSelfJoinSizeMeasuredBias: the mean of the planner's transient-sample
+// estimate, selectivity × n(n−1)/2, over many independent draws must sit
+// on the exact count. A deliberately small sample (s = 25) makes the
+// correct n(n−1)/(s(s−1)) scale and the biased (n/s)² one differ by the
+// factor (1−1/s)/(1−1/n) ≈ 4%, and a near-diameter ε keeps the per-draw
+// variance tiny — so a ±1.5% band on the mean separates the two.
+func TestSelfJoinSizeMeasuredBias(t *testing.T) {
+	const (
+		n, s  = 2000, 25
+		seeds = 40
+		eps   = 1.2 // unit square: almost every pair joins
+	)
+	ds := synth.Generate(synth.Config{N: n, Dims: 2, Seed: 30, Dist: synth.Uniform})
+	exact := exactSelf(ds, vec.L2, eps)
+	var sum float64
+	for seed := int64(0); seed < seeds; seed++ {
+		sum += Sample(ds, s, seed).SelfSelectivity(vec.L2, eps) * n * (n - 1) / 2
+	}
+	ratio := sum / seeds / float64(exact)
+	if ratio < 0.985 || ratio > 1.015 {
+		t.Errorf("mean estimate / exact = %.4f over %d seeds, want ≈1 (an (n/s)² scale would give ≈%.4f)",
+			ratio, seeds, (1-1.0/s)/(1-1.0/n))
+	}
+}
+
+// TestJoinSizeMeasuredBias is the two-set counterpart: a cross pair
+// survives two independent samples with probability (sa/na)·(sb/nb), so
+// selectivity × na·nb needs no correction and its mean sits on the exact
+// count.
+func TestJoinSizeMeasuredBias(t *testing.T) {
+	const (
+		s     = 30
+		seeds = 40
+		eps   = 1.2
+	)
+	a := synth.Generate(synth.Config{N: 1500, Dims: 2, Seed: 31, Dist: synth.Uniform})
+	b := synth.Generate(synth.Config{N: 1200, Dims: 2, Seed: 32, Dist: synth.Uniform})
+	exact := bruteCount(a, b, vec.L2, eps, false)
+	var sum float64
+	for seed := int64(0); seed < seeds; seed++ {
+		sum += Sample(a, s, seed).JoinSelectivity(Sample(b, s, seed^0x7ab1e5), vec.L2, eps) * 1500 * 1200
+	}
+	ratio := sum / seeds / float64(exact)
+	if ratio < 0.97 || ratio > 1.03 {
+		t.Errorf("mean estimate / exact = %.4f over %d seeds, want ≈1", ratio, seeds)
+	}
 }
 
 func exactSelf(ds *dataset.Dataset, m vec.Metric, eps float64) int64 {

@@ -8,7 +8,6 @@ import (
 	"simjoin/internal/brute"
 	"simjoin/internal/core"
 	"simjoin/internal/dataset"
-	"simjoin/internal/estimate"
 	"simjoin/internal/grid"
 	"simjoin/internal/hilbert"
 	"simjoin/internal/join"
@@ -90,7 +89,7 @@ type runners struct {
 
 // treeConfig maps the public options' tree knobs to a one-shot build's.
 func (o Options) treeConfig() core.Config {
-	return core.Config{LeafThreshold: o.LeafThreshold, BiasedSplit: o.BiasedSplit, Metric: o.Metric.internal()}
+	return core.Config{LeafThreshold: o.LeafThreshold, Metric: o.Metric.internal()}
 }
 
 // selfRunners binds algo's self-join entry points to ds. The ε-kdB tree
@@ -283,7 +282,7 @@ func SelfJoin(ds *Dataset, opt Options) (*Result, error) {
 	var phases obsv.Phases
 	iopt := opt.toInternal(&counters, &phases)
 	sp := opt.Trace.Child("simjoin.SelfJoin")
-	plan := planSelf(ds, opt, sp)
+	plan := resolve(opt, sp, func() Plan { return planSelf(ds, opt.Metric, opt.Eps, false) })
 	watch := stats.Start()
 	r := selfRunners(plan.algo, ds.internal(), iopt, opt)
 	return r.result(true, opt, sp, plan, iopt, watch), nil
@@ -304,7 +303,7 @@ func Join(a, b *Dataset, opt Options) (*Result, error) {
 	var phases obsv.Phases
 	iopt := opt.toInternal(&counters, &phases)
 	sp := opt.Trace.Child("simjoin.Join")
-	plan := planJoin(a, b, opt, sp)
+	plan := resolve(opt, sp, func() Plan { return planJoin(a, b, opt.Metric, opt.Eps, false) })
 	watch := stats.Start()
 	r := joinRunners(plan.algo, a.internal(), b.internal(), iopt, opt)
 	return r.result(false, opt, sp, plan, iopt, watch), nil
@@ -334,7 +333,7 @@ func SelfJoinEach(ds *Dataset, opt Options, fn func(i, j int)) (Stats, error) {
 	var phases obsv.Phases
 	iopt := opt.toInternal(&counters, &phases)
 	sp := opt.Trace.Child("simjoin.SelfJoinEach")
-	plan := planSelf(ds, opt, sp)
+	plan := resolve(opt, sp, func() Plan { return planSelf(ds, opt.Metric, opt.Eps, false) })
 	watch := stats.Start()
 	var n int64
 	r := selfRunners(plan.algo, ds.internal(), iopt, opt)
@@ -363,7 +362,7 @@ func JoinEach(a, b *Dataset, opt Options, fn func(i, j int)) (Stats, error) {
 	var phases obsv.Phases
 	iopt := opt.toInternal(&counters, &phases)
 	sp := opt.Trace.Child("simjoin.JoinEach")
-	plan := planJoin(a, b, opt, sp)
+	plan := resolve(opt, sp, func() Plan { return planJoin(a, b, opt.Metric, opt.Eps, false) })
 	watch := stats.Start()
 	var n int64
 	r := joinRunners(plan.algo, a.internal(), b.internal(), iopt, opt)
@@ -374,85 +373,36 @@ func JoinEach(a, b *Dataset, opt Options, fn func(i, j int)) (Stats, error) {
 	return r.finish(opt, sp, plan, iopt, n, watch), nil
 }
 
-// autoSeed shuffles the subsample when AlgorithmAuto falls back to the
-// sampling estimator. Fixed so Auto is deterministic run to run.
-const autoSeed = 0x5e1ec7
-
 // planned is the outcome of pre-run planning: the concrete algorithm
 // that will run plus the result-size estimate that drove the choice
 // (est is -1 when the run decided without estimating — an explicit
 // algorithm was requested, or Auto short-circuited on a trivial input).
 type planned struct {
-	algo     Algorithm
-	est      int64
-	sketched bool
+	algo Algorithm
+	est  int64
 	// keys is the key kind of the ε-kdB tree the run built ("" for other
 	// engines): known only once the runners exist (runners.finish).
 	keys string
 }
 
-// planSelf maps the empty default and AlgorithmAuto to a concrete
-// algorithm for self-joins. Auto consults the dataset's resident sketch
-// when one is attached — zero passes over the raw points — and falls
-// back to the sampling estimator otherwise; the chooser's rules are
-// documented in internal/estimate. The decision is recorded as an
-// "estimate" child span of sp.
-func planSelf(ds *Dataset, opt Options, sp *trace.Span) planned {
+// resolve maps the empty default and AlgorithmAuto to a concrete
+// algorithm. Auto asks plan (planSelf or planJoin, estimating only when
+// the chooser needs it) and records the decision as an "estimate" child
+// span of sp.
+func resolve(opt Options, sp *trace.Span, plan func() Plan) planned {
 	switch opt.Algorithm {
 	case "":
 		return planned{algo: AlgorithmEKDB, est: -1}
 	case AlgorithmAuto:
 		esp := sp.Child("estimate")
-		var p estimate.Prediction
-		source := "sample"
-		if sk := ds.sk.internal(); sk != nil {
-			source = "sketch"
-			p = estimate.PlanSketch(sk, ds.Len(), opt.Metric.internal(), opt.Eps)
-		} else {
-			p = estimate.Plan(ds.internal(), opt.Metric.internal(), opt.Eps, autoSeed)
-		}
-		finishEstimateSpan(esp, source, p)
-		return planned{algo: Algorithm(p.Algorithm), est: p.Pairs, sketched: p.Sketched}
+		p := plan()
+		esp.SetAttr("algorithm", string(p.Algorithm))
+		esp.AddCounter("predicted_pairs", p.EstimatedPairs)
+		esp.End()
+		return planned{algo: p.Algorithm, est: p.EstimatedPairs}
 	default:
 		return planned{algo: opt.Algorithm, est: -1}
 	}
-}
-
-// planJoin is planSelf for two-set joins: Auto judges both sets, so a
-// tiny outer set joined against a huge inner set is judged by the
-// workload's true size rather than the outer set alone. The sketch path
-// needs a sketch on each side; anything less falls back to sampling.
-func planJoin(a, b *Dataset, opt Options, sp *trace.Span) planned {
-	switch opt.Algorithm {
-	case "":
-		return planned{algo: AlgorithmEKDB, est: -1}
-	case AlgorithmAuto:
-		esp := sp.Child("estimate")
-		var p estimate.Prediction
-		source := "sample"
-		if ska, skb := a.sk.internal(), b.sk.internal(); ska != nil && skb != nil {
-			source = "sketch"
-			p = estimate.PlanJoinSketch(ska, skb, a.Len(), b.Len(), opt.Metric.internal(), opt.Eps)
-		} else {
-			p = estimate.PlanJoin(a.internal(), b.internal(), opt.Metric.internal(), opt.Eps, autoSeed)
-		}
-		finishEstimateSpan(esp, source, p)
-		return planned{algo: Algorithm(p.Algorithm), est: p.Pairs, sketched: p.Sketched}
-	default:
-		return planned{algo: opt.Algorithm, est: -1}
-	}
-}
-
-// finishEstimateSpan seals the planner's span: where the estimate came
-// from, what it predicted, and what the chooser picked.
-func finishEstimateSpan(sp *trace.Span, source string, p estimate.Prediction) {
-	if sp == nil {
-		return
-	}
-	sp.SetAttr("source", source)
-	sp.SetAttr("algorithm", string(p.Algorithm))
-	sp.AddCounter("predicted_pairs", p.Pairs)
-	sp.End()
 }
 
 // DefaultWorkers returns the worker count the parallel variants use for

@@ -1,11 +1,9 @@
 package simjoin
 
 import (
-	"math"
-
 	"simjoin/internal/core"
 	"simjoin/internal/dataset"
-	"simjoin/internal/estimate"
+	"simjoin/internal/sketch"
 )
 
 // Plan is the planner's pre-run report for a prospective join: what
@@ -17,64 +15,123 @@ type Plan struct {
 	// Algorithm is what AlgorithmAuto would pick for this workload.
 	Algorithm Algorithm
 	// EstimatedPairs is the predicted result size (self-joins count
-	// unordered pairs).
+	// unordered pairs), or -1 when the planner decided without estimating.
 	EstimatedPairs int64
-	// Selectivity is EstimatedPairs over the total pair count, in [0, 1].
+	// Selectivity is EstimatedPairs over the total pair count, in [0, 1],
+	// or -1 with EstimatedPairs.
 	Selectivity float64
-	// Sketched reports whether a resident sketch answered (true) or the
-	// sampling estimator ran (false).
-	Sketched bool
 }
 
-// PlanSelfJoin predicts a self-join over ds at the given metric and ε:
-// answered by the dataset's attached sketch when one is present — no
-// pass over the raw points — and by the sampling estimator otherwise.
-// Unlike the planning AlgorithmAuto does inline (which skips estimating
-// when the algorithm choice is forced anyway), the returned prediction
-// is always filled.
+// The cost model behind the chooser, calibrated from the evaluation:
+//
+//   - tiny inputs (N ≤ chooseTinyN): nested loop — no build cost to
+//     amortize (F1's crossover sits below N≈500);
+//   - one dimension: the sort-sweep is exactly the right structure;
+//   - very unselective joins (estimated selectivity ≥ chooseGridSel):
+//     grid — F3 shows every ε-structure converging once most stripe
+//     pairs join, and the grid's flat per-cell overhead wins the tie;
+//   - everything else: the ε-kdB tree (fastest on every other row of
+//     F1–F6/T1).
+const (
+	chooseTinyN   = 400
+	chooseGridSel = 0.02
+)
+
+// chooseFrom applies the calibrated decision rules. selectivity is
+// called only when the rules actually need an estimate, so trivial
+// workloads never pay for one.
+func chooseFrom(n, dims int, selectivity func() float64) Algorithm {
+	switch {
+	case n <= chooseTinyN:
+		return AlgorithmBrute
+	case dims == 1:
+		return AlgorithmSweep
+	case selectivity() >= chooseGridSel:
+		return AlgorithmGrid
+	default:
+		return AlgorithmEKDB
+	}
+}
+
+const (
+	// sampleSize bounds the transient sample an unsketched dataset is
+	// planned from. Planning costs one exact count over the sample,
+	// quadratic in it; 1 000 keeps that near a millisecond while the
+	// scaled count stays within a small factor on the evaluated workloads.
+	sampleSize = 1000
+	// autoSeed draws the transient sample; fixed so Auto is deterministic
+	// run to run.
+	autoSeed = 0x5e1ec7
+)
+
+// plan runs the chooser over a workload of n points in dims dimensions
+// with total candidate pairs. sel reads the selectivity off a sketch; it
+// runs at most once — when the chooser asks for it, or afterwards when
+// full is set — so tiny and one-dimensional inputs decide without it.
+func plan(n, dims int, total int64, full bool, sel func() float64) Plan {
+	p := Plan{EstimatedPairs: -1, Selectivity: -1}
+	estimate := func() float64 {
+		if p.EstimatedPairs < 0 {
+			p.Selectivity = sel()
+			p.EstimatedPairs = int64(p.Selectivity*float64(total) + 0.5)
+		}
+		return p.Selectivity
+	}
+	p.Algorithm = chooseFrom(n, dims, estimate)
+	if full {
+		estimate()
+	}
+	return p
+}
+
+// planSelf predicts a self-join over ds from its resident sketch or, when
+// none is attached, from a transient sketch over a seeded uniform sample
+// of min(n, sampleSize) points, built only once an estimate is wanted.
+// full asks for the estimate even when the choice does not need it; a
+// resident sketch always answers, since reading it costs no pass over
+// the points.
+func planSelf(ds *Dataset, m Metric, eps float64, full bool) Plan {
+	sk := ds.sk.internal()
+	n := int64(ds.Len())
+	return plan(ds.Len(), ds.Dims(), n*(n-1)/2, full || sk != nil, func() float64 {
+		if sk == nil {
+			sk = sketch.Sample(ds.internal(), sampleSize, autoSeed)
+		}
+		return sk.SelfSelectivity(m.internal(), eps)
+	})
+}
+
+// planJoin is planSelf for a two-set join: each side reads its resident
+// sketch or a transient one. The workload is judged by both sides — the
+// total point count against the tiny-input rule, the cross selectivity —
+// so a small outer set probing a large inner set is not mistaken for a
+// tiny workload.
+func planJoin(a, b *Dataset, m Metric, eps float64, full bool) Plan {
+	ska, skb := a.sk.internal(), b.sk.internal()
+	return plan(a.Len()+b.Len(), a.Dims(), int64(a.Len())*int64(b.Len()), full || ska != nil && skb != nil, func() float64 {
+		if ska == nil {
+			ska = sketch.Sample(a.internal(), sampleSize, autoSeed)
+		}
+		if skb == nil {
+			skb = sketch.Sample(b.internal(), sampleSize, autoSeed^0x7ab1e5)
+		}
+		return ska.JoinSelectivity(skb, m.internal(), eps)
+	})
+}
+
+// PlanSelfJoin predicts a self-join over ds at the given metric and ε,
+// from the dataset's attached sketch when one is present — no pass over
+// the raw points — and from a transient sample sketch otherwise. Unlike
+// the planning AlgorithmAuto does inline (which skips estimating when
+// the algorithm choice is forced anyway), the prediction is always
+// filled.
 func PlanSelfJoin(ds *Dataset, m Metric, eps float64) Plan {
-	im := m.internal()
-	if sk := ds.sk.internal(); sk != nil {
-		return toPlan(estimate.PlanSketch(sk, ds.Len(), im, eps))
-	}
-	p := estimate.Plan(ds.internal(), im, eps, autoSeed)
-	if p.Pairs < 0 {
-		n := int64(ds.Len())
-		total := n * (n - 1) / 2
-		switch {
-		case n < 2 || !(eps > 0):
-			p.Pairs, p.Selectivity = 0, 0
-		case math.IsInf(eps, 1):
-			p.Pairs, p.Selectivity = total, 1
-		default:
-			p.Pairs = estimate.SelfJoinSize(ds.internal(), im, eps, 0, autoSeed)
-			p.Selectivity = float64(p.Pairs) / float64(total)
-		}
-	}
-	return toPlan(p)
+	return planSelf(ds, m, eps, true)
 }
 
-// PlanJoin is PlanSelfJoin for a two-set join. The sketch path needs a
-// sketch on each side; anything less falls back to sampling.
+// PlanJoin is PlanSelfJoin for a two-set join.
 func PlanJoin(a, b *Dataset, m Metric, eps float64) Plan {
-	im := m.internal()
-	if ska, skb := a.sk.internal(), b.sk.internal(); ska != nil && skb != nil {
-		return toPlan(estimate.PlanJoinSketch(ska, skb, a.Len(), b.Len(), im, eps))
-	}
-	p := estimate.PlanJoin(a.internal(), b.internal(), im, eps, autoSeed)
-	if p.Pairs < 0 {
-		total := int64(a.Len()) * int64(b.Len())
-		switch {
-		case total == 0 || !(eps > 0):
-			p.Pairs, p.Selectivity = 0, 0
-		case math.IsInf(eps, 1):
-			p.Pairs, p.Selectivity = total, 1
-		default:
-			p.Pairs = estimate.JoinSize(a.internal(), b.internal(), im, eps, 0, autoSeed)
-			p.Selectivity = float64(p.Pairs) / float64(total)
-		}
-	}
-	return toPlan(p)
+	return planJoin(a, b, m, eps, true)
 }
 
 // Explanation is the EXPLAIN report for a prospective join: the request
@@ -103,7 +160,7 @@ type Explanation struct {
 // Explain reports what a SelfJoin with these options would do — resolved
 // engine plus prediction — without running it. The prediction comes from
 // the dataset's resident sketch when one is attached (O(1), no pass over
-// the points) and the sampling estimator otherwise.
+// the points) and a transient sample sketch otherwise.
 func Explain(ds *Dataset, opt Options) (Explanation, error) {
 	if err := opt.validate(); err != nil {
 		return Explanation{}, err
@@ -141,13 +198,4 @@ func explanation(opt Options, pl Plan, sets ...*dataset.Dataset) Explanation {
 		ex.Keys = core.PlanKeys(opt.Eps, opt.treeConfig(), sets...)
 	}
 	return ex
-}
-
-func toPlan(p estimate.Prediction) Plan {
-	return Plan{
-		Algorithm:      Algorithm(p.Algorithm),
-		EstimatedPairs: p.Pairs,
-		Selectivity:    p.Selectivity,
-		Sketched:       p.Sketched,
-	}
 }

@@ -69,14 +69,17 @@ step "test -race" go test -race ./...
 
 # The concurrency-heavy packages again, four times under the detector:
 # tracing/metrics and the query journal, the WAL catalog, live fan-out,
-# the sketch updated under readers, kernels over one shared buffer, the
-# pair sinks, gateway hot reload, and the serving core with the daemon
-# that drives it.
+# kernels over one shared buffer, the pair sinks, gateway hot reload, and
+# the serving core with the daemon that drives it.
 for pkg in ./internal/obsv/... ./internal/store/... ./internal/live/... \
-	./internal/sketch/... ./internal/vec/... ./internal/pairs/... \
+	./internal/vec/... ./internal/pairs/... \
 	./internal/gateway/ ./internal/api/... ./cmd/simjoind/; do
 	step "race x4 $pkg" go test -race -count=4 "$pkg"
 done
+# The sketch updated under readers: only its concurrency test is worth
+# repeating. The rest of the package is single-goroutine, deterministic
+# accuracy checks — two thirds of its -race time — and ran once above.
+step "race x4 ./internal/sketch/... -run Concurrent" go test -race -count=4 -run Concurrent ./internal/sketch/...
 
 step "benchmark harness: vet + test" harness
 # Each workload boots what it measures from this checkout — serve_* run

@@ -80,8 +80,8 @@ const (
 	// AlgorithmHilbert is AlgorithmZOrder with a Hilbert curve — better
 	// worst-case locality for the same block machinery.
 	AlgorithmHilbert Algorithm = "hilbert"
-	// AlgorithmAuto estimates the workload's selectivity from a sample and
-	// picks brute, sweep, grid or ekdb accordingly (see internal/estimate
+	// AlgorithmAuto estimates the workload's selectivity from a join-size
+	// sketch and picks brute, sweep, grid or ekdb accordingly (see plan.go
 	// for the calibrated rules).
 	AlgorithmAuto Algorithm = "auto"
 )
@@ -109,8 +109,6 @@ type Options struct {
 	Workers int
 	// LeafThreshold tunes the ε-kdB tree's leaf capacity (0 = default).
 	LeafThreshold int
-	// BiasedSplit makes the ε-kdB tree consume wide dimensions first.
-	BiasedSplit bool
 	// CollectPairs controls whether Result.Pairs is populated (default
 	// true). Disable for counting-only runs over huge outputs.
 	CollectPairs *bool

@@ -188,8 +188,6 @@ func TestEKDBTuningKnobs(t *testing.T) {
 	for _, opt := range []Options{
 		{Eps: 0.1, LeafThreshold: 4},
 		{Eps: 0.1, LeafThreshold: 512},
-		{Eps: 0.1, BiasedSplit: true},
-		{Eps: 0.1, BiasedSplit: true, LeafThreshold: 16, Workers: 3},
 	} {
 		res, err := SelfJoin(ds, opt)
 		if err != nil {
