@@ -219,6 +219,47 @@ func BenchmarkT3TwoSetJoinWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkNeighborIndexGrow is the in-process twin of serve_ingest's
+// side op: a 32-point append, then one range query, on a 20 000-point
+// d = 8 clustered set. "rebuild" builds a fresh index over every grown
+// snapshot, which is what the worker did before its index survived
+// appends; "tail" extends the standing index over the new snapshot, so
+// the query scans the appended points after the tree. Every n/8 appended
+// points (where the worker starts a rebuild, off the query's path) both
+// restart from the base set, outside the timer.
+func BenchmarkNeighborIndexGrow(b *testing.B) {
+	const n, dims, batch, radius = 20000, 8, 32, 0.1
+	const tail = n / 8 / batch * batch
+	src := synth.Generate(synth.Config{N: n + tail, Dims: dims, Seed: 0x26, Dist: synth.GaussianClusters})
+	base := dataset.FromFlat(dims, src.Flat()[:n*dims:n*dims])
+	extra := src.Flat()[n*dims:]
+	q := src.Point(n / 2)
+	for _, mode := range []string{"rebuild", "tail"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			var snap *simjoin.Dataset
+			var idx *simjoin.NeighborIndex
+			next := len(extra)
+			for i := 0; i < b.N; i++ {
+				if next == len(extra) {
+					b.StopTimer()
+					snap = simjoin.WrapDataset(base)
+					idx, next = simjoin.NewNeighborIndex(snap), 0
+					b.StartTimer()
+				}
+				snap = simjoin.WrapDataset(snap.Internal().Grow(extra[next : next+batch*dims]))
+				next += batch * dims
+				if mode == "rebuild" {
+					idx = simjoin.NewNeighborIndex(snap)
+				} else {
+					idx = idx.Extend(snap)
+				}
+				idx.Range(q, simjoin.L2, radius)
+			}
+		})
+	}
+}
+
 // BenchmarkLiveAppend prices the two ways to keep a standing ε-index
 // current through a 64-point batch at d = 8 (what internal/live pays on
 // every append): "append64" runs Range + Insert per point on the standing
@@ -232,9 +273,11 @@ func BenchmarkLiveAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	base := simjoin.NewDataset(dims)
-	for i := 0; i < n-batch; i++ {
-		base.Append(full.Point(i))
+	// Index.Insert appends to its dataset, so every run starts from a
+	// fresh copy of the base points.
+	base := make([][]float64, n-batch)
+	for i := range base {
+		base[i] = full.Point(i)
 	}
 	// probe range-queries the batch (the last 64 points of full) against
 	// idx, inserting each point after its query when the index is standing.
@@ -265,7 +308,7 @@ func BenchmarkLiveAppend(b *testing.B) {
 		var deltas int
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			idx := build(b, base.CloneWithCap(batch))
+			idx := build(b, simjoin.FromPoints(base))
 			b.StartTimer()
 			deltas = probe(b, idx, true)
 		}

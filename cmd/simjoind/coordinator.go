@@ -242,23 +242,23 @@ func (s *coordServer) handleShardedSelfJoin(w http.ResponseWriter, r *http.Reque
 }
 
 func (s *coordServer) handleRange(w http.ResponseWriter, r *http.Request) {
-	s.pointQuery(w, r, "range", func(q api.PointQuery, m simjoin.Metric) (any, int, *api.Scatter, error) {
+	s.pointQuery(w, r, "range", func(q api.PointQuery, m simjoin.Metric) (pointRun, error) {
 		defer s.observeFanout("range", time.Now())
 		res, err := s.c.Range(r.Context(), r.PathValue("name"), q.Point, q.Radius, m.String())
 		if err != nil {
-			return nil, 0, nil, err
+			return pointRun{}, err
 		}
-		return res, len(res.Indexes), res.Scatter, nil
+		return pointRun{answer: res, n: len(res.Indexes), scatter: res.Scatter}, nil
 	})
 }
 
 func (s *coordServer) handleKNN(w http.ResponseWriter, r *http.Request) {
-	s.pointQuery(w, r, "knn", func(q api.PointQuery, m simjoin.Metric) (any, int, *api.Scatter, error) {
+	s.pointQuery(w, r, "knn", func(q api.PointQuery, m simjoin.Metric) (pointRun, error) {
 		defer s.observeFanout("knn", time.Now())
 		res, err := s.c.KNN(r.Context(), r.PathValue("name"), q.Point, q.K, m.String())
 		if err != nil {
-			return nil, 0, nil, err
+			return pointRun{}, err
 		}
-		return res, len(res.Neighbors), res.Scatter, nil
+		return pointRun{answer: res, n: len(res.Neighbors), scatter: res.Scatter}, nil
 	})
 }

@@ -204,10 +204,17 @@ func (s *core) runJoin(w http.ResponseWriter, r *http.Request, route string, rec
 	api.WriteJSON(w, out)
 }
 
+// pointRun is what one range or KNN query reports back to pointQuery.
+type pointRun struct {
+	answer  any
+	n       int          // results in answer
+	scatter *api.Scatter // distributed runs only
+	tail    int          // points scanned past the indexed prefix (workers only)
+}
+
 // pointQuery is the shared body of the range and KNN routes: decode,
-// run, journal, answer. run returns the answer to write, how many
-// results it holds, and the scatter block when it was distributed.
-func (s *core) pointQuery(w http.ResponseWriter, r *http.Request, kind string, run func(q api.PointQuery, m simjoin.Metric) (answer any, n int, sc *api.Scatter, err error)) {
+// run, journal, answer.
+func (s *core) pointQuery(w http.ResponseWriter, r *http.Request, kind string, run func(q api.PointQuery, m simjoin.Metric) (pointRun, error)) {
 	var q api.PointQuery
 	if !api.Decode(w, r, s.maxBody, &q) {
 		return
@@ -218,21 +225,21 @@ func (s *core) pointQuery(w http.ResponseWriter, r *http.Request, kind string, r
 		return
 	}
 	start := time.Now()
-	answer, n, sc, err := run(q, m)
+	res, err := run(q, m)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	rec := querylog.Record{
 		Kind: kind, Dataset: r.PathValue("name"), Eps: q.Radius, Metric: m.String(),
-		EstimatedPairs: -1, ActualPairs: int64(n),
+		EstimatedPairs: -1, ActualPairs: int64(res.n), Tail: int64(res.tail),
 		ElapsedNS: int64(time.Since(start)), TraceID: traceIDOf(r), Outcome: querylog.OutcomeOK,
 	}
-	if sc != nil {
-		rec.Shards = sc.Shards
+	if res.scatter != nil {
+		rec.Shards = res.scatter.Shards
 	}
 	recordQuery(s.qlog, s.m, rec)
-	api.WriteJSON(w, answer)
+	api.WriteJSON(w, res.answer)
 }
 
 // decodeWatch parses and validates the part of a watch request both

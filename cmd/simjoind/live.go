@@ -57,7 +57,7 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Seed live tracking under each entry's lock (never both at once), so
-	// the mirrors start at snapshots consistent with the append
+	// the live indexes start at snapshots consistent with the append
 	// notifications that follow.
 	e.seedLive(s.live, name, req.Eps)
 	if other != nil {

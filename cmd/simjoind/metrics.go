@@ -39,6 +39,12 @@ type metrics struct {
 	liveCatchupPairs *obsv.Counter
 	liveAppend       *obsv.Histogram
 
+	// Point-index surface: k-d tree builds behind range/knn queries (an
+	// entry's first query, then one per background rebuild of a long
+	// scanned tail) and how long each took. Unlabelled, so bounded.
+	indexRebuilds *obsv.Counter
+	indexRebuild  *obsv.Histogram
+
 	// Estimation / admission surface, prefixed simjoin_ rather than
 	// simjoind_ because the numbers come from the library's planner:
 	// how many pre-query estimates were served, what admission control
@@ -84,6 +90,9 @@ func newMetrics() *metrics {
 		liveDeltaPairs:   reg.NewCounter("simjoind_live_delta_pairs_total", "Delta pairs delivered to subscribers."),
 		liveCatchupPairs: reg.NewCounter("simjoind_live_catchup_pairs_total", "Pairs re-derived by catch-up replays."),
 		liveAppend:       reg.NewHistogram("simjoind_live_append_seconds", "Incremental index mutation latency per appended batch (delta compute + insert).", obsv.LatencyBuckets()),
+
+		indexRebuilds: reg.NewCounter("simjoind_index_rebuilds_total", "Point-index (k-d tree) builds for range/knn queries: first queries and background tail rebuilds."),
+		indexRebuild:  reg.NewHistogram("simjoind_index_rebuild_seconds", "Point-index (k-d tree) build latency.", obsv.LatencyBuckets()),
 
 		estimateRequests: reg.NewCounter("simjoin_estimate_requests_total", "Join-size estimates served before queries."),
 		estimateRejected: reg.NewCounter("simjoin_estimate_rejected_total", "Join queries rejected (429) because the estimated result size exceeded the -max-pairs budget."),

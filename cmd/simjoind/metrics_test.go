@@ -40,9 +40,20 @@ func TestMetricsEndpointWorker(t *testing.T) {
 	// One error to land in the error counter.
 	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/datasets/zzz/selfjoin", map[string]any{"eps": 0.1})
 	resp.Body.Close()
+	// Two point queries: the first builds the point index, the second
+	// reuses it.
+	for range 2 {
+		resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/range", map[string]any{"point": []float64{0, 0}, "radius": 0.1})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("range: %d %v", resp.StatusCode, body)
+		}
+	}
 
 	text := scrape(t, ts.URL)
 	for _, want := range []string{
+		`simjoind_index_rebuilds_total 1`,
+		`# TYPE simjoind_index_rebuild_seconds histogram`,
+		`simjoind_index_rebuild_seconds_count 1`,
 		`simjoind_requests_total{route="PUT /datasets/{name}"} 1`,
 		`simjoind_requests_total{route="POST /datasets/{name}/selfjoin"} 2`,
 		`simjoind_errors_total{route="POST /datasets/{name}/selfjoin"} 1`,

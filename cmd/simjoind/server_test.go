@@ -355,7 +355,7 @@ func TestAppendPointsErrors(t *testing.T) {
 }
 
 // TestConcurrentAppendAndQuery hammers appends against joins and KNN
-// queries; copy-on-write snapshots must keep every response internally
+// queries; append-only snapshots must keep every response internally
 // consistent (run under -race in CI).
 func TestConcurrentAppendAndQuery(t *testing.T) {
 	ts, done := newTestServer(t)

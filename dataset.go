@@ -56,7 +56,7 @@ func (d *Dataset) Sketch() *SizeSketch { return d.sk }
 
 // AttachSketch adopts an externally maintained sketch — the serving
 // layer's pattern, where one long-lived sketch outlives each
-// copy-on-write dataset snapshot. The caller owns keeping the sketch in
+// append-only dataset snapshot. The caller owns keeping the sketch in
 // step with the data; attach before sharing the Dataset across
 // goroutines.
 func (d *Dataset) AttachSketch(s *SizeSketch) { d.sk = s }
@@ -96,13 +96,6 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		return nil, err
 	}
 	return &Dataset{ds: ds}, nil
-}
-
-// CloneWithCap returns a deep copy with spare capacity for extra more
-// points — the cheap way to grow copy-on-write: clone once, then Append
-// the batch without reallocation.
-func (d *Dataset) CloneWithCap(extra int) *Dataset {
-	return &Dataset{ds: d.ds.CloneWithCap(extra)}
 }
 
 // internal exposes the underlying container to the package.

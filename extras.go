@@ -8,6 +8,7 @@ import (
 	"simjoin/internal/kdtree"
 	"simjoin/internal/rtree"
 	"simjoin/internal/synth"
+	"simjoin/internal/vec"
 )
 
 // Synthetic generates one of the library's synthetic workloads —
@@ -70,24 +71,83 @@ func SubsequenceMatches(series, query []float64, k int, eps float64) []int {
 	return dft.SubsequenceMatches(series, query, k, eps)
 }
 
-// NeighborIndex answers repeated ε-range queries over one dataset (backed
-// by a k-d tree). Use it when the workload is point-at-a-time lookups
-// rather than a full join.
+// NeighborIndex answers ε-range and k-nearest-neighbor queries over one
+// dataset, point at a time: use it when the workload is lookups rather
+// than a full join. It holds a k-d tree over the dataset's first m points
+// (those present when the tree was built) and scans the rest, the tail,
+// at query time with the same distance predicate. Every answer therefore
+// covers all the points the dataset holds when the query runs, including
+// points appended after the index was built: appends make queries slower
+// (the scan is linear in Tail), never wrong. Build a new index over the
+// grown dataset to fold the tail into the tree. Queries may run
+// concurrently with each other, not with appends to the dataset.
 type NeighborIndex struct {
-	t *kdtree.Tree
+	ds *Dataset
+	t  *kdtree.Tree // over ds's first m points; nil when m == 0
+	m  int
 }
 
-// NewNeighborIndex builds a range-query index over ds. It panics on an
-// empty dataset.
+// neighborLeafSize is the leaf capacity of a NeighborIndex tree: twice the
+// join engine's kdtree.DefaultLeafSize. On 40 000 ten-blob points at
+// d = 8 it halves the tree's memory (2.1 → 1.1 MB) and is faster on all
+// three operations a served index runs: build 25.9 → 22.0 ms, range at
+// ε = 0.1 73 → 64 µs, 10-NN 51 → 49 µs.
+const neighborLeafSize = 32
+
+// NewNeighborIndex builds an index over every point ds holds now. An
+// empty dataset gets an index with no tree, which scans.
 func NewNeighborIndex(ds *Dataset) *NeighborIndex {
-	return &NeighborIndex{t: kdtree.Build(ds.internal(), 0)}
+	x := &NeighborIndex{ds: ds, m: ds.Len()}
+	if x.m > 0 {
+		x.t = kdtree.Build(ds.internal(), neighborLeafSize)
+	}
+	return x
+}
+
+// Extend returns an index over ds that reuses x's tree, in O(1). ds must
+// hold the tree's points as its prefix — a grown copy or snapshot of x's
+// dataset — and its points past them are scanned as the tail. The tree
+// then reads its points from ds too, so x's dataset need not outlive x.
+// Extend checks the shape, not the coordinates: it panics when ds is
+// shorter than x's dataset or has another dimensionality.
+func (x *NeighborIndex) Extend(ds *Dataset) *NeighborIndex {
+	if ds.Len() < x.ds.Len() || ds.Dims() != x.ds.Dims() {
+		panic(fmt.Sprintf("simjoin: extending a neighbor index over %d %d-dim points to %d %d-dim points", x.ds.Len(), x.ds.Dims(), ds.Len(), ds.Dims()))
+	}
+	y := &NeighborIndex{ds: ds, m: x.m}
+	if x.t != nil {
+		y.t = x.t.On(ds.internal())
+	}
+	return y
+}
+
+// Tail returns how many of the dataset's points lie past the tree and are
+// scanned by every query.
+func (x *NeighborIndex) Tail() int { return x.ds.Len() - x.m }
+
+func (x *NeighborIndex) checkQuery(q []float64) {
+	if len(q) != x.ds.Dims() {
+		panic(fmt.Sprintf("simjoin: query of dimension %d against a %d-dim neighbor index", len(q), x.ds.Dims()))
+	}
 }
 
 // Range returns the indexes of every point within eps of q under the given
-// metric.
+// metric: the tree's hits over the prefix, then the tail's in index order.
 func (x *NeighborIndex) Range(q []float64, metric Metric, eps float64) []int {
+	x.checkQuery(q)
+	if !(eps >= 0) {
+		return nil
+	}
 	var out []int
-	x.t.Range(q, metric.internal(), eps, nil, func(i int) { out = append(out, i) })
+	m := metric.internal()
+	if x.t != nil {
+		x.t.Range(q, m, eps, nil, func(i int) { out = append(out, i) })
+	}
+	// The tail is contiguous, so it takes the stride-1 kernel; its test is
+	// the one the tree's leaves run (same kernel body, same threshold).
+	in := x.ds.internal()
+	vec.ProbeRangeFlat(m, vec.Flat{Dims: in.Dims(), Data: q}, 0, in.FlatView(), x.m, in.Len(), vec.Threshold(m, eps),
+		func(j int32) { out = append(out, int(j)) })
 	return out
 }
 
@@ -99,9 +159,29 @@ type Neighbor struct {
 }
 
 // KNN returns the k nearest points to q in ascending distance order (ties
-// broken by index).
+// broken by index). The tree's search and the tail's scan fill one heap,
+// so the answer is the k smallest by (distance, index) over all points.
+// It panics if k < 1.
 func (x *NeighborIndex) KNN(q []float64, k int, metric Metric) []Neighbor {
-	return toPublicNeighbors(x.t.KNN(q, k, metric.internal(), nil))
+	x.checkQuery(q)
+	if k < 1 {
+		panic(fmt.Sprintf("simjoin: KNN with k=%d", k))
+	}
+	in := x.ds.internal()
+	n := in.Len()
+	if n == 0 {
+		return []Neighbor{}
+	}
+	// k comes off the wire: never reserve more than there are points.
+	best := join.NewMaxHeap(min(k, n))
+	m := metric.internal()
+	if x.t != nil {
+		x.t.Nearest(q, m, best, nil)
+	}
+	for j := x.m; j < n; j++ {
+		best.Push(join.Neighbor{Index: j, Dist: vec.Dist(m, q, in.Point(j))})
+	}
+	return toPublicNeighbors(best.Sorted())
 }
 
 func toPublicNeighbors(in []join.Neighbor) []Neighbor {

@@ -4,9 +4,21 @@ import (
 	"fmt"
 	"sort"
 
+	"simjoin/internal/dataset"
 	"simjoin/internal/stats"
 	"simjoin/internal/vec"
 )
+
+// Rebase points the tree at ds, a grown snapshot of its dataset: ds must
+// hold the tree's points at the same indexes, and Insert can then index
+// the points past them. It panics when ds is shorter or of another
+// dimensionality; it does not compare coordinates.
+func (t *Tree) Rebase(ds *dataset.Dataset) {
+	if ds.Len() < t.ds.Len() || ds.Dims() != t.ds.Dims() {
+		panic(fmt.Sprintf("core: rebasing a tree over %d %d-dim points onto %d %d-dim points", t.ds.Len(), t.ds.Dims(), ds.Len(), ds.Dims()))
+	}
+	t.ds = ds
+}
 
 // Insert indexes point i of the tree's dataset (which must already contain
 // it). The point routes down the existing stripe grid; a leaf that

@@ -11,6 +11,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"simjoin/internal/vec"
 )
@@ -20,6 +21,20 @@ import (
 type Dataset struct {
 	dims int
 	data []float64 // row-major: point i occupies data[i*dims : (i+1)*dims]
+	// buf, when non-nil, is the backing store this snapshot shares with
+	// the other snapshots Grow made from the same line; data is a prefix
+	// of buf.data.
+	buf *growBuf
+}
+
+// growBuf is the storage a line of Grow snapshots shares. Every snapshot
+// is a prefix of data; hi is the longest prefix any snapshot has been
+// given, in floats. Nothing below hi is ever written again, and only the
+// Grow that claims [hi, hi+k) by compare-and-swap writes there, so two
+// writers growing the same snapshot cannot both extend in place.
+type growBuf struct {
+	data []float64 // full capacity
+	hi   atomic.Int64
 }
 
 // New returns an empty dataset of the given dimensionality with capacity for
@@ -73,21 +88,55 @@ func (d *Dataset) Point(i int) []float64 {
 }
 
 // Append copies p into the dataset. It panics on dimensionality mismatch.
+// On a snapshot from Grow it reallocates (snapshots have no spare
+// capacity) and leaves the shared buffer, so no other snapshot changes.
 func (d *Dataset) Append(p []float64) {
 	if len(p) != d.dims {
 		panic(fmt.Sprintf("dataset: appending %d-dim point to %d-dim dataset", len(p), d.dims))
 	}
 	d.data = append(d.data, p...)
+	d.buf = nil
 }
 
 // AppendFlat bulk-copies points stored row-major in flat — one copy for
 // any number of points, where per-point Append would revalidate and grow
 // k times. len(flat) must be a multiple of dims; it panics otherwise.
 func (d *Dataset) AppendFlat(flat []float64) {
+	d.checkFlat(flat)
+	d.data = append(d.data, flat...)
+	d.buf = nil
+}
+
+func (d *Dataset) checkFlat(flat []float64) {
 	if len(flat)%d.dims != 0 {
 		panic(fmt.Sprintf("dataset: appending %d floats to %d-dim dataset", len(flat), d.dims))
 	}
-	d.data = append(d.data, flat...)
+}
+
+// Grow returns a new snapshot holding d's points followed by the points
+// stored row-major in flat, and leaves d unchanged. Snapshots of one line
+// share a backing buffer: growing the newest snapshot writes only past
+// every length already handed out and copies nothing old, and a full
+// buffer is replaced by one a constant factor larger, so a run of Grows
+// costs O(points added) amortised. Growing an older snapshot (one a later
+// Grow has already extended) copies, so it never overwrites what the
+// newer snapshot sees. Every snapshot has cap == len, so Append on one
+// reallocates instead of writing into shared storage. len(flat) must be a
+// multiple of dims; it panics otherwise.
+func (d *Dataset) Grow(flat []float64) *Dataset {
+	d.checkFlat(flat)
+	n, k := len(d.data), len(flat)
+	if b := d.buf; b != nil && n+k <= len(b.data) && b.hi.CompareAndSwap(int64(n), int64(n+k)) {
+		copy(b.data[n:n+k], flat)
+		return &Dataset{dims: d.dims, data: b.data[: n+k : n+k], buf: b}
+	}
+	// A new buffer, sized by append's growth policy: double while small,
+	// about 1.25× once large, which keeps a large dataset's spare room and
+	// its copy-time peak (old + new buffer) small.
+	data := append(d.data[:n:n], flat...)
+	b := &growBuf{data: data[:cap(data)]}
+	b.hi.Store(int64(n + k))
+	return &Dataset{dims: d.dims, data: data[: n+k : n+k], buf: b}
 }
 
 // Flat returns the underlying row-major buffer. It aliases the dataset.
@@ -102,17 +151,7 @@ func (d *Dataset) FlatView() vec.Flat {
 
 // Clone returns a deep copy.
 func (d *Dataset) Clone() *Dataset {
-	return d.CloneWithCap(0)
-}
-
-// CloneWithCap returns a deep copy with spare capacity for extra more
-// points, so copy-on-write growth (clone + append batch) costs one
-// allocation and one bulk copy instead of rebuilding point by point.
-func (d *Dataset) CloneWithCap(extra int) *Dataset {
-	if extra < 0 {
-		extra = 0
-	}
-	c := &Dataset{dims: d.dims, data: make([]float64, len(d.data), len(d.data)+extra*d.dims)}
+	c := &Dataset{dims: d.dims, data: make([]float64, len(d.data))}
 	copy(c.data, d.data)
 	return c
 }

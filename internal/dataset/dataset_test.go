@@ -2,11 +2,14 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -100,27 +103,125 @@ func TestAppendFlat(t *testing.T) {
 	ds.AppendFlat(make([]float64, 3))
 }
 
-func TestCloneWithCapGrowsWithoutRealloc(t *testing.T) {
-	ds := FromPoints([][]float64{{1, 2}, {3, 4}})
-	c := ds.CloneWithCap(5)
-	if !ds.Equal(c) {
-		t.Fatal("CloneWithCap not equal to original")
+// TestGrowFromNewestDoesNotCopy is the headline property of append-only
+// snapshots: growing the newest snapshot while the buffer has room costs
+// one snapshot header, not a copy of the points already there.
+func TestGrowFromNewestDoesNotCopy(t *testing.T) {
+	ds := randomDataset(rand.New(rand.NewSource(1)), 100, 2)
+	g := ds.Grow([]float64{5, 6})
+	if g.Len() != 101 || ds.Len() != 100 || g.Point(100)[1] != 6 {
+		t.Fatalf("Grow: len %d (parent %d), last point %v", g.Len(), ds.Len(), g.Point(g.Len()-1))
 	}
-	c.Point(0)[0] = 42
-	if ds.Point(0)[0] == 42 {
-		t.Fatal("CloneWithCap aliases original")
+	if cap(g.Flat()) != len(g.Flat()) {
+		t.Fatalf("snapshot published with cap %d > len %d", cap(g.Flat()), len(g.Flat()))
 	}
-	// The headline property: appending the reserved points must not move
-	// the backing array (no O(N) copy per batch).
-	before := &c.Flat()[0]
-	for i := 0; i < 5; i++ {
-		c.Append([]float64{float64(i), float64(i)})
+	first := &g.Flat()[0]
+	p := []float64{7, 8}
+	allocs := testing.AllocsPerRun(10, func() { g = g.Grow(p) })
+	if allocs > 1 {
+		t.Errorf("Grow from the newest snapshot made %v allocations, want the header only", allocs)
 	}
-	if &c.Flat()[0] != before {
-		t.Fatal("appending within reserved capacity reallocated the data")
+	if &g.Flat()[0] != first {
+		t.Error("Grow from the newest snapshot moved the points")
 	}
-	if c.Len() != 7 {
-		t.Fatalf("Len = %d, want 7", c.Len())
+	if g.Len() != 112 || g.Point(111)[0] != 7 || !g.Head(100).Equal(ds) {
+		t.Fatalf("after growing: len %d, last point %v", g.Len(), g.Point(g.Len()-1))
+	}
+}
+
+// TestGrowFromStaleSnapshotCopies: a snapshot that a later Grow already
+// extended must not be extended in place — that would overwrite the
+// points the newer snapshot sees.
+func TestGrowFromStaleSnapshotCopies(t *testing.T) {
+	s1 := FromPoints([][]float64{{1, 1}}).Grow([]float64{2, 2})
+	s2 := s1.Grow([]float64{3, 3})
+	want := s2.Clone()
+	s3 := s1.Grow([]float64{9, 9})
+	if !s2.Equal(want) {
+		t.Fatalf("growing a stale snapshot changed the newer one: %v, want %v", s2.Flat(), want.Flat())
+	}
+	if &s3.Flat()[0] == &s2.Flat()[0] {
+		t.Error("Grow from a stale snapshot shares the newer snapshot's storage")
+	}
+	if s3.Len() != 3 || s3.Point(2)[0] != 9 || s3.Point(1)[0] != 2 {
+		t.Fatalf("stale Grow = %v", s3.Flat())
+	}
+	// The copy heads its own line: growing it again extends in place.
+	s4 := s3.Grow([]float64{10, 10})
+	if &s4.Flat()[0] != &s3.Flat()[0] || !s2.Equal(want) {
+		t.Error("the copied line does not grow in place, or touched the old line")
+	}
+}
+
+// TestAppendOnSnapshotIsPrivate: Append on a published snapshot
+// reallocates (cap == len) and leaves the shared buffer, so no other
+// snapshot of the line changes, now or on a later Grow.
+func TestAppendOnSnapshotIsPrivate(t *testing.T) {
+	s1 := FromPoints([][]float64{{1, 1}}).Grow([]float64{2, 2})
+	s2 := s1.Grow([]float64{3, 3})
+	old2 := s2.Clone()
+	s1.Append([]float64{7, 7})
+	s1.AppendFlat([]float64{8, 8})
+	if !s2.Equal(old2) {
+		t.Fatalf("Append on an older snapshot changed the newer one: %v", s2.Flat())
+	}
+	s3 := s1.Grow([]float64{6, 6})
+	if s3.Len() != 5 || s3.Point(2)[0] != 7 || s3.Point(3)[0] != 8 || s3.Point(4)[0] != 6 {
+		t.Fatalf("Grow after Append = %v", s3.Flat())
+	}
+	if !s2.Equal(old2) {
+		t.Fatalf("Grow of an appended snapshot changed another one: %v", s2.Flat())
+	}
+}
+
+// TestGrowWhileReadersScan: one writer grows the line while readers scan
+// whatever snapshot is current; every snapshot a reader sees holds
+// exactly the points written before it was published. Meaningful under
+// -race.
+func TestGrowWhileReadersScan(t *testing.T) {
+	const dims, batches, batch = 3, 300, 7
+	var cur atomic.Pointer[Dataset]
+	cur.Store(New(dims, 0))
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				s := cur.Load()
+				for i := 0; i < s.Len(); i++ {
+					for _, v := range s.Point(i) {
+						if v != float64(i) {
+							errs <- fmt.Sprintf("snapshot of %d points: point %d reads %g", s.Len(), i, v)
+							return
+						}
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	flat := make([]float64, batch*dims)
+	for b := 0; b < batches; b++ {
+		for i := range flat {
+			flat[i] = float64(b*batch + i/dims)
+		}
+		cur.Store(cur.Load().Grow(flat))
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if n := cur.Load().Len(); n != batches*batch {
+		t.Fatalf("final length %d, want %d", n, batches*batch)
 	}
 }
 

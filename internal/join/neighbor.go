@@ -7,17 +7,24 @@ type Neighbor struct {
 	Dist  float64
 }
 
-// MaxHeap is a bounded max-heap of neighbors ordered by distance, used by
-// every KNN search to track the k best candidates found so far; the root
-// is the current worst, so its distance is the search's pruning bound.
-// The zero value is unusable; construct with NewMaxHeap.
+// worse orders neighbors by distance, then by index: of two points at one
+// distance the higher index is the worse, so a tie at the k-th distance
+// keeps the lower index whatever order the search pushed them in.
+func worse(a, b Neighbor) bool {
+	return a.Dist > b.Dist || (a.Dist == b.Dist && a.Index > b.Index)
+}
+
+// MaxHeap is a bounded max-heap of neighbors ordered by (distance,
+// index), used by every KNN search to track the k best candidates found
+// so far; the root is the current worst, so its distance is the search's
+// pruning bound. The zero value is unusable; construct with NewMaxHeap.
 type MaxHeap struct {
 	k     int
 	items []Neighbor
 }
 
-// NewMaxHeap returns a heap that retains the k smallest-distance
-// neighbors pushed into it. It panics if k < 1.
+// NewMaxHeap returns a heap that retains the k smallest neighbors pushed
+// into it, by distance and then index. It panics if k < 1.
 func NewMaxHeap(k int) *MaxHeap {
 	if k < 1 {
 		panic("join: KNN heap needs k ≥ 1")
@@ -32,7 +39,9 @@ func (h *MaxHeap) Len() int { return len(h.items) }
 func (h *MaxHeap) Full() bool { return len(h.items) == h.k }
 
 // Bound returns the pruning distance: the k-th best distance once the
-// heap is full, +Inf semantics expressed as ok=false otherwise.
+// heap is full, +Inf semantics expressed as ok=false otherwise. A search
+// must still visit candidates at exactly the bound: one with a lower
+// index than the current worst displaces it.
 func (h *MaxHeap) Bound() (float64, bool) {
 	if !h.Full() {
 		return 0, false
@@ -48,7 +57,7 @@ func (h *MaxHeap) Push(n Neighbor) {
 		h.up(len(h.items) - 1)
 		return
 	}
-	if n.Dist >= h.items[0].Dist {
+	if !worse(h.items[0], n) {
 		return
 	}
 	h.items[0] = n
@@ -56,8 +65,8 @@ func (h *MaxHeap) Push(n Neighbor) {
 }
 
 // Sorted drains the heap, returning the retained neighbors ordered by
-// ascending distance (ties by ascending index for determinism). The heap
-// is empty afterwards.
+// ascending distance (ties by ascending index). The heap is empty
+// afterwards.
 func (h *MaxHeap) Sorted() []Neighbor {
 	out := make([]Neighbor, len(h.items))
 	for i := len(h.items) - 1; i >= 0; i-- {
@@ -69,19 +78,13 @@ func (h *MaxHeap) Sorted() []Neighbor {
 			h.down(0)
 		}
 	}
-	// The heap order resolves distance ties arbitrarily; normalize.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Dist == out[j-1].Dist && out[j].Index < out[j-1].Index; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
 	return out
 }
 
 func (h *MaxHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].Dist >= h.items[i].Dist {
+		if !worse(h.items[i], h.items[parent]) {
 			return
 		}
 		h.items[parent], h.items[i] = h.items[i], h.items[parent]
@@ -94,10 +97,10 @@ func (h *MaxHeap) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < n && h.items[l].Dist > h.items[largest].Dist {
+		if l < n && worse(h.items[l], h.items[largest]) {
 			largest = l
 		}
-		if r < n && h.items[r].Dist > h.items[largest].Dist {
+		if r < n && worse(h.items[r], h.items[largest]) {
 			largest = r
 		}
 		if largest == i {

@@ -96,6 +96,22 @@ func TestMaxHeapTieDeterminism(t *testing.T) {
 	}
 }
 
+// TestMaxHeapTieAtBoundKeepsLowerIndex: which of two equally distant
+// candidates survives a full heap does not depend on push order.
+func TestMaxHeapTieAtBoundKeepsLowerIndex(t *testing.T) {
+	for _, order := range [][]int{{9, 2, 5}, {2, 9, 5}, {5, 9, 2}} {
+		h := NewMaxHeap(2)
+		h.Push(Neighbor{Index: 7, Dist: 0.5})
+		for _, i := range order {
+			h.Push(Neighbor{Index: i, Dist: 1})
+		}
+		got := h.Sorted()
+		if got[0].Index != 7 || got[1].Index != 2 {
+			t.Errorf("push order %v kept %v, want indexes 7 then 2", order, got)
+		}
+	}
+}
+
 func TestMaxHeapLen(t *testing.T) {
 	h := NewMaxHeap(2)
 	if h.Len() != 0 {

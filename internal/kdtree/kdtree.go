@@ -145,6 +145,19 @@ func (t *Tree) selectNth(idx []int32, nth, dim int) {
 	}
 }
 
+// On returns the tree reading its points from ds, a grown snapshot of its
+// dataset that holds the tree's points at the same indexes. The nodes are
+// shared, not copied, and t is unchanged. It panics when ds is shorter or
+// of another dimensionality; it does not compare coordinates.
+func (t *Tree) On(ds *dataset.Dataset) *Tree {
+	if ds.Len() < t.ds.Len() || ds.Dims() != t.ds.Dims() {
+		panic(fmt.Sprintf("kdtree: moving a tree over %d %d-dim points onto %d %d-dim points", t.ds.Len(), t.ds.Dims(), ds.Len(), ds.Dims()))
+	}
+	c := *t
+	c.ds = ds
+	return &c
+}
+
 // Size returns the number of tree nodes.
 func (t *Tree) Size() int { return t.nodes }
 

@@ -21,8 +21,9 @@ func TestIndexIncrementalMatchesRebuild(t *testing.T) {
 		all[i][0] += 2.5
 	}
 	grown := newIndex(fromPoints(all[:50]), eps)
-	for _, p := range all[50:] {
-		grown.Add(p)
+	grown.Adopt(fromPoints(all))
+	for grown.Len() < len(all) {
+		grown.Next()
 	}
 	rebuilt := newIndex(fromPoints(all), eps)
 	for qi := 0; qi < len(all); qi += 7 {
@@ -51,8 +52,9 @@ func TestIndexEmptySeed(t *testing.T) {
 	if x.Len() != 0 {
 		t.Fatalf("empty seed has %d points", x.Len())
 	}
-	x.Add([]float64{5, 5, 5}) // far outside the unit frame
-	x.Add([]float64{5, 5, 5.05})
+	x.Adopt(fromPoints([][]float64{{5, 5, 5}, {5, 5, 5.05}})) // far outside the unit frame
+	x.Next()
+	x.Next()
 	var got []int
 	x.Neighbors([]float64{5, 5, 5}, vec.L2, 0.1, func(i int) { got = append(got, i) })
 	if len(got) != 2 {

@@ -113,10 +113,11 @@ func New(hooks Hooks) *Engine {
 	}
 }
 
-// Track starts (or refreshes) live tracking of name, seeding the mirror
-// from ds — callers snapshot ds under the same lock that serializes
-// their Append notifications, so the mirror can never miss or double-
-// count a batch. epsHint pre-sizes the index for an upcoming
+// Track starts (or refreshes) live tracking of name, seeding the index
+// from snapshot ds — callers snapshot ds under the same lock that
+// serializes their Append notifications, so the index can never miss or
+// double-count a batch. The index reads its points from the snapshots it
+// is handed and copies none. epsHint pre-sizes the index for an upcoming
 // subscription. Tracking an already-tracked dataset only raises ε.
 func (e *Engine) Track(name string, ds *dataset.Dataset, epsHint float64) {
 	e.mu.Lock()
@@ -130,18 +131,19 @@ func (e *Engine) Track(name string, ds *dataset.Dataset, epsHint float64) {
 		return
 	}
 	if ls.idx.Dims() != ds.Dims() || ls.idx.Len() > ds.Len() {
-		// The dataset was replaced under us without a Drop — the mirror
-		// is no longer a prefix of the truth.
+		// The dataset was replaced under us without a Drop — the index
+		// no longer covers a prefix of the truth.
 		e.dropLocked(name, ReasonDesync)
 		e.sets[name] = newLiveSet(name, ds, epsHint)
 		return
 	}
-	// The mirror is a strict prefix when appends landed while nothing
+	// The index covers a strict prefix when appends landed while nothing
 	// subscribed to notice; silently sync the tail (those batches owe no
 	// notifications — no subscription was alive to see them... and if one
-	// was, Append kept the mirror current and this loop is empty).
-	for i := ls.idx.Len(); i < ds.Len(); i++ {
-		ls.idx.Add(ds.Point(i))
+	// was, Append kept the index current and this loop is empty).
+	ls.idx.Adopt(ds)
+	for ls.idx.Len() < ds.Len() {
+		ls.idx.Next()
 	}
 	ls.idx.EnsureEps(epsHint)
 }
@@ -156,11 +158,12 @@ func (e *Engine) Tracked(name string) bool {
 
 // Append feeds one committed batch through the engine: compute each
 // affected standing query's delta pairs, insert the points into the
-// incremental index, and deliver one batch event per subscription.
-// total is the dataset's length after the batch — the batch's sequence
-// token — which also guards the mirror against reordered or replayed
-// notifications. Untracked datasets are ignored.
-func (e *Engine) Append(ctx context.Context, name string, pts [][]float64, total int) {
+// incremental index, and deliver one batch event per subscription. ds is
+// the dataset after the batch, whose last added points are the batch; the
+// index adopts it instead of copying the points. Its length is the
+// batch's sequence token, which also guards the index against reordered
+// or replayed notifications. Untracked datasets are ignored.
+func (e *Engine) Append(ctx context.Context, name string, ds *dataset.Dataset, added int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -170,62 +173,56 @@ func (e *Engine) Append(ctx context.Context, name string, pts [][]float64, total
 	if !ok {
 		return
 	}
+	total := ds.Len()
 	if ls.idx.Len() >= total {
-		return // the mirror was seeded from a snapshot that already includes this batch
+		return // the index was seeded from a snapshot that already includes this batch
 	}
-	if ls.idx.Len()+len(pts) != total {
-		// A gap: some batch's notification never arrived. The mirror can
+	if ls.idx.Len()+added != total || ds.Dims() != ls.idx.Dims() {
+		// A gap: some batch's notification never arrived. The index can
 		// no longer honor the exactly-once-per-pair contract.
 		e.dropLocked(name, ReasonDesync)
 		return
 	}
-	for _, p := range pts {
-		if len(p) != ls.idx.Dims() {
-			e.dropLocked(name, ReasonDesync)
-			return
-		}
-	}
 
 	sp := trace.FromContext(ctx).Child("live.append")
 	sp.SetAttr("dataset", name)
-	sp.AddCounter("points", int64(len(pts)))
+	sp.AddCounter("points", int64(added))
 	defer sp.End()
 
 	start := time.Now()
 	deltas := make(map[*Subscription][][2]int)
-	for _, p := range pts {
+	startIdx := ls.idx.Len()
+	ls.idx.Adopt(ds)
+	for j := startIdx; j < total; j++ {
 		// Delta pairs against everything already indexed — earlier
 		// points and same-batch predecessors alike — then insert.
-		j := ls.idx.Len()
+		p := ds.Point(j)
 		for _, sub := range ls.self {
 			q := sub.q
 			ls.idx.Neighbors(p, q.Metric, q.Eps, func(i int) {
 				deltas[sub] = append(deltas[sub], [2]int{i, j})
 			})
 		}
-		ls.idx.Add(p)
+		ls.idx.Next()
 	}
-	startIdx := total - len(pts)
 	for _, sub := range ls.asA {
 		other := e.sets[sub.q.Other]
-		for k, p := range pts {
-			i := startIdx + k
-			other.idx.Neighbors(p, sub.q.Metric, sub.q.Eps, func(j int) {
+		for i := startIdx; i < total; i++ {
+			other.idx.Neighbors(ds.Point(i), sub.q.Metric, sub.q.Eps, func(j int) {
 				deltas[sub] = append(deltas[sub], [2]int{i, j})
 			})
 		}
 	}
 	for _, sub := range ls.asB {
 		a := e.sets[sub.q.Dataset]
-		for k, p := range pts {
-			j := startIdx + k
-			a.idx.Neighbors(p, sub.q.Metric, sub.q.Eps, func(i int) {
+		for j := startIdx; j < total; j++ {
+			a.idx.Neighbors(ds.Point(j), sub.q.Metric, sub.q.Eps, func(i int) {
 				deltas[sub] = append(deltas[sub], [2]int{i, j})
 			})
 		}
 	}
 	if e.hooks.Append != nil {
-		e.hooks.Append(time.Since(start), len(pts))
+		e.hooks.Append(time.Since(start), added)
 	}
 
 	nsp := sp.Child("live.notify")
@@ -238,7 +235,7 @@ func (e *Engine) Append(ctx context.Context, name string, pts [][]float64, total
 			Pairs:    deltas[sub],
 			Seq:      seq,
 			SeqOther: seqOther,
-			Added:    len(pts),
+			Added:    added,
 		})
 	}
 	for _, sub := range ls.self {
@@ -490,7 +487,7 @@ func (e *Engine) Stats(name string) DatasetStats {
 	}
 }
 
-// Seq returns the current sequence token (mirror length) for name, or
+// Seq returns the current sequence token (indexed length) for name, or
 // -1 when untracked — what a hello event reports.
 func (e *Engine) Seq(name string) int {
 	e.mu.Lock()

@@ -127,24 +127,25 @@ func TestSelfJoinDeltaEqualsOracle(t *testing.T) {
 			all := randPoints(rng, 120, 4)
 			seed := all[:30]
 
+			// The snapshots grow one shared buffer, as the serving
+			// layer's do; the index reads them without copying.
+			cur := fromPoints(seed)
 			eng := New(Hooks{})
-			eng.Track("pts", fromPoints(seed), eps)
+			eng.Track("pts", cur, eps)
 			sub, err := eng.Subscribe(Query{Dataset: "pts", Eps: eps, Metric: m}, Options{Buffer: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := [][2]int{}
 			next := 30
-			total := next
 			for next < len(all) {
 				k := 1 + rng.Intn(20)
 				if next+k > len(all) {
 					k = len(all) - next
 				}
-				batch := all[next : next+k]
+				cur = cur.Grow(fromPoints(all[next : next+k]).Flat())
 				next += k
-				total += k
-				eng.Append(context.Background(), "pts", batch, total)
+				eng.Append(context.Background(), "pts", cur, k)
 			}
 			evs := drain(sub)
 			got = append(got, collectPairs(evs)...)
@@ -180,7 +181,7 @@ func TestCatchUpReplayEqualsOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Append(context.Background(), "pts", all[70:], 100)
+	eng.Append(context.Background(), "pts", fromPoints(all), 30)
 
 	evs := drain(sub)
 	if len(evs) < 2 || !evs[0].CatchUp {
@@ -220,14 +221,14 @@ func TestTwoSetDeltaEqualsOracle(t *testing.T) {
 			if na+k > len(a) {
 				k = len(a) - na
 			}
-			eng.Append(context.Background(), "a", a[na:na+k], na+k)
+			eng.Append(context.Background(), "a", fromPoints(a[:na+k]), k)
 			na += k
 		} else {
 			k := 1 + rng.Intn(10)
 			if nb+k > len(b) {
 				k = len(b) - nb
 			}
-			eng.Append(context.Background(), "b", b[nb:nb+k], nb+k)
+			eng.Append(context.Background(), "b", fromPoints(b[:nb+k]), k)
 			nb += k
 		}
 	}
@@ -285,7 +286,7 @@ func TestEpsRaiseRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Append(context.Background(), "pts", all[40:], len(all))
+	eng.Append(context.Background(), "pts", fromPoints(all), len(all)-40)
 	for _, tc := range []struct {
 		sub *Subscription
 		eps float64
@@ -306,13 +307,15 @@ func TestEpsRaiseRebuilds(t *testing.T) {
 func TestSlowConsumerEviction(t *testing.T) {
 	evicted := 0
 	eng := New(Hooks{Evicted: func() { evicted++ }})
-	eng.Track("pts", fromPoints([][]float64{{0, 0}}), 0.1)
+	pts := [][]float64{{0, 0}}
+	eng.Track("pts", fromPoints(pts), 0.1)
 	sub, err := eng.Subscribe(Query{Dataset: "pts", Eps: 0.1, Metric: vec.L2}, Options{Buffer: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		eng.Append(context.Background(), "pts", [][]float64{{float64(i) + 10, 0}}, 2+i)
+		pts = append(pts, []float64{float64(i) + 10, 0})
+		eng.Append(context.Background(), "pts", fromPoints(pts), 1)
 	}
 	// Two events fit, the third overflows: drain and expect closure.
 	n := 0
@@ -357,7 +360,7 @@ func TestDropTerminatesSubscribers(t *testing.T) {
 		t.Fatal("unrelated dataset lost")
 	}
 	// Appends to b must now be inert for the removed two-set sub.
-	eng.Append(context.Background(), "b", [][]float64{{1, 1.01}}, 2)
+	eng.Append(context.Background(), "b", fromPoints([][]float64{{1, 1}, {1, 1.01}}), 1)
 	if eng.Subscriptions() != 0 {
 		t.Fatalf("want no live subscriptions, got %d", eng.Subscriptions())
 	}
@@ -387,7 +390,8 @@ func TestDesyncDropsTracking(t *testing.T) {
 	eng := New(Hooks{})
 	eng.Track("a", fromPoints([][]float64{{0, 0}}), 0.1)
 	sub, _ := eng.Subscribe(Query{Dataset: "a", Eps: 0.1, Metric: vec.L2}, Options{})
-	eng.Append(context.Background(), "a", [][]float64{{0.5, 0.5}}, 5) // gap: mirror has 1, 1+1 != 5
+	gapped := fromPoints([][]float64{{0, 0}, {1, 0}, {2, 0}, {3, 0}, {0.5, 0.5}})
+	eng.Append(context.Background(), "a", gapped, 1) // gap: the index has 1, 1+1 != 5
 	if _, ok := <-sub.Events(); ok {
 		t.Fatal("expected closed channel after desync")
 	}
@@ -399,13 +403,13 @@ func TestDesyncDropsTracking(t *testing.T) {
 	}
 }
 
-// TestStaleAndReplayedAppendsIgnored: totals at or below the mirror
+// TestStaleAndReplayedAppendsIgnored: totals at or below the indexed
 // length are duplicates of batches the seed snapshot already contained.
 func TestStaleAndReplayedAppendsIgnored(t *testing.T) {
 	eng := New(Hooks{})
 	eng.Track("a", fromPoints([][]float64{{0, 0}, {1, 1}}), 0.1)
 	sub, _ := eng.Subscribe(Query{Dataset: "a", Eps: 0.1, Metric: vec.L2}, Options{Buffer: 4})
-	eng.Append(context.Background(), "a", [][]float64{{1, 1}}, 2) // replay of the seeded batch
+	eng.Append(context.Background(), "a", fromPoints([][]float64{{0, 0}, {1, 1}}), 1) // replay of the seeded batch
 	if evs := drain(sub); len(evs) != 0 {
 		t.Fatalf("replayed append produced %d events, want 0", len(evs))
 	}
@@ -427,7 +431,7 @@ func TestTrackSyncsPrefixMirror(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Append(context.Background(), "a", all[50:], 60)
+	eng.Append(context.Background(), "a", fromPoints(all), 10)
 	var want [][2]int
 	for _, p := range oracleSelf(all, vec.L2, 0.15) {
 		if p[1] >= 50 {
@@ -475,10 +479,10 @@ func TestConcurrentAppendAndSubscribe(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		total := 1
+		pts := [][]float64{{0, 0}}
 		for i := 0; i < 50; i++ {
-			total++
-			eng.Append(context.Background(), "a", [][]float64{{float64(i), 0}}, total)
+			pts = append(pts, []float64{float64(i), 0})
+			eng.Append(context.Background(), "a", fromPoints(pts), 1)
 		}
 	}()
 	for i := 0; i < 20; i++ {
@@ -502,7 +506,7 @@ func ExampleEngine() {
 	eng := New(Hooks{})
 	eng.Track("pts", fromPoints([][]float64{{0, 0}, {5, 5}}), 0.2)
 	sub, _ := eng.Subscribe(Query{Dataset: "pts", Eps: 0.2, Metric: vec.L2}, Options{})
-	eng.Append(context.Background(), "pts", [][]float64{{0.1, 0}}, 3)
+	eng.Append(context.Background(), "pts", fromPoints([][]float64{{0, 0}, {5, 5}, {0.1, 0}}), 1)
 	ev := <-sub.Events()
 	fmt.Println(ev.Seq, ev.Pairs)
 	// Output: 3 [[0 2]]

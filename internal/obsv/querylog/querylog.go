@@ -68,6 +68,9 @@ type Record struct {
 	ProbeNS        int64 `json:"probe_ns,omitempty"`
 	CollectNS      int64 `json:"collect_ns,omitempty"`
 	ElapsedNS      int64 `json:"elapsed_ns"`
+	// Tail is how many points a worker's range/knn query scanned past its
+	// point index's tree (appended since the last build).
+	Tail int64 `json:"tail,omitempty"`
 
 	// Shards is the fan-out width of a coordinator-side record (0 on
 	// workers).

@@ -22,8 +22,8 @@ import (
 // lock, so independent datasets never contend.
 //
 // Datasets handed to Put or returned by Append/Datasets are shared, not
-// copied: callers must treat them as immutable (the same copy-on-write
-// discipline simjoind's query path already relies on).
+// copied: callers must treat them as immutable (the same append-only
+// snapshot discipline simjoind's query path already relies on).
 type Catalog struct {
 	dir string
 	opt Options
@@ -339,8 +339,8 @@ func (c *Catalog) Put(ctx context.Context, name string, ds *dataset.Dataset) err
 }
 
 // Append durably appends pts to the named dataset and returns the grown
-// dataset (a fresh copy — the previous one stays valid for in-flight
-// readers).
+// dataset: a new snapshot (dataset.Grow) that shares storage with the
+// previous one, which stays valid and unchanged for in-flight readers.
 func (c *Catalog) Append(ctx context.Context, name string, pts [][]float64) (*dataset.Dataset, error) {
 	sp := trace.FromContext(ctx).Child("store.append")
 	defer sp.End()
@@ -366,8 +366,7 @@ func (c *Catalog) Append(ctx context.Context, name string, pts [][]float64) (*da
 	if err := c.appendRecord(sp, d, appendPayload(dims, flat)); err != nil {
 		return nil, err
 	}
-	grown := d.cur.CloneWithCap(len(pts))
-	grown.AppendFlat(flat)
+	grown := d.cur.Grow(flat)
 	d.cur = grown
 	c.maybeCompact(sp, d)
 	return grown, nil

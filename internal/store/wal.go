@@ -153,9 +153,9 @@ func applyRecord(state *dataset.Dataset, payload []byte) (*dataset.Dataset, erro
 		if state.Dims() != dims {
 			return nil, fmt.Errorf("store: append record has %d dims, dataset has %d", dims, state.Dims())
 		}
-		grown := state.CloneWithCap(pts.Len())
-		grown.AppendFlat(pts.Flat())
-		return grown, nil
+		// Grow extends the replay's newest snapshot in place, so a log of
+		// r appends costs O(points), not r copies of the dataset.
+		return state.Grow(pts.Flat()), nil
 	case opDelete:
 		if len(body) != 0 {
 			return nil, fmt.Errorf("store: delete record carries %d unexpected bytes", len(body))

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"simjoin/internal/dataset"
@@ -30,7 +31,7 @@ func TestWALReplayPutAppendDelete(t *testing.T) {
 	if res.gen != 0 || res.records != 2 || res.truncated {
 		t.Fatalf("replay = %+v", res)
 	}
-	want := base.CloneWithCap(2)
+	want := base.Clone()
 	for _, p := range extra {
 		want.Append(p)
 	}
@@ -143,6 +144,42 @@ func TestApplyRecordRejectsGarbage(t *testing.T) {
 	// Dimensionality conflict with current state.
 	if _, err := applyRecord(base, appendPayload(3, []float64{1, 2, 3})); err == nil {
 		t.Error("dims conflict accepted")
+	}
+}
+
+// TestWALReplayIsLinear: replaying r append records extends one shared
+// buffer instead of copying the whole dataset per record, so what replay
+// allocates stays a small multiple of the final dataset however many
+// records there are (a copy per record is r × the dataset: ≈ 64 MB here).
+func TestWALReplayIsLinear(t *testing.T) {
+	const dims, batch, records = 4, 8, 200
+	base := testDataset(t, 10000, dims)
+	payloads := make([][]byte, records)
+	for r := range payloads {
+		flat := make([]float64, batch*dims)
+		for i := range flat {
+			flat[i] = float64(r)
+		}
+		payloads[r] = appendPayload(dims, flat)
+	}
+	img := buildWAL(0, payloads...)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := replayWAL(img, base)
+	runtime.ReadMemStats(&after)
+	if err != nil || res.records != records || res.state.Len() != base.Len()+records*batch {
+		t.Fatalf("replay: %d records, %v", res.records, err)
+	}
+	if got := res.state.Point(base.Len() + records*batch - 1)[0]; got != records-1 {
+		t.Fatalf("last replayed point carries %g, want %d", got, records-1)
+	}
+	final := uint64(res.state.Len() * dims * 8)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("replaying %d append records allocated %d bytes; the final dataset is %d", records, alloc, final)
+	if alloc >= 8*final {
+		t.Errorf("replaying %d append records allocated %d bytes, ≥ 8× the %d-byte final dataset", records, alloc, final)
 	}
 }
 
