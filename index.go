@@ -19,9 +19,8 @@ type Index struct {
 	t   *core.Tree
 }
 
-// NewIndex builds an index over ds for thresholds up to eps. LeafThreshold
-// from opt tunes the build; other options are ignored here and supplied
-// per query instead.
+// NewIndex builds an index over ds for thresholds up to eps. opt is not
+// read: options are supplied per query instead.
 func NewIndex(ds *Dataset, eps float64, opt Options) (*Index, error) {
 	if !(eps > 0) {
 		return nil, fmt.Errorf("simjoin: index eps must be positive, got %g", eps)
@@ -29,11 +28,11 @@ func NewIndex(ds *Dataset, eps float64, opt Options) (*Index, error) {
 	// The index outlives any one join and answers under every metric, so it
 	// is keyed on raw coordinates (BuildWithBox) whatever the data looks
 	// like; an empty dataset has no frame yet and no keys to choose.
-	cfg, in := core.Config{LeafThreshold: opt.LeafThreshold}, ds.internal()
+	in := ds.internal()
 	if in.Len() == 0 {
-		return &Index{ds: ds, eps: eps, t: core.Build(in, eps, cfg)}, nil
+		return &Index{ds: ds, eps: eps, t: core.Build(in, eps, core.Config{})}, nil
 	}
-	return &Index{ds: ds, eps: eps, t: core.BuildWithBox(in, eps, in.Bounds(), cfg)}, nil
+	return &Index{ds: ds, eps: eps, t: core.BuildWithBox(in, eps, in.Bounds(), core.Config{})}, nil
 }
 
 // Eps returns the largest threshold the index supports.

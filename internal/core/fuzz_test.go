@@ -23,11 +23,19 @@ func FuzzSelfJoinOracle(f *testing.F) {
 	f.Add([]byte{255, 254, 253, 252, 1, 1, 1, 1, 128, 64, 32, 16})
 	f.Add([]byte{11, 3, 2, 0, 20, 1, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 200, 100, 50, 25, 12, 6, 3,
 		1, 0, 255, 254, 253, 252, 251, 250, 249, 248, 247, 246, 245, 244, 243, 242, 241, 240, 17, 34, 51, 68, 85, 102})
+	// d = 64, pivot keys forced: 24 points in four tight clusters, so the
+	// sweeps see hits inside a cluster and misses across.
+	wide := []byte{14, 4, 0, 0, 40, 1}
+	for i := 0; i < 24*64; i++ {
+		wide = binary.LittleEndian.AppendUint16(wide, uint16((i/64)%4*100+i*7%5))
+	}
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 9 {
 			return
 		}
-		dims := 1 + int(in[0]%12)
+		// 1…12, then the widths with generated sweep loops.
+		dims := [...]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16, 32, 64}[int(in[0])%15]
 		leaf := 1 + int(in[1]%16)
 		metric := vec.Metric(in[2] % 3)
 		biased := in[3]%2 == 1

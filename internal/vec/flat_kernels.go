@@ -7,13 +7,14 @@ package vec
 // a per-candidate call is exactly the overhead this package exists to
 // remove. L1 and L∞ go through the shared predicates — they are off the
 // default path and their loop bodies are cheap either way.
+//
+// The L2 sweeps dispatch on dims in flat_kernels_gen.go: the widths it
+// lists run a fully unrolled loop rendered from the template in
+// flat_kernels_gen_test.go, every other width runs the loops below.
 
-// selfSweepL2 is SelfSweepFlat's L2 loop: one sweep-sorted list against
+// selfSweepL2Any is selfSweepL2 at any d: one sweep-sorted list against
 // itself.
-func selfSweepL2(data []float64, dims int, ks []float64, stride int, idx []int32, win, epsSq float64, emit func(i, j int32)) (cand, res int64) {
-	if dims == 16 {
-		return selfSweepL2D16(data, ks, stride, idx, win, epsSq, emit)
-	}
+func selfSweepL2Any(data []float64, dims int, ks []float64, stride int, idx []int32, win, epsSq float64, emit func(i, j int32)) (cand, res int64) {
 	for a := 0; a+1 < len(idx); a++ {
 		ia := int(idx[a]) * dims
 		pa := data[ia : ia+dims : ia+dims]
@@ -68,12 +69,9 @@ func selfSweepL2(data []float64, dims int, ks []float64, stride int, idx []int32
 	return
 }
 
-// crossSweepL2 is CrossSweepFlat's L2 loop: two sweep-sorted lists merged
+// crossSweepL2Any is crossSweepL2 at any d: two sweep-sorted lists merged
 // with an ε window.
-func crossSweepL2(dx, dy []float64, dims int, kx, ky []float64, stride int, xs, ys []int32, win, epsSq float64, emit func(xi, yi int32)) (cand, res int64) {
-	if dims == 16 {
-		return crossSweepL2D16(dx, dy, kx, ky, stride, xs, ys, win, epsSq, emit)
-	}
+func crossSweepL2Any(dx, dy []float64, dims int, kx, ky []float64, stride int, xs, ys []int32, win, epsSq float64, emit func(xi, yi int32)) (cand, res int64) {
 	lo := 0
 	for _, xr := range xs {
 		ix := int(xr) * dims
@@ -126,109 +124,6 @@ func crossSweepL2(dx, dy []float64, dims int, kx, ky []float64, stride int, xs, 
 					res++
 					emit(xr, ys[w])
 				}
-			}
-		}
-	}
-	return
-}
-
-// selfSweepL2D16 is selfSweepL2 specialized to sixteen dimensions — the
-// point of the paper's evaluation, and the default high-d benchmark case.
-// Rows become array pointers so every trip count is a compile-time constant
-// and no bounds check survives; the accumulation is the SAME four-wide block
-// order and eight-dimension check spacing as the any-d loop, fully
-// unrolled and written out inline (the unrolled test is far past the inliner
-// budget as a helper, and a per-candidate call costs as much as a block).
-// That ordering is load-bearing: every L2 loop and WithinSqL2 round the same
-// sum term by term, so all engines decide boundary pairs identically.
-func selfSweepL2D16(data, ks []float64, stride int, idx []int32, win, epsSq float64, emit func(i, j int32)) (cand, res int64) {
-	for a := 0; a+1 < len(idx); a++ {
-		ia := int(idx[a]) * 16
-		pa := (*[16]float64)(data[ia:])
-		x := ks[int(idx[a])*stride]
-		for b := a + 1; b < len(idx); b++ {
-			if ks[int(idx[b])*stride]-x > win {
-				break
-			}
-			ib := int(idx[b]) * 16
-			pb := (*[16]float64)(data[ib:])
-			cand++
-			d0 := pa[0] - pb[0]
-			d1 := pa[1] - pb[1]
-			d2 := pa[2] - pb[2]
-			d3 := pa[3] - pb[3]
-			s := d0*d0 + d1*d1 + d2*d2 + d3*d3
-			d0 = pa[4] - pb[4]
-			d1 = pa[5] - pb[5]
-			d2 = pa[6] - pb[6]
-			d3 = pa[7] - pb[7]
-			s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-			if s > epsSq {
-				continue
-			}
-			d0 = pa[8] - pb[8]
-			d1 = pa[9] - pb[9]
-			d2 = pa[10] - pb[10]
-			d3 = pa[11] - pb[11]
-			s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-			d0 = pa[12] - pb[12]
-			d1 = pa[13] - pb[13]
-			d2 = pa[14] - pb[14]
-			d3 = pa[15] - pb[15]
-			s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-			if s <= epsSq {
-				res++
-				emit(idx[a], idx[b])
-			}
-		}
-	}
-	return
-}
-
-// crossSweepL2D16 is crossSweepL2 specialized to sixteen dimensions; see
-// selfSweepL2D16.
-func crossSweepL2D16(dx, dy, kx, ky []float64, stride int, xs, ys []int32, win, epsSq float64, emit func(xi, yi int32)) (cand, res int64) {
-	lo := 0
-	for _, xr := range xs {
-		ix := int(xr) * 16
-		px := (*[16]float64)(dx[ix:])
-		v := kx[int(xr)*stride]
-		for lo < len(ys) && ky[int(ys[lo])*stride] < v-win {
-			lo++
-		}
-		for w := lo; w < len(ys); w++ {
-			if ky[int(ys[w])*stride]-v > win {
-				break
-			}
-			iy := int(ys[w]) * 16
-			py := (*[16]float64)(dy[iy:])
-			cand++
-			d0 := px[0] - py[0]
-			d1 := px[1] - py[1]
-			d2 := px[2] - py[2]
-			d3 := px[3] - py[3]
-			s := d0*d0 + d1*d1 + d2*d2 + d3*d3
-			d0 = px[4] - py[4]
-			d1 = px[5] - py[5]
-			d2 = px[6] - py[6]
-			d3 = px[7] - py[7]
-			s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-			if s > epsSq {
-				continue
-			}
-			d0 = px[8] - py[8]
-			d1 = px[9] - py[9]
-			d2 = px[10] - py[10]
-			d3 = px[11] - py[11]
-			s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-			d0 = px[12] - py[12]
-			d1 = px[13] - py[13]
-			d2 = px[14] - py[14]
-			d3 = px[15] - py[15]
-			s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-			if s <= epsSq {
-				res++
-				emit(xr, ys[w])
 			}
 		}
 	}

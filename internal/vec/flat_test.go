@@ -1,8 +1,10 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -85,11 +87,39 @@ func TestFlatRoundTrip(t *testing.T) {
 	}
 }
 
+// sweepTestDims are the dimensionalities the sweep reference tests run: the
+// small ones, every generated width and the widths on either side of it.
+func sweepTestDims() []int {
+	dims := []int{1, 2, 3, 4, 5}
+	for _, w := range fixedWidths {
+		dims = append(dims, w-1, w, w+1)
+	}
+	return dims
+}
+
+// distQuantiles returns the distances under m at quantiles qs of all pairs
+// (x, y) with x from fx and y from fy, so a test's ε has hits and misses at
+// any d and sits exactly on some pair's distance.
+func distQuantiles(m Metric, fx, fy Flat, qs ...float64) []float64 {
+	var ds []float64
+	for i := 0; i < fx.Len(); i++ {
+		for j := 0; j < fy.Len(); j++ {
+			ds = append(ds, Dist(m, fx.At(i), fy.At(j)))
+		}
+	}
+	sort.Float64s(ds)
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		out[i] = ds[int(q*float64(len(ds)-1))]
+	}
+	return out
+}
+
 func TestSelfSweepFlatMatchesReference(t *testing.T) {
-	for _, dims := range []int{1, 2, 3, 4, 5, 8, 16, 33} {
+	for _, dims := range sweepTestDims() {
 		for _, m := range []Metric{L2, L1, Linf} {
 			f := randFlat(t, 120, dims, int64(dims)*7+int64(m))
-			for _, eps := range []float64{0.1, 0.5, 1.2} {
+			for _, eps := range distQuantiles(m, f, f, 0.01, 0.1, 0.4) {
 				want := referencePairs(f, m, eps)
 				for _, sweepDim := range []int{0, dims - 1} {
 					idx := sortedBy(f, sweepDim)
@@ -108,11 +138,11 @@ func TestSelfSweepFlatMatchesReference(t *testing.T) {
 }
 
 func TestCrossSweepFlatMatchesReference(t *testing.T) {
-	for _, dims := range []int{1, 3, 8, 17} {
+	for _, dims := range sweepTestDims() {
 		for _, m := range []Metric{L2, L1, Linf} {
 			fx := randFlat(t, 90, dims, int64(dims)*13+int64(m))
 			fy := randFlat(t, 70, dims, int64(dims)*29+int64(m))
-			eps := 0.6
+			eps := distQuantiles(m, fx, fy, 0.1)[0]
 			th := Threshold(m, eps)
 			want := make(map[pair]bool)
 			for i := 0; i < fx.Len(); i++ {
@@ -184,5 +214,155 @@ func TestFlatKernelsEpsBoundary(t *testing.T) {
 		}
 		want := referencePairs(f, m, eps)
 		samePairs(t, m.String(), want, got)
+	}
+}
+
+// selfLoop and crossLoop are the L2 sweep loops' signatures, so tests and
+// benchmarks can run the any-d and the generated loops side by side.
+type (
+	selfLoop  func(data []float64, dims int, ks []float64, stride int, idx []int32, win, epsSq float64, emit func(i, j int32)) (cand, res int64)
+	crossLoop func(dx, dy []float64, dims int, kx, ky []float64, stride int, xs, ys []int32, win, epsSq float64, emit func(xi, yi int32)) (cand, res int64)
+)
+
+// sweepRun is one sweep loop's full output: its counts and every emitted
+// pair in emission order.
+type sweepRun struct {
+	cand, res int64
+	pairs     []pair
+}
+
+// TestFixedSweepsMatchGeneric holds every generated loop to the any-d loop
+// it replaces, on raw keys and on a pivot-style key table: the same
+// candidate and hit counts and the same pairs in the same order. Engines
+// charge their counters from these counts, so this identity is what keeps
+// candidates, dist_comps and pairs bit-identical across the dispatch.
+func TestFixedSweepsMatchGeneric(t *testing.T) {
+	for _, dims := range fixedWidths {
+		f := randFlat(t, 300, dims, int64(dims))
+		// Pivot-style table: distances to three of the points, Stride 3.
+		const stride = 3
+		piv := make([]float64, f.Len()*stride)
+		for i := 0; i < f.Len(); i++ {
+			for k := 0; k < stride; k++ {
+				piv[i*stride+k] = Dist(L2, f.At(i), f.At(k*97))
+			}
+		}
+		eps := distQuantiles(L2, f, f, 0.05)[0]
+		epsSq := Threshold(L2, eps)
+		for _, kt := range []struct {
+			name string
+			keys Keys
+			key  int
+		}{
+			{"raw", Keys{dims, f.Data}, dims / 2},
+			{"pivot", Keys{stride, piv}, 1},
+		} {
+			ks := kt.keys.column(kt.key)
+			order := func(lo, hi int) []int32 {
+				idx := make([]int32, hi-lo)
+				for i := range idx {
+					idx[i] = int32(lo + i)
+				}
+				sort.Slice(idx, func(a, b int) bool { return ks[int(idx[a])*kt.keys.Stride] < ks[int(idx[b])*kt.keys.Stride] })
+				return idx
+			}
+			all, xs, ys := order(0, f.Len()), order(0, 140), order(140, f.Len())
+			self := func(loop selfLoop) sweepRun {
+				var r sweepRun
+				r.cand, r.res = loop(f.Data, dims, ks, kt.keys.Stride, all, eps, epsSq, func(i, j int32) { r.pairs = append(r.pairs, pair{i, j}) })
+				return r
+			}
+			cross := func(loop crossLoop) sweepRun {
+				var r sweepRun
+				r.cand, r.res = loop(f.Data, f.Data, dims, ks, ks, kt.keys.Stride, xs, ys, eps, epsSq, func(i, j int32) { r.pairs = append(r.pairs, pair{i, j}) })
+				return r
+			}
+			for _, c := range []struct {
+				loop           string
+				fixed, generic sweepRun
+			}{
+				{"self", self(selfSweepL2), self(selfSweepL2Any)},
+				{"cross", cross(crossSweepL2), cross(crossSweepL2Any)},
+			} {
+				if c.generic.res == 0 || c.generic.res == c.generic.cand {
+					t.Fatalf("d%d %s %s: degenerate fixture, %d hits of %d candidates", dims, kt.name, c.loop, c.generic.res, c.generic.cand)
+				}
+				if c.fixed.cand != c.generic.cand || c.fixed.res != c.generic.res || !slices.Equal(c.fixed.pairs, c.generic.pairs) {
+					t.Errorf("d%d %s %s: fixed loop (cand %d, res %d, %d pairs) differs from any-d loop (cand %d, res %d, %d pairs)",
+						dims, kt.name, c.loop, c.fixed.cand, c.fixed.res, len(c.fixed.pairs), c.generic.cand, c.generic.res, len(c.generic.pairs))
+				}
+			}
+		}
+	}
+}
+
+// canonicalSqL2 is the one summation order every L2 accept test must
+// reproduce (docs/KERNELS.md, "Accumulation order"): four-wide blocks,
+// each summed left to right and added to the running sum in order, then a
+// sequential tail.
+func canonicalSqL2(a, b []float64) float64 {
+	var s float64
+	k := 0
+	for ; k+4 <= len(a); k += 4 {
+		d0, d1, d2, d3 := a[k]-b[k], a[k+1]-b[k+1], a[k+2]-b[k+2], a[k+3]-b[k+3]
+		s += d0*d0 + d1*d1 + d2*d2 + d3*d3
+	}
+	for ; k < len(a); k++ {
+		d := a[k] - b[k]
+		s += d * d
+	}
+	return s
+}
+
+// l2Decisions runs the pair (a, b) through every L2 loop in the package at
+// threshold th and returns each loop's accept decision by name.
+func l2Decisions(a, b []float64, th float64) map[string]bool {
+	d := len(a)
+	f := FlatView(d, append(slices.Clone(a), b...))
+	fa, fb := FlatView(d, a), FlatView(d, b)
+	zero, pair := []int32{0}, []int32{0, 1}
+	win := math.Inf(1)
+	hit := func(_, res int64) bool { return res == 1 }
+	out := map[string]bool{
+		"WithinSqL2":      WithinSqL2(a, b, th),
+		"selfSweepL2Any":  hit(selfSweepL2Any(f.Data, d, f.Data, d, pair, win, th, func(i, j int32) {})),
+		"crossSweepL2Any": hit(crossSweepL2Any(fa.Data, fb.Data, d, fa.Data, fb.Data, d, zero, zero, win, th, func(i, j int32) {})),
+		"ProbeListFlat":   hit(ProbeListFlat(L2, fa, 0, fb, zero, th, func(int32) {})),
+		"ProbeRangeFlat":  hit(ProbeRangeFlat(L2, fa, 0, fb, 0, 1, th, func(int32) {})),
+		"ProbeQueryFlat":  hit(ProbeQueryFlat(L2, a, fb, zero, th, func(int32) {})),
+	}
+	// At a generated width these reach the fixed-width loops.
+	out[fmt.Sprintf("selfSweepL2/d=%d", d)] = hit(selfSweepL2(f.Data, d, f.Data, d, pair, win, th, func(i, j int32) {}))
+	out[fmt.Sprintf("crossSweepL2/d=%d", d)] = hit(crossSweepL2(fa.Data, fb.Data, d, fa.Data, fb.Data, d, zero, zero, win, th, func(i, j int32) {}))
+	return out
+}
+
+// TestL2AccumulationOrder makes the shared summation order a tested rule.
+// Random normal coordinates are not dyadic, so the rounding of every
+// addition matters and a loop that adds the same terms in any other order
+// lands at least an ULP away from the canonical sum s on a good share of
+// pairs. Each loop must accept at th = s and reject at the float just
+// below it, at every d from 1 to 70: every generated width, and every tail
+// shape of the any-d body.
+func TestL2AccumulationOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for d := 1; d <= 70; d++ {
+		for trial := 0; trial < 200; trial++ {
+			a, b := randVec(rng, d), randVec(rng, d)
+			s := canonicalSqL2(a, b)
+			if got := DistSqL2(a, b); got != s {
+				t.Fatalf("d%d: DistSqL2 = %v, canonical sum %v", d, got, s)
+			}
+			for _, tc := range []struct {
+				th   float64
+				want bool
+			}{{s, true}, {math.Nextafter(s, 0), false}} {
+				for name, got := range l2Decisions(a, b, tc.th) {
+					if got != tc.want {
+						t.Errorf("d%d trial %d: %s decides %v at th = %v (canonical sum %v)", d, trial, name, got, tc.th, s)
+					}
+				}
+			}
+		}
 	}
 }

@@ -150,7 +150,8 @@ func Within(m Metric, a, b []float64, t float64) bool {
 // reject the final sum would — and testing every other block keeps the
 // dependency chain off the branch: eight dimensions of accumulation are in
 // flight before a compare needs the running total. The inline L2 loops in
-// flat_kernels.go repeat this body term for term.
+// flat_kernels.go and flat_kernels_gen.go repeat this body term for term
+// (TestL2AccumulationOrder).
 func WithinSqL2(a, b []float64, epsSq float64) bool {
 	b = b[:len(a)]
 	var s float64

@@ -87,14 +87,14 @@ type runners struct {
 	keys     string
 }
 
-// treeConfig maps the public options' tree knobs to a one-shot build's.
+// treeConfig maps the public options to a one-shot build's tree config.
 func (o Options) treeConfig() core.Config {
-	return core.Config{LeafThreshold: o.LeafThreshold, Metric: o.Metric.internal()}
+	return core.Config{Metric: o.Metric.internal()}
 }
 
-// selfRunners binds algo's self-join entry points to ds. The ε-kdB tree
-// takes the public options' tree knobs, so it is built here (and charged to
-// the build phase) rather than behind the registry's shared signature.
+// selfRunners binds algo's self-join entry points to ds. The ε-kdB tree is
+// built here (and charged to the build phase) rather than behind the
+// registry's shared signature, so its key kind reaches the runners.
 func selfRunners(algo Algorithm, ds *dataset.Dataset, iopt join.Options, opt Options) runners {
 	if algo == AlgorithmEKDB {
 		start := time.Now()

@@ -82,6 +82,10 @@ done
 # accuracy checks — two thirds of its -race time — and ran once above.
 step "race x4 ./internal/sketch/... -run Concurrent" go test -race -count=4 -run Concurrent ./internal/sketch/...
 
+# go test never runs a benchmark, so one that panics would go unnoticed:
+# run the kernel and ε-kdB benchmarks a kernel change is read against once.
+step "benchmarks once: SweepL2, HighDim" go test -run '^$' -bench 'SweepL2|HighDim' -benchtime 1x ./internal/vec ./internal/core
+
 step "benchmark harness: vet + test" harness
 # Each workload boots what it measures from this checkout — serve_* run
 # the real simjoind binary as worker, coordinator and gateway with a

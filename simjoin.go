@@ -107,8 +107,6 @@ type Options struct {
 	// Workers enables the parallel variant when the algorithm has one
 	// (ekdb, grid) and is > 1; 0 or 1 runs serially.
 	Workers int
-	// LeafThreshold tunes the ε-kdB tree's leaf capacity (0 = default).
-	LeafThreshold int
 	// CollectPairs controls whether Result.Pairs is populated (default
 	// true). Disable for counting-only runs over huge outputs.
 	CollectPairs *bool

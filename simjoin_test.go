@@ -182,23 +182,6 @@ func TestParallelWorkersMatchSerial(t *testing.T) {
 	}
 }
 
-func TestEKDBTuningKnobs(t *testing.T) {
-	ds, _ := Synthetic("clustered", 800, 8, 5)
-	base, _ := SelfJoin(ds, Options{Eps: 0.1})
-	for _, opt := range []Options{
-		{Eps: 0.1, LeafThreshold: 4},
-		{Eps: 0.1, LeafThreshold: 512},
-	} {
-		res, err := SelfJoin(ds, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Pairs) != len(base.Pairs) {
-			t.Errorf("opts %+v changed the answer: %d vs %d pairs", opt, len(res.Pairs), len(base.Pairs))
-		}
-	}
-}
-
 func TestDatasetRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ds := unitSquareCluster()
