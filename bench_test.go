@@ -297,7 +297,7 @@ func BenchmarkLiveAppend(b *testing.B) {
 		return deltas
 	}
 	build := func(b *testing.B, ds *simjoin.Dataset) *simjoin.Index {
-		idx, err := simjoin.NewIndex(ds, eps, simjoin.Options{})
+		idx, err := simjoin.NewIndex(ds, eps)
 		if err != nil {
 			b.Fatal(err)
 		}

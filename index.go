@@ -19,9 +19,9 @@ type Index struct {
 	t   *core.Tree
 }
 
-// NewIndex builds an index over ds for thresholds up to eps. opt is not
-// read: options are supplied per query instead.
-func NewIndex(ds *Dataset, eps float64, opt Options) (*Index, error) {
+// NewIndex builds an index over ds for thresholds up to eps. Options are
+// supplied per query.
+func NewIndex(ds *Dataset, eps float64) (*Index, error) {
 	if !(eps > 0) {
 		return nil, fmt.Errorf("simjoin: index eps must be positive, got %g", eps)
 	}
@@ -42,8 +42,8 @@ func (x *Index) Eps() float64 { return x.eps }
 func (x *Index) Len() int { return x.ds.Len() }
 
 // SelfJoin reports every unordered pair within opt.Eps (which must not
-// exceed the index's ε) exactly once with I < J. opt.Workers > 1 runs the
-// stripe-parallel variant.
+// exceed the index's ε) exactly once with I < J, its stripes spread over
+// opt.Workers goroutines.
 func (x *Index) SelfJoin(opt Options) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -66,8 +66,8 @@ var indexPlan = planned{algo: AlgorithmEKDB, est: -1}
 // i < j) to fn as it is found, without materializing a pair slice — the
 // streaming counterpart of SelfJoin, with the same callback contract as
 // the package-level SelfJoinEach: single-goroutine delivery in
-// unspecified order. opt.Workers > 1 runs the stripe-parallel variant
-// through a serializing funnel.
+// unspecified order. opt.Workers > 1 spreads the stripes over that many
+// goroutines and funnels their pairs to fn.
 func (x *Index) SelfJoinEach(opt Options, fn func(i, j int)) (Stats, error) {
 	if err := opt.validate(); err != nil {
 		return Stats{}, err
@@ -81,7 +81,7 @@ func (x *Index) SelfJoinEach(opt Options, fn func(i, j int)) (Stats, error) {
 	watch := stats.Start()
 	var n int64
 	r := treeRunners(x.t, iopt)
-	r.each(opt.Workers, func(i, j int) {
+	r.each(iopt.Workers, func(i, j int) {
 		if j < i {
 			i, j = j, i
 		}

@@ -7,7 +7,7 @@ import (
 
 func TestIndexBuildOnceQueryMany(t *testing.T) {
 	ds, _ := Synthetic("clustered", 3000, 6, 30)
-	idx, err := NewIndex(ds, 0.2, Options{})
+	idx, err := NewIndex(ds, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +42,10 @@ func TestIndexBuildOnceQueryMany(t *testing.T) {
 
 func TestIndexErrors(t *testing.T) {
 	ds, _ := Synthetic("uniform", 100, 3, 31)
-	if _, err := NewIndex(ds, 0, Options{}); err == nil {
+	if _, err := NewIndex(ds, 0); err == nil {
 		t.Error("zero eps accepted")
 	}
-	idx, _ := NewIndex(ds, 0.1, Options{})
+	idx, _ := NewIndex(ds, 0.1)
 	if _, err := idx.SelfJoin(Options{Eps: 0.2}); err == nil {
 		t.Error("query eps above index eps accepted")
 	}
@@ -65,7 +65,7 @@ func TestIndexErrors(t *testing.T) {
 
 func TestIndexRange(t *testing.T) {
 	ds := FromPoints([][]float64{{0, 0}, {0.05, 0}, {0.5, 0.5}})
-	idx, _ := NewIndex(ds, 0.1, Options{})
+	idx, _ := NewIndex(ds, 0.1)
 	got, err := idx.Range([]float64{0, 0}, L2, 0.06)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestIndexRange(t *testing.T) {
 
 func TestIndexInsertDelete(t *testing.T) {
 	ds := FromPoints([][]float64{{0.5, 0.5}})
-	idx, err := NewIndex(ds, 0.1, Options{})
+	idx, err := NewIndex(ds, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestIndexInsertDelete(t *testing.T) {
 
 func TestIndexInsertOutsideOriginalBounds(t *testing.T) {
 	ds := FromPoints([][]float64{{0, 0}, {1, 1}})
-	idx, _ := NewIndex(ds, 0.1, Options{})
+	idx, _ := NewIndex(ds, 0.1)
 	// Points outside the original frame must still join correctly (edge
 	// stripe clamping).
 	a, _ := idx.Insert([]float64{5, 5})

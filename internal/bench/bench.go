@@ -32,30 +32,27 @@ import (
 // AlgoNames lists the compared algorithms in report order.
 var AlgoNames = []string{"brute", "sweep", "grid", "kdtree", "rtree", "rplus", "zorder", "ekdb"}
 
-// selfJoins maps algorithm names to their self-join entry points.
-var selfJoins = map[string]func(*dataset.Dataset, join.Options, pairs.Sink){
-	"brute":   brute.SelfJoin,
-	"sweep":   sweep.SelfJoin,
-	"grid":    grid.SelfJoin,
-	"kdtree":  kdtree.SelfJoin,
-	"rtree":   rtree.SelfJoin,
-	"rplus":   rplus.SelfJoin,
-	"zorder":  zorder.SelfJoin,
-	"hilbert": hilbert.SelfJoin,
-	"ekdb":    core.SelfJoin,
+// engines maps algorithm names to their entry points. Every run here is a
+// one-worker run, on the caller's goroutine.
+var engines = map[string]join.Engine{
+	"brute":   join.Serial(brute.SelfJoin, brute.Join),
+	"sweep":   join.Serial(sweep.SelfJoin, sweep.Join),
+	"grid":    {Self: grid.SelfJoin, Join: grid.Join},
+	"kdtree":  {Self: kdtree.SelfJoin, Join: kdtree.Join},
+	"rtree":   join.Serial(rtree.SelfJoin, rtree.Join),
+	"rplus":   join.Serial(rplus.SelfJoin, rplus.Join),
+	"zorder":  join.Serial(zorder.SelfJoin, zorder.Join),
+	"hilbert": join.Serial(hilbert.SelfJoin, hilbert.Join),
+	"ekdb":    join.Serial(core.SelfJoin, core.Join),
 }
 
-// twoJoins maps algorithm names to their two-set join entry points.
-var twoJoins = map[string]func(a, b *dataset.Dataset, opt join.Options, sink pairs.Sink){
-	"brute":   brute.Join,
-	"sweep":   sweep.Join,
-	"grid":    grid.Join,
-	"kdtree":  kdtree.Join,
-	"rtree":   rtree.Join,
-	"rplus":   rplus.Join,
-	"zorder":  zorder.Join,
-	"hilbert": hilbert.Join,
-	"ekdb":    core.Join,
+// engine looks up the named algorithm.
+func engine(algo string) join.Engine {
+	e, ok := engines[algo]
+	if !ok {
+		panic("bench: unknown algorithm " + algo)
+	}
+	return e
 }
 
 // RunResult captures one measured algorithm run.
@@ -68,30 +65,24 @@ type RunResult struct {
 
 // RunSelf measures one self-join run of the named algorithm.
 func RunSelf(algo string, ds *dataset.Dataset, metric vec.Metric, eps float64) RunResult {
-	fn, ok := selfJoins[algo]
-	if !ok {
-		panic("bench: unknown algorithm " + algo)
-	}
+	self := engine(algo).Self
 	var c stats.Counters
 	opt := join.Options{Metric: metric, Eps: eps, Counters: &c}
 	var sink pairs.Counter
 	watch := stats.Start()
-	fn(ds, opt, &sink)
+	self(ds, opt, func() pairs.Sink { return &sink })
 	elapsed := watch.Elapsed()
 	return RunResult{Algo: algo, Elapsed: elapsed, Snap: c.Snapshot(), Pairs: sink.N()}
 }
 
 // RunJoin measures one two-set join run of the named algorithm.
 func RunJoin(algo string, a, b *dataset.Dataset, metric vec.Metric, eps float64) RunResult {
-	fn, ok := twoJoins[algo]
-	if !ok {
-		panic("bench: unknown algorithm " + algo)
-	}
+	two := engine(algo).Join
 	var c stats.Counters
 	opt := join.Options{Metric: metric, Eps: eps, Counters: &c}
 	var sink pairs.Counter
 	watch := stats.Start()
-	fn(a, b, opt, &sink)
+	two(a, b, opt, func() pairs.Sink { return &sink })
 	elapsed := watch.Elapsed()
 	return RunResult{Algo: algo, Elapsed: elapsed, Snap: c.Snapshot(), Pairs: sink.N()}
 }

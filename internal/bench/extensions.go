@@ -31,10 +31,10 @@ func Extensions() []Experiment {
 }
 
 // E5Parallel measures the stripe-parallel ε-kdB self-join and the
-// cell-parallel grid join against their serial runs. Expected shape:
-// near-linear speedup while workers ≤ cores, flattening beyond; the grid
-// parallelizes slightly better (finer task granularity) but from a slower
-// serial base.
+// cell-parallel grid join as the worker count grows; one worker is each
+// engine's serial run. Expected shape: near-linear speedup while workers ≤
+// cores, flattening beyond; the grid parallelizes slightly better (finer
+// task granularity) but from a slower serial base.
 func E5Parallel(quick bool) *stats.Table {
 	n := 60000
 	if quick {
@@ -46,27 +46,15 @@ func E5Parallel(quick bool) *stats.Table {
 		"workers", "ekdb_ms", "ekdb_speedup", "grid_ms", "grid_speedup")
 
 	tree := core.Build(ds, eps, core.Config{})
-	runEKDB := func(workers int) (float64, int64) {
-		opt := join.Options{Metric: vec.L2, Eps: eps, Workers: workers}
+	run := func(workers int, self func(join.Options, func() pairs.Sink)) (float64, int64) {
 		var sink pairs.Counter
 		watch := stats.Start()
-		if workers <= 1 {
-			tree.SelfJoin(opt, &sink)
-		} else {
-			tree.SelfJoinParallel(opt, func() pairs.Sink { return &sink })
-		}
+		self(join.Options{Metric: vec.L2, Eps: eps, Workers: workers}, func() pairs.Sink { return &sink })
 		return ms(watch.Elapsed()), sink.N()
 	}
+	runEKDB := func(workers int) (float64, int64) { return run(workers, tree.SelfJoinParallel) }
 	runGrid := func(workers int) (float64, int64) {
-		opt := join.Options{Metric: vec.L2, Eps: eps, Workers: workers}
-		var sink pairs.Counter
-		watch := stats.Start()
-		if workers <= 1 {
-			grid.SelfJoin(ds, opt, &sink)
-		} else {
-			grid.SelfJoinParallel(ds, opt, grid.DefaultConfig(), func() pairs.Sink { return &sink })
-		}
-		return ms(watch.Elapsed()), sink.N()
+		return run(workers, func(opt join.Options, newSink func() pairs.Sink) { grid.SelfJoin(ds, opt, newSink) })
 	}
 
 	ekSerial, ekPairs := runEKDB(1)

@@ -43,33 +43,21 @@ func Join(a, b *dataset.Dataset, opt join.Options, sink pairs.Sink) {
 // candidates for any smaller threshold too, so one tree built at the
 // largest ε of interest serves every tighter query. A larger opt.Eps would
 // silently lose pairs, so it panics — as does a metric the tree's pivot
-// keys do not bound.
+// keys do not bound. It runs on the caller's goroutine: SelfJoinParallel
+// at one worker.
 func (t *Tree) SelfJoin(opt join.Options, sink pairs.Sink) {
-	t.admit(opt)
-	if t.root == nil {
-		return
-	}
-	probe := time.Now()
-	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	j := t.newJoiner(opt, sink)
-	j.selfNode(t.root, 0)
-	j.flush(opt)
+	opt.Workers = 1
+	t.SelfJoinParallel(opt, func() pairs.Sink { return sink })
 }
 
 // JoinTrees runs the two-set join over trees that share a frame (same ε,
 // same keys, same box, same split order — build both with BuildPair, or
 // with BuildWithBox over the joint bounding box). Pairs are emitted as
-// (ta-index, tb-index).
+// (ta-index, tb-index). It runs on the caller's goroutine:
+// JoinTreesParallel at one worker.
 func JoinTrees(ta, tb *Tree, opt join.Options, sink pairs.Sink) {
-	ta.admitPair(tb, opt)
-	if ta.root == nil || tb.root == nil {
-		return
-	}
-	probe := time.Now()
-	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	j := ta.newPairJoiner(tb, opt, sink)
-	j.crossNodes(ta.root, tb.root, 0, false)
-	j.flush(opt)
+	opt.Workers = 1
+	JoinTreesParallel(ta, tb, opt, func() pairs.Sink { return sink })
 }
 
 // admit panics on a join the tree cannot answer exactly: invalid options,

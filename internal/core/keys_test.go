@@ -358,7 +358,8 @@ func TestParallelTaskBalance(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		load := make([]int64, workers)
 		var total int64
-		for _, tk := range cutTasks(selfTask(tr.root, 0), workers) {
+		tasks, _ := cutTasks(selfTask(tr.root, 0), workers)
+		for _, tk := range tasks {
 			j := tr.newJoiner(opt, &pairs.Counter{})
 			j.run(tk)
 			least := 0

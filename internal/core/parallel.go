@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 	"time"
 
 	"simjoin/internal/join"
@@ -87,11 +86,17 @@ func (tk task) split(out []task) []task {
 // cutTasks splits root — always its heaviest splittable piece next — until
 // there are tasksPerWorker tasks per worker and none of them spans more
 // than a worker's 1/tasksPerWorker share of root's pairs, or only whole
-// leaves remain. It returns the tasks heaviest first.
-func cutTasks(root task, workers int) []task {
+// leaves remain. It returns the tasks heaviest first, and the node visits
+// the splits made: each split does one node's level of selfNode or
+// crossNodes, whose visit no task charges again. One worker gets root
+// whole: its run is one depth-first traversal from the root.
+func cutTasks(root task, workers int) (tasks []task, visits int64) {
+	tasks = []task{root}
+	if workers == 1 {
+		return tasks, 0
+	}
 	want := tasksPerWorker * workers
 	limit := root.weight / int64(want)
-	tasks := []task{root}
 	for {
 		heaviest := -1
 		for i, tk := range tasks {
@@ -104,6 +109,7 @@ func cutTasks(root task, workers int) []task {
 		}
 		tk := tasks[heaviest]
 		tasks = tk.split(slices.Delete(tasks, heaviest, heaviest+1))
+		visits++
 	}
 	slices.SortStableFunc(tasks, func(x, y task) int {
 		switch {
@@ -114,7 +120,7 @@ func cutTasks(root task, workers int) []task {
 		}
 		return 0
 	})
-	return tasks
+	return tasks, visits
 }
 
 // run joins one task.
@@ -126,30 +132,25 @@ func (j *joiner) run(tk task) {
 	}
 }
 
-// runTasks spreads tasks (heaviest first) over at most workers goroutines,
-// each with its own joiner from newJoiner.
-func runTasks(tasks []task, workers int, opt join.Options, newJoiner func() *joiner) {
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+// runTasks cuts root into tasks for opt.WorkerCount() workers and joins
+// them (heaviest first) on at most that many, each with its own joiner
+// from newJoiner.
+func runTasks(root task, opt join.Options, newJoiner func() *joiner) {
+	workers := opt.WorkerCount()
+	tasks, visits := cutTasks(root, workers)
+	opt.Stats().AddNodeVisits(visits)
 	work := make(chan task, len(tasks))
 	for _, tk := range tasks {
 		work <- tk
 	}
 	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			j := newJoiner()
-			for tk := range work {
-				j.run(tk)
-			}
-			j.flush(opt)
-		}()
-	}
-	wg.Wait()
+	join.Spread(min(workers, len(tasks)), func(int) {
+		j := newJoiner()
+		for tk := range work {
+			j.run(tk)
+		}
+		j.flush(opt)
+	})
 }
 
 // SelfJoinParallel runs the self-join spread across opt.WorkerCount()
@@ -158,9 +159,6 @@ func runTasks(tasks []task, workers int, opt join.Options, newJoiner func() *joi
 // pairs.Counter). The stripe decomposition is naturally parallel: each
 // stripe owns its self-join plus its join with the next stripe, so no pair
 // is produced twice, at the root or below it (cutTasks).
-//
-// When the root is a leaf (tiny input or a one-stripe frame) the join runs
-// on a single worker sink.
 func (t *Tree) SelfJoinParallel(opt join.Options, newSink func() pairs.Sink) {
 	t.admit(opt)
 	if t.root == nil {
@@ -168,16 +166,14 @@ func (t *Tree) SelfJoinParallel(opt join.Options, newSink func() pairs.Sink) {
 	}
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	workers := opt.WorkerCount()
-	runTasks(cutTasks(selfTask(t.root, 0), workers), workers, opt, func() *joiner {
+	runTasks(selfTask(t.root, 0), opt, func() *joiner {
 		return t.newJoiner(opt, newSink())
 	})
 }
 
 // JoinTreesParallel is JoinTrees spread across opt.WorkerCount()
 // goroutines; newSink supplies one private sink per worker. Frame rules are
-// as for JoinTrees. When either root is a leaf the join runs on a single
-// worker sink (there is no stripe decomposition to parallelize).
+// as for JoinTrees.
 func JoinTreesParallel(ta, tb *Tree, opt join.Options, newSink func() pairs.Sink) {
 	ta.admitPair(tb, opt)
 	if ta.root == nil || tb.root == nil {
@@ -185,8 +181,7 @@ func JoinTreesParallel(ta, tb *Tree, opt join.Options, newSink func() pairs.Sink
 	}
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	workers := opt.WorkerCount()
-	runTasks(cutTasks(crossTask(ta.root, tb.root, 0), workers), workers, opt, func() *joiner {
+	runTasks(crossTask(ta.root, tb.root, 0), opt, func() *joiner {
 		return ta.newPairJoiner(tb, opt, newSink())
 	})
 }

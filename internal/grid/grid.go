@@ -19,16 +19,10 @@ import (
 	"simjoin/internal/vec"
 )
 
-// Config holds the grid-specific knobs.
-type Config struct {
-	// MaxDims bounds how many dimensions are gridded (the widest ones).
-	// Each gridded dimension triples the neighborhood, so the default of 6
-	// (≤ 729 neighbor cells) is about as far as the method can be pushed.
-	MaxDims int
-}
-
-// DefaultConfig returns the configuration used by the evaluation.
-func DefaultConfig() Config { return Config{MaxDims: 6} }
+// maxGridDims bounds how many dimensions are gridded (the widest ones).
+// Each gridded dimension triples the neighborhood, so 6 (≤ 729 neighbor
+// cells) is about as far as the method can be pushed.
+const maxGridDims = 6
 
 // index is the cell-hash structure built over one dataset.
 type index struct {
@@ -41,14 +35,8 @@ type index struct {
 
 // build hashes every point of ds into cells of width eps over the gridded
 // dimensions. The origin comes from box (so two sets can share one grid).
-func build(ds *dataset.Dataset, eps float64, box vec.Box, cfg Config) *index {
-	g := cfg.MaxDims
-	if g <= 0 {
-		g = DefaultConfig().MaxDims
-	}
-	if g > ds.Dims() {
-		g = ds.Dims()
-	}
+func build(ds *dataset.Dataset, eps float64, box vec.Box) *index {
+	g := min(maxGridDims, ds.Dims())
 	// Grid the g widest dimensions: widest first prunes most.
 	dims := make([]int, ds.Dims())
 	for i := range dims {
@@ -102,14 +90,13 @@ func encode(dst []byte, coords []int32) []byte {
 	return dst
 }
 
-// SelfJoin reports every unordered pair within ε once using the default
-// grid configuration.
-func SelfJoin(ds *dataset.Dataset, opt join.Options, sink pairs.Sink) {
-	SelfJoinConfig(ds, opt, DefaultConfig(), sink)
-}
-
-// SelfJoinConfig is SelfJoin with explicit grid configuration.
-func SelfJoinConfig(ds *dataset.Dataset, opt join.Options, cfg Config, sink pairs.Sink) {
+// SelfJoin reports every unordered pair within ε once. The occupied cells
+// are spread over opt.WorkerCount() workers, each taking its private sink
+// from newSink (pairs.Sharded handles, or a shared pairs.Counter). The
+// decomposition cannot duplicate: each cell owns its within-cell pairs and
+// its pairs with its lexicographically-positive neighbors, so no pair is
+// claimed by two cells.
+func SelfJoin(ds *dataset.Dataset, opt join.Options, newSink func() pairs.Sink) {
 	opt.MustValidate()
 	if ds.Len() < 2 {
 		return
@@ -117,58 +104,63 @@ func SelfJoinConfig(ds *dataset.Dataset, opt join.Options, cfg Config, sink pair
 	c := opt.Stats()
 	t := opt.Threshold()
 	start := time.Now()
-	ix := build(ds, opt.Eps, ds.Bounds(), cfg)
+	ix := build(ds, opt.Eps, ds.Bounds())
 	g := len(ix.gridded)
 	offsets := positiveOffsets(g)
 	opt.Timing().AddBuild(time.Since(start))
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
+
 	f := ds.FlatView()
-	var cand, res int64
-	nb := make([]int32, g)
-	keyBuf := make([]byte, 0, 4*g)
-	var cur int32
-	emit := func(yi int32) { sink.Emit(int(cur), int(yi)) }
-	for key, members := range ix.cells {
-		// Within-cell pairs.
-		for a := 0; a < len(members); a++ {
-			cur = members[a]
-			pc, pr := vec.ProbeListFlat(opt.Metric, f, cur, f, members[a+1:], t, emit)
-			cand += pc
-			res += pr
-		}
-		// Lexicographically-positive neighbors: each unordered cell pair once.
-		coords := decode(key, g)
-		for _, off := range offsets {
-			for k := range nb {
-				nb[k] = coords[k] + int32(off[k])
-			}
-			other, ok := ix.cells[string(encode(keyBuf[:0], nb))]
-			if !ok {
-				continue
-			}
-			for _, ia := range members {
-				cur = ia
-				pc, pr := vec.ProbeListFlat(opt.Metric, f, ia, f, other, t, emit)
+	work := make(chan string, len(ix.cells))
+	for key := range ix.cells {
+		work <- key
+	}
+	close(work)
+	join.Spread(min(opt.WorkerCount(), len(ix.cells)), func(int) {
+		sink := newSink()
+		nb := make([]int32, g)
+		keyBuf := make([]byte, 0, 4*g)
+		var cand, res int64
+		var cur int32
+		emit := func(yi int32) { sink.Emit(int(cur), int(yi)) }
+		for key := range work {
+			members := ix.cells[key]
+			for a := 0; a < len(members); a++ {
+				cur = members[a]
+				pc, pr := vec.ProbeListFlat(opt.Metric, f, cur, f, members[a+1:], t, emit)
 				cand += pc
 				res += pr
 			}
+			coords := decode(key, g)
+			for _, off := range offsets {
+				for k := range nb {
+					nb[k] = coords[k] + int32(off[k])
+				}
+				other, ok := ix.cells[string(encode(keyBuf[:0], nb))]
+				if !ok {
+					continue
+				}
+				for _, ia := range members {
+					cur = ia
+					pc, pr := vec.ProbeListFlat(opt.Metric, f, ia, f, other, t, emit)
+					cand += pc
+					res += pr
+				}
+			}
 		}
-	}
-	c.AddCandidates(cand)
-	c.AddDistComps(cand)
-	c.AddResults(res)
+		c.AddCandidates(cand)
+		c.AddDistComps(cand)
+		c.AddResults(res)
+	})
 }
 
-// Join reports every (a-index, b-index) pair within ε using the default
-// configuration.
-func Join(a, b *dataset.Dataset, opt join.Options, sink pairs.Sink) {
-	JoinConfig(a, b, opt, DefaultConfig(), sink)
-}
-
-// JoinConfig is Join with explicit grid configuration. The grid is built on
-// b over the joint bounding box; every a-point probes its 3^g neighborhood.
-func JoinConfig(a, b *dataset.Dataset, opt join.Options, cfg Config, sink pairs.Sink) {
+// Join reports every (a-index, b-index) pair within ε. The grid is built
+// once over b, on the joint bounding box; opt.WorkerCount() workers then
+// stride over a's points, each probing its 3^g neighborhood into a private
+// sink from newSink. Every (a, b) pair is owned by its a-point, so none is
+// reported twice.
+func Join(a, b *dataset.Dataset, opt join.Options, newSink func() pairs.Sink) {
 	opt.MustValidate()
 	if a.Len() == 0 || b.Len() == 0 {
 		return
@@ -178,7 +170,7 @@ func JoinConfig(a, b *dataset.Dataset, opt join.Options, cfg Config, sink pairs.
 	start := time.Now()
 	box := a.Bounds()
 	box.ExtendBox(b.Bounds())
-	ix := build(b, opt.Eps, box, cfg)
+	ix := build(b, opt.Eps, box)
 	g := len(ix.gridded)
 	offsets := allOffsets(g)
 	opt.Timing().AddBuild(time.Since(start))
@@ -186,31 +178,35 @@ func JoinConfig(a, b *dataset.Dataset, opt join.Options, cfg Config, sink pairs.
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
 	fa := a.FlatView()
 	fb := b.FlatView()
-	var cand, res int64
-	coords := make([]int32, g)
-	nb := make([]int32, g)
-	keyBuf := make([]byte, 0, 4*g)
-	var cur int32
-	emit := func(yi int32) { sink.Emit(int(cur), int(yi)) }
-	for i := 0; i < a.Len(); i++ {
-		ix.cellOf(a.Point(i), coords)
-		cur = int32(i)
-		for _, off := range offsets {
-			for k := range nb {
-				nb[k] = coords[k] + int32(off[k])
+	workers := min(opt.WorkerCount(), a.Len())
+	join.Spread(workers, func(w int) {
+		sink := newSink()
+		coords := make([]int32, g)
+		nb := make([]int32, g)
+		keyBuf := make([]byte, 0, 4*g)
+		var cand, res int64
+		var cur int32
+		emit := func(yi int32) { sink.Emit(int(cur), int(yi)) }
+		for i := w; i < a.Len(); i += workers {
+			ix.cellOf(a.Point(i), coords)
+			cur = int32(i)
+			for _, off := range offsets {
+				for k := range nb {
+					nb[k] = coords[k] + int32(off[k])
+				}
+				members, ok := ix.cells[string(encode(keyBuf[:0], nb))]
+				if !ok {
+					continue
+				}
+				pc, pr := vec.ProbeListFlat(opt.Metric, fa, cur, fb, members, t, emit)
+				cand += pc
+				res += pr
 			}
-			members, ok := ix.cells[string(encode(keyBuf[:0], nb))]
-			if !ok {
-				continue
-			}
-			pc, pr := vec.ProbeListFlat(opt.Metric, fa, cur, fb, members, t, emit)
-			cand += pc
-			res += pr
 		}
-	}
-	c.AddCandidates(cand)
-	c.AddDistComps(cand)
-	c.AddResults(res)
+		c.AddCandidates(cand)
+		c.AddDistComps(cand)
+		c.AddResults(res)
+	})
 }
 
 // decode parses a cell key back into coordinates.

@@ -13,42 +13,22 @@ import (
 	"simjoin/internal/vec"
 )
 
+// The oracle runs every join at one worker and at four.
 func TestSelfJoinOracle(t *testing.T) {
-	jointest.CheckSelf(t, SelfJoin, 60, 201)
+	for _, w := range []int{1, 4} {
+		jointest.CheckSelf(t, jointest.Workers(SelfJoin, w), 60, 201)
+	}
 }
 
 func TestJoinOracle(t *testing.T) {
-	jointest.CheckJoin(t, Join, 60, 202)
+	for _, w := range []int{1, 4} {
+		jointest.CheckJoin(t, jointest.JoinWorkers(Join, w), 60, 202)
+	}
 }
 
 func TestSelfJoinAdversarial(t *testing.T) {
-	jointest.CheckSelfAdversarial(t, SelfJoin)
-}
-
-// TestMaxDimsVariants: the join is correct regardless of how many
-// dimensions are gridded (including 1 and all of them).
-func TestMaxDimsVariants(t *testing.T) {
-	for _, maxDims := range []int{1, 2, 3, 8} {
-		cfg := Config{MaxDims: maxDims}
-		fn := func(ds *dataset.Dataset, opt join.Options, sink pairs.Sink) {
-			SelfJoinConfig(ds, opt, cfg, sink)
-		}
-		jointest.CheckSelf(t, fn, 15, 203+int64(maxDims))
-		jfn := func(a, b *dataset.Dataset, opt join.Options, sink pairs.Sink) {
-			JoinConfig(a, b, opt, cfg, sink)
-		}
-		jointest.CheckJoin(t, jfn, 10, 303+int64(maxDims))
-	}
-	// Gridding every dimension must stay correct too (small case only: the
-	// 3^d neighborhood is the very blow-up the evaluation documents).
-	ds := synth.Generate(synth.Config{N: 80, Dims: 9, Seed: 999, Dist: synth.Uniform})
-	opt := join.Options{Metric: vec.L2, Eps: 0.4}
-	want := &pairs.Collector{Canonical: true}
-	brute.SelfJoin(ds, opt, want)
-	got := &pairs.Collector{Canonical: true}
-	SelfJoinConfig(ds, opt, Config{MaxDims: 100}, got)
-	if !pairs.Equal(got.Sorted(), want.Sorted()) {
-		t.Errorf("full-dims grid wrong: %s", pairs.Diff(got.Pairs, want.Pairs))
+	for _, w := range []int{1, 4} {
+		jointest.CheckSelfAdversarial(t, jointest.Workers(SelfJoin, w))
 	}
 }
 
@@ -119,7 +99,7 @@ func TestGridPrunes(t *testing.T) {
 	var sink pairs.Counter
 	optG := opt
 	optG.Counters = &cGrid
-	SelfJoin(ds, optG, &sink)
+	SelfJoin(ds, optG, func() pairs.Sink { return &sink })
 	optB := opt
 	optB.Counters = &cBrute
 	var sinkB pairs.Counter
@@ -132,16 +112,17 @@ func TestGridPrunes(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerial: four workers report the pair set of one.
 func TestParallelMatchesSerial(t *testing.T) {
 	ds := synth.Generate(synth.Config{N: 3000, Dims: 5, Seed: 6, Dist: synth.GaussianClusters})
-	opt := join.Options{Metric: vec.L2, Eps: 0.08, Workers: 4}
-	serial := &pairs.Collector{Canonical: true}
-	SelfJoin(ds, opt, serial)
+	opt := join.Options{Metric: vec.L2, Eps: 0.08}
+	serial := pairs.NewSharded(true)
+	SelfJoin(ds, opt, serial.Handle)
+	opt.Workers = 4
 	sh := pairs.NewSharded(true)
-	SelfJoinParallel(ds, opt, DefaultConfig(), sh.Handle)
-	got := sh.Merged()
-	if !pairs.Equal(got, serial.Sorted()) {
-		t.Errorf("parallel differs from serial: %s", pairs.Diff(got, serial.Pairs))
+	SelfJoin(ds, opt, sh.Handle)
+	if got, want := sh.Merged(), serial.Merged(); !pairs.Equal(got, want) {
+		t.Errorf("parallel differs from serial: %s", pairs.Diff(got, want))
 	}
 }
 
@@ -154,7 +135,7 @@ func TestParallelSmallInputs(t *testing.T) {
 		}
 		opt := join.Options{Metric: vec.L2, Eps: 0.1, Workers: 8}
 		sh := pairs.NewSharded(true)
-		SelfJoinParallel(ds, opt, DefaultConfig(), sh.Handle)
+		SelfJoin(ds, opt, sh.Handle)
 		want := int64(n * (n - 1) / 2)
 		if got := int64(len(sh.Merged())); got != want {
 			t.Errorf("n=%d: %d pairs, want %d", n, got, want)
@@ -165,7 +146,7 @@ func TestParallelSmallInputs(t *testing.T) {
 func TestTinyEpsClampStaysCorrect(t *testing.T) {
 	ds := dataset.FromPoints([][]float64{{0, 0}, {1e-12, 0}, {0.5, 0.5}})
 	col := &pairs.Collector{Canonical: true}
-	SelfJoin(ds, join.Options{Metric: vec.L2, Eps: 1e-11}, col)
+	SelfJoin(ds, join.Options{Metric: vec.L2, Eps: 1e-11}, func() pairs.Sink { return col })
 	if len(col.Pairs) != 1 || col.Pairs[0] != (pairs.Pair{I: 0, J: 1}) {
 		t.Errorf("tiny-eps join = %v, want [(0,1)]", col.Pairs)
 	}
@@ -178,5 +159,5 @@ func TestInvalidOptionsPanics(t *testing.T) {
 			t.Error("invalid options did not panic")
 		}
 	}()
-	SelfJoin(ds, join.Options{}, &pairs.Counter{})
+	SelfJoin(ds, join.Options{}, func() pairs.Sink { return &pairs.Counter{} })
 }

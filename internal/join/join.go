@@ -2,18 +2,23 @@
 // algorithm in the library. Each algorithm package (brute, sweep, grid,
 // kdtree, rtree, zorder, core) exposes the same two entry points:
 //
-//	SelfJoin(ds, opt, sink)  — all pairs within ε inside one set
-//	Join(a, b, opt, sink)    — all (a, b) pairs within ε across two sets
+//	SelfJoin(ds, opt, …)  — all pairs within ε inside one set
+//	Join(a, b, opt, …)    — all (a, b) pairs within ε across two sets
 //
-// so the public API and the benchmark harness can treat them uniformly.
+// Engines that spread their work over goroutines (grid, kdtree) take a
+// newSink factory and call it once per worker; the rest take one sink.
+// Engine and Serial give both shapes one type, so the public API and the
+// benchmark harness can treat them uniformly.
 package join
 
 import (
 	"fmt"
 	"math"
-	"runtime"
+	"sync"
 
+	"simjoin/internal/dataset"
 	"simjoin/internal/obsv"
+	"simjoin/internal/pairs"
 	"simjoin/internal/stats"
 	"simjoin/internal/vec"
 )
@@ -33,8 +38,9 @@ type Options struct {
 	// candidate-enumeration cost to the probe phase, each exactly once
 	// per entry point. Algorithms never require it.
 	Phases *obsv.Phases
-	// Workers bounds the goroutines used by parallel variants; ≤ 0 selects
-	// GOMAXPROCS. Serial algorithms ignore it.
+	// Workers bounds the goroutines an engine spreads its join over; ≤ 1
+	// runs it on the caller's goroutine. Engines that never spread ignore
+	// it.
 	Workers int
 }
 
@@ -82,11 +88,40 @@ func (o Options) Timing() *obsv.Phases {
 var discardPhases obsv.Phases
 
 // WorkerCount resolves Workers to a concrete positive goroutine count.
-func (o Options) WorkerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
+func (o Options) WorkerCount() int { return max(o.Workers, 1) }
+
+// Spread runs work(0) … work(workers−1) at once and returns when all of
+// them have. The last one runs on the calling goroutine, so one worker
+// starts no goroutine: a one-worker join is a serial join.
+func Spread(workers int, work func(w int)) {
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for w := 0; w < workers-1; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
 	}
-	return runtime.GOMAXPROCS(0)
+	if workers > 0 {
+		work(workers - 1)
+	}
+}
+
+// Engine is one join algorithm's two entry points. Each calls newSink once
+// per worker it runs and emits that worker's pairs into the sink it got.
+type Engine struct {
+	Self func(ds *dataset.Dataset, opt Options, newSink func() pairs.Sink)
+	Join func(a, b *dataset.Dataset, opt Options, newSink func() pairs.Sink)
+}
+
+// Serial binds the entry points of an engine that runs on one goroutine:
+// it takes one sink, so newSink is called once.
+func Serial(self func(*dataset.Dataset, Options, pairs.Sink), two func(a, b *dataset.Dataset, opt Options, sink pairs.Sink)) Engine {
+	return Engine{
+		Self: func(ds *dataset.Dataset, opt Options, newSink func() pairs.Sink) { self(ds, opt, newSink()) },
+		Join: func(a, b *dataset.Dataset, opt Options, newSink func() pairs.Sink) { two(a, b, opt, newSink()) },
+	}
 }
 
 // Threshold returns the precomputed comparison constant for the options'

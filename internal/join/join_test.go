@@ -2,7 +2,7 @@ package join
 
 import (
 	"math"
-	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"simjoin/internal/stats"
@@ -50,8 +50,24 @@ func TestWorkerCount(t *testing.T) {
 	if got := (Options{Workers: 3}).WorkerCount(); got != 3 {
 		t.Errorf("WorkerCount = %d, want 3", got)
 	}
-	if got := (Options{}).WorkerCount(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default WorkerCount = %d, want GOMAXPROCS", got)
+	for _, w := range []int{0, 1, -2} {
+		if got := (Options{Workers: w}).WorkerCount(); got != 1 {
+			t.Errorf("Workers %d: WorkerCount = %d, want 1", w, got)
+		}
+	}
+}
+
+// TestSpreadWorkers: every worker index runs exactly once, and all of them
+// have returned when Spread does.
+func TestSpreadWorkers(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 8} {
+		ran := make([]atomic.Int32, n)
+		Spread(n, func(w int) { ran[w].Add(1) })
+		for w := range ran {
+			if got := ran[w].Load(); got != 1 {
+				t.Errorf("workers=%d: worker %d ran %d times", n, w, got)
+			}
+		}
 	}
 }
 

@@ -26,6 +26,35 @@ type SelfJoinFunc func(ds *dataset.Dataset, opt join.Options, sink pairs.Sink)
 // packages.
 type JoinFunc func(a, b *dataset.Dataset, opt join.Options, sink pairs.Sink)
 
+// Workers adapts a self-join engine that takes one sink per worker (a
+// join.Engine's Self) to the checkers: it runs fn at w workers into a
+// pairs.Sharded and replays the pairs, duplicates included, into the
+// checker's sink.
+func Workers(fn func(*dataset.Dataset, join.Options, func() pairs.Sink), w int) SelfJoinFunc {
+	return func(ds *dataset.Dataset, opt join.Options, sink pairs.Sink) {
+		opt.Workers = w
+		sh := pairs.NewSharded(false)
+		fn(ds, opt, sh.Handle)
+		replay(sh, sink)
+	}
+}
+
+// JoinWorkers is Workers for a two-set engine.
+func JoinWorkers(fn func(a, b *dataset.Dataset, opt join.Options, newSink func() pairs.Sink), w int) JoinFunc {
+	return func(a, b *dataset.Dataset, opt join.Options, sink pairs.Sink) {
+		opt.Workers = w
+		sh := pairs.NewSharded(false)
+		fn(a, b, opt, sh.Handle)
+		replay(sh, sink)
+	}
+}
+
+func replay(sh *pairs.Sharded, sink pairs.Sink) {
+	for _, p := range sh.Merged() {
+		sink.Emit(int(p.I), int(p.J))
+	}
+}
+
 // Case describes one randomized oracle scenario.
 type Case struct {
 	Seed   int64

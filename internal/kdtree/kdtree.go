@@ -7,11 +7,8 @@
 package kdtree
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"fmt"
+	"time"
 
 	"simjoin/internal/dataset"
 	"simjoin/internal/join"
@@ -216,7 +213,7 @@ func (t *Tree) Range(q []float64, metric vec.Metric, eps float64, counters *stat
 
 // SelfJoin reports every unordered pair within ε once (as i < j), using one
 // range query per point over a tree built with the default leaf size.
-func SelfJoin(ds *dataset.Dataset, opt join.Options, sink pairs.Sink) {
+func SelfJoin(ds *dataset.Dataset, opt join.Options, newSink func() pairs.Sink) {
 	opt.MustValidate()
 	if ds.Len() < 2 {
 		return
@@ -224,33 +221,14 @@ func SelfJoin(ds *dataset.Dataset, opt join.Options, sink pairs.Sink) {
 	start := time.Now()
 	t := Build(ds, 0)
 	opt.Timing().AddBuild(time.Since(start))
-	t.SelfJoin(opt, sink)
+	t.SelfJoin(opt, newSink)
 }
 
-// SelfJoin runs the self-join on an already-built tree.
-func (t *Tree) SelfJoin(opt join.Options, sink pairs.Sink) {
-	opt.MustValidate()
-	probe := time.Now()
-	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	c := opt.Counters
-	var res int64
-	for i := 0; i < t.ds.Len(); i++ {
-		q := t.ds.Point(i)
-		t.Range(q, opt.Metric, opt.Eps, c, func(j int) {
-			if j > i { // each unordered pair once
-				res++
-				sink.Emit(i, j)
-			}
-		})
-	}
-	opt.Stats().AddResults(res)
-}
-
-// SelfJoinParallel runs the self-join with the per-point range queries
-// spread across opt.WorkerCount() goroutines; newSink supplies one private
-// sink per worker. The point-partitioned decomposition cannot duplicate:
-// each unordered pair is owned by its smaller index.
-func (t *Tree) SelfJoinParallel(opt join.Options, newSink func() pairs.Sink) {
+// SelfJoin runs the self-join on an already-built tree, its per-point range
+// queries strided over opt.WorkerCount() workers; newSink supplies each
+// worker's private sink. Each unordered pair is owned by its smaller index,
+// so none is reported twice.
+func (t *Tree) SelfJoin(opt join.Options, newSink func() pairs.Sink) {
 	opt.MustValidate()
 	n := t.ds.Len()
 	if n < 2 {
@@ -258,37 +236,27 @@ func (t *Tree) SelfJoinParallel(opt join.Options, newSink func() pairs.Sink) {
 	}
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	workers := opt.WorkerCount()
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	var results atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sink := newSink()
-			var res int64
-			for i := w; i < n; i += workers {
-				q := t.ds.Point(i)
-				t.Range(q, opt.Metric, opt.Eps, opt.Counters, func(j int) {
-					if j > i {
-						res++
-						sink.Emit(i, j)
-					}
-				})
-			}
-			results.Add(res)
-		}(w)
-	}
-	wg.Wait()
-	opt.Stats().AddResults(results.Load())
+	workers := min(opt.WorkerCount(), n)
+	join.Spread(workers, func(w int) {
+		sink := newSink()
+		var res int64
+		for i := w; i < n; i += workers {
+			t.Range(t.ds.Point(i), opt.Metric, opt.Eps, opt.Counters, func(j int) {
+				if j > i { // each unordered pair once
+					res++
+					sink.Emit(i, j)
+				}
+			})
+		}
+		opt.Stats().AddResults(res)
+	})
 }
 
 // Join reports every (a-index, b-index) pair within ε by querying a tree
-// built over b with every point of a.
-func Join(a, b *dataset.Dataset, opt join.Options, sink pairs.Sink) {
+// built over b with every point of a. opt.WorkerCount() workers stride over
+// a's points, each into a private sink from newSink; every (a, b) pair is
+// owned by its a-point, so none is reported twice.
+func Join(a, b *dataset.Dataset, opt join.Options, newSink func() pairs.Sink) {
 	opt.MustValidate()
 	if a.Len() == 0 || b.Len() == 0 {
 		return
@@ -298,55 +266,18 @@ func Join(a, b *dataset.Dataset, opt join.Options, sink pairs.Sink) {
 	opt.Timing().AddBuild(time.Since(start))
 	probe := time.Now()
 	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	c := opt.Counters
-	var res int64
-	for i := 0; i < a.Len(); i++ {
-		t.Range(a.Point(i), opt.Metric, opt.Eps, c, func(j int) {
-			res++
-			sink.Emit(i, j)
-		})
-	}
-	opt.Stats().AddResults(res)
-}
-
-// JoinParallel is Join with the probe side spread across
-// opt.WorkerCount() goroutines: the tree is built once over b, then the
-// workers stride over a's points, each answering its own range queries
-// into a private sink from newSink. Point-partitioning the probe side
-// cannot duplicate: every (a, b) pair is owned by its a-point.
-func JoinParallel(a, b *dataset.Dataset, opt join.Options, newSink func() pairs.Sink) {
-	opt.MustValidate()
-	if a.Len() == 0 || b.Len() == 0 {
-		return
-	}
-	start := time.Now()
-	t := Build(b, 0)
-	opt.Timing().AddBuild(time.Since(start))
-	probe := time.Now()
-	defer func() { opt.Timing().AddProbe(time.Since(probe)) }()
-	workers := opt.WorkerCount()
-	if workers > a.Len() {
-		workers = a.Len()
-	}
-	var wg sync.WaitGroup
-	var results atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sink := newSink()
-			var res int64
-			for i := w; i < a.Len(); i += workers {
-				t.Range(a.Point(i), opt.Metric, opt.Eps, opt.Counters, func(j int) {
-					res++
-					sink.Emit(i, j)
-				})
-			}
-			results.Add(res)
-		}(w)
-	}
-	wg.Wait()
-	opt.Stats().AddResults(results.Load())
+	workers := min(opt.WorkerCount(), a.Len())
+	join.Spread(workers, func(w int) {
+		sink := newSink()
+		var res int64
+		for i := w; i < a.Len(); i += workers {
+			t.Range(a.Point(i), opt.Metric, opt.Eps, opt.Counters, func(j int) {
+				res++
+				sink.Emit(i, j)
+			})
+		}
+		opt.Stats().AddResults(res)
+	})
 }
 
 // checkInvariants verifies structural invariants for tests: every leaf

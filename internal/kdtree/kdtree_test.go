@@ -14,16 +14,23 @@ import (
 	"simjoin/internal/vec"
 )
 
+// The oracle runs every join at one worker and at four.
 func TestSelfJoinOracle(t *testing.T) {
-	jointest.CheckSelf(t, SelfJoin, 60, 401)
+	for _, w := range []int{1, 4} {
+		jointest.CheckSelf(t, jointest.Workers(SelfJoin, w), 60, 401)
+	}
 }
 
 func TestJoinOracle(t *testing.T) {
-	jointest.CheckJoin(t, Join, 60, 402)
+	for _, w := range []int{1, 4} {
+		jointest.CheckJoin(t, jointest.JoinWorkers(Join, w), 60, 402)
+	}
 }
 
 func TestSelfJoinAdversarial(t *testing.T) {
-	jointest.CheckSelfAdversarial(t, SelfJoin)
+	for _, w := range []int{1, 4} {
+		jointest.CheckSelfAdversarial(t, jointest.Workers(SelfJoin, w))
+	}
 }
 
 func TestBuildInvariants(t *testing.T) {
@@ -62,7 +69,7 @@ func TestBuildDuplicateHeavy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink pairs.Counter
-	tr2.SelfJoin(join.Options{Metric: vec.L2, Eps: 0.1}, &sink)
+	tr2.SelfJoin(join.Options{Metric: vec.L2, Eps: 0.1}, func() pairs.Sink { return &sink })
 	if sink.N() != 50*49/2 {
 		t.Errorf("coincident join found %d pairs, want %d", sink.N(), 50*49/2)
 	}
@@ -153,29 +160,30 @@ func TestSizeAndDepth(t *testing.T) {
 
 func TestLeafSizeVariants(t *testing.T) {
 	for _, leaf := range []int{1, 2, 7, 64, 10000} {
-		fn := func(ds *dataset.Dataset, opt join.Options, sink pairs.Sink) {
-			tr := Build(ds, leaf)
-			tr.SelfJoin(opt, sink)
+		fn := func(ds *dataset.Dataset, opt join.Options, newSink func() pairs.Sink) {
+			Build(ds, leaf).SelfJoin(opt, newSink)
 		}
-		jointest.CheckSelf(t, fn, 8, 500+int64(leaf))
+		jointest.CheckSelf(t, jointest.Workers(fn, 1), 8, 500+int64(leaf))
 	}
 }
 
+// TestParallelMatchesSerial: four workers report the pair set of one.
 func TestParallelMatchesSerial(t *testing.T) {
 	ds := synth.Generate(synth.Config{N: 3000, Dims: 5, Seed: 6, Dist: synth.GaussianClusters})
 	tr := Build(ds, 0)
-	opt := join.Options{Metric: vec.L2, Eps: 0.08, Workers: 4}
-	serial := &pairs.Collector{Canonical: true}
-	tr.SelfJoin(opt, serial)
+	opt := join.Options{Metric: vec.L2, Eps: 0.08}
+	serial := pairs.NewSharded(true)
+	tr.SelfJoin(opt, serial.Handle)
+	opt.Workers = 4
 	sh := pairs.NewSharded(true)
-	tr.SelfJoinParallel(opt, sh.Handle)
-	if !pairs.Equal(sh.Merged(), serial.Sorted()) {
-		t.Errorf("parallel differs: %s", pairs.Diff(sh.Merged(), serial.Pairs))
+	tr.SelfJoin(opt, sh.Handle)
+	if got, want := sh.Merged(), serial.Merged(); !pairs.Equal(got, want) {
+		t.Errorf("parallel differs: %s", pairs.Diff(got, want))
 	}
 	// Tiny inputs.
 	small := Build(dataset.FromPoints([][]float64{{0}, {0.01}, {9}}), 0)
 	sh2 := pairs.NewSharded(true)
-	small.SelfJoinParallel(join.Options{Metric: vec.L2, Eps: 0.1, Workers: 8}, sh2.Handle)
+	small.SelfJoin(join.Options{Metric: vec.L2, Eps: 0.1, Workers: 8}, sh2.Handle)
 	if len(sh2.Merged()) != 1 {
 		t.Errorf("tiny parallel join = %v", sh2.Merged())
 	}

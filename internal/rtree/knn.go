@@ -3,7 +3,6 @@ package rtree
 import (
 	"container/heap"
 	"fmt"
-	"sync"
 
 	"simjoin/internal/dataset"
 	"simjoin/internal/join"
@@ -90,22 +89,11 @@ func KNNJoin(a, b *dataset.Dataset, k, workers int, metric vec.Metric, counters 
 	}
 	t := BulkLoad(b, 0)
 	out := make([][]join.Neighbor, a.Len())
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > a.Len() {
-		workers = a.Len()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < a.Len(); i += workers {
-				out[i] = t.KNN(a.Point(i), k, metric, counters)
-			}
-		}(w)
-	}
-	wg.Wait()
+	workers = min(max(workers, 1), a.Len())
+	join.Spread(workers, func(w int) {
+		for i := w; i < a.Len(); i += workers {
+			out[i] = t.KNN(a.Point(i), k, metric, counters)
+		}
+	})
 	return out
 }

@@ -22,48 +22,20 @@ import (
 	"simjoin/internal/zorder"
 )
 
-// algorithmImpl binds an Algorithm name to its entry points.
-type algorithmImpl struct {
-	self func(*dataset.Dataset, join.Options, pairs.Sink)
-	join func(a, b *dataset.Dataset, opt join.Options, sink pairs.Sink)
-	// parallelSelf, when non-nil, is used instead of self when
-	// Options.Workers > 1.
-	parallelSelf func(*dataset.Dataset, join.Options, func() pairs.Sink)
-	// parallelJoin, when non-nil, is used instead of join when
-	// Options.Workers > 1.
-	parallelJoin func(a, b *dataset.Dataset, opt join.Options, newSink func() pairs.Sink)
-}
-
-var registry = map[Algorithm]algorithmImpl{
-	AlgorithmBrute: {self: brute.SelfJoin, join: brute.Join},
-	AlgorithmSweep: {self: sweep.SelfJoin, join: sweep.Join},
-	AlgorithmKDTree: {
-		self: kdtree.SelfJoin,
-		join: kdtree.Join,
-		parallelSelf: func(ds *dataset.Dataset, opt join.Options, newSink func() pairs.Sink) {
-			start := time.Now()
-			t := kdtree.Build(ds, 0)
-			opt.Timing().AddBuild(time.Since(start))
-			t.SelfJoinParallel(opt, newSink)
-		},
-		parallelJoin: kdtree.JoinParallel,
-	},
-	AlgorithmRTree:   {self: rtree.SelfJoin, join: rtree.Join},
-	AlgorithmRPlus:   {self: rplus.SelfJoin, join: rplus.Join},
-	AlgorithmZOrder:  {self: zorder.SelfJoin, join: zorder.Join},
-	AlgorithmHilbert: {self: hilbert.SelfJoin, join: hilbert.Join},
+// registry binds each Algorithm name to its engine. The engines that
+// spread over workers (grid, kdtree) take newSink as is; join.Serial
+// binds the rest, which take one sink.
+var registry = map[Algorithm]join.Engine{
+	AlgorithmBrute:   join.Serial(brute.SelfJoin, brute.Join),
+	AlgorithmSweep:   join.Serial(sweep.SelfJoin, sweep.Join),
+	AlgorithmKDTree:  {Self: kdtree.SelfJoin, Join: kdtree.Join},
+	AlgorithmRTree:   join.Serial(rtree.SelfJoin, rtree.Join),
+	AlgorithmRPlus:   join.Serial(rplus.SelfJoin, rplus.Join),
+	AlgorithmZOrder:  join.Serial(zorder.SelfJoin, zorder.Join),
+	AlgorithmHilbert: join.Serial(hilbert.SelfJoin, hilbert.Join),
 	AlgorithmAuto:    {}, // resolved per call in resolveAlgorithm
-	AlgorithmGrid: {
-		self: grid.SelfJoin,
-		join: grid.Join,
-		parallelSelf: func(ds *dataset.Dataset, opt join.Options, newSink func() pairs.Sink) {
-			grid.SelfJoinParallel(ds, opt, grid.DefaultConfig(), newSink)
-		},
-		parallelJoin: func(a, b *dataset.Dataset, opt join.Options, newSink func() pairs.Sink) {
-			grid.JoinParallel(a, b, opt, grid.DefaultConfig(), newSink)
-		},
-	},
-	AlgorithmEKDB: {}, // bound in selfRunners / joinRunners: needs per-call Config
+	AlgorithmGrid:    {Self: grid.SelfJoin, Join: grid.Join},
+	AlgorithmEKDB:    {}, // bound in selfRunners / joinRunners: needs per-call Config
 }
 
 // toInternal converts public options to the internal contract.
@@ -73,18 +45,16 @@ func (o Options) toInternal(c *stats.Counters, ph *obsv.Phases) join.Options {
 		Eps:      o.Eps,
 		Counters: c,
 		Phases:   ph,
-		Workers:  o.Workers,
+		Workers:  max(o.Workers, 1),
 	}
 }
 
-// runners are the two ways one planned join can run: serially into one
-// sink, or spread over workers that each take a private sink from newSink.
-// parallel is nil when the engine has no parallel variant. keys is the key
-// kind of the ε-kdB tree behind them ("" for every other engine).
+// runners is one planned join, bound to its inputs and options: run calls
+// newSink once per worker it spreads over. keys is the key kind of the
+// ε-kdB tree behind it ("" for every other engine).
 type runners struct {
-	serial   func(sink pairs.Sink)
-	parallel func(newSink func() pairs.Sink)
-	keys     string
+	run  func(newSink func() pairs.Sink)
+	keys string
 }
 
 // treeConfig maps the public options to a one-shot build's tree config.
@@ -92,9 +62,9 @@ func (o Options) treeConfig() core.Config {
 	return core.Config{Metric: o.Metric.internal()}
 }
 
-// selfRunners binds algo's self-join entry points to ds. The ε-kdB tree is
-// built here (and charged to the build phase) rather than behind the
-// registry's shared signature, so its key kind reaches the runners.
+// selfRunners binds algo's self-join to ds. The ε-kdB tree is built here
+// (and charged to the build phase) rather than behind the registry's
+// shared signature, so its key kind reaches the runners.
 func selfRunners(algo Algorithm, ds *dataset.Dataset, iopt join.Options, opt Options) runners {
 	if algo == AlgorithmEKDB {
 		start := time.Now()
@@ -102,58 +72,38 @@ func selfRunners(algo Algorithm, ds *dataset.Dataset, iopt join.Options, opt Opt
 		iopt.Timing().AddBuild(time.Since(start))
 		return treeRunners(t, iopt)
 	}
-	impl := registry[algo]
-	r := runners{serial: func(sink pairs.Sink) { impl.self(ds, iopt, sink) }}
-	if impl.parallelSelf != nil {
-		r.parallel = func(newSink func() pairs.Sink) { impl.parallelSelf(ds, iopt, newSink) }
-	}
-	return r
+	self := registry[algo].Self
+	return runners{run: func(newSink func() pairs.Sink) { self(ds, iopt, newSink) }}
 }
 
-// treeRunners binds a built ε-kdB tree's self-join entry points.
+// treeRunners binds a built ε-kdB tree's self-join.
 func treeRunners(t *core.Tree, iopt join.Options) runners {
 	return runners{
-		serial:   func(sink pairs.Sink) { t.SelfJoin(iopt, sink) },
-		parallel: func(newSink func() pairs.Sink) { t.SelfJoinParallel(iopt, newSink) },
-		keys:     t.Keys(),
+		run:  func(newSink func() pairs.Sink) { t.SelfJoinParallel(iopt, newSink) },
+		keys: t.Keys(),
 	}
 }
 
-// joinRunners binds algo's two-set entry points to a and b; the ε-kdB
-// trees are built here for the reason selfRunners gives.
+// joinRunners binds algo's two-set join to a and b; the ε-kdB trees are
+// built here for the reason selfRunners gives.
 func joinRunners(algo Algorithm, a, b *dataset.Dataset, iopt join.Options, opt Options) runners {
 	if algo == AlgorithmEKDB {
 		start := time.Now()
 		ta, tb := core.BuildPair(a, b, opt.Eps, opt.treeConfig())
 		iopt.Timing().AddBuild(time.Since(start))
 		return runners{
-			serial:   func(sink pairs.Sink) { core.JoinTrees(ta, tb, iopt, sink) },
-			parallel: func(newSink func() pairs.Sink) { core.JoinTreesParallel(ta, tb, iopt, newSink) },
-			keys:     ta.Keys(),
+			run:  func(newSink func() pairs.Sink) { core.JoinTreesParallel(ta, tb, iopt, newSink) },
+			keys: ta.Keys(),
 		}
 	}
-	impl := registry[algo]
-	r := runners{serial: func(sink pairs.Sink) { impl.join(a, b, iopt, sink) }}
-	if impl.parallelJoin != nil {
-		r.parallel = func(newSink func() pairs.Sink) { impl.parallelJoin(a, b, iopt, newSink) }
-	}
-	return r
-}
-
-// run executes the join: the parallel variant when more than one worker is
-// asked for and the engine has one, the serial one otherwise.
-func (r runners) run(workers int, newSink func() pairs.Sink) {
-	if workers > 1 && r.parallel != nil {
-		r.parallel(newSink)
-		return
-	}
-	r.serial(newSink())
+	two := registry[algo].Join
+	return runners{run: func(newSink func() pairs.Sink) { two(a, b, iopt, newSink) }}
 }
 
 // count runs the join into a shared counter: no pair is buffered.
-func (r runners) count(workers int) int64 {
+func (r runners) count() int64 {
 	var sink pairs.Counter
-	r.run(workers, func() pairs.Sink { return &sink })
+	r.run(func() pairs.Sink { return &sink })
 	return sink.N()
 }
 
@@ -161,9 +111,9 @@ func (r runners) count(workers int) int64 {
 // (canonical: self-join pairs, stored I < J). What happens after the last
 // pair was emitted — merging the workers' shards, the sort, the conversion
 // to the public pair type — is charged to ph as the collect phase.
-func (r runners) collect(workers int, canonical bool, ph *obsv.Phases) []Pair {
+func (r runners) collect(canonical bool, ph *obsv.Phases) []Pair {
 	sh := pairs.NewSharded(canonical)
-	r.run(workers, sh.Handle)
+	r.run(sh.Handle)
 	start := time.Now()
 	ps := sh.Merged()
 	out := make([]Pair, len(ps))
@@ -175,16 +125,16 @@ func (r runners) collect(workers int, canonical bool, ph *obsv.Phases) []Pair {
 }
 
 // each streams the join's pairs to deliver, which is never called
-// concurrently: parallel runs funnel every worker's pairs through one
-// delivery goroutine.
+// concurrently: with more than one worker, every worker's pairs funnel
+// through one delivery goroutine; with one, the join calls deliver itself.
 func (r runners) each(workers int, deliver func(i, j int)) {
-	if workers > 1 && r.parallel != nil {
+	if workers > 1 {
 		f := pairs.NewFunnel(deliver)
-		r.parallel(f.Handle)
+		r.run(f.Handle)
 		f.Close()
 		return
 	}
-	r.serial(pairs.Func(deliver))
+	r.run(func() pairs.Sink { return pairs.Func(deliver) })
 }
 
 // result runs the join in the mode opt asks for — collecting or counting
@@ -193,10 +143,10 @@ func (r runners) result(canonical bool, opt Options, sp *trace.Span, p planned, 
 	res := &Result{}
 	var n int64
 	if opt.collect() {
-		res.Pairs = r.collect(opt.Workers, canonical, iopt.Phases)
+		res.Pairs = r.collect(canonical, iopt.Phases)
 		n = int64(len(res.Pairs))
 	} else {
-		n = r.count(opt.Workers)
+		n = r.count()
 	}
 	res.Stats = r.finish(opt, sp, p, iopt, n, watch)
 	return res
@@ -290,8 +240,8 @@ func SelfJoin(ds *Dataset, opt Options) (*Result, error) {
 
 // Join reports every pair (i, j) with dist(a[i], b[j]) ≤ opt.Eps. The two
 // datasets must share one dimensionality (an error otherwise). Workers > 1
-// runs the parallel variant when the algorithm has one (ekdb, grid,
-// kdtree); the result is identical to the serial run.
+// spreads the join over that many goroutines when the algorithm can (ekdb,
+// grid, kdtree); the result is identical to a one-worker run.
 func Join(a, b *Dataset, opt Options) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -322,9 +272,8 @@ func checkJoinDims(a, b *Dataset) error {
 // i < j) to fn as it is found, never materializing a Result.Pairs slice —
 // memory stays flat no matter how many pairs qualify. fn is always called
 // from a single goroutine at a time, in unspecified order. Workers > 1
-// runs the parallel variant when the algorithm has one, funneling every
-// worker's pairs through one delivery goroutine. The returned Stats match
-// a collecting run's.
+// funnels every worker's pairs through one delivery goroutine. The
+// returned Stats match a collecting run's.
 func SelfJoinEach(ds *Dataset, opt Options, fn func(i, j int)) (Stats, error) {
 	if err := opt.validate(); err != nil {
 		return Stats{}, err
@@ -337,7 +286,7 @@ func SelfJoinEach(ds *Dataset, opt Options, fn func(i, j int)) (Stats, error) {
 	watch := stats.Start()
 	var n int64
 	r := selfRunners(plan.algo, ds.internal(), iopt, opt)
-	r.each(opt.Workers, func(i, j int) {
+	r.each(iopt.Workers, func(i, j int) {
 		if j < i {
 			i, j = j, i
 		}
@@ -349,8 +298,7 @@ func SelfJoinEach(ds *Dataset, opt Options, fn func(i, j int)) (Stats, error) {
 
 // JoinEach streams every (a-index, b-index) pair within opt.Eps to fn as
 // it is found, with the same callback contract as SelfJoinEach:
-// single-goroutine delivery, unspecified order, flat memory. Workers > 1
-// runs the parallel variant when the algorithm has one.
+// single-goroutine delivery, unspecified order, flat memory.
 func JoinEach(a, b *Dataset, opt Options, fn func(i, j int)) (Stats, error) {
 	if err := opt.validate(); err != nil {
 		return Stats{}, err
@@ -366,7 +314,7 @@ func JoinEach(a, b *Dataset, opt Options, fn func(i, j int)) (Stats, error) {
 	watch := stats.Start()
 	var n int64
 	r := joinRunners(plan.algo, a.internal(), b.internal(), iopt, opt)
-	r.each(opt.Workers, func(i, j int) {
+	r.each(iopt.Workers, func(i, j int) {
 		n++
 		fn(i, j)
 	})
@@ -405,6 +353,7 @@ func resolve(opt Options, sp *trace.Span, plan func() Plan) planned {
 	}
 }
 
-// DefaultWorkers returns the worker count the parallel variants use for
-// Options.Workers values ≤ 0 passed through to them (GOMAXPROCS).
+// DefaultWorkers returns one worker per CPU (GOMAXPROCS): the worker
+// count KNNJoin uses when asked for ≤ 0. A join's Options.Workers has no
+// such default; ≤ 1 runs it on the caller's goroutine.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }

@@ -276,10 +276,60 @@ func TestJoinParallelLargeMatchesSerial(t *testing.T) {
 	samePairs(t, "parallel vs serial", parallel.Pairs, serial.Pairs)
 }
 
+// TestCountersIndependentOfWorkers: the worker count changes who does the
+// work, never how much. For every engine that spreads its join over
+// workers, self and two-set runs at 1, 2 and 8 workers report the same
+// work counters and pairs.
+func TestCountersIndependentOfWorkers(t *testing.T) {
+	full, err := Synthetic("clustered", 6000, 8, 81)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pa, pb [][]float64
+	for i := 0; i < full.Len(); i++ {
+		if i%2 == 0 {
+			pa = append(pa, full.Point(i))
+		} else {
+			pb = append(pb, full.Point(i))
+		}
+	}
+	a, b := FromPoints(pa), FromPoints(pb)
+	no := false
+	for _, algo := range []Algorithm{AlgorithmEKDB, AlgorithmGrid, AlgorithmKDTree} {
+		for _, kind := range []string{"self", "join"} {
+			var first JoinStats
+			for _, workers := range []int{1, 2, 8} {
+				var js JoinStats
+				opt := Options{Eps: 0.05, Algorithm: algo, Workers: workers, CollectPairs: &no, Stats: &js}
+				if kind == "self" {
+					_, err = SelfJoin(full, opt)
+				} else {
+					_, err = Join(a, b, opt)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if workers == 1 {
+					if js.PairsEmitted == 0 {
+						t.Fatalf("%s/%s: degenerate fixture, no pairs", algo, kind)
+					}
+					first = js
+					continue
+				}
+				got := [4]int64{js.Candidates, js.DistComps, js.NodeVisits, js.PairsEmitted}
+				want := [4]int64{first.Candidates, first.DistComps, first.NodeVisits, first.PairsEmitted}
+				if got != want {
+					t.Errorf("%s/%s workers=%d: candidates, dist comps, node visits, pairs = %v, at 1 worker %v", algo, kind, workers, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestIndexSelfJoinEach exercises the Index streaming entry point.
 func TestIndexSelfJoinEach(t *testing.T) {
 	ds, _ := Synthetic("clustered", 400, 4, 71)
-	x, err := NewIndex(ds, 0.1, Options{})
+	x, err := NewIndex(ds, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

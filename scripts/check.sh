@@ -77,6 +77,10 @@ for pkg in ./internal/obsv/... ./internal/store/... ./internal/live/... \
 	./internal/gateway/ ./internal/api/... ./cmd/simjoind/; do
 	step "race x4 $pkg" go test -race -count=4 "$pkg"
 done
+# Every engine that spreads a join over workers does it through
+# join.Spread: their tests that run more than one worker, four times.
+step "race x4 engines -run 'Parallel|Workers'" go test -race -count=4 -run 'Parallel|Workers' \
+	./internal/core/ ./internal/grid/ ./internal/kdtree/ ./internal/join/
 # The sketch updated under readers: only its concurrency test is worth
 # repeating. The rest of the package is single-goroutine, deterministic
 # accuracy checks — two thirds of its -race time — and ran once above.

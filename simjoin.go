@@ -104,8 +104,10 @@ type Options struct {
 	Metric Metric
 	// Algorithm selects the join algorithm (default AlgorithmEKDB).
 	Algorithm Algorithm
-	// Workers enables the parallel variant when the algorithm has one
-	// (ekdb, grid) and is > 1; 0 or 1 runs serially.
+	// Workers is how many goroutines the join spreads over (ekdb, grid and
+	// kdtree; the other algorithms always use one). ≤ 1 runs the join on
+	// the caller's goroutine. Results and work counters do not depend on
+	// it.
 	Workers int
 	// CollectPairs controls whether Result.Pairs is populated (default
 	// true). Disable for counting-only runs over huge outputs.

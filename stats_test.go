@@ -169,7 +169,7 @@ func TestJoinStatsIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := NewIndex(ds, 0.1, Options{})
+	x, err := NewIndex(ds, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestJoinStatsCollectPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := NewIndex(ds, 0.1, Options{})
+	x, err := NewIndex(ds, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestJoinStatsKeys(t *testing.T) {
 		t.Errorf("grid Keys = %q (%v), want none", js.Keys, err)
 	}
 	// The index serves every metric, so it never takes metric-bound keys.
-	x, err := NewIndex(high, eps, Options{})
+	x, err := NewIndex(high, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
