@@ -24,6 +24,9 @@ import (
 // publishes a new one; upload replaces the entry wholesale).
 type server struct {
 	core
+	// mu guards the sets map only — which entry a name resolves to — and is
+	// held just for map reads and swaps; an entry's snapshot and index have
+	// their own lock.
 	mu   sync.RWMutex
 	sets map[string]*entry
 	// st, when non-nil, is the durable storage engine every mutation tees
@@ -331,9 +334,12 @@ func (s *server) handlePut(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// The sketch pass runs before the lock: every lookup on every dataset
+	// waits while s.mu is held.
+	e := newEntry(ds)
 	s.mu.Lock()
 	_, replaced := s.sets[name]
-	s.sets[name] = newEntry(ds)
+	s.sets[name] = e
 	s.mu.Unlock()
 	if replaced {
 		// Standing queries were registered against the old incarnation's

@@ -120,8 +120,10 @@ func New(dims int, cfg Config) *Sketch {
 // follow arrival order.
 func FromDataset(ds *dataset.Dataset, cfg Config) *Sketch {
 	s := New(ds.Dims(), cfg)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, i := range rand.New(rand.NewSource(^s.cfg.Seed)).Perm(ds.Len()) {
-		s.Observe(ds.Point(i))
+		s.observe(ds.Point(i))
 	}
 	return s
 }
@@ -165,16 +167,21 @@ func (s *Sketch) Observe(p []float64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.observe(p)
+}
+
+// observe is Observe under s.mu.
+func (s *Sketch) observe(p []float64) {
 	k := s.res.Len()
 	c := s.cfg.PairsPerPoint
 	if c > k {
 		c = k
 	}
 	for i := 0; i < c; i++ {
-		q := s.res.Point(s.rng.Intn(k))
-		s.hist[vec.L2].add(math.Sqrt(vec.DistSqL2(p, q)))
-		s.hist[vec.L1].add(vec.DistL1(p, q))
-		s.hist[vec.Linf].add(vec.DistLinf(p, q))
+		sq, l1, linf := vec.DistAll(p, s.res.Point(s.rng.Intn(k)))
+		s.hist[vec.L2].add(math.Sqrt(sq))
+		s.hist[vec.L1].add(l1)
+		s.hist[vec.Linf].add(linf)
 		s.pairs++
 	}
 	// Reservoir update (algorithm R): the i-th arrival (0-based i = n)

@@ -54,10 +54,32 @@ func BenchmarkDistSqL2(b *testing.B) {
 	}
 }
 
-func BenchmarkWithinL1(b *testing.B) {
-	x, y := benchVectors(16)
-	for i := 0; i < b.N; i++ {
-		WithinL1(x, y, 0.5)
+// BenchmarkWithinL1Linf times one WithinL1 or WithinLinf call at an
+// accepting threshold, so every coordinate is read. Each call takes the
+// next of 4 096 random pairs of a clustered set: the sign of a coordinate
+// difference is a coin flip from call to call, as in a join, where one
+// fixed pair would let the branch predictor learn its sign pattern.
+func BenchmarkWithinL1Linf(b *testing.B) {
+	for _, d := range []int{8, 64} {
+		f := randFlat(b, 1024, d, int64(d))
+		rng := rand.New(rand.NewSource(1))
+		pairs := make([][2][]float64, 4096)
+		for i := range pairs {
+			pairs[i] = [2][]float64{f.At(rng.Intn(f.Len())), f.At(rng.Intn(f.Len()))}
+		}
+		for _, m := range []struct {
+			name   string
+			within func(a, b []float64, eps float64) bool
+		}{{"L1", WithinL1}, {"Linf", WithinLinf}} {
+			b.Run(m.name+"/d="+strconv.Itoa(d), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					p := &pairs[i%len(pairs)]
+					if !m.within(p[0], p[1], math.MaxFloat64) {
+						b.Fatal("unexpected reject")
+					}
+				}
+			})
+		}
 	}
 }
 

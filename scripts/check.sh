@@ -87,8 +87,10 @@ step "race x4 engines -run 'Parallel|Workers'" go test -race -count=4 -run 'Para
 step "race x4 ./internal/sketch/... -run Concurrent" go test -race -count=4 -run Concurrent ./internal/sketch/...
 
 # go test never runs a benchmark, so one that panics would go unnoticed:
-# run the kernel and ε-kdB benchmarks a kernel change is read against once.
-step "benchmarks once: SweepL2, HighDim" go test -run '^$' -bench 'SweepL2|HighDim' -benchtime 1x ./internal/vec ./internal/core
+# run the kernel, ε-kdB and sketch-build benchmarks a kernel change is read
+# against once.
+step "benchmarks once: SweepL2, HighDim, WithinL1Linf, FromDataset" go test -run '^$' \
+	-bench 'SweepL2|HighDim|WithinL1Linf|FromDataset' -benchtime 1x ./internal/vec ./internal/core ./internal/sketch
 
 step "benchmark harness: vet + test" harness
 # Each workload boots what it measures from this checkout — serve_* run
@@ -100,11 +102,12 @@ for w in join_pairs join_highdim serve_query serve_ingest; do
 done
 
 # Every untrusted-input decoder (dataset readers, snapshot + WAL codecs),
-# the flat-layout round trip, the pair radix sort, and the ε-kdB tree held
-# to brute force over both key kinds. The go tool takes one -fuzz target
-# per run.
+# the flat-layout round trip, the pair radix sort, the ε-kdB tree held to
+# brute force over both key kinds, and the sketch's log-free bucket index
+# held to the Log2 formula. The go tool takes one -fuzz target per run.
 for target in dataset:FuzzReadCSV dataset:FuzzReadBinary store:FuzzReadSnapshot \
-	store:FuzzWALReplay vec:FuzzFlatRoundTrip pairs:FuzzSortPairs core:FuzzSelfJoinOracle; do
+	store:FuzzWALReplay vec:FuzzFlatRoundTrip pairs:FuzzSortPairs core:FuzzSelfJoinOracle \
+	sketch:FuzzHistIndex; do
 	step "fuzz 10s ${target#*:}" go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
 done
 
