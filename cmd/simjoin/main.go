@@ -26,6 +26,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
 
 	"simjoin"
 )
@@ -36,7 +37,7 @@ func main() {
 		withPath = flag.String("with", "", "second point file for a two-set join (optional)")
 		eps      = flag.Float64("eps", 0, "similarity threshold ε (required, > 0)")
 		metric   = flag.String("metric", "L2", "distance metric: L2, L1 or Linf")
-		algo     = flag.String("algo", string(simjoin.AlgorithmEKDB), "join algorithm: ekdb, brute, sweep, grid, kdtree, rtree, zorder")
+		algo     = flag.String("algo", string(simjoin.AlgorithmEKDB), algoUsage())
 		workers  = flag.Int("workers", 1, "parallel workers (ekdb/grid/kdtree joins and self-joins; KNN joins)")
 		count    = flag.Bool("count", false, "print only the pair count and statistics")
 		stream   = flag.Bool("stream", false, "print pairs as they are found instead of buffering the result set (memory stays flat)")
@@ -64,6 +65,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simjoin:", err)
 		os.Exit(1)
 	}
+}
+
+// algoUsage is the -algo help: every algorithm the library has, then auto.
+func algoUsage() string {
+	names := make([]string, 0, len(simjoin.Algorithms()))
+	for _, a := range simjoin.Algorithms() {
+		names = append(names, string(a))
+	}
+	return "join algorithm: " + strings.Join(names, ", ") + " or " + string(simjoin.AlgorithmAuto)
 }
 
 func run(inPath, withPath string, eps float64, metric, algo string, workers int, countOnly, stream, quiet, tracing bool, stdout, stderr io.Writer) error {

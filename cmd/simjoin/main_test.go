@@ -92,6 +92,22 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
+	// The -algo help names every algorithm and auto, and each name it
+	// lists runs.
+	help := algoUsage()
+	for _, a := range append(simjoin.Algorithms(), simjoin.AlgorithmAuto) {
+		if !strings.Contains(help, string(a)) {
+			t.Errorf("-algo help %q does not name %s", help, a)
+		}
+	}
+	for _, name := range strings.FieldsFunc(strings.TrimPrefix(help, "join algorithm: "), func(r rune) bool { return r == ',' || r == ' ' }) {
+		if name == "or" {
+			continue
+		}
+		if err := run(good, "", 0.1, "L2", name, 1, false, false, true, false, &out, &errw); err != nil {
+			t.Errorf("-algo %s from the help: %v", name, err)
+		}
+	}
 }
 
 func TestDistHelper(t *testing.T) {

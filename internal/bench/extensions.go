@@ -8,8 +8,8 @@ import (
 	"simjoin/internal/grid"
 	"simjoin/internal/hilbert"
 	"simjoin/internal/join"
+	"simjoin/internal/kdtree"
 	"simjoin/internal/pairs"
-	"simjoin/internal/rtree"
 	"simjoin/internal/sketch"
 	"simjoin/internal/stats"
 	"simjoin/internal/synth"
@@ -22,7 +22,7 @@ import (
 // out.
 func Extensions() []Experiment {
 	return []Experiment{
-		{"e1", "E1: k-NN join time vs k (R-tree best-first vs brute)", E1KNNJoin},
+		{"e1", "E1: k-NN join time vs k (k-d tree vs brute)", E1KNNJoin},
 		{"e2", "E2: space-filling-curve ablation (Z-order vs Hilbert)", E2CurveAblation},
 		{"e3", "E3: selectivity estimation accuracy vs sample size", E3Estimation},
 		{"e4", "E4: multi-ε amortization (build once vs rebuild per ε)", E4MultiEps},
@@ -113,8 +113,11 @@ func E4MultiEps(quick bool) *stats.Table {
 }
 
 // E1KNNJoin measures the k-NN join (every point of A to its k nearest in
-// B) against the brute-force scan baseline. Expected shape: the indexed
-// join wins by orders of magnitude and degrades slowly with k.
+// B) against the brute-force scan baseline. The indexed side is the
+// search behind simjoin.KNNJoin — one k-d tree over B with the point-query
+// leaf size, one KNN per point of A — on one worker, timed with its
+// build. Expected shape: the indexed join wins by orders of magnitude and
+// degrades slowly with k.
 func E1KNNJoin(quick bool) *stats.Table {
 	na, nb := 2000, 20000
 	if quick {
@@ -123,13 +126,17 @@ func E1KNNJoin(quick bool) *stats.Table {
 	a := synth.Generate(synth.Config{N: na, Dims: 6, Seed: 0xE1, Dist: synth.GaussianClusters})
 	b := synth.Generate(synth.Config{N: nb, Dims: 6, Seed: 0xE2, Dist: synth.GaussianClusters})
 	tb := stats.NewTable("E1 k-NN join time vs k (ms)",
-		"k", "rtree_ms", "rtree_distcomps", "brute_ms", "speedup")
+		"k", "kdtree_ms", "kdtree_distcomps", "brute_ms", "speedup")
 	for _, k := range []int{1, 5, 10, 50} {
 		var c stats.Counters
 		watch := stats.Start()
-		rows := rtree.KNNJoin(a, b, k, 1, vec.L2, &c)
+		tree := kdtree.Build(b, kdtree.NeighborLeafSize)
+		rows := make([][]join.Neighbor, a.Len())
+		for i := range rows {
+			rows[i] = tree.KNN(a.Point(i), k, vec.L2, &c)
+		}
 		indexed := watch.Lap()
-		// Brute baseline: full scan per query point.
+		// Brute baseline: full scan per query point, ties broken by index.
 		bruteRows := make([][]join.Neighbor, a.Len())
 		for i := 0; i < a.Len(); i++ {
 			all := make([]join.Neighbor, b.Len())
@@ -137,21 +144,22 @@ func E1KNNJoin(quick bool) *stats.Table {
 			for j := 0; j < b.Len(); j++ {
 				all[j] = join.Neighbor{Index: j, Dist: vec.Dist(vec.L2, q, b.Point(j))}
 			}
-			sort.Slice(all, func(x, y int) bool { return all[x].Dist < all[y].Dist })
+			sort.Slice(all, func(x, y int) bool {
+				return all[x].Dist < all[y].Dist || all[x].Dist == all[y].Dist && all[x].Index < all[y].Index
+			})
 			bruteRows[i] = all[:k]
 		}
 		bruteTime := watch.Lap()
-		// Spot-check agreement (distances; indexes may tie-swap).
+		// Spot-check agreement, indexes included: both break ties by index.
 		for i := 0; i < a.Len(); i += 97 {
 			for j := 0; j < k; j++ {
-				if rows[i][j].Dist != bruteRows[i][j].Dist {
+				if rows[i][j] != bruteRows[i][j] {
 					panic("bench: k-NN join disagrees with brute baseline")
 				}
 			}
 		}
 		tb.AddRow(k, ms(indexed), c.Snapshot().DistComps, ms(bruteTime),
 			float64(bruteTime)/float64(indexed))
-		c.Reset()
 	}
 	return tb
 }

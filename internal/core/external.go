@@ -125,86 +125,6 @@ func ExternalSelfJoin(ds *dataset.Dataset, opt join.Options, cfg ExternalConfig,
 	}
 }
 
-// ExternalJoin runs the partitioned external two-set ε-kdB join: both
-// datasets are striped on dimension 0 against one shared frame (so stripe
-// s of A can only match stripes s−1, s, s+1 of B), written to simulated
-// disk, and joined stripe-by-stripe with in-memory ε-kdB trees under the
-// LRU pool's I/O accounting. Pairs are emitted as (a-index, b-index).
-func ExternalJoin(a, b *dataset.Dataset, opt join.Options, cfg ExternalConfig, sink pairs.Sink) {
-	opt.MustValidate()
-	cfg = cfg.withDefaults()
-	if a.Len() == 0 || b.Len() == 0 {
-		return
-	}
-	if a.Dims() != b.Dims() {
-		panic(fmt.Sprintf("core: external join over %d-dim and %d-dim sets", a.Dims(), b.Dims()))
-	}
-	store := pager.NewStore(cfg.PageBytes, opt.Counters)
-	dims := a.Dims()
-	box := a.Bounds()
-	box.ExtendBox(b.Bounds())
-	ext := box.Hi[0] - box.Lo[0]
-	width := opt.Eps
-	if ext/width > float64(cfg.MaxPartitions) {
-		width = ext / float64(cfg.MaxPartitions)
-	}
-	parts := 1
-	if ext > 0 {
-		parts = int(math.Ceil(ext / width))
-		if parts < 1 {
-			parts = 1
-		}
-	}
-	partition := func(ds *dataset.Dataset) []*pager.File {
-		files := make([]*pager.File, parts)
-		for s := range files {
-			files[s] = store.CreateFile(dims + 1)
-		}
-		row := make([]float64, dims+1)
-		for i := 0; i < ds.Len(); i++ {
-			p := ds.Point(i)
-			s := int((p[0] - box.Lo[0]) / width)
-			if s < 0 {
-				s = 0
-			}
-			if s > parts-1 {
-				s = parts - 1
-			}
-			row[0] = float64(i)
-			copy(row[1:], p)
-			files[s].Append(row)
-		}
-		for _, f := range files {
-			f.Flush()
-		}
-		return files
-	}
-	fa := partition(a)
-	fb := partition(b)
-
-	pool := pager.NewPool(store, cfg.PoolPages)
-	for s := 0; s < parts; s++ {
-		cur, gcur := loadPartition(pool, fa[s], dims)
-		if cur == nil {
-			continue
-		}
-		for _, bs := range [3]int{s - 1, s, s + 1} {
-			if bs < 0 || bs >= parts {
-				continue
-			}
-			other, gother := loadPartition(pool, fb[bs], dims)
-			if other == nil {
-				continue
-			}
-			jbox := cur.Bounds()
-			jbox.ExtendBox(other.Bounds())
-			ta := BuildWithBox(cur, opt.Eps, jbox, cfg.Tree)
-			tb := BuildWithBox(other, opt.Eps, jbox, cfg.Tree)
-			JoinTrees(ta, tb, opt, mapSink{sink: sink, ga: gcur, gb: gother})
-		}
-	}
-}
-
 // ExternalBlockNestedLoopSelfJoin is the external baseline: the dataset is
 // written sequentially and joined block against block, every block pair
 // whose dim-0 ranges overlap within ε being loaded through the same LRU

@@ -123,51 +123,3 @@ func TestExternalEmptyAndSmall(t *testing.T) {
 		t.Error("degenerate external joins produced pairs")
 	}
 }
-
-func TestExternalJoinOracle(t *testing.T) {
-	fn := func(a, b *dataset.Dataset, opt join.Options, sink pairs.Sink) {
-		ExternalJoin(a, b, opt, ExternalConfig{PageBytes: 256, PoolPages: 4}, sink)
-	}
-	jointest.CheckJoin(t, fn, 40, 904)
-}
-
-func TestExternalJoinDimsMismatchPanics(t *testing.T) {
-	a := dataset.FromPoints([][]float64{{0, 0}})
-	b := dataset.FromPoints([][]float64{{0, 0, 0}})
-	defer func() {
-		if recover() == nil {
-			t.Error("dims mismatch did not panic")
-		}
-	}()
-	ExternalJoin(a, b, join.Options{Metric: vec.L2, Eps: 0.1},
-		ExternalConfig{PoolPages: 2}, &pairs.Counter{})
-}
-
-func TestExternalJoinEmptySides(t *testing.T) {
-	var sink pairs.Counter
-	cfg := ExternalConfig{PoolPages: 2}
-	one := dataset.FromPoints([][]float64{{1, 2}})
-	ExternalJoin(dataset.New(2, 0), one, join.Options{Metric: vec.L2, Eps: 0.1}, cfg, &sink)
-	ExternalJoin(one, dataset.New(2, 0), join.Options{Metric: vec.L2, Eps: 0.1}, cfg, &sink)
-	if sink.N() != 0 {
-		t.Error("empty external joins produced pairs")
-	}
-}
-
-// TestExternalJoinIOLinear: like the self-join, the partitioned two-set
-// join must stay near a constant number of scans.
-func TestExternalJoinIOLinear(t *testing.T) {
-	a := synth.Generate(synth.Config{N: 10000, Dims: 4, Seed: 5, Dist: synth.Uniform})
-	b := synth.Generate(synth.Config{N: 10000, Dims: 4, Seed: 6, Dist: synth.Uniform})
-	var c stats.Counters
-	opt := join.Options{Metric: vec.L2, Eps: 0.05, Counters: &c}
-	var sink pairs.Counter
-	ExternalJoin(a, b, opt, ExternalConfig{PoolPages: 32}, &sink)
-	s := c.Snapshot()
-	if s.PageReads > 4*s.PageWrites {
-		t.Errorf("external two-set join read %d pages for %d written", s.PageReads, s.PageWrites)
-	}
-	if sink.N() == 0 {
-		t.Error("degenerate workload: no pairs")
-	}
-}

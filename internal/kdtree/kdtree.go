@@ -20,6 +20,13 @@ import (
 // DefaultLeafSize is the build-time leaf capacity used by the evaluation.
 const DefaultLeafSize = 16
 
+// NeighborLeafSize is the leaf capacity of a tree that answers point
+// queries (range and k-NN) rather than joins: twice DefaultLeafSize. On
+// 40 000 ten-blob points at d = 8 it halves the tree's memory (2.1 →
+// 1.1 MB) and is faster on all three operations a served index runs:
+// build 25.9 → 22.0 ms, range at ε = 0.1 73 → 64 µs, 10-NN 51 → 49 µs.
+const NeighborLeafSize = 32
+
 // Tree is an immutable k-d tree over one dataset.
 type Tree struct {
 	ds       *dataset.Dataset

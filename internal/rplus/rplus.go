@@ -21,7 +21,6 @@ import (
 	"simjoin/internal/dataset"
 	"simjoin/internal/join"
 	"simjoin/internal/pairs"
-	"simjoin/internal/stats"
 	"simjoin/internal/vec"
 )
 
@@ -149,41 +148,6 @@ func (t *Tree) Size() int { return t.nodes }
 
 // Bounds returns the root bounding box.
 func (t *Tree) Bounds() vec.Box { return t.root.box }
-
-// RangeQuery visits every point index with dist(q, p) ≤ eps.
-func (t *Tree) RangeQuery(q []float64, metric vec.Metric, eps float64, counters *stats.Counters, visit func(i int)) {
-	if len(q) != t.ds.Dims() {
-		panic(fmt.Sprintf("rplus: query of dimension %d against %d-dim tree", len(q), t.ds.Dims()))
-	}
-	th := vec.Threshold(metric, eps)
-	var visits, comps int64
-	var rec func(n *node)
-	rec = func(n *node) {
-		visits++
-		if n.children == nil {
-			for _, i := range n.pts {
-				comps++
-				if vec.Within(metric, q, t.ds.Point(int(i)), th) {
-					visit(int(i))
-				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			if c.box.MinDistPoint(metric, q) <= eps {
-				rec(c)
-			}
-		}
-	}
-	if t.root.box.MinDistPoint(metric, q) <= eps {
-		rec(t.root)
-	}
-	if counters != nil {
-		counters.AddNodeVisits(visits)
-		counters.AddDistComps(comps)
-		counters.AddCandidates(comps)
-	}
-}
 
 // SelfJoin reports every unordered pair within ε once, building a tree
 // with default parameters.

@@ -2,7 +2,6 @@ package rplus
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"simjoin/internal/dataset"
@@ -83,49 +82,6 @@ func TestBuildPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	Build(dataset.New(2, 0), 0, 0)
-}
-
-func TestRangeQueryMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	ds := synth.Generate(synth.Config{N: 900, Dims: 5, Seed: 3, Dist: synth.GaussianClusters})
-	tr := Build(ds, 0, 0)
-	for trial := 0; trial < 40; trial++ {
-		q := make([]float64, 5)
-		for k := range q {
-			q[k] = rng.Float64()
-		}
-		for _, m := range []vec.Metric{vec.L2, vec.L1, vec.Linf} {
-			eps := 0.05 + rng.Float64()*0.3
-			var got []int
-			tr.RangeQuery(q, m, eps, nil, func(i int) { got = append(got, i) })
-			sort.Ints(got)
-			th := vec.Threshold(m, eps)
-			var want []int
-			for i := 0; i < ds.Len(); i++ {
-				if vec.Within(m, q, ds.Point(i), th) {
-					want = append(want, i)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%v eps=%g: %d hits, want %d", m, eps, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%v: hit set differs", m)
-				}
-			}
-		}
-	}
-}
-
-func TestRangeQueryDimMismatchPanics(t *testing.T) {
-	tr := Build(dataset.FromPoints([][]float64{{1, 2}}), 0, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("dimension mismatch did not panic")
-		}
-	}()
-	tr.RangeQuery([]float64{1}, vec.L2, 1, nil, func(int) {})
 }
 
 // TestDisjointnessBeatsRTreeOverlap: on clustered data the R+-tree's

@@ -13,14 +13,20 @@ import (
 // of more than maxEntries items never leaves a chunk below maxEntries/2).
 // Packing gives near-minimal overlap — the closest faithful stand-in for
 // the original evaluation's overlap-free R+ tree.
+//
+// maxEntries ≤ 0 selects DefaultMaxEntries; a capacity below 4 is raised
+// to 4 (at 1, packing would never shrink a level toward one root).
 func BulkLoad(ds *dataset.Dataset, maxEntries int) *Tree {
-	t := New(ds, maxEntries)
+	if maxEntries <= 0 {
+		maxEntries = DefaultMaxEntries
+	}
+	maxEntries = max(maxEntries, 4)
+	t := &Tree{ds: ds, maxEntries: maxEntries, minEntries: maxEntries / 2, root: &node{leaf: true}, height: 1}
 	if ds.Len() == 0 {
+		t.nodes = 1
 		return t
 	}
 	order := zorder.SortedIndexes(ds)
-	t.nodes = 0
-	t.height = 1
 
 	// Pack leaves.
 	level := make([]entry, 0, len(order)/t.maxEntries+1)

@@ -1,11 +1,12 @@
-// Package rtree implements an R-tree with Z-order bulk loading, dynamic
-// insertion with Guttman quadratic splits, window and ε-range queries, and
-// a synchronized-traversal similarity join (Brinkhoff-style). It stands in
-// for the disk-era spatial-access-method baseline of the evaluation: the
-// original comparison used R+ trees, whose selling point is overlap-free
-// node regions; a bulk-loaded packed R-tree has near-zero overlap at build
-// time and identical candidate-pruning structure, which is the behaviour
-// the experiments depend on (see DESIGN.md for the substitution record).
+// Package rtree implements a packed R-tree — points sorted along the
+// Z-order curve and packed bottom-up — and the synchronized-traversal
+// similarity join over it (Brinkhoff-style). It is a frozen paper
+// comparator: it stands in for the disk-era spatial-access-method baseline
+// of the evaluation, and it does nothing but join. The original
+// comparison used R+ trees, whose selling point is overlap-free node
+// regions; a bulk-loaded packed R-tree has near-zero overlap at build time
+// and identical candidate-pruning structure, which is the behaviour the
+// experiments depend on (see DESIGN.md for the substitution record).
 //
 // The join experiments highlight the method's high-dimensional weakness:
 // node boxes inflate with dimensionality until MinDist pruning stops
@@ -16,7 +17,6 @@ import (
 	"fmt"
 
 	"simjoin/internal/dataset"
-	"simjoin/internal/stats"
 	"simjoin/internal/vec"
 )
 
@@ -25,8 +25,7 @@ const (
 	DefaultMaxEntries = 32
 )
 
-// Tree is an R-tree over one dataset. Build one with BulkLoad (packed,
-// overlap-minimal) or New+Insert (dynamic).
+// Tree is an immutable packed R-tree over one dataset, built by BulkLoad.
 type Tree struct {
 	ds         *dataset.Dataset
 	root       *node
@@ -49,27 +48,6 @@ type node struct {
 	entries []entry
 }
 
-// New returns an empty dynamic R-tree over ds with the given node capacity
-// (≤ 0 selects DefaultMaxEntries; minimum fill is capacity/2). Points are
-// added with Insert.
-func New(ds *dataset.Dataset, maxEntries int) *Tree {
-	if maxEntries <= 0 {
-		maxEntries = DefaultMaxEntries
-	}
-	if maxEntries < 4 {
-		maxEntries = 4 // quadratic split needs room for two seeds per side
-	}
-	t := &Tree{
-		ds:         ds,
-		maxEntries: maxEntries,
-		minEntries: maxEntries / 2,
-		root:       &node{leaf: true},
-		height:     1,
-		nodes:      1,
-	}
-	return t
-}
-
 // Len returns the number of points in the tree.
 func (t *Tree) Len() int { return t.count(t.root) }
 
@@ -83,9 +61,6 @@ func (t *Tree) count(n *node) int {
 	}
 	return total
 }
-
-// Height returns the tree height (1 = root is a leaf).
-func (t *Tree) Height() int { return t.height }
 
 // Size returns the number of nodes.
 func (t *Tree) Size() int { return t.nodes }
@@ -105,57 +80,6 @@ func nodeBox(n *node) vec.Box {
 		b.ExtendBox(e.box)
 	}
 	return b
-}
-
-// RangeQuery visits every point index with dist(q, p) ≤ eps.
-func (t *Tree) RangeQuery(q []float64, metric vec.Metric, eps float64, counters *stats.Counters, visit func(i int)) {
-	if len(q) != t.ds.Dims() {
-		panic(fmt.Sprintf("rtree: query of dimension %d against %d-dim tree", len(q), t.ds.Dims()))
-	}
-	th := vec.Threshold(metric, eps)
-	var visits, comps int64
-	var rec func(n *node)
-	rec = func(n *node) {
-		visits++
-		for _, e := range n.entries {
-			if n.leaf {
-				comps++
-				if vec.Within(metric, q, t.ds.Point(int(e.idx)), th) {
-					visit(int(e.idx))
-				}
-				continue
-			}
-			if e.box.MinDistPoint(metric, q) <= eps {
-				rec(e.child)
-			}
-		}
-	}
-	rec(t.root)
-	if counters != nil {
-		counters.AddNodeVisits(visits)
-		counters.AddDistComps(comps)
-		counters.AddCandidates(comps)
-	}
-}
-
-// WindowQuery visits every point index inside the (closed) box w.
-func (t *Tree) WindowQuery(w vec.Box, visit func(i int)) {
-	var rec func(n *node)
-	rec = func(n *node) {
-		for _, e := range n.entries {
-			if !e.box.Intersects(w) {
-				continue
-			}
-			if n.leaf {
-				if w.Contains(t.ds.Point(int(e.idx))) {
-					visit(int(e.idx))
-				}
-				continue
-			}
-			rec(e.child)
-		}
-	}
-	rec(t.root)
 }
 
 // checkInvariants validates the R-tree structure for tests: uniform leaf

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"simjoin/internal/dataset"
@@ -26,18 +25,6 @@ func TestSelfJoinAdversarial(t *testing.T) {
 	jointest.CheckSelfAdversarial(t, SelfJoin)
 }
 
-func TestDynamicInsertOracle(t *testing.T) {
-	// The dynamically built tree must produce identical join results.
-	fn := func(ds *dataset.Dataset, opt join.Options, sink pairs.Sink) {
-		tr := New(ds, 8)
-		for i := 0; i < ds.Len(); i++ {
-			tr.Insert(i)
-		}
-		tr.SelfJoin(opt, sink)
-	}
-	jointest.CheckSelf(t, fn, 30, 703)
-}
-
 func TestBulkLoadInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 30; trial++ {
@@ -51,113 +38,6 @@ func TestBulkLoadInvariants(t *testing.T) {
 		}
 		if err := tr.checkInvariants(); err != nil {
 			t.Fatalf("n=%d d=%d max=%d: %v", n, d, max, err)
-		}
-	}
-}
-
-func TestDynamicInsertInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(500)
-		d := 1 + rng.Intn(6)
-		ds := synth.Generate(synth.Config{N: n, Dims: d, Seed: rng.Int63(), Dist: synth.Uniform})
-		tr := New(ds, 4+rng.Intn(20))
-		for i := 0; i < n; i++ {
-			tr.Insert(i)
-			if i%97 == 0 {
-				if err := tr.checkInvariants(); err != nil {
-					t.Fatalf("after %d inserts: %v", i+1, err)
-				}
-			}
-		}
-		if err := tr.checkInvariants(); err != nil {
-			t.Fatalf("final n=%d: %v", n, err)
-		}
-		if tr.Len() != n {
-			t.Fatalf("Len = %d, want %d", tr.Len(), n)
-		}
-	}
-}
-
-func TestDuplicatePointsInsert(t *testing.T) {
-	ds := dataset.New(2, 0)
-	for i := 0; i < 100; i++ {
-		ds.Append([]float64{1, 1})
-	}
-	tr := New(ds, 8)
-	for i := 0; i < 100; i++ {
-		tr.Insert(i)
-	}
-	if err := tr.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	var sink pairs.Counter
-	tr.SelfJoin(join.Options{Metric: vec.L2, Eps: 0.5}, &sink)
-	if sink.N() != 100*99/2 {
-		t.Errorf("coincident self-join = %d, want %d", sink.N(), 100*99/2)
-	}
-}
-
-func TestRangeQueryMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ds := synth.Generate(synth.Config{N: 700, Dims: 4, Seed: 4, Dist: synth.GaussianClusters})
-	for _, build := range []func() *Tree{
-		func() *Tree { return BulkLoad(ds, 16) },
-		func() *Tree {
-			tr := New(ds, 16)
-			for i := 0; i < ds.Len(); i++ {
-				tr.Insert(i)
-			}
-			return tr
-		},
-	} {
-		tr := build()
-		for trial := 0; trial < 25; trial++ {
-			q := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-			for _, m := range []vec.Metric{vec.L2, vec.L1, vec.Linf} {
-				eps := 0.05 + rng.Float64()*0.3
-				var got []int
-				tr.RangeQuery(q, m, eps, nil, func(i int) { got = append(got, i) })
-				sort.Ints(got)
-				th := vec.Threshold(m, eps)
-				var want []int
-				for i := 0; i < ds.Len(); i++ {
-					if vec.Within(m, q, ds.Point(i), th) {
-						want = append(want, i)
-					}
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%v eps=%g: %d hits, want %d", m, eps, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%v: hit mismatch", m)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestWindowQuery(t *testing.T) {
-	ds := synth.Generate(synth.Config{N: 1000, Dims: 3, Seed: 5, Dist: synth.Uniform})
-	tr := BulkLoad(ds, 0)
-	w := vec.NewBox([]float64{0.2, 0.2, 0.2}, []float64{0.5, 0.6, 0.4})
-	var got []int
-	tr.WindowQuery(w, func(i int) { got = append(got, i) })
-	sort.Ints(got)
-	var want []int
-	for i := 0; i < ds.Len(); i++ {
-		if w.Contains(ds.Point(i)) {
-			want = append(want, i)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("window hits %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatal("window hit set differs")
 		}
 	}
 }
@@ -186,18 +66,11 @@ func TestJoinTreesDifferentHeights(t *testing.T) {
 func TestHeightAndSizeGrow(t *testing.T) {
 	ds := synth.Generate(synth.Config{N: 5000, Dims: 2, Seed: 8, Dist: synth.Uniform})
 	tr := BulkLoad(ds, 16)
-	if tr.Height() < 3 {
-		t.Errorf("Height = %d, want ≥ 3 for 5000 points with fan-out 16", tr.Height())
+	if tr.height < 3 {
+		t.Errorf("height = %d, want ≥ 3 for 5000 points with fan-out 16", tr.height)
 	}
 	if tr.Size() < 5000/16 {
 		t.Errorf("Size = %d, too few nodes", tr.Size())
-	}
-	dyn := New(ds, 16)
-	for i := 0; i < 200; i++ {
-		dyn.Insert(i)
-	}
-	if dyn.Height() < 2 {
-		t.Errorf("dynamic Height = %d after 200 inserts with fan-out 16", dyn.Height())
 	}
 }
 
@@ -207,10 +80,14 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Bounds(); ok {
 		t.Error("empty tree reported bounds")
 	}
+	if tr.Len() != 0 || tr.Size() != 1 {
+		t.Errorf("empty tree: Len %d, Size %d; want 0 and 1", tr.Len(), tr.Size())
+	}
 	var sink pairs.Counter
-	tr.RangeQuery([]float64{0, 0}, vec.L2, 1, nil, func(int) { sink.Emit(0, 0) })
+	JoinTrees(tr, BulkLoad(synth.Generate(synth.Config{N: 50, Dims: 2, Seed: 10, Dist: synth.Uniform}), 0),
+		join.Options{Metric: vec.L2, Eps: 1}, &sink)
 	if sink.N() != 0 {
-		t.Error("empty tree range query hit something")
+		t.Error("empty tree joined something")
 	}
 }
 

@@ -2,6 +2,8 @@ package simjoin
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -85,3 +87,58 @@ func TestKNNJoinErrors(t *testing.T) {
 		t.Error("k=0 accepted")
 	}
 }
+
+// TestKNNJoinMatchesNeighborIndex holds every KNNJoin row to
+// NeighborIndex.KNN for the same point, indexes included: one search, so
+// the same neighbours on tied distances. The duplicate-heavy set puts a
+// third of b at one location, where the k-th distance ties hundreds of
+// points and only the tie rule picks the answer.
+func TestKNNJoinMatchesNeighborIndex(t *testing.T) {
+	dup := NewDataset(2)
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 2000; i++ {
+		if i%3 == 0 {
+			dup.Append([]float64{0.5, 0.5})
+		} else {
+			dup.Append([]float64{rng.Float64(), rng.Float64()})
+		}
+	}
+	dupQueries := NewDataset(2)
+	dupQueries.Append([]float64{0.5, 0.5})
+	for i := 0; i < 30; i++ {
+		dupQueries.Append(dup.Point(rng.Intn(dup.Len())))
+	}
+	clustered, _ := Synthetic("clustered", 800, 4, 32)
+	clusteredQueries, _ := Synthetic("clustered", 30, 4, 33)
+	for _, set := range []struct {
+		name string
+		a, b *Dataset
+	}{{"duplicates", dupQueries, dup}, {"clustered", clusteredQueries, clustered}} {
+		x := NewNeighborIndex(set.b)
+		for _, m := range []Metric{L1, L2, Linf} {
+			for _, k := range []int{1, 3, 10, set.b.Len() + 5} {
+				want := make([][]Neighbor, set.a.Len())
+				for i := range want {
+					want[i] = x.KNN(set.a.Point(i), k, m)
+				}
+				for _, workers := range []int{1, 4} {
+					rows, err := KNNJoin(set.a, set.b, k, workers, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(rows) != set.a.Len() {
+						t.Fatalf("%s %v k=%d workers=%d: %d rows, want %d", set.name, m, k, workers, len(rows), set.a.Len())
+					}
+					for i, row := range rows {
+						if !reflect.DeepEqual(row, want[i]) {
+							t.Fatalf("%s %v k=%d workers=%d row %d:\n got %v\nwant %v", set.name, m, k, workers, i, headNeighbors(row), headNeighbors(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// headNeighbors trims a neighbour list for a failure message.
+func headNeighbors(ns []Neighbor) []Neighbor { return ns[:min(len(ns), 5)] }

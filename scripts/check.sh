@@ -81,6 +81,9 @@ done
 # join.Spread: their tests that run more than one worker, four times.
 step "race x4 engines -run 'Parallel|Workers'" go test -race -count=4 -run 'Parallel|Workers' \
 	./internal/core/ ./internal/grid/ ./internal/kdtree/ ./internal/join/
+# KNNJoin spreads its queries over workers reading one shared
+# NeighborIndex; the engines step above does not reach the root package.
+step "race x4 . -run 'KNN'" go test -race -count=4 -run 'KNN' .
 # The sketch updated under readers: only its concurrency test is worth
 # repeating. The rest of the package is single-goroutine, deterministic
 # accuracy checks — two thirds of its -race time — and ran once above.
