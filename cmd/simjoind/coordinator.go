@@ -163,12 +163,12 @@ func (s *coordServer) handlePut(w http.ResponseWriter, r *http.Request) {
 		}
 		margin = parsed
 	}
-	pts, ok := decodeUpload(w, r, s.maxBody)
+	up, ok := decodeUpload(w, r, s.maxBody)
 	if !ok {
 		return
 	}
 	defer s.observeFanout("upload", time.Now())
-	info, err := s.c.Upload(r.Context(), name, pts, margin)
+	info, err := s.c.Upload(r.Context(), name, up.Rows(), margin)
 	if err != nil {
 		s.fail(w, err)
 		return

@@ -17,12 +17,12 @@ import (
 // worker, which in turn feeds every standing query watching the
 // dataset.
 func (s *coordServer) handleAppend(w http.ResponseWriter, r *http.Request) {
-	pts, ok := decodeUpload(w, r, s.maxBody)
+	batch, ok := decodeUpload(w, r, s.maxBody)
 	if !ok {
 		return
 	}
 	defer s.observeFanout("append", time.Now())
-	res, err := s.c.Append(r.Context(), r.PathValue("name"), pts)
+	res, err := s.c.Append(r.Context(), r.PathValue("name"), batch.Rows())
 	if err != nil {
 		s.fail(w, err)
 		return

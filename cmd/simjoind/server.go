@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -12,6 +14,7 @@ import (
 
 	"simjoin"
 	"simjoin/internal/api"
+	"simjoin/internal/dataset"
 	"simjoin/internal/live"
 	"simjoin/internal/obsv/querylog"
 	"simjoin/internal/obsv/trace"
@@ -115,41 +118,36 @@ func (s *server) rebuild(e *entry, ds *simjoin.Dataset) {
 	e.rebuilding = false
 }
 
-// appendPoints grows the entry by one snapshot holding pts. It returns
+// appendPoints grows the entry by one snapshot holding batch. It returns
 // the new length, or an error on a dimensionality mismatch (nothing
 // changes in that case). The append copies only the batch: the new
 // snapshot shares the old one's storage. notify, when non-nil, runs
 // under the entry lock after a successful append with the new snapshot
 // and the batch size — the same lock live tracking seeds under, so the
 // engine sees every batch exactly once and in order.
-func (e *entry) appendPoints(pts [][]float64, notify func(grown *simjoin.Dataset, added int)) (int, error) {
+func (e *entry) appendPoints(batch *dataset.Dataset, notify func(grown *simjoin.Dataset, added int)) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	dims := e.ds.Dims()
-	flat := make([]float64, 0, len(pts)*dims)
-	for i, p := range pts {
-		if len(p) != dims {
-			return 0, fmt.Errorf("point %d has %d dims, dataset has %d", i, len(p), dims)
-		}
-		flat = append(flat, p...)
+	if dims := e.ds.Dims(); batch.Dims() != dims {
+		return 0, fmt.Errorf("points have %d dims, dataset has %d", batch.Dims(), dims)
 	}
-	e.adoptGrown(simjoin.WrapDataset(e.ds.Internal().Grow(flat)), pts)
+	e.adoptGrown(simjoin.WrapDataset(e.ds.Internal().Grow(batch.Flat())), batch.Len())
 	if notify != nil {
-		notify(e.ds, len(pts))
+		notify(e.ds, batch.Len())
 	}
 	return e.ds.Len(), nil
 }
 
-// adoptGrown swaps in a grown snapshot under the entry lock, extending
-// the index over it (its new points join the scanned tail) and carrying
-// the predecessor's join-size sketch forward: the wrap deliberately
-// dropped the sketch pointer, so the batch is attached and observed
-// exactly once here.
-func (e *entry) adoptGrown(grown *simjoin.Dataset, pts [][]float64) {
+// adoptGrown swaps in a grown snapshot, whose last added points are new,
+// under the entry lock, extending the index over it (its new points join
+// the scanned tail) and carrying the predecessor's join-size sketch
+// forward: the wrap deliberately dropped the sketch pointer, so the batch
+// is attached and observed exactly once here.
+func (e *entry) adoptGrown(grown *simjoin.Dataset, added int) {
 	sk := e.ds.Sketch()
 	grown.AttachSketch(sk)
-	for _, p := range pts {
-		sk.Observe(p)
+	for i := grown.Len() - added; i < grown.Len(); i++ {
+		sk.Observe(grown.Point(i))
 	}
 	e.ds = grown
 	if e.nn != nil {
@@ -161,16 +159,16 @@ func (e *entry) adoptGrown(grown *simjoin.Dataset, pts [][]float64) {
 // the grown dataset it returns, so the in-memory snapshot and the WAL
 // can never disagree on ordering for this dataset. notify has the
 // appendPoints contract and fires only after the store committed.
-func (e *entry) appendThrough(ctx context.Context, st *store.Catalog, name string, pts [][]float64, notify func(grown *simjoin.Dataset, added int)) (int, error) {
+func (e *entry) appendThrough(ctx context.Context, st *store.Catalog, name string, batch *dataset.Dataset, notify func(grown *simjoin.Dataset, added int)) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	grown, err := st.Append(ctx, name, pts)
+	grown, err := st.Append(ctx, name, batch.Rows())
 	if err != nil {
 		return 0, err
 	}
-	e.adoptGrown(simjoin.WrapDataset(grown), pts)
+	e.adoptGrown(simjoin.WrapDataset(grown), batch.Len())
 	if notify != nil {
-		notify(e.ds, len(pts))
+		notify(e.ds, batch.Len())
 	}
 	return e.ds.Len(), nil
 }
@@ -270,51 +268,94 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, out)
 }
 
-// decodeUpload parses an upload body — JSON api.Points or text/csv —
-// into a rectangular, non-empty point list, writing the HTTP error
-// itself when the body is unusable. Shared by worker and coordinator
-// upload handlers.
-func decodeUpload(w http.ResponseWriter, r *http.Request, limit int64) ([][]float64, bool) {
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "text/csv") {
-		ds, err := simjoin.ReadCSV(http.MaxBytesReader(w, r.Body, limit))
+// decodeUpload parses a points body — JSON api.Points, text/csv, or
+// the library's binary point format (api.ContentTypeSJN1, how a
+// coordinator ships shards) — into a rectangular, non-empty dataset,
+// writing the HTTP error itself when the body is unusable. Every points
+// route reads through it: PUT and append, on worker and coordinator.
+func decodeUpload(w http.ResponseWriter, r *http.Request, limit int64) (*dataset.Dataset, bool) {
+	switch ct := r.Header.Get("Content-Type"); {
+	case strings.HasPrefix(ct, "text/csv"):
+		ds, err := dataset.ReadCSV(http.MaxBytesReader(w, r.Body, limit))
 		if err != nil {
 			api.Error(w, http.StatusBadRequest, "parsing CSV: %v", err)
 			return nil, false
 		}
-		pts := make([][]float64, ds.Len())
-		for i := range pts {
-			pts[i] = ds.Point(i)
-			// JSON cannot carry NaN or ±Inf, the CSV float parser can; no
-			// distance to such a point is meaningful, and none could be
-			// answered as JSON.
-			for _, x := range pts[i] {
-				if math.IsNaN(x) || math.IsInf(x, 0) {
-					api.Error(w, http.StatusBadRequest, "parsing CSV: data row %d has a non-finite coordinate %v", i+1, x)
-					return nil, false
-				}
-			}
+		if i, x, ok := nonFinite(ds); ok {
+			api.Error(w, http.StatusBadRequest, "parsing CSV: data row %d has a non-finite coordinate %v", i+1, x)
+			return nil, false
 		}
-		return pts, true
+		return ds, true
+	case strings.HasPrefix(ct, api.ContentTypeSJN1):
+		ds, err := readSJN1(http.MaxBytesReader(w, r.Body, limit))
+		if err != nil {
+			api.Error(w, http.StatusBadRequest, "parsing SJN1: %v", err)
+			return nil, false
+		}
+		return ds, true
 	}
-	var req api.Points
-	if !api.Decode(w, r, limit, &req) {
+	pts, flat, ok := api.DecodePoints(w, r, limit)
+	if !ok {
 		return nil, false
 	}
-	if len(req.Points) == 0 {
+	if len(pts) == 0 {
 		api.Error(w, http.StatusBadRequest, "no points in upload")
 		return nil, false
 	}
-	if len(req.Points[0]) == 0 {
+	dims := len(pts[0])
+	if dims == 0 {
 		api.Error(w, http.StatusBadRequest, "point 0 has 0 dims")
 		return nil, false
 	}
-	for i, p := range req.Points {
-		if len(p) != len(req.Points[0]) {
-			api.Error(w, http.StatusBadRequest, "point %d has %d dims, want %d", i, len(p), len(req.Points[0]))
+	if flat != nil {
+		return dataset.FromFlat(dims, flat), true
+	}
+	flat = make([]float64, 0, len(pts)*dims)
+	for i, p := range pts {
+		if len(p) != dims {
+			api.Error(w, http.StatusBadRequest, "point %d has %d dims, want %d", i, len(p), dims)
 			return nil, false
 		}
+		flat = append(flat, p...)
 	}
-	return req.Points, true
+	return dataset.FromFlat(dims, flat), true
+}
+
+// readSJN1 reads a binary points body: exactly the points its header
+// counts, at least one, every coordinate finite. JSON cannot carry NaN or
+// ±Inf and the binary format (like the CSV float parser) can; no distance
+// to such a point is meaningful, and none could be answered as JSON.
+func readSJN1(body io.Reader) (*dataset.Dataset, error) {
+	// ReadBinary reads through br itself (bufio.NewReader hands back a
+	// large enough *bufio.Reader), so br is left at the first byte past
+	// the counted points.
+	br := bufio.NewReader(body)
+	ds, err := dataset.ReadBinary(br)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := br.ReadByte(); err == nil {
+		return nil, fmt.Errorf("body runs past its header's %d points", ds.Len())
+	} else if err != io.EOF {
+		return nil, err
+	}
+	if ds.Len() == 0 {
+		return nil, errors.New("no points in upload")
+	}
+	if i, x, ok := nonFinite(ds); ok {
+		return nil, fmt.Errorf("point %d has a non-finite coordinate %v", i, x)
+	}
+	return ds, nil
+}
+
+// nonFinite finds the first point holding a NaN or ±Inf coordinate.
+func nonFinite(ds *dataset.Dataset) (point int, x float64, ok bool) {
+	for k, x := range ds.Flat() {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return k / ds.Dims(), x, true
+		}
+	}
+	return 0, 0, false
 }
 
 func (s *server) handlePut(w http.ResponseWriter, r *http.Request) {
@@ -323,11 +364,11 @@ func (s *server) handlePut(w http.ResponseWriter, r *http.Request) {
 		api.Error(w, http.StatusBadRequest, "dataset name required")
 		return
 	}
-	pts, ok := decodeUpload(w, r, s.maxBody)
+	up, ok := decodeUpload(w, r, s.maxBody)
 	if !ok {
 		return
 	}
-	ds := simjoin.FromPoints(pts)
+	ds := simjoin.WrapDataset(up)
 	if s.st != nil {
 		if err := s.st.Put(r.Context(), name, ds.Internal()); err != nil {
 			api.Error(w, storeStatus(err), "%v", err)
@@ -375,8 +416,8 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleAppend grows a dataset by one snapshot (POST …/points with
-// api.Points); range/KNN queries that start after it answer see the new
+// handleAppend grows a dataset by one snapshot (POST …/points with an
+// upload body); range/KNN queries that start after it answer see the new
 // points at once, scanned as the index's tail until a background rebuild
 // takes them into the tree.
 func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
@@ -385,12 +426,8 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req api.Points
-	if !api.Decode(w, r, s.maxBody, &req) {
-		return
-	}
-	if len(req.Points) == 0 {
-		api.Error(w, http.StatusBadRequest, "no points in append")
+	batch, ok := decodeUpload(w, r, s.maxBody)
+	if !ok {
 		return
 	}
 	notify := func(grown *simjoin.Dataset, added int) {
@@ -399,13 +436,13 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var n int
 	var err error
 	if s.st != nil {
-		n, err = e.appendThrough(r.Context(), s.st, name, req.Points, notify)
+		n, err = e.appendThrough(r.Context(), s.st, name, batch, notify)
 		if err != nil {
 			api.Error(w, storeStatus(err), "%v", err)
 			return
 		}
 	} else {
-		n, err = e.appendPoints(req.Points, notify)
+		n, err = e.appendPoints(batch, notify)
 		if err != nil {
 			api.Error(w, http.StatusBadRequest, "%v", err)
 			return

@@ -11,27 +11,29 @@
 //
 // # Wire reference
 //
-// Every body is JSON; every 4xx/5xx answer is an ErrorBody. The gateway
+// Every body is JSON, except that the two points routes also take
+// text/csv and ContentTypeSJN1 (the binary point format a coordinator
+// ships shards in); every 4xx/5xx answer is an ErrorBody. The gateway
 // relays the backend's answers byte for byte behind API-key auth, and
 // adds only its own 401s and 429s (ShedBody).
 //
-//	route                             request                   answer             a coordinator adds
-//	GET    /healthz                   —                         Health             workers (gateway: GatewayHealth)
-//	GET    /datasets                  —                         []DatasetInfo      —
-//	PUT    /datasets/{name}           Points | text/csv         DatasetInfo        ?margin= sets the replication width
-//	GET    /datasets/{name}           [?eps=&metric=]           DatasetDetail      ShardLayout; estimate.shard_estimates
-//	GET    /datasets/{name}/explain   ?eps=[&metric=]           Explain            ShardExplain instead of LocalExplain
-//	DELETE /datasets/{name}           —                         204                —
-//	POST   /datasets/{name}/points    Points                    AppendResponse     partial, failed_shards
-//	POST   /datasets/{name}/selfjoin  JoinParams                JoinResponse       shards, partial, failed_shards
-//	POST   /datasets/{name}/range     PointQuery                RangeResponse      shards, partial, failed_shards
-//	POST   /datasets/{name}/knn       PointQuery                KNNResponse        shards, partial, failed_shards
-//	POST   /datasets/{name}/watch     WatchRequest              NDJSON, below      batch.shard; no other, after ∈ {omitted, 0}
-//	POST   /join                      TwoJoinRequest            JoinResponse       501: not distributed
-//	GET    /metrics                   —                         Prometheus text    —
-//	GET    /debug/traces              [?trace=&limit=]          []trace.TraceData  —
-//	GET    /debug/traces/{id}         —                         trace.TraceData    sources: spans stitched across the fleet
-//	GET    /debug/queries             [?slow=&dataset=&limit=]  Queries            —
+//	route                             request                                              answer             a coordinator adds
+//	GET    /healthz                   —                                                    Health             workers (gateway: GatewayHealth)
+//	GET    /datasets                  —                                                    []DatasetInfo      —
+//	PUT    /datasets/{name}           Points | text/csv | application/octet-stream (SJN1)  DatasetInfo        ?margin= sets the replication width
+//	GET    /datasets/{name}           [?eps=&metric=]                                      DatasetDetail      ShardLayout; estimate.shard_estimates
+//	GET    /datasets/{name}/explain   ?eps=[&metric=]                                      Explain            ShardExplain instead of LocalExplain
+//	DELETE /datasets/{name}           —                                                    204                —
+//	POST   /datasets/{name}/points    Points | text/csv | application/octet-stream (SJN1)  AppendResponse     partial, failed_shards
+//	POST   /datasets/{name}/selfjoin  JoinParams                                           JoinResponse       shards, partial, failed_shards
+//	POST   /datasets/{name}/range     PointQuery                                           RangeResponse      shards, partial, failed_shards
+//	POST   /datasets/{name}/knn       PointQuery                                           KNNResponse        shards, partial, failed_shards
+//	POST   /datasets/{name}/watch     WatchRequest                                         NDJSON, below      batch.shard; no other, after ∈ {omitted, 0}
+//	POST   /join                      TwoJoinRequest                                       JoinResponse       501: not distributed
+//	GET    /metrics                   —                                                    Prometheus text    —
+//	GET    /debug/traces              [?trace=&limit=]                                     []trace.TraceData  —
+//	GET    /debug/traces/{id}         —                                                    trace.TraceData    sources: spans stitched across the fleet
+//	GET    /debug/queries             [?slow=&dataset=&limit=]                             Queries            —
 //
 // A join with "stream": true answers application/x-ndjson instead: one
 // [i,j] line per pair, then one JoinSummary line. A watch answers NDJSON

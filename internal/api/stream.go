@@ -3,9 +3,9 @@ package api
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -22,6 +22,7 @@ type PairStream struct {
 	w         http.ResponseWriter
 	bw        *bufio.Writer
 	max, sent int64
+	line      []byte // scratch for one pair line
 }
 
 // NewPairStream starts an NDJSON answer on w that delivers at most
@@ -37,13 +38,21 @@ func (s *PairStream) Emit(i, j int) {
 		return
 	}
 	s.sent++
-	fmt.Fprintf(s.bw, "[%d,%d]\n", i, j)
+	s.line = appendPair(s.line[:0], i, j)
+	s.bw.Write(s.line)
 	if s.sent%streamFlushEvery == 0 {
 		_ = s.bw.Flush()
 		if f, ok := s.w.(http.Flusher); ok {
 			f.Flush()
 		}
 	}
+}
+
+// appendPair appends the NDJSON pair line "[i,j]\n" to dst.
+func appendPair(dst []byte, i, j int) []byte {
+	dst = strconv.AppendInt(append(dst, '['), int64(i), 10)
+	dst = strconv.AppendInt(append(dst, ','), int64(j), 10)
+	return append(dst, ']', '\n')
 }
 
 // Sent is the number of pair lines written.
@@ -103,8 +112,10 @@ func (s *WatchStream) Hello(h WatchHello) bool {
 
 // Batch writes one delta batch: its pair lines, then the marker b.
 func (s *WatchStream) Batch(pairs [][2]int, b WatchBatch) bool {
+	var line []byte
 	for _, p := range pairs {
-		fmt.Fprintf(s.bw, "[%d,%d]\n", p[0], p[1])
+		line = appendPair(line[:0], p[0], p[1])
+		s.bw.Write(line)
 	}
 	b.Event, b.Pairs = "batch", len(pairs)
 	return s.event(b)

@@ -100,11 +100,17 @@ type KNNResponse struct {
 	*Scatter             // coordinator only
 }
 
-// Points is the JSON upload and append body; uploads may instead send
-// Content-Type text/csv with raw rows.
+// Points is the JSON upload and append body. Both routes also take
+// Content-Type text/csv (one row per point) and ContentTypeSJN1.
 type Points struct {
 	Points [][]float64 `json:"points"`
 }
+
+// ContentTypeSJN1 marks an upload or append body in the library's binary
+// point format ("SJN1" | uint32 dims | uint64 count | count·dims
+// little-endian float64, dataset.WriteBinary): how a coordinator ships
+// shards to its workers, and open to any client.
+const ContentTypeSJN1 = "application/octet-stream"
 
 // DatasetInfo is one GET /datasets entry and the upload answer.
 type DatasetInfo struct {

@@ -48,13 +48,13 @@ func (c *Coordinator) Append(ctx context.Context, name string, pts [][]float64) 
 		}
 	}
 	failed := c.scatter(ctx, "append", sm, targets, func(ctx context.Context, s int) error {
-		body, url := api.Points{Points: shardPts[s]}, c.datasetURL(sm, s, name)
+		url := c.datasetURL(sm, s, name)
 		if len(old.Shards[s].Global) == 0 {
 			// The shard held nothing before this batch, so the worker has
 			// no dataset to append to: create it.
-			return sendJSON(ctx, c.rc.Put, url, body, nil)
+			return sendPoints(ctx, c.rc.Put, url, shardPts[s])
 		}
-		return sendJSON(ctx, c.rc.Post, url+"/points", body, nil)
+		return sendPoints(ctx, c.rc.Post, url+"/points", shardPts[s])
 	})
 	return &api.AppendResponse{
 		DatasetInfo:   api.DatasetInfo{Name: name, Len: sm.Total, Dims: sm.Dims},

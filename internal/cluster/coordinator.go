@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"sync"
 
 	"simjoin/internal/api"
+	"simjoin/internal/dataset"
 	"simjoin/internal/obsv/trace"
 	"simjoin/internal/pairs"
 	"simjoin/internal/rclient"
@@ -115,7 +117,7 @@ func (c *Coordinator) Upload(ctx context.Context, name string, pts [][]float64, 
 	}
 	sm, shardPts := Partition(pts, c.workers, margin)
 	failed := c.scatter(ctx, "upload", sm, sm.nonEmpty(), func(ctx context.Context, s int) error {
-		return sendJSON(ctx, c.rc.Put, c.datasetURL(sm, s, name), api.Points{Points: shardPts[s]}, nil)
+		return sendPoints(ctx, c.rc.Put, c.datasetURL(sm, s, name), shardPts[s])
 	})
 	if len(failed) > 0 {
 		// Best-effort rollback so no worker keeps a half-registered set.
@@ -355,6 +357,22 @@ func sendJSON(ctx context.Context, send func(ctx context.Context, url, contentTy
 		return err
 	}
 	return drainResponse(resp, out)
+}
+
+// sendPoints ships a shard's points (at least one) through send as an
+// api.ContentTypeSJN1 body: a worker copies the coordinates straight in,
+// where JSON would cost a float-to-decimal round trip on each side.
+func sendPoints(ctx context.Context, send func(ctx context.Context, url, contentType string, body []byte) (*http.Response, error), url string, pts [][]float64) error {
+	var body bytes.Buffer
+	body.Grow(16 + 8*len(pts)*len(pts[0]))
+	if err := dataset.FromPoints(pts).WriteBinary(&body); err != nil {
+		return err
+	}
+	resp, err := send(ctx, url, api.ContentTypeSJN1, body.Bytes())
+	if err != nil {
+		return err
+	}
+	return drainResponse(resp, nil)
 }
 
 // workerError turns a non-2xx worker answer into an error carrying the

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"simjoin/internal/api"
+	"simjoin/internal/dataset"
 	"simjoin/internal/rclient"
 )
 
@@ -55,19 +56,17 @@ func (f *fakeWorker) handler() http.Handler {
 		json.NewEncoder(w).Encode(map[string]any{"status": "ok"})
 	})
 	mux.HandleFunc("PUT /datasets/{name}", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Points [][]float64 `json:"points"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Points) == 0 {
+		pts, ok := readShard(r)
+		if !ok {
 			w.WriteHeader(http.StatusBadRequest)
 			json.NewEncoder(w).Encode(map[string]string{"error": "bad upload"})
 			return
 		}
 		f.mu.Lock()
-		f.sets[r.PathValue("name")] = req.Points
+		f.sets[r.PathValue("name")] = pts
 		f.bump()
 		f.mu.Unlock()
-		json.NewEncoder(w).Encode(map[string]any{"len": len(req.Points)})
+		json.NewEncoder(w).Encode(map[string]any{"len": len(pts)})
 	})
 	mux.HandleFunc("DELETE /datasets/{name}", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -77,10 +76,8 @@ func (f *fakeWorker) handler() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("POST /datasets/{name}/points", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Points [][]float64 `json:"points"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Points) == 0 {
+		batch, ok := readShard(r)
+		if !ok {
 			w.WriteHeader(http.StatusBadRequest)
 			json.NewEncoder(w).Encode(map[string]string{"error": "bad append"})
 			return
@@ -94,7 +91,7 @@ func (f *fakeWorker) handler() http.Handler {
 			json.NewEncoder(w).Encode(map[string]string{"error": "no dataset"})
 			return
 		}
-		f.sets[name] = append(pts, req.Points...)
+		f.sets[name] = append(pts, batch...)
 		n := len(f.sets[name])
 		f.bump()
 		f.mu.Unlock()
@@ -168,6 +165,19 @@ func (f *fakeWorker) handler() http.Handler {
 		json.NewEncoder(w).Encode(map[string]any{"neighbors": nbrs})
 	})
 	return mux
+}
+
+// readShard reads the body a coordinator ships a shard in: SJN1 points,
+// at least one.
+func readShard(r *http.Request) ([][]float64, bool) {
+	if r.Header.Get("Content-Type") != api.ContentTypeSJN1 {
+		return nil, false
+	}
+	ds, err := dataset.ReadBinary(r.Body)
+	if err != nil || ds.Len() == 0 {
+		return nil, false
+	}
+	return ds.Rows(), true
 }
 
 func fastTestClient() *rclient.Client {

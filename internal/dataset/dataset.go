@@ -87,6 +87,15 @@ func (d *Dataset) Point(i int) []float64 {
 	return d.data[i*d.dims : (i+1)*d.dims : (i+1)*d.dims]
 }
 
+// Rows returns a view of every point, in order (see Point).
+func (d *Dataset) Rows() [][]float64 {
+	rows := make([][]float64, d.Len())
+	for i := range rows {
+		rows[i] = d.Point(i)
+	}
+	return rows
+}
+
 // Append copies p into the dataset. It panics on dimensionality mismatch.
 // On a snapshot from Grow it reallocates (snapshots have no spare
 // capacity) and leaves the shared buffer, so no other snapshot changes.

@@ -66,6 +66,9 @@ func TestAppendAndPointViews(t *testing.T) {
 	if ds.Point(1)[0] != 40 {
 		t.Fatal("append through a point view corrupted the next point")
 	}
+	if rows := ds.Rows(); len(rows) != 2 || &rows[1][0] != &ds.Point(1)[0] || cap(rows[0]) != 3 {
+		t.Fatalf("Rows = %v, want the two point views", rows)
+	}
 }
 
 func TestFromPointsAndFlat(t *testing.T) {

@@ -102,16 +102,6 @@ func (b Box) ContainsBox(o Box) bool {
 	return true
 }
 
-// Intersects reports whether b and o share at least one point.
-func (b Box) Intersects(o Box) bool {
-	for i := range b.Lo {
-		if b.Lo[i] > o.Hi[i] || o.Lo[i] > b.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // gap returns the per-dimension separation of b and o in dimension i (zero
 // if the projections overlap).
 func (b Box) gap(o Box, i int) float64 {
@@ -226,42 +216,6 @@ func (b Box) WithinDist(m Metric, o Box, t float64) bool {
 	}
 }
 
-// Margin returns the sum of the box's edge lengths (the R*-tree split
-// heuristic quantity).
-func (b Box) Margin() float64 {
-	var s float64
-	for i := range b.Lo {
-		s += b.Hi[i] - b.Lo[i]
-	}
-	return s
-}
-
-// Volume returns the product of the box's edge lengths.
-func (b Box) Volume() float64 {
-	v := 1.0
-	for i := range b.Lo {
-		v *= b.Hi[i] - b.Lo[i]
-	}
-	return v
-}
-
-// EnlargedVolume returns the volume of the smallest box containing both b
-// and o, without materializing it.
-func (b Box) EnlargedVolume(o Box) float64 {
-	v := 1.0
-	for i := range b.Lo {
-		lo, hi := b.Lo[i], b.Hi[i]
-		if o.Lo[i] < lo {
-			lo = o.Lo[i]
-		}
-		if o.Hi[i] > hi {
-			hi = o.Hi[i]
-		}
-		v *= hi - lo
-	}
-	return v
-}
-
 // OverlapVolume returns the volume of the intersection of b and o (zero if
 // disjoint).
 func (b Box) OverlapVolume(o Box) float64 {
@@ -280,18 +234,6 @@ func (b Box) OverlapVolume(o Box) float64 {
 		v *= hi - lo
 	}
 	return v
-}
-
-// Center writes the box center into dst (which must have length Dims) and
-// returns it; dst may be nil, in which case a new slice is allocated.
-func (b Box) Center(dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(b.Lo))
-	}
-	for i := range b.Lo {
-		dst[i] = b.Lo[i] + (b.Hi[i]-b.Lo[i])/2
-	}
-	return dst
 }
 
 // PointBox returns the degenerate box covering exactly point p. The returned

@@ -96,28 +96,6 @@ func TestBoundingBoxContainsAll(t *testing.T) {
 	}
 }
 
-func TestIntersectsSymmetricAndConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := 1 + r.Intn(6)
-		a, b := randBox(r, d), randBox(r, d)
-		if a.Intersects(b) != b.Intersects(a) {
-			return false
-		}
-		// Intersects ⇔ MinDist == 0 under every metric.
-		for _, m := range []Metric{L2, L1, Linf} {
-			if (a.MinDist(m, b) == 0) != a.Intersects(b) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestMinDistLowerBound: MinDist(a.box, b.box) ≤ Dist(p, q) for any points
 // p ∈ a, q ∈ b. This is the property all tree pruning depends on.
 func TestMinDistLowerBound(t *testing.T) {
@@ -192,20 +170,11 @@ func TestKnownMinDist(t *testing.T) {
 	}
 }
 
-func TestVolumeMarginOverlap(t *testing.T) {
+func TestOverlapVolume(t *testing.T) {
 	a := NewBox([]float64{0, 0}, []float64{2, 3})
-	if got := a.Volume(); !almostEqual(got, 6) {
-		t.Errorf("Volume = %g, want 6", got)
-	}
-	if got := a.Margin(); !almostEqual(got, 5) {
-		t.Errorf("Margin = %g, want 5", got)
-	}
 	b := NewBox([]float64{1, 1}, []float64{4, 4})
 	if got := a.OverlapVolume(b); !almostEqual(got, 2) {
 		t.Errorf("OverlapVolume = %g, want 2", got)
-	}
-	if got := a.EnlargedVolume(b); !almostEqual(got, 16) {
-		t.Errorf("EnlargedVolume = %g, want 16", got)
 	}
 	far := NewBox([]float64{10, 10}, []float64{11, 11})
 	if got := a.OverlapVolume(far); got != 0 {
@@ -213,35 +182,10 @@ func TestVolumeMarginOverlap(t *testing.T) {
 	}
 }
 
-func TestEnlargedVolumeMatchesExplicitUnion(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for trial := 0; trial < 200; trial++ {
-		d := 1 + rng.Intn(5)
-		a, b := randBox(rng, d), randBox(rng, d)
-		u := a.Clone()
-		u.ExtendBox(b)
-		if !almostEqual(a.EnlargedVolume(b), u.Volume()) {
-			t.Fatalf("EnlargedVolume %g != union volume %g", a.EnlargedVolume(b), u.Volume())
-		}
-		if !u.ContainsBox(a) || !u.ContainsBox(b) {
-			t.Fatal("union does not contain operands")
-		}
-	}
-}
-
-func TestCenterAndPointBox(t *testing.T) {
-	b := NewBox([]float64{0, 2}, []float64{4, 2})
-	c := b.Center(nil)
-	if !Equal(c, []float64{2, 2}) {
-		t.Errorf("Center = %v, want [2 2]", c)
-	}
-	dst := make([]float64, 2)
-	if got := b.Center(dst); &got[0] != &dst[0] {
-		t.Error("Center did not reuse dst")
-	}
+func TestPointBox(t *testing.T) {
 	p := []float64{1, 2, 3}
 	pb := PointBox(p)
-	if !pb.Contains(p) || pb.Volume() != 0 {
+	if !pb.Contains(p) || !Equal(pb.Lo, pb.Hi) {
 		t.Errorf("PointBox malformed: %v", pb)
 	}
 	p[0] = 99

@@ -91,9 +91,10 @@ step "race x4 ./internal/sketch/... -run Concurrent" go test -race -count=4 -run
 
 # go test never runs a benchmark, so one that panics would go unnoticed:
 # run the kernel, ε-kdB and sketch-build benchmarks a kernel change is read
-# against once.
-step "benchmarks once: SweepL2, HighDim, WithinL1Linf, FromDataset" go test -run '^$' \
-	-bench 'SweepL2|HighDim|WithinL1Linf|FromDataset' -benchtime 1x ./internal/vec ./internal/core ./internal/sketch
+# against, and the upload scanner's against encoding/json, once.
+step "benchmarks once: SweepL2, HighDim, WithinL1Linf, FromDataset, DecodePoints" go test -run '^$' \
+	-bench 'SweepL2|HighDim|WithinL1Linf|FromDataset|DecodePoints' -benchtime 1x \
+	./internal/vec ./internal/core ./internal/sketch ./internal/api
 
 step "benchmark harness: vet + test" harness
 # Each workload boots what it measures from this checkout — serve_* run
@@ -104,11 +105,11 @@ for w in join_pairs join_highdim serve_query serve_ingest; do
 	step "smoke $w" bash benchmark/run.sh --workload "$w" --seed 1 --seconds 5 --trace 0 -smoke
 done
 
-# Every untrusted-input decoder (dataset readers, snapshot + WAL codecs),
-# the flat-layout round trip, the pair radix sort, the ε-kdB tree held to
+# Every untrusted-input decoder (dataset readers, snapshot + WAL codecs,
+# the upload scanner held to encoding/json), the flat-layout round trip, the pair radix sort, the ε-kdB tree held to
 # brute force over both key kinds, and the sketch's log-free bucket index
 # held to the Log2 formula. The go tool takes one -fuzz target per run.
-for target in dataset:FuzzReadCSV dataset:FuzzReadBinary store:FuzzReadSnapshot \
+for target in dataset:FuzzReadCSV dataset:FuzzReadBinary api:FuzzDecodePoints store:FuzzReadSnapshot \
 	store:FuzzWALReplay vec:FuzzFlatRoundTrip pairs:FuzzSortPairs core:FuzzSelfJoinOracle \
 	sketch:FuzzHistIndex; do
 	step "fuzz 10s ${target#*:}" go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
