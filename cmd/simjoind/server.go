@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -273,77 +275,81 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 // coordinator ships shards) — into a rectangular, non-empty dataset,
 // writing the HTTP error itself when the body is unusable. Every points
 // route reads through it: PUT and append, on worker and coordinator.
+// An api.ContentTypeSJN1 body that does not open with the SJN1 magic is
+// read as JSON, as every non-CSV body was before SJN1 was taken.
 func decodeUpload(w http.ResponseWriter, r *http.Request, limit int64) (*dataset.Dataset, bool) {
-	switch ct := r.Header.Get("Content-Type"); {
-	case strings.HasPrefix(ct, "text/csv"):
-		ds, err := dataset.ReadCSV(http.MaxBytesReader(w, r.Body, limit))
-		if err != nil {
-			api.Error(w, http.StatusBadRequest, "parsing CSV: %v", err)
-			return nil, false
+	body := io.Reader(http.MaxBytesReader(w, r.Body, limit))
+	ct := r.Header.Get("Content-Type")
+	var ds *dataset.Dataset
+	var err error
+	if strings.HasPrefix(ct, "text/csv") {
+		ds, err = readCSV(body)
+	} else if br := bufio.NewReader(body); strings.HasPrefix(ct, api.ContentTypeSJN1) && isSJN1(br) {
+		ds, err = readSJN1(br)
+	} else {
+		var dims int
+		var flat []float64
+		if dims, flat, err = api.DecodePoints(br); err == nil {
+			ds = dataset.FromFlat(dims, flat)
 		}
-		if i, x, ok := nonFinite(ds); ok {
-			api.Error(w, http.StatusBadRequest, "parsing CSV: data row %d has a non-finite coordinate %v", i+1, x)
-			return nil, false
-		}
-		return ds, true
-	case strings.HasPrefix(ct, api.ContentTypeSJN1):
-		ds, err := readSJN1(http.MaxBytesReader(w, r.Body, limit))
-		if err != nil {
-			api.Error(w, http.StatusBadRequest, "parsing SJN1: %v", err)
-			return nil, false
-		}
-		return ds, true
 	}
-	pts, flat, ok := api.DecodePoints(w, r, limit)
-	if !ok {
+	if err != nil {
+		api.Error(w, http.StatusBadRequest, "%v", err)
 		return nil, false
 	}
-	if len(pts) == 0 {
-		api.Error(w, http.StatusBadRequest, "no points in upload")
-		return nil, false
+	return ds, true
+}
+
+// readCSV reads a text/csv points body, every coordinate finite.
+func readCSV(body io.Reader) (*dataset.Dataset, error) {
+	ds, err := dataset.ReadCSV(body)
+	if err != nil {
+		return nil, fmt.Errorf("parsing CSV: %w", err)
 	}
-	dims := len(pts[0])
-	if dims == 0 {
-		api.Error(w, http.StatusBadRequest, "point 0 has 0 dims")
-		return nil, false
+	if i, x, ok := nonFinite(ds); ok {
+		return nil, fmt.Errorf("parsing CSV: data row %d has a non-finite coordinate %v", i+1, x)
 	}
-	if flat != nil {
-		return dataset.FromFlat(dims, flat), true
-	}
-	flat = make([]float64, 0, len(pts)*dims)
-	for i, p := range pts {
-		if len(p) != dims {
-			api.Error(w, http.StatusBadRequest, "point %d has %d dims, want %d", i, len(p), dims)
-			return nil, false
-		}
-		flat = append(flat, p...)
-	}
-	return dataset.FromFlat(dims, flat), true
+	return ds, nil
+}
+
+// isSJN1 reports whether br opens with the binary point format's magic.
+func isSJN1(br *bufio.Reader) bool {
+	magic, _ := br.Peek(len(dataset.BinaryMagic))
+	return string(magic) == dataset.BinaryMagic
 }
 
 // readSJN1 reads a binary points body: exactly the points its header
 // counts, at least one, every coordinate finite. JSON cannot carry NaN or
 // ±Inf and the binary format (like the CSV float parser) can; no distance
 // to such a point is meaningful, and none could be answered as JSON.
+//
+// The header's count is the client's word, so the body is buffered as its
+// bytes arrive and its length checked against the header before any
+// point is allocated: memory follows the bytes received, as for JSON.
 func readSJN1(body io.Reader) (*dataset.Dataset, error) {
-	// ReadBinary reads through br itself (bufio.NewReader hands back a
-	// large enough *bufio.Reader), so br is left at the first byte past
-	// the counted points.
-	br := bufio.NewReader(body)
-	ds, err := dataset.ReadBinary(br)
-	if err != nil {
-		return nil, err
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(body); err != nil {
+		return nil, fmt.Errorf("parsing SJN1: %w", err)
 	}
-	if _, err := br.ReadByte(); err == nil {
-		return nil, fmt.Errorf("body runs past its header's %d points", ds.Len())
-	} else if err != io.EOF {
-		return nil, err
+	b := buf.Bytes()
+	// "SJN1" | uint32 dims | uint64 count | count·dims float64; ReadBinary
+	// reports a short header or zero dims itself.
+	if len(b) >= 16 {
+		dims := uint64(binary.LittleEndian.Uint32(b[4:8]))
+		count := binary.LittleEndian.Uint64(b[8:16])
+		if payload := uint64(len(b) - 16); dims > 0 && (payload%(8*dims) != 0 || payload/(8*dims) != count) {
+			return nil, fmt.Errorf("parsing SJN1: body holds %d bytes of points, its header counts %d points of %d dims", payload, count, dims)
+		}
+	}
+	ds, err := dataset.ReadBinary(bytes.NewReader(b))
+	if err != nil {
+		return nil, fmt.Errorf("parsing SJN1: %w", err)
 	}
 	if ds.Len() == 0 {
-		return nil, errors.New("no points in upload")
+		return nil, errors.New("parsing SJN1: no points in upload")
 	}
 	if i, x, ok := nonFinite(ds); ok {
-		return nil, fmt.Errorf("point %d has a non-finite coordinate %v", i, x)
+		return nil, fmt.Errorf("parsing SJN1: point %d has a non-finite coordinate %v", i, x)
 	}
 	return ds, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -165,6 +166,65 @@ func TestUploadRejectsBadSJN1(t *testing.T) {
 	_, info := doJSON(t, http.MethodGet, ts.URL+"/datasets/a", nil)
 	if info["len"] != 1.0 {
 		t.Fatalf("refused appends changed the dataset: %v", info)
+	}
+
+	// Under a 64-byte limit, a 16-byte header counting more points than
+	// the limit holds is refused like any other oversized body.
+	small := newServer()
+	small.maxBody = 64
+	sts := httptest.NewServer(small.handler())
+	defer sts.Close()
+	huge := bytes.Clone(good[:16])
+	binary.LittleEndian.PutUint64(huge[8:16], 1<<40)
+	if status, out := sendBody(t, http.MethodPut, sts.URL+"/datasets/a", api.ContentTypeSJN1, huge); status != http.StatusBadRequest || out["error"] == nil {
+		t.Errorf("PUT of a header counting 2^40 points under a 64-byte limit: %d %v, want 400 with an error", status, out)
+	}
+}
+
+// TestUploadOctetStreamJSON: a JSON body sent as application/octet-stream,
+// as some clients label raw bytes, is read as JSON — only a body opening
+// with the SJN1 magic is read as SJN1.
+func TestUploadOctetStreamJSON(t *testing.T) {
+	s := newServer()
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	pts := [][]float64{{0, 1}, {2, 3}}
+	body, _ := json.Marshal(api.Points{Points: pts})
+	if status, out := sendBody(t, http.MethodPut, ts.URL+"/datasets/a", api.ContentTypeSJN1, body); status != http.StatusOK {
+		t.Fatalf("PUT: %d %v", status, out)
+	}
+	if status, out := sendBody(t, http.MethodPost, ts.URL+"/datasets/a/points", api.ContentTypeSJN1, body); status != http.StatusOK {
+		t.Fatalf("append: %d %v", status, out)
+	}
+	if got, want := storedFlat(t, s, "a"), flatten(append(pts, pts...)); !sameBits(got, want) {
+		t.Fatalf("worker holds %v, want %v", got, want)
+	}
+}
+
+// TestUploadAllocatesByBytesReceived: neither a declared Content-Length
+// nor an SJN1 header's count sizes a buffer; memory follows the bytes
+// that arrive. Each body below claims 64 MiB, within the limit, and
+// sends a few bytes.
+func TestUploadAllocatesByBytesReceived(t *testing.T) {
+	const claim = 64 << 20
+	header := make([]byte, 16)
+	copy(header, dataset.BinaryMagic)
+	binary.LittleEndian.PutUint32(header[4:8], 8)
+	binary.LittleEndian.PutUint64(header[8:16], (claim-16)/64)
+	for ct, body := range map[string][]byte{"application/json": []byte(`{"points":[[1,2],[3`), api.ContentTypeSJN1: header} {
+		r := httptest.NewRequest(http.MethodPut, "/datasets/a", bytes.NewReader(body))
+		r.Header.Set("Content-Type", ct)
+		r.ContentLength = claim
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, ok := decodeUpload(httptest.NewRecorder(), r, claim)
+		runtime.ReadMemStats(&after)
+		if ok {
+			t.Fatalf("%s: a truncated body was accepted", ct)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > claim/16 {
+			t.Errorf("%s: %d bytes allocated for a %d-byte body claiming %d", ct, n, len(body), claim)
+		}
 	}
 }
 

@@ -7,54 +7,51 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-// decodeBody runs DecodePoints over body as a request of its own.
-func decodeBody(body []byte, limit int64) (pts [][]float64, flat []float64, ok bool) {
-	r := httptest.NewRequest(http.MethodPut, "/datasets/x", bytes.NewReader(body))
-	return DecodePoints(httptest.NewRecorder(), r, limit)
+// decodeBody runs DecodePoints over body through a limit of limit bytes,
+// as a points route reads it.
+func decodeBody(body []byte, limit int64) (dims int, flat []float64, err error) {
+	return DecodePoints(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), limit))
 }
 
 // checkDecodePoints holds DecodePoints to encoding/json reading the same
-// body through the same limit: the same accept/reject, the same rows, the
-// same float64 bits; and a flat answer is the rows back to back.
+// body through the same limit: it accepts exactly the bodies encoding/json
+// accepts whose rows are non-empty and of one non-zero length, and yields
+// those rows back to back, the same float64 bits.
 func checkDecodePoints(t *testing.T, body []byte, limit int64) {
 	t.Helper()
 	var want Points
 	werr := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), limit)).Decode(&want)
-	pts, flat, ok := decodeBody(body, limit)
-	if ok != (werr == nil) {
-		t.Fatalf("%q (limit %d): DecodePoints ok=%v, encoding/json err=%v", body, limit, ok, werr)
+	rect := werr == nil && len(want.Points) > 0 && len(want.Points[0]) > 0
+	for _, p := range want.Points {
+		rect = rect && len(p) == len(want.Points[0])
 	}
-	if !ok {
+	dims, flat, err := decodeBody(body, limit)
+	if (err == nil) != rect {
+		t.Fatalf("%q (limit %d): DecodePoints err=%v, encoding/json err=%v, rectangular=%v", body, limit, err, werr, rect)
+	}
+	if werr != nil && !strings.HasPrefix(err.Error(), "parsing request: ") {
+		t.Fatalf("%q (limit %d): encoding/json refused it, but DecodePoints says %q", body, limit, err)
+	}
+	if err != nil {
 		return
 	}
-	if len(pts) != len(want.Points) {
-		t.Fatalf("%q: %d rows, encoding/json %d", body, len(pts), len(want.Points))
+	if dims != len(want.Points[0]) {
+		t.Fatalf("%q: %d dims, encoding/json %d", body, dims, len(want.Points[0]))
 	}
 	var joined []float64
-	for i, p := range pts {
-		if len(p) != len(want.Points[i]) {
-			t.Fatalf("%q: row %d has %d coordinates, encoding/json %d", body, i, len(p), len(want.Points[i]))
-		}
-		for k, v := range p {
-			if math.Float64bits(v) != math.Float64bits(want.Points[i][k]) {
-				t.Fatalf("%q: point %d[%d] = %v, encoding/json %v", body, i, k, v, want.Points[i][k])
-			}
-		}
+	for _, p := range want.Points {
 		joined = append(joined, p...)
 	}
-	if flat != nil {
-		if len(flat) != len(joined) || len(pts) == 0 || &flat[0] != &pts[0][0] {
-			t.Fatalf("%q: flat is not the rows back to back", body)
-		}
-		for k := range flat {
-			if math.Float64bits(flat[k]) != math.Float64bits(joined[k]) {
-				t.Fatalf("%q: flat[%d] = %v, row coordinate %v", body, k, flat[k], joined[k])
-			}
+	if len(flat) != len(joined) {
+		t.Fatalf("%q: %d coordinates, encoding/json %d", body, len(flat), len(joined))
+	}
+	for k := range flat {
+		if math.Float64bits(flat[k]) != math.Float64bits(joined[k]) {
+			t.Fatalf("%q: coordinate %d = %v, encoding/json %v", body, k, flat[k], joined[k])
 		}
 	}
 }
@@ -138,25 +135,32 @@ func TestDecodePointsMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, flat, ok := decodeBody(body, 1<<20); !ok || flat == nil {
+		if _, _, ok := scanPoints(body); !ok {
 			t.Fatalf("canonical body %s not taken by the one-pass scanner", body)
 		}
 		checkDecodePoints(t, body, 1<<20)
 	}
 }
 
-// TestDecodePointsAnswers400: a refused body is answered 400 with the
-// error encoding/json gave it, as Decode answers.
-func TestDecodePointsAnswers400(t *testing.T) {
-	rec := httptest.NewRecorder()
-	r := httptest.NewRequest(http.MethodPut, "/datasets/x", strings.NewReader(`{"points":[[1e400]]}`))
-	if _, _, ok := DecodePoints(rec, r, 1<<20); ok {
-		t.Fatal("out-of-range coordinate accepted")
+// TestDecodePointsErrorText: a refused body's error is the 400 a points
+// route answers — encoding/json's error, or the shape the rows break.
+func TestDecodePointsErrorText(t *testing.T) {
+	for body, want := range map[string]string{
+		`{"points":[[1e400]]}`:    "parsing request: json: cannot unmarshal number 1e400",
+		`{"points":[]}`:           "no points in upload",
+		`{"points":[[]]}`:         "point 0 has 0 dims",
+		`{"points":[[1,2],[3]]}`:  "point 1 has 1 dims, want 2",
+		`{"points":[[1]],"x":1}`:  "", // accepted
+		`{"points":[[1]]}` + "\n": "",
+	} {
+		_, _, err := decodeBody([]byte(body), 1<<20)
+		if (err == nil) != (want == "") || err != nil && !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%q: err %v, want %q", body, err, want)
+		}
 	}
-	var body ErrorBody
-	if err := json.NewDecoder(rec.Body).Decode(&body); rec.Code != http.StatusBadRequest || err != nil ||
-		!strings.Contains(body.Error, "parsing request: json: cannot unmarshal number 1e400") {
-		t.Fatalf("answer %d %+v (%v)", rec.Code, body, err)
+	if _, _, err := decodeBody([]byte(`{"points":[[1,2],[3,4]]}`), 10); err == nil ||
+		!strings.Contains(err.Error(), "http: request body too large") {
+		t.Errorf("over the limit: err %v", err)
 	}
 }
 
@@ -192,8 +196,8 @@ func BenchmarkDecodePoints(b *testing.B) {
 	b.Run("scanner", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		for i := 0; i < b.N; i++ {
-			if _, flat, ok := decodeBody(body, 64<<20); !ok || flat == nil {
-				b.Fatal("not decoded in one pass")
+			if _, _, err := decodeBody(body, 64<<20); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

@@ -109,7 +109,8 @@ type Points struct {
 // ContentTypeSJN1 marks an upload or append body in the library's binary
 // point format ("SJN1" | uint32 dims | uint64 count | count·dims
 // little-endian float64, dataset.WriteBinary): how a coordinator ships
-// shards to its workers, and open to any client.
+// shards to its workers, and open to any client. A body of this type that
+// does not open with "SJN1" is read as JSON.
 const ContentTypeSJN1 = "application/octet-stream"
 
 // DatasetInfo is one GET /datasets entry and the upload answer.

@@ -12,9 +12,9 @@ import (
 	"strings"
 )
 
-// binaryMagic identifies the library's binary point-file format:
+// BinaryMagic opens every file in the library's binary point-file format:
 // "SJN1" | uint32 dims | uint64 count | count*dims little-endian float64.
-const binaryMagic = "SJN1"
+const BinaryMagic = "SJN1"
 
 // WriteCSV writes the dataset as one comma-separated row per point, full
 // float64 precision.
@@ -80,7 +80,7 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 // roughly 3× smaller and 10× faster to parse than CSV.
 func (d *Dataset) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
+	if _, err := bw.WriteString(BinaryMagic); err != nil {
 		return err
 	}
 	var hdr [12]byte
@@ -106,7 +106,7 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("dataset: reading magic: %w", err)
 	}
-	if string(magic) != binaryMagic {
+	if string(magic) != BinaryMagic {
 		return nil, fmt.Errorf("dataset: bad magic %q", magic)
 	}
 	var hdr [12]byte
