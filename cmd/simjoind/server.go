@@ -276,7 +276,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 // writing the HTTP error itself when the body is unusable. Every points
 // route reads through it: PUT and append, on worker and coordinator.
 // An api.ContentTypeSJN1 body that does not open with the SJN1 magic is
-// read as JSON, as every non-CSV body was before SJN1 was taken.
+// read as JSON: some clients label every raw body application/octet-stream.
 func decodeUpload(w http.ResponseWriter, r *http.Request, limit int64) (*dataset.Dataset, bool) {
 	body := io.Reader(http.MaxBytesReader(w, r.Body, limit))
 	ct := r.Header.Get("Content-Type")
