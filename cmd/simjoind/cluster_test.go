@@ -227,6 +227,62 @@ func TestClusterRangeAndKNNMatchSingleNode(t *testing.T) {
 			}
 		}
 	}
+
+	// Queries on every cut and on every replica strip's top, under each
+	// metric: a shard answering alone must not lose a match. The map is
+	// the coordinator's: Partition is deterministic in the points.
+	sm, _ := cluster.Partition(pts, make([]string, 4), 0.2)
+	covered := 0
+	for _, cut := range sm.Cuts {
+		for _, x := range []float64{cut, cut + sm.Margin} {
+			p := append([]float64(nil), q...)
+			p[sm.Dim] = x
+			for _, m := range []simjoin.Metric{simjoin.L2, simjoin.L1, simjoin.Linf} {
+				for _, r := range []float64{0.05, 0.3} {
+					resp, body := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/range",
+						map[string]any{"point": p, "radius": r, "metric": m.String()})
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("range: %d %v", resp.StatusCode, body)
+					}
+					got := []int{}
+					for _, v := range body["indexes"].([]any) {
+						got = append(got, int(v.(float64)))
+					}
+					want := append([]int{}, nn.Range(p, m, r)...)
+					sort.Ints(want)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("cluster range(%v, %g, %v) = %v, single node = %v", p, r, m, got, want)
+					}
+					// One shard stores [Cuts[s−1], Cuts[s]+Margin); when one
+					// holds the whole ball the journal shows it asked alone.
+					for s := 0; s <= len(sm.Cuts); s++ {
+						if (s == 0 || x-r >= sm.Cuts[s-1]) && (s == len(sm.Cuts) || x+r < sm.Cuts[s]+sm.Margin) {
+							covered++
+							if rec := getQueries(t, coord.URL, "?limit=1").Queries[0]; rec.Kind != "range" || rec.Shards != 1 {
+								t.Fatalf("range(%v, %g) is covered by shard %d, journal = %+v", p, r, s, rec)
+							}
+							break
+						}
+					}
+				}
+				resp, body := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/knn",
+					map[string]any{"point": p, "k": 7, "metric": m.String()})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("knn: %d %v", resp.StatusCode, body)
+				}
+				gotN := body["neighbors"].([]any)
+				wantN := nn.KNN(p, 7, m)
+				for i := range wantN {
+					if g := gotN[i].(map[string]any); int(g["index"].(float64)) != wantN[i].Index || g["dist"].(float64) != wantN[i].Dist {
+						t.Fatalf("knn(%v, %v) [%d] = %v, want %+v", p, m, i, g, wantN[i])
+					}
+				}
+			}
+		}
+	}
+	if covered == 0 {
+		t.Fatal("no query was covered by one shard")
+	}
 }
 
 func TestClusterCSVUploadAndList(t *testing.T) {

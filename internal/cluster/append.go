@@ -58,6 +58,6 @@ func (c *Coordinator) Append(ctx context.Context, name string, pts [][]float64) 
 	})
 	return &api.AppendResponse{
 		DatasetInfo:   api.DatasetInfo{Name: name, Len: sm.Total, Dims: sm.Dims},
-		ShardFailures: &scattered(targets, failed).ShardFailures,
+		ShardFailures: &scattered(len(targets), failed).ShardFailures,
 	}, nil
 }

@@ -47,7 +47,7 @@ type Coordinator struct {
 // enabled (every coordinator POST is a read-only query, so transport
 // retries are safe).
 func New(workers []string, margin float64, rc *rclient.Client) *Coordinator {
-	if margin <= 0 {
+	if !(margin > 0) {
 		margin = DefaultMargin
 	}
 	if rc == nil {
@@ -112,7 +112,7 @@ func (c *Coordinator) Upload(ctx context.Context, name string, pts [][]float64, 
 	if margin == 0 {
 		margin = c.margin
 	}
-	if margin < 0 {
+	if !(margin > 0) {
 		return api.DatasetInfo{}, QueryError{Msg: "margin must be positive"}
 	}
 	sm, shardPts := Partition(pts, c.workers, margin)
@@ -207,9 +207,13 @@ func (c *Coordinator) SelfJoin(ctx context.Context, name string, q JoinQuery) (*
 	return &JoinResult{Pairs: out, Scatter: sum.Scatter}, nil
 }
 
-// Range scatters an ε-range query to the shards whose slabs intersect
-// the query ball (exact for any radius — cores cover the ball, replicas
-// dedupe away) and merges the global indexes.
+// Range answers an ε-range query from the shards that store every point
+// the ball can hold. Every match lies within radius of the query in the
+// routing coordinate, so one shard whose stored interval covers
+// [x−radius, x+radius] answers alone; otherwise the query goes to every
+// slab that interval intersects, whose cores hold the ball, and replicas
+// dedupe away. Exact for any radius. If the one shard asked fails, the
+// rest of those slabs answer a labelled partial.
 func (c *Coordinator) Range(ctx context.Context, name string, point []float64, radius float64, metric string) (*api.RangeResponse, error) {
 	sm, ok := c.Map(name)
 	if !ok {
@@ -221,18 +225,12 @@ func (c *Coordinator) Range(ctx context.Context, name string, point []float64, r
 	if !(radius > 0) {
 		return nil, QueryError{Msg: "radius must be positive"}
 	}
-	x := point[sm.Dim]
-	targets := make([]int, 0)
-	for _, s := range sm.RouteInterval(x-radius, x+radius) {
-		if len(sm.Shards[s].Global) > 0 {
-			targets = append(targets, s)
-		}
-	}
+	lo, hi := point[sm.Dim]-radius, point[sm.Dim]+radius
+	req := api.PointQuery{Point: point, Radius: radius, Metric: metric}
 	merged := make(indexSet)
 	var mu sync.Mutex
-	failed := c.scatter(ctx, "range", sm, targets, func(ctx context.Context, s int) error {
+	ask := func(ctx context.Context, s int) error {
 		var out api.RangeResponse
-		req := api.PointQuery{Point: point, Radius: radius, Metric: metric}
 		if err := sendJSON(ctx, c.rc.Post, c.datasetURL(sm, s, name)+"/range", req, &out); err != nil {
 			return err
 		}
@@ -240,16 +238,32 @@ func (c *Coordinator) Range(ctx context.Context, name string, point []float64, r
 		merged.addLocal(out.Indexes, sm.Shards[s].Global)
 		mu.Unlock()
 		return nil
-	})
-	if len(failed) == len(targets) && len(targets) > 0 {
+	}
+	targets := sm.holding(sm.route(lo, hi), -1)
+	asked := len(targets)
+	failed := c.scatter(ctx, "range", sm, targets, ask)
+	if len(targets) == 1 && len(failed) == 1 {
+		// The other slabs the ball meets all lie above targets[0], so
+		// the failures stay ordered by shard.
+		rest := sm.holding(sm.RouteInterval(lo, hi), targets[0])
+		asked += len(rest)
+		failed = append(failed, c.scatter(ctx, "range", sm, rest, ask)...)
+	}
+	if len(failed) == asked && asked > 0 {
 		return nil, UnavailableError{Failed: failed}
 	}
-	return &api.RangeResponse{Indexes: merged.sorted(), Scatter: scattered(targets, failed)}, nil
+	return &api.RangeResponse{Indexes: merged.sorted(), Scatter: scattered(asked, failed)}, nil
 }
 
-// KNN scatters a k-nearest query to every non-empty shard (the k-th
-// distance is unknown up front, so no shard can be pruned), takes each
-// shard's local top-k, and keeps the k best after deduping replicas.
+// KNN answers a k-nearest query in up to two phases. Phase 1 asks the
+// home shard (see ShardMap.home). If it returns k neighbours whose k-th
+// distance r_k keeps the ball inside its stored interval — every point
+// within r_k of the query lies within r_k of it in the routing
+// coordinate — its top k is the global top k. Otherwise phase 2 asks the
+// other shards that ball routes to, or every other shard when phase 1
+// failed or the home shard holds fewer than k points, and the k best
+// survive after deduping replicas. Ties break by global index on every
+// shard, since Global ascends.
 func (c *Coordinator) KNN(ctx context.Context, name string, point []float64, k int, metric string) (*api.KNNResponse, error) {
 	sm, ok := c.Map(name)
 	if !ok {
@@ -261,12 +275,12 @@ func (c *Coordinator) KNN(ctx context.Context, name string, point []float64, k i
 	if k < 1 {
 		return nil, QueryError{Msg: "k must be ≥ 1"}
 	}
-	targets := sm.nonEmpty()
+	x := point[sm.Dim]
+	req := api.PointQuery{Point: point, K: k, Metric: metric}
 	merged := make(neighborSet)
 	var mu sync.Mutex
-	failed := c.scatter(ctx, "knn", sm, targets, func(ctx context.Context, s int) error {
+	ask := func(ctx context.Context, s int) error {
 		var out api.KNNResponse
-		req := api.PointQuery{Point: point, K: k, Metric: metric}
 		if err := sendJSON(ctx, c.rc.Post, c.datasetURL(sm, s, name)+"/knn", req, &out); err != nil {
 			return err
 		}
@@ -281,11 +295,29 @@ func (c *Coordinator) KNN(ctx context.Context, name string, point []float64, k i
 		}
 		mu.Unlock()
 		return nil
-	})
-	if len(failed) == len(targets) && len(targets) > 0 {
+	}
+	var failed []api.ShardError
+	asked, rest := 0, sm.nonEmpty()
+	// A home shard holding fewer than k points cannot settle the query,
+	// so it is asked together with the rest, in one round trip.
+	if h := sm.home(x); h >= 0 && len(sm.Shards[h].Global) >= k {
+		asked, failed = 1, c.scatter(ctx, "knn", sm, []int{h}, ask)
+		if len(failed) == 0 && len(merged) == k {
+			rk := merged.farthest()
+			if sm.covers(h, x-rk, x+rk) {
+				rest = nil
+			} else {
+				rest = sm.route(x-rk, x+rk)
+			}
+		}
+		rest = sm.holding(rest, h)
+	}
+	asked += len(rest)
+	failed = sortedFailures(append(failed, c.scatter(ctx, "knn", sm, rest, ask)...))
+	if len(failed) == asked && asked > 0 {
 		return nil, UnavailableError{Failed: failed}
 	}
-	return &api.KNNResponse{Neighbors: merged.top(k), Scatter: scattered(targets, failed)}, nil
+	return &api.KNNResponse{Neighbors: merged.top(k), Scatter: scattered(asked, failed)}, nil
 }
 
 // Health polls every worker's /healthz concurrently and reports each
@@ -295,41 +327,54 @@ func (c *Coordinator) Health(ctx context.Context) []api.BackendHealth {
 }
 
 // scatter runs fn for each listed shard concurrently and gathers the
-// failures, ordered by shard. When ctx carries a trace span, every
-// shard RPC runs under its own child span — named "shard.<op>", tagged
-// with the shard index, worker URL and outcome — and fn receives a
-// context carrying that span, so the resilient client's per-attempt
-// spans nest beneath it and its traceparent reaches the worker.
+// failures, ordered by shard; a lone shard runs on the calling goroutine.
+// When ctx carries a trace span, every shard RPC runs under its own child
+// span — named "shard.<op>", tagged with the shard index, worker URL and
+// outcome — and fn receives a context carrying that span, so the
+// resilient client's per-attempt spans nest beneath it and its
+// traceparent reaches the worker.
 func (c *Coordinator) scatter(ctx context.Context, op string, sm *ShardMap, shards []int, fn func(ctx context.Context, shard int) error) []api.ShardError {
 	parent := trace.FromContext(ctx)
-	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var failed []api.ShardError
-	for _, s := range shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sp := parent.Child("shard." + op)
-			sp.SetAttr("shard", strconv.Itoa(s))
-			sp.SetAttr("worker", sm.Shards[s].URL)
-			err := fn(trace.NewContext(ctx, sp), s)
-			if err != nil {
-				attempts := rclient.Attempts(err)
-				sp.SetAttr("status", "error")
-				sp.SetAttr("error", err.Error())
-				if attempts > 0 {
-					sp.AddCounter("attempts", int64(attempts))
-				}
-				mu.Lock()
-				failed = append(failed, api.ShardError{Shard: s, URL: sm.Shards[s].URL, Err: err.Error(), Attempts: attempts})
-				mu.Unlock()
-			} else {
-				sp.SetAttr("status", "ok")
+	one := func(s int) {
+		sp := parent.Child("shard." + op)
+		sp.SetAttr("shard", strconv.Itoa(s))
+		sp.SetAttr("worker", sm.Shards[s].URL)
+		err := fn(trace.NewContext(ctx, sp), s)
+		if err != nil {
+			attempts := rclient.Attempts(err)
+			sp.SetAttr("status", "error")
+			sp.SetAttr("error", err.Error())
+			if attempts > 0 {
+				sp.AddCounter("attempts", int64(attempts))
 			}
-			sp.End()
-		}(s)
+			mu.Lock()
+			failed = append(failed, api.ShardError{Shard: s, URL: sm.Shards[s].URL, Err: err.Error(), Attempts: attempts})
+			mu.Unlock()
+		} else {
+			sp.SetAttr("status", "ok")
+		}
+		sp.End()
 	}
-	wg.Wait()
+	if len(shards) == 1 {
+		one(shards[0])
+	} else {
+		var wg sync.WaitGroup
+		for _, s := range shards {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				one(s)
+			}(s)
+		}
+		wg.Wait()
+	}
+	return sortedFailures(failed)
+}
+
+// sortedFailures orders failures by shard.
+func sortedFailures(failed []api.ShardError) []api.ShardError {
 	sort.Slice(failed, func(i, j int) bool { return failed[i].Shard < failed[j].Shard })
 	return failed
 }
@@ -338,10 +383,10 @@ func (c *Coordinator) datasetURL(sm *ShardMap, shard int, name string) string {
 	return sm.Shards[shard].URL + "/datasets/" + url.PathEscape(name)
 }
 
-// scattered is the answer block of a scatter over targets of which
-// failed did not answer.
-func scattered(targets []int, failed []api.ShardError) *api.Scatter {
-	return &api.Scatter{Shards: len(targets), ShardFailures: api.ShardFailures{Partial: len(failed) > 0, FailedShards: failed}}
+// scattered is the answer block of a query that asked this many shards,
+// of which failed did not answer.
+func scattered(asked int, failed []api.ShardError) *api.Scatter {
+	return &api.Scatter{Shards: asked, ShardFailures: api.ShardFailures{Partial: len(failed) > 0, FailedShards: failed}}
 }
 
 // sendJSON sends in as a JSON body through send (the client's Post or

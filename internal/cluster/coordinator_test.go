@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -475,5 +476,211 @@ func TestHealthReportsDeadWorker(t *testing.T) {
 	}
 	if hs[2].OK || hs[2].Err == "" {
 		t.Errorf("dead worker reported healthy: %+v", hs[2])
+	}
+}
+
+// bruteKNN is the single-node KNN oracle: the k nearest by L2, ties
+// broken by index.
+func bruteKNN(pts [][]float64, q []float64, k int) []api.Neighbor {
+	all := make([]api.Neighbor, 0, len(pts))
+	for i, p := range pts {
+		all = append(all, api.Neighbor{Index: i, Dist: l2(p, q)})
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].Dist != all[b].Dist {
+			return all[a].Dist < all[b].Dist
+		}
+		return all[a].Index < all[b].Index
+	})
+	return all[:min(k, len(all))]
+}
+
+// gridPoints draws n points on the 1/64 grid of the unit square, so
+// points, cuts and query offsets collide and distances tie often.
+func gridPoints(rng *rand.Rand, n int) [][]float64 {
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = []float64{float64(rng.Intn(65)) / 64, float64(rng.Intn(65)) / 64}
+	}
+	return pts
+}
+
+// TestPointQueriesMatchBruteAtCuts holds coverage routing to brute force
+// where it is most fragile: queries on and around every cut and every
+// replica strip's top, radii up to twice the margin, k from 1 past n,
+// over an upload plus an append. Whenever one shard covers the range
+// ball, or the home shard covers the k-th neighbour's ball, the query
+// must have asked that shard alone.
+func TestPointQueriesMatchBruteAtCuts(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(33))
+	for _, workers := range []int{2, 3, 4} {
+		for _, margin := range []float64{0.05, 0.1, 0.25} {
+			c, _, _ := newTestCluster(t, workers, margin)
+			pts := gridPoints(rng, 120)
+			if _, err := c.Upload(ctx, "d", pts, 0); err != nil {
+				t.Fatalf("Upload: %v", err)
+			}
+			more := gridPoints(rng, 40)
+			if res, err := c.Append(ctx, "d", more); err != nil || res.Partial {
+				t.Fatalf("Append: %v %+v", err, res)
+			}
+			pts = append(pts, more...)
+			sm, _ := c.Map("d")
+			var single, multi int
+			for _, base := range sm.Cuts {
+				for _, at := range []float64{base, base + margin} {
+					for _, off := range []float64{0, 1. / 64, -1. / 64, 0.05, -0.05, margin, -margin} {
+						q := []float64{float64(rng.Intn(65)) / 64, float64(rng.Intn(65)) / 64}
+						x := at + off
+						q[sm.Dim] = x
+						for _, r := range []float64{1. / 64, 0.05, margin / 2, margin, 2 * margin} {
+							res, err := c.Range(ctx, "d", q, r, "")
+							if err != nil {
+								t.Fatalf("Range: %v", err)
+							}
+							want := []int{}
+							for i, p := range pts {
+								if l2(p, q) <= r {
+									want = append(want, i)
+								}
+							}
+							if !reflect.DeepEqual(res.Indexes, want) {
+								t.Fatalf("%d workers, margin %g: range(%v, %g) = %v, want %v", workers, margin, q, r, res.Indexes, want)
+							}
+							if s := sm.route(x-r, x+r); len(s) == 1 && len(sm.Shards[s[0]].Global) > 0 {
+								single++
+								if res.Shards != 1 {
+									t.Fatalf("range(%v, %g) is covered by shard %d but asked %d shards", q, r, s[0], res.Shards)
+								}
+							} else {
+								multi++
+							}
+						}
+						for _, k := range []int{1, 3, 10, 40, len(pts) + 5} {
+							res, err := c.KNN(ctx, "d", q, k, "")
+							if err != nil {
+								t.Fatalf("KNN: %v", err)
+							}
+							want := bruteKNN(pts, q, k)
+							if !reflect.DeepEqual(res.Neighbors, want) {
+								t.Fatalf("%d workers, margin %g: knn(%v, %d) = %v, want %v", workers, margin, q, k, res.Neighbors, want)
+							}
+							rk := want[len(want)-1].Dist
+							if h := sm.home(x); h >= 0 && k <= len(sm.Shards[h].Global) && sm.covers(h, x-rk, x+rk) {
+								single++
+								if res.Shards != 1 {
+									t.Fatalf("knn(%v, %d): home shard %d covers r_k = %g but %d shards were asked", q, k, h, rk, res.Shards)
+								}
+							} else {
+								multi++
+							}
+						}
+					}
+				}
+			}
+			if single == 0 || multi == 0 {
+				t.Fatalf("%d workers, margin %g: %d single-shard and %d multi-shard queries; the cases do not reach both", workers, margin, single, multi)
+			}
+		}
+	}
+}
+
+// TestPointQueriesPartialWhenHomeShardDies: coverage routing keeps the
+// degradation contract. A query whose one routed shard is down falls
+// back to the other shards it would have asked before routing by
+// coverage, and answers a labelled partial naming the dead shard; only a
+// query with no live shard to ask fails outright.
+func TestPointQueriesPartialWhenHomeShardDies(t *testing.T) {
+	c, servers, _ := newTestCluster(t, 3, 0.1)
+	pts := randomPoints(300, 2, 21)
+	ctx := context.Background()
+	if _, err := c.Upload(ctx, "d", pts, 0); err != nil {
+		t.Fatalf("Upload: %v", err)
+	}
+	sm, _ := c.Map("d")
+	mid := func(x float64) []float64 {
+		q := []float64{0.5, 0.5}
+		q[sm.Dim] = x
+		return q
+	}
+	// Shard 1's slab is [Cuts[0], Cuts[1]); its middle is stored on it alone.
+	inside := mid((sm.Cuts[0] + sm.Cuts[1]) / 2)
+	if h := sm.home(inside[sm.Dim]); h != 1 {
+		t.Fatalf("home of the slab's middle = %d, want 1", h)
+	}
+	res, err := c.Range(ctx, "d", inside, 0.02, "")
+	if err != nil || res.Shards != 1 {
+		t.Fatalf("range inside shard 1: %v, %+v", err, res)
+	}
+	servers[1].Close()
+
+	failedOn1 := func(s *api.Scatter) bool {
+		return s.Partial && len(s.FailedShards) == 1 && s.FailedShards[0].Shard == 1 && s.FailedShards[0].URL == servers[1].URL
+	}
+	knn, err := c.KNN(ctx, "d", inside, 5, "")
+	if err != nil {
+		t.Fatalf("KNN with the home shard down: %v", err)
+	}
+	if !failedOn1(knn.Scatter) || knn.Shards != 3 || len(knn.Neighbors) != 5 {
+		t.Fatalf("KNN with the home shard down = %+v, want 5 neighbours, partial, 3 shards asked, shard 1 failed", knn)
+	}
+	// The live shards' answer: the points shards 0 and 2 store.
+	var live [][]float64
+	var liveIdx []int
+	for g, p := range pts {
+		if x := p[sm.Dim]; sm.covers(0, x, x) || sm.covers(2, x, x) {
+			live, liveIdx = append(live, p), append(liveIdx, g)
+		}
+	}
+	want := bruteKNN(live, inside, 5)
+	for i := range want {
+		want[i].Index = liveIdx[want[i].Index]
+	}
+	if !reflect.DeepEqual(knn.Neighbors, want) {
+		t.Fatalf("partial KNN = %v, want the live shards' %v", knn.Neighbors, want)
+	}
+
+	// On cut 1 with a radius under the margin: shard 1 covers the ball,
+	// and shard 2's slab holds its upper half.
+	onCut := mid(sm.Cuts[1])
+	if s := sm.route(sm.Cuts[1]-0.05, sm.Cuts[1]+0.05); !reflect.DeepEqual(s, []int{1}) {
+		t.Fatalf("route across cut 1 = %v, want [1]", s)
+	}
+	across, err := c.Range(ctx, "d", onCut, 0.05, "")
+	if err != nil {
+		t.Fatalf("range across cut 1 with shard 1 down: %v", err)
+	}
+	if !failedOn1(across.Scatter) || across.Shards != 2 {
+		t.Fatalf("range across cut 1 = %+v, want partial, 2 shards asked, shard 1 failed", across.Scatter)
+	}
+	wantIdx := []int{}
+	for i, p := range live {
+		if l2(p, onCut) <= 0.05 {
+			wantIdx = append(wantIdx, liveIdx[i])
+		}
+	}
+	if !reflect.DeepEqual(across.Indexes, wantIdx) {
+		t.Fatalf("partial range = %v, want the live shards' %v", across.Indexes, wantIdx)
+	}
+
+	_, err = c.Range(ctx, "d", inside, 0.02, "")
+	var ue UnavailableError
+	if !errors.As(err, &ue) || len(ue.Failed) != 1 || ue.Failed[0].Shard != 1 {
+		t.Fatalf("range inside the dead shard: err = %v, want UnavailableError naming shard 1", err)
+	}
+}
+
+// TestNaNMarginIsRefused: a NaN margin would store no point on its own
+// shard (x < cut+NaN never holds), so the coordinator takes the default
+// for a NaN default and refuses a NaN upload margin.
+func TestNaNMarginIsRefused(t *testing.T) {
+	if m := New(testURLs(2), math.NaN(), nil).Margin(); m != DefaultMargin {
+		t.Errorf("New with a NaN margin: margin %g, want %g", m, DefaultMargin)
+	}
+	c, _, _ := newTestCluster(t, 2, 0.1)
+	var qe QueryError
+	if _, err := c.Upload(context.Background(), "d", randomPoints(20, 2, 22), math.NaN()); !errors.As(err, &qe) {
+		t.Errorf("upload with a NaN margin: err = %v, want QueryError", err)
 	}
 }

@@ -42,6 +42,15 @@ func (ns neighborSet) add(global int, dist float64) {
 	}
 }
 
+// farthest returns the largest accumulated distance.
+func (ns neighborSet) farthest() float64 {
+	far := 0.0
+	for _, d := range ns {
+		far = max(far, d)
+	}
+	return far
+}
+
 // top returns the k nearest accumulated neighbors, ordered by distance
 // with index as the deterministic tie-break.
 func (ns neighborSet) top(k int) []api.Neighbor {

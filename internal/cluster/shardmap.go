@@ -1,10 +1,11 @@
 // Package cluster turns a fleet of simjoind workers into one sharded
 // similarity-join service. A Coordinator partitions each uploaded dataset
 // across the workers with deterministic slab routing plus ε-boundary
-// replication, scatters self-join/range/KNN queries to the shards that
-// can hold matches, and merges the per-shard answers back into exactly
-// the result a single node would have produced — degrading to partial,
-// error-tagged results when workers are down.
+// replication, sends self-joins to every shard and each range or KNN
+// query to the fewest shards that hold all its possible matches, and
+// merges the per-shard answers back into exactly the result a single node
+// would have produced — degrading to partial, error-tagged results when
+// workers are down.
 //
 // Sharding scheme. Points are sliced into K contiguous slabs along one
 // routing dimension (the widest one), with cut values chosen at
@@ -18,9 +19,20 @@
 // qualifying pair at least once; the merge step maps worker-local
 // indexes back to upload order and dedupes pairs found by more than one
 // shard, so the distributed pair set equals the single-node pair set.
+//
+// Point-query routing. Replication also means shard s stores every point
+// with routing coordinate in [cut_{s−1}, cut_s + Margin) (see covers).
+// Under L1, L2 and L∞ a match within r of a query at coordinate x lies in
+// [x−r, x+r], so when one shard's interval covers that, the shard answers
+// alone (see route). A range query knows r up front; a KNN learns it from
+// its home shard's k-th neighbour and asks further shards only when that
+// ball leaves the home shard's interval.
 package cluster
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // ShardMap records how one dataset was partitioned across the workers.
 // A built map is immutable; appends extend a dataset by building a
@@ -75,25 +87,7 @@ func Partition(pts [][]float64, urls []string, margin float64) (*ShardMap, [][][
 	for i := range sm.Shards {
 		sm.Shards[i].URL = urls[i]
 	}
-	shardPts := make([][][]float64, k)
-	add := func(s, g int, p []float64) {
-		sm.Shards[s].Global = append(sm.Shards[s].Global, g)
-		shardPts[s] = append(shardPts[s], p)
-	}
-	for g, p := range pts {
-		x := p[sm.Dim]
-		s := sm.ShardOf(x)
-		add(s, g, p)
-		// Replicate downward into every shard whose upper cut is within
-		// margin below x; the break is safe because cuts ascend.
-		for t := s - 1; t >= 0; t-- {
-			if x >= sm.Cuts[t]+margin {
-				break
-			}
-			add(t, g, p)
-		}
-	}
-	return sm, shardPts
+	return sm, sm.place(pts, 0)
 }
 
 // widestDim returns the dimension with the largest spread (ties go to
@@ -140,24 +134,25 @@ func (m *ShardMap) extend(pts [][]float64) (*ShardMap, [][][]float64) {
 		copy(g, sh.Global)
 		n.Shards[s] = Shard{URL: sh.URL, Global: g}
 	}
+	return n, n.place(pts, m.Total)
+}
+
+// place stores pts, numbered first onward, on every shard whose interval
+// holds their routing coordinate — the owning slab and each shard whose
+// replica strip reaches them — growing the Global tables, and returns the
+// per-shard point batches.
+func (m *ShardMap) place(pts [][]float64, first int) [][][]float64 {
 	shardPts := make([][][]float64, len(m.Shards))
-	add := func(s, g int, p []float64) {
-		n.Shards[s].Global = append(n.Shards[s].Global, g)
-		shardPts[s] = append(shardPts[s], p)
-	}
 	for k, p := range pts {
-		g := m.Total + k
-		x := p[n.Dim]
-		s := n.ShardOf(x)
-		add(s, g, p)
-		for t := s - 1; t >= 0; t-- {
-			if x >= n.Cuts[t]+n.Margin {
-				break
-			}
-			add(t, g, p)
+		x := p[m.Dim]
+		// The strips' tops ascend with the shard, so the first shard
+		// below the owner that misses x ends the walk.
+		for s := m.ShardOf(x); s >= 0 && m.covers(s, x, x); s-- {
+			m.Shards[s].Global = append(m.Shards[s].Global, first+k)
+			shardPts[s] = append(shardPts[s], p)
 		}
 	}
-	return n, shardPts
+	return shardPts
 }
 
 // ShardOf returns the shard owning a point with routing coordinate x.
@@ -165,8 +160,8 @@ func (m *ShardMap) ShardOf(x float64) int {
 	return sort.Search(len(m.Cuts), func(i int) bool { return m.Cuts[i] > x })
 }
 
-// RouteInterval returns the shards whose slabs intersect [lo, hi] — the
-// scatter set for a range query centered in that interval.
+// RouteInterval returns the shards whose slabs intersect [lo, hi]: their
+// cores alone hold every point with routing coordinate in the interval.
 func (m *ShardMap) RouteInterval(lo, hi float64) []int {
 	a, b := m.ShardOf(lo), m.ShardOf(hi)
 	out := make([]int, 0, b-a+1)
@@ -176,11 +171,71 @@ func (m *ShardMap) RouteInterval(lo, hi float64) []int {
 	return out
 }
 
+// covers reports whether shard s stores every point whose routing
+// coordinate lies in [lo, hi]: its stored interval is [Cuts[s−1],
+// Cuts[s]+Margin), open below on the first shard and above on the last.
+// The upper bound is the expression Partition and extend replicate with,
+// so covers(s, x, x) holds exactly when a point at x is stored on s.
+func (m *ShardMap) covers(s int, lo, hi float64) bool {
+	return (s == 0 || lo >= m.Cuts[s-1]) && (s == len(m.Cuts) || hi < m.Cuts[s]+m.Margin)
+}
+
+// route returns the shards a point query must ask when every possible
+// match has its routing coordinate in [lo, hi]: the one shard that covers
+// the interval when there is one, else every slab the interval
+// intersects. Only the first of those slabs can cover: a shard covering
+// lo starts at or below it, and of those the first slab reaches highest.
+func (m *ShardMap) route(lo, hi float64) []int {
+	slabs := m.RouteInterval(lo, hi)
+	if m.covers(slabs[0], lo, hi) {
+		return slabs[:1]
+	}
+	return slabs
+}
+
+// home returns the shard a KNN around routing coordinate x asks first:
+// of the non-empty shards storing x, the one with the most room on both
+// sides of it, so the most likely to cover the k-th neighbour's ball.
+// It returns −1 when no non-empty shard stores x.
+func (m *ShardMap) home(x float64) int {
+	best, room := -1, math.Inf(-1)
+	// Shard ShardOf(x) stores x; below it, a shard stores x while x is in
+	// its replica strip, and the strips' tops descend with the shard.
+	for s := m.ShardOf(x); s >= 0 && m.covers(s, x, x); s-- {
+		if len(m.Shards[s].Global) == 0 {
+			continue
+		}
+		below, above := math.Inf(1), math.Inf(1)
+		if s > 0 {
+			below = x - m.Cuts[s-1]
+		}
+		if s < len(m.Cuts) {
+			above = m.Cuts[s] + m.Margin - x
+		}
+		if r := min(below, above); r > room {
+			best, room = s, r
+		}
+	}
+	return best
+}
+
 // nonEmpty lists the shards that actually hold points.
 func (m *ShardMap) nonEmpty() []int {
 	out := make([]int, 0, len(m.Shards))
 	for s, sh := range m.Shards {
 		if len(sh.Global) > 0 {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// holding returns the shards of list that hold points, other than skip
+// (−1 skips none). A shard without points has no dataset on its worker.
+func (m *ShardMap) holding(list []int, skip int) []int {
+	out := make([]int, 0, len(list))
+	for _, s := range list {
+		if s != skip && len(m.Shards[s].Global) > 0 {
 			out = append(out, s)
 		}
 	}

@@ -94,7 +94,7 @@ func (c *Coordinator) SelfJoinEach(ctx context.Context, name string, q JoinQuery
 	if len(failed) == len(targets) && len(targets) > 0 {
 		return nil, UnavailableError{Failed: failed}
 	}
-	return &JoinSummary{Pairs: delivered, Scatter: scattered(targets, failed)}, nil
+	return &JoinSummary{Pairs: delivered, Scatter: scattered(len(targets), failed)}, nil
 }
 
 // streamShardSelfJoin posts one shard's self-join with streaming

@@ -92,19 +92,33 @@ func (o Options) WorkerCount() int { return max(o.Workers, 1) }
 
 // Spread runs work(0) … work(workers−1) at once and returns when all of
 // them have. The last one runs on the calling goroutine, so one worker
-// starts no goroutine: a one-worker join is a serial join.
+// starts no goroutine: a one-worker join is a serial join. A panic in a
+// started worker is recovered there and, once every worker has returned,
+// raised again on the calling goroutine, where the caller's own recovery
+// (net/http's, for a served join) can catch it; the first one wins.
 func Spread(workers int, work func(w int)) {
 	var wg sync.WaitGroup
+	var once sync.Once
+	var first any
 	defer wg.Wait()
 	for w := 0; w < workers-1; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					once.Do(func() { first = p })
+				}
+			}()
 			work(w)
 		}()
 	}
 	if workers > 0 {
 		work(workers - 1)
+	}
+	wg.Wait()
+	if first != nil {
+		panic(first)
 	}
 }
 

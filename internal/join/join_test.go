@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"simjoin/internal/stats"
 	"simjoin/internal/vec"
@@ -69,6 +70,29 @@ func TestSpreadWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSpreadRaisesWorkerPanicOnCaller: a panic in a started worker
+// reaches the caller as that value, and only after the other workers
+// have finished.
+func TestSpreadRaisesWorkerPanicOnCaller(t *testing.T) {
+	var done [3]atomic.Bool
+	defer func() {
+		if p := recover(); p != "worker 0" {
+			t.Fatalf("recovered %v, want worker 0's panic", p)
+		}
+		if !done[1].Load() || !done[2].Load() {
+			t.Fatal("Spread panicked before workers 1 and 2 finished")
+		}
+	}()
+	Spread(3, func(w int) {
+		if w == 0 {
+			panic("worker 0")
+		}
+		time.Sleep(20 * time.Millisecond)
+		done[w].Store(true)
+	})
+	t.Fatal("Spread returned normally after a worker panicked")
 }
 
 func TestThreshold(t *testing.T) {

@@ -108,10 +108,11 @@ done
 # Every untrusted-input decoder (dataset readers, snapshot + WAL codecs,
 # the upload scanner held to encoding/json), the flat-layout round trip, the pair radix sort, the ε-kdB tree held to
 # brute force over both key kinds, and the sketch's log-free bucket index
-# held to the Log2 formula. The go tool takes one -fuzz target per run.
+# held to the Log2 formula, and the cluster's shard-coverage rule held to
+# the points each shard stores. The go tool takes one -fuzz target per run.
 for target in dataset:FuzzReadCSV dataset:FuzzReadBinary api:FuzzDecodePoints store:FuzzReadSnapshot \
 	store:FuzzWALReplay vec:FuzzFlatRoundTrip pairs:FuzzSortPairs core:FuzzSelfJoinOracle \
-	sketch:FuzzHistIndex; do
+	sketch:FuzzHistIndex cluster:FuzzShardCoverage; do
 	step "fuzz 10s ${target#*:}" go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
 done
 
