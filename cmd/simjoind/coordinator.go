@@ -14,7 +14,6 @@ import (
 	"simjoin/internal/cluster"
 	"simjoin/internal/obsv"
 	"simjoin/internal/obsv/querylog"
-	"simjoin/internal/obsv/trace"
 )
 
 // coordServer is the HTTP face of coordinator mode: the worker REST API,
@@ -95,24 +94,7 @@ func (s *coordServer) handler() http.Handler {
 		Join: func(w http.ResponseWriter, r *http.Request) {
 			api.Error(w, http.StatusNotImplemented, "two-set joins not supported in coordinator mode")
 		},
-		TraceByID: s.handleStitchedTrace,
-	})
-}
-
-// handleStitchedTrace serves the coordinator's GET /debug/traces/{id}:
-// the coordinator's own retained spans for the trace plus every
-// worker's, fetched live and stitched into one distributed span tree.
-// Like the other debug routes it is outside the instrument middleware,
-// so fetching a trace neither mints a new one nor minted attempt spans
-// on the worker RPCs.
-func (s *coordServer) handleStitchedTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st := s.c.FetchTrace(r.Context(), id, trace.Collect(s.tracer.Traces(), id))
-	if len(st.Spans) == 0 {
-		api.Error(w, http.StatusNotFound, "no trace %q retained anywhere in the cluster", id)
-		return
-	}
-	api.WriteJSON(w, st)
+	}, s.c.Workers(), s.c.Client().Get)
 }
 
 // coordStatus maps cluster error types onto HTTP statuses.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -55,11 +56,12 @@ func newCore(errStatus func(error) int) core {
 	}
 }
 
-// mount wires rt behind the shared middleware and debug routes.
-func (s *core) mount(rt api.Routes) http.Handler {
+// mount wires rt behind the shared middleware and debug routes; below
+// and get reach the tier underneath (api.Server.Below, Get).
+func (s *core) mount(rt api.Routes, below []string, get func(context.Context, string) (*http.Response, error)) http.Handler {
 	srv := &api.Server{
 		Registry: s.m.reg, Requests: s.m.requests, Errors: s.m.errors, Latency: s.m.latency,
-		Tracer: s.tracer, Log: s.log, Journal: s.qlog,
+		Tracer: s.tracer, Log: s.log, Journal: s.qlog, Below: below, Get: get,
 	}
 	mux := srv.Handler(rt)
 	if s.debug {

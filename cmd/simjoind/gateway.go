@@ -18,10 +18,10 @@ import (
 const gatewayReloadInterval = 2 * time.Second
 
 // startGateway builds the -gateway handler: the multi-tenant front door
-// over the -backends fleet, with the -tenants config installed and kept
-// hot via SIGHUP and mtime polling. The returned stop func tears the
-// reload machinery down and drains in-flight shadow requests.
-func startGateway(logger *slog.Logger, backendsFlag, tenantsPath string, maxBody int64, traceRing int) (http.Handler, func(), error) {
+// over the one -backends URL, with the -tenants config installed and
+// kept hot via SIGHUP and mtime polling. The returned stop func tears
+// the reload machinery down and drains in-flight shadow requests.
+func startGateway(logger *slog.Logger, backendsFlag, tenantsPath string, maxBody int64) (http.Handler, func(), error) {
 	if backendsFlag == "" {
 		return nil, nil, fmt.Errorf("-gateway requires -backends")
 	}
@@ -32,12 +32,15 @@ func startGateway(logger *slog.Logger, backendsFlag, tenantsPath string, maxBody
 	if err != nil {
 		return nil, nil, fmt.Errorf("parsing -backends: %w", err)
 	}
+	if len(urls) > 1 {
+		return nil, nil, fmt.Errorf("-backends takes one URL, got %d; to front a worker fleet, run a coordinator over it (-workers) and point -backends at the coordinator", len(urls))
+	}
 	g, err := gateway.New(gateway.Options{
-		Backends: urls,
-		Logger:   logger,
-		Tracer:   trace.New(traceRing),
-		MaxBody:  maxBody,
-		Build:    buildVersion,
+		Backend: urls[0],
+		Logger:  logger,
+		Tracer:  trace.New(defaultTraceCapacity),
+		MaxBody: maxBody,
+		Build:   buildVersion,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -45,7 +48,7 @@ func startGateway(logger *slog.Logger, backendsFlag, tenantsPath string, maxBody
 	if err := g.LoadConfigFile(tenantsPath); err != nil {
 		return nil, nil, err
 	}
-	logger.Info("gateway config loaded", "path", tenantsPath, "backends", len(urls))
+	logger.Info("gateway config loaded", "path", tenantsPath, "backend", urls[0])
 
 	stop := make(chan struct{})
 	go g.WatchConfig(stop, gatewayReloadInterval)

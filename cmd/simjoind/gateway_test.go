@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"simjoin/internal/api"
 	"simjoin/internal/gateway"
 	"simjoin/internal/rclient"
 )
@@ -23,7 +25,7 @@ func startGatewayStack(t *testing.T, cfg *gateway.Config) (*gateway.Gateway, *ht
 	t.Helper()
 	coord, workers := startCluster(t, 3, 0.35)
 	g, err := gateway.New(gateway.Options{
-		Backends: []string{coord.URL},
+		Backend: coord.URL,
 		Client: &rclient.Client{
 			MaxRetries:     2,
 			BaseDelay:      2 * time.Millisecond,
@@ -40,6 +42,19 @@ func startGatewayStack(t *testing.T, cfg *gateway.Config) (*gateway.Gateway, *ht
 	gw := httptest.NewServer(g.Handler())
 	t.Cleanup(gw.Close)
 	return g, gw, coord, workers
+}
+
+// TestGatewayTakesOneBackend: -backends names the one tier the gateway
+// fronts; a list is refused with the way to front a fleet instead.
+func TestGatewayTakesOneBackend(t *testing.T) {
+	logger := slog.New(slog.NewJSONHandler(io.Discard, nil))
+	_, _, err := startGateway(logger, "http://127.0.0.1:1,http://127.0.0.1:2", "tenants.json", 1<<20)
+	if err == nil || !strings.Contains(err.Error(), "-workers") {
+		t.Fatalf("two backends: err = %v, want a refusal pointing at a coordinator (-workers)", err)
+	}
+	if got := run([]string{"-gateway", "-backends", "http://127.0.0.1:1,http://127.0.0.1:2", "-tenants", "tenants.json", "-addr", "127.0.0.1:0"}); got != 2 {
+		t.Errorf("run with two backends = %d, want 2", got)
+	}
 }
 
 // gwJoin posts a selfjoin through the gateway as one tenant.
@@ -219,10 +234,14 @@ func TestGatewayE2EShadowNoMismatch(t *testing.T) {
 }
 
 // TestGatewayE2EStitchedTrace sends a traced join through the gateway
-// and asserts GET /debug/traces/{id} on the gateway stitches spans from
-// the gateway, the coordinator and the workers into one tree.
+// and holds every tier to one trace contract: GET /debug/traces/{id}
+// answers one tree rooted at the tier's own server span, holding the
+// spans of every tier below it, with one source per tier asked (none on
+// a worker), and 404 for an ID no tier retains. A worker that cannot
+// answer is named in the coordinator's sources while the others' spans
+// still stitch.
 func TestGatewayE2EStitchedTrace(t *testing.T) {
-	_, gw, coord, _ := startGatewayStack(t, &gateway.Config{
+	_, gw, coord, workers := startGatewayStack(t, &gateway.Config{
 		Tenants: []gateway.Tenant{{Name: "a", Key: "k"}},
 	})
 	putPoints(t, coord.URL, "d", clusterPoints(100, 4, 17))
@@ -241,38 +260,96 @@ func TestGatewayE2EStitchedTrace(t *testing.T) {
 		t.Fatalf("traced join: status %d", resp.StatusCode)
 	}
 
-	r2, err := http.Get(gw.URL + "/debug/traces/" + traceID)
-	if err != nil {
-		t.Fatal(err)
+	const server = "POST /datasets/{name}/selfjoin"
+	type tier struct {
+		url, root string
+		sources   int
 	}
-	defer r2.Body.Close()
-	if r2.StatusCode != http.StatusOK {
-		t.Fatalf("stitched trace: status %d", r2.StatusCode)
+	tiers := []tier{{gw.URL, "gw " + server, 1}, {coord.URL, server, len(workers)}}
+	for _, w := range workers {
+		tiers = append(tiers, tier{w.URL, server, 0})
 	}
-	var st struct {
-		TraceID string `json:"trace_id"`
-		Spans   []struct {
-			Name     string `json:"name"`
-			ParentID string `json:"parent_id"`
-		} `json:"spans"`
-	}
-	if err := json.NewDecoder(r2.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.TraceID != traceID {
-		t.Fatalf("trace id %q, want %q", st.TraceID, traceID)
-	}
-	var gwSpan, backendSpan bool
-	for _, sp := range st.Spans {
-		if strings.HasPrefix(sp.Name, "gw ") {
-			gwSpan = true
-		} else {
-			backendSpan = true
+	var whole api.TraceView
+	for _, tc := range tiers {
+		tv, body := getTraceView(t, tc.url, traceID)
+		if tv.TraceID != traceID || len(tv.Sources) != tc.sources || (tc.sources == 0 && strings.Contains(body, `"sources"`)) {
+			t.Fatalf("%s: trace %q with sources %+v, want trace %q and %d sources", tc.url, tv.TraceID, tv.Sources, traceID, tc.sources)
+		}
+		for _, src := range tv.Sources {
+			if src.Err != "" {
+				t.Errorf("%s: source %s failed: %s", tc.url, src.URL, src.Err)
+			}
+		}
+		assertOneTree(t, tc.url, tv, tc.root)
+		if tc.url == gw.URL {
+			whole = tv
+		}
+		resp, err := http.Get(tc.url + "/debug/traces/deadbeefdeadbeefdeadbeefdeadbeef")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: unknown trace ID answered %d, want 404", tc.url, resp.StatusCode)
 		}
 	}
-	if !gwSpan || !backendSpan || len(st.Spans) < 3 {
-		t.Fatalf("stitched trace has %d spans (gateway=%v backend=%v) — not a full gateway→coordinator→worker tree", len(st.Spans), gwSpan, backendSpan)
+	if servers := countSpans(whole, server); servers != 1+len(workers) {
+		t.Fatalf("gateway's tree holds %d coordinator+worker server spans, want %d — not gateway→coordinator→worker", servers, 1+len(workers))
 	}
+
+	workers[0].Close()
+	tv, _ := getTraceView(t, coord.URL, traceID)
+	for i, src := range tv.Sources {
+		if (src.URL == workers[0].URL) != (i == 0) || (src.Err != "") != (i == 0) {
+			t.Errorf("with worker 0 down, source %d = %+v", i, src)
+		}
+	}
+	if servers := countSpans(tv, server); servers != len(workers) {
+		t.Errorf("with worker 0 down, the coordinator stitched %d server spans, want its own and %d workers'", servers, len(workers)-1)
+	}
+	assertOneTree(t, coord.URL, tv, server)
+}
+
+// getTraceView fetches GET /debug/traces/{id} from one tier, returning
+// the decoded answer and its raw body.
+func getTraceView(t *testing.T, base, id string) (api.TraceView, string) {
+	t.Helper()
+	body := getBody(t, base+"/debug/traces/"+id)
+	var tv api.TraceView
+	if err := json.Unmarshal([]byte(body), &tv); err != nil {
+		t.Fatalf("%s: decoding trace %s: %v\n%s", base, id, err, body)
+	}
+	return tv, body
+}
+
+// assertOneTree fails unless tv's spans form one tree — a single span
+// whose parent is not among them — rooted at a span named root.
+func assertOneTree(t *testing.T, tier string, tv api.TraceView, root string) {
+	t.Helper()
+	local := map[string]bool{}
+	for _, sp := range tv.Spans {
+		local[sp.SpanID] = true
+	}
+	var roots []string
+	for _, sp := range tv.Spans {
+		if !local[sp.ParentID] {
+			roots = append(roots, sp.Name)
+		}
+	}
+	if len(roots) != 1 || roots[0] != root {
+		t.Errorf("%s: trace roots %q, want one tree under %q", tier, roots, root)
+	}
+}
+
+// countSpans counts the spans named name.
+func countSpans(tv api.TraceView, name string) int {
+	n := 0
+	for _, sp := range tv.Spans {
+		if sp.Name == name {
+			n++
+		}
+	}
+	return n
 }
 
 // TestGatewayE2ERoutedOverride proves a routed experiment override crosses

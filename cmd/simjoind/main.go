@@ -35,9 +35,10 @@
 //	simjoind -addr :8080 -workers http://w1:8081,http://w2:8082 [-margin 0.25]
 //
 // Gateway mode mounts the multi-tenant front door (internal/gateway,
-// see docs/GATEWAY.md) over one coordinator or a flat worker fleet:
-// API-key tenants with rate limits, fair queuing and estimate-priced
-// shedding, plus A/B experiment routing with shadow traffic:
+// see docs/GATEWAY.md) over one backend — a coordinator, which spreads
+// the data over its workers, or a single worker: API-key tenants with
+// rate limits, fair queuing and estimate-priced shedding, plus A/B
+// experiment routing with shadow traffic:
 //
 //	simjoind -addr :8080 -gateway -backends http://coord:8081 -tenants tenants.json
 //
@@ -70,7 +71,6 @@ import (
 
 	"simjoin"
 	"simjoin/internal/cluster"
-	"simjoin/internal/obsv/trace"
 	"simjoin/internal/store"
 )
 
@@ -102,9 +102,8 @@ func run(argv []string) int {
 		compactBytes = fs.Int64("compact-bytes", store.DefaultCompactBytes, "WAL size that triggers snapshot compaction (negative disables)")
 		maxBody      = fs.Int64("max-body-bytes", defaultMaxBodyBytes, "largest accepted request body in bytes")
 		maxPairs     = fs.Int64("max-pairs", 0, "admission budget: reject (429) or, on request, degrade join queries whose estimated result size exceeds this many pairs (0 = unlimited)")
-		traceRing    = fs.Int("trace-ring", defaultTraceCapacity, "completed request traces retained for GET /debug/traces")
 		gatewayMode  = fs.Bool("gateway", false, "gateway mode: multi-tenant front door over -backends (see docs/GATEWAY.md)")
-		backends     = fs.String("backends", "", "comma-separated backend base URLs for -gateway (one coordinator or a flat worker fleet)")
+		backends     = fs.String("backends", "", "the one backend base URL -gateway fronts: a coordinator (put -workers on it to front a fleet) or a worker")
 		tenants      = fs.String("tenants", "", "gateway tenancy + experiment config (JSON); hot-reloaded on SIGHUP and file change")
 		version      = fs.Bool("version", false, "print the build identity block (the /healthz build object) and exit")
 		loads        loadFlags
@@ -127,10 +126,6 @@ func run(argv []string) int {
 		logger.Error("-max-body-bytes must be positive", "value", *maxBody)
 		return 2
 	}
-	if *traceRing < 1 {
-		logger.Error("-trace-ring must be positive", "value", *traceRing)
-		return 2
-	}
 
 	var h http.Handler
 	// onStop runs at the start of graceful shutdown, before the HTTP
@@ -143,7 +138,7 @@ func run(argv []string) int {
 			logger.Error("-gateway and -workers are mutually exclusive; point -backends at the coordinator instead")
 			return 2
 		}
-		gh, gwStop, err := startGateway(logger, *backends, *tenants, *maxBody, *traceRing)
+		gh, gwStop, err := startGateway(logger, *backends, *tenants, *maxBody)
 		if err != nil {
 			logger.Error("starting gateway", "error", err)
 			return 2
@@ -170,7 +165,6 @@ func run(argv []string) int {
 		cs.log = logger
 		cs.maxBody = *maxBody
 		cs.maxPairs = *maxPairs
-		cs.tracer = trace.New(*traceRing)
 		h = cs.handler()
 		onStop = cs.shutdownWatches
 		logger.Info("simjoind coordinating", "workers", len(urls), "addr", *addr, "margin", *margin)
@@ -180,7 +174,6 @@ func run(argv []string) int {
 		srv.log = logger
 		srv.maxBody = *maxBody
 		srv.maxPairs = *maxPairs
-		srv.tracer = trace.New(*traceRing)
 		if *dataDir != "" {
 			mode, interval, err := store.ParseSync(*fsyncFlag)
 			if err != nil {

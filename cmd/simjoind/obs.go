@@ -1,32 +1,13 @@
 package main
 
 import (
-	"net/http"
 	"runtime"
 	"runtime/debug"
-
-	"simjoin/internal/api"
-	"simjoin/internal/obsv/trace"
 )
 
 // defaultTraceCapacity is how many completed traces each daemon retains
 // for GET /debug/traces.
 const defaultTraceCapacity = 128
-
-// handleTraceByID serves a worker's GET /debug/traces/{id}: every span
-// it retains under one trace ID, merged across its retained trace views
-// into a single TraceData — the local half of distributed stitching; the
-// coordinator's variant fans out over the fleet (see
-// handleStitchedTrace).
-func (s *server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	spans := trace.Collect(s.tracer.Traces(), id)
-	if len(spans) == 0 {
-		api.Error(w, http.StatusNotFound, "no trace %q retained", id)
-		return
-	}
-	api.WriteJSON(w, trace.Stitch(id, spans))
-}
 
 // buildVersion is the binary's identity block for /healthz, computed
 // once: module version, VCS commit and dirty flag from the embedded

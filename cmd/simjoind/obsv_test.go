@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"simjoin/internal/api"
 	"simjoin/internal/cluster"
 	"simjoin/internal/obsv/querylog"
 	"simjoin/internal/obsv/trace"
@@ -243,24 +244,8 @@ func TestTracesFilters(t *testing.T) {
 	if len(limited) != 2 || limited[0].TraceID != all[0].TraceID {
 		t.Fatalf("?limit=2 returned %d traces (first %s, want %s)", len(limited), limited[0].TraceID, all[0].TraceID)
 	}
-	// ?trace filters to one ID.
-	want := all[1].TraceID
-	resp, err = http.Get(ts.URL + "/debug/traces?trace=" + want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var filtered []trace.TraceData
-	json.NewDecoder(resp.Body).Decode(&filtered)
-	resp.Body.Close()
-	if len(filtered) == 0 {
-		t.Fatalf("?trace=%s returned nothing", want)
-	}
-	for _, td := range filtered {
-		if td.TraceID != want {
-			t.Fatalf("?trace=%s returned trace %s", want, td.TraceID)
-		}
-	}
 	// /debug/traces/{id} merges the ID's spans into one TraceData.
+	want := all[1].TraceID
 	resp, err = http.Get(ts.URL + "/debug/traces/" + want)
 	if err != nil {
 		t.Fatal(err)
@@ -285,8 +270,6 @@ func TestTracesFilters(t *testing.T) {
 // its check would serve on -addr and hang the test instead).
 func TestRunRefusesBadFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-trace-ring", "0"},
-		{"-trace-ring", "-5"},
 		{"-max-body-bytes", "0"},
 		{"-gateway", "-backends", "http://127.0.0.1:1", "-workers", "http://127.0.0.1:1"},
 		{"-gateway"},
@@ -412,7 +395,7 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	// (a) the coordinator stitches one distributed tree for that ID.
 	var st struct {
 		trace.TraceData
-		Sources []cluster.WorkerTrace `json:"sources"`
+		Sources []api.TraceSource `json:"sources"`
 	}
 	if err := json.Unmarshal([]byte(getBody(t, coord.URL+"/debug/traces/"+coordRec.TraceID)), &st); err != nil {
 		t.Fatal(err)

@@ -206,8 +206,7 @@ func (s *server) handler() http.Handler {
 		Healthz: s.handleHealthz, List: s.handleList, Get: s.handleGetDataset, Explain: s.handleExplain,
 		Put: s.handlePut, Delete: s.handleDelete, Append: s.handleAppend, Watch: s.handleWatch,
 		SelfJoin: s.handleSelfJoin, Range: s.handleRange, KNN: s.handleKNN, Join: s.handleJoin,
-		TraceByID: s.handleTraceByID,
-	})
+	}, nil, nil)
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {

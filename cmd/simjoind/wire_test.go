@@ -71,8 +71,8 @@ func TestWireContract(t *testing.T) {
 	worker := newBudgetServer(t, budget)
 	coord := startBudgetCluster(t, 3, 1.0, budget)
 	g, err := gateway.New(gateway.Options{
-		Backends: []string{coord.URL},
-		Client:   &rclient.Client{MaxRetries: 1, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
+		Backend: coord.URL,
+		Client:  &rclient.Client{MaxRetries: 1, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -160,6 +160,102 @@ func TestInstrumentKeepsStreaming(t *testing.T) {
 	}
 }
 
+// TestInstrumentContainsPanics: a handler that panics before answering
+// costs its own request a 500 with an error body; one that panics
+// mid-stream cuts the connection, so the client never reads a clean
+// end. Both count as errors, mark their span 500 and log the panic at
+// error level, and the server answers the next request as usual.
+func TestInstrumentContainsPanics(t *testing.T) {
+	var logs bytes.Buffer
+	s := testServer(slog.New(slog.NewJSONHandler(&logs, nil)))
+	mux := http.NewServeMux()
+	for pattern, h := range map[string]http.HandlerFunc{
+		"GET /boom": func(w http.ResponseWriter, r *http.Request) { panic("engine blew up") },
+		"GET /stream": func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			io.WriteString(w, "[0,1]\n")
+			w.(http.Flusher).Flush()
+			panic("engine blew up mid-stream")
+		},
+		"GET /ok": func(w http.ResponseWriter, r *http.Request) { WriteJSON(w, ErrorBody{}) },
+	} {
+		mux.HandleFunc(pattern, s.Instrument(pattern, h))
+	}
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/boom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body ErrorBody
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusInternalServerError || !strings.Contains(body.Error, "engine blew up") {
+		t.Fatalf("panicking handler answered %d %+v (%v), want a 500 error body", resp.StatusCode, body, err)
+	}
+
+	resp, err = http.Get(ts.URL + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err == nil {
+		t.Fatalf("stream that panicked ended cleanly after %q", got)
+	}
+
+	resp, err = http.Get(ts.URL + "/ok")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panics: %d, want 200", resp.StatusCode)
+	}
+
+	text := metricsText(s)
+	for _, want := range []string{
+		`t_errors_total{route="GET /boom"} 1`,
+		`t_errors_total{route="GET /stream"} 1`,
+		`t_requests_total{route="GET /ok"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q\n---\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, `t_errors_total{route="GET /ok"}`) {
+		t.Errorf("the request after the panics counted as an error:\n%s", text)
+	}
+	statuses := map[string]string{}
+	for _, td := range s.Tracer.Traces() {
+		root, _ := td.Root()
+		statuses[root.Name] = root.Attr("status")
+	}
+	if statuses["t GET /boom"] != "500" || statuses["t GET /stream"] != "500" || statuses["t GET /ok"] != "200" {
+		t.Errorf("server span statuses = %v", statuses)
+	}
+	panics := 0
+	for _, raw := range bytes.Split(bytes.TrimSpace(logs.Bytes()), []byte("\n")) {
+		var line struct {
+			Level, Route, Panic string
+			Status              int
+		}
+		if err := json.Unmarshal(raw, &line); err != nil {
+			t.Fatalf("access log %q: %v", raw, err)
+		}
+		if line.Panic != "" {
+			panics++
+			if line.Level != "ERROR" || line.Status != 500 || !strings.Contains(line.Panic, "engine blew up") {
+				t.Errorf("panic log line = %+v", line)
+			}
+		}
+	}
+	if panics != 2 {
+		t.Errorf("%d access-log lines carry a panic, want 2:\n%s", panics, logs.String())
+	}
+}
+
 // TestWriteJSONEncodeFailure: a value JSON cannot carry is a 500 with an
 // error body, never an empty 200.
 func TestWriteJSONEncodeFailure(t *testing.T) {

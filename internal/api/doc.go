@@ -2,12 +2,12 @@
 // coordinator (cmd/simjoind) and gateway (internal/gateway): the only
 // place that knows the REST wire format and the per-request plumbing.
 // It holds the wire types, the middleware, error and debug handlers every
-// tier mounts (Server, Routes), and the one writer and one reader of
-// each NDJSON stream (PairStream, WatchStream, ReadStream). What differs
-// between tiers — how a query is priced or run, which error maps to
-// which status, the health, dataset and explain shapes — stays with the
-// tier; the types below mark those parts "worker only" or "coordinator
-// only".
+// tier mounts (Server, Routes) — the one trace stitcher among them — and
+// the one writer and one reader of each NDJSON stream (PairStream,
+// WatchStream, ReadStream). What differs between tiers — how a query is
+// priced or run, which error maps to which status, the health, dataset
+// and explain shapes — stays with the tier; the types below mark those
+// parts "worker only" or "coordinator only".
 //
 // # Wire reference
 //
@@ -31,8 +31,8 @@
 //	POST   /datasets/{name}/watch     WatchRequest                                         NDJSON, below      batch.shard; no other, after ∈ {omitted, 0}
 //	POST   /join                      TwoJoinRequest                                       JoinResponse       501: not distributed
 //	GET    /metrics                   —                                                    Prometheus text    —
-//	GET    /debug/traces              [?trace=&limit=]                                     []trace.TraceData  —
-//	GET    /debug/traces/{id}         —                                                    trace.TraceData    sources: spans stitched across the fleet
+//	GET    /debug/traces              [?limit=]                                            []trace.TraceData  —
+//	GET    /debug/traces/{id}         —                                                    TraceView          sources: the tier below, stitched in
 //	GET    /debug/queries             [?slow=&dataset=&limit=]                             Queries            —
 //
 // A join with "stream": true answers application/x-ndjson instead: one

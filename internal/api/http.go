@@ -87,8 +87,8 @@ func Probe(ctx context.Context, get func(ctx context.Context, url string) (*http
 }
 
 // statusWriter records the status code so error responses can be
-// counted, and the body bytes written so access logs can report
-// response size.
+// counted (0 until the response starts), and the body bytes written so
+// access logs can report response size.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -101,6 +101,9 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 func (w *statusWriter) Write(p []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
 	return n, err
@@ -109,6 +112,9 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // Flush forwards to the wrapped writer so NDJSON streaming keeps working
 // through the middleware.
 func (w *statusWriter) Flush() {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -120,14 +126,10 @@ func (w *statusWriter) Flush() {
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // Routes is the REST surface every tier serves, one handler per route
-// (see the package comment for the table), plus the one debug route
-// whose answer is assembled differently per tier: TraceByID merges one
-// trace's spans locally on a worker and across the tiers below on a
-// coordinator or gateway.
+// (see the package comment for the table).
 type Routes struct {
 	Healthz, List, Get, Explain, Put, Delete  http.HandlerFunc
 	Append, Watch, SelfJoin, Range, KNN, Join http.HandlerFunc
-	TraceByID                                 http.HandlerFunc
 }
 
 // Server is the per-request plumbing a tier mounts its Routes into.
@@ -149,6 +151,12 @@ type Server struct {
 	Log *slog.Logger
 	// Journal is the per-query journal behind GET /debug/queries.
 	Journal *querylog.Log
+	// Below are the base URLs of the tier underneath (a coordinator's
+	// workers, a gateway's backend; none on a worker), and Get is this
+	// tier's retrying client: GET /debug/traces/{id} stitches their
+	// answers under this tier's own spans.
+	Below []string
+	Get   func(ctx context.Context, url string) (*http.Response, error)
 }
 
 // Handler mounts rt, each route behind Instrument, next to the scrape
@@ -178,7 +186,7 @@ func (s *Server) Handler(rt Routes) *http.ServeMux {
 	}
 	mux.Handle("GET /metrics", s.Registry.Handler())
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	mux.HandleFunc("GET /debug/traces/{id}", rt.TraceByID)
+	mux.HandleFunc("GET /debug/traces/{id}", s.handleTrace)
 	mux.HandleFunc("GET /debug/queries", s.handleQueries)
 	return mux
 }
@@ -191,6 +199,11 @@ func (s *Server) Handler(rt Routes) *http.ServeMux {
 // status ≥ 400, the error under the route pattern; and when the handler
 // returns emits one structured access-log line carrying
 // trace_id/span_id, so logs and /debug/traces cross-link on the IDs.
+//
+// A panicking handler costs its own request only: it is counted and
+// logged as a 500, and answered 500 if it had not started its response.
+// One that had (a stream) is aborted with http.ErrAbortHandler, so the
+// client sees a cut stream, never a clean end.
 func (s *Server) Instrument(pattern string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sp := s.Tracer.StartRemote(s.SpanPrefix+pattern, r.Header.Get("traceparent"))
@@ -204,10 +217,14 @@ func (s *Server) Instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 			r = r.WithContext(trace.NewContext(r.Context(), sp))
 		}
 		s.Requests.With(pattern).Inc()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
-		h(sw, r)
+		p, abort := contain(h, sw, r)
 		elapsed := time.Since(start)
+		if abort {
+			// Cut the connection once the request is accounted below.
+			defer panic(http.ErrAbortHandler)
+		}
 		s.Latency.With(pattern).Observe(elapsed.Seconds())
 		if sw.status >= 400 {
 			s.Errors.With(pattern).Inc()
@@ -238,8 +255,33 @@ func (s *Server) Instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 		if reqID != "" {
 			attrs = append(attrs, slog.String("request_id", reqID))
 		}
+		if p != nil {
+			attrs = append(attrs, slog.String("panic", fmt.Sprint(p)))
+		}
 		s.Log.Log(r.Context(), level, "request", attrs...)
 	}
+}
+
+// contain runs h and recovers its panic, returning the panic's value
+// with w's status set to 500. It answers the 500 itself when h had not
+// started its response; abort reports that it had, or that h aborted on
+// purpose with http.ErrAbortHandler, so the caller must cut the
+// connection instead.
+func contain(h http.HandlerFunc, w *statusWriter, r *http.Request) (p any, abort bool) {
+	defer func() {
+		if p = recover(); p == nil {
+			return
+		}
+		if abort = p == http.ErrAbortHandler || w.status != 0; !abort {
+			Error(w, http.StatusInternalServerError, "internal error: %v", p)
+		}
+		w.status = http.StatusInternalServerError
+	}()
+	h(w, r)
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	return nil, false
 }
 
 // limitParam parses the optional ?limit=N of the debug routes (-1 when
@@ -259,9 +301,7 @@ func limitParam(w http.ResponseWriter, r *http.Request) (int, bool) {
 
 // handleTraces serves the tracer's retained traces as a bare JSON
 // array, newest first — the raw material for debugging one slow request
-// after the fact. ?trace=<id> keeps only that trace's entries (a daemon
-// can retain several views of one distributed trace) and ?limit=N caps
-// the answer.
+// after the fact. ?limit=N caps the answer.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	limit, ok := limitParam(w, r)
 	if !ok {
@@ -271,15 +311,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	for i, j := 0, len(traces)-1; i < j; i, j = i+1, j-1 {
 		traces[i], traces[j] = traces[j], traces[i]
 	}
-	if want := r.URL.Query().Get("trace"); want != "" {
-		kept := traces[:0]
-		for _, td := range traces {
-			if td.TraceID == want {
-				kept = append(kept, td)
-			}
-		}
-		traces = kept
-	}
 	if limit >= 0 && limit < len(traces) {
 		traces = traces[:limit]
 	}
@@ -287,6 +318,56 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		traces = []trace.TraceData{}
 	}
 	WriteJSON(w, traces)
+}
+
+// handleTrace serves GET /debug/traces/{id}: every span this tier
+// retains under the ID (a daemon can retain several views of one
+// distributed trace), stitched with each Below tier's answer to the
+// same route, fetched concurrently. A tier below answers already
+// stitched, so the top tier's answer is the whole tree; Sources says
+// which tiers below could not answer.
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	sets := make([][]trace.SpanData, 1+len(s.Below))
+	sets[0] = trace.Collect(s.Tracer.Traces(), id)
+	out := TraceView{Sources: make([]TraceSource, len(s.Below))}
+	var wg sync.WaitGroup
+	for i, u := range s.Below {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out.Sources[i].URL = u
+			sets[i+1], out.Sources[i].Err = s.fetchSpans(r.Context(), u+"/debug/traces/"+id)
+		}()
+	}
+	wg.Wait()
+	if out.TraceData = trace.Stitch(id, sets...); len(out.Spans) == 0 {
+		Error(w, http.StatusNotFound, "no trace %q retained here or below", id)
+		return
+	}
+	WriteJSON(w, out)
+}
+
+// fetchSpans reads one tier below's answer to GET /debug/traces/{id}.
+// A 404 means it retained nothing for the ID, which is not an error.
+func (s *Server) fetchSpans(ctx context.Context, url string) ([]trace.SpanData, string) {
+	resp, err := s.Get(ctx, url)
+	if err != nil {
+		return nil, err.Error()
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+		if resp.StatusCode == http.StatusNotFound {
+			return nil, ""
+		}
+		return nil, fmt.Sprintf("status %d", resp.StatusCode)
+	}
+	var tv TraceView
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&tv); err != nil {
+		return nil, err.Error()
+	}
+	return tv.Spans, ""
 }
 
 // handleQueries serves the journal newest first under running totals,

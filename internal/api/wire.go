@@ -3,6 +3,7 @@ package api
 import (
 	"simjoin/internal/live"
 	"simjoin/internal/obsv/querylog"
+	"simjoin/internal/obsv/trace"
 )
 
 // JoinParams is the query half of both join requests.
@@ -232,6 +233,22 @@ type Explain struct {
 type BackendHealth struct {
 	URL string `json:"url"`
 	OK  bool   `json:"ok"`
+	Err string `json:"error,omitempty"`
+}
+
+// TraceView answers GET /debug/traces/{id} on every tier: the spans
+// this tier and every tier below it retain under the ID, stitched into
+// one tree, and (coordinator, gateway) one TraceSource per tier asked.
+type TraceView struct {
+	trace.TraceData
+	Sources []TraceSource `json:"sources,omitempty"`
+}
+
+// TraceSource is one tier below in a TraceView: Err says why it could
+// not answer. One that answered 404 retained nothing for the ID, which
+// is not an error.
+type TraceSource struct {
+	URL string `json:"url"`
 	Err string `json:"error,omitempty"`
 }
 

@@ -1,7 +1,7 @@
 // Package gateway is the multi-tenant front door of the simjoin stack:
 // an authenticating, rate-limiting, experiment-routing reverse proxy
-// mounted in front of one coordinator or a flat worker fleet
-// (simjoind -gateway -backends <url,…>).
+// mounted in front of one backend, a coordinator or a single worker
+// (simjoind -gateway -backends <url>).
 //
 // It adds three things the backends deliberately do not have:
 //

@@ -26,9 +26,9 @@ const DefaultQueueSlots = 64
 
 // Options configures New.
 type Options struct {
-	// Backends are the base URLs the gateway fronts: one coordinator,
-	// or a flat worker fleet (dataset-affine rendezvous routing).
-	Backends []string
+	// Backend is the base URL of the one tier the gateway fronts: a
+	// coordinator, or a single worker.
+	Backend string
 	// Client is the retrying HTTP client for gateway-internal calls
 	// (pricing, health, trace stitching); nil gets a default.
 	Client *rclient.Client
@@ -97,16 +97,16 @@ func (rt *tenantRT) nextTag(vnow float64) float64 {
 // Gateway is the multi-tenant reverse proxy. Create with New, serve
 // Handler().
 type Gateway struct {
-	backends []string
-	rc       *rclient.Client
-	log      *slog.Logger
-	tracer   *trace.Tracer
-	qlog     *querylog.Log
-	m        *gwMetrics
-	queue    *fairQueue
-	differ   *differ
-	maxBody  int64
-	build    any
+	backend string
+	rc      *rclient.Client
+	log     *slog.Logger
+	tracer  *trace.Tracer
+	qlog    *querylog.Log
+	m       *gwMetrics
+	queue   *fairQueue
+	differ  *differ
+	maxBody int64
+	build   any
 
 	// cfgMu guards the key→tenant index, the name→tenant index and the
 	// experiment list; all three are swapped together on reload.
@@ -123,22 +123,22 @@ type Gateway struct {
 	cfgStamp time.Time
 }
 
-// New returns a gateway over the given backends with an empty tenant
+// New returns a gateway over the given backend with an empty tenant
 // set; install one with SetConfig or LoadConfigFile before serving.
 func New(opts Options) (*Gateway, error) {
-	if len(opts.Backends) == 0 {
-		return nil, fmt.Errorf("gateway needs at least one backend")
+	if opts.Backend == "" {
+		return nil, fmt.Errorf("gateway needs a backend")
 	}
 	g := &Gateway{
-		backends: opts.Backends,
-		rc:       opts.Client,
-		log:      opts.Logger,
-		tracer:   opts.Tracer,
-		qlog:     querylog.New(0),
-		maxBody:  opts.MaxBody,
-		build:    opts.Build,
-		byKey:    map[string]*tenantRT{},
-		byName:   map[string]*tenantRT{},
+		backend: opts.Backend,
+		rc:      opts.Client,
+		log:     opts.Logger,
+		tracer:  opts.Tracer,
+		qlog:    querylog.New(0),
+		maxBody: opts.MaxBody,
+		build:   opts.Build,
+		byKey:   map[string]*tenantRT{},
+		byName:  map[string]*tenantRT{},
 	}
 	if g.rc == nil {
 		g.rc = rclient.New()
@@ -165,9 +165,6 @@ func (g *Gateway) Registry() *obsv.Registry { return g.m.reg }
 // Journal exposes the gateway's query journal (shed and mismatched
 // requests), served at /debug/queries.
 func (g *Gateway) Journal() *querylog.Log { return g.qlog }
-
-// Tracer exposes the gateway's trace ring.
-func (g *Gateway) Tracer() *trace.Tracer { return g.tracer }
 
 // Reloads reports how many config swaps have been applied.
 func (g *Gateway) Reloads() int64 { return g.reloads.Load() }

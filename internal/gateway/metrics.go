@@ -84,14 +84,11 @@ func newGWMetrics(g *Gateway) *gwMetrics {
 		func() map[string]float64 {
 			ctx, cancel := context.WithTimeout(context.Background(), gwHealthProbeTimeout)
 			defer cancel()
-			out := make(map[string]float64, len(g.backends))
-			for _, b := range api.Probe(ctx, g.rc.Get, g.backends) {
-				out[b.URL] = 0
-				if b.OK {
-					out[b.URL] = 1
-				}
+			up := 0.0
+			if api.Probe(ctx, g.rc.Get, []string{g.backend})[0].OK {
+				up = 1
 			}
-			return out
+			return map[string]float64{g.backend: up}
 		})
 	return m
 }

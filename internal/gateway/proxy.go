@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"net/http"
@@ -25,14 +24,14 @@ func (g *Gateway) Handler() http.Handler {
 	srv := &api.Server{
 		Registry: g.m.reg, Requests: g.m.httpRequests, Errors: g.m.httpErrors, Latency: g.m.httpLatency,
 		Tracer: g.tracer, SpanPrefix: "gw ", Log: g.log, Journal: g.qlog,
+		Below: []string{g.backend}, Get: g.rc.Get,
 	}
 	return srv.Handler(api.Routes{
-		Healthz: g.handleHealthz, List: g.handleListDatasets,
+		Healthz: g.handleHealthz, List: g.proxyLight,
 		Get: g.proxyLight, Explain: g.proxyLight, Delete: g.proxyLight,
 		Put: g.proxyUpload, Append: g.proxyUpload, Watch: g.proxyQuery("watch", true),
 		SelfJoin: g.handleSelfJoin, Join: g.handleJoin,
 		Range: g.proxyQuery("range", false), KNN: g.proxyQuery("knn", false),
-		TraceByID: g.handleStitchedTrace,
 	})
 }
 
@@ -114,35 +113,13 @@ func (g *Gateway) admitQueue(w http.ResponseWriter, r *http.Request, rt *tenantR
 	return release, true
 }
 
-// backendFor picks the backend a dataset lives behind by rendezvous
-// (highest-random-weight) hashing, so a flat worker fleet gets stable
-// dataset affinity without a shard map and a single coordinator backend
-// degenerates to "always backend 0". An empty dataset name also maps to
-// backend 0 (fleet-level routes).
-func (g *Gateway) backendFor(dataset string) string {
-	if len(g.backends) == 1 || dataset == "" {
-		return g.backends[0]
-	}
-	best, bestScore := g.backends[0], uint64(0)
-	for _, b := range g.backends {
-		h := fnv.New64a()
-		io.WriteString(h, b)
-		h.Write([]byte{0})
-		io.WriteString(h, dataset)
-		if s := mix64(h.Sum64()); s >= bestScore {
-			best, bestScore = b, s
-		}
-	}
-	return best
-}
-
 // price asks the backend for a predicted self-join size and compares it
 // to the tenant's budget. A pricing failure admits — an unreachable
 // estimate endpoint must not turn into an outage — mirroring the
 // coordinator's own admission contract.
-func (g *Gateway) price(r *http.Request, backend, dataset string, eps float64, metric string, budget int64) (est int64, over bool) {
+func (g *Gateway) price(r *http.Request, dataset string, eps float64, metric string, budget int64) (est int64, over bool) {
 	g.m.priced.Inc()
-	url := fmt.Sprintf("%s/datasets/%s?eps=%s", backend, dataset, strconv.FormatFloat(eps, 'g', -1, 64))
+	url := fmt.Sprintf("%s/datasets/%s?eps=%s", g.backend, dataset, strconv.FormatFloat(eps, 'g', -1, 64))
 	if metric != "" {
 		url += "&metric=" + metric
 	}
@@ -209,13 +186,12 @@ func (g *Gateway) proxyJoin(w http.ResponseWriter, r *http.Request, kind, datase
 	if !g.admitRate(w, rt, kind, dataset) {
 		return
 	}
-	backend := g.backendFor(dataset)
 
 	// Estimate-priced shedding: self-joins only — the backend estimate
 	// endpoint predicts self-join sizes. A request already over budget
 	// never occupies a queue slot.
 	if budget := rt.maxPairs.Load(); budget > 0 && kind == "selfjoin" && req.Eps > 0 {
-		if est, over := g.price(r, backend, dataset, req.Eps, req.Metric, budget); over {
+		if est, over := g.price(r, dataset, req.Eps, req.Metric, budget); over {
 			g.shedResponse(w, rt, kind, dataset, "estimate", time.Second,
 				fmt.Sprintf("estimated result size %d exceeds tenant %q max_pairs budget %d; narrow eps", est, rt.name, budget),
 				&api.OverBudget{EstimatedPairs: est, MaxPairs: budget})
@@ -251,7 +227,7 @@ func (g *Gateway) proxyJoin(w http.ResponseWriter, r *http.Request, kind, datase
 		sp.SetAttr("arm", arm)
 	}
 
-	url := backend + r.URL.Path
+	url := g.backend + r.URL.Path
 	if req.Stream {
 		// Streamed answers flow through; shadow diffing needs a parsed
 		// result, so streams only get per-arm latency accounting.
@@ -381,12 +357,12 @@ func (g *Gateway) proxyQuery(kind string, held bool) http.HandlerFunc {
 			}
 			defer release()
 		}
-		g.proxyPost(w, r, g.backendFor(name)+r.URL.Path, body, held)
+		g.proxyPost(w, r, g.backend+r.URL.Path, body, held)
 	}
 }
 
-// proxyLight forwards body-less dataset routes (metadata, explain,
-// delete) with the retrying client.
+// proxyLight forwards the body-less dataset routes (list, metadata,
+// explain, delete) with the retrying client.
 func (g *Gateway) proxyLight(w http.ResponseWriter, r *http.Request) {
 	g.forward(w, r, nil, g.rc.Do)
 }
@@ -411,7 +387,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, body io.Reader
 	if !g.admitRate(w, rt, strings.ToLower(r.Method), name) {
 		return
 	}
-	url := g.backendFor(name) + r.URL.Path
+	url := g.backend + r.URL.Path
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
@@ -435,91 +411,14 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, body io.Reader
 	io.Copy(w, io.LimitReader(resp.Body, g.maxBody*64))
 }
 
-// handleListDatasets merges GET /datasets across every backend (a flat
-// fleet holds disjoint datasets; a single coordinator is just a 1-way
-// merge), deduplicating by name.
-func (g *Gateway) handleListDatasets(w http.ResponseWriter, r *http.Request) {
-	if _, ok := g.authenticate(w, r); !ok {
-		return
-	}
-	seen := map[string]bool{}
-	out := []api.DatasetInfo{}
-	for _, b := range g.backends {
-		resp, err := g.rc.Get(r.Context(), b+"/datasets")
-		if err != nil {
-			continue
-		}
-		var list []api.DatasetInfo
-		err = json.NewDecoder(io.LimitReader(resp.Body, g.maxBody)).Decode(&list)
-		resp.Body.Close()
-		if err != nil {
-			continue
-		}
-		for _, d := range list {
-			if !seen[d.Name] {
-				seen[d.Name] = true
-				out = append(out, d)
-			}
-		}
-	}
-	api.WriteJSON(w, out)
-}
-
-// handleHealthz reports the gateway as live plus each backend's health:
-// "ok" only when every backend answered 200.
+// handleHealthz reports the gateway as live plus its backend's health:
+// "ok" only when the backend answered 200.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	out := api.Health{Status: "ok", Build: g.build}
 	out.GatewayHealth = &api.GatewayHealth{Mode: "gateway", Tenants: g.tenantCount(), Reloads: g.Reloads()}
-	out.Backends = api.Probe(r.Context(), g.rc.Get, g.backends)
-	for _, b := range out.Backends {
-		if !b.OK {
-			out.Status = "degraded"
-		}
+	out.Backends = api.Probe(r.Context(), g.rc.Get, []string{g.backend})
+	if !out.Backends[0].OK {
+		out.Status = "degraded"
 	}
 	api.WriteJSON(w, out)
-}
-
-// handleStitchedTrace assembles GET /debug/traces/{id} across the whole
-// stack: the gateway's own spans plus each backend's /debug/traces/{id}
-// answer — which, on a coordinator, is itself already stitched across
-// its workers — merged into one distributed span tree.
-func (g *Gateway) handleStitchedTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	type source struct {
-		URL   string `json:"url"`
-		Error string `json:"error,omitempty"`
-	}
-	sets := [][]trace.SpanData{trace.Collect(g.tracer.Traces(), id)}
-	sources := make([]source, len(g.backends))
-	for i, b := range g.backends {
-		sources[i] = source{URL: b}
-		resp, err := g.rc.Get(r.Context(), b+"/debug/traces/"+id)
-		if err != nil {
-			sources[i].Error = err.Error()
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-			resp.Body.Close()
-			continue
-		}
-		var td trace.TraceData
-		err = json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&td)
-		resp.Body.Close()
-		if err != nil {
-			sources[i].Error = err.Error()
-			continue
-		}
-		sets = append(sets, td.Spans)
-	}
-	st := trace.Stitch(id, sets...)
-	if len(st.Spans) == 0 {
-		api.Error(w, http.StatusNotFound, "no trace %q retained anywhere behind the gateway", id)
-		return
-	}
-	api.WriteJSON(w, map[string]any{
-		"trace_id": st.TraceID,
-		"spans":    st.Spans,
-		"sources":  sources,
-	})
 }

@@ -3,6 +3,7 @@ package gateway
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,6 +26,9 @@ type fakeBackend struct {
 	mu            sync.Mutex
 	estimatePairs int64
 	joinDelay     time.Duration
+	// traceStatus answers GET /debug/traces/{id}: 0 is a 404, a backend
+	// that retained nothing for the ID.
+	traceStatus int
 	// pairsFor maps forced algorithm → returned pair rows; "" is the
 	// default arm.
 	pairsFor map[string][][2]int64
@@ -82,6 +86,12 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		}
 		api.WriteJSON(w, map[string]any{"pairs": pairs, "total": len(pairs)})
 	}
+	mux.HandleFunc("GET /debug/traces/{id}", func(w http.ResponseWriter, r *http.Request) {
+		b.mu.Lock()
+		status := cmp.Or(b.traceStatus, http.StatusNotFound)
+		b.mu.Unlock()
+		api.Error(w, status, "trace %s: status %d", r.PathValue("id"), status)
+	})
 	mux.HandleFunc("POST /datasets/{name}/selfjoin", join)
 	mux.HandleFunc("POST /join", join)
 	b.srv = httptest.NewServer(mux)
@@ -101,12 +111,12 @@ func (b *fakeBackend) setEstimate(n int64) {
 	b.mu.Unlock()
 }
 
-// bootGateway builds a gateway over the given backends with a fast test
+// bootGateway builds a gateway over the given backend with a fast test
 // client and serves it from httptest.
-func bootGateway(t *testing.T, cfg *Config, backends ...string) (*Gateway, *httptest.Server) {
+func bootGateway(t *testing.T, cfg *Config, backend string) (*Gateway, *httptest.Server) {
 	t.Helper()
 	g, err := New(Options{
-		Backends: backends,
+		Backend: backend,
 		Client: &rclient.Client{
 			MaxRetries: 1,
 			BaseDelay:  2 * time.Millisecond,
@@ -488,4 +498,80 @@ func metricValue(t *testing.T, g *Gateway, sample string) float64 {
 		}
 	}
 	return 0
+}
+
+// TestGatewayListDatasets: GET /datasets through the gateway is the
+// backend's answer, and a 502 when the backend is down — never an empty
+// list standing in for one.
+func TestGatewayListDatasets(t *testing.T) {
+	be := newFakeBackend(t)
+	_, srv := bootGateway(t, oneTenant("acme", "k", nil), be.srv.URL)
+	list := func() (int, []api.DatasetInfo) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, srv.URL+"/datasets", nil)
+		req.Header.Set("Authorization", "Bearer k")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("GET /datasets: %v", err)
+		}
+		defer resp.Body.Close()
+		var out []api.DatasetInfo
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatalf("decoding the list: %v", err)
+			}
+		}
+		return resp.StatusCode, out
+	}
+	if status, out := list(); status != http.StatusOK || len(out) != 1 || out[0] != (api.DatasetInfo{Name: "pts", Len: 100, Dims: 8}) {
+		t.Fatalf("list through the gateway = %d %+v, want the backend's one dataset", status, out)
+	}
+	be.srv.Close()
+	if status, out := list(); status != http.StatusBadGateway {
+		t.Fatalf("list with the backend down = %d %+v, want 502", status, out)
+	}
+}
+
+// TestGatewayTraceSources: GET /debug/traces/{id} on the gateway keeps
+// its own spans whatever the backend says, reports a backend that
+// answered 404 (it retained nothing) as no error, and one that failed —
+// a 500 the client gave up retrying, or a 403 it took as final — in
+// sources[0].error.
+func TestGatewayTraceSources(t *testing.T) {
+	be := newFakeBackend(t)
+	_, srv := bootGateway(t, oneTenant("acme", "k", nil), be.srv.URL)
+	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
+	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/datasets/pts", nil)
+	req.Header.Set("Authorization", "Bearer k")
+	req.Header.Set("traceparent", "00-"+traceID+"-00f067aa0ba902b7-01")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	for _, tc := range []struct {
+		backendStatus int
+		wantErr       bool
+	}{{0, false}, {http.StatusInternalServerError, true}, {http.StatusForbidden, true}} {
+		be.mu.Lock()
+		be.traceStatus = tc.backendStatus
+		be.mu.Unlock()
+		resp, err := http.Get(srv.URL + "/debug/traces/" + traceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tv api.TraceView
+		err = json.NewDecoder(resp.Body).Decode(&tv)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("backend %d: gateway answered %d (%v)", tc.backendStatus, resp.StatusCode, err)
+		}
+		if root, ok := tv.Root(); !ok || root.Name != "gw GET /datasets/{name}" {
+			t.Errorf("backend %d: gateway root span = %+v", tc.backendStatus, root)
+		}
+		if len(tv.Sources) != 1 || tv.Sources[0].URL != be.srv.URL || (tv.Sources[0].Err != "") != tc.wantErr {
+			t.Errorf("backend %d: sources = %+v, want one, error set = %v", tc.backendStatus, tv.Sources, tc.wantErr)
+		}
+	}
 }

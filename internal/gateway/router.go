@@ -57,10 +57,10 @@ func stickyBucket(experiment, tenant, dataset, sticky string) float64 {
 }
 
 // mix64 is a splitmix64-style finalizer. FNV alone avalanches poorly
-// when keys share long prefixes or suffixes — rendezvous scores and
-// bucket assignments computed from raw FNV sums order near-identical
-// keys consistently instead of uniformly — so every hash that feeds a
-// comparison or a modulus passes through this.
+// when keys share long prefixes or suffixes — bucket assignments
+// computed from raw FNV sums put near-identical keys in neighbouring
+// buckets instead of spreading them uniformly — so the assignment hash
+// passes through this before its modulus.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

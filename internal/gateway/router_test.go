@@ -10,7 +10,7 @@ import (
 
 func testGateway(t *testing.T, cfg *Config) *Gateway {
 	t.Helper()
-	g, err := New(Options{Backends: []string{"http://unused"}})
+	g, err := New(Options{Backend: "http://unused"})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -109,27 +109,5 @@ func TestApplyOverride(t *testing.T) {
 	}
 	if got["eps"] != 0.5 || got["max_pairs"] != float64(10) {
 		t.Fatalf("unrelated fields disturbed: %v", got)
-	}
-}
-
-func TestBackendForRendezvous(t *testing.T) {
-	g, err := New(Options{Backends: []string{"http://w1", "http://w2", "http://w3"}})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	seen := map[string]bool{}
-	for i := 0; i < 64; i++ {
-		name := fmt.Sprintf("ds-%d", i)
-		b := g.backendFor(name)
-		if b2 := g.backendFor(name); b2 != b {
-			t.Fatalf("backendFor(%q) unstable: %q then %q", name, b, b2)
-		}
-		seen[b] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("64 datasets landed on %d of 3 backends", len(seen))
-	}
-	if g.backendFor("") != "http://w1" {
-		t.Fatal("fleet-level routes must pin to the first backend")
 	}
 }

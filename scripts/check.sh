@@ -70,11 +70,12 @@ step "test -race" go test -race ./...
 # The concurrency-heavy packages again, four times under the detector:
 # tracing/metrics and the query journal, the WAL catalog, live fan-out,
 # snapshots growing one buffer under readers, kernels over one shared
-# buffer, the pair sinks, gateway hot reload, and the serving core with
+# buffer, the pair sinks, gateway hot reload, the cluster's scatter
+# goroutines and reconnecting watch streams, and the serving core with
 # the daemon that drives it.
 for pkg in ./internal/obsv/... ./internal/store/... ./internal/live/... \
 	./internal/dataset/... ./internal/vec/... ./internal/pairs/... \
-	./internal/gateway/ ./internal/api/... ./cmd/simjoind/; do
+	./internal/gateway/ ./internal/cluster/ ./internal/api/... ./cmd/simjoind/; do
 	step "race x4 $pkg" go test -race -count=4 "$pkg"
 done
 # Every engine that spreads a join over workers does it through
