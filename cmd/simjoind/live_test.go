@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -288,6 +289,33 @@ func TestWatchSelfJoinLive(t *testing.T) {
 	live, _ := meta["live"].(map[string]any)
 	if subs, _ := live["subscriptions"].(float64); int(subs) != 1 {
 		t.Fatalf("metadata live = %v, want 1 subscription", meta["live"])
+	}
+
+	// The engine applied each batch after its append answered, as a
+	// live.append root span continuing the append's trace (the GET above
+	// applied the queue, so every such span has ended): stitched, it
+	// hangs under the append's server span beside the acknowledgement
+	// path's own children.
+	td, ok := traceWithRoot(getTraces(t, ts.URL), "live.append")
+	if !ok {
+		t.Fatal("no live.append trace retained")
+	}
+	apply, _ := td.Root()
+	tv, body := getTraceView(t, ts.URL, td.TraceID)
+	assertOneTree(t, "worker", tv, "POST /datasets/{name}/points")
+	server, _ := tv.Root()
+	if apply.ParentID != server.SpanID {
+		t.Fatalf("live.append parent %s, want the append's server span %s:\n%s", apply.ParentID, server.SpanID, body)
+	}
+	var kids []string
+	for _, sp := range tv.ChildrenOf(server.SpanID) {
+		kids = append(kids, sp.Name)
+	}
+	if got := strings.Join(kids, ","); got != "upload.decode,dataset.adopt,live.append" {
+		t.Fatalf("append server span children %s, want upload.decode,dataset.adopt,live.append", got)
+	}
+	if !strings.Contains(getBody(t, ts.URL+"/metrics"), "\nsimjoind_live_backlog 0\n") {
+		t.Fatal("/metrics lacks simjoind_live_backlog 0 once the queue is applied")
 	}
 
 	// DELETE terminates the stream with a terminal event, not a hangup.

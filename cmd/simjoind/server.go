@@ -127,13 +127,15 @@ func (s *server) rebuild(e *entry, ds *simjoin.Dataset) {
 // under the entry lock after a successful append with the new snapshot
 // and the batch size — the same lock live tracking seeds under, so the
 // engine sees every batch exactly once and in order.
-func (e *entry) appendPoints(batch *dataset.Dataset, notify func(grown *simjoin.Dataset, added int)) (int, error) {
+func (e *entry) appendPoints(ctx context.Context, batch *dataset.Dataset, notify func(grown *simjoin.Dataset, added int)) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if dims := e.ds.Dims(); batch.Dims() != dims {
 		return 0, fmt.Errorf("points have %d dims, dataset has %d", batch.Dims(), dims)
 	}
+	sp := trace.FromContext(ctx).Child("dataset.adopt")
 	e.adoptGrown(simjoin.WrapDataset(e.ds.Internal().Grow(batch.Flat())), batch.Len())
+	sp.End()
 	if notify != nil {
 		notify(e.ds, batch.Len())
 	}
@@ -168,7 +170,9 @@ func (e *entry) appendThrough(ctx context.Context, st *store.Catalog, name strin
 	if err != nil {
 		return 0, err
 	}
+	sp := trace.FromContext(ctx).Child("dataset.adopt")
 	e.adoptGrown(simjoin.WrapDataset(grown), batch.Len())
+	sp.End()
 	if notify != nil {
 		notify(e.ds, batch.Len())
 	}
@@ -198,6 +202,9 @@ func newServer() *server {
 	s.m.reg.NewGaugeFunc("simjoind_live_subscriptions",
 		"Standing-query subscriptions currently active.",
 		func() float64 { return float64(s.live.Subscriptions()) })
+	s.m.reg.NewGaugeFunc("simjoind_live_backlog",
+		"Appended batches queued for the live engine and not yet applied.",
+		func() float64 { return float64(s.live.Backlog()) })
 	return s
 }
 
@@ -431,10 +438,14 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	sp := trace.FromContext(r.Context()).Child("upload.decode")
 	batch, ok := decodeUpload(w, r, s.maxBody)
+	sp.End()
 	if !ok {
 		return
 	}
+	// The engine queues the batch and applies it after the answer; its
+	// delta reaches the watch streams in commit order all the same.
 	notify := func(grown *simjoin.Dataset, added int) {
 		s.live.Append(r.Context(), name, grown.Internal(), added)
 	}
@@ -447,7 +458,7 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		n, err = e.appendPoints(batch, notify)
+		n, err = e.appendPoints(r.Context(), batch, notify)
 		if err != nil {
 			api.Error(w, http.StatusBadRequest, "%v", err)
 			return

@@ -160,3 +160,46 @@ func TestRangeQueryEmptyTree(t *testing.T) {
 		t.Error("empty tree range query visited something")
 	}
 }
+
+// TestRangeQueryBoundaries puts points and queries on stripe edges and
+// pairs at exactly the radius — the ties the gap pruning must keep — for
+// every tree kind and metric. On the dyadic grid every difference is
+// exact; on the decimal one the edges are rounded products.
+func TestRangeQueryBoundaries(t *testing.T) {
+	for _, g := range []struct {
+		eps, step float64
+	}{{0.25, 1.0 / 16}, {0.3, 0.3 / 4}} {
+		ds := dataset.New(2, 0)
+		for x := 0; x <= 8; x++ {
+			for y := 0; y <= 8; y++ {
+				ds.Append([]float64{float64(x) * 2 * g.step, float64(y) * 2 * g.step})
+			}
+		}
+		for _, m := range []vec.Metric{vec.L2, vec.L1, vec.Linf} {
+			trees := map[string]*Tree{
+				"raw":    Build(ds, g.eps, Config{LeafThreshold: 1, keys: keysRaw}),
+				"pivot":  Build(ds, g.eps, Config{LeafThreshold: 1, Metric: m, keys: keysPivot}),
+				"inset":  BuildWithBox(ds, g.eps, ds.Head(20).Bounds(), Config{LeafThreshold: 2}),
+				"biased": Build(ds, g.eps, Config{LeafThreshold: 3, BiasedSplit: true, keys: keysRaw}),
+			}
+			for name, tr := range trees {
+				for _, radius := range []float64{g.eps / 2, g.eps} {
+					th := vec.Threshold(m, radius)
+					for x := -10; x <= 26; x++ {
+						for y := -10; y <= 26; y++ {
+							q := []float64{float64(x) * g.step, float64(y) * g.step}
+							got := map[int]bool{}
+							tr.RangeQuery(q, m, radius, nil, func(i int) { got[i] = true })
+							for i := 0; i < ds.Len(); i++ {
+								if want := vec.Within(m, q, ds.Point(i), th); want != got[i] {
+									t.Fatalf("ε=%g %s %v r=%g query %v: point %v within %v, in answer %v",
+										g.eps, name, m, radius, q, ds.Point(i), want, got[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -112,3 +112,121 @@ func FuzzSelfJoinOracle(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRangeQueryOracle holds the gap-pruned range probe to brute force.
+// The bytes pick the tree (raw keys from Build, pivot keys from Build, or
+// raw keys from BuildWithBox over half the points with the rest Inserted,
+// some outside the frame), the metrics, ε and a radius up to it, then
+// points and queries. Coordinates sit on a grid that holds the stripe
+// edges: on a dyadic grid every difference is exact, so a pair at exactly
+// the radius or a query exactly on an edge is a true tie; on a decimal
+// grid the edges are rounded products, which is where the gaps' rounding
+// bound is needed.
+func FuzzRangeQueryOracle(f *testing.F) {
+	f.Add([]byte{2, 3, 1, 0, 7, 7, 0, 1, 0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60})
+	f.Add([]byte{3, 1, 0, 1, 12, 3, 1, 0, 9, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 21, 34})
+	f.Add([]byte{1, 0, 2, 2, 3, 7, 0, 2, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 200, 201, 202, 250})
+	f.Add([]byte{4, 5, 0, 2, 31, 7, 1, 1, 6, 255, 0, 128, 64, 32, 16, 8, 4, 2, 1, 3, 7, 15, 31, 63, 127})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 12 {
+			return
+		}
+		dims := 1 + int(in[0]%6)
+		leaf := 1 + int(in[1]%8)
+		metric := vec.Metric(in[2] % 3)
+		kind := in[3] % 3 // 0 raw Build, 1 pivot Build, 2 BuildWithBox + Insert
+		dyadic := in[6]%2 == 0
+		var eps, step float64
+		if dyadic {
+			eps = float64(in[4]%32+1) / 64
+			step = 1.0 / 64
+		} else {
+			eps = float64(in[4]%32+1) / 50
+			step = eps / 4 // every fourth grid value is an edge s·ε
+		}
+		radius := eps * float64(in[5]%8+1) / 8
+		qmetric := vec.Metric(in[7] % 3)
+		payload := in[8:]
+		n := min(len(payload)/dims, 120)
+		if n < 2 {
+			return
+		}
+		// coord maps a byte to a grid value in about [−0.6, 3.4]·(64·step);
+		// the point at the origin below pins the frame's Lo to 0, so the
+		// edges lie on the grid.
+		coord := func(b byte) float64 { return float64(int(b)-40) * step }
+		ds := dataset.New(dims, n+1)
+		ds.Append(make([]float64, dims))
+		p := make([]float64, dims)
+		for i := 0; i < n; i++ {
+			for k := range p {
+				p[k] = max(0, coord(payload[i*dims+k]))
+			}
+			ds.Append(p)
+		}
+		var tr *Tree
+		switch kind {
+		case 0:
+			tr = Build(ds, eps, Config{LeafThreshold: leaf, keys: keysRaw})
+		case 1:
+			tr = Build(ds, eps, Config{LeafThreshold: leaf, Metric: metric, keys: keysPivot})
+			if !bounds(metric, qmetric) {
+				qmetric = metric
+			}
+		default:
+			// Frame the first half; the rest is inserted, with the
+			// coordinates the grid gave them (negative ones outside).
+			half := ds.Len() / 2
+			grow := dataset.New(dims, ds.Len())
+			for i := 0; i < half; i++ {
+				grow.Append(ds.Point(i))
+			}
+			tr = BuildWithBox(grow, eps, grow.Bounds(), Config{LeafThreshold: leaf})
+			for i := half; i < ds.Len(); i++ {
+				for k := range p {
+					p[k] = coord(payload[((i-1)*dims+k)%len(payload)])
+				}
+				grow.Append(p)
+				tr.Insert(i)
+			}
+			ds = grow
+		}
+		if err := tr.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		th := vec.Threshold(qmetric, radius)
+		q := make([]float64, dims)
+		// Queries: every point itself (so ties at the radius are common on
+		// the grid), then points shifted by the radius along one key, then
+		// grid values read from the payload, some outside the frame.
+		for qi := 0; qi < 3*ds.Len(); qi++ {
+			copy(q, ds.Point(qi%ds.Len()))
+			switch qi / ds.Len() {
+			case 1:
+				k := qi % dims
+				if payload[qi%len(payload)]%2 == 0 {
+					q[k] += radius
+				} else {
+					q[k] -= radius
+				}
+			case 2:
+				for k := range q {
+					q[k] = coord(payload[(qi*dims+k)%len(payload)])
+				}
+			}
+			got := map[int]bool{}
+			tr.RangeQuery(q, qmetric, radius, nil, func(i int) {
+				if got[i] {
+					t.Fatalf("point %d visited twice", i)
+				}
+				got[i] = true
+			})
+			for i := 0; i < ds.Len(); i++ {
+				if want := vec.Within(qmetric, q, ds.Point(i), th); want != got[i] {
+					t.Fatalf("%s tree (dims=%d leaf=%d eps=%g) %v r=%g query %v: point %d %v within %v, in answer %v",
+						tr.Keys(), dims, leaf, eps, qmetric, radius, q, i, ds.Point(i), want, got[i])
+				}
+			}
+		}
+	})
+}

@@ -349,16 +349,18 @@ func (t *Tree) makeLeaf(idx []int32) *node {
 }
 
 // stripeOf maps key value v in key dimension dim to its stripe index,
-// clamping the top edge into the last stripe.
+// clamping keys below the frame into stripe 0 and the top edge and beyond
+// into the last stripe. The clamps compare before converting, so a key too
+// far out for an int still lands in its edge stripe.
 func (t *Tree) stripeOf(v float64, dim int) int {
-	s := int((v - t.box.Lo[dim]) / t.width)
-	if s < 0 {
-		s = 0
+	f := (v - t.box.Lo[dim]) / t.width
+	if !(f >= 1) {
+		return 0
 	}
-	if max := t.stripes[dim] - 1; s > max {
-		s = max
+	if last := t.stripes[dim] - 1; f >= float64(last) {
+		return last
 	}
-	return s
+	return int(f)
 }
 
 // Eps returns the threshold the tree was built for.

@@ -19,6 +19,12 @@
 // replay re-derives the missed pairs from the recovered index rather
 // than from retained history, so delivery is at-least-once across
 // crashes without the store keeping any per-subscriber state.
+//
+// Append only queues a committed batch: one apply goroutine per engine
+// enumerates its delta and delivers it, in commit order, so the append
+// that committed it need not wait for either. Every other method applies
+// the queue first, so what it reads or changes follows every batch queued
+// before it was called.
 package live
 
 import (
@@ -35,8 +41,8 @@ import (
 // the metrics stack. Every field may be nil. Callbacks run under the
 // engine mutex — keep them O(1).
 type Hooks struct {
-	// Append observes one index mutation: wall time of the
-	// delta-compute + insert pass and how many points it added.
+	// Append observes one applied batch: wall time of the delta-compute
+	// + insert pass and how many points it added.
 	Append func(d time.Duration, points int)
 	// Batch observes one delivered batch event and its pair count.
 	Batch func(pairs int)
@@ -89,11 +95,28 @@ func newLiveSet(name string, seed *dataset.Dataset, eps float64) *liveSet {
 
 func (ls *liveSet) subscriptions() int { return len(ls.self) + len(ls.asA) + len(ls.asB) }
 
+// maxBacklog is how many queued batches Append lets stand unapplied
+// before it waits for the apply to catch up: the bound that keeps an
+// apply slower than the appends from growing the queue without limit.
+const maxBacklog = 64
+
+// batch is one committed append waiting for the apply: the snapshot after
+// it, how many of its last points it added, and the trace to continue.
+type batch struct {
+	name        string
+	ds          *dataset.Dataset
+	added       int
+	tracer      *trace.Tracer
+	traceparent string
+	queued      time.Time
+}
+
 // Engine owns every tracked dataset's incremental index and every
 // standing query. One mutex serializes all mutation and delivery: that
 // total order is what makes "each new pair is delivered exactly once,
 // by the append that completed it" well-defined, including for two-set
-// queries whose sides append concurrently.
+// queries whose sides append concurrently. Appends reach it through the
+// apply queue, in the order they were queued.
 type Engine struct {
 	hooks Hooks
 
@@ -102,15 +125,86 @@ type Engine struct {
 	subs   map[uint64]*Subscription
 	nextID uint64
 	closed bool
+
+	// qmu guards the apply queue: the batches Append queued that no
+	// applier has finished, oldest first. The head stays queued while it
+	// is applied. space signals a shorter queue or a stopped engine to
+	// Appends waiting at maxBacklog.
+	qmu     sync.Mutex
+	space   *sync.Cond
+	queue   []batch
+	stopped bool
+	// kick wakes the apply goroutine; stop ends it and done says it ended.
+	kick chan struct{}
+	stop chan struct{}
+	done chan struct{}
 }
 
-// New builds an empty engine.
+// New builds an empty engine and starts its apply goroutine; Shutdown
+// stops it.
 func New(hooks Hooks) *Engine {
-	return &Engine{
+	e := &Engine{
 		hooks: hooks,
 		sets:  make(map[string]*liveSet),
 		subs:  make(map[uint64]*Subscription),
+		kick:  make(chan struct{}, 1),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
+	e.space = sync.NewCond(&e.qmu)
+	go e.run()
+	return e
+}
+
+// run is the apply goroutine: each kick applies whatever is queued.
+func (e *Engine) run() {
+	defer close(e.done)
+	for {
+		select {
+		case <-e.kick:
+			e.mu.Lock()
+			e.applyLocked()
+			e.mu.Unlock()
+		case <-e.stop:
+			return
+		}
+	}
+}
+
+// lock takes the engine mutex and applies the queue, so the caller sees
+// every batch queued before it.
+func (e *Engine) lock() {
+	e.mu.Lock()
+	e.applyLocked()
+}
+
+// applyLocked applies the queued batches in order until the queue is
+// empty. The caller holds e.mu, so appliers never interleave.
+func (e *Engine) applyLocked() {
+	for {
+		e.qmu.Lock()
+		if len(e.queue) == 0 {
+			e.qmu.Unlock()
+			return
+		}
+		b, backlog := e.queue[0], len(e.queue)
+		e.qmu.Unlock()
+		e.appendLocked(b, backlog)
+		e.qmu.Lock()
+		n := copy(e.queue, e.queue[1:])
+		e.queue[n] = batch{} // drop the snapshot reference
+		e.queue = e.queue[:n]
+		e.space.Signal()
+		e.qmu.Unlock()
+	}
+}
+
+// Backlog returns how many appended batches are queued and not yet
+// applied. Unlike every other method it does not apply them.
+func (e *Engine) Backlog() int {
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
+	return len(e.queue)
 }
 
 // Track starts (or refreshes) live tracking of name, seeding the index
@@ -120,7 +214,7 @@ func New(hooks Hooks) *Engine {
 // is handed and copies none. epsHint pre-sizes the index for an upcoming
 // subscription. Tracking an already-tracked dataset only raises ε.
 func (e *Engine) Track(name string, ds *dataset.Dataset, epsHint float64) {
-	e.mu.Lock()
+	e.lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return
@@ -150,25 +244,52 @@ func (e *Engine) Track(name string, ds *dataset.Dataset, epsHint float64) {
 
 // Tracked reports whether name has a live index.
 func (e *Engine) Tracked(name string) bool {
-	e.mu.Lock()
+	e.lock()
 	defer e.mu.Unlock()
 	_, ok := e.sets[name]
 	return ok
 }
 
-// Append feeds one committed batch through the engine: compute each
+// Append queues one committed batch for the engine, to compute each
 // affected standing query's delta pairs, insert the points into the
 // incremental index, and deliver one batch event per subscription. ds is
 // the dataset after the batch, whose last added points are the batch; the
 // index adopts it instead of copying the points. Its length is the
 // batch's sequence token, which also guards the index against reordered
 // or replayed notifications. Untracked datasets are ignored.
+//
+// Batches apply in the order they were queued, so callers queue under the
+// lock that orders their commits. Append returns once the batch is
+// queued; it waits only while maxBacklog batches stand unapplied. ctx
+// lends the batch its trace and nothing else: the batch is committed, so
+// a caller that gives up does not take it back.
 func (e *Engine) Append(ctx context.Context, name string, ds *dataset.Dataset, added int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	sp := trace.FromContext(ctx)
+	b := batch{name: name, ds: ds, added: added, tracer: sp.Tracer(), traceparent: sp.TraceParent(), queued: time.Now()}
+	e.qmu.Lock()
+	for len(e.queue) >= maxBacklog && !e.stopped {
+		e.space.Wait()
+	}
+	if e.stopped {
+		e.qmu.Unlock()
+		return
+	}
+	e.queue = append(e.queue, b)
+	e.qmu.Unlock()
+	select {
+	case e.kick <- struct{}{}:
+	default: // a kick is already pending
+	}
+}
+
+// appendLocked applies one queued batch, found with backlog batches
+// queued (itself included). It records the apply as the root span
+// live.append, continuing the trace of the request that queued it.
+func (e *Engine) appendLocked(b batch, backlog int) {
 	if e.closed {
 		return
 	}
+	name, ds, added := b.name, b.ds, b.added
 	ls, ok := e.sets[name]
 	if !ok {
 		return
@@ -184,12 +305,14 @@ func (e *Engine) Append(ctx context.Context, name string, ds *dataset.Dataset, a
 		return
 	}
 
-	sp := trace.FromContext(ctx).Child("live.append")
+	start := time.Now()
+	sp := b.tracer.StartRemote("live.append", b.traceparent)
 	sp.SetAttr("dataset", name)
 	sp.AddCounter("points", int64(added))
+	sp.AddCounter("queued_us", start.Sub(b.queued).Microseconds())
+	sp.AddCounter("backlog", int64(backlog))
 	defer sp.End()
 
-	start := time.Now()
 	deltas := make(map[*Subscription][][2]int)
 	startIdx := ls.idx.Len()
 	ls.idx.Adopt(ds)
@@ -276,7 +399,7 @@ func (e *Engine) deliverLocked(sub *Subscription, ev Event) {
 // mailbox starts with one catch-up event replaying every pair the
 // subscriber missed since that cursor.
 func (e *Engine) Subscribe(q Query, opt Options) (*Subscription, error) {
-	e.mu.Lock()
+	e.lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return nil, ErrShutdown
@@ -389,7 +512,7 @@ func (e *Engine) catchUpLocked(lsA, lsB *liveSet, q Query, opt Options) (Event, 
 // Unsubscribe ends one subscription (normally because its client went
 // away). Unknown ids are a no-op.
 func (e *Engine) Unsubscribe(id uint64) {
-	e.mu.Lock()
+	e.lock()
 	defer e.mu.Unlock()
 	sub, ok := e.subs[id]
 	if !ok {
@@ -420,7 +543,7 @@ func (e *Engine) removeSubLocked(sub *Subscription) {
 // terminates every subscription touching it with the given reason, so
 // their streams end with a terminal event instead of dangling.
 func (e *Engine) Drop(name, reason string) {
-	e.mu.Lock()
+	e.lock()
 	defer e.mu.Unlock()
 	e.dropLocked(name, reason)
 }
@@ -439,26 +562,35 @@ func (e *Engine) dropLocked(name, reason string) {
 	}
 }
 
-// Shutdown terminates every subscription (their streams end with
-// ReasonShutdown) and refuses further work — the graceful-exit hook the
-// daemon runs before draining HTTP.
+// Shutdown applies the batches already queued, terminates every
+// subscription (their streams end with ReasonShutdown), refuses further
+// work and stops the apply goroutine — the graceful-exit hook the daemon
+// runs before draining HTTP.
 func (e *Engine) Shutdown() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
+	e.qmu.Lock()
+	e.stopped = true
+	e.space.Broadcast()
+	e.qmu.Unlock()
+	e.lock()
+	first := !e.closed
+	if first {
+		e.closed = true
+		for _, sub := range e.subs {
+			sub.terminate(ReasonShutdown)
+		}
+		e.subs = make(map[uint64]*Subscription)
+		e.sets = make(map[string]*liveSet)
 	}
-	e.closed = true
-	for _, sub := range e.subs {
-		sub.terminate(ReasonShutdown)
+	e.mu.Unlock()
+	if first {
+		close(e.stop)
 	}
-	e.subs = make(map[uint64]*Subscription)
-	e.sets = make(map[string]*liveSet)
+	<-e.done
 }
 
 // Subscriptions returns the number of active subscriptions.
 func (e *Engine) Subscriptions() int {
-	e.mu.Lock()
+	e.lock()
 	defer e.mu.Unlock()
 	return len(e.subs)
 }
@@ -473,7 +605,7 @@ type DatasetStats struct {
 
 // Stats reports name's live-engine state (zero value when untracked).
 func (e *Engine) Stats(name string) DatasetStats {
-	e.mu.Lock()
+	e.lock()
 	defer e.mu.Unlock()
 	ls, ok := e.sets[name]
 	if !ok {
@@ -490,7 +622,7 @@ func (e *Engine) Stats(name string) DatasetStats {
 // Seq returns the current sequence token (indexed length) for name, or
 // -1 when untracked — what a hello event reports.
 func (e *Engine) Seq(name string) int {
-	e.mu.Lock()
+	e.lock()
 	defer e.mu.Unlock()
 	if ls, ok := e.sets[name]; ok {
 		return ls.idx.Len()

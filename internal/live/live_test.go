@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"simjoin/internal/dataset"
+	"simjoin/internal/obsv/trace"
 	"simjoin/internal/vec"
 )
 
@@ -147,6 +149,7 @@ func TestSelfJoinDeltaEqualsOracle(t *testing.T) {
 				next += k
 				eng.Append(context.Background(), "pts", cur, k)
 			}
+			eng.Seq("pts") // applies the queued batches
 			evs := drain(sub)
 			got = append(got, collectPairs(evs)...)
 			// Deltas exclude seed-internal pairs: both endpoints < 30.
@@ -182,6 +185,7 @@ func TestCatchUpReplayEqualsOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Append(context.Background(), "pts", fromPoints(all), 30)
+	eng.Seq("pts") // applies the queued batch
 
 	evs := drain(sub)
 	if len(evs) < 2 || !evs[0].CatchUp {
@@ -232,6 +236,7 @@ func TestTwoSetDeltaEqualsOracle(t *testing.T) {
 			nb += k
 		}
 	}
+	eng.Seq("a") // applies the queued batches
 	evs := drain(sub)
 	var want [][2]int
 	for _, p := range oracleTwo(a, b, vec.L1, eps) {
@@ -287,6 +292,7 @@ func TestEpsRaiseRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Append(context.Background(), "pts", fromPoints(all), len(all)-40)
+	eng.Seq("pts") // applies the queued batch
 	for _, tc := range []struct {
 		sub *Subscription
 		eps float64
@@ -317,6 +323,7 @@ func TestSlowConsumerEviction(t *testing.T) {
 		pts = append(pts, []float64{float64(i) + 10, 0})
 		eng.Append(context.Background(), "pts", fromPoints(pts), 1)
 	}
+	eng.Seq("pts") // applies the queued batches
 	// Two events fit, the third overflows: drain and expect closure.
 	n := 0
 	for range sub.Events() {
@@ -432,6 +439,7 @@ func TestTrackSyncsPrefixMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Append(context.Background(), "a", fromPoints(all), 10)
+	eng.Seq("a") // applies the queued batch
 	var want [][2]int
 	for _, p := range oracleSelf(all, vec.L2, 0.15) {
 		if p[1] >= 50 {
@@ -510,4 +518,276 @@ func ExampleEngine() {
 	ev := <-sub.Events()
 	fmt.Println(ev.Seq, ev.Pairs)
 	// Output: 3 [[0 2]]
+}
+
+// stallHooks returns hooks whose Append callback blocks on the first
+// applied batch: entered receives once the apply holds it, and closing
+// release lets it go. Batches appended meanwhile stay queued.
+func stallHooks() (h Hooks, entered chan struct{}, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
+	first := true
+	h.Append = func(time.Duration, int) {
+		if first { // under the engine mutex
+			first = false
+			close(entered)
+			<-release
+		}
+	}
+	return h, entered, release
+}
+
+// grow appends k points in a row after pts, each 0.01 from the last, and
+// hands the engine the batch.
+func grow(eng *Engine, ctx context.Context, pts *[][]float64, k int) {
+	for i := 0; i < k; i++ {
+		last := (*pts)[len(*pts)-1]
+		*pts = append(*pts, []float64{last[0] + 0.01, 0})
+	}
+	eng.Append(ctx, "pts", fromPoints(*pts), k)
+}
+
+// TestSubscribeWhileQueued: a subscription registered while batches are
+// queued sees none of them — its hello cursor follows them — while the
+// subscription already there misses none.
+func TestSubscribeWhileQueued(t *testing.T) {
+	h, entered, release := stallHooks()
+	eng := New(h)
+	defer eng.Shutdown()
+	pts := [][]float64{{0, 0}}
+	eng.Track("pts", fromPoints(pts), 0.015)
+	q := Query{Dataset: "pts", Eps: 0.015, Metric: vec.L2}
+	old, err := eng.Subscribe(q, Options{Buffer: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grow(eng, context.Background(), &pts, 2)
+	<-entered
+	for i := 0; i < 5; i++ {
+		grow(eng, context.Background(), &pts, 1)
+	}
+	if n := eng.Backlog(); n != 6 {
+		t.Fatalf("backlog %d with the apply stalled, want 6", n)
+	}
+	subbed := make(chan *Subscription)
+	go func() {
+		sub, err := eng.Subscribe(q, Options{Buffer: 64})
+		if err != nil {
+			t.Error(err)
+		}
+		subbed <- sub
+	}()
+	close(release)
+	sub := <-subbed
+	if sub.BaseSeq() != len(pts) {
+		t.Fatalf("hello seq %d, want %d: the queued batches come before the subscription", sub.BaseSeq(), len(pts))
+	}
+	hello := len(pts)
+	grow(eng, context.Background(), &pts, 3)
+	eng.Seq("pts")
+	for _, tc := range []struct {
+		sub  *Subscription
+		from int
+	}{{old, 1}, {sub, hello}} {
+		evs := drain(tc.sub)
+		for _, ev := range evs {
+			if ev.Seq-ev.Added < tc.from {
+				t.Fatalf("event for batch %d..%d, before the subscription's cursor %d", ev.Seq-ev.Added, ev.Seq, tc.from)
+			}
+		}
+		var want [][2]int
+		for _, p := range oracleSelf(pts, vec.L2, 0.015) {
+			if p[1] >= tc.from {
+				want = append(want, p)
+			}
+		}
+		pairsEqual(t, collectPairs(evs), want)
+	}
+}
+
+// TestDropAfterQueuedBatches: deleting or replacing a dataset with
+// batches queued delivers their events before the stream ends.
+func TestDropAfterQueuedBatches(t *testing.T) {
+	for _, reason := range []string{ReasonDeleted, ReasonReplaced} {
+		h, entered, release := stallHooks()
+		eng := New(h)
+		pts := [][]float64{{0, 0}}
+		eng.Track("pts", fromPoints(pts), 0.015)
+		sub, err := eng.Subscribe(Query{Dataset: "pts", Eps: 0.015, Metric: vec.L2}, Options{Buffer: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grow(eng, context.Background(), &pts, 1)
+		<-entered
+		for i := 0; i < 4; i++ {
+			grow(eng, context.Background(), &pts, 1)
+		}
+		dropped := make(chan struct{})
+		go func() {
+			eng.Drop("pts", reason)
+			close(dropped)
+		}()
+		close(release)
+		<-dropped
+		var seqs []int
+		for ev := range sub.Events() {
+			seqs = append(seqs, ev.Seq)
+		}
+		if fmt.Sprint(seqs) != "[2 3 4 5 6]" {
+			t.Fatalf("%s: batch events %v before the end, want [2 3 4 5 6]", reason, seqs)
+		}
+		if sub.Reason() != reason {
+			t.Fatalf("reason %q, want %q", sub.Reason(), reason)
+		}
+		eng.Shutdown()
+	}
+}
+
+// TestShutdownWithQueuedBatches: Shutdown applies what is queued, ends
+// every stream, and stops the apply goroutine; later appends are inert.
+func TestShutdownWithQueuedBatches(t *testing.T) {
+	h, entered, release := stallHooks()
+	eng := New(h)
+	pts := [][]float64{{0, 0}}
+	eng.Track("pts", fromPoints(pts), 0.015)
+	sub, err := eng.Subscribe(Query{Dataset: "pts", Eps: 0.015, Metric: vec.L2}, Options{Buffer: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grow(eng, context.Background(), &pts, 1)
+	<-entered
+	for i := 0; i < 3; i++ {
+		grow(eng, context.Background(), &pts, 1)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		eng.Shutdown()
+		close(stopped)
+	}()
+	close(release)
+	<-stopped
+	select {
+	case <-eng.done:
+	default:
+		t.Fatal("apply goroutine still running after Shutdown returned")
+	}
+	n := 0
+	for range sub.Events() {
+		n++
+	}
+	if n != 4 || sub.Reason() != ReasonShutdown {
+		t.Fatalf("%d batch events then %q, want 4 then %q", n, sub.Reason(), ReasonShutdown)
+	}
+	grow(eng, context.Background(), &pts, 1)
+	if n := eng.Backlog(); n != 0 {
+		t.Fatalf("append after Shutdown queued: backlog %d", n)
+	}
+	eng.Shutdown() // idempotent
+}
+
+// TestAppendOutlivesItsClient: a batch whose request was cancelled is
+// committed, so the engine still applies and delivers it.
+func TestAppendOutlivesItsClient(t *testing.T) {
+	eng := New(Hooks{})
+	defer eng.Shutdown()
+	pts := [][]float64{{0, 0}}
+	eng.Track("pts", fromPoints(pts), 0.015)
+	sub, err := eng.Subscribe(Query{Dataset: "pts", Eps: 0.015, Metric: vec.L2}, Options{Buffer: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	grow(eng, ctx, &pts, 1)
+	ev := <-sub.Events()
+	if ev.Seq != 2 || len(ev.Pairs) != 1 {
+		t.Fatalf("event %+v, want seq 2 with pair [0 1]", ev)
+	}
+}
+
+// TestAppendWaitsAtMaxBacklog: with the apply stalled, Append queues
+// maxBacklog batches, then waits until the apply drains them.
+func TestAppendWaitsAtMaxBacklog(t *testing.T) {
+	h, entered, release := stallHooks()
+	eng := New(h)
+	defer eng.Shutdown()
+	pts := [][]float64{{0, 0}}
+	eng.Track("pts", fromPoints(pts), 0.015)
+	sub, err := eng.Subscribe(Query{Dataset: "pts", Eps: 0.015, Metric: vec.L2}, Options{Buffer: 2 * maxBacklog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grow(eng, context.Background(), &pts, 1)
+	<-entered
+	for eng.Backlog() < maxBacklog {
+		grow(eng, context.Background(), &pts, 1)
+	}
+	appended := make(chan struct{})
+	go func() {
+		grow(eng, context.Background(), &pts, 1)
+		close(appended)
+	}()
+	select {
+	case <-appended:
+		t.Fatal("Append returned with maxBacklog batches unapplied")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if n := eng.Backlog(); n != maxBacklog {
+		t.Fatalf("backlog %d while an Append waits, want %d", n, maxBacklog)
+	}
+	close(release)
+	<-appended
+	if got, want := eng.Seq("pts"), maxBacklog+2; got != want {
+		t.Fatalf("seq %d after the apply drained, want %d", got, want)
+	}
+	evs := drain(sub)
+	for i, ev := range evs {
+		if ev.Seq != i+2 {
+			t.Fatalf("event %d has seq %d, want %d: batches applied out of order", i, ev.Seq, i+2)
+		}
+	}
+	if len(evs) != maxBacklog+1 {
+		t.Fatalf("%d batch events, want %d", len(evs), maxBacklog+1)
+	}
+}
+
+// TestAppendSpanContinuesRequest: the apply records live.append as a root
+// span of its own whose parent is the span of the request that queued
+// the batch.
+func TestAppendSpanContinuesRequest(t *testing.T) {
+	eng := New(Hooks{})
+	defer eng.Shutdown()
+	pts := [][]float64{{0, 0}}
+	eng.Track("pts", fromPoints(pts), 0.015)
+	if _, err := eng.Subscribe(Query{Dataset: "pts", Eps: 0.015, Metric: vec.L2}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(8)
+	req := tr.Start("POST /datasets/{name}/points")
+	grow(eng, trace.NewContext(context.Background(), req), &pts, 1)
+	req.End()
+	eng.Seq("pts")
+	var found bool
+	for _, td := range tr.Traces() {
+		root, _ := td.Root()
+		if root.Name != "live.append" {
+			continue
+		}
+		found = true
+		if td.TraceID != req.TraceID().String() || root.ParentID != req.SpanID().String() {
+			t.Fatalf("live.append in trace %s under %s, want trace %s under %s", td.TraceID, root.ParentID, req.TraceID(), req.SpanID())
+		}
+		var counters []string
+		for _, c := range root.Counters {
+			counters = append(counters, c.Key)
+		}
+		if got := fmt.Sprint(counters); got != "[points queued_us backlog pairs]" {
+			t.Fatalf("live.append counters %s", got)
+		}
+		if kids := td.ChildrenOf(root.SpanID); len(kids) != 1 || kids[0].Name != "live.notify" {
+			t.Fatalf("live.append children %+v, want one live.notify", kids)
+		}
+	}
+	if !found {
+		t.Fatal("no live.append trace retained")
+	}
 }

@@ -186,6 +186,16 @@ func (s *Span) TraceParent() string {
 	return FormatTraceParent(s.tr.id, s.id)
 }
 
+// Tracer returns the tracer the span's trace records into, or nil for a
+// nil span: work that outlives a request continues its trace as a new
+// root there, StartRemote(name, s.TraceParent()).
+func (s *Span) Tracer() *Tracer {
+	if s == nil {
+		return nil
+	}
+	return s.tr.tracer
+}
+
 // Child opens a child span. On a nil receiver it returns nil, so a
 // whole call tree stays no-op when tracing is off.
 func (s *Span) Child(name string) *Span {

@@ -91,10 +91,11 @@ step "race x4 . -run 'KNN'" go test -race -count=4 -run 'KNN' .
 step "race x4 ./internal/sketch/... -run Concurrent" go test -race -count=4 -run Concurrent ./internal/sketch/...
 
 # go test never runs a benchmark, so one that panics would go unnoticed:
-# run the kernel, ε-kdB and sketch-build benchmarks a kernel change is read
-# against, and the upload scanner's against encoding/json, once.
-step "benchmarks once: SweepL2, HighDim, WithinL1Linf, FromDataset, DecodePoints" go test -run '^$' \
-	-bench 'SweepL2|HighDim|WithinL1Linf|FromDataset|DecodePoints' -benchtime 1x \
+# run the kernel, ε-kdB join and range-probe and sketch-build benchmarks a
+# kernel change is read against, and the upload scanner's against
+# encoding/json, once.
+step "benchmarks once: SweepL2, HighDim, RangeQuery, WithinL1Linf, FromDataset, DecodePoints" go test -run '^$' \
+	-bench 'SweepL2|HighDim|RangeQuery|WithinL1Linf|FromDataset|DecodePoints' -benchtime 1x \
 	./internal/vec ./internal/core ./internal/sketch ./internal/api
 
 step "benchmark harness: vet + test" harness
@@ -107,12 +108,12 @@ for w in join_pairs join_highdim serve_query serve_ingest; do
 done
 
 # Every untrusted-input decoder (dataset readers, snapshot + WAL codecs,
-# the upload scanner held to encoding/json), the flat-layout round trip, the pair radix sort, the ε-kdB tree held to
-# brute force over both key kinds, and the sketch's log-free bucket index
+# the upload scanner held to encoding/json), the flat-layout round trip, the pair radix sort, the ε-kdB tree's
+# join and its range probe held to brute force over both key kinds, and the sketch's log-free bucket index
 # held to the Log2 formula, and the cluster's shard-coverage rule held to
 # the points each shard stores. The go tool takes one -fuzz target per run.
 for target in dataset:FuzzReadCSV dataset:FuzzReadBinary api:FuzzDecodePoints store:FuzzReadSnapshot \
-	store:FuzzWALReplay vec:FuzzFlatRoundTrip pairs:FuzzSortPairs core:FuzzSelfJoinOracle \
+	store:FuzzWALReplay vec:FuzzFlatRoundTrip pairs:FuzzSortPairs core:FuzzSelfJoinOracle core:FuzzRangeQueryOracle \
 	sketch:FuzzHistIndex cluster:FuzzShardCoverage; do
 	step "fuzz 10s ${target#*:}" go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
 done
