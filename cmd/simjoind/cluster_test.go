@@ -27,6 +27,13 @@ func startCluster(t *testing.T, n int, margin float64) (coord *httptest.Server, 
 		urls[i] = workers[i].URL
 		t.Cleanup(workers[i].Close)
 	}
+	return startCoordinator(t, urls, margin), workers
+}
+
+// startCoordinator fronts the workers at urls with a coordinator whose
+// client retries fast.
+func startCoordinator(t *testing.T, urls []string, margin float64) *httptest.Server {
+	t.Helper()
 	rc := &rclient.Client{
 		MaxRetries:     2,
 		BaseDelay:      2 * time.Millisecond,
@@ -34,9 +41,9 @@ func startCluster(t *testing.T, n int, margin float64) (coord *httptest.Server, 
 		AttemptTimeout: 10 * time.Second,
 		RetryPOST:      true,
 	}
-	coord = httptest.NewServer(newCoordServer(cluster.New(urls, margin, rc)).handler())
+	coord := httptest.NewServer(newCoordServer(cluster.New(urls, margin, rc)).handler())
 	t.Cleanup(coord.Close)
-	return coord, workers
+	return coord
 }
 
 func clusterPoints(n, dims int, seed int64) [][]float64 {

@@ -109,6 +109,7 @@ type joinRun struct {
 	total   int64         // exact result size
 	elapsed time.Duration // engine or fan-out wall time
 	scatter *api.Scatter  // distributed runs only
+	workers int           // goroutines the engine ran on (workers only)
 }
 
 // joinCalls is what differs between the join routes and between modes.

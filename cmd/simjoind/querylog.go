@@ -49,14 +49,15 @@ func recordFailure(l *querylog.Log, m *metrics, rec querylog.Record, start time.
 }
 
 // fillFromRun copies a finished run into rec: the result size, wall
-// time and fan-out width from the run, and — when the join ran in this
-// process rather than on the shards — the resolved engine, work
-// counters and phase timings from the library's detailed stats. A
+// time, fan-out width and worker count from the run, and — when the join
+// ran in this process rather than on the shards — the resolved engine,
+// work counters and phase timings from the library's detailed stats. A
 // library-side estimate (streaming runs under AlgorithmAuto fill one)
 // backfills a record that carried none of its own.
 func fillFromRun(rec *querylog.Record, js simjoin.JoinStats, run joinRun) {
 	rec.ActualPairs = run.total
 	rec.ElapsedNS = int64(run.elapsed)
+	rec.Workers = run.workers
 	if run.scatter != nil {
 		rec.Shards = run.scatter.Shards
 	}

@@ -467,20 +467,46 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, api.AppendResponse{DatasetInfo: api.DatasetInfo{Name: name, Len: n, Dims: e.dataset().Dims()}})
 }
 
-// collected and streamed report a library join back to runJoin.
-func collected(res *simjoin.Result, err error) (joinRun, error) {
-	if err != nil {
-		return joinRun{}, err
+// servedWorkers is how many goroutines a served join runs on: every core
+// of this process (GOMAXPROCS) when the request names no count (≤ 0),
+// and never more than that when it does. The coordinator forwards the
+// client's value as given, so each worker sizes the join by its own
+// cores. Pair sets and work counters do not depend on the count.
+func servedWorkers(asked int) int {
+	if n := simjoin.DefaultWorkers(); asked <= 0 || asked > n {
+		return n
 	}
-	run := joinRun{total: res.Stats.Results, elapsed: res.Stats.Elapsed, pairs: make([][2]int, len(res.Pairs))}
-	for i, p := range res.Pairs {
-		run.pairs[i] = [2]int{p.I, p.J}
-	}
-	return run, nil
+	return asked
 }
 
-func streamed(st simjoin.Stats, err error) (joinRun, error) {
-	return joinRun{total: st.Results, elapsed: st.Elapsed}, err
+// engineCalls binds a worker's join routes to the library: price it,
+// collect it, or stream it, each run on servedWorkers goroutines and
+// reported back to runJoin with that count.
+func engineCalls(
+	price func(m simjoin.Metric, eps float64) int64,
+	collect func(opt simjoin.Options) (*simjoin.Result, error),
+	each func(opt simjoin.Options, emit func(i, j int)) (simjoin.Stats, error),
+) joinCalls {
+	return joinCalls{
+		price: price,
+		collect: func(opt simjoin.Options) (joinRun, error) {
+			opt.Workers = servedWorkers(opt.Workers)
+			res, err := collect(opt)
+			if err != nil {
+				return joinRun{}, err
+			}
+			run := joinRun{total: res.Stats.Results, elapsed: res.Stats.Elapsed, workers: opt.Workers, pairs: make([][2]int, len(res.Pairs))}
+			for i, p := range res.Pairs {
+				run.pairs[i] = [2]int{p.I, p.J}
+			}
+			return run, nil
+		},
+		each: func(opt simjoin.Options, emit func(i, j int)) (joinRun, error) {
+			opt.Workers = servedWorkers(opt.Workers)
+			st, err := each(opt, emit)
+			return joinRun{total: st.Results, elapsed: st.Elapsed, workers: opt.Workers}, err
+		},
+	}
 }
 
 func (s *server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
@@ -494,13 +520,13 @@ func (s *server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ds := e.dataset()
-	s.runJoin(w, r, "POST /datasets/{name}/selfjoin", querylog.Record{Kind: "selfjoin", Dataset: name}, p, joinCalls{
-		price:   func(m simjoin.Metric, eps float64) int64 { return simjoin.PlanSelfJoin(ds, m, eps).EstimatedPairs },
-		collect: func(opt simjoin.Options) (joinRun, error) { return collected(simjoin.SelfJoin(ds, opt)) },
-		each: func(opt simjoin.Options, emit func(i, j int)) (joinRun, error) {
-			return streamed(simjoin.SelfJoinEach(ds, opt, emit))
+	s.runJoin(w, r, "POST /datasets/{name}/selfjoin", querylog.Record{Kind: "selfjoin", Dataset: name}, p, engineCalls(
+		func(m simjoin.Metric, eps float64) int64 { return simjoin.PlanSelfJoin(ds, m, eps).EstimatedPairs },
+		func(opt simjoin.Options) (*simjoin.Result, error) { return simjoin.SelfJoin(ds, opt) },
+		func(opt simjoin.Options, emit func(i, j int)) (simjoin.Stats, error) {
+			return simjoin.SelfJoinEach(ds, opt, emit)
 		},
-	})
+	))
 }
 
 func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -521,13 +547,13 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		api.Error(w, http.StatusBadRequest, "dimensionality mismatch: %d vs %d", da.Dims(), db.Dims())
 		return
 	}
-	s.runJoin(w, r, "POST /join", querylog.Record{Kind: "join", Dataset: req.A, Dataset2: req.B}, req.JoinParams, joinCalls{
-		price:   func(m simjoin.Metric, eps float64) int64 { return simjoin.PlanJoin(da, db, m, eps).EstimatedPairs },
-		collect: func(opt simjoin.Options) (joinRun, error) { return collected(simjoin.Join(da, db, opt)) },
-		each: func(opt simjoin.Options, emit func(i, j int)) (joinRun, error) {
-			return streamed(simjoin.JoinEach(da, db, opt, emit))
+	s.runJoin(w, r, "POST /join", querylog.Record{Kind: "join", Dataset: req.A, Dataset2: req.B}, req.JoinParams, engineCalls(
+		func(m simjoin.Metric, eps float64) int64 { return simjoin.PlanJoin(da, db, m, eps).EstimatedPairs },
+		func(opt simjoin.Options) (*simjoin.Result, error) { return simjoin.Join(da, db, opt) },
+		func(opt simjoin.Options, emit func(i, j int)) (simjoin.Stats, error) {
+			return simjoin.JoinEach(da, db, opt, emit)
 		},
-	})
+	))
 }
 
 // checkDims rejects a query point of the wrong dimensionality.

@@ -6,6 +6,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -113,8 +115,8 @@ func TestClusterTracePropagation(t *testing.T) {
 }
 
 // TestWorkerJoinSpanUnderServerSpan: a worker's own trace nests the
-// library's entry-point span (with its work counters) under the HTTP
-// server span.
+// library's entry-point span (with its work counters and worker count)
+// under the HTTP server span.
 func TestWorkerJoinSpanUnderServerSpan(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
@@ -134,6 +136,10 @@ func TestWorkerJoinSpanUnderServerSpan(t *testing.T) {
 	}
 	if kids[0].Attr("algorithm") == "" {
 		t.Error("join span missing algorithm attr")
+	}
+	// No workers in the request: the join ran on every core.
+	if got, want := kids[0].Attr("workers"), strconv.Itoa(runtime.GOMAXPROCS(0)); got != want {
+		t.Errorf("join span workers = %q, want GOMAXPROCS %s", got, want)
 	}
 	var pairs int64 = -1
 	for _, c := range kids[0].Counters {

@@ -11,9 +11,13 @@ type JoinParams struct {
 	Eps       float64 `json:"eps"`
 	Metric    string  `json:"metric,omitempty"`    // "L2" (default), "L1", "Linf"
 	Algorithm string  `json:"algorithm,omitempty"` // default "ekdb"; "auto" allowed
-	Workers   int     `json:"workers,omitempty"`
-	MaxPairs  int     `json:"max_pairs,omitempty"` // truncate the response (0 = no cap)
-	Stream    bool    `json:"stream,omitempty"`    // NDJSON: one [i,j] line per pair, then a JoinSummary
+	// Workers is how many goroutines the worker that runs the engine
+	// spreads the join over: omitted (or ≤ 0) means every core it has
+	// (GOMAXPROCS), a larger count is clamped to GOMAXPROCS. A
+	// coordinator forwards the value to its shards as given.
+	Workers  int  `json:"workers,omitempty"`
+	MaxPairs int  `json:"max_pairs,omitempty"` // truncate the response (0 = no cap)
+	Stream   bool `json:"stream,omitempty"`    // NDJSON: one [i,j] line per pair, then a JoinSummary
 	// Degrade opts into the admission budget's soft failure mode: a
 	// query whose estimated result size exceeds the server's -max-pairs
 	// runs counting-only (exact total, no pairs) instead of being

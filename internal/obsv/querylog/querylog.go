@@ -75,6 +75,10 @@ type Record struct {
 	// Shards is the fan-out width of a coordinator-side record (0 on
 	// workers).
 	Shards int `json:"shards,omitempty"`
+	// Workers is how many goroutines a worker's join ran on, resolved
+	// from the request's workers (0 on a coordinator, which runs no
+	// engine, and on range/knn/watch records).
+	Workers int `json:"workers,omitempty"`
 
 	TraceID string  `json:"trace_id,omitempty"`
 	Outcome Outcome `json:"outcome"`

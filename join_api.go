@@ -3,6 +3,7 @@ package simjoin
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"time"
 
 	"simjoin/internal/brute"
@@ -180,7 +181,7 @@ func (o Options) finish(sp *trace.Span, p planned, iopt join.Options, n int64, w
 			Elapsed:        elapsed,
 		}
 	}
-	finishSpan(sp, p, snap, ph, n)
+	finishSpan(sp, p, iopt.Workers, snap, ph, n)
 	return Stats{
 		Candidates: snap.Candidates,
 		DistComps:  snap.DistComps,
@@ -191,13 +192,14 @@ func (o Options) finish(sp *trace.Span, p planned, iopt join.Options, n int64, w
 }
 
 // finishSpan seals one entry point's span: the resolved algorithm, the
-// ε-kdB tree's key kind and the run's work counters are recorded, and the run's phase totals become
+// ε-kdB tree's key kind, the worker count the run was given and the run's
+// work counters are recorded, and the run's phase totals become
 // "build", "probe" and "collect" child intervals. The intervals reuse the
 // obsv.Phases seam — those timers were already charged, so nothing is
 // instrumented twice. For parallel runs the later intervals' offsets are
 // approximate (phases can overlap across goroutines); the durations are
 // exact.
-func finishSpan(sp *trace.Span, p planned, snap stats.Snapshot, ph *obsv.Phases, pairsEmitted int64) {
+func finishSpan(sp *trace.Span, p planned, workers int, snap stats.Snapshot, ph *obsv.Phases, pairsEmitted int64) {
 	if sp == nil {
 		return
 	}
@@ -205,6 +207,7 @@ func finishSpan(sp *trace.Span, p planned, snap stats.Snapshot, ph *obsv.Phases,
 	if p.keys != "" {
 		sp.SetAttr("keys", p.keys)
 	}
+	sp.SetAttr("workers", strconv.Itoa(workers))
 	sp.AddCounter("dist_comps", snap.DistComps)
 	sp.AddCounter("candidates", snap.Candidates)
 	sp.AddCounter("node_visits", snap.NodeVisits)
@@ -354,6 +357,7 @@ func resolve(opt Options, sp *trace.Span, plan func() Plan) planned {
 }
 
 // DefaultWorkers returns one worker per CPU (GOMAXPROCS): the worker
-// count KNNJoin uses when asked for ≤ 0. A join's Options.Workers has no
-// such default; ≤ 1 runs it on the caller's goroutine.
+// count KNNJoin uses when asked for ≤ 0, and simjoind's served joins when
+// a request names none. A library join's Options.Workers has no such
+// default; ≤ 1 runs it on the caller's goroutine.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }

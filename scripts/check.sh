@@ -78,6 +78,10 @@ for pkg in ./internal/obsv/... ./internal/store/... ./internal/live/... \
 	./internal/gateway/ ./internal/cluster/ ./internal/api/... ./cmd/simjoind/; do
 	step "race x4 $pkg" go test -race -count=4 "$pkg"
 done
+# A served join with no workers count runs on every core of the worker
+# (GOMAXPROCS): its contract tests once at one core — the serial
+# fallback — and once at four, oversubscribed on a 2-core host.
+step "served joins -cpu 1,4" go test -cpu 1,4 -run 'TestServedJoin' ./cmd/simjoind/
 # Every engine that spreads a join over workers does it through
 # join.Spread: their tests that run more than one worker, four times.
 step "race x4 engines -run 'Parallel|Workers'" go test -race -count=4 -run 'Parallel|Workers' \
