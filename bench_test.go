@@ -259,67 +259,3 @@ func BenchmarkNeighborIndexGrow(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkLiveAppend prices the two ways to keep a standing ε-index
-// current through a 64-point batch at d = 8 (what internal/live pays on
-// every append): "append64" runs Range + Insert per point on the standing
-// index, "rebuild64" rebuilds the index over the grown dataset and
-// re-probes the batch, which is what polling would cost. Both run the
-// batch's 64 range queries; only the index maintenance differs, so the
-// ratio is the price of NOT having the incremental path.
-func BenchmarkLiveAppend(b *testing.B) {
-	const n, dims, batch, eps = 4000, 8, 64, 0.15
-	full, err := simjoin.Synthetic("clustered", n, dims, 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Index.Insert appends to its dataset, so every run starts from a
-	// fresh copy of the base points.
-	base := make([][]float64, n-batch)
-	for i := range base {
-		base[i] = full.Point(i)
-	}
-	// probe range-queries the batch (the last 64 points of full) against
-	// idx, inserting each point after its query when the index is standing.
-	probe := func(b *testing.B, idx *simjoin.Index, insert bool) (deltas int) {
-		for i := n - batch; i < n; i++ {
-			hits, err := idx.Range(full.Point(i), simjoin.L2, eps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			deltas += len(hits)
-			if insert {
-				if _, err := idx.Insert(full.Point(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		return deltas
-	}
-	build := func(b *testing.B, ds *simjoin.Dataset) *simjoin.Index {
-		idx, err := simjoin.NewIndex(ds, eps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return idx
-	}
-	b.Run("append64", func(b *testing.B) {
-		b.ReportAllocs()
-		var deltas int
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			idx := build(b, simjoin.FromPoints(base))
-			b.StartTimer()
-			deltas = probe(b, idx, true)
-		}
-		b.ReportMetric(float64(deltas), "pairs")
-	})
-	b.Run("rebuild64", func(b *testing.B) {
-		b.ReportAllocs()
-		var deltas int
-		for i := 0; i < b.N; i++ {
-			deltas = probe(b, build(b, full), false)
-		}
-		b.ReportMetric(float64(deltas), "pairs")
-	})
-}

@@ -7,20 +7,15 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"simjoin/internal/gateway"
 	"simjoin/internal/obsv/trace"
 )
 
-// gatewayReloadInterval is how often the gateway polls the -tenants
-// file's mtime; SIGHUP reloads immediately without waiting for a tick.
-const gatewayReloadInterval = 2 * time.Second
-
 // startGateway builds the -gateway handler: the multi-tenant front door
 // over the one -backends URL, with the -tenants config installed and
-// kept hot via SIGHUP and mtime polling. The returned stop func tears
-// the reload machinery down and drains in-flight shadow requests.
+// reloaded on SIGHUP. The returned stop func stops the SIGHUP handler
+// and drains in-flight shadow requests.
 func startGateway(logger *slog.Logger, backendsFlag, tenantsPath string, maxBody int64) (http.Handler, func(), error) {
 	if backendsFlag == "" {
 		return nil, nil, fmt.Errorf("-gateway requires -backends")
@@ -51,7 +46,6 @@ func startGateway(logger *slog.Logger, backendsFlag, tenantsPath string, maxBody
 	logger.Info("gateway config loaded", "path", tenantsPath, "backend", urls[0])
 
 	stop := make(chan struct{})
-	go g.WatchConfig(stop, gatewayReloadInterval)
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {

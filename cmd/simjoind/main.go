@@ -42,8 +42,7 @@
 //
 //	simjoind -addr :8080 -gateway -backends http://coord:8081 -tenants tenants.json
 //
-// The -tenants config hot-reloads on SIGHUP and whenever the file's
-// mtime changes.
+// The -tenants config hot-reloads on SIGHUP.
 //
 // -version prints the binary's build identity block (the /healthz
 // "build" object) and exits.
@@ -104,7 +103,7 @@ func run(argv []string) int {
 		maxPairs     = fs.Int64("max-pairs", 0, "admission budget: reject (429) or, on request, degrade join queries whose estimated result size exceeds this many pairs (0 = unlimited)")
 		gatewayMode  = fs.Bool("gateway", false, "gateway mode: multi-tenant front door over -backends (see docs/GATEWAY.md)")
 		backends     = fs.String("backends", "", "the one backend base URL -gateway fronts: a coordinator (put -workers on it to front a fleet) or a worker")
-		tenants      = fs.String("tenants", "", "gateway tenancy + experiment config (JSON); hot-reloaded on SIGHUP and file change")
+		tenants      = fs.String("tenants", "", "gateway tenancy + experiment config (JSON); hot-reloaded on SIGHUP")
 		version      = fs.Bool("version", false, "print the build identity block (the /healthz build object) and exit")
 		loads        loadFlags
 	)

@@ -89,62 +89,6 @@ func (t *Tree) stripeAt(i int32, depth int) int {
 	return t.stripeOf(keys.Data[int(i)*keys.Stride+dim], dim)
 }
 
-// Delete removes point index i from the tree, returning whether it was
-// indexed. Emptied leaves are unlinked; internal nodes whose stripes all
-// empty collapse to nil so joins and queries never descend dead branches.
-// The dataset itself is untouched (indexes of other points must stay
-// stable), so the deleted point's storage is simply no longer referenced.
-func (t *Tree) Delete(i int) bool {
-	if t.root == nil {
-		return false
-	}
-	if i < 0 || i >= t.ds.Len() {
-		return false
-	}
-	var removed bool
-	t.root, removed = t.remove(t.root, int32(i), 0)
-	return removed
-}
-
-func (t *Tree) remove(n *node, i int32, depth int) (*node, bool) {
-	if n.leaf() {
-		for at, idx := range n.pts {
-			if idx != i {
-				continue
-			}
-			n.pts = append(n.pts[:at], n.pts[at+1:]...)
-			if len(n.pts) == 0 {
-				t.nodes--
-				t.leaves--
-				return nil, true
-			}
-			return n, true
-		}
-		return n, false
-	}
-	s := t.stripeAt(i, depth)
-	child := n.children[s]
-	if child == nil {
-		return n, false
-	}
-	next, removed := t.remove(child, i, depth+1)
-	if !removed {
-		return n, false
-	}
-	n.children[s] = next
-	if next == nil {
-		// Collapse the node if every stripe is now empty.
-		for _, c := range n.children {
-			if c != nil {
-				return n, true
-			}
-		}
-		t.nodes--
-		return nil, true
-	}
-	return n, true
-}
-
 // RangeQuery visits every indexed point within radius of q under the given
 // metric. The radius must not exceed the ε the tree was built for: the
 // stripe grid only guarantees that closer points sit in adjacent stripes.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"simjoin/internal/brute"
-	"simjoin/internal/dataset"
 	"simjoin/internal/join"
 	"simjoin/internal/pairs"
 	"simjoin/internal/synth"
@@ -52,170 +51,5 @@ func TestJoinTreesParallelLeafRoot(t *testing.T) {
 	JoinTreesParallel(ta, tb, opt, sh.Handle)
 	if !pairs.Equal(sh.Merged(), want.Sorted()) {
 		t.Errorf("leaf-root parallel join wrong: %s", pairs.Diff(sh.Merged(), want.Pairs))
-	}
-}
-
-func TestDeleteThenJoinMatchesRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 15; trial++ {
-		n := 50 + rng.Intn(400)
-		d := 1 + rng.Intn(6)
-		eps := 0.05 + rng.Float64()*0.3
-		ds := synth.Generate(synth.Config{N: n, Dims: d, Seed: rng.Int63(), Dist: synth.AllDistributions()[rng.Intn(4)]})
-		tr := Build(ds, eps, Config{LeafThreshold: 1 + rng.Intn(16)})
-
-		// Delete a random subset.
-		deleted := map[int]bool{}
-		for len(deleted) < n/3 {
-			i := rng.Intn(n)
-			if deleted[i] {
-				continue
-			}
-			if !tr.Delete(i) {
-				t.Fatalf("Delete(%d) reported missing", i)
-			}
-			deleted[i] = true
-		}
-		if err := tr.checkSurvivors(deleted); err != nil {
-			t.Fatal(err)
-		}
-		// Second delete of the same index reports false.
-		for i := range deleted {
-			if tr.Delete(i) {
-				t.Fatalf("double Delete(%d) reported success", i)
-			}
-			break
-		}
-
-		// Join over the survivors must equal brute over the survivor set.
-		opt := join.Options{Metric: vec.L2, Eps: eps}
-		got := &pairs.Collector{Canonical: true}
-		tr.SelfJoin(opt, got)
-		want := &pairs.Collector{Canonical: true}
-		keep := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			if !deleted[i] {
-				keep = append(keep, i)
-			}
-		}
-		sub := ds.Subset(keep)
-		// Map subset-local pairs back to original indexes.
-		mapped := &pairs.Collector{Canonical: true}
-		brute.SelfJoin(sub, opt, want)
-		for _, p := range want.Pairs {
-			mapped.Emit(keep[p.I], keep[p.J])
-		}
-		if !pairs.Equal(got.Sorted(), mapped.Sorted()) {
-			t.Fatalf("trial %d: post-delete join wrong: %s", trial, pairs.Diff(got.Pairs, mapped.Pairs))
-		}
-	}
-}
-
-// checkSurvivors verifies the structural invariants restricted to
-// non-deleted points: every survivor present exactly once, no empty
-// leaves, no all-nil internals.
-func (t *Tree) checkSurvivors(deleted map[int]bool) error {
-	seen := map[int]bool{}
-	var walk func(n *node) error
-	walk = func(n *node) error {
-		if n.leaf() {
-			if len(n.pts) == 0 {
-				return errEmptyLeaf
-			}
-			for _, i := range n.pts {
-				if deleted[int(i)] {
-					return errDeletedPresent
-				}
-				if seen[int(i)] {
-					return errDuplicate
-				}
-				seen[int(i)] = true
-			}
-			return nil
-		}
-		any := false
-		for _, c := range n.children {
-			if c == nil {
-				continue
-			}
-			any = true
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		if !any {
-			return errHollowNode
-		}
-		return nil
-	}
-	if t.root != nil {
-		if err := walk(t.root); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < t.ds.Len(); i++ {
-		if !deleted[i] && !seen[i] {
-			return errSurvivorMissing
-		}
-	}
-	return nil
-}
-
-var (
-	errEmptyLeaf       = errorString("core: empty leaf after delete")
-	errDeletedPresent  = errorString("core: deleted point still indexed")
-	errDuplicate       = errorString("core: point indexed twice")
-	errHollowNode      = errorString("core: internal node with no children")
-	errSurvivorMissing = errorString("core: surviving point missing")
-)
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
-
-func TestDeleteAllThenReinsert(t *testing.T) {
-	ds := synth.Generate(synth.Config{N: 60, Dims: 3, Seed: 3, Dist: synth.Uniform})
-	tr := Build(ds, 0.2, Config{LeafThreshold: 4})
-	for i := 0; i < ds.Len(); i++ {
-		if !tr.Delete(i) {
-			t.Fatalf("Delete(%d) failed", i)
-		}
-	}
-	if tr.root != nil {
-		t.Fatal("root not nil after deleting everything")
-	}
-	var sink pairs.Counter
-	tr.SelfJoin(join.Options{Metric: vec.L2, Eps: 0.2}, &sink)
-	if sink.N() != 0 {
-		t.Fatal("empty tree joined pairs")
-	}
-	// Reinsert everything; join must equal a fresh build.
-	for i := 0; i < ds.Len(); i++ {
-		tr.Insert(i)
-	}
-	got := &pairs.Collector{Canonical: true}
-	tr.SelfJoin(join.Options{Metric: vec.L2, Eps: 0.2}, got)
-	want := &pairs.Collector{Canonical: true}
-	Build(ds, 0.2, Config{LeafThreshold: 4}).SelfJoin(join.Options{Metric: vec.L2, Eps: 0.2}, want)
-	if !pairs.Equal(got.Sorted(), want.Sorted()) {
-		t.Errorf("post-reinsert join wrong: %s", pairs.Diff(got.Pairs, want.Pairs))
-	}
-}
-
-func TestDeleteDegenerate(t *testing.T) {
-	ds := dataset.FromPoints([][]float64{{0.5, 0.5}})
-	tr := Build(ds, 0.1, Config{})
-	if tr.Delete(7) {
-		t.Error("out-of-range delete succeeded")
-	}
-	if tr.Delete(-1) {
-		t.Error("negative delete succeeded")
-	}
-	if !tr.Delete(0) {
-		t.Error("valid delete failed")
-	}
-	empty := Build(dataset.New(2, 0), 0.1, Config{})
-	if empty.Delete(0) {
-		t.Error("delete from empty tree succeeded")
 	}
 }

@@ -207,26 +207,6 @@ func (d *Dataset) Shuffle(seed int64) {
 	})
 }
 
-// Normalize rescales every dimension in place to [0, 1] and returns the
-// original bounds, so callers can map distances back. Degenerate dimensions
-// (zero extent) map to 0.5.
-func (d *Dataset) Normalize() vec.Box {
-	b := d.Bounds()
-	n := d.Len()
-	for i := 0; i < n; i++ {
-		p := d.Point(i)
-		for k := 0; k < d.dims; k++ {
-			ext := b.Hi[k] - b.Lo[k]
-			if ext == 0 {
-				p[k] = 0.5
-			} else {
-				p[k] = (p[k] - b.Lo[k]) / ext
-			}
-		}
-	}
-	return b
-}
-
 // Equal reports whether two datasets have identical dimensionality, length
 // and coordinates.
 func (d *Dataset) Equal(o *Dataset) bool {

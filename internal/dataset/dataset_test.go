@@ -319,30 +319,6 @@ func pointKey(p []float64) string {
 	return string(b)
 }
 
-func TestNormalize(t *testing.T) {
-	ds := FromPoints([][]float64{{0, 5, 7}, {10, 5, 14}, {5, 5, 0}})
-	orig := ds.Bounds()
-	ret := ds.Normalize()
-	if orig.Lo[0] != ret.Lo[0] || orig.Hi[2] != ret.Hi[2] {
-		t.Fatal("Normalize did not return original bounds")
-	}
-	b := ds.Bounds()
-	for k := 0; k < 3; k++ {
-		if k == 1 {
-			continue // degenerate dimension
-		}
-		if b.Lo[k] != 0 || b.Hi[k] != 1 {
-			t.Fatalf("dim %d normalized bounds [%g,%g], want [0,1]", k, b.Lo[k], b.Hi[k])
-		}
-	}
-	// Degenerate dimension maps to 0.5.
-	for i := 0; i < ds.Len(); i++ {
-		if ds.Point(i)[1] != 0.5 {
-			t.Fatalf("degenerate dim value %g, want 0.5", ds.Point(i)[1])
-		}
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	f := func(seed int64) bool {

@@ -74,21 +74,6 @@ func FFT(x []complex128) []complex128 {
 	return out
 }
 
-// IFFT inverts FFT (normalized symmetrically, so IFFT(FFT(x)) == x). It
-// panics unless the length is a power of two.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	conj := make([]complex128, n)
-	for i, v := range x {
-		conj[i] = cmplx.Conj(v)
-	}
-	y := FFT(conj)
-	for i := range y {
-		y[i] = cmplx.Conj(y[i])
-	}
-	return y
-}
-
 // Transform computes the normalized DFT of a real sequence of any length,
 // using FFT when the length is a power of two and Naive otherwise.
 func Transform(x []float64) []complex128 {

@@ -57,23 +57,6 @@ func TestFFTPanicsOnNonPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestIFFTRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 << (1 + r.Intn(8))
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(r.NormFloat64(), r.NormFloat64())
-		}
-		y := IFFT(FFT(x))
-		return complexAlmostEqual(x, y, 1e-9*float64(n))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rng}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestParseval: the normalized transform is unitary — energy is preserved.
 func TestParseval(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

@@ -3,10 +3,8 @@ package gateway
 import (
 	"fmt"
 	"log/slog"
-	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"simjoin/internal/obsv"
 	"simjoin/internal/obsv/querylog"
@@ -116,11 +114,9 @@ type Gateway struct {
 	exps    []Experiment
 	reloads atomic.Int64
 
-	// cfgPath + cfgStamp drive Reload/WatchConfig for file-backed
-	// configs.
-	cfgPath  string
-	stampMu  sync.Mutex
-	cfgStamp time.Time
+	// cfgPath is the file Reload re-reads for file-backed configs.
+	pathMu  sync.Mutex
+	cfgPath string
 }
 
 // New returns a gateway over the given backend with an empty tenant
@@ -209,7 +205,7 @@ func (g *Gateway) SetConfig(cfg *Config) error {
 }
 
 // LoadConfigFile loads, validates and installs a config file, and
-// remembers the path for Reload/WatchConfig.
+// remembers the path for Reload.
 func (g *Gateway) LoadConfigFile(path string) error {
 	cfg, err := LoadConfig(path)
 	if err != nil {
@@ -218,21 +214,18 @@ func (g *Gateway) LoadConfigFile(path string) error {
 	if err := g.SetConfig(cfg); err != nil {
 		return err
 	}
-	g.stampMu.Lock()
+	g.pathMu.Lock()
 	g.cfgPath = path
-	if fi, err := os.Stat(path); err == nil {
-		g.cfgStamp = fi.ModTime()
-	}
-	g.stampMu.Unlock()
+	g.pathMu.Unlock()
 	return nil
 }
 
 // Reload re-reads the config file installed by LoadConfigFile. A
 // parse or validation failure leaves the running config untouched.
 func (g *Gateway) Reload() error {
-	g.stampMu.Lock()
+	g.pathMu.Lock()
 	path := g.cfgPath
-	g.stampMu.Unlock()
+	g.pathMu.Unlock()
 	if path == "" {
 		return fmt.Errorf("no config file to reload")
 	}
@@ -241,52 +234,6 @@ func (g *Gateway) Reload() error {
 		return err
 	}
 	return g.SetConfig(cfg)
-}
-
-// maybeReload reloads iff the config file's mtime moved since the last
-// load — the body of one WatchConfig poll tick.
-func (g *Gateway) maybeReload() {
-	g.stampMu.Lock()
-	path, stamp := g.cfgPath, g.cfgStamp
-	g.stampMu.Unlock()
-	if path == "" {
-		return
-	}
-	fi, err := os.Stat(path)
-	if err != nil || !fi.ModTime().After(stamp) {
-		return
-	}
-	g.stampMu.Lock()
-	g.cfgStamp = fi.ModTime()
-	g.stampMu.Unlock()
-	if err := g.Reload(); err != nil {
-		if g.log != nil {
-			g.log.Error("gateway config reload failed; keeping previous config", "path", path, "error", err)
-		}
-		return
-	}
-	if g.log != nil {
-		g.log.Info("gateway config reloaded", "path", path, "tenants", g.tenantCount())
-	}
-}
-
-// WatchConfig polls the config file's mtime every interval and reloads
-// on change, until stop is closed. SIGHUP-driven reloads (wired by the
-// daemon) and the poll share Reload, so both paths swap atomically.
-func (g *Gateway) WatchConfig(stop <-chan struct{}, interval time.Duration) {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			g.maybeReload()
-		}
-	}
 }
 
 // lookup resolves an API key to its tenant.

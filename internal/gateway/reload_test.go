@@ -19,7 +19,7 @@ func writeConfig(t *testing.T, path string, cfg *Config) {
 	if err != nil {
 		t.Fatalf("marshaling config: %v", err)
 	}
-	// Write-then-rename so a poll never reads a half-written file —
+	// Write-then-rename so a reload never reads a half-written file —
 	// the same discipline an operator's config push should use.
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
@@ -112,10 +112,6 @@ func TestReloadUnderTraffic(t *testing.T) {
 	if err := g.LoadConfigFile(path); err != nil {
 		t.Fatalf("LoadConfigFile: %v", err)
 	}
-	stop := make(chan struct{})
-	go g.WatchConfig(stop, 5*time.Millisecond)
-	defer close(stop)
-
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 
@@ -142,9 +138,8 @@ func TestReloadUnderTraffic(t *testing.T) {
 		}()
 	}
 
-	// Swap the config as fast as the poll watcher picks it up,
-	// alternating limits and the set of other tenants around the
-	// stable one.
+	// Swap the config as fast as Reload applies it, alternating limits
+	// and the set of other tenants around the stable one.
 	swaps := 0
 	for ctx.Err() == nil {
 		cfg := &Config{Tenants: []Tenant{stable}}
@@ -157,8 +152,6 @@ func TestReloadUnderTraffic(t *testing.T) {
 			cfg.Experiments = []Experiment{{Name: "e", Percent: 50, Override: Override{Algorithm: "brute"}}}
 		}
 		writeConfig(t, path, cfg)
-		// mtime granularity can swallow rapid swaps; also drive Reload
-		// directly so the swap count is meaningful.
 		if err := g.Reload(); err != nil {
 			t.Errorf("Reload: %v", err)
 		}

@@ -165,7 +165,9 @@ func (t *Tree) On(ds *dataset.Dataset) *Tree {
 // Size returns the number of tree nodes.
 func (t *Tree) Size() int { return t.nodes }
 
-// Depth returns the height of the tree (1 for a single leaf).
+// Depth returns the height of the tree (1 for a single leaf). No join
+// reads it; it exposes the height bound TestSizeAndDepth holds median
+// splits to.
 func (t *Tree) Depth() int { return depth(t.root) }
 
 func depth(n *node) int {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"simjoin/internal/dataset"
+	"simjoin/internal/synth"
 	"simjoin/internal/vec"
 )
 
@@ -79,4 +80,46 @@ func TestIndexEnsureEps(t *testing.T) {
 	if x.Eps() != 0.5 {
 		t.Fatalf("eps %g after lower, want 0.5", x.Eps())
 	}
+}
+
+// BenchmarkIndexAppend prices the two ways to keep a standing ε-index
+// current through a 64-point batch at d = 8, on the path a served append
+// runs (appendLocked): "append64" adopts the grown snapshot, then probes
+// each batch point with Neighbors and indexes it with Next; "rebuild64"
+// rebuilds the index over the grown dataset and probes the batch, which
+// is what polling would cost. Both run the batch's 64 range queries; only
+// the index maintenance differs, so the ratio is the price of NOT having
+// the incremental path. The pairs metric counts the range hits.
+func BenchmarkIndexAppend(b *testing.B) {
+	const n, dims, batch, eps = 4000, 8, 64, 0.15
+	full := synth.Generate(synth.Config{N: n, Dims: dims, Seed: 12, Dist: synth.GaussianClusters})
+	probe := func(idx *Index, next bool) (hits int) {
+		for i := n - batch; i < n; i++ {
+			idx.Neighbors(full.Point(i), vec.L2, eps, func(int) { hits++ })
+			if next {
+				idx.Next()
+			}
+		}
+		return hits
+	}
+	b.Run("append64", func(b *testing.B) {
+		b.ReportAllocs()
+		var hits int
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			idx := newIndex(full.Head(n-batch), eps)
+			b.StartTimer()
+			idx.Adopt(full)
+			hits = probe(idx, true)
+		}
+		b.ReportMetric(float64(hits), "pairs")
+	})
+	b.Run("rebuild64", func(b *testing.B) {
+		b.ReportAllocs()
+		var hits int
+		for i := 0; i < b.N; i++ {
+			hits = probe(newIndex(full, eps), false)
+		}
+		b.ReportMetric(float64(hits), "pairs")
+	})
 }

@@ -22,9 +22,9 @@ import (
 // enough recent history to debug an incident, bounded memory forever.
 const DefaultCapacity = 256
 
-// DefaultSlowThreshold marks queries as slow when no threshold is
-// configured. Joins on daemon-sized datasets complete well under this;
-// anything slower is worth pinning.
+// DefaultSlowThreshold is the slow cutoff: a query at least this long is
+// marked slow and pinned. Joins on daemon-sized datasets complete well
+// under this; anything slower is worth pinning.
 const DefaultSlowThreshold = 250 * time.Millisecond
 
 // MispredictFactor is how far the planner's estimate may deviate from
@@ -97,9 +97,8 @@ func (r Record) Elapsed() time.Duration { return time.Duration(r.ElapsedNS) }
 // Log is the journal: two fixed rings under one mutex. All methods are
 // safe for concurrent use.
 type Log struct {
-	mu   sync.Mutex
-	seq  uint64
-	slow time.Duration
+	mu  sync.Mutex
+	seq uint64
 
 	normal ring
 	pinned ring
@@ -110,7 +109,7 @@ type Log struct {
 
 // New returns a Log retaining the last capacity ordinary records
 // (DefaultCapacity when capacity <= 0) plus up to capacity/4 pinned
-// ones (minimum 8), with DefaultSlowThreshold as the slow cutoff.
+// ones (minimum 8).
 func New(capacity int) *Log {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -120,25 +119,9 @@ func New(capacity int) *Log {
 		pcap = 8
 	}
 	return &Log{
-		slow:   DefaultSlowThreshold,
 		normal: newRing(capacity),
 		pinned: newRing(pcap),
 	}
-}
-
-// SetSlowThreshold changes the slow cutoff (d <= 0 marks every query
-// slow, which tests use to force pinning).
-func (l *Log) SetSlowThreshold(d time.Duration) {
-	l.mu.Lock()
-	l.slow = d
-	l.mu.Unlock()
-}
-
-// SlowThreshold returns the current slow cutoff.
-func (l *Log) SlowThreshold() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.slow
 }
 
 // mispredicted reports whether est missed actual by more than
@@ -170,7 +153,7 @@ func (l *Log) Add(r Record) Record {
 	if r.Time.IsZero() {
 		r.Time = time.Now()
 	}
-	r.Slow = time.Duration(r.ElapsedNS) >= l.slow
+	r.Slow = time.Duration(r.ElapsedNS) >= DefaultSlowThreshold
 	r.Mispredicted = mispredicted(r.EstimatedPairs, r.ActualPairs)
 	r.Pinned = r.Slow || r.Mispredicted
 	l.totalAdded++

@@ -113,20 +113,6 @@ func TestTotals(t *testing.T) {
 	}
 }
 
-func TestSetSlowThreshold(t *testing.T) {
-	l := New(4)
-	if got := l.Add(rec("a", time.Millisecond, -1, 0)); got.Slow {
-		t.Fatal("1ms slow under the default threshold")
-	}
-	l.SetSlowThreshold(0)
-	if got := l.Add(rec("a", 0, -1, 0)); !got.Slow {
-		t.Fatal("threshold 0 should mark everything slow")
-	}
-	if l.SlowThreshold() != 0 {
-		t.Fatal("SlowThreshold not updated")
-	}
-}
-
 // TestConcurrentPriorityRetention hammers the journal from many writers
 // mixing pinned and ordinary records while readers snapshot, then
 // verifies no pinned record in the final window was lost and snapshots

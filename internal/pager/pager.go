@@ -186,7 +186,9 @@ func (p *Pool) Fetch(f *File, page int) []float64 {
 	return f.pages[page]
 }
 
-// Resident reports whether the given page is currently cached.
+// Resident reports whether the given page is currently cached. No scan
+// reads it; it exposes the LRU residency that TestPoolLRUSemantics,
+// TestPoolDrop and TestPoolMultipleFilesDistinctKeys pin.
 func (p *Pool) Resident(f *File, page int) bool {
 	_, ok := p.resident[pageKey{file: f.id, page: page}]
 	return ok

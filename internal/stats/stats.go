@@ -85,15 +85,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 	}
 }
 
-// CandidateRatio returns candidates per result (the selectivity of the
-// filtering step); 0 when there are no results.
-func (s Snapshot) CandidateRatio() float64 {
-	if s.Results == 0 {
-		return 0
-	}
-	return float64(s.Candidates) / float64(s.Results)
-}
-
 // Stopwatch measures elapsed wall-clock time across named phases.
 type Stopwatch struct {
 	start time.Time

@@ -45,12 +45,6 @@ func TestSnapshotSubAndRatio(t *testing.T) {
 	if d.DistComps != 6 || d.Candidates != 12 || d.Results != 3 || d.NodeVisits != 4 || d.PageReads != 1 || d.PageWrites != 0 {
 		t.Errorf("Sub = %+v", d)
 	}
-	if got := a.CandidateRatio(); got != 4 {
-		t.Errorf("CandidateRatio = %g, want 4", got)
-	}
-	if got := (Snapshot{Candidates: 9}).CandidateRatio(); got != 0 {
-		t.Errorf("zero-results ratio = %g, want 0", got)
-	}
 }
 
 func TestStopwatch(t *testing.T) {

@@ -32,32 +32,6 @@ func (f Flat) At(i int) []float64 {
 	return f.Data[i*f.Dims : (i+1)*f.Dims : (i+1)*f.Dims]
 }
 
-// FlatFromSlices packs per-point slices into a flat buffer (the inverse of
-// Flat.Slices). All points must share len(pts[0]); it panics otherwise.
-func FlatFromSlices(pts [][]float64) Flat {
-	if len(pts) == 0 {
-		panic("vec: FlatFromSlices of empty slice (dimensionality unknown)")
-	}
-	dims := len(pts[0])
-	data := make([]float64, 0, len(pts)*dims)
-	for _, p := range pts {
-		if len(p) != dims {
-			panic(fmt.Sprintf("vec: packing %d-dim point into %d-dim flat view", len(p), dims))
-		}
-		data = append(data, p...)
-	}
-	return FlatView(dims, data)
-}
-
-// Slices unpacks the view into per-point slices (copies, not aliases).
-func (f Flat) Slices() [][]float64 {
-	out := make([][]float64, f.Len())
-	for i := range out {
-		out[i] = Clone(f.At(i))
-	}
-	return out
-}
-
 // Keys is a per-point table of sweep keys: key k of point i is
 // Data[i*Stride+k]. A point set's own coordinates are one such table
 // (Data = Flat.Data, Stride = Flat.Dims); so is any table of values with

@@ -74,19 +74,6 @@ func samePairs(t *testing.T, name string, want map[pair]bool, got map[pair]bool)
 	}
 }
 
-func TestFlatRoundTrip(t *testing.T) {
-	f := randFlat(t, 17, 5, 1)
-	g := FlatFromSlices(f.Slices())
-	if g.Dims != f.Dims || len(g.Data) != len(f.Data) {
-		t.Fatalf("round trip changed shape: %d/%d vs %d/%d", g.Dims, len(g.Data), f.Dims, len(f.Data))
-	}
-	for i, v := range f.Data {
-		if g.Data[i] != v {
-			t.Fatalf("round trip changed Data[%d]: %g vs %g", i, g.Data[i], v)
-		}
-	}
-}
-
 // sweepTestDims are the dimensionalities the sweep reference tests run: the
 // small ones, every generated width and the widths on either side of it.
 func sweepTestDims() []int {

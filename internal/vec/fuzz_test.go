@@ -5,13 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzFlatRoundTrip drives the flat kernels with adversarial coordinate
+// FuzzFlatKernels drives the flat kernels with adversarial coordinate
 // patterns: the raw bytes become a quantized point set (1/256 granularity,
 // so exact ε-boundary collisions are common), and every kernel's pair set
 // must match an all-pairs evaluation of the metric's reference predicate
-// (Within). The flat↔slices conversion is checked to be lossless along the
-// way.
-func FuzzFlatRoundTrip(f *testing.F) {
+// (Within).
+func FuzzFlatKernels(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint8(2), uint16(300))
 	f.Add([]byte{255, 0, 255, 0, 1, 1, 1, 1, 128, 128}, uint8(1), uint16(65535))
 	f.Add([]byte{64, 0, 64, 0, 64, 1, 64, 1, 63, 255, 64, 2}, uint8(3), uint16(1))
@@ -33,13 +32,6 @@ func FuzzFlatRoundTrip(f *testing.F) {
 		}
 		eps := 1e-3 + float64(epsRaw)/65535*8
 		fl := FlatView(dims, data)
-
-		rt := FlatFromSlices(fl.Slices())
-		for i, v := range fl.Data {
-			if rt.Data[i] != v {
-				t.Fatalf("flat->slices->flat changed Data[%d]: %g vs %g", i, rt.Data[i], v)
-			}
-		}
 
 		idx := make([]int32, n)
 		for i := range idx {

@@ -325,26 +325,3 @@ func TestCountersIndependentOfWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestIndexSelfJoinEach exercises the Index streaming entry point.
-func TestIndexSelfJoinEach(t *testing.T) {
-	ds, _ := Synthetic("clustered", 400, 4, 71)
-	x, err := NewIndex(ds, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := x.SelfJoin(Options{Eps: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		var n int64
-		_, err := x.SelfJoinEach(Options{Eps: 0.1, Workers: workers}, func(i, j int) { n++ })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != int64(len(res.Pairs)) {
-			t.Fatalf("workers=%d: streamed %d pairs, want %d", workers, n, len(res.Pairs))
-		}
-	}
-}

@@ -96,11 +96,11 @@ step "race x4 ./internal/sketch/... -run Concurrent" go test -race -count=4 -run
 
 # go test never runs a benchmark, so one that panics would go unnoticed:
 # run the kernel, ε-kdB join and range-probe and sketch-build benchmarks a
-# kernel change is read against, and the upload scanner's against
-# encoding/json, once.
-step "benchmarks once: SweepL2, HighDim, RangeQuery, WithinL1Linf, FromDataset, DecodePoints" go test -run '^$' \
-	-bench 'SweepL2|HighDim|RangeQuery|WithinL1Linf|FromDataset|DecodePoints' -benchtime 1x \
-	./internal/vec ./internal/core ./internal/sketch ./internal/api
+# kernel change is read against, the upload scanner's against
+# encoding/json, and the live index's append path, once.
+step "benchmarks once: SweepL2, HighDim, RangeQuery, WithinL1Linf, FromDataset, DecodePoints, IndexAppend" go test -run '^$' \
+	-bench 'SweepL2|HighDim|RangeQuery|WithinL1Linf|FromDataset|DecodePoints|IndexAppend' -benchtime 1x \
+	./internal/vec ./internal/core ./internal/sketch ./internal/api ./internal/live
 
 step "benchmark harness: vet + test" harness
 # Each workload boots what it measures from this checkout — serve_* run
@@ -112,12 +112,12 @@ for w in join_pairs join_highdim serve_query serve_ingest; do
 done
 
 # Every untrusted-input decoder (dataset readers, snapshot + WAL codecs,
-# the upload scanner held to encoding/json), the flat-layout round trip, the pair radix sort, the ε-kdB tree's
+# the upload scanner held to encoding/json), the flat kernels held to the reference predicate, the pair radix sort, the ε-kdB tree's
 # join and its range probe held to brute force over both key kinds, and the sketch's log-free bucket index
 # held to the Log2 formula, and the cluster's shard-coverage rule held to
 # the points each shard stores. The go tool takes one -fuzz target per run.
 for target in dataset:FuzzReadCSV dataset:FuzzReadBinary api:FuzzDecodePoints store:FuzzReadSnapshot \
-	store:FuzzWALReplay vec:FuzzFlatRoundTrip pairs:FuzzSortPairs core:FuzzSelfJoinOracle core:FuzzRangeQueryOracle \
+	store:FuzzWALReplay vec:FuzzFlatKernels pairs:FuzzSortPairs core:FuzzSelfJoinOracle core:FuzzRangeQueryOracle \
 	sketch:FuzzHistIndex cluster:FuzzShardCoverage; do
 	step "fuzz 10s ${target#*:}" go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
 done

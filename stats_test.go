@@ -163,39 +163,12 @@ func TestJoinStatsStreamingAndCounting(t *testing.T) {
 	}
 }
 
-// TestJoinStatsIndex checks the reusable-Index entry points fill Stats.
-func TestJoinStatsIndex(t *testing.T) {
-	ds, err := Synthetic("clustered", 300, 4, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := NewIndex(ds, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var js JoinStats
-	res, err := x.SelfJoin(Options{Eps: 0.1, Stats: &js})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if js.PairsEmitted != int64(len(res.Pairs)) || js.DistComps <= 0 {
-		t.Errorf("index stats = %+v for %d pairs", js, len(res.Pairs))
-	}
-	if js.BuildTime != 0 {
-		t.Errorf("index query BuildTime = %v, want 0 (build paid at NewIndex)", js.BuildTime)
-	}
-}
-
 // TestJoinStatsCollectPhase pins the collect phase: a run that returns its
 // pairs reports the time it spent merging, sorting and converting them; a
 // counting or streaming run holds no pairs and reports none; and the three
 // phases never add up to more than the run's wall time.
 func TestJoinStatsCollectPhase(t *testing.T) {
 	ds, err := Synthetic("clustered", 2000, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := NewIndex(ds, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,20 +182,14 @@ func TestJoinStatsCollectPhase(t *testing.T) {
 		{"SelfJoin", true, func(o Options) (*Result, error) { return SelfJoin(ds, o) }},
 		{"SelfJoin/grid", true, func(o Options) (*Result, error) { o.Algorithm = AlgorithmGrid; return SelfJoin(ds, o) }},
 		{"Join", true, func(o Options) (*Result, error) { return Join(ds, ds, o) }},
-		{"Index.SelfJoin", true, func(o Options) (*Result, error) { return x.SelfJoin(o) }},
 		{"SelfJoin/count", false, func(o Options) (*Result, error) { o.CollectPairs = &off; return SelfJoin(ds, o) }},
 		{"Join/count", false, func(o Options) (*Result, error) { o.CollectPairs = &off; return Join(ds, ds, o) }},
-		{"Index.SelfJoin/count", false, func(o Options) (*Result, error) { o.CollectPairs = &off; return x.SelfJoin(o) }},
 		{"SelfJoinEach", false, func(o Options) (*Result, error) {
 			st, err := SelfJoinEach(ds, o, discard)
 			return &Result{Stats: st}, err
 		}},
 		{"JoinEach", false, func(o Options) (*Result, error) {
 			st, err := JoinEach(ds, ds, o, discard)
-			return &Result{Stats: st}, err
-		}},
-		{"Index.SelfJoinEach", false, func(o Options) (*Result, error) {
-			st, err := x.SelfJoinEach(o, discard)
 			return &Result{Stats: st}, err
 		}},
 	}
@@ -334,9 +301,9 @@ func TestEpsRejectedAtEveryEntryPoint(t *testing.T) {
 
 // TestJoinStatsKeys pins where the ε-kdB tree's key choice shows: on
 // high-d clustered data every one-shot entry point reports pivot keys, in
-// JoinStats, on its span and from Explain ahead of the run; low-d data,
-// the Index and other engines report what they ran; and the pair set is
-// the brute-force one whatever the keys.
+// JoinStats, on its span and from Explain ahead of the run; low-d data
+// and other engines report what they ran; and the pair set is the
+// brute-force one whatever the keys.
 func TestJoinStatsKeys(t *testing.T) {
 	high, _ := Synthetic("clustered", 3000, 64, 3)
 	other, _ := Synthetic("clustered", 1800, 64, 3) // same seed: same cluster centres
@@ -396,15 +363,5 @@ func TestJoinStatsKeys(t *testing.T) {
 	}
 	if _, err := SelfJoin(high, Options{Eps: eps, Algorithm: AlgorithmGrid, Stats: &js}); err != nil || js.Keys != "" {
 		t.Errorf("grid Keys = %q (%v), want none", js.Keys, err)
-	}
-	// The index serves every metric, so it never takes metric-bound keys.
-	x, err := NewIndex(high, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []Metric{L2, L1, Linf} {
-		if _, err := x.SelfJoin(Options{Eps: eps, Metric: m, Stats: &js}); err != nil || js.Keys != "raw" {
-			t.Errorf("Index.SelfJoin %v Keys = %q (%v), want raw", m, js.Keys, err)
-		}
 	}
 }
