@@ -30,8 +30,8 @@ func benchSelf(b *testing.B, algo string, ds *dataset.Dataset, eps float64) {
 	b.ReportAllocs()
 	var pairsFound int64
 	for i := 0; i < b.N; i++ {
-		r := bench.RunSelf(algo, ds, vec.L2, eps)
-		pairsFound = r.Pairs
+		r := bench.RunSelf(algo, ds, eps)
+		pairsFound = r.PairsEmitted
 	}
 	b.ReportMetric(float64(pairsFound), "pairs")
 }
@@ -212,7 +212,7 @@ func BenchmarkT3TwoSetJoinWorkers(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				pairsFound = res.Stats.Results
+				pairsFound = res.Stats.PairsEmitted
 			}
 			b.ReportMetric(float64(pairsFound), "pairs")
 		})

@@ -129,7 +129,7 @@ func run(inPath, withPath string, eps float64, metric, algo string, workers int,
 	out := bufio.NewWriter(stdout)
 	defer out.Flush()
 
-	var s simjoin.Stats
+	var s simjoin.JoinStats
 	if stream {
 		// Pairs print the moment the join finds them; nothing buffers.
 		emit := func(i, j int) {
@@ -155,7 +155,7 @@ func run(inPath, withPath string, eps float64, metric, algo string, workers int,
 		}
 		s = res.Stats
 		if countOnly {
-			fmt.Fprintf(out, "%d\n", s.Results)
+			fmt.Fprintf(out, "%d\n", s.PairsEmitted)
 		} else {
 			for _, p := range res.Pairs {
 				fmt.Fprintf(out, "%d,%d,%g\n", p.I, p.J, dist(m, a.Point(p.I), second.Point(p.J)))
@@ -164,7 +164,7 @@ func run(inPath, withPath string, eps float64, metric, algo string, workers int,
 	}
 	if !quiet {
 		fmt.Fprintf(stderr, "pairs=%d candidates=%d distcomps=%d nodevisits=%d elapsed=%s\n",
-			s.Results, s.Candidates, s.DistComps, s.NodeVisits, s.Elapsed)
+			s.PairsEmitted, s.Candidates, s.DistComps, s.NodeVisits, s.Elapsed)
 	}
 	return nil
 }

@@ -39,7 +39,7 @@ func exactSelfJoinTotal(t *testing.T, pts [][]float64, eps float64) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Stats.Results
+	return res.Stats.PairsEmitted
 }
 
 // TestWorkerAdmissionControl: a self-join whose estimated result size

@@ -105,11 +105,12 @@ func estimateParams(w http.ResponseWriter, r *http.Request, required bool) (eps 
 
 // joinRun is what one finished join reports back to runJoin.
 type joinRun struct {
-	pairs   [][2]int      // collecting runs only
-	total   int64         // exact result size
-	elapsed time.Duration // engine or fan-out wall time
-	scatter *api.Scatter  // distributed runs only
-	workers int           // goroutines the engine ran on (workers only)
+	pairs   [][2]int          // collecting runs only
+	stats   simjoin.JoinStats // the library's report (workers only)
+	total   int64             // exact result size
+	elapsed time.Duration     // engine or fan-out wall time
+	scatter *api.Scatter      // distributed runs only
+	workers int               // goroutines the engine ran on (workers only)
 }
 
 // joinCalls is what differs between the join routes and between modes.
@@ -135,8 +136,6 @@ func (s *core) runJoin(w http.ResponseWriter, r *http.Request, route string, rec
 		return
 	}
 	opt.Trace = trace.FromContext(r.Context())
-	var js simjoin.JoinStats
-	opt.Stats = &js
 	// !(eps > 0) goes unpriced — the join itself will reject the
 	// threshold with a clearer message.
 	est := int64(-1)
@@ -158,7 +157,7 @@ func (s *core) runJoin(w http.ResponseWriter, r *http.Request, route string, rec
 	// done journals a finished run and assembles its summary.
 	done := func(run joinRun, outcome querylog.Outcome) api.JoinSummary {
 		s.m.observeEstimateRatio(est, run.total)
-		fillFromRun(&rec, js, run)
+		fillFromRun(&rec, run)
 		rec.Outcome = outcome
 		recordQuery(s.qlog, s.m, rec)
 		sum := api.JoinSummary{Total: run.total, ElapsedMS: float64(run.elapsed.Microseconds()) / 1000, Scatter: run.scatter}

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"time"
 
-	"simjoin"
 	"simjoin/internal/obsv/querylog"
 	"simjoin/internal/obsv/trace"
 )
@@ -51,10 +50,11 @@ func recordFailure(l *querylog.Log, m *metrics, rec querylog.Record, start time.
 // fillFromRun copies a finished run into rec: the result size, wall
 // time, fan-out width and worker count from the run, and — when the join
 // ran in this process rather than on the shards — the resolved engine,
-// work counters and phase timings from the library's detailed stats. A
+// work counters and phase timings from the library's report. A
 // library-side estimate (streaming runs under AlgorithmAuto fill one)
 // backfills a record that carried none of its own.
-func fillFromRun(rec *querylog.Record, js simjoin.JoinStats, run joinRun) {
+func fillFromRun(rec *querylog.Record, run joinRun) {
+	js := run.stats
 	rec.ActualPairs = run.total
 	rec.ElapsedNS = int64(run.elapsed)
 	rec.Workers = run.workers

@@ -485,7 +485,7 @@ func servedWorkers(asked int) int {
 func engineCalls(
 	price func(m simjoin.Metric, eps float64) int64,
 	collect func(opt simjoin.Options) (*simjoin.Result, error),
-	each func(opt simjoin.Options, emit func(i, j int)) (simjoin.Stats, error),
+	each func(opt simjoin.Options, emit func(i, j int)) (simjoin.JoinStats, error),
 ) joinCalls {
 	return joinCalls{
 		price: price,
@@ -495,7 +495,7 @@ func engineCalls(
 			if err != nil {
 				return joinRun{}, err
 			}
-			run := joinRun{total: res.Stats.Results, elapsed: res.Stats.Elapsed, workers: opt.Workers, pairs: make([][2]int, len(res.Pairs))}
+			run := joinRun{stats: res.Stats, total: res.Stats.PairsEmitted, elapsed: res.Stats.Elapsed, workers: opt.Workers, pairs: make([][2]int, len(res.Pairs))}
 			for i, p := range res.Pairs {
 				run.pairs[i] = [2]int{p.I, p.J}
 			}
@@ -504,7 +504,7 @@ func engineCalls(
 		each: func(opt simjoin.Options, emit func(i, j int)) (joinRun, error) {
 			opt.Workers = servedWorkers(opt.Workers)
 			st, err := each(opt, emit)
-			return joinRun{total: st.Results, elapsed: st.Elapsed, workers: opt.Workers}, err
+			return joinRun{stats: st, total: st.PairsEmitted, elapsed: st.Elapsed, workers: opt.Workers}, err
 		},
 	}
 }
@@ -523,7 +523,7 @@ func (s *server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 	s.runJoin(w, r, "POST /datasets/{name}/selfjoin", querylog.Record{Kind: "selfjoin", Dataset: name}, p, engineCalls(
 		func(m simjoin.Metric, eps float64) int64 { return simjoin.PlanSelfJoin(ds, m, eps).EstimatedPairs },
 		func(opt simjoin.Options) (*simjoin.Result, error) { return simjoin.SelfJoin(ds, opt) },
-		func(opt simjoin.Options, emit func(i, j int)) (simjoin.Stats, error) {
+		func(opt simjoin.Options, emit func(i, j int)) (simjoin.JoinStats, error) {
 			return simjoin.SelfJoinEach(ds, opt, emit)
 		},
 	))
@@ -550,7 +550,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	s.runJoin(w, r, "POST /join", querylog.Record{Kind: "join", Dataset: req.A, Dataset2: req.B}, req.JoinParams, engineCalls(
 		func(m simjoin.Metric, eps float64) int64 { return simjoin.PlanJoin(da, db, m, eps).EstimatedPairs },
 		func(opt simjoin.Options) (*simjoin.Result, error) { return simjoin.Join(da, db, opt) },
-		func(opt simjoin.Options, emit func(i, j int)) (simjoin.Stats, error) {
+		func(opt simjoin.Options, emit func(i, j int)) (simjoin.JoinStats, error) {
 			return simjoin.JoinEach(da, db, opt, emit)
 		},
 	))

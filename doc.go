@@ -16,6 +16,12 @@
 //	ds := simjoin.FromPoints(points)           // [][]float64, one row per point
 //	res, err := simjoin.SelfJoin(ds, simjoin.Options{Eps: 0.1})
 //	for _, p := range res.Pairs { ... }        // all pairs with dist ≤ 0.1
+//	fmt.Println(res.Stats.DistComps)           // the run's report (JoinStats)
+//
+// Every entry point — SelfJoin, Join and the streaming SelfJoinEach and
+// JoinEach — returns the same report: the algorithm that ran, its work
+// counters (distance evaluations, candidates, index-node visits, pairs)
+// and its build/probe/collect wall-time split.
 //
 // See the examples directory for complete programs: near-duplicate
 // detection, time-series similarity via DFT features, and density

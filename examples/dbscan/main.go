@@ -50,7 +50,7 @@ func main() {
 		}
 	}
 	fmt.Printf("%d points, ε=%g, minPts=%d\n", ds.Len(), float64(epsilon), minPts)
-	fmt.Printf("join: %d neighbor pairs in %s\n", res.Stats.Results, res.Stats.Elapsed)
+	fmt.Printf("join: %d neighbor pairs in %s\n", res.Stats.PairsEmitted, res.Stats.Elapsed)
 	fmt.Printf("clusters: %d, noise points: %d\n", len(clusterSizes), noise)
 	big := 0
 	for _, size := range clusterSizes {

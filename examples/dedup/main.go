@@ -45,7 +45,7 @@ func main() {
 
 	fmt.Printf("catalog of %d histograms (%d dims), ε=%g under L1\n", ds.Len(), histogramD, epsilon)
 	fmt.Printf("join found %d near-duplicate pairs in %s (%d candidates inspected)\n",
-		res.Stats.Results, res.Stats.Elapsed, res.Stats.Candidates)
+		res.Stats.PairsEmitted, res.Stats.Elapsed, res.Stats.Candidates)
 	fmt.Printf("duplicate groups: %d (largest shown first)\n", len(clusters))
 
 	shown := 0

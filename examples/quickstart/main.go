@@ -23,7 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("ε-kdB tree: %d similar pairs (inspected %d candidates) in %s\n",
-		res.Stats.Results, res.Stats.Candidates, res.Stats.Elapsed)
+		res.Stats.PairsEmitted, res.Stats.Candidates, res.Stats.Elapsed)
 
 	// Print a few matches.
 	for i, p := range res.Pairs {
@@ -40,9 +40,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("nested loop: %d pairs (inspected %d candidates) in %s\n",
-		naive.Stats.Results, naive.Stats.Candidates, naive.Stats.Elapsed)
+		naive.Stats.PairsEmitted, naive.Stats.Candidates, naive.Stats.Elapsed)
 
-	if naive.Stats.Results != res.Stats.Results {
+	if naive.Stats.PairsEmitted != res.Stats.PairsEmitted {
 		log.Fatal("algorithms disagree — this is a bug")
 	}
 	fmt.Printf("speed ratio: the tree inspected %.1f%% of the naive candidates\n",

@@ -12,79 +12,43 @@ package bench
 import (
 	"time"
 
+	"simjoin"
 	"simjoin/internal/brute"
-	"simjoin/internal/core"
 	"simjoin/internal/dataset"
-	"simjoin/internal/grid"
-	"simjoin/internal/hilbert"
 	"simjoin/internal/join"
-	"simjoin/internal/kdtree"
 	"simjoin/internal/pairs"
-	"simjoin/internal/rplus"
-	"simjoin/internal/rtree"
-	"simjoin/internal/stats"
-	"simjoin/internal/sweep"
 	"simjoin/internal/synth"
 	"simjoin/internal/vec"
-	"simjoin/internal/zorder"
 )
 
 // AlgoNames lists the compared algorithms in report order.
 var AlgoNames = []string{"brute", "sweep", "grid", "kdtree", "rtree", "rplus", "zorder", "ekdb"}
 
-// engines maps algorithm names to their entry points. Every run here is a
-// one-worker run, on the caller's goroutine.
-var engines = map[string]join.Engine{
-	"brute":   join.Serial(brute.SelfJoin, brute.Join),
-	"sweep":   join.Serial(sweep.SelfJoin, sweep.Join),
-	"grid":    {Self: grid.SelfJoin, Join: grid.Join},
-	"kdtree":  {Self: kdtree.SelfJoin, Join: kdtree.Join},
-	"rtree":   join.Serial(rtree.SelfJoin, rtree.Join),
-	"rplus":   join.Serial(rplus.SelfJoin, rplus.Join),
-	"zorder":  join.Serial(zorder.SelfJoin, zorder.Join),
-	"hilbert": join.Serial(hilbert.SelfJoin, hilbert.Join),
-	"ekdb":    join.Serial(core.SelfJoin, core.Join),
-}
-
-// engine looks up the named algorithm.
-func engine(algo string) join.Engine {
-	e, ok := engines[algo]
-	if !ok {
-		panic("bench: unknown algorithm " + algo)
+// RunSelf measures one self-join run of the named algorithm: the
+// library's engine on one worker, counting only, under L2. It panics on a
+// run the library refuses (an unknown algorithm).
+func RunSelf(algo string, ds *dataset.Dataset, eps float64) simjoin.JoinStats {
+	res, err := simjoin.SelfJoin(simjoin.WrapDataset(ds), runOptions(algo, eps))
+	if err != nil {
+		panic("bench: " + err.Error())
 	}
-	return e
+	return res.Stats
 }
 
-// RunResult captures one measured algorithm run.
-type RunResult struct {
-	Algo    string
-	Elapsed time.Duration
-	Snap    stats.Snapshot
-	Pairs   int64
+// RunJoin measures one two-set join run of the named algorithm, as
+// RunSelf does.
+func RunJoin(algo string, a, b *dataset.Dataset, eps float64) simjoin.JoinStats {
+	res, err := simjoin.Join(simjoin.WrapDataset(a), simjoin.WrapDataset(b), runOptions(algo, eps))
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	return res.Stats
 }
 
-// RunSelf measures one self-join run of the named algorithm.
-func RunSelf(algo string, ds *dataset.Dataset, metric vec.Metric, eps float64) RunResult {
-	self := engine(algo).Self
-	var c stats.Counters
-	opt := join.Options{Metric: metric, Eps: eps, Counters: &c}
-	var sink pairs.Counter
-	watch := stats.Start()
-	self(ds, opt, func() pairs.Sink { return &sink })
-	elapsed := watch.Elapsed()
-	return RunResult{Algo: algo, Elapsed: elapsed, Snap: c.Snapshot(), Pairs: sink.N()}
-}
-
-// RunJoin measures one two-set join run of the named algorithm.
-func RunJoin(algo string, a, b *dataset.Dataset, metric vec.Metric, eps float64) RunResult {
-	two := engine(algo).Join
-	var c stats.Counters
-	opt := join.Options{Metric: metric, Eps: eps, Counters: &c}
-	var sink pairs.Counter
-	watch := stats.Start()
-	two(a, b, opt, func() pairs.Sink { return &sink })
-	elapsed := watch.Elapsed()
-	return RunResult{Algo: algo, Elapsed: elapsed, Snap: c.Snapshot(), Pairs: sink.N()}
+// runOptions are the options of every measured run.
+func runOptions(algo string, eps float64) simjoin.Options {
+	off := false
+	return simjoin.Options{Eps: eps, Algorithm: simjoin.Algorithm(algo), Workers: 1, CollectPairs: &off}
 }
 
 // Uniform returns the standard uniform workload of the evaluation.

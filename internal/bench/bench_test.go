@@ -131,13 +131,13 @@ func TestAlgorithmsAgreeAtBenchScale(t *testing.T) {
 	ds := Uniform(2000, 8, 0xF1)
 	var want int64 = -1
 	for _, algo := range AlgoNames {
-		r := RunSelf(algo, ds, vec.L2, 0.3)
+		r := RunSelf(algo, ds, 0.3)
 		if want == -1 {
-			want = r.Pairs
+			want = r.PairsEmitted
 			continue
 		}
-		if r.Pairs != want {
-			t.Errorf("%s: %d pairs, want %d", algo, r.Pairs, want)
+		if r.PairsEmitted != want {
+			t.Errorf("%s: %d pairs, want %d", algo, r.PairsEmitted, want)
 		}
 	}
 	if want <= 0 {
@@ -149,10 +149,10 @@ func TestCalibrateEps(t *testing.T) {
 	for _, d := range []int{2, 8, 16} {
 		ds := Uniform(4000, d, 7)
 		eps := CalibrateEps(ds, vec.L2, 8000)
-		r := RunSelf("ekdb", ds, vec.L2, eps)
+		r := RunSelf("ekdb", ds, eps)
 		// Calibration is statistical (subsampled); accept a 4× band.
-		if r.Pairs < 2000 || r.Pairs > 32000 {
-			t.Errorf("d=%d: calibrated eps %g yields %d pairs, want ≈8000", d, eps, r.Pairs)
+		if r.PairsEmitted < 2000 || r.PairsEmitted > 32000 {
+			t.Errorf("d=%d: calibrated eps %g yields %d pairs, want ≈8000", d, eps, r.PairsEmitted)
 		}
 		if d > 2 {
 			prev := CalibrateEps(Uniform(4000, d-1, 7), vec.L2, 8000)
@@ -170,5 +170,5 @@ func TestRunPanicsOnUnknownAlgo(t *testing.T) {
 			t.Error("unknown algorithm did not panic")
 		}
 	}()
-	RunSelf("lsh", ds, vec.L2, 0.1)
+	RunSelf("lsh", ds, 0.1)
 }

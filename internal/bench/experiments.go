@@ -48,7 +48,7 @@ func F1ScaleN(quick bool) *stats.Table {
 		ds := Uniform(n, 8, 0xF1)
 		row := []any{n}
 		for _, algo := range AlgoNames {
-			r := RunSelf(algo, ds, vec.L2, 0.1)
+			r := RunSelf(algo, ds, 0.1)
 			row = append(row, ms(r.Elapsed))
 		}
 		tb.AddRow(row...)
@@ -79,8 +79,8 @@ func F2Dimensionality(quick bool) *stats.Table {
 		var pairsN int64
 		results := make([]any, 0, len(algos))
 		for _, algo := range algos {
-			r := RunSelf(algo, ds, vec.L2, eps)
-			pairsN = r.Pairs
+			r := RunSelf(algo, ds, eps)
+			pairsN = r.PairsEmitted
 			results = append(results, ms(r.Elapsed))
 		}
 		row = append(row, pairsN)
@@ -108,8 +108,8 @@ func F3Epsilon(quick bool) *stats.Table {
 		var pairsN int64
 		results := make([]any, 0, len(algos))
 		for _, algo := range algos {
-			r := RunSelf(algo, ds, vec.L2, eps)
-			pairsN = r.Pairs
+			r := RunSelf(algo, ds, eps)
+			pairsN = r.PairsEmitted
 			results = append(results, ms(r.Elapsed))
 		}
 		row = append(row, pairsN)
@@ -168,13 +168,13 @@ func F5Candidates(quick bool) *stats.Table {
 		var pairsN int64
 		cells := make([]any, 0, 2*len(algos))
 		for _, algo := range algos {
-			r := RunSelf(algo, ds, vec.L2, eps)
-			pairsN = r.Pairs
+			r := RunSelf(algo, ds, eps)
+			pairsN = r.PairsEmitted
 			ratio := 0.0
-			if r.Pairs > 0 {
-				ratio = float64(r.Snap.Candidates) / float64(r.Pairs)
+			if r.PairsEmitted > 0 {
+				ratio = float64(r.Candidates) / float64(r.PairsEmitted)
 			}
-			cells = append(cells, r.Snap.Candidates, ratio)
+			cells = append(cells, r.Candidates, ratio)
 		}
 		row = append(row, pairsN)
 		row = append(row, cells...)
@@ -200,8 +200,8 @@ func F6Distributions(quick bool) *stats.Table {
 		var pairsN int64
 		results := make([]any, 0, len(algos))
 		for _, algo := range algos {
-			r := RunSelf(algo, ds, vec.L2, 0.08)
-			pairsN = r.Pairs
+			r := RunSelf(algo, ds, 0.08)
+			pairsN = r.PairsEmitted
 			results = append(results, ms(r.Elapsed))
 		}
 		row = append(row, pairsN)
@@ -271,15 +271,15 @@ func F8TimeSeries(quick bool) *stats.Table {
 	// Ground truth and direct baselines on the raw sequences (they are
 	// just length-dimensional points).
 	raw := synth.SeriesDataset(series)
-	truth := RunSelf("ekdb", raw, vec.L2, eps)
-	directBrute := RunSelf("brute", raw, vec.L2, eps)
-	if directBrute.Pairs != truth.Pairs {
+	truth := RunSelf("ekdb", raw, eps)
+	directBrute := RunSelf("brute", raw, eps)
+	if directBrute.PairsEmitted != truth.PairsEmitted {
 		panic("bench: direct baselines disagree")
 	}
 
 	headers := []string{"k", "feat_dims", "candidates", "true_pairs", "fp_ratio", "filter_ms", "refine_ms", "total_ms"}
 	tb := stats.NewTable(fmt.Sprintf("F8 DFT filter-and-refine (%d seqs × %d, ε=%g; direct 128-dim join: ekdb %.4g ms, brute %.4g ms, %d pairs)",
-		len(series), length, eps, ms(truth.Elapsed), ms(directBrute.Elapsed), truth.Pairs), headers...)
+		len(series), length, eps, ms(truth.Elapsed), ms(directBrute.Elapsed), truth.PairsEmitted), headers...)
 	for _, k := range []int{1, 2, 3, 4, 6, 8, 12, 16} {
 		watch := stats.Start()
 		feats := dft.FeatureDataset(series, k)
@@ -293,8 +293,8 @@ func F8TimeSeries(quick bool) *stats.Table {
 			}
 		}
 		refine := watch.Lap()
-		if confirmed != truth.Pairs {
-			panic(fmt.Sprintf("bench: filter-and-refine lost pairs at k=%d: %d vs %d", k, confirmed, truth.Pairs))
+		if confirmed != truth.PairsEmitted {
+			panic(fmt.Sprintf("bench: filter-and-refine lost pairs at k=%d: %d vs %d", k, confirmed, truth.PairsEmitted))
 		}
 		fp := 0.0
 		if len(col.Pairs) > 0 {
@@ -320,10 +320,10 @@ func T1Summary(quick bool) *stats.Table {
 	tb := stats.NewTable(fmt.Sprintf("T1 algorithm summary (N=%d, d=8, clustered, ε=0.05)", n),
 		"algo", "self_ms", "join_ms", "self_candidates", "self_distcomps", "self_pairs", "join_pairs")
 	for _, algo := range AlgoNames {
-		self := RunSelf(algo, a, vec.L2, 0.05)
-		two := RunJoin(algo, a, b, vec.L2, 0.05)
+		self := RunSelf(algo, a, 0.05)
+		two := RunJoin(algo, a, b, 0.05)
 		tb.AddRow(algo, ms(self.Elapsed), ms(two.Elapsed),
-			self.Snap.Candidates, self.Snap.DistComps, self.Pairs, two.Pairs)
+			self.Candidates, self.DistComps, self.PairsEmitted, two.PairsEmitted)
 	}
 	return tb
 }

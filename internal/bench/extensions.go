@@ -205,7 +205,7 @@ func E3Estimation(quick bool) *stats.Table {
 	}
 	ds := synth.Generate(synth.Config{N: n, Dims: 6, Seed: 0xE4, Dist: synth.GaussianClusters})
 	const eps = 0.08
-	exact := RunSelf("ekdb", ds, vec.L2, eps).Pairs
+	exact := RunSelf("ekdb", ds, eps).PairsEmitted
 	tb := stats.NewTable("E3 selectivity estimation (exact result size known)",
 		"sample", "estimate", "exact", "rel_error", "est_ms")
 	nf := float64(ds.Len())

@@ -60,12 +60,12 @@ func TestQuickOracleEquivalence(t *testing.T) {
 	}
 }
 
-// TestQuickGrowDeleteMatchesBatchRebuild: a tree seeded from a prefix
-// and grown point by point through the dynamic insert path answers joins
+// TestQuickGrowMatchesBrute checks that a tree seeded from a prefix and
+// grown point by point through the dynamic insert path answers joins
 // exactly like brute force over every point. This is the live-engine
 // usage pattern: the index is seeded once and never rebuilt as the
 // dataset grows, even when appended points land outside the seed frame.
-func TestQuickGrowDeleteMatchesBatchRebuild(t *testing.T) {
+func TestQuickGrowMatchesBrute(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cfg, tcfg, eps, metric := quickCase(seed)

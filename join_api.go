@@ -8,7 +8,6 @@ import (
 
 	"simjoin/internal/brute"
 	"simjoin/internal/core"
-	"simjoin/internal/dataset"
 	"simjoin/internal/grid"
 	"simjoin/internal/hilbert"
 	"simjoin/internal/join"
@@ -34,9 +33,9 @@ var registry = map[Algorithm]join.Engine{
 	AlgorithmRPlus:   join.Serial(rplus.SelfJoin, rplus.Join),
 	AlgorithmZOrder:  join.Serial(zorder.SelfJoin, zorder.Join),
 	AlgorithmHilbert: join.Serial(hilbert.SelfJoin, hilbert.Join),
-	AlgorithmAuto:    {}, // resolved per call in resolveAlgorithm
+	AlgorithmAuto:    {}, // resolved per call in resolve
 	AlgorithmGrid:    {Self: grid.SelfJoin, Join: grid.Join},
-	AlgorithmEKDB:    {}, // bound in selfRunners / joinRunners: needs per-call Config
+	AlgorithmEKDB:    {}, // bound in inputs.bind: needs per-call Config
 }
 
 // toInternal converts public options to the internal contract.
@@ -63,42 +62,42 @@ func (o Options) treeConfig() core.Config {
 	return core.Config{Metric: o.Metric.internal()}
 }
 
-// selfRunners binds algo's self-join to ds. The ε-kdB tree is built here
+// inputs is what one entry point joins: a with itself (self, b unused) or
+// a with b.
+type inputs struct {
+	a, b *Dataset
+	self bool
+}
+
+// plan is the planner's report for these inputs (asked only under Auto).
+func (in inputs) plan(opt Options) Plan {
+	if in.self {
+		return planSelf(in.a, opt.Metric, opt.Eps, false)
+	}
+	return planJoin(in.a, in.b, opt.Metric, opt.Eps, false)
+}
+
+// bind binds algo's engine to the inputs. The ε-kdB trees are built here
 // (and charged to the build phase) rather than behind the registry's
-// shared signature, so its key kind reaches the runners.
-func selfRunners(algo Algorithm, ds *dataset.Dataset, iopt join.Options, opt Options) runners {
-	if algo == AlgorithmEKDB {
-		start := time.Now()
-		t := core.Build(ds, opt.Eps, opt.treeConfig())
-		iopt.Timing().AddBuild(time.Since(start))
-		return treeRunners(t, iopt)
-	}
-	self := registry[algo].Self
-	return runners{run: func(newSink func() pairs.Sink) { self(ds, iopt, newSink) }}
-}
-
-// treeRunners binds a built ε-kdB tree's self-join.
-func treeRunners(t *core.Tree, iopt join.Options) runners {
-	return runners{
-		run:  func(newSink func() pairs.Sink) { t.SelfJoinParallel(iopt, newSink) },
-		keys: t.Keys(),
-	}
-}
-
-// joinRunners binds algo's two-set join to a and b; the ε-kdB trees are
-// built here for the reason selfRunners gives.
-func joinRunners(algo Algorithm, a, b *dataset.Dataset, iopt join.Options, opt Options) runners {
-	if algo == AlgorithmEKDB {
-		start := time.Now()
-		ta, tb := core.BuildPair(a, b, opt.Eps, opt.treeConfig())
-		iopt.Timing().AddBuild(time.Since(start))
-		return runners{
-			run:  func(newSink func() pairs.Sink) { core.JoinTreesParallel(ta, tb, iopt, newSink) },
-			keys: ta.Keys(),
+// shared signature, so their key kind reaches the runners.
+func (in inputs) bind(algo Algorithm, iopt join.Options, opt Options) runners {
+	a := in.a.internal()
+	if algo != AlgorithmEKDB {
+		e := registry[algo]
+		if in.self {
+			return runners{run: func(newSink func() pairs.Sink) { e.Self(a, iopt, newSink) }}
 		}
+		b := in.b.internal()
+		return runners{run: func(newSink func() pairs.Sink) { e.Join(a, b, iopt, newSink) }}
 	}
-	two := registry[algo].Join
-	return runners{run: func(newSink func() pairs.Sink) { two(a, b, iopt, newSink) }}
+	start := time.Now()
+	defer func() { iopt.Timing().AddBuild(time.Since(start)) }()
+	if in.self {
+		t := core.Build(a, opt.Eps, opt.treeConfig())
+		return runners{run: func(newSink func() pairs.Sink) { t.SelfJoinParallel(iopt, newSink) }, keys: t.Keys()}
+	}
+	ta, tb := core.BuildPair(a, in.b.internal(), opt.Eps, opt.treeConfig())
+	return runners{run: func(newSink func() pairs.Sink) { core.JoinTreesParallel(ta, tb, iopt, newSink) }, keys: ta.Keys()}
 }
 
 // count runs the join into a shared counter: no pair is buffered.
@@ -138,57 +137,48 @@ func (r runners) each(workers int, deliver func(i, j int)) {
 	r.run(func() pairs.Sink { return pairs.Func(deliver) })
 }
 
-// result runs the join in the mode opt asks for — collecting or counting
-// only — and closes the run (see finish).
-func (r runners) result(canonical bool, opt Options, sp *trace.Span, p planned, iopt join.Options, watch stats.Stopwatch) *Result {
-	res := &Result{}
-	var n int64
-	if opt.collect() {
-		res.Pairs = r.collect(canonical, iopt.Phases)
-		n = int64(len(res.Pairs))
-	} else {
-		n = r.count()
+// run is the one body of every entry point: it validates, resolves the
+// algorithm, binds the engine to in, lets pump drive it — collecting,
+// counting or streaming the pairs, and returning how many there were — and
+// returns the run's report, copied to opt.Stats when set. The entry
+// point's span is named span.
+func run(span string, in inputs, opt Options, pump func(r runners, iopt join.Options) int64) (JoinStats, error) {
+	if err := opt.validate(); err != nil {
+		return JoinStats{}, err
 	}
-	res.Stats = r.finish(opt, sp, p, iopt, n, watch)
-	return res
-}
-
-// finish closes a run of these runners (Options.finish), adding to the
-// plan what only they know: the key kind of the tree they built.
-func (r runners) finish(opt Options, sp *trace.Span, p planned, iopt join.Options, n int64, watch stats.Stopwatch) Stats {
-	p.keys = r.keys
-	return opt.finish(sp, p, iopt, n, watch)
-}
-
-// finish closes a run that produced n pairs: it stops the watch, fills
-// o.Stats (when set) with the run's report, seals the entry point's span
-// and returns the summary every mode shares.
-func (o Options) finish(sp *trace.Span, p planned, iopt join.Options, n int64, watch stats.Stopwatch) Stats {
-	elapsed := watch.Elapsed()
-	snap, ph := iopt.Counters.Snapshot(), iopt.Phases
-	if o.Stats != nil {
-		*o.Stats = JoinStats{
-			Algorithm:      p.algo,
-			Keys:           p.keys,
-			DistComps:      snap.DistComps,
-			Candidates:     snap.Candidates,
-			NodeVisits:     snap.NodeVisits,
-			PairsEmitted:   n,
-			EstimatedPairs: p.est,
-			BuildTime:      ph.Build(),
-			ProbeTime:      ph.Probe(),
-			CollectTime:    ph.Collect(),
-			Elapsed:        elapsed,
+	if !in.self {
+		if err := checkJoinDims(in.a, in.b); err != nil {
+			return JoinStats{}, err
 		}
 	}
-	finishSpan(sp, p, iopt.Workers, snap, ph, n)
-	return Stats{
-		Candidates: snap.Candidates,
-		DistComps:  snap.DistComps,
-		Results:    n,
-		NodeVisits: snap.NodeVisits,
-		Elapsed:    elapsed,
+	var counters stats.Counters
+	var phases obsv.Phases
+	iopt := opt.toInternal(&counters, &phases)
+	sp := opt.Trace.Child(span)
+	algo, est := resolve(opt, sp, func() Plan { return in.plan(opt) })
+	watch := stats.Start()
+	r := in.bind(algo, iopt, opt)
+	n := pump(r, iopt)
+	elapsed := watch.Elapsed()
+	snap := counters.Snapshot()
+	st := JoinStats{
+		Algorithm:      algo,
+		Keys:           r.keys,
+		DistComps:      snap.DistComps,
+		Candidates:     snap.Candidates,
+		NodeVisits:     snap.NodeVisits,
+		PairsEmitted:   n,
+		EstimatedPairs: est,
+		BuildTime:      phases.Build(),
+		ProbeTime:      phases.Probe(),
+		CollectTime:    phases.Collect(),
+		Elapsed:        elapsed,
 	}
+	if opt.Stats != nil {
+		*opt.Stats = st
+	}
+	finishSpan(sp, st, iopt.Workers)
+	return st, nil
 }
 
 // finishSpan seals one entry point's span: the resolved algorithm, the
@@ -199,24 +189,24 @@ func (o Options) finish(sp *trace.Span, p planned, iopt join.Options, n int64, w
 // instrumented twice. For parallel runs the later intervals' offsets are
 // approximate (phases can overlap across goroutines); the durations are
 // exact.
-func finishSpan(sp *trace.Span, p planned, workers int, snap stats.Snapshot, ph *obsv.Phases, pairsEmitted int64) {
+func finishSpan(sp *trace.Span, st JoinStats, workers int) {
 	if sp == nil {
 		return
 	}
-	sp.SetAttr("algorithm", string(p.algo))
-	if p.keys != "" {
-		sp.SetAttr("keys", p.keys)
+	sp.SetAttr("algorithm", string(st.Algorithm))
+	if st.Keys != "" {
+		sp.SetAttr("keys", st.Keys)
 	}
 	sp.SetAttr("workers", strconv.Itoa(workers))
-	sp.AddCounter("dist_comps", snap.DistComps)
-	sp.AddCounter("candidates", snap.Candidates)
-	sp.AddCounter("node_visits", snap.NodeVisits)
-	sp.AddCounter("pairs_emitted", pairsEmitted)
+	sp.AddCounter("dist_comps", st.DistComps)
+	sp.AddCounter("candidates", st.Candidates)
+	sp.AddCounter("node_visits", st.NodeVisits)
+	sp.AddCounter("pairs_emitted", st.PairsEmitted)
 	at := sp.StartTime()
 	for _, phase := range []struct {
 		name string
 		d    time.Duration
-	}{{"build", ph.Build()}, {"probe", ph.Probe()}, {"collect", ph.Collect()}} {
+	}{{"build", st.BuildTime}, {"probe", st.ProbeTime}, {"collect", st.CollectTime}} {
 		if phase.d > 0 {
 			sp.ChildInterval(phase.name, at, phase.d)
 		}
@@ -225,20 +215,28 @@ func finishSpan(sp *trace.Span, p planned, workers int, snap stats.Snapshot, ph 
 	sp.End()
 }
 
+// result runs SelfJoin or Join into a Result: the pairs, or only their
+// count when opt.CollectPairs is off.
+func result(span string, in inputs, opt Options) (*Result, error) {
+	res := &Result{}
+	st, err := run(span, in, opt, func(r runners, iopt join.Options) int64 {
+		if !opt.collect() {
+			return r.count()
+		}
+		res.Pairs = r.collect(in.self, iopt.Phases)
+		return int64(len(res.Pairs))
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Stats = st
+	return res, nil
+}
+
 // SelfJoin reports every unordered pair of points in ds within opt.Eps,
 // each exactly once with I < J.
 func SelfJoin(ds *Dataset, opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	var counters stats.Counters
-	var phases obsv.Phases
-	iopt := opt.toInternal(&counters, &phases)
-	sp := opt.Trace.Child("simjoin.SelfJoin")
-	plan := resolve(opt, sp, func() Plan { return planSelf(ds, opt.Metric, opt.Eps, false) })
-	watch := stats.Start()
-	r := selfRunners(plan.algo, ds.internal(), iopt, opt)
-	return r.result(true, opt, sp, plan, iopt, watch), nil
+	return result("simjoin.SelfJoin", inputs{a: ds, self: true}, opt)
 }
 
 // Join reports every pair (i, j) with dist(a[i], b[j]) ≤ opt.Eps. The two
@@ -246,20 +244,7 @@ func SelfJoin(ds *Dataset, opt Options) (*Result, error) {
 // spreads the join over that many goroutines when the algorithm can (ekdb,
 // grid, kdtree); the result is identical to a one-worker run.
 func Join(a, b *Dataset, opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if err := checkJoinDims(a, b); err != nil {
-		return nil, err
-	}
-	var counters stats.Counters
-	var phases obsv.Phases
-	iopt := opt.toInternal(&counters, &phases)
-	sp := opt.Trace.Child("simjoin.Join")
-	plan := resolve(opt, sp, func() Plan { return planJoin(a, b, opt.Metric, opt.Eps, false) })
-	watch := stats.Start()
-	r := joinRunners(plan.algo, a.internal(), b.internal(), iopt, opt)
-	return r.result(false, opt, sp, plan, iopt, watch), nil
+	return result("simjoin.Join", inputs{a: a, b: b}, opt)
 }
 
 // checkJoinDims rejects two-set inputs of different dimensionality before
@@ -276,83 +261,55 @@ func checkJoinDims(a, b *Dataset) error {
 // memory stays flat no matter how many pairs qualify. fn is always called
 // from a single goroutine at a time, in unspecified order. Workers > 1
 // funnels every worker's pairs through one delivery goroutine. The
-// returned Stats match a collecting run's.
-func SelfJoinEach(ds *Dataset, opt Options, fn func(i, j int)) (Stats, error) {
-	if err := opt.validate(); err != nil {
-		return Stats{}, err
-	}
-	var counters stats.Counters
-	var phases obsv.Phases
-	iopt := opt.toInternal(&counters, &phases)
-	sp := opt.Trace.Child("simjoin.SelfJoinEach")
-	plan := resolve(opt, sp, func() Plan { return planSelf(ds, opt.Metric, opt.Eps, false) })
-	watch := stats.Start()
-	var n int64
-	r := selfRunners(plan.algo, ds.internal(), iopt, opt)
-	r.each(iopt.Workers, func(i, j int) {
-		if j < i {
-			i, j = j, i
-		}
-		n++
-		fn(i, j)
+// returned report is a collecting run's, CollectTime aside (zero: the
+// pairs are never held).
+func SelfJoinEach(ds *Dataset, opt Options, fn func(i, j int)) (JoinStats, error) {
+	return run("simjoin.SelfJoinEach", inputs{a: ds, self: true}, opt, func(r runners, iopt join.Options) int64 {
+		var n int64
+		r.each(iopt.Workers, func(i, j int) {
+			if j < i {
+				i, j = j, i
+			}
+			n++
+			fn(i, j)
+		})
+		return n
 	})
-	return r.finish(opt, sp, plan, iopt, n, watch), nil
 }
 
 // JoinEach streams every (a-index, b-index) pair within opt.Eps to fn as
 // it is found, with the same callback contract as SelfJoinEach:
 // single-goroutine delivery, unspecified order, flat memory.
-func JoinEach(a, b *Dataset, opt Options, fn func(i, j int)) (Stats, error) {
-	if err := opt.validate(); err != nil {
-		return Stats{}, err
-	}
-	if err := checkJoinDims(a, b); err != nil {
-		return Stats{}, err
-	}
-	var counters stats.Counters
-	var phases obsv.Phases
-	iopt := opt.toInternal(&counters, &phases)
-	sp := opt.Trace.Child("simjoin.JoinEach")
-	plan := resolve(opt, sp, func() Plan { return planJoin(a, b, opt.Metric, opt.Eps, false) })
-	watch := stats.Start()
-	var n int64
-	r := joinRunners(plan.algo, a.internal(), b.internal(), iopt, opt)
-	r.each(iopt.Workers, func(i, j int) {
-		n++
-		fn(i, j)
+func JoinEach(a, b *Dataset, opt Options, fn func(i, j int)) (JoinStats, error) {
+	return run("simjoin.JoinEach", inputs{a: a, b: b}, opt, func(r runners, iopt join.Options) int64 {
+		var n int64
+		r.each(iopt.Workers, func(i, j int) {
+			n++
+			fn(i, j)
+		})
+		return n
 	})
-	return r.finish(opt, sp, plan, iopt, n, watch), nil
-}
-
-// planned is the outcome of pre-run planning: the concrete algorithm
-// that will run plus the result-size estimate that drove the choice
-// (est is -1 when the run decided without estimating — an explicit
-// algorithm was requested, or Auto short-circuited on a trivial input).
-type planned struct {
-	algo Algorithm
-	est  int64
-	// keys is the key kind of the ε-kdB tree the run built ("" for other
-	// engines): known only once the runners exist (runners.finish).
-	keys string
 }
 
 // resolve maps the empty default and AlgorithmAuto to a concrete
-// algorithm. Auto asks plan (planSelf or planJoin, estimating only when
-// the chooser needs it) and records the decision as an "estimate" child
-// span of sp.
-func resolve(opt Options, sp *trace.Span, plan func() Plan) planned {
+// algorithm, with the result-size estimate that drove the choice (est is
+// -1 when none did: an explicit algorithm was requested, or Auto
+// short-circuited on a trivial input). Auto asks plan (estimating only
+// when the chooser needs it) and records the decision as an "estimate"
+// child span of sp.
+func resolve(opt Options, sp *trace.Span, plan func() Plan) (algo Algorithm, est int64) {
 	switch opt.Algorithm {
 	case "":
-		return planned{algo: AlgorithmEKDB, est: -1}
+		return AlgorithmEKDB, -1
 	case AlgorithmAuto:
 		esp := sp.Child("estimate")
 		p := plan()
 		esp.SetAttr("algorithm", string(p.Algorithm))
 		esp.AddCounter("predicted_pairs", p.EstimatedPairs)
 		esp.End()
-		return planned{algo: p.Algorithm, est: p.EstimatedPairs}
+		return p.Algorithm, p.EstimatedPairs
 	default:
-		return planned{algo: opt.Algorithm, est: -1}
+		return opt.Algorithm, -1
 	}
 }
 

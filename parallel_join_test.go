@@ -56,8 +56,8 @@ func TestJoinParallelOracle(t *testing.T) {
 				t.Fatalf("%v/%s: %v", m, algo, err)
 			}
 			samePairs(t, m.String()+"/"+string(algo), res.Pairs, want)
-			if res.Stats.Results != int64(len(want)) {
-				t.Fatalf("%v/%s: Stats.Pairs = %d, want %d", m, algo, res.Stats.Results, len(want))
+			if res.Stats.PairsEmitted != int64(len(want)) {
+				t.Fatalf("%v/%s: Stats.Pairs = %d, want %d", m, algo, res.Stats.PairsEmitted, len(want))
 			}
 		}
 	}
@@ -78,8 +78,8 @@ func TestJoinParallelCountOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if counted.Stats.Results != int64(len(full.Pairs)) {
-			t.Fatalf("%s: counted %d, collected %d", algo, counted.Stats.Results, len(full.Pairs))
+		if counted.Stats.PairsEmitted != int64(len(full.Pairs)) {
+			t.Fatalf("%s: counted %d, collected %d", algo, counted.Stats.PairsEmitted, len(full.Pairs))
 		}
 		if counted.Pairs != nil {
 			t.Fatalf("%s: count-only run allocated %d pairs", algo, len(counted.Pairs))
@@ -167,8 +167,8 @@ func TestSelfJoinEachMatchesCollect(t *testing.T) {
 					t.Fatalf("%s workers=%d: missing pair %v", algo, workers, p)
 				}
 			}
-			if st.Results != int64(len(want)) {
-				t.Fatalf("%s workers=%d: Stats.Pairs = %d, want %d", algo, workers, st.Results, len(want))
+			if st.PairsEmitted != int64(len(want)) {
+				t.Fatalf("%s workers=%d: Stats.Pairs = %d, want %d", algo, workers, st.PairsEmitted, len(want))
 			}
 		}
 	}
@@ -205,8 +205,8 @@ func TestJoinEachMatchesJoin(t *testing.T) {
 					t.Fatalf("%s workers=%d: missing pair %v", algo, workers, p)
 				}
 			}
-			if st.Results != int64(len(want)) {
-				t.Fatalf("%s workers=%d: Stats.Pairs = %d", algo, workers, st.Results)
+			if st.PairsEmitted != int64(len(want)) {
+				t.Fatalf("%s workers=%d: Stats.Pairs = %d", algo, workers, st.PairsEmitted)
 			}
 		}
 	}
@@ -225,16 +225,16 @@ func TestJoinEachCountingCallbackFlatMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Stats.Results < 10000 {
-		t.Fatalf("degenerate workload: only %d pairs", want.Stats.Results)
+	if want.Stats.PairsEmitted < 10000 {
+		t.Fatalf("degenerate workload: only %d pairs", want.Stats.PairsEmitted)
 	}
 	var n int64
 	st, err := JoinEach(a, b, Options{Eps: 0.3, Workers: runtime.GOMAXPROCS(0)}, func(i, j int) { n++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != want.Stats.Results || st.Results != n {
-		t.Fatalf("streamed %d pairs (stats %d), want %d", n, st.Results, want.Stats.Results)
+	if n != want.Stats.PairsEmitted || st.PairsEmitted != n {
+		t.Fatalf("streamed %d pairs (stats %d), want %d", n, st.PairsEmitted, want.Stats.PairsEmitted)
 	}
 }
 

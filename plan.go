@@ -186,14 +186,7 @@ func explanation(opt Options, pl Plan, sets ...*dataset.Dataset) Explanation {
 		Requested: opt.Algorithm,
 		Plan:      pl,
 	}
-	switch opt.Algorithm {
-	case "":
-		ex.Algorithm = AlgorithmEKDB
-	case AlgorithmAuto:
-		ex.Algorithm = pl.Algorithm
-	default:
-		ex.Algorithm = opt.Algorithm
-	}
+	ex.Algorithm, _ = resolve(opt, nil, func() Plan { return pl })
 	if ex.Algorithm == AlgorithmEKDB {
 		ex.Keys = core.PlanKeys(opt.Eps, opt.treeConfig(), sets...)
 	}

@@ -23,7 +23,7 @@ func exactSelfCount(t *testing.T, ds *Dataset, m Metric, eps float64) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Stats.Results
+	return res.Stats.PairsEmitted
 }
 
 // TestSelfJoinSizeSmallIsExact: an unsketched dataset no larger than the
@@ -48,8 +48,8 @@ func TestJoinSizeAgainstExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := PlanJoin(a, b, L2, 0.15).EstimatedPairs; got != res.Stats.Results {
-		t.Errorf("small PlanJoin = %d, exact %d", got, res.Stats.Results)
+	if got := PlanJoin(a, b, L2, 0.15).EstimatedPairs; got != res.Stats.PairsEmitted {
+		t.Errorf("small PlanJoin = %d, exact %d", got, res.Stats.PairsEmitted)
 	}
 	if got := PlanJoin(a, NewDataset(4), L2, 0.15).EstimatedPairs; got != 0 {
 		t.Errorf("empty side predicted %d pairs", got)

@@ -22,13 +22,13 @@ func TestLargeScaleAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
-		t.Logf("%s: %d pairs in %s (%d candidates)", algo, res.Stats.Results, res.Stats.Elapsed, res.Stats.Candidates)
+		t.Logf("%s: %d pairs in %s (%d candidates)", algo, res.Stats.PairsEmitted, res.Stats.Elapsed, res.Stats.Candidates)
 		if want == -1 {
-			want = res.Stats.Results
+			want = res.Stats.PairsEmitted
 			continue
 		}
-		if res.Stats.Results != want {
-			t.Fatalf("%s: %d pairs, others found %d", algo, res.Stats.Results, want)
+		if res.Stats.PairsEmitted != want {
+			t.Fatalf("%s: %d pairs, others found %d", algo, res.Stats.PairsEmitted, want)
 		}
 	}
 	if want <= 0 {

@@ -44,6 +44,18 @@ formatted() {
 # signature change could break the harness with everything else green.
 harness() (cd benchmark && go vet ./... && go test ./...)
 
+# Each example checks its own answer and exits non-zero when it is wrong
+# (quickstart when two algorithms disagree); building them runs none of it.
+examples() {
+	local e
+	for e in examples/*/; do
+		go run "./$e" >/dev/null || {
+			echo "$e exited non-zero"
+			return 1
+		}
+	done
+}
+
 untouched() {
 	local after
 	after=$(git status --porcelain)
@@ -57,6 +69,7 @@ untouched() {
 step "gofmt" formatted
 step "vet" go vet ./...
 step "build" go build ./... ./examples/...
+step "run examples" examples
 # The flat kernels lean on slice-to-array-pointer conversions and
 # width-sensitive constants; build only — nothing here runs arm64.
 step "cross-build arm64" env GOARCH=arm64 go build ./...

@@ -112,12 +112,9 @@ type Options struct {
 	// CollectPairs controls whether Result.Pairs is populated (default
 	// true). Disable for counting-only runs over huge outputs.
 	CollectPairs *bool
-	// Stats, if non-nil, is overwritten with the run's observability
-	// report: work counters charged atomically by the engines (distance
-	// evaluations, candidates, index-node visits, pairs emitted) and the
-	// per-phase wall-time split (index build vs. candidate probing). It
-	// works on every path — collecting, counting-only and streaming — and
-	// costs a handful of atomic adds per run.
+	// Stats, if non-nil, is overwritten with a copy of the run's report
+	// (JoinStats), the one every entry point also returns: Result.Stats,
+	// or the first result of SelfJoinEach and JoinEach.
 	Stats *JoinStats
 	// Trace, if non-nil, is the parent span under which the run records
 	// its trace: one child span per entry point, annotated with the
@@ -147,8 +144,10 @@ func (o Options) validate() error {
 	return nil
 }
 
-// JoinStats is the observability report of one join run, filled in
-// through Options.Stats. It decomposes where the time and the work went:
+// JoinStats is the report of one join run, returned by every entry point
+// (and copied to Options.Stats when set). Its work counters are charged
+// atomically by the engines, on every path — collecting, counting-only
+// and streaming. It decomposes where the time and the work went:
 // BuildTime covers organizing the data (sort, hash grid, tree
 // construction), ProbeTime covers enumerating and testing candidate
 // pairs — the cost split the performance evaluation attributes across
@@ -193,7 +192,7 @@ type JoinStats struct {
 	// runs (CollectPairs disabled) and for the streaming *Each calls,
 	// which never hold the pairs.
 	CollectTime time.Duration
-	// Elapsed is the wall-clock time of the whole join.
+	// Elapsed is the wall-clock time of the whole join, build included.
 	Elapsed time.Duration
 }
 
@@ -203,27 +202,11 @@ type Pair struct {
 	I, J int
 }
 
-// Stats reports the work a join performed.
-type Stats struct {
-	// Candidates is the number of point pairs that reached the distance
-	// test after all filtering.
-	Candidates int64
-	// DistComps is the number of (possibly early-exited) distance
-	// evaluations.
-	DistComps int64
-	// Results is the number of pairs reported.
-	Results int64
-	// NodeVisits counts index-node visits for tree/block algorithms.
-	NodeVisits int64
-	// Elapsed is the wall-clock time of the whole join, build included.
-	Elapsed time.Duration
-}
-
 // Result is the outcome of a join.
 type Result struct {
 	// Pairs holds the matching pairs (self-joins: each unordered pair once
 	// with I < J). Empty when Options.CollectPairs is disabled.
 	Pairs []Pair
-	// Stats reports the work performed.
-	Stats Stats
+	// Stats is the run's report (see JoinStats).
+	Stats JoinStats
 }

@@ -78,8 +78,8 @@ func TestSelfJoinDefaultsAndStats(t *testing.T) {
 	if len(res.Pairs) != 2 || res.Pairs[0] != want[0] || res.Pairs[1] != want[1] {
 		t.Fatalf("pairs = %v, want %v", res.Pairs, want)
 	}
-	if res.Stats.Results != 2 {
-		t.Errorf("Stats.Results = %d", res.Stats.Results)
+	if res.Stats.PairsEmitted != 2 {
+		t.Errorf("Stats.Results = %d", res.Stats.PairsEmitted)
 	}
 	if res.Stats.Elapsed <= 0 {
 		t.Error("Stats.Elapsed not positive")
@@ -155,7 +155,7 @@ func TestCollectPairsDisabled(t *testing.T) {
 	if len(res.Pairs) != 0 {
 		t.Error("pairs collected despite CollectPairs=false")
 	}
-	if res.Stats.Results == 0 {
+	if res.Stats.PairsEmitted == 0 {
 		t.Error("Stats.Results empty; counting must still work")
 	}
 }
@@ -305,8 +305,8 @@ func TestCollectPairsDisabledJoin(t *testing.T) {
 	if len(counted.Pairs) != 0 {
 		t.Error("pairs collected despite CollectPairs=false")
 	}
-	if counted.Stats.Results != full.Stats.Results || counted.Stats.Results == 0 {
-		t.Errorf("counting-only Results = %d, full = %d", counted.Stats.Results, full.Stats.Results)
+	if counted.Stats.PairsEmitted != full.Stats.PairsEmitted || counted.Stats.PairsEmitted == 0 {
+		t.Errorf("counting-only Results = %d, full = %d", counted.Stats.PairsEmitted, full.Stats.PairsEmitted)
 	}
 	// Counting-only self-join parallel path too.
 	par, err := SelfJoin(a, Options{Eps: 0.1, CollectPairs: &off, Workers: 4})
@@ -314,7 +314,7 @@ func TestCollectPairsDisabledJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	ser, _ := SelfJoin(a, Options{Eps: 0.1})
-	if par.Stats.Results != ser.Stats.Results {
-		t.Errorf("parallel counting = %d, want %d", par.Stats.Results, ser.Stats.Results)
+	if par.Stats.PairsEmitted != ser.Stats.PairsEmitted {
+		t.Errorf("parallel counting = %d, want %d", par.Stats.PairsEmitted, ser.Stats.PairsEmitted)
 	}
 }

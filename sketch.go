@@ -14,12 +14,6 @@ type SizeSketch struct {
 	sk *sketch.Sketch
 }
 
-// NewSizeSketch returns an empty sketch for points of the given
-// dimensionality. It panics if dims < 1.
-func NewSizeSketch(dims int) *SizeSketch {
-	return &SizeSketch{sk: sketch.New(dims, sketch.Config{})}
-}
-
 // SketchOf builds a sketch over a dataset's current points in one pass.
 // The returned sketch is NOT attached; use Dataset.EnableSketch for the
 // build-and-attach combination.
