@@ -2,6 +2,7 @@ package simjoin
 
 import (
 	"io"
+	"sync/atomic"
 
 	"simjoin/internal/dataset"
 )
@@ -14,6 +15,10 @@ type Dataset struct {
 	// AlgorithmAuto plans from it instead of running a fresh sample join.
 	// See EnableSketch / AttachSketch.
 	sk *SizeSketch
+	// trees is the last one-shot ε-kdB build a join made over this
+	// dataset, kept for the next join that asks for the same one (see
+	// inputs.trees); nil until then and after an Append.
+	trees atomic.Pointer[builtTrees]
 }
 
 // NewDataset returns an empty dataset of the given dimensionality. It
@@ -33,6 +38,7 @@ func FromPoints(pts [][]float64) *Dataset {
 // resident estimate keeps tracking the data.
 func (d *Dataset) Append(p []float64) {
 	d.ds.Append(p)
+	d.trees.Store(nil)
 	if d.sk != nil {
 		d.sk.Observe(p)
 	}

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -130,28 +131,171 @@ func (s *WatchStream) End(reason string) bool {
 // by value until EOF, handing each [i,j] line to pair and each object
 // (event, summary, or a non-streaming worker's whole JoinResponse) to
 // object. The first error from either ends the read and is returned.
+//
+// A canonical pair — "[i,j]", two unsigned decimal ints without leading
+// zeros or spaces, what PairStream writes — is parsed in place. Any other
+// value, of any length, goes to encoding/json over the same bytes, the
+// design of DecodePoints: what is accepted, every pair and every object
+// is exactly what decoding value by value with json.Decoder gives
+// (FuzzReadStream).
 func ReadStream(r io.Reader, pair func(p [2]int) error, object func(raw json.RawMessage) error) error {
-	dec := json.NewDecoder(r)
+	s := pairReader{src: r, buf: make([]byte, 0, streamReadBuf)}
 	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			if err == io.EOF {
+		if !s.skipSpace() {
+			if s.err == io.EOF {
 				return nil
 			}
-			return err
+			return s.err
 		}
-		if raw[0] != '[' {
-			if err := object(raw); err != nil {
+		if p, ok := s.pair(); ok {
+			if err := pair(p); err != nil {
 				return err
 			}
 			continue
 		}
-		var p [2]int
-		if err := json.Unmarshal(raw, &p); err != nil {
+		raw, err := s.value()
+		if err != nil {
 			return err
 		}
-		if err := pair(p); err != nil {
+		if raw[0] != '[' {
+			err = object(raw)
+		} else {
+			var p [2]int
+			if err = json.Unmarshal(raw, &p); err == nil {
+				err = pair(p)
+			}
+		}
+		if err != nil {
 			return err
 		}
 	}
+}
+
+// streamReadBuf is ReadStream's read size: a few hundred pair lines.
+const streamReadBuf = 16 << 10
+
+// maxPairDigits bounds a canonical pair's ints so that they fit an int
+// (18 digits at 64 bits); longer ones go to encoding/json, which refuses
+// what overflows.
+const maxPairDigits = strconv.IntSize / 32 * 9
+
+// pairReader is ReadStream's buffer over the answer: buf[r:] is read and
+// not yet consumed; err is the source's first error, after which it is
+// not read again.
+type pairReader struct {
+	src io.Reader
+	buf []byte
+	r   int
+	err error
+}
+
+// fill reads once more from the source into the buffer's free end,
+// first moving the unconsumed bytes to its front. It reports whether
+// there may be more to read.
+func (s *pairReader) fill() bool {
+	if s.err != nil {
+		return false
+	}
+	n := copy(s.buf, s.buf[s.r:])
+	s.buf, s.r = s.buf[:n], 0
+	if n == cap(s.buf) {
+		s.buf = append(s.buf, 0)[:n]
+	}
+	m, err := s.src.Read(s.buf[n:cap(s.buf)])
+	s.buf = s.buf[:n+m]
+	s.err = err
+	return true
+}
+
+// skipSpace consumes JSON whitespace; it reports false at the end of
+// the source (s.err says why).
+func (s *pairReader) skipSpace() bool {
+	for {
+		for ; s.r < len(s.buf); s.r++ {
+			switch s.buf[s.r] {
+			case ' ', '\t', '\n', '\r':
+			default:
+				return true
+			}
+		}
+		if !s.fill() {
+			return false
+		}
+	}
+}
+
+// pair consumes a canonical pair if one comes next.
+func (s *pairReader) pair() (p [2]int, ok bool) {
+	for {
+		p, n, more := scanPair(s.buf[s.r:])
+		if n > 0 {
+			s.r += n
+			return p, true
+		}
+		if !more || !s.fill() {
+			return p, false
+		}
+	}
+}
+
+// scanPair parses a canonical pair at the start of b, reporting its
+// length n (0 when there is none) and whether b ended before that was
+// decided.
+func scanPair(b []byte) (p [2]int, n int, more bool) {
+	if len(b) == 0 || b[0] != '[' {
+		return p, 0, len(b) == 0
+	}
+	i := 1
+	for k, end := range [2]byte{',', ']'} {
+		start := i
+		v := 0
+		for ; i < len(b) && i-start < maxPairDigits && '0' <= b[i] && b[i] <= '9'; i++ {
+			v = v*10 + int(b[i]-'0')
+		}
+		switch {
+		case i == len(b):
+			return p, 0, true
+		case i == start, b[start] == '0' && i-start > 1, b[i] != end:
+			return p, 0, false
+		}
+		p[k] = v
+		i++
+	}
+	return p, i, false
+}
+
+// value decodes the next value with encoding/json: from the buffered
+// bytes, then the source. The bytes json.Decoder read past the value
+// become the buffer again.
+func (s *pairReader) value() (json.RawMessage, error) {
+	rest := bytes.NewReader(s.buf[s.r:])
+	dec := json.NewDecoder(io.MultiReader(rest, stickyReader{s}))
+	var raw json.RawMessage
+	err := dec.Decode(&raw)
+	// Unread: what the decoder buffered past the value, then what it left
+	// of the old buffer (which it finished before reading the source).
+	ahead, _ := io.ReadAll(dec.Buffered())
+	tail := s.buf[len(s.buf)-rest.Len():]
+	buf := s.buf[:0]
+	if n := len(ahead) + len(tail); n > cap(buf) {
+		buf = make([]byte, 0, n)
+	}
+	buf = buf[:len(ahead)+len(tail)]
+	copy(buf[len(ahead):], tail) // before ahead overwrites where tail was
+	copy(buf, ahead)
+	s.buf, s.r = buf, 0
+	return raw, err
+}
+
+// stickyReader reads the pairReader's source on json.Decoder's behalf,
+// keeping its first error.
+type stickyReader struct{ s *pairReader }
+
+func (r stickyReader) Read(b []byte) (int, error) {
+	if r.s.err != nil {
+		return 0, r.s.err
+	}
+	n, err := r.s.src.Read(b)
+	r.s.err = err
+	return n, err
 }

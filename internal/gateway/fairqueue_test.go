@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"container/heap"
 	"context"
 	"sync"
 	"testing"
@@ -118,6 +119,53 @@ func TestFairQueueCancelWhileQueued(t *testing.T) {
 	if q.queued() != 0 {
 		t.Fatalf("queue depth %d after drain, want 0", q.queued())
 	}
+}
+
+// TestFairQueueLostRaceReturnsSlot: a waiter whose context ends just as a
+// release grants it the slot hands the slot back, so neither the queue's
+// busy count nor the tenant's in-flight count leaks. The test plays the
+// release itself under q.mu, after the cancel. A waiter parked in its
+// select wakes on the cancel and then finds itself granted; one that had
+// not parked yet sees both and picks at random, so the test repeats until
+// the cancel won.
+func TestFairQueueLostRaceReturnsSlot(t *testing.T) {
+	for try := 0; try < 100; try++ {
+		q := newFairQueue(1)
+		holder, w := &tenantRT{name: "holder"}, &tenantRT{name: "w"}
+		if _, err := q.acquire(context.Background(), holder); err != nil {
+			t.Fatalf("holder acquire: %v", err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			rel, err := q.acquire(ctx, w)
+			if err == nil {
+				rel() // the grant won: this try misses the race
+			}
+			done <- err
+		}()
+		waitQueued(t, q, 1)
+
+		q.mu.Lock()
+		cancel()
+		// What release does for the holder: it leaves, and its slot passes
+		// to the popped waiter.
+		holder.leave()
+		close(heap.Pop(&q.wait).(*waiter).ready)
+		q.mu.Unlock()
+
+		err := <-done
+		q.mu.Lock()
+		busy, inflight := q.busy, w.inflight
+		q.mu.Unlock()
+		if busy != 0 || inflight != 0 {
+			t.Fatalf("try %d (acquire: %v): busy %d, tenant in flight %d after the waiter returned, want 0 and 0", try, err, busy, inflight)
+		}
+		if err == context.Canceled {
+			return
+		}
+	}
+	t.Fatal("the waiter took the grant in all 100 tries; the lost race never ran")
 }
 
 func TestFairQueueConcurrentChurn(t *testing.T) {

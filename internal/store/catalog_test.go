@@ -300,8 +300,20 @@ func TestCatalogSyncModes(t *testing.T) {
 			if err := c.Put(ctx, "pts", testDataset(t, 3, 2)); err != nil {
 				t.Fatal(err)
 			}
+			before := fsyncs.Load()
 			if _, err := c.Append(ctx, "pts", [][]float64{{1, 1}}); err != nil {
 				t.Fatal(err)
+			}
+			// The fsyncs the Append itself issued, before any flush.
+			switch byAppend := fsyncs.Load() - before; tc.opt.Sync {
+			case SyncAlways:
+				if byAppend < 1 {
+					t.Errorf("always: the append issued %d fsyncs, want ≥ 1", byAppend)
+				}
+			case SyncNever:
+				if byAppend != 0 {
+					t.Errorf("never: the append issued %d fsyncs, want 0", byAppend)
+				}
 			}
 			if tc.opt.Sync == SyncInterval {
 				deadline := time.Now().Add(2 * time.Second)

@@ -8,6 +8,7 @@ import (
 
 	"simjoin/internal/brute"
 	"simjoin/internal/core"
+	"simjoin/internal/dataset"
 	"simjoin/internal/grid"
 	"simjoin/internal/hilbert"
 	"simjoin/internal/join"
@@ -51,10 +52,11 @@ func (o Options) toInternal(c *stats.Counters, ph *obsv.Phases) join.Options {
 
 // runners is one planned join, bound to its inputs and options: run calls
 // newSink once per worker it spreads over. keys is the key kind of the
-// ε-kdB tree behind it ("" for every other engine).
+// ε-kdB tree behind it, and tree whether the join "built" that tree or
+// "reused" a kept one ("" for every other engine).
 type runners struct {
-	run  func(newSink func() pairs.Sink)
-	keys string
+	run        func(newSink func() pairs.Sink)
+	keys, tree string
 }
 
 // treeConfig maps the public options to a one-shot build's tree config.
@@ -77,9 +79,9 @@ func (in inputs) plan(opt Options) Plan {
 	return planJoin(in.a, in.b, opt.Metric, opt.Eps, false)
 }
 
-// bind binds algo's engine to the inputs. The ε-kdB trees are built here
-// (and charged to the build phase) rather than behind the registry's
-// shared signature, so their key kind reaches the runners.
+// bind binds algo's engine to the inputs. The ε-kdB trees are found or
+// built here (a build is charged to the build phase) rather than behind
+// the registry's shared signature, so their key kind reaches the runners.
 func (in inputs) bind(algo Algorithm, iopt join.Options, opt Options) runners {
 	a := in.a.internal()
 	if algo != AlgorithmEKDB {
@@ -91,13 +93,57 @@ func (in inputs) bind(algo Algorithm, iopt join.Options, opt Options) runners {
 		return runners{run: func(newSink func() pairs.Sink) { e.Join(a, b, iopt, newSink) }}
 	}
 	start := time.Now()
-	defer func() { iopt.Timing().AddBuild(time.Since(start)) }()
-	if in.self {
-		t := core.Build(a, opt.Eps, opt.treeConfig())
-		return runners{run: func(newSink func() pairs.Sink) { t.SelfJoinParallel(iopt, newSink) }, keys: t.Keys()}
+	ta, tb, reused := in.trees(opt)
+	r := runners{keys: ta.Keys(), tree: "reused"}
+	if !reused {
+		iopt.Timing().AddBuild(time.Since(start))
+		r.tree = "built"
 	}
-	ta, tb := core.BuildPair(a, in.b.internal(), opt.Eps, opt.treeConfig())
-	return runners{run: func(newSink func() pairs.Sink) { core.JoinTreesParallel(ta, tb, iopt, newSink) }, keys: ta.Keys()}
+	if in.self {
+		r.run = func(newSink func() pairs.Sink) { ta.SelfJoinParallel(iopt, newSink) }
+	} else {
+		r.run = func(newSink func() pairs.Sink) { core.JoinTreesParallel(ta, tb, iopt, newSink) }
+	}
+	return r
+}
+
+// treeKey is what a one-shot ε-kdB build answers for: the dataset's
+// length, the partner's identity and length (b nil for a self-join), ε
+// and the metric the keys were chosen under.
+type treeKey struct {
+	b      *dataset.Dataset
+	n, bn  int
+	eps    float64
+	metric Metric
+}
+
+// builtTrees is the one build a Dataset keeps: the self-join tree, or the
+// BuildPair pair (tb over the partner).
+type builtTrees struct {
+	treeKey
+	ta, tb *core.Tree
+}
+
+// trees returns in's ε-kdB trees at opt: the build a kept when every field
+// of its key still matches exactly, else a fresh one, which replaces it.
+// A tree is read-only once built, so concurrent joins share it; two that
+// miss at once both build, and the later one is kept.
+func (in inputs) trees(opt Options) (ta, tb *core.Tree, reused bool) {
+	key := treeKey{n: in.a.Len(), eps: opt.Eps, metric: opt.Metric}
+	if !in.self {
+		key.b, key.bn = in.b.internal(), in.b.Len()
+	}
+	if k := in.a.trees.Load(); k != nil && k.treeKey == key {
+		return k.ta, k.tb, true
+	}
+	k := &builtTrees{treeKey: key}
+	if in.self {
+		k.ta = core.Build(in.a.internal(), opt.Eps, opt.treeConfig())
+	} else {
+		k.ta, k.tb = core.BuildPair(in.a.internal(), key.b, opt.Eps, opt.treeConfig())
+	}
+	in.a.trees.Store(k)
+	return k.ta, k.tb, false
 }
 
 // count runs the join into a shared counter: no pair is buffered.
@@ -177,25 +223,26 @@ func run(span string, in inputs, opt Options, pump func(r runners, iopt join.Opt
 	if opt.Stats != nil {
 		*opt.Stats = st
 	}
-	finishSpan(sp, st, iopt.Workers)
+	finishSpan(sp, st, r.tree, iopt.Workers)
 	return st, nil
 }
 
 // finishSpan seals one entry point's span: the resolved algorithm, the
-// ε-kdB tree's key kind, the worker count the run was given and the run's
-// work counters are recorded, and the run's phase totals become
-// "build", "probe" and "collect" child intervals. The intervals reuse the
-// obsv.Phases seam — those timers were already charged, so nothing is
-// instrumented twice. For parallel runs the later intervals' offsets are
-// approximate (phases can overlap across goroutines); the durations are
-// exact.
-func finishSpan(sp *trace.Span, st JoinStats, workers int) {
+// ε-kdB tree's key kind and whether it was built or reused, the worker
+// count the run was given and the run's work counters are recorded, and
+// the run's phase totals become "build", "probe" and "collect" child
+// intervals. The intervals reuse the obsv.Phases seam — those timers were
+// already charged, so nothing is instrumented twice. For parallel runs the
+// later intervals' offsets are approximate (phases can overlap across
+// goroutines); the durations are exact.
+func finishSpan(sp *trace.Span, st JoinStats, tree string, workers int) {
 	if sp == nil {
 		return
 	}
 	sp.SetAttr("algorithm", string(st.Algorithm))
-	if st.Keys != "" {
+	if tree != "" {
 		sp.SetAttr("keys", st.Keys)
+		sp.SetAttr("tree", tree)
 	}
 	sp.SetAttr("workers", strconv.Itoa(workers))
 	sp.AddCounter("dist_comps", st.DistComps)

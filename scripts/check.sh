@@ -100,8 +100,9 @@ step "served joins -cpu 1,4" go test -cpu 1,4 -run 'TestServedJoin' ./cmd/simjoi
 step "race x4 engines -run 'Parallel|Workers'" go test -race -count=4 -run 'Parallel|Workers' \
 	./internal/core/ ./internal/grid/ ./internal/kdtree/ ./internal/join/
 # KNNJoin spreads its queries over workers reading one shared
-# NeighborIndex; the engines step above does not reach the root package.
-step "race x4 . -run 'KNN'" go test -race -count=4 -run 'KNN' .
+# NeighborIndex, and concurrent joins share a Dataset's kept ε-kdB tree;
+# the engines step above does not reach the root package.
+step "race x4 . -run 'KNN|Reuse'" go test -race -count=4 -run 'KNN|Reuse' .
 # The sketch updated under readers: only its concurrency test is worth
 # repeating. The rest of the package is single-goroutine, deterministic
 # accuracy checks — two thirds of its -race time — and ran once above.
@@ -110,9 +111,10 @@ step "race x4 ./internal/sketch/... -run Concurrent" go test -race -count=4 -run
 # go test never runs a benchmark, so one that panics would go unnoticed:
 # run the kernel, ε-kdB join and range-probe and sketch-build benchmarks a
 # kernel change is read against, the upload scanner's against
-# encoding/json, and the live index's append path, once.
-step "benchmarks once: SweepL2, HighDim, RangeQuery, WithinL1Linf, FromDataset, DecodePoints, IndexAppend" go test -run '^$' \
-	-bench 'SweepL2|HighDim|RangeQuery|WithinL1Linf|FromDataset|DecodePoints|IndexAppend' -benchtime 1x \
+# encoding/json, the pair-stream reader's against the same, and the live
+# index's append path, once.
+step "benchmarks once: SweepL2, HighDim, RangeQuery, WithinL1Linf, FromDataset, DecodePoints, ReadStream, IndexAppend" go test -run '^$' \
+	-bench 'SweepL2|HighDim|RangeQuery|WithinL1Linf|FromDataset|DecodePoints|ReadStream|IndexAppend' -benchtime 1x \
 	./internal/vec ./internal/core ./internal/sketch ./internal/api ./internal/live
 
 step "benchmark harness: vet + test" harness
@@ -125,11 +127,11 @@ for w in join_pairs join_highdim serve_query serve_ingest; do
 done
 
 # Every untrusted-input decoder (dataset readers, snapshot + WAL codecs,
-# the upload scanner held to encoding/json), the flat kernels held to the reference predicate, the pair radix sort, the ε-kdB tree's
+# the upload scanner and the pair-stream reader held to encoding/json), the flat kernels held to the reference predicate, the pair radix sort, the ε-kdB tree's
 # join and its range probe held to brute force over both key kinds, and the sketch's log-free bucket index
 # held to the Log2 formula, and the cluster's shard-coverage rule held to
 # the points each shard stores. The go tool takes one -fuzz target per run.
-for target in dataset:FuzzReadCSV dataset:FuzzReadBinary api:FuzzDecodePoints store:FuzzReadSnapshot \
+for target in dataset:FuzzReadCSV dataset:FuzzReadBinary api:FuzzDecodePoints api:FuzzReadStream store:FuzzReadSnapshot \
 	store:FuzzWALReplay vec:FuzzFlatKernels pairs:FuzzSortPairs core:FuzzSelfJoinOracle core:FuzzRangeQueryOracle \
 	sketch:FuzzHistIndex cluster:FuzzShardCoverage; do
 	step "fuzz 10s ${target#*:}" go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"

@@ -47,12 +47,14 @@ func TestJoinStatsBruteExact(t *testing.T) {
 // distance evaluations, a PairsEmitted count matching the result, and a
 // probe-phase wall time.
 func TestJoinStatsEveryAlgorithm(t *testing.T) {
-	ds, err := Synthetic("clustered", 400, 6, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, algo := range Algorithms() {
 		for _, workers := range []int{1, 4} {
+			// A fresh dataset per run: a second ε-kdB join over one
+			// would reuse its tree and build nothing.
+			ds, err := Synthetic("clustered", 400, 6, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var js JoinStats
 			res, err := SelfJoin(ds, Options{Eps: 0.1, Algorithm: algo, Workers: workers, Stats: &js})
 			if err != nil {
@@ -289,8 +291,17 @@ func TestTracePhaseIntervals(t *testing.T) {
 	if want := []string{"build", "probe", "collect"}; !slices.Equal(got, want) {
 		t.Errorf("SelfJoin phase intervals = %v, want %v", got, want)
 	}
+	// A second join at the same ε reuses ds's tree: no build interval.
 	got = phasesOf(func(sp *Span) {
-		if _, err := SelfJoinEach(ds, Options{Eps: 0.1, Trace: sp}, func(i, j int) {}); err != nil {
+		if _, err := SelfJoin(ds, Options{Eps: 0.1, Trace: sp}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := []string{"probe", "collect"}; !slices.Equal(got, want) {
+		t.Errorf("reusing SelfJoin phase intervals = %v, want %v", got, want)
+	}
+	got = phasesOf(func(sp *Span) {
+		if _, err := SelfJoinEach(ds, Options{Eps: 0.2, Trace: sp}, func(i, j int) {}); err != nil {
 			t.Fatal(err)
 		}
 	})
