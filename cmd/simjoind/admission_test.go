@@ -3,24 +3,11 @@ package main
 import (
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
 
-	"simjoin"
-	"simjoin/internal/cluster"
-	"simjoin/internal/rclient"
+	"simjoin/internal/api"
+	"simjoin/internal/jointest"
 )
-
-// newBudgetServer boots a worker with an admission budget.
-func newBudgetServer(t *testing.T, maxPairs int64) *httptest.Server {
-	t.Helper()
-	srv := newServer()
-	srv.maxPairs = maxPairs
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
-	return ts
-}
 
 // densePoints is a workload where nearly every pair joins at a generous
 // eps: one tight Gaussian blob.
@@ -33,27 +20,18 @@ func densePoints(n int, seed int64) [][]float64 {
 	return pts
 }
 
-func exactSelfJoinTotal(t *testing.T, pts [][]float64, eps float64) int64 {
-	t.Helper()
-	res, err := simjoin.SelfJoin(simjoin.FromPoints(pts), simjoin.Options{Eps: eps, Algorithm: simjoin.AlgorithmBrute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Stats.PairsEmitted
-}
-
 // TestWorkerAdmissionControl: a self-join whose estimated result size
 // exceeds -max-pairs must be refused with 429 (estimate in the body),
 // the same request with "degrade" must return the exact count without
 // pairs, and an under-budget request must run normally.
 func TestWorkerAdmissionControl(t *testing.T) {
 	const budget = 100
-	ts := newBudgetServer(t, budget)
+	ts := stack(t, spec{maxPairs: budget})
 	pts := densePoints(60, 1) // all pairs join at eps 1: 60·59/2 = 1770 ≫ budget
-	putPoints(t, ts.URL, "dense", pts)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/dense", api.Points{Points: pts}, http.StatusOK)
 
 	// Over budget, no degrade: 429 carrying the estimate.
-	resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/dense/selfjoin", map[string]any{"eps": 1.0})
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/dense/selfjoin", map[string]any{"eps": 1.0}, 0)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-budget status = %d, want 429 (%v)", resp.StatusCode, body)
 	}
@@ -66,8 +44,9 @@ func TestWorkerAdmissionControl(t *testing.T) {
 	}
 
 	// Same request with degrade: counting-only run, exact total, no pairs.
-	want := exactSelfJoinTotal(t, pts, 1.0)
-	resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/dense/selfjoin", map[string]any{"eps": 1.0, "degrade": true})
+	want := int64(len(jointest.SelfPairs(pts, 1.0)))
+	resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/dense/selfjoin",
+		map[string]any{"eps": 1.0, "degrade": true}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded status = %d (%v)", resp.StatusCode, body)
 	}
@@ -86,7 +65,7 @@ func TestWorkerAdmissionControl(t *testing.T) {
 
 	// Under budget: the identical route with a tiny eps runs normally
 	// and still reports the (sketch-served) estimate.
-	resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/dense/selfjoin", map[string]any{"eps": 1e-9})
+	resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/dense/selfjoin", map[string]any{"eps": 1e-9}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("under-budget status = %d (%v)", resp.StatusCode, body)
 	}
@@ -101,18 +80,20 @@ func TestWorkerAdmissionControl(t *testing.T) {
 // TestWorkerTwoSetAdmission: the /join route prices against both
 // sketches and enforces the same budget.
 func TestWorkerTwoSetAdmission(t *testing.T) {
-	ts := newBudgetServer(t, 50)
+	ts := stack(t, spec{maxPairs: 50})
 	a := densePoints(40, 2)
 	b := densePoints(40, 3)
-	putPoints(t, ts.URL, "a", a)
-	putPoints(t, ts.URL, "b", b)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a", api.Points{Points: a}, http.StatusOK)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/b", api.Points{Points: b}, http.StatusOK)
 
-	resp, body := doJSON(t, http.MethodPost, ts.URL+"/join", map[string]any{"a": "a", "b": "b", "eps": 1.0})
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/join",
+		map[string]any{"a": "a", "b": "b", "eps": 1.0}, 0)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-budget two-set status = %d (%v)", resp.StatusCode, body)
 	}
 
-	resp, body = doJSON(t, http.MethodPost, ts.URL+"/join", map[string]any{"a": "a", "b": "b", "eps": 1.0, "degrade": true})
+	resp, body = doJSON(t, http.MethodPost, ts.URL+"/join",
+		map[string]any{"a": "a", "b": "b", "eps": 1.0, "degrade": true}, 0)
 	if resp.StatusCode != http.StatusOK || body["degraded"] != true {
 		t.Fatalf("degraded two-set: %d %v", resp.StatusCode, body)
 	}
@@ -124,12 +105,11 @@ func TestWorkerTwoSetAdmission(t *testing.T) {
 // TestWorkerEstimateEndpoint: GET /datasets/{name}?eps= must answer
 // with the sketch-served prediction and the sketch's metadata.
 func TestWorkerEstimateEndpoint(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
+	ts := stack(t, spec{})
 	pts := densePoints(50, 4)
-	putPoints(t, ts.URL, "d", pts)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/d", api.Points{Points: pts}, http.StatusOK)
 
-	resp, body := doJSON(t, http.MethodGet, ts.URL+"/datasets/d?eps=1.0", nil)
+	resp, body := doJSON(t, http.MethodGet, ts.URL+"/datasets/d?eps=1.0", nil, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (%v)", resp.StatusCode, body)
 	}
@@ -148,34 +128,10 @@ func TestWorkerEstimateEndpoint(t *testing.T) {
 	}
 
 	// Bad eps is a 400, not a silent omission.
-	resp, _ = doJSON(t, http.MethodGet, ts.URL+"/datasets/d?eps=-1", nil)
+	resp, _ = doJSON(t, http.MethodGet, ts.URL+"/datasets/d?eps=-1", nil, 0)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("eps=-1 status = %d, want 400", resp.StatusCode)
 	}
-}
-
-// startBudgetCluster is startCluster with an admission budget on the
-// coordinator (workers stay unlimited, so shard sub-queries always run).
-func startBudgetCluster(t *testing.T, n int, margin float64, maxPairs int64) *httptest.Server {
-	t.Helper()
-	urls := make([]string, n)
-	for i := 0; i < n; i++ {
-		w := httptest.NewServer(newServer().handler())
-		urls[i] = w.URL
-		t.Cleanup(w.Close)
-	}
-	rc := &rclient.Client{
-		MaxRetries:     2,
-		BaseDelay:      2 * time.Millisecond,
-		MaxDelay:       10 * time.Millisecond,
-		AttemptTimeout: 10 * time.Second,
-		RetryPOST:      true,
-	}
-	cs := newCoordServer(cluster.New(urls, margin, rc))
-	cs.maxPairs = maxPairs
-	coord := httptest.NewServer(cs.handler())
-	t.Cleanup(coord.Close)
-	return coord
 }
 
 // TestCoordinatorAdmissionControl: the coordinator prices a distributed
@@ -184,11 +140,11 @@ func startBudgetCluster(t *testing.T, n int, margin float64, maxPairs int64) *ht
 // passes under-budget queries through untouched.
 func TestCoordinatorAdmissionControl(t *testing.T) {
 	const budget = 100
-	coord := startBudgetCluster(t, 3, 1.0, budget)
-	pts := clusterPoints(120, 2, 7) // uniform in [0,1]²; eps 0.9 joins nearly all pairs
-	putPoints(t, coord.URL, "g", pts)
+	coord := stack(t, spec{workers: 3, margin: 1.0, maxPairs: budget})
+	pts := jointest.UniformPoints(120, 2, 7) // uniform in [0,1]²; eps 0.9 joins nearly all pairs
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/g", api.Points{Points: pts}, http.StatusOK)
 
-	resp, body := doJSON(t, http.MethodPost, coord.URL+"/datasets/g/selfjoin", map[string]any{"eps": 0.9})
+	resp, body := doJSON(t, http.MethodPost, coord.URL+"/datasets/g/selfjoin", map[string]any{"eps": 0.9}, 0)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-budget status = %d (%v)", resp.StatusCode, body)
 	}
@@ -196,8 +152,9 @@ func TestCoordinatorAdmissionControl(t *testing.T) {
 		t.Fatalf("429 body estimated_pairs = %v, want > %d", body["estimated_pairs"], budget)
 	}
 
-	want := exactSelfJoinTotal(t, pts, 0.9)
-	resp, body = doJSON(t, http.MethodPost, coord.URL+"/datasets/g/selfjoin", map[string]any{"eps": 0.9, "degrade": true})
+	want := int64(len(jointest.SelfPairs(pts, 0.9)))
+	resp, body = doJSON(t, http.MethodPost, coord.URL+"/datasets/g/selfjoin",
+		map[string]any{"eps": 0.9, "degrade": true}, 0)
 	if resp.StatusCode != http.StatusOK || body["degraded"] != true {
 		t.Fatalf("degraded: %d %v", resp.StatusCode, body)
 	}
@@ -205,7 +162,7 @@ func TestCoordinatorAdmissionControl(t *testing.T) {
 		t.Fatalf("degraded total = %d, want exact %d", got, want)
 	}
 
-	resp, body = doJSON(t, http.MethodPost, coord.URL+"/datasets/g/selfjoin", map[string]any{"eps": 0.001})
+	resp, body = doJSON(t, http.MethodPost, coord.URL+"/datasets/g/selfjoin", map[string]any{"eps": 0.001}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("under-budget status = %d (%v)", resp.StatusCode, body)
 	}
@@ -217,11 +174,11 @@ func TestCoordinatorAdmissionControl(t *testing.T) {
 // TestCoordinatorEstimateEndpoint: GET /datasets/{name}?eps= through
 // the coordinator gathers one estimate per shard.
 func TestCoordinatorEstimateEndpoint(t *testing.T) {
-	coord, _ := startCluster(t, 3, 1.0)
-	pts := clusterPoints(90, 2, 9)
-	putPoints(t, coord.URL, "e", pts)
+	coord := stack(t, spec{workers: 3, margin: 1.0})
+	pts := jointest.UniformPoints(90, 2, 9)
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/e", api.Points{Points: pts}, http.StatusOK)
 
-	resp, body := doJSON(t, http.MethodGet, coord.URL+"/datasets/e?eps=0.5", nil)
+	resp, body := doJSON(t, http.MethodGet, coord.URL+"/datasets/e?eps=0.5", nil, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (%v)", resp.StatusCode, body)
 	}

@@ -2,87 +2,21 @@ package main
 
 import (
 	"encoding/json"
-	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"simjoin"
+	"simjoin/internal/api"
 	"simjoin/internal/cluster"
-	"simjoin/internal/rclient"
+	"simjoin/internal/jointest"
 )
-
-// startCluster boots n real in-process workers (the actual simjoind
-// handler) and a coordinator over them, all on httptest servers.
-func startCluster(t *testing.T, n int, margin float64) (coord *httptest.Server, workers []*httptest.Server) {
-	t.Helper()
-	urls := make([]string, n)
-	workers = make([]*httptest.Server, n)
-	for i := 0; i < n; i++ {
-		workers[i] = httptest.NewServer(newServer().handler())
-		urls[i] = workers[i].URL
-		t.Cleanup(workers[i].Close)
-	}
-	return startCoordinator(t, urls, margin), workers
-}
-
-// startCoordinator fronts the workers at urls with a coordinator whose
-// client retries fast.
-func startCoordinator(t *testing.T, urls []string, margin float64) *httptest.Server {
-	t.Helper()
-	rc := &rclient.Client{
-		MaxRetries:     2,
-		BaseDelay:      2 * time.Millisecond,
-		MaxDelay:       10 * time.Millisecond,
-		AttemptTimeout: 10 * time.Second,
-		RetryPOST:      true,
-	}
-	coord := httptest.NewServer(newCoordServer(cluster.New(urls, margin, rc)).handler())
-	t.Cleanup(coord.Close)
-	return coord
-}
-
-func clusterPoints(n, dims int, seed int64) [][]float64 {
-	rng := rand.New(rand.NewSource(seed))
-	pts := make([][]float64, n)
-	for i := range pts {
-		p := make([]float64, dims)
-		for d := range p {
-			p[d] = rng.Float64()
-		}
-		pts[i] = p
-	}
-	return pts
-}
-
-// pairsOf decodes a JSON pairs array into sorted [2]int form.
-func pairsOf(t *testing.T, body map[string]any) [][2]int {
-	t.Helper()
-	raw, ok := body["pairs"].([]any)
-	if !ok {
-		t.Fatalf("no pairs in %v", body)
-	}
-	out := make([][2]int, len(raw))
-	for i, p := range raw {
-		pp := p.([]any)
-		out[i] = [2]int{int(pp[0].(float64)), int(pp[1].(float64))}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
-	return out
-}
 
 // TestClusterSelfJoinMatchesSingleNode is the subsystem's acceptance
 // test: a distributed self-join over three real workers must return
-// exactly the single-node ekdb pair set. Both tiers also take the request
+// exactly the pair set of a single node's ekdb join: the brute-force one. Both tiers also take the request
 // with the retired "float32" field set: old clients still get a 200, and
 // the field is ignored — the answer is the same exact pair set.
 func TestClusterSelfJoinMatchesSingleNode(t *testing.T) {
@@ -91,41 +25,24 @@ func TestClusterSelfJoinMatchesSingleNode(t *testing.T) {
 		eps     = 0.3
 		margin  = 0.35
 	)
-	coord, _ := startCluster(t, 3, margin)
-	worker := httptest.NewServer(newServer().handler())
-	defer worker.Close()
-	pts := clusterPoints(n, dims, 101)
-	putPoints(t, coord.URL, "d", pts)
-	putPoints(t, worker.URL, "d", pts)
+	coord := stack(t, spec{workers: 3, margin: margin})
+	worker := stack(t, spec{})
+	pts := jointest.UniformPoints(n, dims, 101)
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/d", api.Points{Points: pts}, http.StatusOK)
+	doJSON(t, http.MethodPut, worker.URL+"/datasets/d", api.Points{Points: pts}, http.StatusOK)
 
-	res, err := simjoin.SelfJoin(simjoin.FromPoints(pts), simjoin.Options{Eps: eps, Algorithm: simjoin.AlgorithmEKDB})
-	if err != nil {
-		t.Fatalf("single-node join: %v", err)
-	}
-	want := make([][2]int, len(res.Pairs))
-	for i, p := range res.Pairs {
-		want[i] = [2]int{p.I, p.J}
-	}
-	sort.Slice(want, func(a, b int) bool {
-		if want[a][0] != want[b][0] {
-			return want[a][0] < want[b][0]
-		}
-		return want[a][1] < want[b][1]
-	})
+	want := jointest.SelfPairs(pts, eps)
 	if len(want) == 0 {
 		t.Fatal("oracle found no pairs — test parameters are vacuous")
 	}
 
-	for _, tier := range []*httptest.Server{coord, worker} {
+	for _, tier := range []*testStack{coord, worker} {
 		for _, req := range []map[string]any{
 			{"eps": eps, "algorithm": "ekdb"},
 			{"eps": eps, "algorithm": "ekdb", "float32": true},
 		} {
-			resp, body := doJSON(t, http.MethodPost, tier.URL+"/datasets/d/selfjoin", req)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("selfjoin %v: %d %v", req, resp.StatusCode, body)
-			}
-			if got := pairsOf(t, body); !reflect.DeepEqual(got, want) || body["total"] != float64(len(want)) {
+			got, body := joinPairs(t, tier.URL+"/datasets/d/selfjoin", req)
+			if !reflect.DeepEqual(got, want) || body["total"] != float64(len(want)) {
 				t.Fatalf("selfjoin %v differs from single node: got %d pairs (total %v), want %d", req, len(got), body["total"], len(want))
 			}
 			if tier != coord {
@@ -145,18 +62,14 @@ func TestClusterSelfJoinMatchesSingleNode(t *testing.T) {
 // acceptance criteria: with one worker killed the coordinator still
 // answers, tagged partial with the failed shard named.
 func TestClusterSelfJoinPartialOnDeadWorker(t *testing.T) {
-	coord, workers := startCluster(t, 3, 0.35)
-	pts := clusterPoints(300, 4, 202)
-	putPoints(t, coord.URL, "d", pts)
+	coord := stack(t, spec{workers: 3, margin: 0.35})
+	pts := jointest.UniformPoints(300, 4, 202)
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/d", api.Points{Points: pts}, http.StatusOK)
 
-	_, full := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/selfjoin", map[string]any{"eps": 0.25})
-	fullPairs := pairsOf(t, full)
+	fullPairs, _ := joinPairs(t, coord.URL+"/datasets/d/selfjoin", map[string]any{"eps": 0.25})
 
-	workers[1].Close()
-	resp, body := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/selfjoin", map[string]any{"eps": 0.25})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("selfjoin with dead worker: %d %v", resp.StatusCode, body)
-	}
+	coord.Kill(1)
+	partial, body := joinPairs(t, coord.URL+"/datasets/d/selfjoin", map[string]any{"eps": 0.25})
 	if body["partial"] != true {
 		t.Fatalf("want partial=true with a dead worker, got %v", body)
 	}
@@ -167,19 +80,18 @@ func TestClusterSelfJoinPartialOnDeadWorker(t *testing.T) {
 	named := false
 	for _, f := range failed {
 		fs := f.(map[string]any)
-		if fs["url"] == workers[1].URL && fs["error"] != "" {
+		if fs["url"] == coord.workers[1] && fs["error"] != "" {
 			named = true
 		}
 	}
 	if !named {
-		t.Fatalf("failed_shards %v does not name the dead worker %s", failed, workers[1].URL)
+		t.Fatalf("failed_shards %v does not name the dead worker %s", failed, coord.workers[1])
 	}
 	// Whatever survived must be a subset of the full pair set.
 	fullSet := make(map[[2]int]bool, len(fullPairs))
 	for _, p := range fullPairs {
 		fullSet[p] = true
 	}
-	partial := pairsOf(t, body)
 	if len(partial) >= len(fullPairs) {
 		t.Fatalf("partial result has %d pairs, full had %d — shard 1 contributed nothing?", len(partial), len(fullPairs))
 	}
@@ -191,16 +103,16 @@ func TestClusterSelfJoinPartialOnDeadWorker(t *testing.T) {
 }
 
 func TestClusterRangeAndKNNMatchSingleNode(t *testing.T) {
-	coord, _ := startCluster(t, 4, 0.2)
-	pts := clusterPoints(350, 3, 303)
-	putPoints(t, coord.URL, "d", pts)
+	coord := stack(t, spec{workers: 4, margin: 0.2})
+	pts := jointest.UniformPoints(350, 3, 303)
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/d", api.Points{Points: pts}, http.StatusOK)
 	nn := simjoin.NewNeighborIndex(simjoin.FromPoints(pts))
 	q := []float64{0.4, 0.6, 0.5}
 
 	// Range, with a radius larger than the margin: routing covers every
 	// slab the ball touches regardless of the replication width.
 	resp, body := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/range",
-		map[string]any{"point": q, "radius": 0.45})
+		map[string]any{"point": q, "radius": 0.45}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("range: %d %v", resp.StatusCode, body)
 	}
@@ -218,7 +130,7 @@ func TestClusterRangeAndKNNMatchSingleNode(t *testing.T) {
 	// and no shard may size anything by it.
 	for _, k := range []int{12, 1 << 40} {
 		resp, body = doJSON(t, http.MethodPost, coord.URL+"/datasets/d/knn",
-			map[string]any{"point": q, "k": k})
+			map[string]any{"point": q, "k": k}, 0)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("knn k=%d: %d %v", k, resp.StatusCode, body)
 		}
@@ -247,7 +159,7 @@ func TestClusterRangeAndKNNMatchSingleNode(t *testing.T) {
 			for _, m := range []simjoin.Metric{simjoin.L2, simjoin.L1, simjoin.Linf} {
 				for _, r := range []float64{0.05, 0.3} {
 					resp, body := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/range",
-						map[string]any{"point": p, "radius": r, "metric": m.String()})
+						map[string]any{"point": p, "radius": r, "metric": m.String()}, 0)
 					if resp.StatusCode != http.StatusOK {
 						t.Fatalf("range: %d %v", resp.StatusCode, body)
 					}
@@ -273,7 +185,7 @@ func TestClusterRangeAndKNNMatchSingleNode(t *testing.T) {
 					}
 				}
 				resp, body := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/knn",
-					map[string]any{"point": p, "k": 7, "metric": m.String()})
+					map[string]any{"point": p, "k": 7, "metric": m.String()}, 0)
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("knn: %d %v", resp.StatusCode, body)
 				}
@@ -293,26 +205,15 @@ func TestClusterRangeAndKNNMatchSingleNode(t *testing.T) {
 }
 
 func TestClusterCSVUploadAndList(t *testing.T) {
-	coord, _ := startCluster(t, 2, 0.2)
-	req, _ := http.NewRequest(http.MethodPut, coord.URL+"/datasets/c", strings.NewReader("0,0\n0.1,0\n0.9,0.9\n"))
-	req.Header.Set("Content-Type", "text/csv")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var info map[string]any
-	_ = json.NewDecoder(resp.Body).Decode(&info)
+	coord := stack(t, spec{workers: 2, margin: 0.2})
+	resp, info := doJSON(t, http.MethodPut, coord.URL+"/datasets/c",
+		[]byte("0,0\n0.1,0\n0.9,0.9\n"), 0, "Content-Type", "text/csv")
 	if resp.StatusCode != http.StatusOK || info["len"].(float64) != 3 || info["dims"].(float64) != 2 {
 		t.Fatalf("CSV upload via coordinator: %d %v", resp.StatusCode, info)
 	}
-	r2, err := http.Get(coord.URL + "/datasets")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2, _ := doJSON(t, http.MethodGet, coord.URL+"/datasets", nil, 0)
 	var list []map[string]any
 	_ = json.NewDecoder(r2.Body).Decode(&list)
-	r2.Body.Close()
 	if len(list) != 1 || list[0]["name"] != "c" || list[0]["len"].(float64) != 3 {
 		t.Fatalf("coordinator list = %v", list)
 	}
@@ -322,23 +223,21 @@ func TestClusterCSVUploadAndList(t *testing.T) {
 // through the same decoder as a worker's, so neither NaN nor a point
 // without coordinates ever reaches a shard.
 func TestClusterUploadRejectsUnusablePoints(t *testing.T) {
-	coord, workers := startCluster(t, 2, 0.2)
-	status, body := putCSV(t, coord.URL, "c", "0,0\n0.1,0\nNaN,0.9\n")
-	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "data row 3") {
-		t.Fatalf("PUT through the coordinator: %d %v, want 400 naming data row 3", status, body)
+	coord := stack(t, spec{workers: 2, margin: 0.2})
+	resp, body := doJSON(t, http.MethodPut, coord.URL+"/datasets/c",
+		[]byte("0,0\n0.1,0\nNaN,0.9\n"), 0, "Content-Type", "text/csv")
+	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "data row 3") {
+		t.Fatalf("PUT through the coordinator: %d %v, want 400 naming data row 3", resp.StatusCode, body)
 	}
-	resp, body := doJSON(t, http.MethodPut, coord.URL+"/datasets/c", map[string]any{"points": [][]float64{{}}})
+	resp, body = doJSON(t, http.MethodPut, coord.URL+"/datasets/c",
+		map[string]any{"points": [][]float64{{}}}, 0)
 	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "point 0 has 0 dims") {
 		t.Fatalf("PUT of a zero-dimensional point through the coordinator: %d %v, want 400 naming point 0", resp.StatusCode, body)
 	}
-	for _, base := range []string{coord.URL, workers[0].URL, workers[1].URL} {
-		resp, err := http.Get(base + "/datasets")
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, base := range []string{coord.URL, coord.workers[0], coord.workers[1]} {
+		resp, _ := doJSON(t, http.MethodGet, base+"/datasets", nil, 0)
 		var list []map[string]any
-		err = json.NewDecoder(resp.Body).Decode(&list)
-		resp.Body.Close()
+		err := json.NewDecoder(resp.Body).Decode(&list)
 		if err != nil || len(list) != 0 {
 			t.Errorf("%s holds %v after a refused upload (%v)", base, list, err)
 		}
@@ -346,62 +245,54 @@ func TestClusterUploadRejectsUnusablePoints(t *testing.T) {
 }
 
 func TestClusterErrorPaths(t *testing.T) {
-	coord, _ := startCluster(t, 2, 0.2)
-	putPoints(t, coord.URL, "d", clusterPoints(40, 2, 404))
+	coord := stack(t, spec{workers: 2, margin: 0.2})
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/d",
+		api.Points{Points: jointest.UniformPoints(40, 2, 404)}, http.StatusOK)
 
 	// eps beyond the shard margin is rejected, not silently wrong.
-	resp, body := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/selfjoin", map[string]any{"eps": 0.9})
+	resp, body := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/selfjoin", map[string]any{"eps": 0.9}, 0)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"].(string), "margin") {
 		t.Fatalf("eps > margin: %d %v", resp.StatusCode, body)
 	}
 	// Unknown dataset.
-	resp, _ = doJSON(t, http.MethodPost, coord.URL+"/datasets/nope/selfjoin", map[string]any{"eps": 0.1})
+	resp, _ = doJSON(t, http.MethodPost, coord.URL+"/datasets/nope/selfjoin", map[string]any{"eps": 0.1}, 0)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing dataset: %d", resp.StatusCode)
 	}
 	// Endpoints the cluster does not distribute.
-	resp, _ = doJSON(t, http.MethodPost, coord.URL+"/join", map[string]any{"a": "d", "b": "d", "eps": 0.1})
+	resp, _ = doJSON(t, http.MethodPost, coord.URL+"/join", map[string]any{"a": "d", "b": "d", "eps": 0.1}, 0)
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("/join in coordinator mode: %d", resp.StatusCode)
 	}
 	// Appends are distributed now: the batch routes to its shards and
 	// the reported length grows.
-	resp, appended := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/points", map[string]any{"points": [][]float64{{1, 2}}})
+	resp, appended := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/points",
+		map[string]any{"points": [][]float64{{1, 2}}}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("append in coordinator mode: %d", resp.StatusCode)
 	}
 	if n, _ := appended["len"].(float64); n < 2 {
 		t.Fatalf("appended len = %v, want growth", appended["len"])
 	}
-	resp, _ = doJSON(t, http.MethodPost, coord.URL+"/datasets/missing/points", map[string]any{"points": [][]float64{{1, 2}}})
+	resp, _ = doJSON(t, http.MethodPost, coord.URL+"/datasets/missing/points",
+		map[string]any{"points": [][]float64{{1, 2}}}, 0)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("append to missing dataset: %d", resp.StatusCode)
 	}
 	// Deleting through the coordinator clears every worker.
-	req, _ := http.NewRequest(http.MethodDelete, coord.URL+"/datasets/d", nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
+	dresp, _ := doJSON(t, http.MethodDelete, coord.URL+"/datasets/d", nil, 0)
 	if dresp.StatusCode != http.StatusNoContent {
 		t.Fatalf("coordinator delete: %d", dresp.StatusCode)
 	}
-	resp, _ = doJSON(t, http.MethodPost, coord.URL+"/datasets/d/selfjoin", map[string]any{"eps": 0.1})
+	resp, _ = doJSON(t, http.MethodPost, coord.URL+"/datasets/d/selfjoin", map[string]any{"eps": 0.1}, 0)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("selfjoin after delete: %d", resp.StatusCode)
 	}
 }
 
 func TestCoordinatorHealthzDegrades(t *testing.T) {
-	coord, workers := startCluster(t, 3, 0.2)
-	r, err := http.Get(coord.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body map[string]any
-	_ = json.NewDecoder(r.Body).Decode(&body)
-	r.Body.Close()
+	coord := stack(t, spec{workers: 3, margin: 0.2})
+	_, body := doJSON(t, http.MethodGet, coord.URL+"/healthz", nil, 0)
 	if body["status"] != "ok" {
 		t.Fatalf("healthy cluster healthz = %v", body)
 	}
@@ -409,14 +300,8 @@ func TestCoordinatorHealthzDegrades(t *testing.T) {
 		t.Fatalf("workers = %v", ws)
 	}
 
-	workers[0].Close()
-	r, err = http.Get(coord.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body = map[string]any{}
-	_ = json.NewDecoder(r.Body).Decode(&body)
-	r.Body.Close()
+	coord.Kill(0)
+	_, body = doJSON(t, http.MethodGet, coord.URL+"/healthz", nil, 0)
 	if body["status"] != "degraded" {
 		t.Fatalf("healthz with dead worker = %v", body)
 	}

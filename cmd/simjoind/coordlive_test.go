@@ -1,90 +1,15 @@
 package main
 
 import (
-	"net"
 	"net/http"
-	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
-	"simjoin/internal/cluster"
-	"simjoin/internal/rclient"
+	"simjoin/internal/api"
+	"simjoin/internal/jointest"
 	"simjoin/internal/store"
 )
-
-// liveWorker is a real worker on a fixed listener with a durable store,
-// so tests can hard-kill it and bring it back on the same address — the
-// cluster-mode analogue of the single-node restart tests.
-type liveWorker struct {
-	t    *testing.T
-	dir  string
-	addr string
-	ts   *httptest.Server
-}
-
-func (w *liveWorker) start(addr string) {
-	w.t.Helper()
-	srv := newServer()
-	cat, err := store.Open(w.dir, store.Options{Sync: store.SyncAlways, Hooks: storeHooks(srv.m)})
-	if err != nil {
-		w.t.Fatalf("store.Open(%s): %v", w.dir, err)
-	}
-	srv.attachStore(cat)
-	var l net.Listener
-	for i := 0; ; i++ {
-		if l, err = net.Listen("tcp", addr); err == nil {
-			break
-		}
-		// The previous incarnation's port can linger briefly after a kill.
-		if i > 200 {
-			w.t.Fatalf("listen %s: %v", addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	w.ts = &httptest.Server{Listener: l, Config: &http.Server{Handler: srv.handler()}}
-	w.ts.Start()
-	w.addr = l.Addr().String()
-}
-
-// kill severs every open connection and stops the listener without
-// closing the store catalog — a crash, from the data's point of view.
-func (w *liveWorker) kill() {
-	w.ts.CloseClientConnections()
-	w.ts.Close()
-}
-
-// restart recovers the worker from its WAL on the original address.
-func (w *liveWorker) restart() {
-	w.start(w.addr)
-	w.t.Cleanup(w.ts.Close)
-}
-
-// startLiveCluster boots n durable restartable workers and a coordinator
-// over them, returning the coordinator server object as well so tests
-// can drive its shutdown path directly.
-func startLiveCluster(t *testing.T, n int, margin float64) (*httptest.Server, *coordServer, []*liveWorker) {
-	t.Helper()
-	workers := make([]*liveWorker, n)
-	urls := make([]string, n)
-	for i := range workers {
-		w := &liveWorker{t: t, dir: t.TempDir()}
-		w.start("127.0.0.1:0")
-		t.Cleanup(func() { w.ts.Close() })
-		workers[i] = w
-		urls[i] = w.ts.URL
-	}
-	rc := &rclient.Client{
-		MaxRetries:     2,
-		BaseDelay:      2 * time.Millisecond,
-		MaxDelay:       10 * time.Millisecond,
-		AttemptTimeout: 10 * time.Second,
-		RetryPOST:      true,
-	}
-	cs := newCoordServer(cluster.New(urls, margin, rc))
-	coord := httptest.NewServer(cs.handler())
-	t.Cleanup(coord.Close)
-	return coord, cs, workers
-}
 
 // collectDistinct consumes stream events until got holds at least n
 // distinct pairs. Premature end events and stream errors fail the test;
@@ -113,7 +38,7 @@ func waitWorkerSubs(t *testing.T, workerURLs []string, name string) {
 	for {
 		ready := true
 		for _, wu := range workerURLs {
-			resp, body := doJSON(t, http.MethodGet, wu+"/datasets/"+name, nil)
+			resp, body := doJSON(t, http.MethodGet, wu+"/datasets/"+name, nil, 0)
 			if resp.StatusCode == http.StatusNotFound {
 				continue
 			}
@@ -138,10 +63,9 @@ func waitWorkerSubs(t *testing.T, workerURLs []string, name string) {
 // pair set of the final dataset in global upload order.
 func TestCoordWatchFromStartMatchesOracle(t *testing.T) {
 	const eps = 0.15
-	coord, workers := startCluster(t, 3, 0.35)
-	_ = workers
+	coord := stack(t, spec{workers: 3, margin: 0.35})
 	pts := livePoints(120, 4, 50)
-	putPoints(t, coord.URL, "d", pts)
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/d", api.Points{Points: pts}, http.StatusOK)
 
 	ws := openWatch(t, coord.URL, "d", map[string]any{"eps": eps, "after": 0}, 0)
 	defer ws.close()
@@ -150,12 +74,12 @@ func TestCoordWatchFromStartMatchesOracle(t *testing.T) {
 		t.Fatalf("hello seq = %v, want 120", hello["seq"])
 	}
 	got := make(map[[2]int]int)
-	ws.collectDistinct(got, len(oraclePairs(pts, eps)))
+	ws.collectDistinct(got, len(jointest.SelfPairs(pts, eps)))
 
 	batch := livePoints(60, 4, 51)
 	pts = append(pts, batch...)
-	appendPointsHTTP(t, coord.URL, "d", batch)
-	want := oraclePairs(pts, eps)
+	doJSON(t, http.MethodPost, coord.URL+"/datasets/d/points", api.Points{Points: batch}, http.StatusOK)
+	want := jointest.SelfPairs(pts, eps)
 	if len(want) == 0 {
 		t.Fatal("oracle found no pairs — test parameters are vacuous")
 	}
@@ -163,7 +87,7 @@ func TestCoordWatchFromStartMatchesOracle(t *testing.T) {
 	checkPairSet(t, got, want, false)
 
 	// Coordinator metadata: global shape plus the standing-query tally.
-	resp, meta := doJSON(t, http.MethodGet, coord.URL+"/datasets/d", nil)
+	resp, meta := doJSON(t, http.MethodGet, coord.URL+"/datasets/d", nil, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET dataset: %d %v", resp.StatusCode, meta)
 	}
@@ -179,12 +103,7 @@ func TestCoordWatchFromStartMatchesOracle(t *testing.T) {
 
 	// DELETE through the coordinator ends the stream with a terminal
 	// event, same contract as a worker.
-	req, _ := http.NewRequest(http.MethodDelete, coord.URL+"/datasets/d", nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
+	doJSON(t, http.MethodDelete, coord.URL+"/datasets/d", nil, 0)
 	if reason := ws.waitEnd(); reason != "dataset deleted" {
 		t.Fatalf("end reason = %q, want %q", reason, "dataset deleted")
 	}
@@ -195,30 +114,21 @@ func TestCoordWatchFromStartMatchesOracle(t *testing.T) {
 // arrive, and all of them must.
 func TestCoordWatchLiveOnlyNewPairs(t *testing.T) {
 	const eps = 0.15
-	coord, workers := startCluster(t, 2, 0.35)
+	coord := stack(t, spec{workers: 2, margin: 0.35})
 	pts := livePoints(100, 4, 60)
-	putPoints(t, coord.URL, "d", pts)
-	base := oraclePairs(pts, eps)
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/d", api.Points{Points: pts}, http.StatusOK)
+	base := jointest.SelfPairs(pts, eps)
 
 	ws := openWatch(t, coord.URL, "d", map[string]any{"eps": eps}, 0)
 	defer ws.close()
 	ws.hello()
-	urls := make([]string, len(workers))
-	for i, w := range workers {
-		urls[i] = w.URL
-	}
-	waitWorkerSubs(t, urls, "d")
+	waitWorkerSubs(t, coord.workers, "d")
 
 	batch := livePoints(50, 4, 61)
 	pts = append(pts, batch...)
-	appendPointsHTTP(t, coord.URL, "d", batch)
+	doJSON(t, http.MethodPost, coord.URL+"/datasets/d/points", api.Points{Points: batch}, http.StatusOK)
 
-	want := make(map[[2]int]bool)
-	for p := range oraclePairs(pts, eps) {
-		if !base[p] {
-			want[p] = true
-		}
-	}
+	want := jointest.Delta(jointest.SelfPairs(pts, eps), base)
 	if len(want) == 0 {
 		t.Fatal("append created no new pairs — test parameters are vacuous")
 	}
@@ -233,38 +143,38 @@ func TestCoordWatchLiveOnlyNewPairs(t *testing.T) {
 // still converge to the brute-force oracle over the final dataset.
 func TestCoordWatchAcrossWorkerRestart(t *testing.T) {
 	const eps = 0.15
-	coord, _, workers := startLiveCluster(t, 2, 0.35)
+	coord := stack(t, spec{workers: 2, margin: 0.35, store: &store.Options{Sync: store.SyncAlways}})
 	pts := livePoints(80, 4, 70)
-	putPoints(t, coord.URL, "d", pts)
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/d", api.Points{Points: pts}, http.StatusOK)
 
 	ws := openWatch(t, coord.URL, "d", map[string]any{"eps": eps, "after": 0}, 0)
 	defer ws.close()
 	ws.hello()
 	got := make(map[[2]int]int)
-	ws.collectDistinct(got, len(oraclePairs(pts, eps)))
+	ws.collectDistinct(got, len(jointest.SelfPairs(pts, eps)))
 
 	batch := livePoints(40, 4, 71)
 	pts = append(pts, batch...)
-	appendPointsHTTP(t, coord.URL, "d", batch)
-	ws.collectDistinct(got, len(oraclePairs(pts, eps)))
+	doJSON(t, http.MethodPost, coord.URL+"/datasets/d/points", api.Points{Points: batch}, http.StatusOK)
+	ws.collectDistinct(got, len(jointest.SelfPairs(pts, eps)))
 
 	// Crash worker 0 mid-watch; the coordinator's shard stream starts
 	// its reconnect loop. Recovery replays the WAL, so the resumed
 	// stream picks up from the coordinator's acknowledged cursor.
-	workers[0].kill()
-	workers[0].restart()
+	coord.Kill(0)
+	coord.Restart(0)
 
 	tail := livePoints(30, 4, 72)
 	pts = append(pts, tail...)
-	appendPointsHTTP(t, coord.URL, "d", tail)
+	doJSON(t, http.MethodPost, coord.URL+"/datasets/d/points", api.Points{Points: tail}, http.StatusOK)
 
-	want := oraclePairs(pts, eps)
+	want := jointest.SelfPairs(pts, eps)
 	ws.collectDistinct(got, len(want))
 	// Reconnect replays any batch that was in flight at the kill, so
 	// delivery is at-least-once here.
 	checkPairSet(t, got, want, true)
 
-	resp, meta := doJSON(t, http.MethodGet, coord.URL+"/datasets/d", nil)
+	resp, meta := doJSON(t, http.MethodGet, coord.URL+"/datasets/d", nil, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET dataset after restart: %d %v", resp.StatusCode, meta)
 	}
@@ -276,13 +186,14 @@ func TestCoordWatchAcrossWorkerRestart(t *testing.T) {
 // TestCoordWatchShutdown drains standing queries with a terminal event
 // when the coordinator shuts down, instead of hanging up on them.
 func TestCoordWatchShutdown(t *testing.T) {
-	coord, cs, _ := startLiveCluster(t, 2, 0.35)
-	putPoints(t, coord.URL, "d", livePoints(40, 3, 80))
+	coord := stack(t, spec{workers: 2, margin: 0.35, store: &store.Options{Sync: store.SyncAlways}})
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/d",
+		api.Points{Points: livePoints(40, 3, 80)}, http.StatusOK)
 
 	ws := openWatch(t, coord.URL, "d", map[string]any{"eps": 0.1}, 0)
 	defer ws.close()
 	ws.hello()
-	cs.shutdownWatches()
+	coord.coord.shutdownWatches()
 	if reason := ws.waitEnd(); reason != "server shutting down" {
 		t.Fatalf("end reason = %q, want %q", reason, "server shutting down")
 	}
@@ -292,8 +203,9 @@ func TestCoordWatchShutdown(t *testing.T) {
 // rejection paths, including the coordinator-specific cursor and
 // two-set restrictions.
 func TestCoordWatchValidation(t *testing.T) {
-	coord, _ := startCluster(t, 2, 0.2)
-	putPoints(t, coord.URL, "d", clusterPoints(40, 2, 90))
+	coord := stack(t, spec{workers: 2, margin: 0.2})
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/d",
+		api.Points{Points: jointest.UniformPoints(40, 2, 90)}, http.StatusOK)
 
 	openWatch(t, coord.URL, "missing", map[string]any{"eps": 0.1}, http.StatusNotFound)
 	openWatch(t, coord.URL, "d", map[string]any{"eps": 0.0}, http.StatusBadRequest)
@@ -308,17 +220,17 @@ func TestCoordWatchValidation(t *testing.T) {
 // over the grown dataset equals brute force.
 func TestCoordAppendThenSelfJoinMatchesOracle(t *testing.T) {
 	const eps = 0.2
-	coord, _ := startCluster(t, 3, 0.35)
+	coord := stack(t, spec{workers: 3, margin: 0.35})
 	pts := livePoints(100, 4, 95)
-	putPoints(t, coord.URL, "d", pts)
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/d", api.Points{Points: pts}, http.StatusOK)
 	for _, n := range []int{50, 30} {
 		batch := livePoints(n, 4, int64(100+n))
 		pts = append(pts, batch...)
-		appendPointsHTTP(t, coord.URL, "d", batch)
+		doJSON(t, http.MethodPost, coord.URL+"/datasets/d/points", api.Points{Points: batch}, http.StatusOK)
 	}
 
-	got := selfJoinPairs(t, coord.URL, "d", eps)
-	want := oraclePairs(pts, eps)
+	got, _ := joinPairs(t, coord.URL+"/datasets/d/selfjoin", map[string]any{"eps": eps})
+	want := jointest.SelfPairs(pts, eps)
 	if len(want) == 0 {
 		t.Fatal("oracle found no pairs — test parameters are vacuous")
 	}
@@ -326,7 +238,7 @@ func TestCoordAppendThenSelfJoinMatchesOracle(t *testing.T) {
 		t.Fatalf("selfjoin after appends = %d pairs, oracle = %d", len(got), len(want))
 	}
 	for _, p := range got {
-		if !want[p] {
+		if !slices.Contains(want, p) {
 			t.Fatalf("selfjoin returned pair %v not in the oracle set", p)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"syscall"
 
 	"simjoin/internal/gateway"
-	"simjoin/internal/obsv/trace"
 )
 
 // startGateway builds the -gateway handler: the multi-tenant front door
@@ -33,7 +32,6 @@ func startGateway(logger *slog.Logger, backendsFlag, tenantsPath string, maxBody
 	g, err := gateway.New(gateway.Options{
 		Backend: urls[0],
 		Logger:  logger,
-		Tracer:  trace.New(defaultTraceCapacity),
 		MaxBody: maxBody,
 		Build:   buildVersion,
 	})

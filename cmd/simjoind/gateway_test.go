@@ -1,48 +1,18 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"simjoin/internal/api"
 	"simjoin/internal/gateway"
-	"simjoin/internal/rclient"
+	"simjoin/internal/jointest"
 )
-
-// startGatewayStack boots the full production topology in-process: a
-// gateway in front of a real coordinator sharding over three real
-// workers. Returned is the gateway object (for metrics/drain) and its
-// server; datasets are uploaded through the coordinator URL.
-func startGatewayStack(t *testing.T, cfg *gateway.Config) (*gateway.Gateway, *httptest.Server, *httptest.Server, []*httptest.Server) {
-	t.Helper()
-	coord, workers := startCluster(t, 3, 0.35)
-	g, err := gateway.New(gateway.Options{
-		Backend: coord.URL,
-		Client: &rclient.Client{
-			MaxRetries:     2,
-			BaseDelay:      2 * time.Millisecond,
-			MaxDelay:       10 * time.Millisecond,
-			AttemptTimeout: 10 * time.Second,
-		},
-	})
-	if err != nil {
-		t.Fatalf("gateway.New: %v", err)
-	}
-	if err := g.SetConfig(cfg); err != nil {
-		t.Fatalf("SetConfig: %v", err)
-	}
-	gw := httptest.NewServer(g.Handler())
-	t.Cleanup(gw.Close)
-	return g, gw, coord, workers
-}
 
 // TestGatewayTakesOneBackend: -backends names the one tier the gateway
 // fronts; a list is refused with the way to front a fleet instead.
@@ -55,47 +25,6 @@ func TestGatewayTakesOneBackend(t *testing.T) {
 	if got := run([]string{"-gateway", "-backends", "http://127.0.0.1:1,http://127.0.0.1:2", "-tenants", "tenants.json", "-addr", "127.0.0.1:0"}); got != 2 {
 		t.Errorf("run with two backends = %d, want 2", got)
 	}
-}
-
-// gwJoin posts a selfjoin through the gateway as one tenant.
-func gwJoin(t *testing.T, gwURL, key, dataset string, body map[string]any, sticky string) (*http.Response, map[string]any) {
-	t.Helper()
-	raw, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, gwURL+"/datasets/"+dataset+"/selfjoin", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Authorization", "Bearer "+key)
-	if sticky != "" {
-		req.Header.Set(gateway.StickyHeader, sticky)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out map[string]any
-	_ = json.NewDecoder(resp.Body).Decode(&out)
-	return resp, out
-}
-
-// scrapeGW fetches the gateway's /metrics text.
-func scrapeGW(t *testing.T, gwURL string) string {
-	t.Helper()
-	resp, err := http.Get(gwURL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	text, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(text)
 }
 
 // sampleValue pulls one sample's value out of Prometheus text.
@@ -114,17 +43,19 @@ func sampleValue(text, sample string) float64 {
 // exhausting its quota is shed with 429 + Retry-After while tenant B's
 // traffic through the same gateway is unaffected.
 func TestGatewayE2EQuotaIsolation(t *testing.T) {
-	_, gw, coord, _ := startGatewayStack(t, &gateway.Config{
+	st := stack(t, spec{workers: 3, margin: 0.35, gateway: &gateway.Config{
 		Tenants: []gateway.Tenant{
 			{Name: "a", Key: "key-a", RatePerSec: 0.0001, Burst: 3},
 			{Name: "b", Key: "key-b"},
 		},
-	})
-	putPoints(t, coord.URL, "d", clusterPoints(200, 4, 7))
+	}})
+	doJSON(t, http.MethodPut, st.coordURL+"/datasets/d",
+		api.Points{Points: jointest.UniformPoints(200, 4, 7)}, http.StatusOK)
 
 	shed := 0
 	for i := 0; i < 6; i++ {
-		resp, body := gwJoin(t, gw.URL, "key-a", "d", map[string]any{"eps": 0.2}, "")
+		resp, body := doJSON(t, http.MethodPost, st.gwURL+"/datasets/d/selfjoin",
+			map[string]any{"eps": 0.2}, 0, "Authorization", "Bearer key-a")
 		switch resp.StatusCode {
 		case http.StatusOK:
 		case http.StatusTooManyRequests:
@@ -144,12 +75,13 @@ func TestGatewayE2EQuotaIsolation(t *testing.T) {
 	}
 	// Tenant B is untouched by A's exhaustion.
 	for i := 0; i < 5; i++ {
-		resp, body := gwJoin(t, gw.URL, "key-b", "d", map[string]any{"eps": 0.2}, "")
+		resp, body := doJSON(t, http.MethodPost, st.gwURL+"/datasets/d/selfjoin",
+			map[string]any{"eps": 0.2}, 0, "Authorization", "Bearer key-b")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("tenant b request %d caught in a's quota: status %d %v", i, resp.StatusCode, body)
 		}
 	}
-	text := scrapeGW(t, gw.URL)
+	text := getText(t, st.gwURL+"/metrics")
 	if got := sampleValue(text, `simjoin_gw_shed_total{tenant="a",reason="rate"}`); got != 3 {
 		t.Fatalf(`shed_total{a,rate} = %v, want 3`, got)
 	}
@@ -162,22 +94,24 @@ func TestGatewayE2EQuotaIsolation(t *testing.T) {
 // through a 50% experiment and checks both that the split lands within
 // ±15 points and that every key's assignment is deterministic.
 func TestGatewayE2EABSplit(t *testing.T) {
-	_, gw, coord, _ := startGatewayStack(t, &gateway.Config{
+	st := stack(t, spec{workers: 3, margin: 0.35, gateway: &gateway.Config{
 		Tenants: []gateway.Tenant{{Name: "a", Key: "k"}},
 		Experiments: []gateway.Experiment{
 			{Name: "split", Percent: 50, Override: gateway.Override{Algorithm: "brute"}},
 		},
-	})
-	putPoints(t, coord.URL, "d", clusterPoints(120, 4, 11))
+	}})
+	doJSON(t, http.MethodPut, st.coordURL+"/datasets/d",
+		api.Points{Points: jointest.UniformPoints(120, 4, 11)}, http.StatusOK)
 
 	const n = 200
 	for i := 0; i < n; i++ {
-		resp, body := gwJoin(t, gw.URL, "k", "d", map[string]any{"eps": 0.15}, fmt.Sprintf("user-%d", i))
+		resp, body := doJSON(t, http.MethodPost, st.gwURL+"/datasets/d/selfjoin",
+			map[string]any{"eps": 0.15}, 0, "Authorization", "Bearer k", gateway.StickyHeader, fmt.Sprintf("user-%d", i))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d %v", i, resp.StatusCode, body)
 		}
 	}
-	text := scrapeGW(t, gw.URL)
+	text := getText(t, st.gwURL+"/metrics")
 	cand := sampleValue(text, `simjoin_gw_arm_requests_total{experiment="split",arm="candidate"}`)
 	inc := sampleValue(text, `simjoin_gw_arm_requests_total{experiment="split",arm="incumbent"}`)
 	if cand+inc != n {
@@ -200,17 +134,19 @@ func TestGatewayE2EABSplit(t *testing.T) {
 // engine are both exact, so the differ must report zero mismatches —
 // this is the experiment pipeline's end-to-end correctness proof.
 func TestGatewayE2EShadowNoMismatch(t *testing.T) {
-	g, gw, coord, _ := startGatewayStack(t, &gateway.Config{
+	st := stack(t, spec{workers: 3, margin: 0.35, gateway: &gateway.Config{
 		Tenants: []gateway.Tenant{{Name: "a", Key: "k"}},
 		Experiments: []gateway.Experiment{
 			{Name: "sh", Percent: 100, Shadow: true, Override: gateway.Override{Algorithm: "brute"}},
 		},
-	})
-	putPoints(t, coord.URL, "d", clusterPoints(150, 4, 13))
+	}})
+	doJSON(t, http.MethodPut, st.coordURL+"/datasets/d",
+		api.Points{Points: jointest.UniformPoints(150, 4, 13)}, http.StatusOK)
 
 	const n = 8
 	for i := 0; i < n; i++ {
-		resp, body := gwJoin(t, gw.URL, "k", "d", map[string]any{"eps": 0.15}, fmt.Sprintf("s%d", i))
+		resp, body := doJSON(t, http.MethodPost, st.gwURL+"/datasets/d/selfjoin",
+			map[string]any{"eps": 0.15}, 0, "Authorization", "Bearer k", gateway.StickyHeader, fmt.Sprintf("s%d", i))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d %v", i, resp.StatusCode, body)
 		}
@@ -218,8 +154,8 @@ func TestGatewayE2EShadowNoMismatch(t *testing.T) {
 			t.Fatalf("shadowed request %d lost the incumbent answer: %v", i, body)
 		}
 	}
-	g.ShadowDrain()
-	text := scrapeGW(t, gw.URL)
+	st.gw.ShadowDrain()
+	text := getText(t, st.gwURL+"/metrics")
 	diffs := sampleValue(text, `simjoin_gw_shadow_diffs_total{experiment="sh"}`)
 	dropped := sampleValue(text, "simjoin_gw_shadow_dropped_total")
 	if diffs+dropped != n {
@@ -241,21 +177,15 @@ func TestGatewayE2EShadowNoMismatch(t *testing.T) {
 // answer is named in the coordinator's sources while the others' spans
 // still stitch.
 func TestGatewayE2EStitchedTrace(t *testing.T) {
-	_, gw, coord, workers := startGatewayStack(t, &gateway.Config{
+	st := stack(t, spec{workers: 3, margin: 0.35, gateway: &gateway.Config{
 		Tenants: []gateway.Tenant{{Name: "a", Key: "k"}},
-	})
-	putPoints(t, coord.URL, "d", clusterPoints(100, 4, 17))
+	}})
+	doJSON(t, http.MethodPut, st.coordURL+"/datasets/d",
+		api.Points{Points: jointest.UniformPoints(100, 4, 17)}, http.StatusOK)
 
 	traceID := "4bf92f3577b34da6a3ce929d0e0e4736"
-	raw, _ := json.Marshal(map[string]any{"eps": 0.2})
-	req, _ := http.NewRequest(http.MethodPost, gw.URL+"/datasets/d/selfjoin", bytes.NewReader(raw))
-	req.Header.Set("Authorization", "Bearer k")
-	req.Header.Set("traceparent", "00-"+traceID+"-00f067aa0ba902b7-01")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	resp, _ := doJSON(t, http.MethodPost, st.gwURL+"/datasets/d/selfjoin",
+		map[string]any{"eps": 0.2}, 0, "Authorization", "Bearer k", "traceparent", "00-"+traceID+"-00f067aa0ba902b7-01")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("traced join: status %d", resp.StatusCode)
 	}
@@ -265,9 +195,9 @@ func TestGatewayE2EStitchedTrace(t *testing.T) {
 		url, root string
 		sources   int
 	}
-	tiers := []tier{{gw.URL, "gw " + server, 1}, {coord.URL, server, len(workers)}}
-	for _, w := range workers {
-		tiers = append(tiers, tier{w.URL, server, 0})
+	tiers := []tier{{st.gwURL, "gw " + server, 1}, {st.coordURL, server, len(st.workers)}}
+	for _, w := range st.workers {
+		tiers = append(tiers, tier{w, server, 0})
 	}
 	var whole api.TraceView
 	for _, tc := range tiers {
@@ -281,40 +211,36 @@ func TestGatewayE2EStitchedTrace(t *testing.T) {
 			}
 		}
 		assertOneTree(t, tc.url, tv, tc.root)
-		if tc.url == gw.URL {
+		if tc.url == st.gwURL {
 			whole = tv
 		}
-		resp, err := http.Get(tc.url + "/debug/traces/deadbeefdeadbeefdeadbeefdeadbeef")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		resp, _ := doJSON(t, http.MethodGet, tc.url+"/debug/traces/deadbeefdeadbeefdeadbeefdeadbeef", nil, 0)
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s: unknown trace ID answered %d, want 404", tc.url, resp.StatusCode)
 		}
 	}
-	if servers := countSpans(whole, server); servers != 1+len(workers) {
-		t.Fatalf("gateway's tree holds %d coordinator+worker server spans, want %d — not gateway→coordinator→worker", servers, 1+len(workers))
+	if servers := countSpans(whole, server); servers != 1+len(st.workers) {
+		t.Fatalf("gateway's tree holds %d coordinator+worker server spans, want %d — not gateway→coordinator→worker", servers, 1+len(st.workers))
 	}
 
-	workers[0].Close()
-	tv, _ := getTraceView(t, coord.URL, traceID)
+	st.Kill(0)
+	tv, _ := getTraceView(t, st.coordURL, traceID)
 	for i, src := range tv.Sources {
-		if (src.URL == workers[0].URL) != (i == 0) || (src.Err != "") != (i == 0) {
+		if (src.URL == st.workers[0]) != (i == 0) || (src.Err != "") != (i == 0) {
 			t.Errorf("with worker 0 down, source %d = %+v", i, src)
 		}
 	}
-	if servers := countSpans(tv, server); servers != len(workers) {
-		t.Errorf("with worker 0 down, the coordinator stitched %d server spans, want its own and %d workers'", servers, len(workers)-1)
+	if servers := countSpans(tv, server); servers != len(st.workers) {
+		t.Errorf("with worker 0 down, the coordinator stitched %d server spans, want its own and %d workers'", servers, len(st.workers)-1)
 	}
-	assertOneTree(t, coord.URL, tv, server)
+	assertOneTree(t, st.coordURL, tv, server)
 }
 
 // getTraceView fetches GET /debug/traces/{id} from one tier, returning
 // the decoded answer and its raw body.
 func getTraceView(t *testing.T, base, id string) (api.TraceView, string) {
 	t.Helper()
-	body := getBody(t, base+"/debug/traces/"+id)
+	body := getText(t, base+"/debug/traces/"+id)
 	var tv api.TraceView
 	if err := json.Unmarshal([]byte(body), &tv); err != nil {
 		t.Fatalf("%s: decoding trace %s: %v\n%s", base, id, err, body)
@@ -357,20 +283,23 @@ func countSpans(tv api.TraceView, name string) int {
 // engine, every worker's journal shows the join ran as brute rather than
 // the default, and the answer is still the exact pair count.
 func TestGatewayE2ERoutedOverride(t *testing.T) {
-	_, gw, coord, workers := startGatewayStack(t, &gateway.Config{
+	st := stack(t, spec{workers: 3, margin: 0.35, gateway: &gateway.Config{
 		Tenants: []gateway.Tenant{{Name: "a", Key: "k"}},
 		Experiments: []gateway.Experiment{
 			{Name: "brute-all", Percent: 100, Override: gateway.Override{Algorithm: "brute", Workers: 2}},
 		},
-	})
-	putPoints(t, coord.URL, "d", clusterPoints(150, 4, 19))
+	}})
+	doJSON(t, http.MethodPut, st.coordURL+"/datasets/d",
+		api.Points{Points: jointest.UniformPoints(150, 4, 19)}, http.StatusOK)
 
 	// Oracle: the same join through the coordinator without the gateway.
-	respO, bodyO := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/selfjoin", map[string]any{"eps": 0.15})
+	respO, bodyO := doJSON(t, http.MethodPost, st.coordURL+"/datasets/d/selfjoin",
+		map[string]any{"eps": 0.15}, 0)
 	if respO.StatusCode != http.StatusOK {
 		t.Fatalf("oracle join: %d", respO.StatusCode)
 	}
-	resp, body := gwJoin(t, gw.URL, "k", "d", map[string]any{"eps": 0.15}, "")
+	resp, body := doJSON(t, http.MethodPost, st.gwURL+"/datasets/d/selfjoin",
+		map[string]any{"eps": 0.15}, 0, "Authorization", "Bearer k")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("brute arm join: %d %v", resp.StatusCode, body)
 	}
@@ -378,8 +307,8 @@ func TestGatewayE2ERoutedOverride(t *testing.T) {
 		t.Fatalf("brute arm total %v differs from oracle %v", body["total"], bodyO["total"])
 	}
 	// Newest first: the routed join, then the oracle's.
-	for i, w := range workers {
-		q := getQueries(t, w.URL, "?dataset=d").Queries
+	for i, w := range st.workers {
+		q := getQueries(t, w, "?dataset=d").Queries
 		if len(q) != 2 || q[0].Algorithm != "brute" || q[1].Algorithm == "brute" {
 			t.Fatalf("worker %d journal = %+v, want the routed join as brute after a default-engine oracle join", i, q)
 		}

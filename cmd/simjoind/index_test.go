@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"sort"
 	"strings"
@@ -17,34 +16,10 @@ import (
 
 	"simjoin"
 	"simjoin/internal/api"
+	"simjoin/internal/jointest"
 	"simjoin/internal/obsv/trace"
 	"simjoin/internal/store"
-	"simjoin/internal/vec"
 )
-
-// quick is a client whose requests fail instead of hanging: a handler
-// blocked on a lock shows up as a test failure, not a stuck test.
-var quick = &http.Client{Timeout: 10 * time.Second}
-
-// post sends one JSON request with quick and decodes the answer into out.
-func post(t *testing.T, url string, body, out any) {
-	t.Helper()
-	raw, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := quick.Post(url, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s: status %d", url, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // randomPoints draws n points of the unit square.
 func randomPoints(rng *rand.Rand, n int) [][]float64 {
@@ -53,30 +28,6 @@ func randomPoints(rng *rand.Rand, n int) [][]float64 {
 		pts[i] = []float64{rng.Float64(), rng.Float64()}
 	}
 	return pts
-}
-
-// bruteRange lists, in index order, the points of pts within radius of q
-// under L2 — the predicate the kernels run.
-func bruteRange(pts [][]float64, q []float64, radius float64) []int {
-	var out []int
-	for i, p := range pts {
-		if vec.Within(vec.L2, q, p, vec.Threshold(vec.L2, radius)) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// bruteKNN returns the k points of pts nearest q under L2, ties by index.
-func bruteKNN(pts [][]float64, q []float64, k int) []api.Neighbor {
-	all := make([]api.Neighbor, len(pts))
-	for i, p := range pts {
-		all[i] = api.Neighbor{Index: i, Dist: vec.Dist(vec.L2, q, p)}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		return all[a].Dist < all[b].Dist || (all[a].Dist == all[b].Dist && all[a].Index < all[b].Index)
-	})
-	return all[:min(k, len(all))]
 }
 
 // TestAppendRangeKNNMatchesBrute appends to a worker — in memory and with
@@ -88,20 +39,16 @@ func bruteKNN(pts [][]float64, q []float64, k int) []api.Neighbor {
 func TestAppendRangeKNNMatchesBrute(t *testing.T) {
 	for _, mode := range []string{"in memory", "-data"} {
 		t.Run(mode, func(t *testing.T) {
-			var base string
+			sp := spec{}
 			if mode == "-data" {
-				ts, _ := newPersistentServer(t, t.TempDir(), store.Options{})
-				base = ts.URL
-			} else {
-				ts, done := newTestServer(t)
-				defer done()
-				base = ts.URL
+				sp.store = &store.Options{}
 			}
+			base := stack(t, sp).URL
 			const n0, batches, batch, radius = 300, 40, 40, 0.08
 			rng := rand.New(rand.NewSource(7))
 			all := randomPoints(rng, n0+batches*batch)
 			queries := randomPoints(rng, 16)
-			putPoints(t, base, "a", all[:n0])
+			doJSON(t, http.MethodPut, base+"/datasets/a", api.Points{Points: all[:n0]}, http.StatusOK)
 
 			var sent, acked atomic.Int64
 			sent.Store(n0)
@@ -136,7 +83,7 @@ func TestAppendRangeKNNMatchesBrute(t *testing.T) {
 							return
 						}
 						sort.Ints(got.Indexes)
-						want := bruteRange(all[:atMost], q, radius)
+						want := jointest.Range(all[:atMost], q, radius)
 						n := len(got.Indexes)
 						if n > len(want) || !slices.Equal(got.Indexes, want[:n]) || (n < len(want) && want[n] < atLeast) {
 							errs <- fmt.Errorf("range %v between %d and %d points: %v, brute %v", q, atLeast, atMost, got.Indexes, want)
@@ -148,8 +95,12 @@ func TestAppendRangeKNNMatchesBrute(t *testing.T) {
 			for b := 0; b < batches; b++ {
 				lo := n0 + b*batch
 				sent.Store(int64(lo + batch))
+				resp, _ := doJSON(t, http.MethodPost, base+"/datasets/a/points",
+					map[string]any{"points": all[lo : lo+batch]}, http.StatusOK)
 				var info api.AppendResponse
-				post(t, base+"/datasets/a/points", map[string]any{"points": all[lo : lo+batch]}, &info)
+				if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+					t.Fatal(err)
+				}
 				if info.Len != lo+batch {
 					t.Fatalf("append %d acknowledged length %d, want %d", b, info.Len, lo+batch)
 				}
@@ -163,16 +114,24 @@ func TestAppendRangeKNNMatchesBrute(t *testing.T) {
 			}
 
 			for _, q := range queries {
+				resp, _ := doJSON(t, http.MethodPost, base+"/datasets/a/range",
+					map[string]any{"point": q, "radius": radius}, http.StatusOK)
 				var ans api.RangeResponse
-				post(t, base+"/datasets/a/range", map[string]any{"point": q, "radius": radius}, &ans)
+				if err := json.NewDecoder(resp.Body).Decode(&ans); err != nil {
+					t.Fatal(err)
+				}
 				sort.Ints(ans.Indexes)
-				if want := bruteRange(all, q, radius); !slices.Equal(ans.Indexes, want) {
+				if want := jointest.Range(all, q, radius); !slices.Equal(ans.Indexes, want) {
 					t.Errorf("range %v after the appends: %v, brute %v", q, ans.Indexes, want)
 				}
 				for _, k := range []int{1, 7, len(all) + 5} {
+					resp, _ := doJSON(t, http.MethodPost, base+"/datasets/a/knn",
+						map[string]any{"point": q, "k": k}, http.StatusOK)
 					var knn api.KNNResponse
-					post(t, base+"/datasets/a/knn", map[string]any{"point": q, "k": k}, &knn)
-					if want := bruteKNN(all, q, k); !slices.Equal(knn.Neighbors, want) {
+					if err := json.NewDecoder(resp.Body).Decode(&knn); err != nil {
+						t.Fatal(err)
+					}
+					if want := jointest.KNN[api.Neighbor](all, q, k); !slices.Equal(knn.Neighbors, want) {
 						t.Errorf("knn %v k=%d after the appends differs from brute", q, k)
 					}
 				}
@@ -185,28 +144,28 @@ func TestAppendRangeKNNMatchesBrute(t *testing.T) {
 // function and shows that appends and queries on the same dataset still
 // complete, and see every acknowledged point, while it is held.
 func TestIndexRebuildRunsOffTheLock(t *testing.T) {
-	srv := newServer()
 	var hold atomic.Bool
 	held, release := make(chan struct{}, 1), make(chan struct{})
 	var released sync.Once
 	free := func() { released.Do(func() { close(release) }) }
-	srv.buildIndex = func(ds *simjoin.Dataset) *simjoin.NeighborIndex {
-		if hold.Load() {
-			held <- struct{}{}
-			<-release
+	ts := stack(t, spec{tune: func(s *server) {
+		s.buildIndex = func(ds *simjoin.Dataset) *simjoin.NeighborIndex {
+			if hold.Load() {
+				held <- struct{}{}
+				<-release
+			}
+			return simjoin.NewNeighborIndex(ds)
 		}
-		return simjoin.NewNeighborIndex(ds)
-	}
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
+	}})
 	// A failing run must not leave a handler parked in the build, or
 	// Close would wait for it forever.
-	defer free()
+	t.Cleanup(free)
 
 	origin := map[string]any{"point": []float64{0, 0}, "radius": 0.001}
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {5, 5}})
-	var got api.RangeResponse
-	post(t, ts.URL+"/datasets/a/range", origin, &got) // the first query builds, unheld
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: [][]float64{{0, 0}, {5, 5}}}, http.StatusOK)
+	doJSON(t, http.MethodPost, ts.URL+"/datasets/a/range",
+		origin, http.StatusOK) // the first query builds, unheld
 	hold.Store(true)
 
 	// A tail past max(1 024, n/8) makes the next query start a rebuild,
@@ -215,9 +174,8 @@ func TestIndexRebuildRunsOffTheLock(t *testing.T) {
 	for i := range far {
 		far[i] = []float64{1 + float64(i), 1}
 	}
-	var info api.AppendResponse
-	post(t, ts.URL+"/datasets/a/points", map[string]any{"points": far}, &info)
-	post(t, ts.URL+"/datasets/a/range", origin, &got)
+	doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points", map[string]any{"points": far}, http.StatusOK)
+	doJSON(t, http.MethodPost, ts.URL+"/datasets/a/range", origin, http.StatusOK)
 	select {
 	case <-held:
 	case <-time.After(10 * time.Second):
@@ -225,17 +183,30 @@ func TestIndexRebuildRunsOffTheLock(t *testing.T) {
 	}
 
 	// While the rebuild is held: an append, then queries that see it.
-	post(t, ts.URL+"/datasets/a/points", map[string]any{"points": [][]float64{{0.0001, 0}}}, &info)
+	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points",
+		map[string]any{"points": [][]float64{{0.0001, 0}}}, http.StatusOK)
+	var info api.AppendResponse
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
 	if info.Len != 1103 {
 		t.Fatalf("append while a rebuild is held: length %d, want 1103", info.Len)
 	}
-	post(t, ts.URL+"/datasets/a/range", origin, &got)
+	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/range", origin, http.StatusOK)
+	var got api.RangeResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
 	sort.Ints(got.Indexes)
 	if !slices.Equal(got.Indexes, []int{0, 1102}) {
 		t.Errorf("range while a rebuild is held = %v, want [0 1102]", got.Indexes)
 	}
+	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/knn",
+		map[string]any{"point": []float64{0, 0}, "k": 2}, http.StatusOK)
 	var knn api.KNNResponse
-	post(t, ts.URL+"/datasets/a/knn", map[string]any{"point": []float64{0, 0}, "k": 2}, &knn)
+	if err := json.NewDecoder(resp.Body).Decode(&knn); err != nil {
+		t.Fatal(err)
+	}
 	if len(knn.Neighbors) != 2 || knn.Neighbors[1].Index != 1102 {
 		t.Errorf("knn while a rebuild is held = %v", knn.Neighbors)
 	}
@@ -248,13 +219,13 @@ func TestIndexRebuildRunsOffTheLock(t *testing.T) {
 	hold.Store(false)
 	free()
 	deadline := time.Now().Add(10 * time.Second)
-	for !strings.Contains(scrape(t, ts.URL), "simjoind_index_rebuilds_total 2") {
+	for !strings.Contains(getText(t, ts.URL+"/metrics"), "simjoind_index_rebuilds_total 2") {
 		if time.Now().After(deadline) {
 			t.Fatal("the released rebuild never finished")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	post(t, ts.URL+"/datasets/a/range", origin, &got)
+	doJSON(t, http.MethodPost, ts.URL+"/datasets/a/range", origin, http.StatusOK)
 	rec := getQueries(t, ts.URL, "?limit=1").Queries[0]
 	if rec.Tail != 1 {
 		t.Errorf("tail after the rebuild = %d, want 1", rec.Tail)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -12,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"simjoin/internal/api"
+	"simjoin/internal/jointest"
 	"simjoin/internal/store"
 )
 
@@ -183,45 +184,14 @@ func livePoints(n, dims int, seed int64) [][]float64 {
 	return pts
 }
 
-func liveL2(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// oraclePairs is the brute-force self-join pair set.
-func oraclePairs(pts [][]float64, eps float64) map[[2]int]bool {
-	out := make(map[[2]int]bool)
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if liveL2(pts[i], pts[j]) <= eps {
-				out[[2]int{i, j}] = true
-			}
-		}
-	}
-	return out
-}
-
-// oracleCross is the brute-force two-set pair set (a-index, b-index).
-func oracleCross(a, b [][]float64, eps float64) map[[2]int]bool {
-	out := make(map[[2]int]bool)
-	for i := range a {
-		for j := range b {
-			if liveL2(a[i], b[j]) <= eps {
-				out[[2]int{i, j}] = true
-			}
-		}
-	}
-	return out
-}
-
-// checkPairSet asserts got's key set equals want. dupOK allows
+// checkPairSet asserts got's key set equals want's. dupOK allows
 // at-least-once delivery; otherwise any pair seen twice fails.
-func checkPairSet(t *testing.T, got map[[2]int]int, want map[[2]int]bool, dupOK bool) {
+func checkPairSet(t *testing.T, got map[[2]int]int, wantPairs [][2]int, dupOK bool) {
 	t.Helper()
+	want := make(map[[2]int]bool, len(wantPairs))
+	for _, p := range wantPairs {
+		want[p] = true
+	}
 	for p := range want {
 		if got[p] == 0 {
 			t.Fatalf("pair %v never delivered (got %d of %d)", p, len(got), len(want))
@@ -237,23 +207,14 @@ func checkPairSet(t *testing.T, got map[[2]int]int, want map[[2]int]bool, dupOK 
 	}
 }
 
-func appendPointsHTTP(t *testing.T, base, name string, pts [][]float64) {
-	t.Helper()
-	resp, body := doJSON(t, http.MethodPost, base+"/datasets/"+name+"/points", map[string]any{"points": pts})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("append %s: %d %v", name, resp.StatusCode, body)
-	}
-}
-
 // TestWatchSelfJoinLive is the worker-mode acceptance path: a standing
 // self-join registered before any append receives, batch by batch,
 // exactly the pairs each append creates.
 func TestWatchSelfJoinLive(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
+	ts := stack(t, spec{})
 	const eps = 0.15
 	pts := livePoints(100, 4, 1)
-	putPoints(t, ts.URL, "d", pts)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/d", api.Points{Points: pts}, http.StatusOK)
 
 	ws := openWatch(t, ts.URL, "d", map[string]any{"eps": eps}, 0)
 	defer ws.close()
@@ -266,20 +227,14 @@ func TestWatchSelfJoinLive(t *testing.T) {
 	for len(pts) < 160 {
 		batch := livePoints(30, 4, int64(len(pts)))
 		pts = append(pts, batch...)
-		appendPointsHTTP(t, ts.URL, "d", batch)
+		doJSON(t, http.MethodPost, ts.URL+"/datasets/d/points", api.Points{Points: batch}, http.StatusOK)
 		ws.collectUntilSeq(got, len(pts))
 	}
-	base := oraclePairs(pts[:100], eps)
-	want := make(map[[2]int]bool)
-	for p := range oraclePairs(pts, eps) {
-		if !base[p] {
-			want[p] = true
-		}
-	}
+	want := jointest.Delta(jointest.SelfPairs(pts, eps), jointest.SelfPairs(pts[:100], eps))
 	checkPairSet(t, got, want, false)
 
 	// GET /datasets/{name} reflects the grown dataset and the watcher.
-	resp, meta := doJSON(t, http.MethodGet, ts.URL+"/datasets/d", nil)
+	resp, meta := doJSON(t, http.MethodGet, ts.URL+"/datasets/d", nil, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET dataset: %d %v", resp.StatusCode, meta)
 	}
@@ -314,17 +269,12 @@ func TestWatchSelfJoinLive(t *testing.T) {
 	if got := strings.Join(kids, ","); got != "upload.decode,dataset.adopt,live.append" {
 		t.Fatalf("append server span children %s, want upload.decode,dataset.adopt,live.append", got)
 	}
-	if !strings.Contains(getBody(t, ts.URL+"/metrics"), "\nsimjoind_live_backlog 0\n") {
+	if !strings.Contains(getText(t, ts.URL+"/metrics"), "\nsimjoind_live_backlog 0\n") {
 		t.Fatal("/metrics lacks simjoind_live_backlog 0 once the queue is applied")
 	}
 
 	// DELETE terminates the stream with a terminal event, not a hangup.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/datasets/d", nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
+	doJSON(t, http.MethodDelete, ts.URL+"/datasets/d", nil, 0)
 	if reason := ws.waitEnd(); reason != "dataset deleted" {
 		t.Fatalf("end reason = %q, want %q", reason, "dataset deleted")
 	}
@@ -334,13 +284,12 @@ func TestWatchSelfJoinLive(t *testing.T) {
 // both sides: the union of delivered pairs must be every cross pair
 // involving at least one appended point.
 func TestWatchTwoSetLive(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
+	ts := stack(t, spec{})
 	const eps = 0.18
 	a := livePoints(50, 3, 10)
 	b := livePoints(50, 3, 11)
-	putPoints(t, ts.URL, "a", a)
-	putPoints(t, ts.URL, "b", b)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a", api.Points{Points: a}, http.StatusOK)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/b", api.Points{Points: b}, http.StatusOK)
 
 	ws := openWatch(t, ts.URL, "a", map[string]any{"eps": eps, "other": "b"}, 0)
 	defer ws.close()
@@ -349,30 +298,24 @@ func TestWatchTwoSetLive(t *testing.T) {
 		t.Fatalf("hello seq_other = %v, want 50", hello["seq_other"])
 	}
 
-	baseCross := oracleCross(a, b, eps)
+	baseCross := jointest.CrossPairs(a, b, eps)
 	got := make(map[[2]int]int)
 	aAdd := livePoints(25, 3, 12)
 	a = append(a, aAdd...)
-	appendPointsHTTP(t, ts.URL, "a", aAdd)
+	doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points", api.Points{Points: aAdd}, http.StatusOK)
 	ws.collectUntil(got, func(bt map[string]any) bool {
 		n, _ := bt["seq"].(float64)
 		return int(n) >= 75
 	})
 	bAdd := livePoints(25, 3, 13)
 	b = append(b, bAdd...)
-	appendPointsHTTP(t, ts.URL, "b", bAdd)
+	doJSON(t, http.MethodPost, ts.URL+"/datasets/b/points", api.Points{Points: bAdd}, http.StatusOK)
 	ws.collectUntil(got, func(bt map[string]any) bool {
 		n, _ := bt["seq_other"].(float64)
 		return int(n) >= 75
 	})
 
-	want := make(map[[2]int]bool)
-	for p := range oracleCross(a, b, eps) {
-		if !baseCross[p] {
-			want[p] = true
-		}
-	}
-	checkPairSet(t, got, want, false)
+	checkPairSet(t, got, jointest.Delta(jointest.CrossPairs(a, b, eps), baseCross), false)
 }
 
 // TestWatchCatchUpAcrossRestart is the durability acceptance test: a
@@ -380,11 +323,10 @@ func TestWatchTwoSetLive(t *testing.T) {
 // from the WAL-recovered dataset. The union of everything both watch
 // sessions delivered must equal the oracle over the final dataset.
 func TestWatchCatchUpAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
 	const eps = 0.15
-	ts, _ := newPersistentServer(t, dir, store.Options{Sync: store.SyncAlways})
+	ts := stack(t, spec{store: &store.Options{Sync: store.SyncAlways}})
 	pts := livePoints(80, 4, 20)
-	putPoints(t, ts.URL, "d", pts)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/d", api.Points{Points: pts}, http.StatusOK)
 
 	// Full replay from the start, then one live batch.
 	ws := openWatch(t, ts.URL, "d", map[string]any{"eps": eps, "after": 0}, 0)
@@ -393,36 +335,35 @@ func TestWatchCatchUpAcrossRestart(t *testing.T) {
 	ws.collectUntilSeq(got, 80)
 	batch := livePoints(40, 4, 21)
 	pts = append(pts, batch...)
-	appendPointsHTTP(t, ts.URL, "d", batch)
+	doJSON(t, http.MethodPost, ts.URL+"/datasets/d/points", api.Points{Points: batch}, http.StatusOK)
 	ws.collectUntilSeq(got, 120)
 	lastSeq := 120
 
 	// Hard kill: sever every connection (the watch stream dies without
 	// a terminal event) and abandon the catalog mid-flight.
-	ts.CloseClientConnections()
-	ts.Close()
+	ts.Kill(0)
 
 	// Recover, append while nobody is watching, then resume from the
 	// acknowledged cursor: catch-up must cover the missed batch.
-	ts2, _ := newPersistentServer(t, dir, store.Options{Sync: store.SyncAlways})
+	ts.Restart(0)
 	missed := livePoints(40, 4, 22)
 	pts = append(pts, missed...)
-	appendPointsHTTP(t, ts2.URL, "d", missed)
+	doJSON(t, http.MethodPost, ts.URL+"/datasets/d/points", api.Points{Points: missed}, http.StatusOK)
 
-	ws2 := openWatch(t, ts2.URL, "d", map[string]any{"eps": eps, "after": lastSeq}, 0)
+	ws2 := openWatch(t, ts.URL, "d", map[string]any{"eps": eps, "after": lastSeq}, 0)
 	ws2.hello()
 	ws2.collectUntilSeq(got, 160)
 
 	// And one more live batch on the recovered worker.
 	tail := livePoints(20, 4, 23)
 	pts = append(pts, tail...)
-	appendPointsHTTP(t, ts2.URL, "d", tail)
+	doJSON(t, http.MethodPost, ts.URL+"/datasets/d/points", api.Points{Points: tail}, http.StatusOK)
 	ws2.collectUntilSeq(got, 180)
 
-	checkPairSet(t, got, oraclePairs(pts, eps), true)
+	checkPairSet(t, got, jointest.SelfPairs(pts, eps), true)
 
 	// The recovered worker reports its WAL footprint in the metadata.
-	resp, meta := doJSON(t, http.MethodGet, ts2.URL+"/datasets/d", nil)
+	resp, meta := doJSON(t, http.MethodGet, ts.URL+"/datasets/d", nil, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET dataset: %d %v", resp.StatusCode, meta)
 	}
@@ -434,14 +375,13 @@ func TestWatchCatchUpAcrossRestart(t *testing.T) {
 // TestWatchReplaceAndValidation covers the PUT-replace terminal event
 // and the watch endpoint's rejection paths.
 func TestWatchReplaceAndValidation(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "d", livePoints(30, 3, 30))
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/d", api.Points{Points: livePoints(30, 3, 30)}, http.StatusOK)
 
 	ws := openWatch(t, ts.URL, "d", map[string]any{"eps": 0.1}, 0)
 	defer ws.close()
 	ws.hello()
-	putPoints(t, ts.URL, "d", livePoints(30, 3, 31))
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/d", api.Points{Points: livePoints(30, 3, 31)}, http.StatusOK)
 	if reason := ws.waitEnd(); reason != "dataset replaced" {
 		t.Fatalf("end reason = %q, want %q", reason, "dataset replaced")
 	}
@@ -456,9 +396,8 @@ func TestWatchReplaceAndValidation(t *testing.T) {
 // TestWatchMetricOrdering sanity-checks that delivered pairs are sorted
 // i < j and batch markers carry the running cursor.
 func TestWatchPairsAreOrdered(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "d", livePoints(60, 3, 40))
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/d", api.Points{Points: livePoints(60, 3, 40)}, http.StatusOK)
 	ws := openWatch(t, ts.URL, "d", map[string]any{"eps": 0.2, "after": 0}, 0)
 	defer ws.close()
 	ws.hello()

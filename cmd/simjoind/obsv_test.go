@@ -3,16 +3,13 @@ package main
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"simjoin/internal/api"
-	"simjoin/internal/cluster"
+	"simjoin/internal/jointest"
 	"simjoin/internal/obsv/querylog"
 	"simjoin/internal/obsv/trace"
-	"simjoin/internal/rclient"
 )
 
 // queriesPage is the GET /debug/queries response shape.
@@ -26,56 +23,26 @@ type queriesPage struct {
 // ("?slow=1", "?dataset=a&limit=2", …).
 func getQueries(t *testing.T, base, filters string) queriesPage {
 	t.Helper()
-	resp, err := http.Get(base + "/debug/queries" + filters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /debug/queries%s: %d", filters, resp.StatusCode)
-	}
 	var out queriesPage
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal([]byte(getText(t, base+"/debug/queries"+filters)), &out); err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
 
-// getBody fetches a URL and returns its body as a string, failing the
-// test on a non-2xx status.
-func getBody(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sb strings.Builder
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := resp.Body.Read(buf)
-		sb.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: %d\n%s", url, resp.StatusCode, sb.String())
-	}
-	return sb.String()
-}
-
 func TestWorkerQueryJournal(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {0.05, 0}, {0.9, 0.9}})
-	putPoints(t, ts.URL, "b", [][]float64{{1, 1}, {2, 2}})
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: [][]float64{{0, 0}, {0.05, 0}, {0.9, 0.9}}}, http.StatusOK)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/b",
+		api.Points{Points: [][]float64{{1, 1}, {2, 2}}}, http.StatusOK)
 
-	resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1})
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("selfjoin: %d %v", resp.StatusCode, body)
 	}
-	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/datasets/b/knn", map[string]any{"point": []float64{0, 0}, "k": 1})
+	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/datasets/b/knn",
+		map[string]any{"point": []float64{0, 0}, "k": 1}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("knn: %d", resp.StatusCode)
 	}
@@ -133,7 +100,7 @@ func TestWorkerQueryJournal(t *testing.T) {
 
 	// The scrapeable shadow: the per-algorithm latency histogram saw the
 	// join, the slow counter stayed at zero.
-	scrape := getBody(t, ts.URL+"/metrics")
+	scrape := getText(t, ts.URL+"/metrics")
 	if !strings.Contains(scrape, `simjoin_query_duration_seconds_count{algorithm="`) {
 		t.Error("scrape missing simjoin_query_duration_seconds series")
 	}
@@ -143,13 +110,11 @@ func TestWorkerQueryJournal(t *testing.T) {
 }
 
 func TestWorkerJournalRecordsRejection(t *testing.T) {
-	srv := newServer()
-	srv.maxPairs = 1
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
-	putPoints(t, ts.URL, "a", clusterPoints(200, 2, 3))
+	ts := stack(t, spec{maxPairs: 1})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: jointest.UniformPoints(200, 2, 3)}, http.StatusOK)
 
-	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.5})
+	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.5}, 0)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
@@ -163,12 +128,11 @@ func TestWorkerJournalRecordsRejection(t *testing.T) {
 }
 
 func TestWorkerExplainEndpoint(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	pts := clusterPoints(100, 2, 5)
-	putPoints(t, ts.URL, "a", pts)
+	ts := stack(t, spec{})
+	pts := jointest.UniformPoints(100, 2, 5)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a", api.Points{Points: pts}, http.StatusOK)
 
-	resp, body := doJSON(t, http.MethodGet, ts.URL+"/datasets/a/explain?eps=0.2&algorithm=auto", nil)
+	resp, body := doJSON(t, http.MethodGet, ts.URL+"/datasets/a/explain?eps=0.2&algorithm=auto", nil, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explain: %d %v", resp.StatusCode, body)
 	}
@@ -184,31 +148,30 @@ func TestWorkerExplainEndpoint(t *testing.T) {
 		t.Fatalf("explain missing plan: %v", body)
 	}
 	// 100 points fit in the sketch's reservoir, so the plan is exact.
-	if est, _ := plan["estimated_pairs"].(float64); int64(est) != exactSelfJoinTotal(t, pts, 0.2) {
-		t.Errorf("explain plan = %v, want the exact %d pairs", plan, exactSelfJoinTotal(t, pts, 0.2))
+	if est, _ := plan["estimated_pairs"].(float64); int(est) != len(jointest.SelfPairs(pts, 0.2)) {
+		t.Errorf("explain plan = %v, want the exact %d pairs", plan, len(jointest.SelfPairs(pts, 0.2)))
 	}
 
 	// The default engine is the ε-kdB tree, whose EXPLAIN names its keys.
-	if _, body := doJSON(t, http.MethodGet, ts.URL+"/datasets/a/explain?eps=0.2", nil); body["algorithm"] != "ekdb" || body["keys"] != "raw" {
+	if _, body := doJSON(t, http.MethodGet, ts.URL+"/datasets/a/explain?eps=0.2", nil, 0); body["algorithm"] != "ekdb" || body["keys"] != "raw" {
 		t.Errorf("default explain = %v, want ekdb over raw keys", body)
 	}
 
 	// Validation: missing eps and bad algorithm are 400s, missing dataset 404.
-	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/datasets/a/explain", nil); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/datasets/a/explain", nil, 0); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("explain without eps: %d, want 400", resp.StatusCode)
 	}
-	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/datasets/a/explain?eps=0.2&algorithm=bogus", nil); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/datasets/a/explain?eps=0.2&algorithm=bogus", nil, 0); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("explain with bogus algorithm: %d, want 400", resp.StatusCode)
 	}
-	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/datasets/zzz/explain?eps=0.2", nil); resp.StatusCode != http.StatusNotFound {
+	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/datasets/zzz/explain?eps=0.2", nil, 0); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("explain on missing dataset: %d, want 404", resp.StatusCode)
 	}
 }
 
 func TestHealthzCarriesBuildInfo(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	resp, body := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil)
+	ts := stack(t, spec{})
+	resp, body := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}
@@ -222,11 +185,11 @@ func TestHealthzCarriesBuildInfo(t *testing.T) {
 }
 
 func TestTracesFilters(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {1, 1}})
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: [][]float64{{0, 0}, {1, 1}}}, http.StatusOK)
 	for i := 0; i < 3; i++ {
-		doJSON(t, http.MethodGet, ts.URL+"/datasets", nil)
+		doJSON(t, http.MethodGet, ts.URL+"/datasets", nil, 0)
 	}
 
 	all := getTraces(t, ts.URL)
@@ -234,33 +197,25 @@ func TestTracesFilters(t *testing.T) {
 		t.Fatalf("retained %d traces, want >= 3", len(all))
 	}
 	// ?limit caps the newest-first answer.
-	resp, err := http.Get(ts.URL + "/debug/traces?limit=2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, _ := doJSON(t, http.MethodGet, ts.URL+"/debug/traces?limit=2", nil, 0)
 	var limited []trace.TraceData
 	json.NewDecoder(resp.Body).Decode(&limited)
-	resp.Body.Close()
 	if len(limited) != 2 || limited[0].TraceID != all[0].TraceID {
 		t.Fatalf("?limit=2 returned %d traces (first %s, want %s)", len(limited), limited[0].TraceID, all[0].TraceID)
 	}
 	// /debug/traces/{id} merges the ID's spans into one TraceData.
 	want := all[1].TraceID
-	resp, err = http.Get(ts.URL + "/debug/traces/" + want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, _ = doJSON(t, http.MethodGet, ts.URL+"/debug/traces/"+want, nil, 0)
 	var merged trace.TraceData
 	json.NewDecoder(resp.Body).Decode(&merged)
-	resp.Body.Close()
 	if merged.TraceID != want || len(merged.Spans) == 0 {
 		t.Fatalf("/debug/traces/%s = %+v", want, merged)
 	}
 	// Unknown ID is a 404; bad limit a 400.
-	if resp, _ := http.Get(ts.URL + "/debug/traces/deadbeef"); resp.StatusCode != http.StatusNotFound {
+	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/debug/traces/deadbeef", nil, 0); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown trace id: %d, want 404", resp.StatusCode)
 	}
-	if resp, _ := http.Get(ts.URL + "/debug/traces?limit=x"); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/debug/traces?limit=x", nil, 0); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad limit: %d, want 400", resp.StatusCode)
 	}
 }
@@ -302,29 +257,15 @@ var runtimeSeries = []string{
 // health series on every /metrics.
 func TestClusterObservabilityE2E(t *testing.T) {
 	const n = 3
-	urls := make([]string, n)
-	workers := make([]*httptest.Server, n)
-	for i := 0; i < n; i++ {
-		workers[i] = httptest.NewServer(newServer().handler())
-		urls[i] = workers[i].URL
-		t.Cleanup(workers[i].Close)
-	}
-	rc := &rclient.Client{
-		MaxRetries:     2,
-		BaseDelay:      2 * time.Millisecond,
-		MaxDelay:       10 * time.Millisecond,
-		AttemptTimeout: 10 * time.Second,
-		RetryPOST:      true,
-	}
-	cs := newCoordServer(cluster.New(urls, 0.3, rc))
 	// A (generous) budget makes the coordinator price the query, so its
 	// journal record carries an estimate.
-	cs.maxPairs = 1 << 40
-	coord := httptest.NewServer(cs.handler())
-	t.Cleanup(coord.Close)
+	coord := stack(t, spec{workers: n, margin: 0.3, maxPairs: 1 << 40})
+	urls := coord.workers
 
-	putPoints(t, coord.URL, "pts", clusterPoints(120, 2, 11))
-	resp, body := doJSON(t, http.MethodPost, coord.URL+"/datasets/pts/selfjoin", map[string]any{"eps": 0.1})
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/pts",
+		api.Points{Points: jointest.UniformPoints(120, 2, 11)}, http.StatusOK)
+	resp, body := doJSON(t, http.MethodPost, coord.URL+"/datasets/pts/selfjoin",
+		map[string]any{"eps": 0.1}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("selfjoin: %d %v", resp.StatusCode, body)
 	}
@@ -363,7 +304,7 @@ func TestClusterObservabilityE2E(t *testing.T) {
 		t.Errorf("coordinator selfjoin record metric = %q, want L2", coordRec.Metric)
 	}
 	resp, body = doJSON(t, http.MethodPost, coord.URL+"/datasets/pts/range",
-		map[string]any{"point": []float64{0.5, 0.5}, "radius": 0.1, "metric": "l2"})
+		map[string]any{"point": []float64{0.5, 0.5}, "radius": 0.1, "metric": "l2"}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("range: %d %v", resp.StatusCode, body)
 	}
@@ -373,9 +314,9 @@ func TestClusterObservabilityE2E(t *testing.T) {
 
 	// Worker journals: each shard served the scattered selfjoin under the
 	// SAME trace ID, estimate and actuals filled.
-	for i, w := range workers {
+	for i, w := range urls {
 		var wrec querylog.Record
-		for _, q := range getQueries(t, w.URL, "").Queries {
+		for _, q := range getQueries(t, w, "").Queries {
 			if q.Kind == "selfjoin" && q.TraceID == coordRec.TraceID {
 				wrec = q
 				break
@@ -397,7 +338,7 @@ func TestClusterObservabilityE2E(t *testing.T) {
 		trace.TraceData
 		Sources []api.TraceSource `json:"sources"`
 	}
-	if err := json.Unmarshal([]byte(getBody(t, coord.URL+"/debug/traces/"+coordRec.TraceID)), &st); err != nil {
+	if err := json.Unmarshal([]byte(getText(t, coord.URL+"/debug/traces/"+coordRec.TraceID)), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.TraceID != coordRec.TraceID {
@@ -451,7 +392,7 @@ func TestClusterObservabilityE2E(t *testing.T) {
 
 	// (c) runtime health series on both tiers.
 	for _, base := range append([]string{coord.URL}, urls...) {
-		scrape := getBody(t, base+"/metrics")
+		scrape := getText(t, base+"/metrics")
 		for _, series := range runtimeSeries {
 			if !strings.Contains(scrape, series) {
 				t.Errorf("%s/metrics missing %s", base, series)

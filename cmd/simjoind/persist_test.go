@@ -3,13 +3,10 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,54 +15,10 @@ import (
 	"simjoin/internal/store"
 )
 
-// newPersistentServer builds a worker teeing through a catalog on dir,
-// as `simjoind -data dir` would. The catalog is NOT closed on cleanup —
-// abandoning it mid-flight is exactly the hard-kill the recovery tests
-// simulate.
-func newPersistentServer(t *testing.T, dir string, opt store.Options) (*httptest.Server, *server) {
-	t.Helper()
-	srv := newServer()
-	opt.Hooks = storeHooks(srv.m)
-	cat, err := store.Open(dir, opt)
-	if err != nil {
-		t.Fatalf("store.Open(%s): %v", dir, err)
-	}
-	srv.attachStore(cat)
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
-	return ts, srv
-}
-
-// selfJoinPairs runs a selfjoin and returns its pair set in a canonical
-// order.
-func selfJoinPairs(t *testing.T, base, name string, eps float64) [][2]int {
-	t.Helper()
-	resp, body := doJSON(t, http.MethodPost, base+"/datasets/"+name+"/selfjoin", map[string]any{"eps": eps})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("selfjoin %s: %d %v", name, resp.StatusCode, body)
-	}
-	raw := body["pairs"].([]any)
-	out := make([][2]int, len(raw))
-	for i, p := range raw {
-		pp := p.([]any)
-		out[i] = [2]int{int(pp[0].(float64)), int(pp[1].(float64))}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
+// listDatasets is GET /datasets as name → (len, dims).
 func listDatasets(t *testing.T, base string) map[string][2]int {
 	t.Helper()
-	resp, err := http.Get(base + "/datasets")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp, _ := doJSON(t, http.MethodGet, base+"/datasets", nil, http.StatusOK)
 	var list []api.DatasetInfo
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
@@ -82,40 +35,39 @@ func listDatasets(t *testing.T, base string) map[string][2]int {
 // catalog close) and restarted on the same directory serves the
 // identical dataset list, lengths, and selfjoin pair set.
 func TestPersistenceKillAndRestart(t *testing.T) {
-	dir := t.TempDir()
-	ts1, _ := newPersistentServer(t, dir, store.Options{})
+	ts := stack(t, spec{store: &store.Options{}})
 
 	pts := make([][]float64, 30)
 	for i := range pts {
 		pts[i] = []float64{float64(i%6) / 10, float64(i%5) / 10}
 	}
-	putPoints(t, ts1.URL, "a", pts)
-	putPoints(t, ts1.URL, "b", [][]float64{{0, 0, 0}, {1, 1, 1}})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a", api.Points{Points: pts}, http.StatusOK)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/b",
+		api.Points{Points: [][]float64{{0, 0, 0}, {1, 1, 1}}}, http.StatusOK)
 	for i := 0; i < 4; i++ {
-		resp, body := doJSON(t, http.MethodPost, ts1.URL+"/datasets/a/points",
-			map[string]any{"points": [][]float64{{float64(i) / 100, 0.05}, {0.9, float64(i) / 100}}})
+		resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points",
+			map[string]any{"points": [][]float64{{float64(i) / 100, 0.05}, {0.9, float64(i) / 100}}}, 0)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("append %d: %d %v", i, resp.StatusCode, body)
 		}
 	}
-	wantList := listDatasets(t, ts1.URL)
-	wantPairs := selfJoinPairs(t, ts1.URL, "a", 0.07)
+	wantList := listDatasets(t, ts.URL)
+	wantPairs, _ := joinPairs(t, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.07})
 	if wantList["a"][0] != 38 {
 		t.Fatalf("pre-kill list = %v, want a with 38 points", wantList)
 	}
 	if len(wantPairs) == 0 {
 		t.Fatal("selfjoin found no pairs; the fixture is too sparse to prove anything")
 	}
-	ts1.Close() // hard kill: catalog abandoned with files un-closed
-
-	ts2, srv2 := newPersistentServer(t, dir, store.Options{})
-	if got := listDatasets(t, ts2.URL); fmt.Sprint(got) != fmt.Sprint(wantList) {
+	ts.Kill(0) // hard kill: catalog abandoned with files un-closed
+	ts.Restart(0)
+	if got := listDatasets(t, ts.URL); fmt.Sprint(got) != fmt.Sprint(wantList) {
 		t.Fatalf("restarted list = %v, want %v", got, wantList)
 	}
-	if got := selfJoinPairs(t, ts2.URL, "a", 0.07); fmt.Sprint(got) != fmt.Sprint(wantPairs) {
+	if got, _ := joinPairs(t, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.07}); fmt.Sprint(got) != fmt.Sprint(wantPairs) {
 		t.Fatalf("restarted selfjoin = %v, want %v", got, wantPairs)
 	}
-	rec := srv2.rec
+	rec := ts.srv[0].rec
 	if len(rec.Datasets) != 2 || rec.Records() != 6 { // 2 puts + 4 appends
 		t.Fatalf("recovery info = %+v", rec)
 	}
@@ -124,17 +76,17 @@ func TestPersistenceKillAndRestart(t *testing.T) {
 // TestPersistenceTornTailRecovery tears the WAL mid-record underneath a
 // killed worker; the restarted worker serves the valid prefix.
 func TestPersistenceTornTailRecovery(t *testing.T) {
-	dir := t.TempDir()
-	ts1, _ := newPersistentServer(t, dir, store.Options{})
-	putPoints(t, ts1.URL, "a", [][]float64{{0, 0}, {1, 1}, {2, 2}})
-	resp, _ := doJSON(t, http.MethodPost, ts1.URL+"/datasets/a/points",
-		map[string]any{"points": [][]float64{{3, 3}}})
+	ts := stack(t, spec{store: &store.Options{}})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: [][]float64{{0, 0}, {1, 1}, {2, 2}}}, http.StatusOK)
+	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points",
+		map[string]any{"points": [][]float64{{3, 3}}}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatal("append failed")
 	}
-	ts1.Close()
+	ts.Kill(0)
 
-	walPath := filepath.Join(dir, "a", "wal.log")
+	walPath := filepath.Join(ts.dirs[0], "a", "wal.log")
 	st, err := os.Stat(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -143,33 +95,28 @@ func TestPersistenceTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ts2, srv2 := newPersistentServer(t, dir, store.Options{})
-	if got := listDatasets(t, ts2.URL); got["a"] != [2]int{3, 2} {
+	ts.Restart(0)
+	if got := listDatasets(t, ts.URL); got["a"] != [2]int{3, 2} {
 		t.Fatalf("after torn tail: %v, want the 3-point put", got)
 	}
-	if srv2.rec.TruncatedTails() != 1 {
-		t.Fatalf("recovery = %+v, want one truncated tail", srv2.rec)
+	if rec := ts.srv[0].rec; rec.TruncatedTails() != 1 {
+		t.Fatalf("recovery = %+v, want one truncated tail", rec)
 	}
 }
 
 func TestPersistenceDeleteSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	ts1, _ := newPersistentServer(t, dir, store.Options{})
-	putPoints(t, ts1.URL, "keep", [][]float64{{0, 0}})
-	putPoints(t, ts1.URL, "drop", [][]float64{{1, 1}})
-	req, _ := http.NewRequest(http.MethodDelete, ts1.URL+"/datasets/drop", nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
+	ts := stack(t, spec{store: &store.Options{}})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/keep",
+		api.Points{Points: [][]float64{{0, 0}}}, http.StatusOK)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/drop",
+		api.Points{Points: [][]float64{{1, 1}}}, http.StatusOK)
+	dresp, _ := doJSON(t, http.MethodDelete, ts.URL+"/datasets/drop", nil, 0)
 	if dresp.StatusCode != http.StatusNoContent {
 		t.Fatalf("DELETE status %d", dresp.StatusCode)
 	}
-	ts1.Close()
-
-	ts2, _ := newPersistentServer(t, dir, store.Options{})
-	got := listDatasets(t, ts2.URL)
+	ts.Kill(0)
+	ts.Restart(0)
+	got := listDatasets(t, ts.URL)
 	if len(got) != 1 || got["keep"] != [2]int{1, 2} {
 		t.Fatalf("after restart: %v, want only keep", got)
 	}
@@ -179,25 +126,19 @@ func TestPersistenceDeleteSurvivesRestart(t *testing.T) {
 // the acceptance criteria name: store metrics in /metrics, store spans
 // in /debug/traces, recovery state in /healthz.
 func TestPersistenceMetricsTracesHealthz(t *testing.T) {
-	dir := t.TempDir()
 	// A tiny compaction threshold so snapshot + compaction fire too.
-	ts, _ := newPersistentServer(t, dir, store.Options{CompactBytes: 64})
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {1, 1}})
+	ts := stack(t, spec{store: &store.Options{CompactBytes: 64}})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: [][]float64{{0, 0}, {1, 1}}}, http.StatusOK)
 	for i := 0; i < 5; i++ {
 		resp, _ := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points",
-			map[string]any{"points": [][]float64{{float64(i), float64(i)}}})
+			map[string]any{"points": [][]float64{{float64(i), float64(i)}}}, 0)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("append %d failed", i)
 		}
 	}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	metricsText := string(mbody)
+	metricsText := getText(t, ts.URL+"/metrics")
 	for _, name := range []string{
 		"simjoind_store_wal_append_seconds",
 		"simjoind_store_snapshot_seconds",
@@ -218,19 +159,14 @@ func TestPersistenceMetricsTracesHealthz(t *testing.T) {
 		t.Errorf("compactions counter not incremented:\n%s", grepLines(metricsText, "compactions"))
 	}
 
-	tresp, err := http.Get(ts.URL + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbody, _ := io.ReadAll(tresp.Body)
-	tresp.Body.Close()
+	tbody := getText(t, ts.URL+"/debug/traces")
 	for _, span := range []string{"store.put", "store.append", "store.wal.append", "store.compact", "store.snapshot"} {
-		if !strings.Contains(string(tbody), span) {
+		if !strings.Contains(tbody, span) {
 			t.Errorf("/debug/traces missing span %q", span)
 		}
 	}
 
-	hresp, hbody := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil)
+	hresp, hbody := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, 0)
 	if hresp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", hresp.StatusCode)
 	}
@@ -256,9 +192,10 @@ func grepLines(text, substr string) string {
 // TestPersistenceRejectsBadNames: names double as directories, so the
 // durable worker narrows what PUT accepts.
 func TestPersistenceRejectsBadNames(t *testing.T) {
-	ts, _ := newPersistentServer(t, t.TempDir(), store.Options{})
+	ts := stack(t, spec{store: &store.Options{}})
 	for _, name := range []string{".hidden", "a%2Fb", "sp%20ace"} {
-		resp, body := doJSON(t, http.MethodPut, ts.URL+"/datasets/"+name, map[string]any{"points": [][]float64{{1}}})
+		resp, body := doJSON(t, http.MethodPut, ts.URL+"/datasets/"+name,
+			map[string]any{"points": [][]float64{{1}}}, 0)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("PUT %q: status %d %v, want 400", name, resp.StatusCode, body)
 		}
@@ -268,23 +205,17 @@ func TestPersistenceRejectsBadNames(t *testing.T) {
 // TestMaxBodyBytesFlag: the upload cap is configurable per server and
 // oversized bodies fail cleanly on every decode path.
 func TestMaxBodyBytesFlag(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	srv := httptest.NewServer(func() http.Handler {
-		s := newServer()
-		s.maxBody = 64
-		return s.handler()
-	}())
-	defer srv.Close()
+	ts := stack(t, spec{})
+	srv := stack(t, spec{tune: func(s *server) { s.maxBody = 64 }})
 
 	big := make([][]float64, 50)
 	for i := range big {
 		big[i] = []float64{float64(i), float64(i)}
 	}
 	// Under the default cap this upload succeeds…
-	putPoints(t, ts.URL, "a", big)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a", api.Points{Points: big}, http.StatusOK)
 	// …but the 64-byte server refuses it.
-	resp, body := doJSON(t, http.MethodPut, srv.URL+"/datasets/a", map[string]any{"points": big})
+	resp, body := doJSON(t, http.MethodPut, srv.URL+"/datasets/a", map[string]any{"points": big}, 0)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized PUT: %d %v, want 400", resp.StatusCode, body)
 	}

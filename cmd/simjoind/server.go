@@ -120,34 +120,27 @@ func (s *server) rebuild(e *entry, ds *simjoin.Dataset) {
 	e.rebuilding = false
 }
 
-// appendPoints grows the entry by one snapshot holding batch. It returns
-// the new length, or an error on a dimensionality mismatch (nothing
-// changes in that case). The append copies only the batch: the new
-// snapshot shares the old one's storage. notify, when non-nil, runs
-// under the entry lock after a successful append with the new snapshot
-// and the batch size — the same lock live tracking seeds under, so the
-// engine sees every batch exactly once and in order.
-func (e *entry) appendPoints(ctx context.Context, batch *dataset.Dataset, notify func(grown *simjoin.Dataset, added int)) (int, error) {
+// appendPoints grows the entry by one snapshot holding the added points
+// grow appends to its current one: in memory (dataset.Grow), or through
+// the durable store (store.Catalog.Append), which commits them first, so
+// the in-memory snapshot and the WAL can never disagree on ordering. It
+// returns the new length; on an error nothing changes. The new snapshot
+// shares the old one's storage, so an append copies only its batch. Under
+// the entry lock the grown snapshot is swapped in, the index is extended
+// over it (its new points join the scanned tail) and the join-size sketch
+// carried forward — the wrap dropped the sketch pointer, so the batch is
+// observed exactly once here — and then notify runs with the new snapshot:
+// live tracking seeds under the same lock, so the engine sees every batch
+// exactly once and in order.
+func (e *entry) appendPoints(ctx context.Context, added int, grow func(cur *dataset.Dataset) (*dataset.Dataset, error), notify func(grown *simjoin.Dataset, added int)) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if dims := e.ds.Dims(); batch.Dims() != dims {
-		return 0, fmt.Errorf("points have %d dims, dataset has %d", batch.Dims(), dims)
+	next, err := grow(e.ds.Internal())
+	if err != nil {
+		return 0, err
 	}
 	sp := trace.FromContext(ctx).Child("dataset.adopt")
-	e.adoptGrown(simjoin.WrapDataset(e.ds.Internal().Grow(batch.Flat())), batch.Len())
-	sp.End()
-	if notify != nil {
-		notify(e.ds, batch.Len())
-	}
-	return e.ds.Len(), nil
-}
-
-// adoptGrown swaps in a grown snapshot, whose last added points are new,
-// under the entry lock, extending the index over it (its new points join
-// the scanned tail) and carrying the predecessor's join-size sketch
-// forward: the wrap deliberately dropped the sketch pointer, so the batch
-// is attached and observed exactly once here.
-func (e *entry) adoptGrown(grown *simjoin.Dataset, added int) {
+	grown := simjoin.WrapDataset(next)
 	sk := e.ds.Sketch()
 	grown.AttachSketch(sk)
 	for i := grown.Len() - added; i < grown.Len(); i++ {
@@ -157,25 +150,8 @@ func (e *entry) adoptGrown(grown *simjoin.Dataset, added int) {
 	if e.nn != nil {
 		e.nn = e.nn.Extend(grown)
 	}
-}
-
-// appendThrough routes an append through the durable store and adopts
-// the grown dataset it returns, so the in-memory snapshot and the WAL
-// can never disagree on ordering for this dataset. notify has the
-// appendPoints contract and fires only after the store committed.
-func (e *entry) appendThrough(ctx context.Context, st *store.Catalog, name string, batch *dataset.Dataset, notify func(grown *simjoin.Dataset, added int)) (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	grown, err := st.Append(ctx, name, batch.Rows())
-	if err != nil {
-		return 0, err
-	}
-	sp := trace.FromContext(ctx).Child("dataset.adopt")
-	e.adoptGrown(simjoin.WrapDataset(grown), batch.Len())
 	sp.End()
-	if notify != nil {
-		notify(e.ds, batch.Len())
-	}
+	notify(e.ds, added)
 	return e.ds.Len(), nil
 }
 
@@ -444,27 +420,26 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// A dataset's dims never change: checked once here, the append cannot
+	// fail on them under the entry lock.
+	if dims := e.dataset().Dims(); batch.Dims() != dims {
+		api.Error(w, http.StatusBadRequest, "points have %d dims, dataset has %d", batch.Dims(), dims)
+		return
+	}
+	grow := func(cur *dataset.Dataset) (*dataset.Dataset, error) { return cur.Grow(batch.Flat()), nil }
+	if s.st != nil {
+		grow = func(*dataset.Dataset) (*dataset.Dataset, error) { return s.st.Append(r.Context(), name, batch.Rows()) }
+	}
 	// The engine queues the batch and applies it after the answer; its
 	// delta reaches the watch streams in commit order all the same.
-	notify := func(grown *simjoin.Dataset, added int) {
+	n, err := e.appendPoints(r.Context(), batch.Len(), grow, func(grown *simjoin.Dataset, added int) {
 		s.live.Append(r.Context(), name, grown.Internal(), added)
+	})
+	if err != nil {
+		api.Error(w, storeStatus(err), "%v", err)
+		return
 	}
-	var n int
-	var err error
-	if s.st != nil {
-		n, err = e.appendThrough(r.Context(), s.st, name, batch, notify)
-		if err != nil {
-			api.Error(w, storeStatus(err), "%v", err)
-			return
-		}
-	} else {
-		n, err = e.appendPoints(r.Context(), batch, notify)
-		if err != nil {
-			api.Error(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	api.WriteJSON(w, api.AppendResponse{DatasetInfo: api.DatasetInfo{Name: name, Len: n, Dims: e.dataset().Dims()}})
+	api.WriteJSON(w, api.AppendResponse{DatasetInfo: api.DatasetInfo{Name: name, Len: n, Dims: batch.Dims()}})
 }
 
 // servedWorkers is how many goroutines a served join runs on: every core

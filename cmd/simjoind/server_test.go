@@ -1,120 +1,48 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+
+	"simjoin/internal/api"
+	"simjoin/internal/store"
 )
 
-func newTestServer(t *testing.T) (*httptest.Server, func()) {
-	t.Helper()
-	ts := httptest.NewServer(newServer().handler())
-	return ts, ts.Close
-}
-
-func doJSON(t *testing.T, method, url string, body any) (*http.Response, map[string]any) {
-	t.Helper()
-	var rd *bytes.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd = bytes.NewReader(raw)
-	} else {
-		rd = bytes.NewReader(nil)
-	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out map[string]any
-	_ = json.NewDecoder(resp.Body).Decode(&out)
-	return resp, out
-}
-
-func putPoints(t *testing.T, base, name string, pts [][]float64) {
-	t.Helper()
-	resp, body := doJSON(t, http.MethodPut, base+"/datasets/"+name, map[string]any{"points": pts})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("PUT %s: %d %v", name, resp.StatusCode, body)
-	}
-}
-
 func TestUploadListDelete(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {1, 1}})
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: [][]float64{{0, 0}, {1, 1}}}, http.StatusOK)
 
-	resp, err := http.Get(ts.URL + "/datasets")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, _ := doJSON(t, http.MethodGet, ts.URL+"/datasets", nil, 0)
 	var list []map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if len(list) != 1 || list[0]["name"] != "a" || list[0]["len"].(float64) != 2 {
 		t.Fatalf("list = %v", list)
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/datasets/a", nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
+	dresp, _ := doJSON(t, http.MethodDelete, ts.URL+"/datasets/a", nil, 0)
 	if dresp.StatusCode != http.StatusNoContent {
 		t.Fatalf("DELETE status %d", dresp.StatusCode)
 	}
-	dresp2, _ := http.DefaultClient.Do(req)
-	dresp2.Body.Close()
+	dresp2, _ := doJSON(t, http.MethodDelete, ts.URL+"/datasets/a", nil, 0)
 	if dresp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("second DELETE status %d", dresp2.StatusCode)
 	}
 }
 
 func TestUploadCSV(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/datasets/c", strings.NewReader("0,0\n0.5,0.5\n"))
-	req.Header.Set("Content-Type", "text/csv")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var info map[string]any
-	_ = json.NewDecoder(resp.Body).Decode(&info)
+	ts := stack(t, spec{})
+	resp, info := doJSON(t, http.MethodPut, ts.URL+"/datasets/c",
+		[]byte("0,0\n0.5,0.5\n"), 0, "Content-Type", "text/csv")
 	if resp.StatusCode != http.StatusOK || info["len"].(float64) != 2 || info["dims"].(float64) != 2 {
 		t.Fatalf("CSV upload: %d %v", resp.StatusCode, info)
 	}
-}
-
-// putCSV uploads raw CSV rows and returns the status and decoded answer.
-func putCSV(t *testing.T, base, name, rows string) (int, map[string]any) {
-	t.Helper()
-	req, _ := http.NewRequest(http.MethodPut, base+"/datasets/"+name, strings.NewReader(rows))
-	req.Header.Set("Content-Type", "text/csv")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body map[string]any
-	_ = json.NewDecoder(resp.Body).Decode(&body)
-	return resp.StatusCode, body
 }
 
 // TestUploadRejectsUnusablePoints: the CSV float parser takes NaN and
@@ -123,20 +51,21 @@ func putCSV(t *testing.T, base, name, rows string) (int, map[string]any) {
 // can hold; the upload is refused naming the row, and nothing is
 // registered.
 func TestUploadRejectsUnusablePoints(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
+	ts := stack(t, spec{})
 	for _, rows := range []string{"0,0\n1,NaN\n", "0,0\n# skipped\n-Inf,1\n", "0,0\n1,+inf\n"} {
-		status, body := putCSV(t, ts.URL, "a", rows)
+		resp, body := doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+			[]byte(rows), 0, "Content-Type", "text/csv")
 		msg, _ := body["error"].(string)
-		if status != http.StatusBadRequest || !strings.Contains(msg, "data row 2") {
-			t.Errorf("PUT %q: %d %v, want 400 naming data row 2", rows, status, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "data row 2") {
+			t.Errorf("PUT %q: %d %v, want 400 naming data row 2", rows, resp.StatusCode, body)
 		}
 	}
-	resp, body := doJSON(t, http.MethodPut, ts.URL+"/datasets/a", map[string]any{"points": [][]float64{{}}})
+	resp, body := doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		map[string]any{"points": [][]float64{{}}}, 0)
 	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "point 0 has 0 dims") {
 		t.Errorf("PUT of a zero-dimensional point: %d %v, want 400 naming point 0", resp.StatusCode, body)
 	}
-	resp, _ = doJSON(t, http.MethodGet, ts.URL+"/datasets/a", nil)
+	resp, _ = doJSON(t, http.MethodGet, ts.URL+"/datasets/a", nil, 0)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("refused upload left a dataset behind: %d", resp.StatusCode)
 	}
@@ -146,20 +75,21 @@ func TestUploadRejectsUnusablePoints(t *testing.T) {
 // infinite distance apart; the answer JSON cannot carry is a 500 with an
 // error body, not an empty 200.
 func TestUnencodableAnswerIs500(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "far", [][]float64{{1e308}, {-1e308}})
-	resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/far/knn", map[string]any{"point": []float64{1e308}, "k": 2})
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/far",
+		api.Points{Points: [][]float64{{1e308}, {-1e308}}}, http.StatusOK)
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/far/knn",
+		map[string]any{"point": []float64{1e308}, "k": 2}, 0)
 	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusInternalServerError || !strings.Contains(msg, "encoding response") {
 		t.Fatalf("knn at infinite distance: %d %v", resp.StatusCode, body)
 	}
 }
 
 func TestSelfJoinEndpoint(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {0.05, 0}, {0.5, 0.5}, {0.52, 0.5}, {0.9, 0.9}})
-	resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1})
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: [][]float64{{0, 0}, {0.05, 0}, {0.5, 0.5}, {0.52, 0.5}, {0.9, 0.9}}}, http.StatusOK)
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("selfjoin: %d %v", resp.StatusCode, body)
 	}
@@ -168,23 +98,27 @@ func TestSelfJoinEndpoint(t *testing.T) {
 		t.Fatalf("pairs = %v", body)
 	}
 	// Truncation.
-	resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1, "max_pairs": 1})
+	resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin",
+		map[string]any{"eps": 0.1, "max_pairs": 1}, 0)
 	if resp.StatusCode != http.StatusOK || len(body["pairs"].([]any)) != 1 || body["truncated"] != true {
 		t.Fatalf("truncated selfjoin = %v", body)
 	}
 	// Algorithm selection passes through.
-	resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1, "algorithm": "grid", "metric": "L1"})
+	resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin",
+		map[string]any{"eps": 0.1, "algorithm": "grid", "metric": "L1"}, 0)
 	if resp.StatusCode != http.StatusOK || body["total"].(float64) != 2 {
 		t.Fatalf("grid/L1 selfjoin = %v", body)
 	}
 }
 
 func TestTwoSetJoinEndpoint(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {5, 5}})
-	putPoints(t, ts.URL, "b", [][]float64{{0.05, 0}, {9, 9}})
-	resp, body := doJSON(t, http.MethodPost, ts.URL+"/join", map[string]any{"a": "a", "b": "b", "eps": 0.1})
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: [][]float64{{0, 0}, {5, 5}}}, http.StatusOK)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/b",
+		api.Points{Points: [][]float64{{0.05, 0}, {9, 9}}}, http.StatusOK)
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/join",
+		map[string]any{"a": "a", "b": "b", "eps": 0.1}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join: %d %v", resp.StatusCode, body)
 	}
@@ -199,11 +133,11 @@ func TestTwoSetJoinEndpoint(t *testing.T) {
 }
 
 func TestRangeAndKNNEndpoints(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {0.05, 0}, {0.5, 0.5}})
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: [][]float64{{0, 0}, {0.05, 0}, {0.5, 0.5}}}, http.StatusOK)
 	resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/range",
-		map[string]any{"point": []float64{0, 0}, "radius": 0.06})
+		map[string]any{"point": []float64{0, 0}, "radius": 0.06}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("range: %d %v", resp.StatusCode, body)
 	}
@@ -214,7 +148,7 @@ func TestRangeAndKNNEndpoints(t *testing.T) {
 	// size anything by k (1<<40 neighbors is 16 TB).
 	for k, want := range map[int]int{2: 2, 1 << 40: 3} {
 		resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/knn",
-			map[string]any{"point": []float64{0, 0}, "k": k})
+			map[string]any{"point": []float64{0, 0}, "k": k}, 0)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("knn k=%d: %d %v", k, resp.StatusCode, body)
 		}
@@ -230,40 +164,47 @@ func TestRangeAndKNNEndpoints(t *testing.T) {
 }
 
 func TestErrorPaths(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}})
-	putPoints(t, ts.URL, "b3", [][]float64{{0, 0, 0}})
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a", api.Points{Points: [][]float64{{0, 0}}}, http.StatusOK)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/b3",
+		api.Points{Points: [][]float64{{0, 0, 0}}}, http.StatusOK)
 	for name, call := range map[string]func() (*http.Response, map[string]any){
 		"selfjoin missing dataset": func() (*http.Response, map[string]any) {
-			return doJSON(t, http.MethodPost, ts.URL+"/datasets/nope/selfjoin", map[string]any{"eps": 0.1})
+			return doJSON(t, http.MethodPost, ts.URL+"/datasets/nope/selfjoin", map[string]any{"eps": 0.1}, 0)
 		},
 		"selfjoin zero eps": func() (*http.Response, map[string]any) {
-			return doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin", map[string]any{})
+			return doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin", map[string]any{}, 0)
 		},
 		"selfjoin bad metric": func() (*http.Response, map[string]any) {
-			return doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1, "metric": "cosine"})
+			return doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin",
+				map[string]any{"eps": 0.1, "metric": "cosine"}, 0)
 		},
 		"join dims mismatch": func() (*http.Response, map[string]any) {
-			return doJSON(t, http.MethodPost, ts.URL+"/join", map[string]any{"a": "a", "b": "b3", "eps": 0.1})
+			return doJSON(t, http.MethodPost, ts.URL+"/join",
+				map[string]any{"a": "a", "b": "b3", "eps": 0.1}, 0)
 		},
 		"join missing b": func() (*http.Response, map[string]any) {
-			return doJSON(t, http.MethodPost, ts.URL+"/join", map[string]any{"a": "a", "b": "zz", "eps": 0.1})
+			return doJSON(t, http.MethodPost, ts.URL+"/join",
+				map[string]any{"a": "a", "b": "zz", "eps": 0.1}, 0)
 		},
 		"range dims mismatch": func() (*http.Response, map[string]any) {
-			return doJSON(t, http.MethodPost, ts.URL+"/datasets/a/range", map[string]any{"point": []float64{0}, "radius": 0.1})
+			return doJSON(t, http.MethodPost, ts.URL+"/datasets/a/range",
+				map[string]any{"point": []float64{0}, "radius": 0.1}, 0)
 		},
 		"range zero radius": func() (*http.Response, map[string]any) {
-			return doJSON(t, http.MethodPost, ts.URL+"/datasets/a/range", map[string]any{"point": []float64{0, 0}})
+			return doJSON(t, http.MethodPost, ts.URL+"/datasets/a/range",
+				map[string]any{"point": []float64{0, 0}}, 0)
 		},
 		"knn zero k": func() (*http.Response, map[string]any) {
-			return doJSON(t, http.MethodPost, ts.URL+"/datasets/a/knn", map[string]any{"point": []float64{0, 0}})
+			return doJSON(t, http.MethodPost, ts.URL+"/datasets/a/knn",
+				map[string]any{"point": []float64{0, 0}}, 0)
 		},
 		"upload empty": func() (*http.Response, map[string]any) {
-			return doJSON(t, http.MethodPut, ts.URL+"/datasets/x", map[string]any{"points": [][]float64{}})
+			return doJSON(t, http.MethodPut, ts.URL+"/datasets/x", map[string]any{"points": [][]float64{}}, 0)
 		},
 		"upload ragged": func() (*http.Response, map[string]any) {
-			return doJSON(t, http.MethodPut, ts.URL+"/datasets/x", map[string]any{"points": []any{[]float64{1}, []float64{1, 2}}})
+			return doJSON(t, http.MethodPut, ts.URL+"/datasets/x",
+				map[string]any{"points": []any{[]float64{1}, []float64{1, 2}}}, 0)
 		},
 	} {
 		resp, body := call()
@@ -277,13 +218,12 @@ func TestErrorPaths(t *testing.T) {
 }
 
 func TestConcurrentQueries(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
+	ts := stack(t, spec{})
 	pts := make([][]float64, 500)
 	for i := range pts {
 		pts[i] = []float64{float64(i%25) / 25, float64(i%20) / 20}
 	}
-	putPoints(t, ts.URL, "a", pts)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a", api.Points{Points: pts}, http.StatusOK)
 	var wg sync.WaitGroup
 	errs := make(chan error, 24)
 	for w := 0; w < 8; w++ {
@@ -292,7 +232,7 @@ func TestConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for q := 0; q < 3; q++ {
 				resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/knn",
-					map[string]any{"point": []float64{0.3, 0.3}, "k": 3})
+					map[string]any{"point": []float64{0.3, 0.3}, "k": 3}, 0)
 				if resp.StatusCode != http.StatusOK {
 					errs <- fmt.Errorf("worker %d: %d %v", w, resp.StatusCode, body)
 					return
@@ -308,23 +248,22 @@ func TestConcurrentQueries(t *testing.T) {
 }
 
 func TestAppendPointsInvalidatesIndex(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}})
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a", api.Points{Points: [][]float64{{0, 0}}}, http.StatusOK)
 	// Warm the index via a query, then append a point next to the origin.
 	resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/knn",
-		map[string]any{"point": []float64{0, 0}, "k": 1})
+		map[string]any{"point": []float64{0, 0}, "k": 1}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("knn: %d %v", resp.StatusCode, body)
 	}
 	resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points",
-		map[string]any{"points": [][]float64{{0.01, 0}, {9, 9}}})
+		map[string]any{"points": [][]float64{{0.01, 0}, {9, 9}}}, 0)
 	if resp.StatusCode != http.StatusOK || body["len"].(float64) != 3 {
 		t.Fatalf("append: %d %v", resp.StatusCode, body)
 	}
 	// The new point must be visible in queries.
 	resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/range",
-		map[string]any{"point": []float64{0, 0}, "radius": 0.05})
+		map[string]any{"point": []float64{0, 0}, "radius": 0.05}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("range: %d %v", resp.StatusCode, body)
 	}
@@ -333,24 +272,30 @@ func TestAppendPointsInvalidatesIndex(t *testing.T) {
 	}
 }
 
+// TestAppendPointsErrors: an append of the wrong dims or of no points is
+// a 400 and one to a missing dataset a 404, in memory and with -data.
 func TestAppendPointsErrors(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}})
-	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points",
-		map[string]any{"points": [][]float64{{1, 2, 3}}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("dims mismatch append: status %d", resp.StatusCode)
-	}
-	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points",
-		map[string]any{"points": [][]float64{}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty append: status %d", resp.StatusCode)
-	}
-	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/datasets/zzz/points",
-		map[string]any{"points": [][]float64{{1, 2}}})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("append to missing dataset: status %d", resp.StatusCode)
+	for mode, sp := range map[string]spec{"in memory": {}, "-data": {store: &store.Options{}}} {
+		t.Run(mode, func(t *testing.T) {
+			ts := stack(t, sp)
+			doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+				api.Points{Points: [][]float64{{0, 0}}}, http.StatusOK)
+			resp, _ := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points",
+				map[string]any{"points": [][]float64{{1, 2, 3}}}, 0)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("dims mismatch append: status %d", resp.StatusCode)
+			}
+			resp, _ = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points",
+				map[string]any{"points": [][]float64{}}, 0)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("empty append: status %d", resp.StatusCode)
+			}
+			resp, _ = doJSON(t, http.MethodPost, ts.URL+"/datasets/zzz/points",
+				map[string]any{"points": [][]float64{{1, 2}}}, 0)
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("append to missing dataset: status %d", resp.StatusCode)
+			}
+		})
 	}
 }
 
@@ -358,13 +303,12 @@ func TestAppendPointsErrors(t *testing.T) {
 // queries; append-only snapshots must keep every response internally
 // consistent (run under -race in CI).
 func TestConcurrentAppendAndQuery(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
+	ts := stack(t, spec{})
 	init := make([][]float64, 200)
 	for i := range init {
 		init[i] = []float64{float64(i%10) / 10, float64(i%7) / 7}
 	}
-	putPoints(t, ts.URL, "a", init)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a", api.Points{Points: init}, http.StatusOK)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	errs := make(chan error, 16)
@@ -373,7 +317,7 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
 			resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points",
-				map[string]any{"points": [][]float64{{0.33, 0.44}}})
+				map[string]any{"points": [][]float64{{0.33, 0.44}}}, 0)
 			if resp.StatusCode != http.StatusOK {
 				errs <- fmt.Errorf("append: %d %v", resp.StatusCode, body)
 				return
@@ -392,13 +336,13 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 				default:
 				}
 				resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin",
-					map[string]any{"eps": 0.05, "max_pairs": 10})
+					map[string]any{"eps": 0.05, "max_pairs": 10}, 0)
 				if resp.StatusCode != http.StatusOK {
 					errs <- fmt.Errorf("selfjoin: %d %v", resp.StatusCode, body)
 					return
 				}
 				resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/a/knn",
-					map[string]any{"point": []float64{0.3, 0.4}, "k": 3})
+					map[string]any{"point": []float64{0.3, 0.4}, "k": 3}, 0)
 				if resp.StatusCode != http.StatusOK {
 					errs <- fmt.Errorf("knn: %d %v", resp.StatusCode, body)
 					return
@@ -414,16 +358,9 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}})
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body map[string]any
-	_ = json.NewDecoder(resp.Body).Decode(&body)
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a", api.Points{Points: [][]float64{{0, 0}}}, http.StatusOK)
+	resp, body := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, 0)
 	if resp.StatusCode != http.StatusOK || body["status"] != "ok" || body["datasets"].(float64) != 1 {
 		t.Fatalf("healthz: %d %v", resp.StatusCode, body)
 	}

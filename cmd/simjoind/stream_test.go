@@ -1,87 +1,23 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"net/http"
-	"sort"
 	"testing"
 
-	"simjoin"
+	"simjoin/internal/api"
+	"simjoin/internal/jointest"
 )
-
-// postNDJSON posts a JSON body and decodes an NDJSON answer: pair lines
-// first, one closing summary object last.
-func postNDJSON(t *testing.T, url string, body any) (pairs [][2]int, summary map[string]any) {
-	t.Helper()
-	raw, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if summary != nil {
-			t.Fatalf("line after summary: %s", line)
-		}
-		if line[0] == '[' {
-			var p [2]int
-			if err := json.Unmarshal(line, &p); err != nil {
-				t.Fatalf("bad pair line %q: %v", line, err)
-			}
-			pairs = append(pairs, p)
-			continue
-		}
-		if err := json.Unmarshal(line, &summary); err != nil {
-			t.Fatalf("bad summary line %q: %v", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if summary == nil {
-		t.Fatal("stream ended without a summary line")
-	}
-	return pairs, summary
-}
-
-func sortPairs2(ps [][2]int) {
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a][0] != ps[b][0] {
-			return ps[a][0] < ps[b][0]
-		}
-		return ps[a][1] < ps[b][1]
-	})
-}
 
 // TestSelfJoinStream checks the worker's NDJSON self-join: same pairs as
 // the buffered answer, delivered line by line with a closing summary.
 func TestSelfJoinStream(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {0.05, 0}, {0.5, 0.5}, {0.52, 0.5}, {0.9, 0.9}})
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: [][]float64{{0, 0}, {0.05, 0}, {0.5, 0.5}, {0.52, 0.5}, {0.9, 0.9}}}, http.StatusOK)
 
-	_, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1})
-	want := pairsOf(t, body)
+	want, _ := joinPairs(t, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1})
 
-	got, summary := postNDJSON(t, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1, "stream": true})
-	sortPairs2(got)
+	got, summary := joinPairs(t, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1, "stream": true})
 	if len(got) != len(want) {
 		t.Fatalf("streamed %d pairs, want %d", len(got), len(want))
 	}
@@ -98,7 +34,7 @@ func TestSelfJoinStream(t *testing.T) {
 	}
 
 	// max_pairs caps the stream and marks the summary truncated.
-	got, summary = postNDJSON(t, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1, "stream": true, "max_pairs": 1})
+	got, summary = joinPairs(t, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1, "stream": true, "max_pairs": 1})
 	if len(got) != 1 || summary["truncated"] != true {
 		t.Fatalf("truncated stream: %d pairs, summary %v", len(got), summary)
 	}
@@ -108,18 +44,16 @@ func TestSelfJoinStream(t *testing.T) {
 // a workload big enough to exercise the funnel, against the buffered
 // serial answer.
 func TestSelfJoinStreamParallel(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "big", clusterPoints(500, 4, 77))
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/big",
+		api.Points{Points: jointest.UniformPoints(500, 4, 77)}, http.StatusOK)
 
-	_, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/big/selfjoin", map[string]any{"eps": 0.25})
-	want := pairsOf(t, body)
+	want, _ := joinPairs(t, ts.URL+"/datasets/big/selfjoin", map[string]any{"eps": 0.25})
 	if len(want) == 0 {
 		t.Fatal("degenerate workload")
 	}
-	got, summary := postNDJSON(t, ts.URL+"/datasets/big/selfjoin",
+	got, summary := joinPairs(t, ts.URL+"/datasets/big/selfjoin",
 		map[string]any{"eps": 0.25, "stream": true, "workers": 4})
-	sortPairs2(got)
 	if len(got) != len(want) {
 		t.Fatalf("streamed %d pairs, want %d", len(got), len(want))
 	}
@@ -135,11 +69,12 @@ func TestSelfJoinStreamParallel(t *testing.T) {
 
 // TestTwoSetJoinStream checks the /join route's NDJSON variant.
 func TestTwoSetJoinStream(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {5, 5}})
-	putPoints(t, ts.URL, "b", [][]float64{{0.05, 0}, {9, 9}})
-	got, summary := postNDJSON(t, ts.URL+"/join",
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: [][]float64{{0, 0}, {5, 5}}}, http.StatusOK)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/b",
+		api.Points{Points: [][]float64{{0.05, 0}, {9, 9}}}, http.StatusOK)
+	got, summary := joinPairs(t, ts.URL+"/join",
 		map[string]any{"a": "a", "b": "b", "eps": 0.1, "stream": true})
 	if len(got) != 1 || got[0] != [2]int{0, 0} {
 		t.Fatalf("pairs = %v", got)
@@ -152,16 +87,16 @@ func TestTwoSetJoinStream(t *testing.T) {
 // TestStreamValidationStillErrors: a streaming request that fails
 // validation must answer a plain JSON error, not an empty stream.
 func TestStreamValidationStillErrors(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {1, 1}})
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: [][]float64{{0, 0}, {1, 1}}}, http.StatusOK)
 	resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin",
-		map[string]any{"eps": -1, "stream": true})
+		map[string]any{"eps": -1, "stream": true}, 0)
 	if resp.StatusCode != http.StatusBadRequest || body["error"] == nil {
 		t.Fatalf("bad-eps stream: %d %v", resp.StatusCode, body)
 	}
 	resp, body = doJSON(t, http.MethodPost, ts.URL+"/datasets/missing/selfjoin",
-		map[string]any{"eps": 0.1, "stream": true})
+		map[string]any{"eps": 0.1, "stream": true}, 0)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing dataset stream: %d %v", resp.StatusCode, body)
 	}
@@ -169,33 +104,25 @@ func TestStreamValidationStillErrors(t *testing.T) {
 
 // TestClusterSelfJoinStream is the distributed end of the streaming path:
 // the coordinator's NDJSON answer over real workers must carry exactly
-// the single-node pair set, plus the cluster fields in its summary.
+// the brute-force pair set a single node answers, plus the cluster
+// fields in its summary.
 func TestClusterSelfJoinStream(t *testing.T) {
 	const (
 		n, dims = 400, 5
 		eps     = 0.25
 		margin  = 0.3
 	)
-	coord, _ := startCluster(t, 3, margin)
-	pts := clusterPoints(n, dims, 404)
-	putPoints(t, coord.URL, "d", pts)
+	coord := stack(t, spec{workers: 3, margin: margin})
+	pts := jointest.UniformPoints(n, dims, 404)
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/d", api.Points{Points: pts}, http.StatusOK)
 
-	res, err := simjoin.SelfJoin(simjoin.FromPoints(pts), simjoin.Options{Eps: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][2]int, len(res.Pairs))
-	for i, p := range res.Pairs {
-		want[i] = [2]int{p.I, p.J}
-	}
-	sortPairs2(want)
+	want := jointest.SelfPairs(pts, eps)
 	if len(want) == 0 {
 		t.Fatal("degenerate workload")
 	}
 
-	got, summary := postNDJSON(t, coord.URL+"/datasets/d/selfjoin",
+	got, summary := joinPairs(t, coord.URL+"/datasets/d/selfjoin",
 		map[string]any{"eps": eps, "stream": true})
-	sortPairs2(got)
 	if len(got) != len(want) {
 		t.Fatalf("streamed %d pairs, want %d", len(got), len(want))
 	}

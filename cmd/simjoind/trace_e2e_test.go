@@ -5,28 +5,21 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"simjoin/internal/api"
+	"simjoin/internal/jointest"
 	"simjoin/internal/obsv/trace"
 )
 
 // getTraces fetches and decodes a daemon's /debug/traces.
 func getTraces(t *testing.T, base string) []trace.TraceData {
 	t.Helper()
-	resp, err := http.Get(base + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /debug/traces: %d", resp.StatusCode)
-	}
 	var out []trace.TraceData
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal([]byte(getText(t, base+"/debug/traces")), &out); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -50,11 +43,12 @@ func traceWithRoot(traces []trace.TraceData, name string) (trace.TraceData, bool
 // under the SAME trace ID, parented to the coordinator's RPC attempt,
 // because the traceparent header crossed the HTTP boundary.
 func TestClusterTracePropagation(t *testing.T) {
-	coord, workers := startCluster(t, 2, 0.3)
-	putPoints(t, coord.URL, "pts", clusterPoints(60, 2, 7))
+	coord := stack(t, spec{workers: 2, margin: 0.3})
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/pts",
+		api.Points{Points: jointest.UniformPoints(60, 2, 7)}, http.StatusOK)
 
 	resp, body := doJSON(t, http.MethodPost, coord.URL+"/datasets/pts/selfjoin",
-		map[string]any{"eps": 0.1})
+		map[string]any{"eps": 0.1}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("selfjoin: %d %v", resp.StatusCode, body)
 	}
@@ -83,9 +77,9 @@ func TestClusterTracePropagation(t *testing.T) {
 			}
 		}
 	}
-	if len(shardSpans) != len(workers) {
+	if len(shardSpans) != len(coord.workers) {
 		t.Fatalf("coordinator trace has %d shard spans, want %d:\n%+v",
-			len(shardSpans), len(workers), td.Spans)
+			len(shardSpans), len(coord.workers), td.Spans)
 	}
 	// Each RPC attempt under a shard span carried the traceparent the
 	// worker continued: the worker's own trace shares the trace ID and
@@ -96,11 +90,11 @@ func TestClusterTracePropagation(t *testing.T) {
 			attempts[sp.SpanID] = true
 		}
 	}
-	if len(attempts) < len(workers) {
-		t.Fatalf("coordinator trace has %d rclient.attempt spans, want ≥ %d", len(attempts), len(workers))
+	if len(attempts) < len(coord.workers) {
+		t.Fatalf("coordinator trace has %d rclient.attempt spans, want ≥ %d", len(attempts), len(coord.workers))
 	}
-	for i, w := range workers {
-		wtd, ok := traceWithRoot(getTraces(t, w.URL), route)
+	for i, w := range coord.workers {
+		wtd, ok := traceWithRoot(getTraces(t, w), route)
 		if !ok {
 			t.Fatalf("worker %d retained no selfjoin trace", i)
 		}
@@ -118,10 +112,10 @@ func TestClusterTracePropagation(t *testing.T) {
 // library's entry-point span (with its work counters and worker count)
 // under the HTTP server span.
 func TestWorkerJoinSpanUnderServerSpan(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {0.05, 0}, {0.9, 0.9}})
-	resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1})
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: [][]float64{{0, 0}, {0.05, 0}, {0.9, 0.9}}}, http.StatusOK)
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/selfjoin", map[string]any{"eps": 0.1}, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("selfjoin: %d %v", resp.StatusCode, body)
 	}
@@ -157,12 +151,9 @@ func TestWorkerJoinSpanUnderServerSpan(t *testing.T) {
 // trace_id matches a trace retained in /debug/traces.
 func TestErrorResponsesLogTraceID(t *testing.T) {
 	var buf bytes.Buffer
-	srv := newServer()
-	srv.log = slog.New(slog.NewJSONHandler(&buf, nil))
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
+	ts := stack(t, spec{tune: func(s *server) { s.log = slog.New(slog.NewJSONHandler(&buf, nil)) }})
 
-	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/datasets/missing/selfjoin", map[string]any{"eps": 0.1})
+	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/datasets/missing/selfjoin", map[string]any{"eps": 0.1}, 0)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", resp.StatusCode)
 	}

@@ -10,12 +10,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"simjoin/internal/api"
 	"simjoin/internal/cluster"
 	"simjoin/internal/dataset"
-	"simjoin/internal/rclient"
+	"simjoin/internal/jointest"
 )
 
 // sjn1 encodes pts in the binary point format.
@@ -26,21 +25,6 @@ func sjn1(t *testing.T, pts [][]float64) []byte {
 		t.Fatal(err)
 	}
 	return b.Bytes()
-}
-
-// sendBody sends body with the given content type and decodes the answer.
-func sendBody(t *testing.T, method, url, contentType string, body []byte) (int, map[string]any) {
-	t.Helper()
-	req, _ := http.NewRequest(method, url, bytes.NewReader(body))
-	req.Header.Set("Content-Type", contentType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out map[string]any
-	_ = json.NewDecoder(resp.Body).Decode(&out)
-	return resp.StatusCode, out
 }
 
 // storedFlat is the coordinates a worker holds for name, back to back.
@@ -78,7 +62,7 @@ func flatten(pts [][]float64) []float64 {
 // awkwardPoints are random coordinates plus the values a decimal round
 // trip is most likely to get wrong: signed zero, subnormals, the extremes.
 func awkwardPoints() [][]float64 {
-	pts := clusterPoints(50, 3, 7)
+	pts := jointest.UniformPoints(50, 3, 7)
 	return append(pts,
 		[]float64{math.Copysign(0, -1), 5e-324, math.MaxFloat64},
 		[]float64{-math.MaxFloat64, 1e-300, 0.1 + 0.2},
@@ -88,9 +72,8 @@ func awkwardPoints() [][]float64 {
 // TestUploadFormatsHoldSameBits: a worker given the same points as JSON,
 // CSV and SJN1 holds bit-identical data, both on PUT and on append.
 func TestUploadFormatsHoldSameBits(t *testing.T) {
-	s := newServer()
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
+	ts := stack(t, spec{})
+	s := ts.srv[0]
 	pts := awkwardPoints()
 	jsonBody, err := json.Marshal(api.Points{Points: pts})
 	if err != nil {
@@ -104,14 +87,14 @@ func TestUploadFormatsHoldSameBits(t *testing.T) {
 	want := flatten(pts)
 	for ct, body := range bodies {
 		name := strings.ReplaceAll(ct, "/", "-")
-		if status, out := sendBody(t, http.MethodPut, ts.URL+"/datasets/"+name, ct, body); status != http.StatusOK {
-			t.Fatalf("PUT %s: %d %v", ct, status, out)
+		if resp, out := doJSON(t, http.MethodPut, ts.URL+"/datasets/"+name, body, 0, "Content-Type", ct); resp.StatusCode != http.StatusOK {
+			t.Fatalf("PUT %s: %d %v", ct, resp.StatusCode, out)
 		}
 		if got := storedFlat(t, s, name); !sameBits(got, want) {
 			t.Errorf("PUT %s: worker holds different bits", ct)
 		}
-		if status, out := sendBody(t, http.MethodPost, ts.URL+"/datasets/"+name+"/points", ct, body); status != http.StatusOK {
-			t.Fatalf("append %s: %d %v", ct, status, out)
+		if resp, out := doJSON(t, http.MethodPost, ts.URL+"/datasets/"+name+"/points", body, 0, "Content-Type", ct); resp.StatusCode != http.StatusOK {
+			t.Fatalf("append %s: %d %v", ct, resp.StatusCode, out)
 		}
 		if got := storedFlat(t, s, name); !sameBits(got, append(want[:len(want):len(want)], want...)) {
 			t.Errorf("append %s: worker holds different bits", ct)
@@ -122,8 +105,7 @@ func TestUploadFormatsHoldSameBits(t *testing.T) {
 // TestUploadRejectsBadSJN1: a binary body that is not exactly the finite
 // points its header counts answers 400 with an error, and changes nothing.
 func TestUploadRejectsBadSJN1(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
+	ts := stack(t, spec{})
 	good := sjn1(t, [][]float64{{0, 0}, {1, 1}})
 	empty := func() []byte {
 		var b bytes.Buffer
@@ -146,38 +128,37 @@ func TestUploadRejectsBadSJN1(t *testing.T) {
 		"empty body":    nil,
 	}
 	for what, body := range cases {
-		status, out := sendBody(t, http.MethodPut, ts.URL+"/datasets/a", api.ContentTypeSJN1, body)
-		if msg, _ := out["error"].(string); status != http.StatusBadRequest || msg == "" {
-			t.Errorf("PUT %s: %d %v, want 400 with an error", what, status, out)
+		resp, out := doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+			body, 0, "Content-Type", api.ContentTypeSJN1)
+		if msg, _ := out["error"].(string); resp.StatusCode != http.StatusBadRequest || msg == "" {
+			t.Errorf("PUT %s: %d %v, want 400 with an error", what, resp.StatusCode, out)
 		}
 	}
-	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/datasets/a", nil); resp.StatusCode != http.StatusNotFound {
+	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/datasets/a", nil, 0); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("refused uploads left a dataset behind: %d", resp.StatusCode)
 	}
 
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a", api.Points{Points: [][]float64{{0, 0}}}, http.StatusOK)
 	cases["wrong dims"] = sjn1(t, [][]float64{{1, 2, 3}})
 	for what, body := range cases {
-		status, out := sendBody(t, http.MethodPost, ts.URL+"/datasets/a/points", api.ContentTypeSJN1, body)
-		if msg, _ := out["error"].(string); status != http.StatusBadRequest || msg == "" {
-			t.Errorf("append %s: %d %v, want 400 with an error", what, status, out)
+		resp, out := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points",
+			body, 0, "Content-Type", api.ContentTypeSJN1)
+		if msg, _ := out["error"].(string); resp.StatusCode != http.StatusBadRequest || msg == "" {
+			t.Errorf("append %s: %d %v, want 400 with an error", what, resp.StatusCode, out)
 		}
 	}
-	_, info := doJSON(t, http.MethodGet, ts.URL+"/datasets/a", nil)
+	_, info := doJSON(t, http.MethodGet, ts.URL+"/datasets/a", nil, 0)
 	if info["len"] != 1.0 {
 		t.Fatalf("refused appends changed the dataset: %v", info)
 	}
 
 	// Under a 64-byte limit, a 16-byte header counting more points than
 	// the limit holds is refused like any other oversized body.
-	small := newServer()
-	small.maxBody = 64
-	sts := httptest.NewServer(small.handler())
-	defer sts.Close()
+	sts := stack(t, spec{tune: func(s *server) { s.maxBody = 64 }})
 	huge := bytes.Clone(good[:16])
 	binary.LittleEndian.PutUint64(huge[8:16], 1<<40)
-	if status, out := sendBody(t, http.MethodPut, sts.URL+"/datasets/a", api.ContentTypeSJN1, huge); status != http.StatusBadRequest || out["error"] == nil {
-		t.Errorf("PUT of a header counting 2^40 points under a 64-byte limit: %d %v, want 400 with an error", status, out)
+	if resp, out := doJSON(t, http.MethodPut, sts.URL+"/datasets/a", huge, 0, "Content-Type", api.ContentTypeSJN1); resp.StatusCode != http.StatusBadRequest || out["error"] == nil {
+		t.Errorf("PUT of a header counting 2^40 points under a 64-byte limit: %d %v, want 400 with an error", resp.StatusCode, out)
 	}
 }
 
@@ -185,16 +166,15 @@ func TestUploadRejectsBadSJN1(t *testing.T) {
 // as some clients label raw bytes, is read as JSON — only a body opening
 // with the SJN1 magic is read as SJN1.
 func TestUploadOctetStreamJSON(t *testing.T) {
-	s := newServer()
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
+	ts := stack(t, spec{})
+	s := ts.srv[0]
 	pts := [][]float64{{0, 1}, {2, 3}}
 	body, _ := json.Marshal(api.Points{Points: pts})
-	if status, out := sendBody(t, http.MethodPut, ts.URL+"/datasets/a", api.ContentTypeSJN1, body); status != http.StatusOK {
-		t.Fatalf("PUT: %d %v", status, out)
+	if resp, out := doJSON(t, http.MethodPut, ts.URL+"/datasets/a", body, 0, "Content-Type", api.ContentTypeSJN1); resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT: %d %v", resp.StatusCode, out)
 	}
-	if status, out := sendBody(t, http.MethodPost, ts.URL+"/datasets/a/points", api.ContentTypeSJN1, body); status != http.StatusOK {
-		t.Fatalf("append: %d %v", status, out)
+	if resp, out := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points", body, 0, "Content-Type", api.ContentTypeSJN1); resp.StatusCode != http.StatusOK {
+		t.Fatalf("append: %d %v", resp.StatusCode, out)
 	}
 	if got, want := storedFlat(t, s, "a"), flatten(append(pts, pts...)); !sameBits(got, want) {
 		t.Fatalf("worker holds %v, want %v", got, want)
@@ -233,21 +213,12 @@ func TestUploadAllocatesByBytesReceived(t *testing.T) {
 // slice of the points under the coordinator's shard map, bit for bit.
 func TestClusterShardsAreBitExact(t *testing.T) {
 	const margin = 0.2
-	workers := make([]*server, 3)
-	urls := make([]string, len(workers))
-	for i := range workers {
-		workers[i] = newServer()
-		ts := httptest.NewServer(workers[i].handler())
-		t.Cleanup(ts.Close)
-		urls[i] = ts.URL
-	}
-	c := cluster.New(urls, margin, &rclient.Client{MaxRetries: 2, BaseDelay: 2 * time.Millisecond, AttemptTimeout: 10 * time.Second})
-	coord := httptest.NewServer(newCoordServer(c).handler())
-	t.Cleanup(coord.Close)
+	coord := stack(t, spec{workers: 3, margin: margin})
+	workers, urls, c := coord.srv, coord.workers, coord.coord.c
 
-	all := clusterPoints(50, 3, 7)
-	if status, out := sendBody(t, http.MethodPut, coord.URL+"/datasets/d", api.ContentTypeSJN1, sjn1(t, all)); status != http.StatusOK {
-		t.Fatalf("PUT: %d %v", status, out)
+	all := jointest.UniformPoints(50, 3, 7)
+	if resp, out := doJSON(t, http.MethodPut, coord.URL+"/datasets/d", sjn1(t, all), 0, "Content-Type", api.ContentTypeSJN1); resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT: %d %v", resp.StatusCode, out)
 	}
 	_, shardPts := cluster.Partition(all, urls, margin)
 	for i, w := range workers {
@@ -256,15 +227,15 @@ func TestClusterShardsAreBitExact(t *testing.T) {
 		}
 	}
 
-	batches := [][][]float64{clusterPoints(20, 3, 8), clusterPoints(7, 3, 9), clusterPoints(30, 3, 10)}
-	appendPointsHTTP(t, coord.URL, "d", batches[0])
+	batches := [][][]float64{jointest.UniformPoints(20, 3, 8), jointest.UniformPoints(7, 3, 9), jointest.UniformPoints(30, 3, 10)}
+	doJSON(t, http.MethodPost, coord.URL+"/datasets/d/points", api.Points{Points: batches[0]}, http.StatusOK)
 	var csvBody bytes.Buffer
 	_ = dataset.FromPoints(batches[1]).WriteCSV(&csvBody)
-	if status, out := sendBody(t, http.MethodPost, coord.URL+"/datasets/d/points", "text/csv", csvBody.Bytes()); status != http.StatusOK {
-		t.Fatalf("CSV append: %d %v", status, out)
+	if resp, out := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/points", csvBody.Bytes(), 0, "Content-Type", "text/csv"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("CSV append: %d %v", resp.StatusCode, out)
 	}
-	if status, out := sendBody(t, http.MethodPost, coord.URL+"/datasets/d/points", api.ContentTypeSJN1, sjn1(t, batches[2])); status != http.StatusOK {
-		t.Fatalf("SJN1 append: %d %v", status, out)
+	if resp, out := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/points", sjn1(t, batches[2]), 0, "Content-Type", api.ContentTypeSJN1); resp.StatusCode != http.StatusOK {
+		t.Fatalf("SJN1 append: %d %v", resp.StatusCode, out)
 	}
 	for _, b := range batches {
 		all = append(all, b...)

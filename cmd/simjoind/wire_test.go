@@ -6,15 +6,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"simjoin/internal/api"
 	"simjoin/internal/gateway"
+	"simjoin/internal/jointest"
 	"simjoin/internal/obsv/trace"
-	"simjoin/internal/rclient"
 )
 
 // strictDecode decodes one JSON value into v and fails on any field v's
@@ -37,29 +35,6 @@ type wireTier struct {
 	distributed    bool // answers carry the coordinator's blocks
 }
 
-func (w wireTier) do(t *testing.T, method, path, key string, body any) *http.Response {
-	t.Helper()
-	var rd io.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequest(method, w.url+path, rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Authorization", "Bearer "+key)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
-
 // TestWireContract issues every route against a worker, a 3-worker
 // coordinator and a gateway over that coordinator, and decodes each
 // answer — JSON bodies, the NDJSON join summary, the watch events, the
@@ -68,29 +43,17 @@ func (w wireTier) do(t *testing.T, method, path, key string, body any) *http.Res
 // sending a block its tier is documented to add.
 func TestWireContract(t *testing.T) {
 	const budget = 1000
-	worker := newBudgetServer(t, budget)
-	coord := startBudgetCluster(t, 3, 1.0, budget)
-	g, err := gateway.New(gateway.Options{
-		Backend: coord.URL,
-		Client:  &rclient.Client{MaxRetries: 1, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetConfig(&gateway.Config{Tenants: []gateway.Tenant{
+	worker := stack(t, spec{maxPairs: budget})
+	st := stack(t, spec{workers: 3, margin: 1.0, maxPairs: budget, gateway: &gateway.Config{Tenants: []gateway.Tenant{
 		{Name: "open", Key: "open-key"},
 		{Name: "priced", Key: "priced-key", MaxPairs: budget},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	gw := httptest.NewServer(g.Handler())
-	t.Cleanup(gw.Close)
+	}}})
 
-	pts := clusterPoints(120, 2, 7) // uniform in [0,1]²: eps 0.9 joins nearly all pairs, eps 0.05 a few dozen
+	pts := jointest.UniformPoints(120, 2, 7) // uniform in [0,1]²: eps 0.9 joins nearly all pairs, eps 0.05 a few dozen
 	for _, tier := range []wireTier{
 		{name: "worker", url: worker.URL},
-		{name: "coordinator", url: coord.URL, distributed: true},
-		{name: "gateway", url: gw.URL, key: "open-key", pricedKey: "priced-key", distributed: true},
+		{name: "coordinator", url: st.coordURL, distributed: true},
+		{name: "gateway", url: st.gwURL, key: "open-key", pricedKey: "priced-key", distributed: true},
 	} {
 		t.Run(tier.name, func(t *testing.T) {
 			// blocks checks that the coordinator's block is on the answer
@@ -128,9 +91,9 @@ func TestWireContract(t *testing.T) {
 			}
 			for i := range steps {
 				s := &steps[i]
-				resp := tier.do(t, s.method, s.path, tier.key, s.body)
+				resp, _ := doJSON(t, s.method, tier.url+s.path,
+					s.body, 0, "Authorization", "Bearer "+tier.key)
 				data, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
 				what := tier.name + " " + s.method + " " + s.path
 				if resp.StatusCode != s.status {
 					t.Fatalf("%s: status %d, want %d (%s)", what, resp.StatusCode, s.status, data)
@@ -186,9 +149,9 @@ func TestWireContract(t *testing.T) {
 			}
 
 			// POST /join: served by a worker, 501 once distributed.
-			resp := tier.do(t, "POST", "/join", tier.key, api.TwoJoinRequest{A: "a", B: "a", JoinParams: api.JoinParams{Eps: 0.02}})
+			resp, _ := doJSON(t, "POST", tier.url+"/join",
+				api.TwoJoinRequest{A: "a", B: "a", JoinParams: api.JoinParams{Eps: 0.02}}, 0, "Authorization", "Bearer "+tier.key)
 			data, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
 			if tier.distributed {
 				if resp.StatusCode != http.StatusNotImplemented {
 					t.Fatalf("%s POST /join: %d %s", tier.name, resp.StatusCode, data)
@@ -204,9 +167,9 @@ func TestWireContract(t *testing.T) {
 
 			// The gateway's own 429: a tenant over its max_pairs budget.
 			if tier.pricedKey != "" {
-				resp := tier.do(t, "POST", "/datasets/a/selfjoin", tier.pricedKey, api.JoinParams{Eps: 0.9})
+				resp, _ := doJSON(t, "POST", tier.url+"/datasets/a/selfjoin",
+					api.JoinParams{Eps: 0.9}, 0, "Authorization", "Bearer "+tier.pricedKey)
 				data, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
 				var shed api.ShedBody
 				strictDecode(t, "gateway shed", data, &shed)
 				if resp.StatusCode != 429 || shed.Reason != "estimate" || shed.Tenant != "priced" || shed.OverBudget == nil || shed.MaxPairs != budget || shed.RetryAfterSeconds < 1 {
@@ -215,7 +178,8 @@ func TestWireContract(t *testing.T) {
 			}
 
 			// The streamed join: pair lines, then one JoinSummary.
-			resp = tier.do(t, "POST", "/datasets/a/selfjoin", tier.key, api.JoinParams{Eps: 0.05, Stream: true})
+			resp, _ = doJSON(t, "POST", tier.url+"/datasets/a/selfjoin",
+				api.JoinParams{Eps: 0.05, Stream: true}, 0, "Authorization", "Bearer "+tier.key)
 			var streamed int64
 			var sum *api.JoinSummary
 			err := api.ReadStream(resp.Body, func([2]int) error {
@@ -229,7 +193,6 @@ func TestWireContract(t *testing.T) {
 				strictDecode(t, tier.name+" join summary", raw, sum)
 				return nil
 			})
-			resp.Body.Close()
 			if err != nil || sum == nil || sum.Total != streamed || streamed == 0 || sum.EstimatedPairs == nil {
 				t.Fatalf("%s join stream: %d pairs, summary %+v, err %v", tier.name, streamed, sum, err)
 			}
@@ -238,7 +201,13 @@ func TestWireContract(t *testing.T) {
 			// The watch: hello, the replay from 0 as one catch-up batch per
 			// engine behind the tier, a live batch once the dataset grows,
 			// and the end event when it goes.
-			resp = tier.do(t, "POST", "/datasets/a/watch", tier.key, api.WatchRequest{Eps: 0.02, After: new(int)})
+			raw, _ := json.Marshal(api.WatchRequest{Eps: 0.02, After: new(int)})
+			req, _ := http.NewRequest("POST", tier.url+"/datasets/a/watch", bytes.NewReader(raw))
+			req.Header.Set("Authorization", "Bearer "+tier.key)
+			resp, err = http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer resp.Body.Close()
 			if resp.StatusCode != 200 {
 				t.Fatalf("%s watch: %d", tier.name, resp.StatusCode)
@@ -272,13 +241,13 @@ func TestWireContract(t *testing.T) {
 					blocks("watch batch", b.Shard != nil)
 					if b.CatchUp {
 						if catchUps--; catchUps == 0 {
-							r := tier.do(t, "POST", "/datasets/a/points", tier.key, api.Points{Points: [][]float64{{0.5, 0.5}, {0.505, 0.5}}})
-							r.Body.Close()
+							doJSON(t, "POST", tier.url+"/datasets/a/points",
+								api.Points{Points: [][]float64{{0.5, 0.5}, {0.505, 0.5}}}, 0, "Authorization", "Bearer "+tier.key)
 						}
 					} else if catchUps == 0 {
 						catchUps = -1 // delete once
-						r := tier.do(t, "DELETE", "/datasets/a", tier.key, nil)
-						r.Body.Close()
+						doJSON(t, "DELETE", tier.url+"/datasets/a",
+							nil, 0, "Authorization", "Bearer "+tier.key)
 					}
 				case "end":
 					strictDecode(t, tier.name+" watch end", raw, &ev)

@@ -6,15 +6,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
-	"simjoin"
 	"simjoin/internal/api"
+	"simjoin/internal/jointest"
 	"simjoin/internal/obsv/querylog"
 )
 
@@ -31,19 +31,9 @@ type servedRun struct {
 func runServed(t *testing.T, base, path string, body map[string]any) servedRun {
 	t.Helper()
 	var run servedRun
-	if body["stream"] == true {
-		var sum map[string]any
-		run.pairs, sum = postNDJSON(t, base+path, body)
-		run.total = int64(sum["total"].(float64))
-	} else {
-		resp, out := doJSON(t, http.MethodPost, base+path, body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s %v: %d %v", path, body, resp.StatusCode, out)
-		}
-		run.pairs = pairsOf(t, out)
-		run.total = int64(out["total"].(float64))
-	}
-	sortPairs2(run.pairs)
+	var sum map[string]any
+	run.pairs, sum = joinPairs(t, base+path, body)
+	run.total = int64(sum["total"].(float64))
 	run.rec = getQueries(t, base, "?limit=1").Queries[0]
 	return run
 }
@@ -56,10 +46,11 @@ func runServed(t *testing.T, base, path string, body map[string]any) servedRun {
 // streamed, on each engine that spreads. 2 000 points are enough for the
 // ε-kdB tree to cut more than one task per worker.
 func TestServedJoinWorkersDefault(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", clusterPoints(2000, 4, 361))
-	putPoints(t, ts.URL, "b", clusterPoints(1500, 4, 362))
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: jointest.UniformPoints(2000, 4, 361)}, http.StatusOK)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/b",
+		api.Points{Points: jointest.UniformPoints(1500, 4, 362)}, http.StatusOK)
 	procs := runtime.GOMAXPROCS(0)
 	for _, algo := range []string{"", "grid", "kdtree"} {
 		for _, route := range []struct{ path, a, b string }{
@@ -107,18 +98,10 @@ func TestServedJoinWorkersDefault(t *testing.T) {
 // start one per point, each with its own sink — and still answers the
 // exact pair set.
 func TestServedJoinHostileWorkers(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	pts := clusterPoints(2000, 4, 363)
-	putPoints(t, ts.URL, "a", pts)
-	res, err := simjoin.SelfJoin(simjoin.FromPoints(pts), simjoin.Options{Eps: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][2]int, len(res.Pairs))
-	for i, p := range res.Pairs {
-		want[i] = [2]int{p.I, p.J}
-	}
+	ts := stack(t, spec{})
+	pts := jointest.UniformPoints(2000, 4, 363)
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a", api.Points{Points: pts}, http.StatusOK)
+	want := jointest.SelfPairs(pts, 0.1)
 	for _, stream := range []bool{false, true} {
 		got := runServed(t, ts.URL, "/datasets/a/selfjoin",
 			map[string]any{"eps": 0.1, "algorithm": "kdtree", "workers": 1000000, "stream": stream})
@@ -138,10 +121,8 @@ func TestServedJoinHostileWorkers(t *testing.T) {
 func TestServedJoinCoordinatorForwardsWorkers(t *testing.T) {
 	var mu sync.Mutex
 	var seen []map[string]any
-	urls := make([]string, 2)
-	for i := range urls {
-		worker := newServer().handler()
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	coord := stack(t, spec{workers: 2, margin: 0.3, wrap: func(worker http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if strings.HasSuffix(r.URL.Path, "/selfjoin") {
 				raw, err := io.ReadAll(r.Body)
 				if err != nil {
@@ -157,12 +138,11 @@ func TestServedJoinCoordinatorForwardsWorkers(t *testing.T) {
 				r.Body = io.NopCloser(bytes.NewReader(raw))
 			}
 			worker.ServeHTTP(w, r)
-		}))
-		t.Cleanup(ts.Close)
-		urls[i] = ts.URL
-	}
-	coord := startCoordinator(t, urls, 0.3)
-	putPoints(t, coord.URL, "d", clusterPoints(800, 3, 364))
+		})
+	}})
+	urls := coord.workers
+	doJSON(t, http.MethodPut, coord.URL+"/datasets/d",
+		api.Points{Points: jointest.UniformPoints(800, 3, 364)}, http.StatusOK)
 
 	for _, tc := range []struct {
 		req  map[string]any
@@ -174,7 +154,7 @@ func TestServedJoinCoordinatorForwardsWorkers(t *testing.T) {
 		mu.Lock()
 		seen = nil
 		mu.Unlock()
-		resp, out := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/selfjoin", tc.req)
+		resp, out := doJSON(t, http.MethodPost, coord.URL+"/datasets/d/selfjoin", tc.req, 0)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%v: %d %v", tc.req, resp.StatusCode, out)
 		}
@@ -198,12 +178,15 @@ func TestServedJoinCoordinatorForwardsWorkers(t *testing.T) {
 // queries from four goroutines against one worker, every served join on
 // all its cores, each answer checked against the serial one.
 func TestServedJoinConcurrent(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", clusterPoints(1500, 4, 365))
+	ts := stack(t, spec{})
+	doJSON(t, http.MethodPut, ts.URL+"/datasets/a",
+		api.Points{Points: jointest.UniformPoints(1500, 4, 365)}, http.StatusOK)
 	want := runServed(t, ts.URL, "/datasets/a/selfjoin", map[string]any{"eps": 0.1, "workers": 1})
+	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/datasets/a/range", concurrentRange, http.StatusOK)
 	var rr api.RangeResponse
-	post(t, ts.URL+"/datasets/a/range", concurrentRange, &rr)
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -256,7 +239,9 @@ func concurrentOp(base string, op int, wantPairs [][2]int, wantRange int) error 
 		if err != nil {
 			return err
 		}
-		sortPairs2(got)
+		sort.Slice(got, func(a, b int) bool {
+			return got[a][0] < got[b][0] || (got[a][0] == got[b][0] && got[a][1] < got[b][1])
+		})
 		if !slices.Equal(got, wantPairs) {
 			return fmt.Errorf("selfjoin stream=%v: %d pairs, serial answer %d", op == 1, len(got), len(wantPairs))
 		}

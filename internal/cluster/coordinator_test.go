@@ -9,13 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"simjoin/internal/api"
 	"simjoin/internal/dataset"
+	"simjoin/internal/jointest"
 	"simjoin/internal/rclient"
 )
 
@@ -40,15 +40,6 @@ type fakeWorker struct {
 func (f *fakeWorker) bump() {
 	close(f.change)
 	f.change = make(chan struct{})
-}
-
-func l2(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
 }
 
 func (f *fakeWorker) handler() http.Handler {
@@ -114,15 +105,7 @@ func (f *fakeWorker) handler() http.Handler {
 			Eps float64 `json:"eps"`
 		}
 		_ = json.NewDecoder(r.Body).Decode(&q)
-		pairs := [][2]int{}
-		for i := 0; i < len(pts); i++ {
-			for j := i + 1; j < len(pts); j++ {
-				if l2(pts[i], pts[j]) <= q.Eps {
-					pairs = append(pairs, [2]int{i, j})
-				}
-			}
-		}
-		json.NewEncoder(w).Encode(map[string]any{"pairs": pairs})
+		json.NewEncoder(w).Encode(map[string]any{"pairs": jointest.SelfPairs(pts, q.Eps)})
 	})
 	mux.HandleFunc("POST /datasets/{name}/range", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -133,13 +116,7 @@ func (f *fakeWorker) handler() http.Handler {
 			Radius float64   `json:"radius"`
 		}
 		_ = json.NewDecoder(r.Body).Decode(&q)
-		idx := []int{}
-		for i, p := range pts {
-			if l2(p, q.Point) <= q.Radius {
-				idx = append(idx, i)
-			}
-		}
-		json.NewEncoder(w).Encode(map[string]any{"indexes": idx})
+		json.NewEncoder(w).Encode(map[string]any{"indexes": jointest.Range(pts, q.Point, q.Radius)})
 	})
 	mux.HandleFunc("POST /datasets/{name}/knn", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -150,20 +127,7 @@ func (f *fakeWorker) handler() http.Handler {
 			K     int       `json:"k"`
 		}
 		_ = json.NewDecoder(r.Body).Decode(&q)
-		nbrs := make([]api.Neighbor, 0, len(pts))
-		for i, p := range pts {
-			nbrs = append(nbrs, api.Neighbor{Index: i, Dist: l2(p, q.Point)})
-		}
-		sort.Slice(nbrs, func(a, b int) bool {
-			if nbrs[a].Dist != nbrs[b].Dist {
-				return nbrs[a].Dist < nbrs[b].Dist
-			}
-			return nbrs[a].Index < nbrs[b].Index
-		})
-		if len(nbrs) > q.K {
-			nbrs = nbrs[:q.K]
-		}
-		json.NewEncoder(w).Encode(map[string]any{"neighbors": nbrs})
+		json.NewEncoder(w).Encode(map[string]any{"neighbors": jointest.KNN[api.Neighbor](pts, q.Point, q.K)})
 	})
 	return mux
 }
@@ -206,23 +170,9 @@ func newTestCluster(t *testing.T, k int, margin float64) (*Coordinator, []*httpt
 	return New(urls, margin, fastTestClient()), servers, fakes
 }
 
-// brutePairs is the single-node oracle: every pair within eps, (i, j)
-// sorted.
-func brutePairs(pts [][]float64, eps float64) [][2]int {
-	out := [][2]int{}
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if l2(pts[i], pts[j]) <= eps {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
-}
-
 func TestDistributedSelfJoinMatchesSingleNode(t *testing.T) {
 	c, _, _ := newTestCluster(t, 3, 0.15)
-	pts := randomPoints(300, 4, 42)
+	pts := jointest.UniformPoints(300, 4, 42)
 	ctx := context.Background()
 	if _, err := c.Upload(ctx, "d", pts, 0); err != nil {
 		t.Fatalf("Upload: %v", err)
@@ -234,7 +184,7 @@ func TestDistributedSelfJoinMatchesSingleNode(t *testing.T) {
 	if res.Partial || len(res.FailedShards) != 0 {
 		t.Fatalf("unexpected partial result: %+v", res.FailedShards)
 	}
-	want := brutePairs(pts, 0.12)
+	want := jointest.SelfPairs(pts, 0.12)
 	if !reflect.DeepEqual(res.Pairs, want) {
 		t.Fatalf("distributed pairs differ from single-node: got %d pairs, want %d", len(res.Pairs), len(want))
 	}
@@ -245,7 +195,7 @@ func TestDistributedSelfJoinMatchesSingleNode(t *testing.T) {
 
 func TestSelfJoinPartialWhenWorkerDies(t *testing.T) {
 	c, servers, _ := newTestCluster(t, 3, 0.15)
-	pts := randomPoints(200, 3, 7)
+	pts := jointest.UniformPoints(200, 3, 7)
 	ctx := context.Background()
 	if _, err := c.Upload(ctx, "d", pts, 0); err != nil {
 		t.Fatalf("Upload: %v", err)
@@ -286,7 +236,7 @@ func TestSelfJoinPartialWhenWorkerDies(t *testing.T) {
 
 func TestSelfJoinRetriesFlakyWorker(t *testing.T) {
 	c, _, fakes := newTestCluster(t, 3, 0.15)
-	pts := randomPoints(150, 3, 9)
+	pts := jointest.UniformPoints(150, 3, 9)
 	ctx := context.Background()
 	if _, err := c.Upload(ctx, "d", pts, 0); err != nil {
 		t.Fatalf("Upload: %v", err)
@@ -301,7 +251,7 @@ func TestSelfJoinRetriesFlakyWorker(t *testing.T) {
 	if res.Partial {
 		t.Fatalf("retry should have absorbed the flake: %+v", res.FailedShards)
 	}
-	if want := brutePairs(pts, 0.1); !reflect.DeepEqual(res.Pairs, want) {
+	if want := jointest.SelfPairs(pts, 0.1); !reflect.DeepEqual(res.Pairs, want) {
 		t.Fatalf("pairs differ after retry: got %d, want %d", len(res.Pairs), len(want))
 	}
 }
@@ -309,7 +259,7 @@ func TestSelfJoinRetriesFlakyWorker(t *testing.T) {
 func TestSelfJoinAllShardsDown(t *testing.T) {
 	c, servers, _ := newTestCluster(t, 2, 0.15)
 	ctx := context.Background()
-	if _, err := c.Upload(ctx, "d", randomPoints(50, 2, 11), 0); err != nil {
+	if _, err := c.Upload(ctx, "d", jointest.UniformPoints(50, 2, 11), 0); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
 	for _, s := range servers {
@@ -325,7 +275,7 @@ func TestSelfJoinAllShardsDown(t *testing.T) {
 func TestSelfJoinEpsExceedsMargin(t *testing.T) {
 	c, _, _ := newTestCluster(t, 2, 0.1)
 	ctx := context.Background()
-	if _, err := c.Upload(ctx, "d", randomPoints(50, 2, 12), 0); err != nil {
+	if _, err := c.Upload(ctx, "d", jointest.UniformPoints(50, 2, 12), 0); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
 	_, err := c.SelfJoin(ctx, "d", JoinQuery{Eps: 0.5})
@@ -337,7 +287,7 @@ func TestSelfJoinEpsExceedsMargin(t *testing.T) {
 
 func TestRangeMatchesSingleNode(t *testing.T) {
 	c, _, _ := newTestCluster(t, 4, 0.1)
-	pts := randomPoints(250, 3, 13)
+	pts := jointest.UniformPoints(250, 3, 13)
 	ctx := context.Background()
 	if _, err := c.Upload(ctx, "d", pts, 0); err != nil {
 		t.Fatalf("Upload: %v", err)
@@ -349,12 +299,7 @@ func TestRangeMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Range: %v", err)
 	}
-	want := []int{}
-	for i, p := range pts {
-		if l2(p, q) <= radius {
-			want = append(want, i)
-		}
-	}
+	want := jointest.Range(pts, q, radius)
 	if !reflect.DeepEqual(res.Indexes, want) {
 		t.Fatalf("range indexes = %v, want %v", res.Indexes, want)
 	}
@@ -362,7 +307,7 @@ func TestRangeMatchesSingleNode(t *testing.T) {
 
 func TestKNNMatchesSingleNode(t *testing.T) {
 	c, _, _ := newTestCluster(t, 3, 0.1)
-	pts := randomPoints(250, 3, 14)
+	pts := jointest.UniformPoints(250, 3, 14)
 	ctx := context.Background()
 	if _, err := c.Upload(ctx, "d", pts, 0); err != nil {
 		t.Fatalf("Upload: %v", err)
@@ -373,16 +318,7 @@ func TestKNNMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("KNN: %v", err)
 	}
-	all := make([]api.Neighbor, 0, len(pts))
-	for i, p := range pts {
-		all = append(all, api.Neighbor{Index: i, Dist: l2(p, q)})
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Dist != all[b].Dist {
-			return all[a].Dist < all[b].Dist
-		}
-		return all[a].Index < all[b].Index
-	})
+	all := jointest.KNN[api.Neighbor](pts, q, len(pts))
 	if !reflect.DeepEqual(res.Neighbors, all[:k]) {
 		t.Fatalf("knn = %v, want %v", res.Neighbors, all[:k])
 	}
@@ -405,7 +341,7 @@ func TestUploadAndQueryValidation(t *testing.T) {
 	if _, err := c.Range(ctx, "nope", []float64{0}, 0.1, ""); !errors.As(err, &nfe) {
 		t.Errorf("range missing: err = %v, want NotFoundError", err)
 	}
-	if _, err := c.Upload(ctx, "d", randomPoints(20, 2, 15), 0); err != nil {
+	if _, err := c.Upload(ctx, "d", jointest.UniformPoints(20, 2, 15), 0); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
 	if _, err := c.Range(ctx, "d", []float64{0}, 0.1, ""); !errors.As(err, &qe) {
@@ -419,7 +355,7 @@ func TestUploadAndQueryValidation(t *testing.T) {
 func TestDeleteRemovesEverywhere(t *testing.T) {
 	c, _, fakes := newTestCluster(t, 3, 0.1)
 	ctx := context.Background()
-	if _, err := c.Upload(ctx, "d", randomPoints(60, 2, 16), 0); err != nil {
+	if _, err := c.Upload(ctx, "d", jointest.UniformPoints(60, 2, 16), 0); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
 	if err := c.Delete(ctx, "d"); err != nil {
@@ -446,7 +382,7 @@ func TestUploadRollsBackOnWorkerFailure(t *testing.T) {
 	c, servers, fakes := newTestCluster(t, 3, 0.1)
 	servers[2].Close()
 	ctx := context.Background()
-	_, err := c.Upload(ctx, "d", randomPoints(100, 2, 17), 0)
+	_, err := c.Upload(ctx, "d", jointest.UniformPoints(100, 2, 17), 0)
 	var ue UnavailableError
 	if !errors.As(err, &ue) {
 		t.Fatalf("upload with dead worker: err = %v, want UnavailableError", err)
@@ -477,22 +413,6 @@ func TestHealthReportsDeadWorker(t *testing.T) {
 	if hs[2].OK || hs[2].Err == "" {
 		t.Errorf("dead worker reported healthy: %+v", hs[2])
 	}
-}
-
-// bruteKNN is the single-node KNN oracle: the k nearest by L2, ties
-// broken by index.
-func bruteKNN(pts [][]float64, q []float64, k int) []api.Neighbor {
-	all := make([]api.Neighbor, 0, len(pts))
-	for i, p := range pts {
-		all = append(all, api.Neighbor{Index: i, Dist: l2(p, q)})
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Dist != all[b].Dist {
-			return all[a].Dist < all[b].Dist
-		}
-		return all[a].Index < all[b].Index
-	})
-	return all[:min(k, len(all))]
 }
 
 // gridPoints draws n points on the 1/64 grid of the unit square, so
@@ -539,12 +459,7 @@ func TestPointQueriesMatchBruteAtCuts(t *testing.T) {
 							if err != nil {
 								t.Fatalf("Range: %v", err)
 							}
-							want := []int{}
-							for i, p := range pts {
-								if l2(p, q) <= r {
-									want = append(want, i)
-								}
-							}
+							want := jointest.Range(pts, q, r)
 							if !reflect.DeepEqual(res.Indexes, want) {
 								t.Fatalf("%d workers, margin %g: range(%v, %g) = %v, want %v", workers, margin, q, r, res.Indexes, want)
 							}
@@ -562,7 +477,7 @@ func TestPointQueriesMatchBruteAtCuts(t *testing.T) {
 							if err != nil {
 								t.Fatalf("KNN: %v", err)
 							}
-							want := bruteKNN(pts, q, k)
+							want := jointest.KNN[api.Neighbor](pts, q, k)
 							if !reflect.DeepEqual(res.Neighbors, want) {
 								t.Fatalf("%d workers, margin %g: knn(%v, %d) = %v, want %v", workers, margin, q, k, res.Neighbors, want)
 							}
@@ -593,7 +508,7 @@ func TestPointQueriesMatchBruteAtCuts(t *testing.T) {
 // query with no live shard to ask fails outright.
 func TestPointQueriesPartialWhenHomeShardDies(t *testing.T) {
 	c, servers, _ := newTestCluster(t, 3, 0.1)
-	pts := randomPoints(300, 2, 21)
+	pts := jointest.UniformPoints(300, 2, 21)
 	ctx := context.Background()
 	if _, err := c.Upload(ctx, "d", pts, 0); err != nil {
 		t.Fatalf("Upload: %v", err)
@@ -633,7 +548,7 @@ func TestPointQueriesPartialWhenHomeShardDies(t *testing.T) {
 			live, liveIdx = append(live, p), append(liveIdx, g)
 		}
 	}
-	want := bruteKNN(live, inside, 5)
+	want := jointest.KNN[api.Neighbor](live, inside, 5)
 	for i := range want {
 		want[i].Index = liveIdx[want[i].Index]
 	}
@@ -655,10 +570,8 @@ func TestPointQueriesPartialWhenHomeShardDies(t *testing.T) {
 		t.Fatalf("range across cut 1 = %+v, want partial, 2 shards asked, shard 1 failed", across.Scatter)
 	}
 	wantIdx := []int{}
-	for i, p := range live {
-		if l2(p, onCut) <= 0.05 {
-			wantIdx = append(wantIdx, liveIdx[i])
-		}
+	for _, i := range jointest.Range(live, onCut, 0.05) {
+		wantIdx = append(wantIdx, liveIdx[i])
 	}
 	if !reflect.DeepEqual(across.Indexes, wantIdx) {
 		t.Fatalf("partial range = %v, want the live shards' %v", across.Indexes, wantIdx)
@@ -680,7 +593,7 @@ func TestNaNMarginIsRefused(t *testing.T) {
 	}
 	c, _, _ := newTestCluster(t, 2, 0.1)
 	var qe QueryError
-	if _, err := c.Upload(context.Background(), "d", randomPoints(20, 2, 22), math.NaN()); !errors.As(err, &qe) {
+	if _, err := c.Upload(context.Background(), "d", jointest.UniformPoints(20, 2, 22), math.NaN()); !errors.As(err, &qe) {
 		t.Errorf("upload with a NaN margin: err = %v, want QueryError", err)
 	}
 }

@@ -5,20 +5,9 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-)
 
-func randomPoints(n, dims int, seed int64) [][]float64 {
-	rng := rand.New(rand.NewSource(seed))
-	pts := make([][]float64, n)
-	for i := range pts {
-		p := make([]float64, dims)
-		for d := range p {
-			p[d] = rng.Float64()
-		}
-		pts[i] = p
-	}
-	return pts
-}
+	"simjoin/internal/jointest"
+)
 
 func testURLs(k int) []string {
 	urls := make([]string, k)
@@ -29,7 +18,7 @@ func testURLs(k int) []string {
 }
 
 func TestPartitionCoversEveryPointOnce(t *testing.T) {
-	pts := randomPoints(500, 4, 1)
+	pts := jointest.UniformPoints(500, 4, 1)
 	sm, shardPts := Partition(pts, testURLs(4), 0.1)
 
 	core := make(map[int]int)
@@ -60,7 +49,7 @@ func TestPartitionCoversEveryPointOnce(t *testing.T) {
 
 func TestPartitionReplicasStayWithinMargin(t *testing.T) {
 	const margin = 0.07
-	pts := randomPoints(400, 3, 2)
+	pts := jointest.UniformPoints(400, 3, 2)
 	sm, _ := Partition(pts, testURLs(5), margin)
 	for s, sh := range sm.Shards {
 		for _, g := range sh.Global {
@@ -103,7 +92,7 @@ func TestPartitionReplicasStayWithinMargin(t *testing.T) {
 }
 
 func TestPartitionDeterministic(t *testing.T) {
-	pts := randomPoints(300, 6, 3)
+	pts := jointest.UniformPoints(300, 6, 3)
 	sm1, sp1 := Partition(pts, testURLs(3), 0.1)
 	sm2, sp2 := Partition(pts, testURLs(3), 0.1)
 	if !reflect.DeepEqual(sm1, sm2) || !reflect.DeepEqual(sp1, sp2) {
@@ -112,7 +101,7 @@ func TestPartitionDeterministic(t *testing.T) {
 }
 
 func TestPartitionSingleWorker(t *testing.T) {
-	pts := randomPoints(50, 2, 4)
+	pts := jointest.UniformPoints(50, 2, 4)
 	sm, shardPts := Partition(pts, testURLs(1), 0.1)
 	if len(sm.Cuts) != 0 || len(sm.Shards) != 1 {
 		t.Fatalf("single worker map = %+v", sm)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"simjoin/internal/jointest"
 	"simjoin/internal/live"
 )
 
@@ -70,12 +71,8 @@ func (f *fakeWorker) handleWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if len(pts) > cursor {
-			for j := cursor; j < len(pts); j++ {
-				for i := 0; i < j; i++ {
-					if l2(pts[i], pts[j]) <= q.Eps {
-						enc.Encode([2]int{i, j})
-					}
-				}
+			for _, p := range jointest.Delta(jointest.SelfPairs(pts, q.Eps), jointest.SelfPairs(pts[:cursor], q.Eps)) {
+				enc.Encode(p)
 			}
 			ev := map[string]any{"event": "batch", "seq": len(pts), "added": len(pts) - cursor}
 			if catchUp {
@@ -162,12 +159,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestWatchFromStartMatchesOracle(t *testing.T) {
 	c, _, _ := newTestCluster(t, 3, 0.2)
 	ctx := context.Background()
-	pts := randomPoints(100, 3, 21)
+	pts := jointest.UniformPoints(100, 3, 21)
 	if _, err := c.Upload(ctx, "d", pts, 0); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
 	// One append lands before the watch: full replay must cover it.
-	pts = append(pts, randomPoints(50, 3, 22)...)
+	pts = append(pts, jointest.UniformPoints(50, 3, 22)...)
 	if _, err := c.Append(ctx, "d", pts[100:]); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
@@ -181,15 +178,15 @@ func TestWatchFromStartMatchesOracle(t *testing.T) {
 		defer close(done)
 		reason, werr = c.Watch(ctx, "d", JoinQuery{Eps: eps}, true, tally.add)
 	}()
-	want := brutePairs(pts, eps)
+	want := jointest.SelfPairs(pts, eps)
 	waitFor(t, "full replay", func() bool { return tally.distinct() >= len(want) })
 
 	// A live append while the watch runs delivers exactly the new pairs.
-	pts = append(pts, randomPoints(50, 3, 23)...)
+	pts = append(pts, jointest.UniformPoints(50, 3, 23)...)
 	if _, err := c.Append(ctx, "d", pts[150:]); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	want = brutePairs(pts, eps)
+	want = jointest.SelfPairs(pts, eps)
 	waitFor(t, "live delta", func() bool { return tally.distinct() >= len(want) })
 	tally.check(t, want, 1)
 
@@ -210,7 +207,7 @@ func TestWatchFromStartMatchesOracle(t *testing.T) {
 func TestWatchLiveOnlyDeliversOnlyNewPairs(t *testing.T) {
 	c, _, fakes := newTestCluster(t, 3, 0.2)
 	ctx := context.Background()
-	pts := randomPoints(120, 3, 31)
+	pts := jointest.UniformPoints(120, 3, 31)
 	if _, err := c.Upload(ctx, "d", pts, 0); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
@@ -235,21 +232,12 @@ func TestWatchLiveOnlyDeliversOnlyNewPairs(t *testing.T) {
 		return n == 3
 	})
 
-	old := brutePairs(pts, eps)
-	pts = append(pts, randomPoints(60, 3, 32)...)
+	old := jointest.SelfPairs(pts, eps)
+	pts = append(pts, jointest.UniformPoints(60, 3, 32)...)
 	if _, err := c.Append(ctx, "d", pts[120:]); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	oldSet := make(map[[2]int]bool, len(old))
-	for _, p := range old {
-		oldSet[p] = true
-	}
-	want := [][2]int{}
-	for _, p := range brutePairs(pts, eps) {
-		if !oldSet[p] {
-			want = append(want, p)
-		}
-	}
+	want := jointest.Delta(jointest.SelfPairs(pts, eps), old)
 	waitFor(t, "delta pairs", func() bool { return tally.distinct() >= len(want) })
 	tally.check(t, want, 1)
 	cancel()
@@ -264,7 +252,7 @@ func TestWatchReconnectResumesFromCursor(t *testing.T) {
 		f.endAfterBatch = true
 		f.mu.Unlock()
 	}
-	pts := randomPoints(80, 3, 41)
+	pts := jointest.UniformPoints(80, 3, 41)
 	if _, err := c.Upload(ctx, "d", pts, 0); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
@@ -280,13 +268,13 @@ func TestWatchReconnectResumesFromCursor(t *testing.T) {
 	// Each batch kills its stream, so every delivery crosses a
 	// reconnect; cursor resume must still produce the exact pair set.
 	for round := 0; round < 3; round++ {
-		grown := append(pts, randomPoints(30, 3, int64(42+round))...)
+		grown := append(pts, jointest.UniformPoints(30, 3, int64(42+round))...)
 		if _, err := c.Append(ctx, "d", grown[len(pts):]); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 		pts = grown
 	}
-	want := brutePairs(pts, eps)
+	want := jointest.SelfPairs(pts, eps)
 	waitFor(t, "pairs across reconnects", func() bool { return tally.distinct() >= len(want) })
 	tally.check(t, want, 1)
 	if err := c.Delete(ctx, "d"); err != nil {
@@ -324,7 +312,7 @@ func TestWatchValidation(t *testing.T) {
 	if _, err := c.Watch(ctx, "nope", JoinQuery{Eps: 0.05}, false, emit); !errors.As(err, &nfe) {
 		t.Errorf("missing dataset: err = %v, want NotFoundError", err)
 	}
-	if _, err := c.Upload(ctx, "d", randomPoints(20, 2, 51), 0); err != nil {
+	if _, err := c.Upload(ctx, "d", jointest.UniformPoints(20, 2, 51), 0); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
 	var qe QueryError
@@ -342,7 +330,7 @@ func TestWatchValidation(t *testing.T) {
 func TestAppendRoutesAndMatchesSingleNode(t *testing.T) {
 	c, _, fakes := newTestCluster(t, 3, 0.1)
 	ctx := context.Background()
-	pts := randomPoints(200, 3, 61)
+	pts := jointest.UniformPoints(200, 3, 61)
 	if _, err := c.Upload(ctx, "d", pts, 0); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
@@ -352,7 +340,7 @@ func TestAppendRoutesAndMatchesSingleNode(t *testing.T) {
 		oldLens[s] = len(sh.Global)
 	}
 
-	pts = append(pts, randomPoints(100, 3, 62)...)
+	pts = append(pts, jointest.UniformPoints(100, 3, 62)...)
 	res, err := c.Append(ctx, "d", pts[200:])
 	if err != nil {
 		t.Fatalf("Append: %v", err)
@@ -407,7 +395,7 @@ func TestAppendRoutesAndMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SelfJoin: %v", err)
 	}
-	if want := brutePairs(pts, 0.08); !reflect.DeepEqual(got.Pairs, want) {
+	if want := jointest.SelfPairs(pts, 0.08); !reflect.DeepEqual(got.Pairs, want) {
 		t.Fatalf("post-append join: got %d pairs, want %d", len(got.Pairs), len(want))
 	}
 }
@@ -453,7 +441,7 @@ func TestAppendValidation(t *testing.T) {
 	if _, err := c.Append(ctx, "nope", [][]float64{{1, 2}}); !errors.As(err, &nfe) {
 		t.Errorf("missing dataset: err = %v, want NotFoundError", err)
 	}
-	if _, err := c.Upload(ctx, "d", randomPoints(20, 2, 71), 0); err != nil {
+	if _, err := c.Upload(ctx, "d", jointest.UniformPoints(20, 2, 71), 0); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
 	var qe QueryError

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"simjoin/internal/brute"
 	"simjoin/internal/dataset"
 	"simjoin/internal/join"
 	"simjoin/internal/pairs"
@@ -44,6 +45,37 @@ func TestInsertMatchesBatchBuild(t *testing.T) {
 		if !pairs.Equal(got.Sorted(), want.Sorted()) {
 			t.Fatalf("trial %d (n=%d d=%d eps=%g): %s", trial, n, d, eps, pairs.Diff(got.Pairs, want.Pairs))
 		}
+	}
+}
+
+// TestBuildReleasesScratch: a built tree keeps no per-point build
+// scratch, and an Insert after the build, which needs it again, still
+// answers the brute-force pair set.
+func TestBuildReleasesScratch(t *testing.T) {
+	ds := synth.Generate(synth.Config{N: 3000, Dims: 4, Seed: 5, Dist: synth.Uniform})
+	const eps = 0.1
+	grow := dataset.New(4, ds.Len())
+	for i := 0; i < 2000; i++ {
+		grow.Append(ds.Point(i))
+	}
+	tr := BuildWithBox(grow, eps, ds.Bounds(), Config{})
+	if c := cap(tr.scratch); c != 0 {
+		t.Fatalf("built tree holds a %d-element build scratch", c)
+	}
+	for i := 2000; i < ds.Len(); i++ {
+		grow.Append(ds.Point(i))
+		tr.Insert(i)
+	}
+	if err := tr.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	opt := join.Options{Metric: vec.L2, Eps: eps}
+	want := &pairs.Collector{Canonical: true}
+	brute.SelfJoin(grow, opt, want)
+	got := &pairs.Collector{Canonical: true}
+	tr.SelfJoin(opt, got)
+	if len(want.Pairs) == 0 || !pairs.Equal(got.Sorted(), want.Sorted()) {
+		t.Fatalf("after inserts past the build (%d pairs): %s", len(want.Pairs), pairs.Diff(got.Pairs, want.Pairs))
 	}
 }
 

@@ -188,6 +188,10 @@ func (t *Tree) buildAll() {
 		idx[i] = int32(i)
 	}
 	t.root = t.build(idx, 0)
+	// The stripe cache is one int32 per point and a tree can outlive its
+	// build by far (a Dataset keeps its last one); Insert reallocates it
+	// at the size of the subtree it rebuilds.
+	t.scratch = nil
 }
 
 // newTree lays out the stripe grid over box, the frame in the key space of

@@ -22,7 +22,7 @@ var errTenantBusy = errors.New("tenant at max_in_flight")
 // pulled up to the queue's virtual now).
 type fairQueue struct {
 	mu    sync.Mutex
-	slots int // global concurrent admissions; <= 0 = unlimited
+	slots int // global concurrent admissions
 	busy  int
 	vtime float64
 	wait  waiterHeap
@@ -70,7 +70,7 @@ func (q *fairQueue) acquire(ctx context.Context, rt *tenantRT) (func(), error) {
 		q.mu.Unlock()
 		return nil, errTenantBusy
 	}
-	if q.slots <= 0 || q.busy < q.slots {
+	if q.busy < q.slots {
 		q.busy++
 		q.mu.Unlock()
 		return func() { q.release(rt) }, nil

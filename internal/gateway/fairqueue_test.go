@@ -3,6 +3,7 @@ package gateway
 import (
 	"container/heap"
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -37,44 +38,32 @@ func TestFairQueueTenantCap(t *testing.T) {
 	rel2()
 }
 
-func TestFairQueueWeightedOrder(t *testing.T) {
-	// One slot, held; tenant A (weight 4) and B (weight 1) backlog
-	// behind it. A's virtual finish tags (0.25, 0.5, 0.75) all precede
-	// B's (1, 2), so the drain order is a1 a2 a3 b1 b2 regardless of
-	// enqueue interleaving.
-	q := newFairQueue(1)
-	holder := &tenantRT{name: "holder"}
-	a := &tenantRT{name: "a", weight: 4}
-	b := &tenantRT{name: "b", weight: 1}
-	relHold, err := q.acquire(context.Background(), holder)
+// drainOrder holds q's one slot, queues each labelled request behind it
+// in turn (each queued before the next is sent), releases the slot and
+// returns the order the requests ran in.
+func drainOrder(t *testing.T, q *fairQueue, reqs ...queued) []string {
+	t.Helper()
+	relHold, err := q.acquire(context.Background(), &tenantRT{name: "holder"})
 	if err != nil {
 		t.Fatalf("holder acquire: %v", err)
 	}
-
-	order := make(chan string, 5)
+	order := make(chan string, len(reqs))
 	var wg sync.WaitGroup
-	enqueue := func(rt *tenantRT, label string) {
-		t.Helper()
+	for _, r := range reqs {
 		depth := q.queued()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rel, err := q.acquire(context.Background(), rt)
+			rel, err := q.acquire(context.Background(), r.rt)
 			if err != nil {
-				t.Errorf("%s acquire: %v", label, err)
+				t.Errorf("%s acquire: %v", r.label, err)
 				return
 			}
-			order <- label
+			order <- r.label
 			rel()
 		}()
 		waitQueued(t, q, depth+1)
 	}
-	enqueue(a, "a1")
-	enqueue(b, "b1")
-	enqueue(a, "a2")
-	enqueue(a, "a3")
-	enqueue(b, "b2")
-
 	relHold()
 	wg.Wait()
 	close(order)
@@ -82,11 +71,46 @@ func TestFairQueueWeightedOrder(t *testing.T) {
 	for l := range order {
 		got = append(got, l)
 	}
+	return got
+}
+
+// queued is one request of drainOrder: its tenant and its label.
+type queued struct {
+	rt    *tenantRT
+	label string
+}
+
+func TestFairQueueWeightedOrder(t *testing.T) {
+	// One slot, held; tenant A (weight 4) and B (weight 1) backlog
+	// behind it. A's virtual finish tags (0.25, 0.5, 0.75) all precede
+	// B's (1, 2), so the drain order is a1 a2 a3 b1 b2 regardless of
+	// enqueue interleaving.
+	q := newFairQueue(1)
+	a := &tenantRT{name: "a", weight: 4}
+	b := &tenantRT{name: "b", weight: 1}
+	got := drainOrder(t, q, queued{a, "a1"}, queued{b, "b1"}, queued{a, "a2"}, queued{a, "a3"}, queued{b, "b2"})
 	want := []string{"a1", "a2", "a3", "b1", "b2"}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("drain order %v, want %v", got, want)
 		}
+	}
+}
+
+// TestFairQueueClockAdvances: the queue's virtual clock follows the tags
+// it releases, so a tenant idle while another drained starts at the
+// queue's now, not at 0. A drains four requests alone (its clock and the
+// queue's reach 4); then B (weight 1.25, tags from 4.8 by 0.8) and A
+// (tags 5, 6) interleave. A clock left at 0 would give B 0.8, 1.6, 2.4
+// and let it jump every one of A's.
+func TestFairQueueClockAdvances(t *testing.T) {
+	q := newFairQueue(1)
+	a := &tenantRT{name: "a", weight: 1}
+	b := &tenantRT{name: "b", weight: 1.25}
+	drainOrder(t, q, queued{a, "a1"}, queued{a, "a2"}, queued{a, "a3"}, queued{a, "a4"})
+	got := drainOrder(t, q, queued{a, "a5"}, queued{a, "a6"}, queued{b, "b1"}, queued{b, "b2"}, queued{b, "b3"})
+	if want := []string{"b1", "a5", "b2", "a6", "b3"}; !slices.Equal(got, want) {
+		t.Fatalf("drain order %v, want %v", got, want)
 	}
 }
 

@@ -18,9 +18,13 @@ import (
 // needs to fit query parameter objects.
 const DefaultMaxBodyBytes = 1 << 20
 
-// DefaultQueueSlots is the global concurrent-query admission cap when
-// Options.QueueSlots is zero.
-const DefaultQueueSlots = 64
+// queueSlots caps globally concurrent proxied queries, and
+// traceCapacity is how many completed traces the gateway retains (as
+// many as every daemon tier).
+const (
+	queueSlots    = 64
+	traceCapacity = 128
+)
 
 // Options configures New.
 type Options struct {
@@ -32,16 +36,8 @@ type Options struct {
 	Client *rclient.Client
 	// Logger, when non-nil, receives one access-log line per request.
 	Logger *slog.Logger
-	// Tracer retains completed gateway traces; nil gets a default ring.
-	Tracer *trace.Tracer
 	// MaxBody bounds buffered query bodies (DefaultMaxBodyBytes if 0).
 	MaxBody int64
-	// QueueSlots caps globally concurrent proxied queries
-	// (DefaultQueueSlots if 0; < 0 = unlimited).
-	QueueSlots int
-	// ShadowWorkers bounds concurrently running shadow requests
-	// (defaultShadowWorkers if 0).
-	ShadowWorkers int
 	// Build is the binary identity block reported by /healthz.
 	Build any
 }
@@ -129,7 +125,7 @@ func New(opts Options) (*Gateway, error) {
 		backend: opts.Backend,
 		rc:      opts.Client,
 		log:     opts.Logger,
-		tracer:  opts.Tracer,
+		tracer:  trace.New(traceCapacity),
 		qlog:    querylog.New(0),
 		maxBody: opts.MaxBody,
 		build:   opts.Build,
@@ -139,19 +135,12 @@ func New(opts Options) (*Gateway, error) {
 	if g.rc == nil {
 		g.rc = rclient.New()
 	}
-	if g.tracer == nil {
-		g.tracer = trace.New(128)
-	}
 	if g.maxBody <= 0 {
 		g.maxBody = DefaultMaxBodyBytes
 	}
-	slots := opts.QueueSlots
-	if slots == 0 {
-		slots = DefaultQueueSlots
-	}
-	g.queue = newFairQueue(slots)
+	g.queue = newFairQueue(queueSlots)
 	g.m = newGWMetrics(g)
-	g.differ = newDiffer(g, opts.ShadowWorkers)
+	g.differ = &differ{g: g, sem: make(chan struct{}, shadowWorkers)}
 	return g, nil
 }
 

@@ -15,10 +15,10 @@ import (
 	"simjoin/internal/obsv/querylog"
 )
 
-// defaultShadowWorkers bounds concurrently running shadow requests;
+// shadowWorkers bounds concurrently running shadow requests;
 // beyond it shadows are dropped (counted), never queued — shadow
 // traffic must not be able to back-pressure live traffic.
-const defaultShadowWorkers = 4
+const shadowWorkers = 4
 
 // shadowTimeout bounds one shadow run. Candidates slower than this are
 // recorded as mismatches of kind "timeout" — a candidate engine that
@@ -75,13 +75,6 @@ type differ struct {
 	g   *Gateway
 	sem chan struct{}
 	wg  sync.WaitGroup
-}
-
-func newDiffer(g *Gateway, workers int) *differ {
-	if workers <= 0 {
-		workers = defaultShadowWorkers
-	}
-	return &differ{g: g, sem: make(chan struct{}, workers)}
 }
 
 // shadow fires one candidate run for a completed incumbent request.
