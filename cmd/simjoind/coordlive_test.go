@@ -7,17 +7,23 @@ import (
 	"time"
 
 	"simjoin/internal/api"
+	"simjoin/internal/cluster"
 	"simjoin/internal/jointest"
 	"simjoin/internal/store"
 )
 
 // collectDistinct consumes stream events until got holds at least n
 // distinct pairs. Premature end events and stream errors fail the test;
-// a missing pair shows up as the next() timeout.
+// so does a pair set still short of n after one collectWait, with the
+// number of pairs missing.
 func (ws *watchStream) collectDistinct(got map[[2]int]int, n int) {
 	ws.t.Helper()
+	deadline := time.Now().Add(collectWait)
 	for len(got) < n {
-		ev := ws.next()
+		ev, ok := ws.nextBefore(deadline)
+		if !ok {
+			ws.t.Fatalf("watch: %d of %d distinct pairs after %v, %d missing", len(got), n, collectWait, n-len(got))
+		}
 		switch {
 		case ev.err != nil:
 			ws.t.Fatalf("watch stream broke: %v", ev.err)
@@ -216,23 +222,45 @@ func TestCoordWatchValidation(t *testing.T) {
 }
 
 // TestCoordAppendThenSelfJoinMatchesOracle checks the append path end to
-// end through real workers: after two appends, a distributed self-join
-// over the grown dataset equals brute force.
+// end through real workers: after three appends, the last with a pair
+// astride every shard cut, a distributed self-join over the grown dataset
+// equals brute force.
 func TestCoordAppendThenSelfJoinMatchesOracle(t *testing.T) {
-	const eps = 0.2
-	coord := stack(t, spec{workers: 3, margin: 0.35})
+	const eps, margin = 0.2, 0.35
+	coord := stack(t, spec{workers: 3, margin: margin})
 	pts := livePoints(100, 4, 95)
 	doJSON(t, http.MethodPut, coord.URL+"/datasets/d", api.Points{Points: pts}, http.StatusOK)
-	for _, n := range []int{50, 30} {
-		batch := livePoints(n, 4, int64(100+n))
+	// The coordinator cut the upload as Partition does; appends route
+	// through those cuts. The last batch puts a pair astride every cut, so
+	// the pair set is exact only if each appended point above a cut is
+	// also stored on the shard below it.
+	sm, _ := cluster.Partition(pts, coord.workers, margin)
+	var straddle [][]float64
+	for _, c := range sm.Cuts {
+		for _, off := range []float64{-eps / 4, eps / 4} {
+			p := slices.Clone(pts[0])
+			p[sm.Dim] = c + off
+			straddle = append(straddle, p)
+		}
+	}
+	for _, batch := range [][][]float64{livePoints(50, 4, 150), livePoints(30, 4, 130), straddle} {
 		pts = append(pts, batch...)
 		doJSON(t, http.MethodPost, coord.URL+"/datasets/d/points", api.Points{Points: batch}, http.StatusOK)
 	}
 
 	got, _ := joinPairs(t, coord.URL+"/datasets/d/selfjoin", map[string]any{"eps": eps})
 	want := jointest.SelfPairs(pts, eps)
-	if len(want) == 0 {
-		t.Fatal("oracle found no pairs — test parameters are vacuous")
+	astride := 0
+	for _, p := range want {
+		a, b := pts[p[0]][sm.Dim], pts[p[1]][sm.Dim]
+		for _, c := range sm.Cuts {
+			if p[1] >= 180 && min(a, b) < c && c <= max(a, b) {
+				astride++
+			}
+		}
+	}
+	if astride < len(sm.Cuts) {
+		t.Fatalf("oracle has %d appended pairs astride the %d cuts — test parameters are vacuous", astride, len(sm.Cuts))
 	}
 	if len(got) != len(want) {
 		t.Fatalf("selfjoin after appends = %d pairs, oracle = %d", len(got), len(want))

@@ -93,14 +93,33 @@ func (ws *watchStream) readLoop() {
 	}
 }
 
+// watchWait bounds the wait for one watch event, collectWait a whole
+// collect call: a stream that keeps sending events without ever
+// completing the awaited pair set must fail the test, not spin until the
+// binary's -timeout.
+const (
+	watchWait   = 15 * time.Second
+	collectWait = 30 * time.Second
+)
+
 func (ws *watchStream) next() watchStreamEvent {
 	ws.t.Helper()
+	ev, ok := ws.nextBefore(time.Now().Add(watchWait))
+	if !ok {
+		ws.t.Fatal("timed out waiting for a watch event")
+	}
+	return ev
+}
+
+// nextBefore returns the next event, or false once deadline passes first.
+func (ws *watchStream) nextBefore(deadline time.Time) (watchStreamEvent, bool) {
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
 	select {
 	case ev := <-ws.ch:
-		return ev
-	case <-time.After(15 * time.Second):
-		ws.t.Fatal("timed out waiting for a watch event")
-		return watchStreamEvent{}
+		return ev, true
+	case <-timer.C:
+		return watchStreamEvent{}, false
 	}
 }
 
@@ -115,17 +134,23 @@ func (ws *watchStream) hello() map[string]any {
 }
 
 // collectUntil accumulates pair lines into got until a batch marker
-// satisfies stop; it returns that marker.
+// satisfies stop, within one collectWait; it returns that marker.
 func (ws *watchStream) collectUntil(got map[[2]int]int, stop func(batch map[string]any) bool) map[string]any {
 	ws.t.Helper()
+	deadline := time.Now().Add(collectWait)
+	var last any
 	for {
-		ev := ws.next()
+		ev, ok := ws.nextBefore(deadline)
+		if !ok {
+			ws.t.Fatalf("no awaited batch marker within %v: %d distinct pairs so far, last batch seq %v", collectWait, len(got), last)
+		}
 		switch {
 		case ev.err != nil:
 			ws.t.Fatalf("watch stream broke: %v", ev.err)
 		case ev.pair != nil:
 			got[*ev.pair]++
 		case ev.obj["event"] == "batch":
+			last = ev.obj["seq"]
 			if stop(ev.obj) {
 				return ev.obj
 			}

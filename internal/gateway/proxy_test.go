@@ -32,8 +32,11 @@ type fakeBackend struct {
 	// pairsFor maps forced algorithm → returned pair rows; "" is the
 	// default arm.
 	pairsFor map[string][][2]int64
-	seen     []map[string]any
-	srv      *httptest.Server
+	// holdFor maps forced algorithm → a channel its joins wait on until
+	// it closes (or the request is cancelled).
+	holdFor map[string]chan struct{}
+	seen    []map[string]any
+	srv     *httptest.Server
 }
 
 func newFakeBackend(t *testing.T) *fakeBackend {
@@ -73,9 +76,17 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 			pairs = b.pairsFor[""]
 		}
 		delay := b.joinDelay
+		hold := b.holdFor[algo]
 		b.mu.Unlock()
 		if delay > 0 {
 			time.Sleep(delay)
+		}
+		if hold != nil {
+			select {
+			case <-hold:
+			case <-r.Context().Done():
+				return
+			}
 		}
 		if stream, _ := m["stream"].(bool); stream {
 			w.Header().Set("Content-Type", "application/x-ndjson")
@@ -384,6 +395,61 @@ func TestGatewayShadowDiff(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("shadow mismatch not journaled")
+	}
+}
+
+// TestGatewayShadowNeverBlocksLiveJoins holds every candidate arm at the
+// backend: the first shadowWorkers shadows take the workers and wait, the
+// rest must be dropped and counted, and every live join must still answer
+// at once — a shadow that waits for a worker would hold its live request.
+func TestGatewayShadowNeverBlocksLiveJoins(t *testing.T) {
+	be := newFakeBackend(t)
+	hold := make(chan struct{})
+	be.mu.Lock()
+	be.holdFor = map[string]chan struct{}{"brute": hold}
+	be.mu.Unlock()
+	g, srv := bootGateway(t, &Config{
+		Tenants: []Tenant{{Name: "acme", Key: "k"}},
+		Experiments: []Experiment{
+			{Name: "sh", Percent: 100, Shadow: true, Override: Override{Algorithm: "brute"}},
+		},
+	}, be.srv.URL)
+	release := sync.OnceFunc(func() { close(hold) })
+	// Runs before the servers close, which wait for held requests.
+	t.Cleanup(release)
+
+	const extra = 3
+	client := &http.Client{Timeout: 5 * time.Second}
+	for i := 0; i < shadowWorkers+extra; i++ {
+		raw, _ := json.Marshal(map[string]any{"eps": 0.5})
+		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/datasets/pts/selfjoin", bytes.NewReader(raw))
+		req.Header.Set("Authorization", "Bearer k")
+		start := time.Now()
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("live join %d with %d shadows held: %v", i, min(i, shadowWorkers), err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("live join %d: status %d", i, resp.StatusCode)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Fatalf("live join %d took %v with %d shadows held", i, took, min(i, shadowWorkers))
+		}
+	}
+	// The last join's shadow may be dropped just after its answer left.
+	deadline := time.Now().Add(2 * time.Second)
+	for metricValue(t, g, "simjoin_gw_shadow_dropped_total") < extra && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := metricValue(t, g, "simjoin_gw_shadow_dropped_total"); got != extra {
+		t.Fatalf("shadow_dropped = %v, want %d (the joins beyond %d shadow workers)", got, extra, shadowWorkers)
+	}
+	release()
+	g.ShadowDrain()
+	if got := metricValue(t, g, `simjoin_gw_shadow_diffs_total{experiment="sh"}`); got != shadowWorkers {
+		t.Fatalf("shadow_diffs = %v, want %d", got, shadowWorkers)
 	}
 }
 

@@ -118,13 +118,15 @@ func BenchmarkWithinSqL2Flat(b *testing.B) {
 }
 
 // BenchmarkSweepL2 reads the L2 sweep loops' per-candidate cost at every
-// generated width: "generic" is the any-d loop, "fixed" the generated loop
-// SelfSweepKeyed and CrossSweepKeyed dispatch to, run back to back at each
-// width. One op self-sweeps 16 seeded 256-point blocks of a clustered set
-// and cross-sweeps each against the next, every block sorted on coordinate
-// 0, at the ε of the set's 10 % distance quantile. A width stays in
-// fixedWidths only while its fixed loop reads ≥ 10 % fewer ns/cand than the
-// generic one.
+// generated width: "generic" is the any-d loop, "lanes=1" the generated
+// one-candidate loop and "lanes=4" the generated loop that tests four
+// candidates in lockstep, run back to back at each width. One op
+// self-sweeps 16 seeded 256-point blocks of a clustered set and
+// cross-sweeps each against the next, every block sorted on coordinate 0,
+// at the ε of the set's 10 % distance quantile. A width stays in
+// fixedWidths only while its lanes=1 loop reads ≥ 10 % fewer ns/cand than
+// the generic one. Its lanes=4 against lanes=1 reading is the layer
+// number behind laneWidths, whose rule is end to end (see laneWidths).
 func BenchmarkSweepL2(b *testing.B) {
 	const blocks, blockLen = 16, 256
 	for _, d := range fixedWidths {
@@ -141,13 +143,16 @@ func BenchmarkSweepL2(b *testing.B) {
 		head := FlatView(d, f.Data[:blockLen*d])
 		eps := distQuantiles(L2, head, head, 0.1)[0]
 		th := Threshold(L2, eps)
+		self1, cross1 := fixedLoops(b, d, 1)
+		self4, cross4 := fixedLoops(b, d, 4)
 		for _, v := range []struct {
 			name  string
 			self  selfLoop
 			cross crossLoop
 		}{
 			{"generic", selfSweepL2Any, crossSweepL2Any},
-			{"fixed", selfSweepL2, crossSweepL2},
+			{"lanes=1", self1, cross1},
+			{"lanes=4", self4, cross4},
 		} {
 			b.Run(v.name+"/d="+strconv.Itoa(d), func(b *testing.B) {
 				var cand int64

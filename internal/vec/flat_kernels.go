@@ -10,7 +10,9 @@ package vec
 //
 // The L2 sweeps dispatch on dims in flat_kernels_gen.go: the widths it
 // lists run a fully unrolled loop rendered from the template in
-// flat_kernels_gen_test.go, every other width runs the loops below.
+// flat_kernels_gen_test.go (at the widths in its laneWidths, one that
+// tests four window candidates in lockstep); every other width runs the
+// loops below.
 
 // selfSweepL2Any is selfSweepL2 at any d: one sweep-sorted list against
 // itself.
